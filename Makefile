@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race short bench bench-json bench-gate experiments examples clean
+.PHONY: all build vet test race short bench bench-json bench-gate campaignbench experiments examples clean
 
 # Benchmarks the gate re-runs (see bench-gate). CASIngest and
 # GWASPasteWorkflow are in the run set but not the diff set: their absolute
@@ -8,11 +8,14 @@ GO ?= go
 # drifts 2-3× with device state, which no tolerance can absorb — CASIngest
 # is gated by its machine-independent same-run ratio instead, and the
 # workflow's paste cost is gated through the CPU-bound PasteColumnar pair.
-# Both still land in BENCH_PR6.json for the record.
+# Both still land in $(BENCH_BASELINE) for the record.
 GATE_BENCH = GWASPasteWorkflow|CASIngest|SimReplay|PasteColumnar|HashFile|RemoteCampaignScaling|SelfTelemetryOverhead
 GATE_DIFF  = SimReplay|PasteColumnar|HashFile
 # Allowed fractional slowdown before the gate fails (0.25 = 25%).
 BENCH_TOLERANCE ?= 0.25
+# The one committed `go test -bench` baseline: bench-json writes it,
+# bench-gate diffs against it.
+BENCH_BASELINE ?= BENCH_PR6.json
 
 all: build vet test
 
@@ -39,7 +42,7 @@ bench:
 # the regression baseline bench-gate diffs against; benchdiff keeps the
 # minimum of the three repetitions, which drops cold-cache first runs.
 bench-json:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x -count=3 ./... | $(GO) run ./cmd/benchjson -o BENCH_PR7.json
+	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x -count=3 ./... | $(GO) run ./cmd/benchjson -o $(BENCH_BASELINE)
 
 # Re-run the gated benchmarks and fail if any slowed >$(BENCH_TOLERANCE)
 # against the committed baseline. The gate takes the minimum of 5
@@ -60,13 +63,19 @@ bench-json:
 # ceiling trips if registry snapshots ever start contending with writers.
 bench-gate:
 	$(GO) test -run=NONE -bench='$(GATE_BENCH)' -benchmem -benchtime=1x -count=5 ./... | $(GO) run ./cmd/benchjson -o BENCH_GATE.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_PR6.json -current BENCH_GATE.json \
+	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -current BENCH_GATE.json \
 		-tolerance $(BENCH_TOLERANCE) -filter '$(GATE_DIFF)' \
 		-ratio 'BenchmarkCASIngest/parallel4<=0.85*BenchmarkCASIngest/sequential' \
 		-ratio 'BenchmarkSimReplay/batch<=1.1*BenchmarkSimReplay/step' \
 		-ratio 'BenchmarkPasteColumnar/fast<=0.85*BenchmarkPasteColumnar/kernel' \
 		-ratio 'BenchmarkRemoteCampaignScaling/workers4<=0.4*BenchmarkRemoteCampaignScaling/workers1' \
 		-ratio 'BenchmarkSelfTelemetryOverhead/sampling-on<=1.5*BenchmarkSelfTelemetryOverhead/sampling-off'
+
+# The campaign-path benchmark (bench/README.md): six workloads, tracing off,
+# ~2.5 min; every performance claim names a metric and workload from it.
+# `go run ./bench/campaignbench -quick` is the sub-second smoke CI runs.
+campaignbench:
+	$(GO) run ./bench/campaignbench -seed 1 -o bench/out/result.json
 
 # Regenerate every paper figure at full scale into results.md.
 experiments:

@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
@@ -80,13 +81,20 @@ type actionFile struct {
 	Files   map[string]fileStat     `json:"files,omitempty"`
 }
 
+// actionRecord is one line of actions.json.log.
+type actionRecord struct {
+	Recipe Digest       `json:"recipe"`
+	Result ActionResult `json:"result"`
+}
+
 // ActionCacheVersion is the current actions.json schema version.
 const ActionCacheVersion = 1
 
 // ActionCache maps recipe digests to results, backed by a Store that holds
-// the output bytes. It persists to a JSON file with atomic writes and also
-// carries the file-stat digest memo so warm re-runs need not re-read
-// unchanged input files.
+// the output bytes. It persists as a JSON snapshot (written atomically by
+// Save) plus an append-only tail, <path>.log, that Put adds one fsynced line
+// to. The snapshot also carries the file-stat digest memo, so warm re-runs
+// need not re-read unchanged input files.
 type ActionCache struct {
 	store *Store
 	path  string
@@ -94,7 +102,8 @@ type ActionCache struct {
 	mu      sync.Mutex
 	actions map[Digest]ActionResult
 	files   map[string]fileStat
-	dirty   bool
+	log     *metaLog
+	dirty   bool // the file memo changed since the last Save
 
 	// Telemetry counters (nil when unset — increments are then no-ops).
 	// Wire them with SetMetrics before concurrent use.
@@ -102,6 +111,7 @@ type ActionCache struct {
 	mMisses     *telemetry.Counter
 	mMemoHits   *telemetry.Counter
 	mMemoMisses *telemetry.Counter
+	mPutSeconds *telemetry.Histogram
 	// events, when non-nil, journals Get outcomes at debug level.
 	events *eventlog.Log
 }
@@ -118,7 +128,8 @@ func (c *ActionCache) SetEvents(l *eventlog.Log) {
 // them: cas.action_hits_total / cas.action_misses_total (Get outcomes — a
 // cached entry whose output objects were GC'd counts as a miss, matching the
 // re-execution it forces) and cas.filehash_memo_hits_total /
-// cas.filehash_memo_misses_total (stat-fingerprint digest memo). The backing
+// cas.filehash_memo_misses_total (stat-fingerprint digest memo) and the
+// cas.action_put_seconds histogram (one observation per Put). The backing
 // store is wired too. Call before concurrent use; a nil registry is a no-op.
 func (c *ActionCache) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
@@ -128,32 +139,53 @@ func (c *ActionCache) SetMetrics(reg *telemetry.Registry) {
 	c.mMisses = reg.Counter("cas.action_misses_total")
 	c.mMemoHits = reg.Counter("cas.filehash_memo_hits_total")
 	c.mMemoMisses = reg.Counter("cas.filehash_memo_misses_total")
+	c.mPutSeconds = reg.Histogram("cas.action_put_seconds", nil)
 	c.store.SetMetrics(reg)
 }
 
 // OpenActionCache loads (or initialises) the action cache at path, backed by
-// the given store.
+// the given store: the snapshot when there is one, then the log replayed
+// over it.
 func OpenActionCache(path string, store *Store) (*ActionCache, error) {
 	c := &ActionCache{
 		store:   store,
 		path:    path,
 		actions: map[Digest]ActionResult{},
 		files:   map[string]fileStat{},
+		log:     newMetaLog(path),
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return c, nil
+	if err := c.loadSnapshot(); err != nil {
+		return nil, err
 	}
+	err := c.log.replay(func(line []byte) error {
+		rec, err := decodeActionRecord(line)
+		if err == nil {
+			c.actions[rec.Recipe] = rec.Result
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
+	}
+	return c, nil
+}
+
+// loadSnapshot reads the snapshot file into c; an absent one is empty.
+func (c *ActionCache) loadSnapshot() error {
+	f, err := os.Open(c.path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 	var af actionFile
 	if err := json.NewDecoder(f).Decode(&af); err != nil {
-		return nil, fmt.Errorf("cas: parsing action cache: %w", err)
+		return fmt.Errorf("cas: parsing action cache: %w", err)
 	}
 	if af.Version != ActionCacheVersion {
-		return nil, fmt.Errorf("cas: unsupported action cache version %d", af.Version)
+		return fmt.Errorf("cas: unsupported action cache version %d", af.Version)
 	}
 	for k, v := range af.Actions {
 		c.actions[Digest(k)] = v
@@ -161,7 +193,21 @@ func OpenActionCache(path string, store *Store) (*ActionCache, error) {
 	for k, v := range af.Files {
 		c.files[k] = v
 	}
-	return c, nil
+	return nil
+}
+
+// decodeActionRecord parses one line of actions.json.log. The snapshot
+// decoder takes any result under any key; a line must at least name its
+// recipe, which is what tells it from a line of some other log.
+func decodeActionRecord(line []byte) (actionRecord, error) {
+	var rec actionRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return rec, err
+	}
+	if rec.Recipe == "" {
+		return rec, fmt.Errorf("cas: action record names no recipe")
+	}
+	return rec, nil
 }
 
 // Store returns the backing object store.
@@ -206,13 +252,19 @@ func (c *ActionCache) noteGet(typ string, recipe Digest) {
 	}
 }
 
-// Put records a recipe's result and persists the cache.
+// Put records a recipe's result: one fsynced log line, then the in-memory
+// entry — in that order, so when the write fails Get still misses, here and
+// after a reopen.
 func (c *ActionCache) Put(recipe Digest, res ActionResult) error {
+	start := time.Now()
 	c.mu.Lock()
-	c.actions[recipe] = res
-	c.dirty = true
+	err := c.log.append(actionRecord{Recipe: recipe, Result: res})
+	if err == nil {
+		c.actions[recipe] = res
+	}
 	c.mu.Unlock()
-	return c.Save()
+	c.mPutSeconds.Observe(time.Since(start).Seconds())
+	return err
 }
 
 // HashFileCached digests a file, trusting a stat-unchanged memo entry: an
@@ -242,11 +294,14 @@ func (c *ActionCache) HashFileCached(path string) (Digest, error) {
 	return d, nil
 }
 
-// Save persists the cache atomically if it changed since the last save.
+// Save compacts the cache if anything changed since the last snapshot: it
+// writes actions and file memo as a new snapshot atomically, then drops the
+// log the snapshot now covers. It is the only way the file memo reaches
+// disk. See metaLog for who may call it when handles share a path.
 func (c *ActionCache) Save() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.dirty {
+	if !c.dirty && c.log.n == 0 {
 		return nil
 	}
 	af := actionFile{
@@ -268,7 +323,7 @@ func (c *ActionCache) Save() error {
 		return err
 	}
 	c.dirty = false
-	return nil
+	return c.log.compacted()
 }
 
 // Live returns the set of output digests referenced by any cached action —

@@ -11,11 +11,26 @@
 // On-disk layout under a store root:
 //
 //	objects/<aa>/<rest-of-hex>   — one file per object, named by digest
-//	index.json                   — object metadata (size per digest)
-//	actions.json                 — the action cache (when co-located)
+//	index.json                   — object metadata (size per digest), snapshot
+//	index.json.log               — objects added since that snapshot
+//	actions.json                 — the action cache (when co-located), snapshot
+//	actions.json.log             — actions recorded since that snapshot
 //
-// All metadata writes are atomic (temp file + rename), so a crash never
-// leaves a torn index behind.
+// Each metadata file is a snapshot plus an append-only tail (metaLog). A new
+// entry — Store.Put, ActionCache.Put — appends one JSON line to the tail and
+// fsyncs it, so it is durable when the call returns and costs the same
+// however large the store has grown. Open reads the snapshot, then replays
+// the tail through the same validation; an unterminated last line is the torn
+// write of a crash and is ignored. The snapshot is rewritten, atomically
+// (temp file + rename, so a crash never leaves a torn one behind), only at
+// the compaction points — Store.GC, PutAll's single batched save,
+// ActionCache.Save — each of which then removes the tail it has folded in.
+// Entries are idempotent, so a crash between those two steps only replays
+// what the snapshot already holds (after a GC it can re-list a removed
+// object; the object files are the source of truth — Stats and VerifyAll
+// show the stale entry — and the next GC drops it again). Any number of handles may append to one store at a time, each
+// seeing its own entries until it reopens; compaction is for one handle
+// with no other appender alive.
 package cas
 
 import (
@@ -28,6 +43,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"fairflow/internal/telemetry"
 )
@@ -102,13 +118,15 @@ type Store struct {
 	mObjectsPut   *telemetry.Counter
 	mPutDedup     *telemetry.Counter
 	mMaterialized *telemetry.Counter
+	mPutSeconds   *telemetry.Histogram
 }
 
 // SetMetrics registers the store's instruments in reg and starts feeding
 // them: cas.put_bytes_total (bytes streamed through Put), cas.objects_put_total
 // (new objects stored), cas.put_dedup_total (Puts satisfied by an existing
-// object), cas.materialize_total (Materialize calls). Call before the store
-// is used concurrently; a nil registry is a no-op.
+// object), cas.materialize_total (Materialize calls) and the cas.put_seconds
+// histogram (one observation per object ingested, index append included).
+// Call before the store is used concurrently; a nil registry is a no-op.
 func (s *Store) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -117,6 +135,7 @@ func (s *Store) SetMetrics(reg *telemetry.Registry) {
 	s.mObjectsPut = reg.Counter("cas.objects_put_total")
 	s.mPutDedup = reg.Counter("cas.put_dedup_total")
 	s.mMaterialized = reg.Counter("cas.materialize_total")
+	s.mPutSeconds = reg.Histogram("cas.put_seconds", nil)
 }
 
 // Open opens (creating if necessary) a store rooted at dir.
@@ -153,6 +172,8 @@ func (s *Store) Put(r io.Reader) (Digest, int64, error) {
 // put is Put with index bookkeeping optional: PutAll workers skip it and
 // batch the index update into one pass + one save at the end.
 func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
+	start := time.Now()
+	defer func() { s.mPutSeconds.Observe(time.Since(start).Seconds()) }()
 	tmp, err := os.CreateTemp(filepath.Join(s.root, "objects"), "put-*")
 	if err != nil {
 		return "", 0, err
@@ -206,13 +227,9 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 		return d, n, nil
 	}
 	s.mu.Lock()
-	changed := s.idx.add(d, n)
-	var serr error
-	if changed {
-		serr = s.idx.save()
-	}
+	err = s.idx.add(d, n)
 	s.mu.Unlock()
-	return d, n, serr
+	return d, n, err
 }
 
 // PutFile stores the named file's content.
@@ -338,6 +355,8 @@ func (s *Store) Stats() Stats {
 // GC removes every object not referenced by the live set (the ref-counting
 // sweep: liveness flows from live manifests — action-cache entries — down to
 // objects). It returns the number of objects removed and the bytes freed.
+// GC is a compaction point: it rewrites the index snapshot whenever it
+// removed something or the log has entries to fold in.
 func (s *Store) GC(live map[Digest]bool) (removed int, freed int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,7 +373,7 @@ func (s *Store) GC(live map[Digest]bool) (removed int, freed int64, err error) {
 		removed++
 		freed += obj.Size
 	}
-	if removed > 0 {
+	if removed > 0 || s.idx.log.n > 0 {
 		if serr := s.idx.save(); err == nil {
 			err = serr
 		}

@@ -84,8 +84,9 @@ type PutResult struct {
 // step. Each file streams through the chunked hash-while-spooling kernel
 // exactly as PutFile does, but index bookkeeping is batched: workers only
 // ingest object bytes, and the index is updated and persisted once at the
-// end instead of once per file — the per-Put index save is the serial
-// bottleneck a parallel ingest would otherwise immediately hit.
+// end — one snapshot write that also compacts the log — instead of one
+// fsynced log line per file under the store mutex, the serial step a
+// parallel ingest would otherwise queue on.
 //
 // Results are returned in input order. The first error (if any) is also
 // returned, but every file is attempted regardless.
@@ -115,17 +116,23 @@ func (s *Store) PutAll(paths []string, workers int) ([]PutResult, error) {
 	close(next)
 	wg.Wait()
 
-	// One index pass, one save.
+	// One index pass, one save (a compaction point). A failed save takes the
+	// new entries back out, as a failed Put does: an entry left in memory
+	// would make the next Put of that object skip the log.
 	s.mu.Lock()
-	changed := false
+	var added []Digest
 	for _, r := range results {
-		if r.Err == nil && s.idx.add(r.Digest, r.Size) {
-			changed = true
+		if r.Err == nil && s.idx.set(r.Digest, r.Size) {
+			added = append(added, r.Digest)
 		}
 	}
 	var serr error
-	if changed {
-		serr = s.idx.save()
+	if len(added) > 0 {
+		if serr = s.idx.save(); serr != nil {
+			for _, d := range added {
+				delete(s.idx.Objects, d.hexPart())
+			}
+		}
 	}
 	s.mu.Unlock()
 

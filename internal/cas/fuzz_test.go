@@ -1,7 +1,9 @@
 package cas
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -50,6 +52,72 @@ func FuzzIndexDecode(f *testing.F) {
 		for hx, obj := range idx.Objects {
 			if idx2.Objects[hx] != obj {
 				t.Fatalf("round trip changed entry %q", hx)
+			}
+		}
+	})
+}
+
+// FuzzCASLogReplay drives arbitrary bytes through the replay of both
+// metadata logs — the line splitter and each line decoder. It must never
+// panic; whatever it accepts must satisfy the invariants the store relies
+// on; and since only an unterminated last line may be skipped, cutting an
+// accepted log short anywhere must be accepted too, yielding a prefix of
+// the same records.
+func FuzzCASLogReplay(f *testing.F) {
+	const hx = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
+	f.Add([]byte(`{"digest":"sha256:`+hx+`","size":12}`+"\n"), uint16(7))
+	f.Add([]byte(`{"digest":"sha256:`+hx+`","size":12}`+"\n"+`{"digest":"sha256:`+hx[:40]), uint16(80))
+	f.Add([]byte(`{"digest":"`+hx+`","size":12}`+"\n"), uint16(0))
+	f.Add([]byte(`{"digest":"sha256:`+hx+`","size":-1}`+"\n"), uint16(3))
+	f.Add([]byte(`{"recipe":"sha256:`+hx+`","result":{"outputs":{"out":"sha256:`+hx+`"},"meta":{"rows":"4"}}}`+"\n"), uint16(50))
+	f.Add([]byte(`{"recipe":"","result":{}}`+"\n"), uint16(1))
+	f.Add([]byte("\n\n"), uint16(1))
+	f.Add([]byte(`null`+"\n"+`[]`+"\n"), uint16(5))
+	f.Add([]byte(``), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		replayIndex := func(data []byte) ([]indexRecord, error) {
+			var recs []indexRecord
+			_, err := replayLog(bytes.NewReader(data), func(line []byte) error {
+				rec, err := decodeIndexRecord(line)
+				recs = append(recs, rec)
+				return err
+			})
+			return recs, err
+		}
+		replayActions := func(data []byte) ([]actionRecord, error) {
+			var recs []actionRecord
+			_, err := replayLog(bytes.NewReader(data), func(line []byte) error {
+				rec, err := decodeActionRecord(line)
+				recs = append(recs, rec)
+				return err
+			})
+			return recs, err
+		}
+		short := data[:int(cut)%(len(data)+1)]
+
+		if recs, err := replayIndex(data); err == nil {
+			if len(recs) != bytes.Count(data, []byte("\n")) {
+				t.Fatalf("accepted %d records from %d terminated lines", len(recs), bytes.Count(data, []byte("\n")))
+			}
+			for _, rec := range recs {
+				if !rec.Digest.Valid() || rec.Size < 0 {
+					t.Fatalf("accepted index record %+v", rec)
+				}
+			}
+			prefix, err := replayIndex(short)
+			if err != nil || len(prefix) > len(recs) || len(prefix) > 0 && !reflect.DeepEqual(prefix, recs[:len(prefix)]) {
+				t.Fatalf("index log accepted whole but cut at %d gives %v, err %v", len(short), prefix, err)
+			}
+		}
+		if recs, err := replayActions(data); err == nil {
+			for _, rec := range recs {
+				if rec.Recipe == "" {
+					t.Fatalf("accepted action record with no recipe: %+v", rec)
+				}
+			}
+			prefix, err := replayActions(short)
+			if err != nil || len(prefix) > len(recs) || len(prefix) > 0 && !reflect.DeepEqual(prefix, recs[:len(prefix)]) {
+				t.Fatalf("action log accepted whole but cut at %d gives %v, err %v", len(short), prefix, err)
 			}
 		}
 	})

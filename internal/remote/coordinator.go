@@ -198,7 +198,11 @@ type wstate struct {
 	outstanding  map[string]bool
 	stealPending bool
 	dead         bool
-	slots        int
+	// granted turns true once the lease-grant is on the wire. The worker is
+	// registered (and visible to every top-up) before that send, and an
+	// assign overtaking the grant makes the worker quit its handshake.
+	granted bool
+	slots   int
 	// skew is this worker's clock-offset estimate; idmap translates its
 	// span ids into the coordinator tracer's id space (lazily populated by
 	// the telemetry merge). Both live under co.mu.
@@ -493,6 +497,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		return
 	}
 	co.mu.Lock()
+	w.granted = true
 	co.assignAllLocked()
 	co.mu.Unlock()
 
@@ -679,7 +684,7 @@ func (co *coordinator) assignAllLocked() {
 // or triggers a steal when the queue is dry and the worker is idle.
 func (co *coordinator) assignLocked(w *wstate) {
 	e := co.e
-	if w.dead || co.draining {
+	if w.dead || !w.granted || co.draining {
 		return
 	}
 	if _, aborted := co.rc.Aborted(); aborted {

@@ -179,8 +179,8 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 // TestWorkerSpoolReplayExactlyOnce pins the outcome spool across a
 // handover: runs finished while the coordinator is down replay on the next
-// handshake and the successor journals exactly one terminal record per
-// run, with the spool fully drained by acks.
+// handshake, the successor journals exactly one terminal record per run,
+// and its acks clear the replayed entries from the spool.
 func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "attempts.jsonl")
@@ -192,15 +192,39 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	var addr atomic.Value
 	addr.Store(fc.addr())
 
+	// The spool is checked from inside the campaign: the successor's runs
+	// (executions 3-6) do not finish until the two replayed outcomes have
+	// been acked out of the spool, so the campaign cannot end first. After
+	// it ends there is nothing to wait for — the coordinator sends its final
+	// result-acks and the drain from separate goroutines, a drain can
+	// overtake an ack, and a drained worker keeps that entry (DESIGN §4j).
 	var executions int64
 	started := make(chan struct{}, 16)
-	w := &Worker{
+	var w *Worker
+	replayedAcked := func() bool {
+		for _, out := range w.spoolInit().pending() {
+			if out.RunID == runs[0].ID || out.RunID == runs[1].ID {
+				return false
+			}
+		}
+		return true
+	}
+	w = &Worker{
 		Name: "w0", Slots: 2, Heartbeat: time.Hour,
 		Dial: func() (net.Conn, error) { return net.Dial("tcp", addr.Load().(string)) },
 		Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
 			started <- struct{}{}
-			atomic.AddInt64(&executions, 1)
+			n := atomic.AddInt64(&executions, 1)
 			time.Sleep(20 * time.Millisecond) // outlive the coordinator
+			if n <= 2 {
+				return nil // incarnation 1's runs: these become the replayed outcomes
+			}
+			for deadline := time.Now().Add(5 * time.Second); !replayedAcked(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("run %s: replayed outcomes still spooled after 5s: %+v", run.ID, w.spoolInit().pending())
+					break
+				}
+			}
 			return nil
 		}),
 		ReconnectBase: 10 * time.Millisecond, ReconnectWait: 10 * time.Second,
@@ -276,7 +300,6 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	if rem := st.Remaining(runIDs(runs)); len(rem) != 0 {
 		t.Errorf("runs still owed after failover: %v", rem)
 	}
-	waitFor(t, time.Second, func() bool { return w.SpoolDepth() == 0 })
 }
 
 // TestWorkerServeReconnectNoGoroutineLeak pins satellite 2: forced

@@ -557,3 +557,75 @@ func TestRemoteEventsAndSpans(t *testing.T) {
 		t.Fatalf("live gauge after drain = %v", got)
 	}
 }
+
+// TestRemoteConcurrentJoinGrantFirst pins the attach order: a joining worker
+// is registered before its lease-grant is written, and until that send
+// returns no top-up — another worker's join, a result arriving — may put an
+// assign on its connection, or the worker quits its handshake with
+// "expected lease-grant". Two goroutines join workers over and over against
+// a campaign that a steady worker keeps topping up. The grant lists the
+// memo's input digests and is marshalled before it takes the connection's
+// write lock, so a memo with many inputs (it needs no cache to be sent)
+// holds the window open long enough for a top-up to land in it on most
+// joins rather than one in tens of thousands.
+func TestRemoteConcurrentJoinGrantFirst(t *testing.T) {
+	const joinsEach = 40
+	inputs := map[string]string{}
+	for i := 0; i < 2000; i++ {
+		inputs[fmt.Sprintf("input-%04d", i)] = fmt.Sprintf("sha256:%064x", i)
+	}
+	ln := listen(t)
+	addr := ln.Addr().String()
+	e := &Engine{Listener: ln, BatchSize: 4, LeaseTTL: 5 * time.Second,
+		Memo: &savanna.Memo{InputDigests: inputs}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	campaignDone := make(chan struct{})
+	go func() {
+		defer close(campaignDone)
+		e.RunCampaign(ctx, "joins", testRuns(100000))
+	}()
+	steadyDone := make(chan struct{})
+	go func() {
+		defer close(steadyDone)
+		steady := &Worker{Name: "steady", Addr: addr, Slots: 1, Heartbeat: time.Hour,
+			Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+		steady.Run(ctx)
+	}()
+
+	var granted atomic.Int64
+	var joiners sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		g := g
+		joiners.Add(1)
+		go func() {
+			defer joiners.Done()
+			for i := 0; i < joinsEach; i++ {
+				// One session: attach, take the first run, leave.
+				jctx, leave := context.WithTimeout(ctx, 50*time.Millisecond)
+				w := &Worker{Name: fmt.Sprintf("joiner%d-%d", g, i), Addr: addr, Slots: 1,
+					Heartbeat: time.Hour,
+					Executor:  execFn(func(context.Context, cheetah.Run) error { leave(); return nil })}
+				err := w.Run(jctx)
+				leave()
+				if w.sawGrant.Load() {
+					granted.Add(1)
+				} else {
+					t.Errorf("join %d of joiner %d never saw its grant: %v", i, g, err)
+				}
+			}
+		}()
+	}
+	joiners.Wait()
+	select {
+	case <-campaignDone:
+		t.Fatalf("the campaign ended before the joins did (%d granted)", granted.Load())
+	default:
+	}
+	cancel()
+	<-campaignDone
+	<-steadyDone
+	if got := granted.Load(); got != 2*joinsEach {
+		t.Fatalf("%d of %d joins were granted a lease", got, 2*joinsEach)
+	}
+}
