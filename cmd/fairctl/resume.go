@@ -73,6 +73,15 @@ func resumeCmd(args []string) {
 		}
 		return
 	}
+	// The journal is the record, the directory's statuses its projection: a
+	// run the journal proves terminal but a crash left "running" is put
+	// right before anything is dispatched (resume skips it, so nothing else
+	// would).
+	if n, err := savanna.ReconcileStatus(*dir, st); err != nil {
+		fmt.Fprintln(os.Stderr, "fairctl: reconciling run statuses:", err)
+	} else if n > 0 {
+		fmt.Printf("fairctl: %d run status(es) brought in line with the journal\n", n)
+	}
 	if len(remaining) == 0 {
 		fmt.Println("fairctl: nothing to resume")
 		return

@@ -1,13 +1,14 @@
 package cas
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+
+	"fairflow/internal/appendlog"
 )
 
 // metaLog is the append-only tail of a metadata file: entries added since
@@ -58,28 +59,10 @@ func (l *metaLog) replay(apply func(line []byte) error) error {
 	return nil
 }
 
-// replayLog is replay over a stream, returning the number of records applied.
-// A record is complete when its newline is there: an unterminated final line
-// is the torn write of a process that died mid-append and is ignored, while
-// a terminated line apply rejects is corruption and an error — the entries
-// before it are real and silently dropping what follows would lose Puts that
-// returned.
+// replayLog is appendlog.Replay — the torn-tail rules the campaign status
+// log shares — under the name FuzzCASLogReplay pins it by.
 func replayLog(r io.Reader, apply func(line []byte) error) (int, error) {
-	br := bufio.NewReaderSize(r, 32<<10)
-	n := 0
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			return n, nil // whatever ReadBytes holds has no newline: torn, or nothing
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := apply(line[:len(line)-1]); err != nil {
-			return n, fmt.Errorf("line %d: %w", n+1, err)
-		}
-		n++
-	}
+	return appendlog.Replay(r, apply)
 }
 
 // append writes rec as one line and fsyncs it: when append returns nil the
@@ -125,7 +108,7 @@ func (l *metaLog) open() error {
 		if fi.Size() == 0 {
 			err = syncDir(filepath.Dir(l.path))
 		} else {
-			err = trimTornTail(f, fi.Size())
+			err = appendlog.TrimTornTail(f, fi.Size())
 		}
 	}
 	if err != nil {
@@ -134,29 +117,6 @@ func (l *metaLog) open() error {
 	}
 	l.f = f
 	return nil
-}
-
-// trimTornTail truncates f (size bytes long) to just after its last newline.
-func trimTornTail(f *os.File, size int64) error {
-	var buf [4096]byte
-	for end := size; end > 0; {
-		start := end - int64(len(buf))
-		if start < 0 {
-			start = 0
-		}
-		chunk := buf[:end-start]
-		if _, err := f.ReadAt(chunk, start); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
-			if keep := start + int64(i) + 1; keep < size {
-				return f.Truncate(keep)
-			}
-			return nil
-		}
-		end = start
-	}
-	return f.Truncate(0)
 }
 
 // compacted drops the tail after the owner has written a snapshot holding

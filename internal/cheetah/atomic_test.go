@@ -8,10 +8,12 @@ import (
 	"testing"
 )
 
-// TestSetRunStatusNeverObservablyTorn hammers one status file with
-// concurrent writers while a reader polls it: because updates go through a
-// temp file and an atomic rename, every read must see a complete, valid
-// status — never an empty or partially-written one.
+// TestSetRunStatusNeverObservablyTorn has two appenders — one StatusLog
+// handle each, as a coordinator and its successor would hold — write
+// transitions for every run while a reader summarises the directory in a
+// loop: because a transition is one O_APPEND write of one whole line, and a
+// reader ignores an unterminated last line, Status never errors and never
+// reports anything but the four statuses.
 func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 	m, err := BuildManifest(demoCampaign())
 	if err != nil {
@@ -20,12 +22,6 @@ func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 	dir, err := m.Materialize(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
-	}
-	runID := m.Runs[0].ID
-	path := filepath.Join(dir, runID, "status")
-
-	valid := map[RunStatus]bool{
-		RunPending: true, RunRunning: true, RunSucceeded: true, RunFailed: true,
 	}
 	statuses := []RunStatus{RunPending, RunRunning, RunSucceeded, RunFailed}
 
@@ -36,11 +32,19 @@ func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
-			for i := 0; i < 200; i++ {
-				if err := SetRunStatus(dir, runID, statuses[(i+w)%len(statuses)]); err != nil {
+			l, err := OpenStatusLog(dir)
+			if err != nil {
+				writeErrs <- err
+				return
+			}
+			for i := 0; i < 2000; i++ {
+				if err := l.Set(m.Runs[i%len(m.Runs)].ID, statuses[(i+w)%len(statuses)]); err != nil {
 					writeErrs <- err
-					return
+					break
 				}
+			}
+			if err := l.Close(); err != nil {
+				writeErrs <- err
 			}
 		}()
 	}
@@ -55,14 +59,16 @@ func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 				return
 			default:
 			}
-			data, err := os.ReadFile(path)
+			sum, err := Status(dir)
 			if err != nil {
-				t.Errorf("status file unreadable mid-update: %v", err)
+				t.Errorf("status unreadable mid-update: %v", err)
 				return
 			}
-			if !valid[RunStatus(data)] {
-				t.Errorf("observed torn status %q", data)
-				return
+			for st := range sum.ByStatus {
+				if !st.valid() {
+					t.Errorf("observed torn status %q", st)
+					return
+				}
 			}
 		}
 	}()
@@ -76,15 +82,13 @@ func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 	default:
 	}
 
-	// No temp-file droppings may survive in the run directory.
-	entries, err := os.ReadDir(filepath.Join(dir, runID))
+	// Every line of the finished log is whole: 4000 records, nothing else.
+	data, err := os.ReadFile(filepath.Join(dir, statusLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
+	if n := strings.Count(string(data), "\n"); n != 4000 || data[len(data)-1] != '\n' {
+		t.Fatalf("log holds %d terminated lines, want 4000", n)
 	}
 }
 

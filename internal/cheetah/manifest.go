@@ -106,7 +106,7 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 }
 
 // RunStatus is the per-run execution status recorded in the campaign
-// directory by the execution engine.
+// directory's status log by the execution engine.
 type RunStatus string
 
 // Run statuses in the campaign directory schema.
@@ -119,10 +119,23 @@ const (
 
 // Materialize creates the campaign's directory schema under root:
 //
-//	root/<campaign>/campaign.json           — the manifest
 //	root/<campaign>/<group>/<sweep>/run-N/  — one directory per run
 //	    params.json                         — the run's sweep point
-//	    status                              — pending|running|succeeded|failed
+//	root/<campaign>/campaign.json           — the manifest, written last
+//	root/<campaign>/status.log              — run statuses, written by engines
+//
+// The manifest is the commit marker: it is written after every run
+// directory, so a directory LoadCampaignDir accepts is complete, and one
+// without campaign.json is the removable leftover of an interrupted
+// Materialize.
+//
+// status.log is created by the first engine (or SetRunStatus) to record a
+// transition: one appended JSON line {"run","status"} per transition, status
+// one of pending|running|succeeded|failed, last line per run wins. A run with
+// no line is pending, so a fresh directory has no log at all. Directories
+// materialised before the log existed keep a per-run "status" file in each
+// run directory; it still answers for a run the log does not mention (see
+// RunStatuses).
 //
 // "The composition engine further adopts its own directory schema to
 // represent a campaign end-point... campaign metadata is hidden from the
@@ -139,9 +152,6 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	if err := m.Write(&manifest); err != nil {
 		return "", err
 	}
-	if err := WriteFileAtomic(filepath.Join(dir, "campaign.json"), manifest.Bytes(), 0o644); err != nil {
-		return "", err
-	}
 	for _, run := range m.Runs {
 		runDir := filepath.Join(dir, run.ID)
 		if err := os.MkdirAll(runDir, 0o755); err != nil {
@@ -154,9 +164,9 @@ func (m *Manifest) Materialize(root string) (string, error) {
 		if err := WriteFileAtomic(filepath.Join(runDir, "params.json"), params, 0o644); err != nil {
 			return "", err
 		}
-		if err := WriteFileAtomic(filepath.Join(runDir, "status"), []byte(RunPending), 0o644); err != nil {
-			return "", err
-		}
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "campaign.json"), manifest.Bytes(), 0o644); err != nil {
+		return "", err
 	}
 	return dir, nil
 }
@@ -170,17 +180,6 @@ func LoadCampaignDir(dir string) (*Manifest, error) {
 	}
 	defer f.Close()
 	return ReadManifest(f)
-}
-
-// SetRunStatus records a run's status in the directory schema. The write is
-// atomic: an execution engine crashing mid-update (or a status query racing
-// it) can never leave — or observe — a torn status file.
-func SetRunStatus(dir string, runID string, status RunStatus) error {
-	path := filepath.Join(dir, runID, "status")
-	if _, err := os.Stat(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("cheetah: unknown run %q: %w", runID, err)
-	}
-	return WriteFileAtomic(path, []byte(status), 0o644)
 }
 
 // StatusSummary aggregates run statuses — the "API to submit a campaign and
@@ -210,19 +209,20 @@ func (s *StatusSummary) Done() bool {
 	return s.ByStatus[RunSucceeded]+s.ByStatus[RunFailed] == s.Total
 }
 
-// Status walks a materialised campaign directory and summarises it.
+// Status summarises a materialised campaign directory: its manifest overlaid
+// with its status log (see RunStatuses).
 func Status(dir string) (*StatusSummary, error) {
 	m, err := LoadCampaignDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	statuses, err := m.runStatuses(dir)
+	if err != nil {
+		return nil, err
+	}
 	sum := &StatusSummary{ByStatus: map[RunStatus]int{}}
 	for _, run := range m.Runs {
-		data, err := os.ReadFile(filepath.Join(dir, run.ID, "status"))
-		if err != nil {
-			return nil, err
-		}
-		st := RunStatus(data)
+		st := statuses[run.ID]
 		sum.Total++
 		sum.ByStatus[st]++
 		if st != RunSucceeded {

@@ -218,6 +218,9 @@ type coordinator struct {
 	campaign string
 	span     *telemetry.Span
 	ctx      context.Context
+	// status mirrors terminal transitions into CampaignDir's status log
+	// (nil without one); a successor incarnation appends to the same file.
+	status *savanna.StatusMirror
 
 	mu        sync.Mutex
 	runs      []cheetah.Run
@@ -274,6 +277,7 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 
 	co := &coordinator{
 		e: e, rc: rc, campaign: campaign, span: span, ctx: ctx,
+		status:   savanna.OpenStatusMirror(e.CampaignDir, e.Events, span.ID()),
 		leases:   resilience.NewLeaseTable(e.leaseTTL(), rc.Journal(), nil),
 		runs:     runs,
 		index:    make(map[string]int, len(runs)),
@@ -376,13 +380,15 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 	}
 }
 
-// finish closes out the campaign span, events and report.
+// finish makes the status log durable and closes out the campaign span,
+// events and report.
 func (co *coordinator) finish() resilience.CompletenessReport {
 	e := co.e
 	if reason, aborted := co.rc.Aborted(); aborted {
 		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
 			telemetry.String("campaign", co.campaign))
 	}
+	co.status.Close()
 	co.span.End()
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, co.campaign, co.span.ID(),
 		telemetry.String("campaign", co.campaign))
@@ -851,7 +857,7 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 			co.rc.JournalAttemptWorker(run.ID, point, co.attempts[i],
 				resilience.AttemptSuccess, w.name, "", nil)
 			co.rc.Quarantine().NoteSuccess(point)
-			co.setStatus(run, cheetah.RunSucceeded)
+			co.status.Set(run.ID, cheetah.RunSucceeded)
 			usage := co.usage[i]
 			e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
 				time.Duration(out.Seconds*float64(time.Second)), res, false, usage)
@@ -904,7 +910,7 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		co.assignAllLocked()
 		return
 	}
-	co.setStatus(run, cheetah.RunFailed)
+	co.status.Set(run.ID, cheetah.RunFailed)
 	usage := co.usage[i]
 	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, usage)
 	co.results[i] = savanna.RunResult{
@@ -934,7 +940,7 @@ func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionRe
 	co.rc.JournalAttemptWorker(run.ID, savanna.PointKey(run), 0,
 		resilience.AttemptCached, worker, "", nil)
 	co.rc.NoteOutcome(resilience.OutcomeCached)
-	co.setStatus(run, cheetah.RunSucceeded)
+	co.status.Set(run.ID, cheetah.RunSucceeded)
 	e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
 		time.Duration(seconds*float64(time.Second)), res, true, savanna.ResourceUsage{})
 	co.results[i] = savanna.RunResult{
@@ -963,7 +969,7 @@ func (co *coordinator) quarantineLocked(i int, worker string, attempts int, caus
 	}
 	co.rc.JournalAttemptWorker(run.ID, point, attempts,
 		resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
-	co.setStatus(run, cheetah.RunFailed)
+	co.status.Set(run.ID, cheetah.RunFailed)
 	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
 	co.results[i] = savanna.RunResult{
 		Run: run, Status: provenance.StatusFailed, Err: msg,
@@ -1051,13 +1057,6 @@ func (co *coordinator) noteResourcesLocked(i int, runID, worker string, usage sa
 		telemetry.String("run", runID), telemetry.String("worker", worker),
 		telemetry.Float("cpu_s", usage.CPUSeconds()),
 		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-}
-
-// setStatus mirrors the run's terminal state into the campaign directory.
-func (co *coordinator) setStatus(run cheetah.Run, st cheetah.RunStatus) {
-	if co.e.CampaignDir != "" {
-		cheetah.SetRunStatus(co.e.CampaignDir, run.ID, st)
-	}
 }
 
 // appendProvenance mirrors savanna.LocalEngine's record shape so a remote

@@ -175,6 +175,15 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 		telemetry.String("holder", holder), telemetry.Int("epoch", int(epoch)),
 		telemetry.Int("done", info.Done), telemetry.Int("dispatching", len(todo)))
 
+	// A predecessor that died between a journal line and its status line
+	// left that run "running" in the campaign directory, and nothing below
+	// would touch it again: the journal's verdicts go in before any dispatch.
+	if e.CampaignDir != "" && len(recs) > 0 {
+		if _, err := savanna.ReconcileStatus(e.CampaignDir, st); err != nil {
+			e.Events.Append(eventlog.Warn, eventlog.CampaignStatusLog, err.Error(), 0)
+		}
+	}
+
 	// Renew the claim at TTL/3 until the campaign ends. A renewal that
 	// finds another holder means a standby declared us dead: fence the
 	// journal first (no more history under a stale epoch), then abort.

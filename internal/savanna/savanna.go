@@ -132,7 +132,8 @@ type LocalEngine struct {
 	// with the campaign id — the campaign-knowledge tier in action.
 	Prov *provenance.Store
 	// CampaignDir, when non-empty, receives status updates in the Cheetah
-	// directory schema.
+	// directory schema: one line per transition appended to its status.log,
+	// fsynced once when the campaign returns.
 	CampaignDir string
 	// Retries re-executes a failed run up to this many extra times before
 	// recording it failed — the legacy knob, equivalent to a Resilience
@@ -246,6 +247,7 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 		telemetry.Int("runs", len(runs)))
 	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
+	sm := OpenStatusMirror(e.CampaignDir, e.Events, campaignSpan.ID())
 	results := make([]RunResult, len(runs))
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -254,7 +256,7 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc)
+				results[i] = e.executeOne(ctx, campaign, runs[i], rc, sm)
 			}
 		}()
 	}
@@ -267,17 +269,19 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 	}
 	close(work)
 	wg.Wait()
-	report := e.finishCampaign(campaign, campaignSpan, rc, len(runs))
+	report := e.finishCampaign(campaign, campaignSpan, rc, sm, len(runs))
 	return results, report, nil
 }
 
-// finishCampaign closes the campaign span, emits the abort/done events and
-// renders the completeness report (shared by both disciplines).
-func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, total int) resilience.CompletenessReport {
+// finishCampaign makes the status log durable, closes the campaign span,
+// emits the abort/done events and renders the completeness report (shared by
+// both disciplines).
+func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, sm *StatusMirror, total int) resilience.CompletenessReport {
 	if reason, aborted := rc.Aborted(); aborted {
 		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
 			telemetry.String("campaign", campaign))
 	}
+	sm.Close()
 	span.End()
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, campaign, span.ID(),
 		telemetry.String("campaign", campaign))
@@ -305,6 +309,7 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 		telemetry.Int("runs", len(runs)))
 	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
+	sm := OpenStatusMirror(e.CampaignDir, e.Events, campaignSpan.ID())
 	results := make([]RunResult, len(runs))
 	for lo := 0; lo < len(runs); lo += setSize {
 		hi := lo + setSize
@@ -324,12 +329,12 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc)
+				results[i] = e.executeOne(ctx, campaign, runs[i], rc, sm)
 			}()
 		}
 		wg.Wait() // the set barrier
 	}
-	e.finishCampaign(campaign, campaignSpan, rc, len(runs))
+	e.finishCampaign(campaign, campaignSpan, rc, sm, len(runs))
 	return results, nil
 }
 
@@ -349,8 +354,8 @@ func (e *LocalEngine) execute(ctx context.Context, run cheetah.Run, rc *resilien
 
 // skipOne records a run the campaign never dispatched (abort latch tripped
 // or the campaign context was cancelled first). Skipped runs journal as
-// skipped and keep their pending status on disk, so both resume paths — the
-// attempt journal and the campaign directory — list them as still owed.
+// skipped and get no status line (they stay pending), so both resume paths —
+// the attempt journal and the campaign directory — list them as still owed.
 func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.Controller) RunResult {
 	rc.JournalAttempt(run.ID, PointKey(run), 0, resilience.AttemptSkipped, "", nil)
 	rc.NoteOutcome(resilience.OutcomeSkipped)
@@ -358,7 +363,7 @@ func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.C
 	return RunResult{Run: run, Status: provenance.StatusSkipped}
 }
 
-func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller) RunResult {
+func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller, sm *StatusMirror) RunResult {
 	start := time.Now()
 	runCtx, span := e.Tracer.Start(ctx, "savanna.run", telemetry.String("run", run.ID))
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(), telemetry.String("run", run.ID))
@@ -376,11 +381,9 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 	if e.Memo != nil && e.Memo.validate() == nil {
 		if cached, ok := e.Memo.lookup(run); ok {
 			elapsed := time.Since(start)
-			if e.CampaignDir != "" {
-				cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunSucceeded)
-			}
-			e.appendProvenance(campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
 			rc.JournalAttempt(run.ID, point, 0, resilience.AttemptCached, "", nil)
+			sm.Set(run.ID, cheetah.RunSucceeded)
+			e.appendProvenance(campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
 			rc.NoteOutcome(resilience.OutcomeCached)
 			e.mCached.Inc()
 			e.hRunSecs.Observe(elapsed.Seconds())
@@ -394,12 +397,10 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 	// the same point, or restored from a resumed journal) fails without
 	// spending an attempt.
 	if !q.Allow(point) {
-		return e.quarantineOne(campaign, run, span, rc, point, 0, nil)
+		return e.quarantineOne(campaign, run, span, rc, sm, point, 0, nil)
 	}
 
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunRunning)
-	}
+	sm.Set(run.ID, cheetah.RunRunning)
 
 	maxAttempts := rc.Attempts()
 	var (
@@ -423,7 +424,7 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 		class := resilience.Classify(err)
 		rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptFailure, class, err)
 		if q.NoteFailure(point) {
-			return e.quarantineOne(campaign, run, span, rc, point, attempt, err)
+			return e.quarantineOne(campaign, run, span, rc, sm, point, attempt, err)
 		}
 		if !class.Retryable() || attempt >= maxAttempts || ctx.Err() != nil {
 			break
@@ -456,9 +457,7 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 		res.Err = err.Error()
 	}
 	res.Status = status
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, dirStatus)
-	}
+	sm.Set(run.ID, dirStatus)
 	e.appendProvenance(campaign, run, status, elapsed, recorded, false, usage)
 	e.hRunSecs.Observe(elapsed.Seconds())
 	e.hAttempts.Observe(float64(attempt))
@@ -501,15 +500,13 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 // quarantineOne closes out a run whose sweep point is (or just became)
 // side-lined by the circuit breaker. attempt is 0 when the gate rejected the
 // run before any execution.
-func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, point string, attempt int, cause error) RunResult {
+func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, sm *StatusMirror, point string, attempt int, cause error) RunResult {
 	msg := "sweep point " + point + " quarantined"
 	if cause != nil {
 		msg = cause.Error()
 	}
 	rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptQuarantined, resilience.Classify(cause), cause)
-	if e.CampaignDir != "" {
-		cheetah.SetRunStatus(e.CampaignDir, run.ID, cheetah.RunFailed)
-	}
+	sm.Set(run.ID, cheetah.RunFailed)
 	e.appendProvenance(campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, ResourceUsage{})
 	if attempt > 0 {
 		e.hAttempts.Observe(float64(attempt))

@@ -91,6 +91,11 @@ const (
 	// fraction exceeded): undispatched runs were skipped and the engine
 	// returned a completeness report.
 	CampaignAborted = "campaign.aborted"
+	// CampaignStatusLog marks a failed write to the campaign directory's
+	// status log: at most one per campaign for its appends (the first
+	// failure) and one for its closing fsync. The campaign carries on — the
+	// attempt journal is the record, the log its projection.
+	CampaignStatusLog = "campaign.status-log"
 
 	RunStart     = "run.start"
 	RunSucceeded = "run.succeeded"
