@@ -45,8 +45,9 @@ type Engine struct {
 	// and no live worker — covering both "no worker ever joined" and
 	// "every worker died and none returned" (default 60s).
 	WorkerWait time.Duration
-	// IOTimeout bounds each message send and each idle connection read
-	// (default 2×LeaseTTL + 2s; heartbeats keep healthy connections warm).
+	// IOTimeout bounds each flush of a connection's writer and each idle
+	// connection read (default 2×LeaseTTL + 2s; heartbeats keep healthy
+	// connections warm). A worker that stops reading is ended by it.
 	IOTimeout time.Duration
 	// Epoch is this coordinator incarnation's fenced journal epoch
 	// (resilience.Journal.OpenEpoch). It stamps every outgoing message and
@@ -89,6 +90,7 @@ type Engine struct {
 	mDeadTotal   *telemetry.Counter
 	mStaleEpoch  *telemetry.Counter
 	mTakeovers   *telemetry.Counter
+	mJournalErrs *telemetry.Counter
 	gEpoch       *telemetry.Gauge
 	gLive        *telemetry.Gauge
 	gDead        *telemetry.Gauge
@@ -123,6 +125,7 @@ func (e *Engine) telemetryInit() {
 		e.mDeadTotal = e.Metrics.Counter("remote.workers_dead_total")
 		e.mStaleEpoch = e.Metrics.Counter("remote.stale_epoch_total")
 		e.mTakeovers = e.Metrics.Counter("remote.coordinator_takeovers_total")
+		e.mJournalErrs = e.Metrics.Counter("remote.journal_append_errors_total")
 		e.gEpoch = e.Metrics.Gauge("remote.coordinator_epoch")
 		e.gLive = e.Metrics.Gauge("remote.workers_live")
 		e.gDead = e.Metrics.Gauge("remote.workers_dead")
@@ -198,11 +201,7 @@ type wstate struct {
 	outstanding  map[string]bool
 	stealPending bool
 	dead         bool
-	// granted turns true once the lease-grant is on the wire. The worker is
-	// registered (and visible to every top-up) before that send, and an
-	// assign overtaking the grant makes the worker quit its handshake.
-	granted bool
-	slots   int
+	slots        int
 	// skew is this worker's clock-offset estimate; idmap translates its
 	// span ids into the coordinator tracer's id space (lazily populated by
 	// the telemetry merge). Both live under co.mu.
@@ -222,24 +221,27 @@ type coordinator struct {
 	// (nil without one); a successor incarnation appends to the same file.
 	status *savanna.StatusMirror
 
-	mu        sync.Mutex
-	runs      []cheetah.Run
-	index     map[string]int
-	pending   []int
-	results   []savanna.RunResult
-	terminal  []bool
-	attempts  []int
-	spans     []*telemetry.Span
+	mu       sync.Mutex
+	runs     []cheetah.Run
+	index    map[string]int
+	pending  []int
+	results  []savanna.RunResult
+	terminal []bool
+	attempts []int
+	spans    []*telemetry.Span
 	// usage accumulates each run's reported resource cost across dispatches:
 	// CPU seconds sum over attempts (a retried run's first attempt still
 	// burned its cycles), peak RSS takes the max.
-	usage []savanna.ResourceUsage
+	usage     []savanna.ResourceUsage
 	workers   map[string]*wstate
 	died      map[string]bool
 	remaining int
 	draining  bool
-	nameSeq   int
-	zeroSince time.Time // when the live-worker count last hit zero with work remaining
+	// journalFailed latches the campaign's first refused journal append (the
+	// one that is an event; all of them count).
+	journalFailed bool
+	nameSeq       int
+	zeroSince     time.Time // when the live-worker count last hit zero with work remaining
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -355,7 +357,9 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	conns := make([]*conn, 0, len(co.workers))
 	for _, w := range co.workers {
 		conns = append(conns, w.c)
-		go w.c.send(OpDrain, w.name, w.lease.ID, nil)
+		// Queued behind every ack posted so far: a drained worker's spool is
+		// empty.
+		w.c.post(OpDrain, w.name, w.lease.ID, nil)
 	}
 	co.mu.Unlock()
 	ln.Close()
@@ -444,7 +448,7 @@ func (co *coordinator) cancelCampaign(reason string) {
 // handleConn speaks the worker protocol on one connection.
 func (co *coordinator) handleConn(nc net.Conn) {
 	e := co.e
-	c, err := newConn(nc, e.ioTimeout())
+	c, err := newConn(nc, e.ioTimeout(), e.Metrics, "remote")
 	if err != nil {
 		nc.Close()
 		return
@@ -496,14 +500,12 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		grant.Component = e.Memo.ComponentDigest
 		grant.Inputs = e.Memo.InputDigests
 	}
-	co.mu.Unlock()
-
-	if err := c.send(OpLeaseGrant, name, lease.ID, grant); err != nil {
-		co.workerDead(name, "lease grant failed: "+err.Error())
-		return
-	}
-	co.mu.Lock()
-	w.granted = true
+	// A failed write ends the worker as a failed read does (every other
+	// close follows w.dead or draining, so a write it fails reports nothing
+	// new). The grant is queued under the lock that registered the worker:
+	// no top-up's assign can be ahead of it.
+	c.onErr = func(err error) { co.workerGone(w, fmt.Errorf("send failed: %w", err)) }
+	c.post(OpLeaseGrant, name, lease.ID, &grant)
 	co.assignAllLocked()
 	co.mu.Unlock()
 
@@ -528,13 +530,18 @@ func (co *coordinator) handleConn(nc net.Conn) {
 				co.workerDead(name, err.Error())
 				return
 			}
-			co.handleResult(w, out)
 			// Ack every result — duplicates and runs this (possibly resumed)
-			// incarnation no longer tracks included — AFTER it is folded
-			// into the journal, so the worker's spool entry only clears
-			// once the outcome is durable coordinator-side. Fire-and-forget:
-			// a lost ack just means one redundant replay later.
-			go c.send(OpResultAck, name, m.Lease, ResultAck{RunID: out.RunID})
+			// incarnation no longer tracks included — AFTER handleResult has
+			// folded it into the journal, and only if the journal took it:
+			// the worker's spool entry clears once the outcome is durable
+			// coordinator-side, and otherwise waits for a successor. Posted
+			// under the lock that may have finished the campaign, so the
+			// drain queues behind it.
+			co.mu.Lock()
+			if co.handleResultLocked(w, out) {
+				c.post(OpResultAck, name, m.Lease, &ResultAck{RunID: out.RunID})
+			}
+			co.mu.Unlock()
 		case OpHeartbeat:
 			hb, err := decodeBody[Heartbeat](m)
 			if err != nil {
@@ -563,9 +570,8 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			co.mu.Unlock()
 			if hb.SentUnixNano != 0 {
 				// Echo the send stamp so the worker can measure the round
-				// trip; a failed ack needs no handling — the read loop
-				// notices a dead connection on its own.
-				go c.send(OpHeartbeatAck, name, m.Lease, HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
+				// trip.
+				c.post(OpHeartbeatAck, name, m.Lease, HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
 			}
 		case OpTelemetry:
 			b, err := decodeBody[TelemetryBatch](m)
@@ -643,7 +649,7 @@ func (co *coordinator) workerDead(name, reason string) {
 		if co.terminal[i] {
 			continue
 		}
-		co.rc.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
+		co.journalLocked(id, savanna.PointKey(co.runs[i]), co.attempts[i],
 			resilience.AttemptLost, name, "", errors.New(reason))
 		e.mLost.Inc()
 		e.Events.Append(eventlog.Warn, eventlog.RunLost, reason, co.spanID(i),
@@ -690,7 +696,7 @@ func (co *coordinator) assignAllLocked() {
 // or triggers a steal when the queue is dry and the worker is idle.
 func (co *coordinator) assignLocked(w *wstate) {
 	e := co.e
-	if w.dead || !w.granted || co.draining {
+	if w.dead || co.draining {
 		return
 	}
 	if _, aborted := co.rc.Aborted(); aborted {
@@ -723,7 +729,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 			}
 			tracectx[run.ID] = tc.String()
 		}
-		co.rc.JournalAttemptWorker(run.ID, savanna.PointKey(run), co.attempts[i],
+		co.journalLocked(run.ID, savanna.PointKey(run), co.attempts[i],
 			resilience.AttemptDispatched, w.name, "", nil)
 		e.mDispatched.Inc()
 		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", co.spanID(i),
@@ -731,11 +737,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 		want--
 	}
 	if len(batch) > 0 {
-		go func(c *conn, name string, lease int64, a Assignment) {
-			if err := c.send(OpAssign, name, lease, a); err != nil {
-				co.workerDead(name, "assign failed: "+err.Error())
-			}
-		}(w.c, w.name, w.lease.ID, Assignment{Runs: batch, Trace: tracectx})
+		w.c.post(OpAssign, w.name, w.lease.ID, &Assignment{Runs: batch, Trace: tracectx})
 		return
 	}
 	if len(w.outstanding) == 0 {
@@ -783,11 +785,7 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 	co.e.Events.Append(eventlog.Info, eventlog.WorkSteal, "", co.span.ID(),
 		telemetry.String("from", victim.name), telemetry.String("to", idle.name),
 		telemetry.Int("n", n))
-	go func(c *conn, name string, lease int64, n int) {
-		if err := c.send(OpSteal, name, lease, Steal{N: n}); err != nil {
-			co.workerDead(name, "steal failed: "+err.Error())
-		}
-	}(victim.c, victim.name, victim.lease.ID, n)
+	victim.c.post(OpSteal, victim.name, victim.lease.ID, Steal{N: n})
 }
 
 // handleStolen requeues the runs a victim relinquished and feeds the
@@ -808,7 +806,7 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 		// the victim" — owed either way, but the journal would blame a
 		// worker that no longer holds it. The stolen record keeps the
 		// ledger's worker attribution truthful across a handover.
-		co.rc.JournalAttemptWorker(id, savanna.PointKey(co.runs[i]), co.attempts[i],
+		co.journalLocked(id, savanna.PointKey(co.runs[i]), co.attempts[i],
 			resilience.AttemptStolen, w.name, "", nil)
 		co.e.mStolenRuns.Inc()
 		if aborted {
@@ -821,14 +819,31 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.checkDoneLocked()
 }
 
-// handleResult folds one worker outcome into the campaign.
-func (co *coordinator) handleResult(w *wstate, out Outcome) {
+// journalLocked appends one attempt record and reports whether the journal
+// took it (always, without a journal). Every refusal counts; the campaign's
+// first is an Error event.
+func (co *coordinator) journalLocked(run, point string, attempt int, event, worker string, class resilience.Class, cause error) bool {
+	err := co.rc.JournalAttemptWorker(run, point, attempt, event, worker, class, cause)
+	if err == nil {
+		return true
+	}
+	co.e.mJournalErrs.Inc()
+	if !co.journalFailed {
+		co.journalFailed = true
+		co.e.Events.Append(eventlog.Error, eventlog.CampaignJournal, err.Error(), co.span.ID(),
+			telemetry.String("campaign", co.campaign), telemetry.String("run", run))
+	}
+	return false
+}
+
+// handleResultLocked folds one worker outcome into the campaign and
+// reports whether it may be acknowledged: false only when the journal
+// refused the record of this outcome, so the worker keeps it spooled.
+func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 	e := co.e
-	co.mu.Lock()
-	defer co.mu.Unlock()
 	i, ok := co.index[out.RunID]
 	if !ok {
-		return
+		return true
 	}
 	delete(w.outstanding, out.RunID)
 	if co.terminal[i] {
@@ -837,11 +852,12 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		// outcome won; this one is accounting noise, never a double count.
 		e.mDuplicates.Inc()
 		co.assignAllLocked()
-		return
+		return true
 	}
 	run := co.runs[i]
 	point := savanna.PointKey(run)
 	co.usage[i].Accumulate(outcomeUsage(out))
+	journaled := true
 	if out.OK {
 		var res cas.ActionResult
 		if len(out.Outputs) > 0 {
@@ -851,10 +867,10 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 			}
 		}
 		if out.Cached {
-			co.finishCachedLocked(i, w.name, res, out.Seconds)
+			journaled = co.finishCachedLocked(i, w.name, res, out.Seconds)
 		} else {
 			co.attempts[i]++
-			co.rc.JournalAttemptWorker(run.ID, point, co.attempts[i],
+			journaled = co.journalLocked(run.ID, point, co.attempts[i],
 				resilience.AttemptSuccess, w.name, "", nil)
 			co.rc.Quarantine().NoteSuccess(point)
 			co.status.Set(run.ID, cheetah.RunSucceeded)
@@ -879,7 +895,7 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		}
 		co.checkDoneLocked()
 		co.assignAllLocked()
-		return
+		return journaled
 	}
 
 	// Failure path: classify, maybe quarantine, maybe retry.
@@ -889,13 +905,13 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		class = resilience.ClassTransient
 	}
 	failErr := errors.New(out.Err)
-	co.rc.JournalAttemptWorker(run.ID, point, co.attempts[i],
+	journaled = co.journalLocked(run.ID, point, co.attempts[i],
 		resilience.AttemptFailure, w.name, class, failErr)
 	if co.rc.Quarantine().NoteFailure(point) {
 		co.quarantineLocked(i, w.name, co.attempts[i], failErr)
 		co.checkDoneLocked()
 		co.assignAllLocked()
-		return
+		return journaled
 	}
 	_, aborted := co.rc.Aborted()
 	if class.Retryable() && co.attempts[i] < co.rc.Attempts() && !aborted {
@@ -908,7 +924,7 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		// distributed analogue of backoff (any worker may pick it up).
 		co.pending = append(co.pending, i)
 		co.assignAllLocked()
-		return
+		return journaled
 	}
 	co.status.Set(run.ID, cheetah.RunFailed)
 	usage := co.usage[i]
@@ -930,14 +946,16 @@ func (co *coordinator) handleResult(w *wstate, out Outcome) {
 		telemetry.Int("attempts", co.attempts[i]))
 	co.checkDoneLocked()
 	co.assignAllLocked()
+	return journaled
 }
 
 // finishCachedLocked closes out a memo-satisfied run (coordinator-side
-// short-circuit or a worker-side cache hit).
-func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) {
+// short-circuit or a worker-side cache hit), reporting whether the journal
+// took its record.
+func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) bool {
 	e := co.e
 	run := co.runs[i]
-	co.rc.JournalAttemptWorker(run.ID, savanna.PointKey(run), 0,
+	journaled := co.journalLocked(run.ID, savanna.PointKey(run), 0,
 		resilience.AttemptCached, worker, "", nil)
 	co.rc.NoteOutcome(resilience.OutcomeCached)
 	co.status.Set(run.ID, cheetah.RunSucceeded)
@@ -956,6 +974,7 @@ func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionRe
 	}
 	e.Events.Append(eventlog.Info, eventlog.RunCached, "", co.spanID(i), attrs...)
 	co.checkDoneLocked()
+	return journaled
 }
 
 // quarantineLocked closes out a run whose sweep point is side-lined.
@@ -967,7 +986,7 @@ func (co *coordinator) quarantineLocked(i int, worker string, attempts int, caus
 	if cause != nil {
 		msg = cause.Error()
 	}
-	co.rc.JournalAttemptWorker(run.ID, point, attempts,
+	co.journalLocked(run.ID, point, attempts,
 		resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
 	co.status.Set(run.ID, cheetah.RunFailed)
 	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
@@ -990,7 +1009,7 @@ func (co *coordinator) quarantineLocked(i int, worker string, attempts int, caus
 // skipLocked records a run the campaign never finished dispatching.
 func (co *coordinator) skipLocked(i int) {
 	run := co.runs[i]
-	co.rc.JournalAttempt(run.ID, savanna.PointKey(run), 0, resilience.AttemptSkipped, "", nil)
+	co.journalLocked(run.ID, savanna.PointKey(run), 0, resilience.AttemptSkipped, "", "", nil)
 	co.rc.NoteOutcome(resilience.OutcomeSkipped)
 	co.e.appendProvenance(co.campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, savanna.ResourceUsage{})
 	co.results[i] = savanna.RunResult{Run: run, Status: provenance.StatusSkipped}

@@ -40,7 +40,7 @@ func (f *fakeCoord) accept(epoch int64, lease int64) *conn {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	c, err := newConn(nc, 5*time.Second)
+	c, err := newConn(nc, 5*time.Second, nil, "")
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -49,11 +49,9 @@ func (f *fakeCoord) accept(epoch int64, lease int64) *conn {
 		f.t.Fatalf("want hello, got %q err=%v", m.Op, err)
 	}
 	c.epoch.Store(epoch)
-	if err := c.send(OpLeaseGrant, m.Worker, lease, LeaseGrant{
+	c.post(OpLeaseGrant, m.Worker, lease, LeaseGrant{
 		Campaign: "fake", TTLMillis: 60_000, Epoch: epoch,
-	}); err != nil {
-		f.t.Fatal(err)
-	}
+	})
 	return c
 }
 
@@ -86,11 +84,8 @@ func (f *fakeCoord) sendAt(c *conn, epoch int64, op, worker string, lease int64,
 	f.t.Helper()
 	prev := c.epoch.Load()
 	c.epoch.Store(epoch)
-	err := c.send(op, worker, lease, body)
+	c.post(op, worker, lease, body) // the epoch is stamped at post time
 	c.epoch.Store(prev)
-	if err != nil {
-		f.t.Fatal(err)
-	}
 }
 
 // TestWorkerStaleEpochFencing pins the split-brain fence from the worker's
@@ -119,7 +114,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 	// Current coordinator: epoch 5.
 	c := fc.accept(5, 1)
-	c.send(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{{ID: "r-live"}}})
+	c.post(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{{ID: "r-live"}}})
 	m := fc.expect(c, OpResult)
 	out, err := decodeBody[Outcome](m)
 	if err != nil || out.RunID != "r-live" {
@@ -138,7 +133,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 	fc.sendAt(c, 3, OpResultAck, "w0", 1, ResultAck{RunID: "r-live"})
 	// A current-epoch ack right behind them orders the stream: once it is
 	// processed, the stale messages are too.
-	c.send(OpResultAck, "w0", 1, ResultAck{RunID: "r-live"})
+	c.post(OpResultAck, "w0", 1, ResultAck{RunID: "r-live"})
 	waitFor(t, time.Second, func() bool { return w.SpoolDepth() == 0 })
 	select {
 	case id := <-executed:
@@ -158,7 +153,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 	}
 
 	// A current-epoch drain does.
-	c.send(OpDrain, "w0", 1, nil)
+	c.post(OpDrain, "w0", 1, nil)
 	if err := <-done; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -192,12 +187,11 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	var addr atomic.Value
 	addr.Store(fc.addr())
 
-	// The spool is checked from inside the campaign: the successor's runs
-	// (executions 3-6) do not finish until the two replayed outcomes have
-	// been acked out of the spool, so the campaign cannot end first. After
-	// it ends there is nothing to wait for — the coordinator sends its final
-	// result-acks and the drain from separate goroutines, a drain can
-	// overtake an ack, and a drained worker keeps that entry (DESIGN §4j).
+	// The spool is checked twice. From inside the campaign: the successor's
+	// runs (executions 3-6) do not finish until the two replayed outcomes
+	// have been acked out of the spool. And after the clean drain: the drain
+	// is queued behind every ack on the connection's one writer, so a
+	// drained worker's spool is empty (DESIGN §4j).
 	var executions int64
 	started := make(chan struct{}, 16)
 	var w *Worker
@@ -235,7 +229,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	go func() { serveDone <- w.Serve(ctx) }()
 
 	c := fc.accept(1, 1)
-	c.send(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{runs[0], runs[1]}})
+	c.post(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{runs[0], runs[1]}})
 	<-started
 	<-started
 	c.close() // kill -9, morally: both runs are now mid-execution, unreported
@@ -278,8 +272,12 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	if len(results) != len(runs) { // nothing was Done in the journal yet
 		t.Fatalf("dispatched %d results, want %d", len(results), len(runs))
 	}
-	cancel()
-	<-serveDone
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if pend := w.spoolInit().pending(); len(pend) != 0 {
+		t.Errorf("cleanly drained worker still spools %d outcomes: %+v", len(pend), pend)
+	}
 
 	recs, err := resilience.ReadJournalFile(jpath)
 	if err != nil {
@@ -321,12 +319,12 @@ func TestWorkerServeReconnectNoGoroutineLeak(t *testing.T) {
 	// Five sessions ending in abrupt coordinator death, then a clean drain.
 	for i := 0; i < 5; i++ {
 		c := fc.accept(int64(i+1), int64(i+1))
-		c.send(OpAssign, "w0", int64(i+1), Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}})
+		c.post(OpAssign, "w0", int64(i+1), Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}})
 		fc.expect(c, OpResult)
 		c.close() // forced drop mid-session
 	}
 	c := fc.accept(6, 6)
-	c.send(OpDrain, "w0", 6, nil)
+	c.post(OpDrain, "w0", 6, nil)
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v", err)
 	}

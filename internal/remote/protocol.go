@@ -20,6 +20,7 @@ package remote
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -66,14 +67,14 @@ const (
 	// cadence; a final drain flush follows OpDrain, before the worker
 	// closes.
 	OpTelemetry = "telemetry"
-	// OpResultAck acknowledges one OpResult (coordinator → worker): body
+	// OpResultAck acknowledges OpResults (coordinator → worker): body
 	// ResultAck. The ack clears the worker's outcome spool entry; until it
 	// arrives the worker keeps the outcome buffered and replays it on
 	// re-handshake, so a coordinator crash between a result send and its
-	// journal write never loses finished work. Acks are sent after the
-	// outcome is folded into the journal, and for *every* result — including
-	// duplicates and runs a resumed coordinator no longer tracks — so spools
-	// always drain.
+	// journal write never loses finished work. Acks are posted after the
+	// outcome is folded into the journal — never for one the journal
+	// refused — and for *every* other result, including duplicates and runs
+	// a resumed coordinator no longer tracks, so spools always drain.
 	OpResultAck = "result-ack"
 )
 
@@ -206,10 +207,21 @@ type Stolen struct {
 	RunIDs []string `json:"runs"`
 }
 
-// ResultAck acknowledges one run's outcome report.
+// ResultAck acknowledges outcome reports: one run id in Run, or — when the
+// coordinator's writer merged a backlog of acks into one message — a list
+// in Runs. A worker clears every id in either field.
 type ResultAck struct {
-	RunID string `json:"run"`
+	RunID  string   `json:"run,omitempty"`
+	RunIDs []string `json:"runs,omitempty"`
 }
+
+// sentStamper is a body that carries its send time (the skew estimator's
+// input). The writer stamps it just before marshalling, so time spent
+// queued is not mistaken for time in flight.
+type sentStamper interface{ stampSent(unixNano int64) }
+
+func (h *Heartbeat) stampSent(t int64)      { h.SentUnixNano = t }
+func (b *TelemetryBatch) stampSent(t int64) { b.SentUnixNano = t }
 
 // msg is one decoded protocol record.
 type msg struct {
@@ -232,59 +244,215 @@ func decodeBody[T any](m msg) (T, error) {
 	return v, nil
 }
 
-// conn wraps one protocol connection: an FBS encoder/decoder pair over TCP
-// with a send mutex (heartbeats and results interleave from different
-// goroutines) and per-message I/O deadlines.
+// conn is one protocol connection: an FBS decoder for the reading side and,
+// for the writing side, a FIFO queue drained by one long-lived writer
+// goroutine, the only code that touches the encoder. post appends and
+// returns; the writer takes everything queued, merges it (see merge),
+// encodes it and flushes once under one write deadline. It never waits for
+// more: a lone message on an idle connection leaves at once, and batching
+// appears only when a backlog exists.
+//
+// The queue needs no bound of its own because the protocol bounds it: a
+// coordinator queues at most BatchSize assigned runs per worker, one ack per
+// result received and one heartbeat-ack per heartbeat received; a worker at
+// most one result per run assigned, plus one heartbeat and one telemetry
+// batch per heartbeat tick. A peer that stops reading fails the flush in
+// progress at its write deadline, which ends the connection.
 type conn struct {
 	c   net.Conn
 	dec *stream.Decoder
 
-	// epoch stamps every outgoing message. The coordinator sets it to its
-	// fenced journal epoch at accept; the worker sets it from the lease
+	// epoch stamps every message at post time. The coordinator sets it to
+	// its fenced journal epoch at accept; the worker sets it from the lease
 	// grant, so its results carry the epoch of the session that admitted
 	// them.
 	epoch atomic.Int64
-
-	mu  sync.Mutex
-	enc *stream.Encoder
-	// timeout bounds each send and each idle read; zero disables deadlines.
+	// timeout bounds each flush and each idle read; zero disables deadlines.
 	timeout time.Duration
-	seq     int64
+	// onErr, when set (before the first post), hears the write error that
+	// ends the connection: once, from the writer goroutine, before the close.
+	onErr func(error)
+	// The writer's instruments (nil-safe): messages over flushes is the
+	// batching achieved, the histogram the time one flush took.
+	messages, flushes *telemetry.Counter
+	flushSeconds      *telemetry.Histogram
+
+	mu       sync.Mutex
+	wake     *sync.Cond
+	queue    []outMsg
+	shutting bool // send what is queued, then stop
+	closed   bool
+	done     chan struct{} // closed when the writer has exited
+
+	// Writer-owned.
+	enc *stream.Encoder
+	seq int64
 }
 
-func newConn(c net.Conn, timeout time.Duration) (*conn, error) {
+// outMsg is one queued message. The body belongs to the writer from post
+// on: it may be merged into, and is marshalled off the poster's locks.
+type outMsg struct {
+	op, worker   string
+	lease, epoch int64
+	body         any
+}
+
+// newConn wraps c and starts its writer, whose instruments live in reg (nil
+// = none) under subsystem ("remote" or "remote_worker").
+func newConn(c net.Conn, timeout time.Duration, reg *telemetry.Registry, subsystem string) (*conn, error) {
 	enc, err := stream.NewEncoder(c, msgSchema)
 	if err != nil {
 		return nil, err
 	}
-	return &conn{c: c, enc: enc, dec: stream.NewDecoder(c), timeout: timeout}, nil
+	cn := &conn{c: c, enc: enc, dec: stream.NewDecoder(c), timeout: timeout, done: make(chan struct{}),
+		messages:     reg.Counter(subsystem + ".wire_messages_total"),
+		flushes:      reg.Counter(subsystem + ".wire_flushes_total"),
+		flushSeconds: reg.Histogram(subsystem+".wire_flush_seconds", nil)}
+	cn.wake = sync.NewCond(&cn.mu)
+	go cn.writeLoop()
+	return cn, nil
 }
 
-// send encodes one message. body is JSON-marshalled; nil sends an empty
-// body.
-func (c *conn) send(op, worker string, lease int64, body any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		payload, err = json.Marshal(body)
+// post queues one message for the writer and returns at once; after close
+// or shut it drops the message. nil sends an empty body. Assignments and
+// result acks are posted by pointer — that is what merge recognises.
+func (c *conn) post(op, worker string, lease int64, body any) {
+	c.mu.Lock()
+	if !c.closed && !c.shutting {
+		c.queue = append(c.queue, outMsg{op, worker, lease, c.epoch.Load(), body})
+		c.wake.Signal()
+	}
+	c.mu.Unlock()
+}
+
+// writeLoop is the connection's writer: take the queue, write it, repeat
+// until close, a write error, or — after shut — an empty queue.
+func (c *conn) writeLoop() {
+	defer close(c.done)
+	var batch []outMsg
+	for {
+		c.mu.Lock()
+		for len(c.queue) == 0 && !c.closed && !c.shutting {
+			c.wake.Wait()
+		}
+		if c.closed || len(c.queue) == 0 {
+			c.mu.Unlock()
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		c.mu.Unlock()
+		if err := c.write(merge(batch)); err != nil {
+			// The hook first, so that its reason is on record before the read
+			// loop's "use of closed connection".
+			if c.onErr != nil {
+				c.onErr(err)
+			}
+			c.close()
+			return
+		}
+		clear(batch)
+	}
+}
+
+// write encodes the batch and flushes it once.
+func (c *conn) write(batch []outMsg) error {
+	start := time.Now()
+	if c.timeout > 0 {
+		c.c.SetWriteDeadline(start.Add(c.timeout))
+	}
+	for _, m := range batch {
+		if s, ok := m.body.(sentStamper); ok {
+			s.stampSent(time.Now().UnixNano())
+		}
+		var payload []byte
+		if m.body != nil {
+			var err error
+			if payload, err = json.Marshal(m.body); err != nil {
+				return err
+			}
+		}
+		rec, err := stream.NewRecord(msgSchema, m.op, m.worker, m.lease, m.epoch, payload)
 		if err != nil {
 			return err
 		}
+		c.seq++
+		if err := c.enc.Encode(stream.Item{Seq: c.seq, Time: start, Payload: rec}); err != nil {
+			return err
+		}
 	}
-	rec, err := stream.NewRecord(msgSchema, op, worker, lease, c.epoch.Load(), payload)
-	if err != nil {
-		return err
+	err := c.enc.Flush()
+	c.messages.Add(int64(len(batch)))
+	c.flushes.Inc()
+	c.flushSeconds.Observe(time.Since(start).Seconds())
+	return err
+}
+
+// merge folds a batch's assigns into its first assign (runs in order, trace
+// maps unioned) and its result-acks into its first ack (a run-id list),
+// while worker, lease and epoch agree. It is batch-wide, not adjacency-only
+// (a busy queue alternates assign, ack, assign, ack); moving a later assign
+// or ack ahead of a steal or heartbeat-ack between them is safe, since a
+// stolen reply names the ids actually relinquished and an ack only clears a
+// spool entry. No other verb is touched; a lone message goes out as posted.
+func merge(batch []outMsg) []outMsg {
+	out := batch[:0]
+	assign, ack := -1, -1 // where in out later assigns / acks fold into
+	same := func(i int, m outMsg) bool {
+		t := out[i]
+		return t.worker == m.worker && t.lease == m.lease && t.epoch == m.epoch
 	}
+	for _, m := range batch {
+		switch b := m.body.(type) {
+		case *Assignment:
+			if assign >= 0 && same(assign, m) {
+				t := out[assign].body.(*Assignment)
+				t.Runs = append(t.Runs, b.Runs...)
+				if t.Trace == nil {
+					t.Trace = b.Trace
+				} else {
+					maps.Copy(t.Trace, b.Trace)
+				}
+				continue
+			}
+			assign = len(out)
+		case *ResultAck:
+			if ack >= 0 && same(ack, m) {
+				t := out[ack].body.(*ResultAck)
+				if t.RunID != "" { // the lone form becomes the list form
+					t.RunIDs, t.RunID = append(t.RunIDs, t.RunID), ""
+				}
+				if b.RunID != "" {
+					t.RunIDs = append(t.RunIDs, b.RunID)
+				}
+				t.RunIDs = append(t.RunIDs, b.RunIDs...)
+				continue
+			}
+			ack = len(out)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// shut is the clean end of a session: what is queued goes out (each flush
+// under its write deadline), then the connection closes.
+func (c *conn) shut() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
-	}
-	c.seq++
-	if err := c.enc.Encode(stream.Item{Seq: c.seq, Time: time.Now(), Payload: rec}); err != nil {
-		return err
-	}
-	return c.enc.Flush()
+	c.shutting = true
+	c.wake.Signal()
+	c.mu.Unlock()
+	<-c.done
+	c.close()
+}
+
+// close is the abrupt end, safe to repeat: queued messages are dropped, a
+// flush in progress fails, and the writer exits.
+func (c *conn) close() {
+	c.mu.Lock()
+	c.closed, c.queue = true, nil
+	c.wake.Signal()
+	c.mu.Unlock()
+	c.c.Close()
 }
 
 // recv decodes the next message, waiting at most maxIdle (0 = the conn's
@@ -314,5 +482,3 @@ func (c *conn) recv(maxIdle time.Duration) (msg, error) {
 		Body:   r.Values[4].([]byte),
 	}, nil
 }
-
-func (c *conn) close() error { return c.c.Close() }

@@ -39,7 +39,7 @@ type Worker struct {
 	Slots int
 	// Heartbeat overrides the renewal period (default: lease TTL / 3).
 	Heartbeat time.Duration
-	// IOTimeout bounds each message send (default 10s).
+	// IOTimeout bounds each flush of the connection's writer (default 10s).
 	IOTimeout time.Duration
 	// Cache, when set, gives the worker a memo recipe seeded from the lease
 	// grant: cache hits skip execution, and successful runs push their
@@ -247,16 +247,18 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("remote: dialing coordinator: %w", err)
 	}
-	c, err := newConn(nc, w.ioTimeout())
+	c, err := newConn(nc, w.ioTimeout(), w.Metrics, "remote_worker")
 	if err != nil {
 		nc.Close()
 		return err
 	}
+	// Every path but the clean drain drops what is queued. A failed write
+	// closes the connection too (conn.writeLoop): the read loop then winds
+	// the session down *without* cancelling in-flight runs, which finish
+	// into the spool for replay.
 	defer c.close()
 
-	if err := c.send(OpHello, w.Name, 0, Hello{Slots: w.slots()}); err != nil {
-		return fmt.Errorf("remote: hello: %w", err)
-	}
+	c.post(OpHello, w.Name, 0, Hello{Slots: w.slots()})
 	m, err := c.recv(10 * time.Second)
 	if err != nil {
 		return fmt.Errorf("remote: waiting for lease: %w", err)
@@ -342,16 +344,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	// make redelivery idempotent; acks (possibly for runs it no longer
 	// tracks) drain the spool.
 	if pend := w.spoolInit().pending(); len(pend) > 0 {
-		replayed := 0
 		for _, out := range pend {
-			if c.send(OpResult, name, lease, out) != nil {
-				break
-			}
-			replayed++
+			c.post(OpResult, name, lease, out)
 		}
-		w.mSpoolReplayed.Add(int64(replayed))
+		w.mSpoolReplayed.Add(int64(len(pend)))
 		w.Events.Append(eventlog.Info, eventlog.WorkerSpoolReplay, grant.Campaign, 0,
-			telemetry.String("worker", name), telemetry.Int("outcomes", replayed),
+			telemetry.String("worker", name), telemetry.Int("outcomes", len(pend)),
 			telemetry.Int("epoch", int(grant.Epoch)))
 	}
 
@@ -378,17 +376,18 @@ func (w *Worker) Run(ctx context.Context) error {
 	err = s.readLoop(lease)
 	if err == nil {
 		// Clean drain: journal the departure, close out the session span so
-		// it ships too, and flush the telemetry backlog while the connection
-		// is still up — cancel() below also closes it.
+		// it ships too, and put the telemetry backlog on the wire before
+		// closing — cancel() below would drop what is still queued.
 		w.Events.Append(eventlog.Info, eventlog.WorkerLeave, grant.Campaign, span.ID(),
 			telemetry.String("worker", name))
 		span.End()
 		s.flush(lease, true)
+		c.shut()
 		cancel() // campaign over: stop in-flight work
 	}
 	// A broken connection deliberately does NOT cancel in-flight runs: the
 	// coordinator is gone, not the work. Executors finish their current
-	// run, the outcomes land in the spool (the result send fails), and
+	// run, the outcomes land in the spool (the result post is dropped), and
 	// Serve replays them on the next handshake — finished work is never
 	// redone because the coordinator died at the wrong moment.
 	s.wake()
@@ -459,9 +458,16 @@ func (s *wsession) readLoop(lease int64) error {
 			if err != nil {
 				return err
 			}
-			if s.w.spoolInit().ack(a.RunID) {
-				s.w.gSpoolDepth.Set(float64(s.w.spool.depth()))
+			// One id from a lone ack (all an older coordinator sends), a
+			// list from a merged one.
+			sp := s.w.spoolInit()
+			if a.RunID != "" {
+				sp.ack(a.RunID)
 			}
+			for _, id := range a.RunIDs {
+				sp.ack(id)
+			}
+			s.w.gSpoolDepth.Set(float64(sp.depth()))
 		case OpHeartbeatAck:
 			a, err := decodeBody[HeartbeatAck](m)
 			if err != nil {
@@ -513,13 +519,10 @@ func (s *wsession) relinquish(n int, lease int64) {
 	}
 	// Always answer, even with nothing to give — the coordinator's
 	// steal-in-flight latch waits for the reply.
-	s.c.send(OpStolen, s.name, lease, Stolen{RunIDs: ids})
+	s.c.post(OpStolen, s.name, lease, Stolen{RunIDs: ids})
 }
 
-// heartbeatLoop renews the lease until the session ends; a failed send
-// means the coordinator is unreachable, so it closes the connection — the
-// read loop notices and winds the session down *without* cancelling
-// in-flight runs, which finish into the spool for replay.
+// heartbeatLoop renews the lease until the session ends.
 func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan struct{}) {
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -530,13 +533,9 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 		case <-t.C:
 		}
 		s.mu.Lock()
-		hb := Heartbeat{Queued: len(s.queue), InFlight: s.inFlight,
-			SentUnixNano: time.Now().UnixNano(), RTTNanos: s.lastRTT.Load()}
+		hb := &Heartbeat{Queued: len(s.queue), InFlight: s.inFlight, RTTNanos: s.lastRTT.Load()}
 		s.mu.Unlock()
-		if err := s.c.send(OpHeartbeat, s.name, lease, hb); err != nil {
-			s.c.close()
-			return
-		}
+		s.c.post(OpHeartbeat, s.name, lease, hb) // the writer stamps SentUnixNano
 		// Telemetry flushes ride the heartbeat cadence: one bounded batch
 		// per tick, so shipping never competes with the result path for
 		// long.
@@ -544,10 +543,8 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 	}
 }
 
-// flush ships pending telemetry batches: one on the heartbeat path, up to
-// maxDrainFlushes on drain. A send failure abandons the flush — telemetry
-// must never wedge the session, and the read loop notices a dead
-// connection on its own.
+// flush queues pending telemetry batches: one on the heartbeat path, up to
+// maxDrainFlushes on drain.
 func (s *wsession) flush(lease int64, drain bool) {
 	if s.ship == nil {
 		return
@@ -561,11 +558,8 @@ func (s *wsession) flush(lease int64, drain bool) {
 		if !ok {
 			return
 		}
-		b.SentUnixNano = time.Now().UnixNano()
 		b.RTTNanos = s.lastRTT.Load()
-		if s.c.send(OpTelemetry, s.name, lease, b) != nil {
-			return
-		}
+		s.c.post(OpTelemetry, s.name, lease, &b) // the writer stamps SentUnixNano
 	}
 }
 
@@ -613,9 +607,7 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 			}
 			w.gSpoolDepth.Set(float64(w.spool.depth()))
 		}
-		// A failed send is a session failure; the reader will notice the
-		// broken connection and wind the session down.
-		s.c.send(OpResult, s.name, lease, out)
+		s.c.post(OpResult, s.name, lease, out)
 	}
 }
 

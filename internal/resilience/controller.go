@@ -123,17 +123,17 @@ func (c *Controller) now() time.Time {
 func (c *Controller) SetNow(now func() time.Time) { c.cfg.Now = now }
 
 // JournalAttempt appends one attempt transition to the journal (no-op
-// without one configured).
-func (c *Controller) JournalAttempt(run, point string, attempt int, event string, class Class, err error) {
-	c.JournalAttemptWorker(run, point, attempt, event, "", class, err)
+// without one configured), returning the journal's append error.
+func (c *Controller) JournalAttempt(run, point string, attempt int, event string, class Class, err error) error {
+	return c.JournalAttemptWorker(run, point, attempt, event, "", class, err)
 }
 
 // JournalAttemptWorker is JournalAttempt with the leaseholder recorded —
 // the remote coordinator's dispatch/lost/terminal transitions name the
 // worker that held (or lost) the run.
-func (c *Controller) JournalAttemptWorker(run, point string, attempt int, event, worker string, class Class, err error) {
+func (c *Controller) JournalAttemptWorker(run, point string, attempt int, event, worker string, class Class, err error) error {
 	if c.cfg.Journal == nil {
-		return
+		return nil
 	}
 	rec := AttemptRecord{
 		Run: run, Point: point, Attempt: attempt,
@@ -142,7 +142,7 @@ func (c *Controller) JournalAttemptWorker(run, point string, attempt int, event,
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	c.cfg.Journal.Append(rec)
+	return c.cfg.Journal.Append(rec)
 }
 
 // Journal exposes the configured attempt journal (nil when none) — the

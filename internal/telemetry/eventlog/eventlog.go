@@ -96,6 +96,11 @@ const (
 	// failure) and one for its closing fsync. The campaign carries on — the
 	// attempt journal is the record, the log its projection.
 	CampaignStatusLog = "campaign.status-log"
+	// CampaignJournal marks the remote coordinator's first refused attempt-
+	// journal append of a campaign (journal closed, fenced or out of space).
+	// The campaign carries on in memory, but results the journal did not
+	// take are not acknowledged: workers keep them spooled for a successor.
+	CampaignJournal = "campaign.journal"
 
 	RunStart     = "run.start"
 	RunSucceeded = "run.succeeded"
