@@ -106,6 +106,8 @@ type Engine struct {
 	mTelemetryBatches *telemetry.Counter
 	mWorkerSpans      *telemetry.Counter
 	mTelemetryDropped *telemetry.Counter
+	// mProtocolMismatch counts peers refused for speaking another schema.
+	mProtocolMismatch *telemetry.Counter
 }
 
 func (e *Engine) telemetryInit() {
@@ -136,6 +138,7 @@ func (e *Engine) telemetryInit() {
 		e.mTelemetryBatches = e.Metrics.Counter("remote.telemetry_batches_total")
 		e.mWorkerSpans = e.Metrics.Counter("remote.telemetry_spans_total")
 		e.mTelemetryDropped = e.Metrics.Counter("remote.telemetry_dropped_total")
+		e.mProtocolMismatch = e.Metrics.Counter("remote.protocol_mismatch_total")
 	})
 }
 
@@ -455,6 +458,20 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	}
 	c.epoch.Store(e.Epoch)
 	m, err := c.recv(10 * time.Second)
+	var mismatch *schemaMismatch
+	if errors.As(err, &mismatch) {
+		// Another protocol version (or not this protocol at all). Refused, and
+		// said so on both sides: an event and a count here, and one bodyless
+		// record back, whose stream header names this side's schema — the
+		// peer's own schema check then fails naming both.
+		e.mProtocolMismatch.Inc()
+		e.Events.Append(eventlog.Warn, eventlog.WorkerRefused, err.Error(), co.span.ID(),
+			telemetry.String("peer", nc.RemoteAddr().String()),
+			telemetry.String("offered", mismatch.offered), telemetry.String("expected", msgSchema.Name))
+		c.post(OpDrain, "", 0, nil)
+		c.shut()
+		return
+	}
 	if err != nil || m.Op != OpHello {
 		c.close()
 		return
@@ -539,7 +556,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			// drain queues behind it.
 			co.mu.Lock()
 			if co.handleResultLocked(w, out) {
-				c.post(OpResultAck, name, m.Lease, &ResultAck{RunID: out.RunID})
+				c.post(OpResultAck, name, m.Lease, &ResultAck{RunIDs: []string{out.RunID}})
 			}
 			co.mu.Unlock()
 		case OpHeartbeat:
@@ -571,7 +588,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			if hb.SentUnixNano != 0 {
 				// Echo the send stamp so the worker can measure the round
 				// trip.
-				c.post(OpHeartbeatAck, name, m.Lease, HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
+				c.post(OpHeartbeatAck, name, m.Lease, &HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
 			}
 		case OpTelemetry:
 			b, err := decodeBody[TelemetryBatch](m)
@@ -785,7 +802,7 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 	co.e.Events.Append(eventlog.Info, eventlog.WorkSteal, "", co.span.ID(),
 		telemetry.String("from", victim.name), telemetry.String("to", idle.name),
 		telemetry.Int("n", n))
-	victim.c.post(OpSteal, victim.name, victim.lease.ID, Steal{N: n})
+	victim.c.post(OpSteal, victim.name, victim.lease.ID, &Steal{N: n})
 }
 
 // handleStolen requeues the runs a victim relinquished and feeds the

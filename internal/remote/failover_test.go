@@ -3,9 +3,11 @@ package remote
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +16,9 @@ import (
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
+	"fairflow/internal/stream"
 	"fairflow/internal/telemetry"
+	"fairflow/internal/telemetry/eventlog"
 )
 
 // fakeCoord is a scripted coordinator end: full control over grants,
@@ -49,7 +53,7 @@ func (f *fakeCoord) accept(epoch int64, lease int64) *conn {
 		f.t.Fatalf("want hello, got %q err=%v", m.Op, err)
 	}
 	c.epoch.Store(epoch)
-	c.post(OpLeaseGrant, m.Worker, lease, LeaseGrant{
+	c.post(OpLeaseGrant, m.Worker, lease, &LeaseGrant{
 		Campaign: "fake", TTLMillis: 60_000, Epoch: epoch,
 	})
 	return c
@@ -80,7 +84,7 @@ func (f *fakeCoord) expect(c *conn, op string) msg {
 
 // sendAt sends one message stamped with a specific epoch (restoring the
 // session epoch afterwards) — the partitioned-old-coordinator simulator.
-func (f *fakeCoord) sendAt(c *conn, epoch int64, op, worker string, lease int64, body any) {
+func (f *fakeCoord) sendAt(c *conn, epoch int64, op, worker string, lease int64, body wireBody) {
 	f.t.Helper()
 	prev := c.epoch.Load()
 	c.epoch.Store(epoch)
@@ -114,7 +118,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 	// Current coordinator: epoch 5.
 	c := fc.accept(5, 1)
-	c.post(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{{ID: "r-live"}}})
+	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-live"}}})
 	m := fc.expect(c, OpResult)
 	out, err := decodeBody[Outcome](m)
 	if err != nil || out.RunID != "r-live" {
@@ -129,11 +133,11 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 	// Partitioned predecessor (epoch 3): its assignment must not execute,
 	// and its ack must not clear the spooled r-live outcome.
-	fc.sendAt(c, 3, OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{{ID: "r-stale"}}})
-	fc.sendAt(c, 3, OpResultAck, "w0", 1, ResultAck{RunID: "r-live"})
+	fc.sendAt(c, 3, OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-stale"}}})
+	fc.sendAt(c, 3, OpResultAck, "w0", 1, &ResultAck{RunIDs: []string{"r-live"}})
 	// A current-epoch ack right behind them orders the stream: once it is
 	// processed, the stale messages are too.
-	c.post(OpResultAck, "w0", 1, ResultAck{RunID: "r-live"})
+	c.post(OpResultAck, "w0", 1, &ResultAck{RunIDs: []string{"r-live"}})
 	waitFor(t, time.Second, func() bool { return w.SpoolDepth() == 0 })
 	select {
 	case id := <-executed:
@@ -229,7 +233,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	go func() { serveDone <- w.Serve(ctx) }()
 
 	c := fc.accept(1, 1)
-	c.post(OpAssign, "w0", 1, Assignment{Runs: []cheetah.Run{runs[0], runs[1]}})
+	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{runs[0], runs[1]}})
 	<-started
 	<-started
 	c.close() // kill -9, morally: both runs are now mid-execution, unreported
@@ -319,7 +323,7 @@ func TestWorkerServeReconnectNoGoroutineLeak(t *testing.T) {
 	// Five sessions ending in abrupt coordinator death, then a clean drain.
 	for i := 0; i < 5; i++ {
 		c := fc.accept(int64(i+1), int64(i+1))
-		c.post(OpAssign, "w0", int64(i+1), Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}})
+		c.post(OpAssign, "w0", int64(i+1), &Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}})
 		fc.expect(c, OpResult)
 		c.close() // forced drop mid-session
 	}
@@ -453,5 +457,115 @@ func waitFor(t *testing.T, d time.Duration, ok func() bool) {
 	}
 	if !ok() {
 		t.Fatalf("condition not reached within %v", d)
+	}
+}
+
+// remoteV1 is the schema of the previous protocol version: msgSchema's
+// fields under the old name.
+func remoteV1() *stream.Schema {
+	old := *msgSchema
+	old.Name = "remote.v1"
+	return &old
+}
+
+// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v1
+// stream to a live campaign. The coordinator refuses it at its first record
+// — one Warn event, one count — answers with a record of its own so the
+// peer's schema check can name both versions, leaves no goroutine behind,
+// and the campaign runs on with a proper worker.
+func TestProtocolMismatchRefusedLoudly(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln := listen(t)
+	events := eventlog.NewLog()
+	reg := telemetry.NewRegistry()
+	e := &Engine{Listener: ln, BatchSize: 4, LeaseTTL: 5 * time.Second, Events: events, Metrics: reg}
+	campaign := make(chan resilience.CompletenessReport, 1)
+	go func() {
+		_, report, _ := e.RunCampaign(context.Background(), "mixed-fleet", testRuns(20))
+		campaign <- report
+	}()
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	enc, err := stream.NewEncoder(nc, remoteV1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, _ := stream.NewRecord(remoteV1(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
+	if err := enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// What the old peer gets back: a stream that names the version it met,
+	// then the end.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	dec := stream.NewDecoder(nc)
+	if s, err := dec.Schema(); err != nil || s.Name != msgSchema.Name {
+		t.Fatalf("the refusal's stream header = %+v, %v; want schema %q", s, err, msgSchema.Name)
+	}
+	if _, err := dec.Decode(); err != nil {
+		t.Fatalf("the refusal carries no record: %v", err)
+	}
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want EOF", err)
+	}
+
+	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1, Heartbeat: time.Hour,
+		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if report := <-campaign; !report.Complete() || report.Succeeded != 20 {
+		t.Fatalf("report = %+v", report)
+	}
+	refused := 0
+	for _, ev := range events.Snapshot() {
+		if ev.Type != eventlog.WorkerRefused {
+			continue
+		}
+		refused++
+		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v1" || ev.Attr("expected") != msgSchema.Name ||
+			ev.Attr("peer") != nc.LocalAddr().String() {
+			t.Errorf("worker.refused event = %+v", ev)
+		}
+	}
+	if refused != 1 {
+		t.Errorf("%d worker.refused events, want exactly 1", refused)
+	}
+	if got := reg.Counter("remote.protocol_mismatch_total").Value(); got != 1 {
+		t.Errorf("protocol_mismatch_total = %d, want 1", got)
+	}
+	// The campaign returning shows the refused peer's handler did (it is in
+	// the coordinator's wait group); this shows its writer did too.
+	nc.Close()
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestWorkerNamesBothSchemasOnMismatch is the other side: a worker that
+// reaches a coordinator of another version ends its session with an error
+// that names the version it met and its own.
+func TestWorkerNamesBothSchemasOnMismatch(t *testing.T) {
+	ln := listen(t)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		enc, _ := stream.NewEncoder(nc, remoteV1())
+		grant, _ := stream.NewRecord(remoteV1(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
+		enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: grant})
+		enc.Flush()
+	}()
+	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1,
+		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+	err := w.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), `"remote.v1"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
+		t.Fatalf("Run error = %v, want one naming both schemas", err)
 	}
 }

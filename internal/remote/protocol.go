@@ -9,16 +9,15 @@
 // the journal keeps exactly-once accounting across worker and coordinator
 // crashes alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v1) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v2) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
-// JSON body whose shape the verb selects — the same typed-records +
-// control-punctuation design as the streaming substrate, reused for the
-// execution plane. See DESIGN.md §4g for the record schemas and the lease
-// state machine.
+// binary body whose layout the verb selects (wire.go) — the same
+// typed-records + control-punctuation design as the streaming substrate,
+// reused for the execution plane. See DESIGN.md §4g for the record schemas,
+// the body layouts and the lease state machine.
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"net"
@@ -86,8 +85,14 @@ const (
 // are rejected, not executed. Epoch 0 (a journal-less coordinator) opts out
 // of fencing entirely, keeping pre-failover deployments byte-compatible in
 // behaviour.
+//
+// The schema name is the protocol version. Bodies are positional (wire.go),
+// so any change to a body's layout — a field added, dropped, reordered or
+// re-typed — bumps the name: a peer built from another version is then
+// refused at its first record by the schema check in recv, instead of
+// misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v1",
+	Name: "remote.v2",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -207,17 +212,16 @@ type Stolen struct {
 	RunIDs []string `json:"runs"`
 }
 
-// ResultAck acknowledges outcome reports: one run id in Run, or — when the
-// coordinator's writer merged a backlog of acks into one message — a list
-// in Runs. A worker clears every id in either field.
+// ResultAck acknowledges outcome reports: the run ids whose outcomes the
+// coordinator has journaled — one as posted, several once the writer has
+// merged a backlog of acks into one message. A worker clears every id.
 type ResultAck struct {
-	RunID  string   `json:"run,omitempty"`
 	RunIDs []string `json:"runs,omitempty"`
 }
 
 // sentStamper is a body that carries its send time (the skew estimator's
-// input). The writer stamps it just before marshalling, so time spent
-// queued is not mistaken for time in flight.
+// input). The writer stamps it just before encoding, so time spent queued is
+// not mistaken for time in flight.
 type sentStamper interface{ stampSent(unixNano int64) }
 
 func (h *Heartbeat) stampSent(t int64)      { h.SentUnixNano = t }
@@ -232,16 +236,31 @@ type msg struct {
 	Body   []byte
 }
 
-// decodeBody parses a message body into the verb's payload type.
-func decodeBody[T any](m msg) (T, error) {
+// decodeBody parses a message body into the verb's payload type. An empty
+// body (drain's) is the zero value.
+func decodeBody[T any, P interface {
+	*T
+	readWire(*rbuf)
+}](m msg) (T, error) {
 	var v T
 	if len(m.Body) == 0 {
 		return v, nil
 	}
-	if err := json.Unmarshal(m.Body, &v); err != nil {
-		return v, fmt.Errorf("remote: bad %s body: %w", m.Op, err)
+	r := rbuf{b: m.Body}
+	P(&v).readWire(&r)
+	if err := r.finish(); err != nil {
+		var zero T
+		return zero, fmt.Errorf("remote: bad %s body: %w", m.Op, err)
 	}
 	return v, nil
+}
+
+// schemaMismatch is recv's error for a peer whose stream declares a schema
+// other than msgSchema: another protocol version, or not this protocol.
+type schemaMismatch struct{ offered string }
+
+func (e *schemaMismatch) Error() string {
+	return fmt.Sprintf("remote: peer speaks %q, this build speaks %q", e.offered, msgSchema.Name)
 }
 
 // conn is one protocol connection: an FBS decoder for the reading side and,
@@ -284,17 +303,19 @@ type conn struct {
 	closed   bool
 	done     chan struct{} // closed when the writer has exited
 
-	// Writer-owned.
-	enc *stream.Encoder
-	seq int64
+	// Writer-owned. scratch is the body buffer every message is encoded
+	// into; the FBS encoder copies it out before the next one reuses it.
+	enc     *stream.Encoder
+	seq     int64
+	scratch []byte
 }
 
 // outMsg is one queued message. The body belongs to the writer from post
-// on: it may be merged into, and is marshalled off the poster's locks.
+// on: it may be merged into, and is encoded off the poster's locks.
 type outMsg struct {
 	op, worker   string
 	lease, epoch int64
-	body         any
+	body         wireBody
 }
 
 // newConn wraps c and starts its writer, whose instruments live in reg (nil
@@ -314,9 +335,8 @@ func newConn(c net.Conn, timeout time.Duration, reg *telemetry.Registry, subsyst
 }
 
 // post queues one message for the writer and returns at once; after close
-// or shut it drops the message. nil sends an empty body. Assignments and
-// result acks are posted by pointer — that is what merge recognises.
-func (c *conn) post(op, worker string, lease int64, body any) {
+// or shut it drops the message. nil sends an empty body.
+func (c *conn) post(op, worker string, lease int64, body wireBody) {
 	c.mu.Lock()
 	if !c.closed && !c.shutting {
 		c.queue = append(c.queue, outMsg{op, worker, lease, c.epoch.Load(), body})
@@ -364,14 +384,11 @@ func (c *conn) write(batch []outMsg) error {
 		if s, ok := m.body.(sentStamper); ok {
 			s.stampSent(time.Now().UnixNano())
 		}
-		var payload []byte
+		c.scratch = c.scratch[:0]
 		if m.body != nil {
-			var err error
-			if payload, err = json.Marshal(m.body); err != nil {
-				return err
-			}
+			c.scratch = m.body.appendWire(c.scratch)
 		}
-		rec, err := stream.NewRecord(msgSchema, m.op, m.worker, m.lease, m.epoch, payload)
+		rec, err := stream.NewRecord(msgSchema, m.op, m.worker, m.lease, m.epoch, c.scratch)
 		if err != nil {
 			return err
 		}
@@ -388,7 +405,7 @@ func (c *conn) write(batch []outMsg) error {
 }
 
 // merge folds a batch's assigns into its first assign (runs in order, trace
-// maps unioned) and its result-acks into its first ack (a run-id list),
+// maps unioned) and its result-acks into its first ack (run ids in order),
 // while worker, lease and epoch agree. It is batch-wide, not adjacency-only
 // (a busy queue alternates assign, ack, assign, ack); moving a later assign
 // or ack ahead of a steal or heartbeat-ack between them is safe, since a
@@ -418,12 +435,6 @@ func merge(batch []outMsg) []outMsg {
 		case *ResultAck:
 			if ack >= 0 && same(ack, m) {
 				t := out[ack].body.(*ResultAck)
-				if t.RunID != "" { // the lone form becomes the list form
-					t.RunIDs, t.RunID = append(t.RunIDs, t.RunID), ""
-				}
-				if b.RunID != "" {
-					t.RunIDs = append(t.RunIDs, b.RunID)
-				}
 				t.RunIDs = append(t.RunIDs, b.RunIDs...)
 				continue
 			}
@@ -472,7 +483,7 @@ func (c *conn) recv(maxIdle time.Duration) (msg, error) {
 	}
 	r := it.Payload
 	if r.Schema == nil || !r.Schema.Equal(*msgSchema) {
-		return msg{}, fmt.Errorf("remote: unexpected schema %q", r.Schema.Name)
+		return msg{}, &schemaMismatch{offered: r.Schema.Name}
 	}
 	return msg{
 		Op:     r.Values[0].(string),

@@ -20,10 +20,11 @@ import (
 const maxTelemetryBatch = 1024
 
 // maxDrainFlushes bounds the final flush burst after OpDrain: a worker
-// ships at most this many batches before closing. Backlog beyond it is
-// abandoned — already counted by the local buffers' own drop counters —
-// because drain must complete inside the coordinator's shutdown grace
-// window.
+// ships at most this many batches before closing, because drain must
+// complete inside the coordinator's shutdown grace window. Backlog beyond it
+// is abandoned, and counted: the local buffers' own drop counters see only
+// overflow, so the last batch of the burst carries what is left unshipped in
+// its Dropped counts (shipper.abandon).
 const maxDrainFlushes = 8
 
 // skewEstimator estimates one worker's clock offset from the coordinator's
@@ -104,26 +105,19 @@ func (sh *shipper) next(max int) (b TelemetryBatch, ok bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	spans := sh.tracer.SnapshotSince(sh.spanCursor)
-	if len(spans) > max {
-		spans = spans[:max]
-	}
-	sh.spanCursor += len(spans)
-	b.Spans = spans
+	b.Spans = sh.tracer.SnapshotSince(sh.spanCursor, max)
+	sh.spanCursor += len(b.Spans)
 	if d := sh.tracer.Dropped(); d > sh.spanDropped {
 		b.DroppedSpans = d - sh.spanDropped
 		sh.spanDropped = d
 	}
 
-	evs := sh.events.Since(sh.eventCursor)
+	evs := sh.events.Since(sh.eventCursor, max)
 	if len(evs) > 0 {
 		// A gap between the cursor and the oldest surviving event means the
 		// ring overwrote journal we never shipped.
 		if gap := evs[0].Seq - sh.eventCursor - 1; gap > 0 {
 			b.DroppedEvents = gap
-		}
-		if len(evs) > max {
-			evs = evs[:max]
 		}
 		sh.eventCursor = evs[len(evs)-1].Seq
 		b.Events = evs
@@ -139,6 +133,21 @@ func (sh *shipper) next(max int) (b TelemetryBatch, ok bool) {
 	ok = len(b.Spans) > 0 || len(b.Events) > 0 || b.Metrics != nil ||
 		b.DroppedSpans > 0 || b.DroppedEvents > 0
 	return b, ok
+}
+
+// abandon gives up on everything finished or journaled since the last batch:
+// it moves both cursors to the end and returns how many spans and events
+// that skipped, for the caller to report as dropped.
+func (sh *shipper) abandon() (spans, events int64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if n := sh.tracer.Finished(); n > sh.spanCursor {
+		spans, sh.spanCursor = int64(n-sh.spanCursor), n
+	}
+	if last := sh.events.LastSeq(); last > sh.eventCursor {
+		events, sh.eventCursor = last-sh.eventCursor, last
+	}
+	return spans, events
 }
 
 // handleTelemetry merges one worker batch into the coordinator's

@@ -409,3 +409,53 @@ func TestDistributedTraceMerge(t *testing.T) {
 		t.Fatal("no worker events merged")
 	}
 }
+
+// TestDrainBacklogCountedAsDropped pins §4h's "dropping is allowed, silence
+// is not" at the drain: a worker that ends the campaign holding 9 000
+// finished spans ships the 8 × 1024 the drain burst allows, and the rest —
+// which no buffer overflowed, so no local drop counter saw — arrives as a
+// count on remote.telemetry_dropped_total.
+func TestDrainBacklogCountedAsDropped(t *testing.T) {
+	const held = 9000
+	ln := listen(t)
+	reg := telemetry.NewRegistry()
+	e := &Engine{Listener: ln, BatchSize: 1, LeaseTTL: 5 * time.Second, Tracer: telemetry.NewTracer(), Metrics: reg}
+	e.Tracer.SetCapacity(2 * held)
+
+	wtr := telemetry.NewTracer()
+	// The one run's span and the session span end during the campaign.
+	for i := 0; i < held-2; i++ {
+		_, sp := wtr.Start(context.Background(), "backlog")
+		sp.End()
+	}
+	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1, Heartbeat: time.Hour, Tracer: wtr,
+		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+
+	if _, report, err := e.RunCampaign(context.Background(), "backlog", testRuns(1)); err != nil || report.Succeeded != 1 {
+		t.Fatalf("report = %+v err=%v", report, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if got := wtr.Finished(); got != held {
+		t.Fatalf("the worker finished %d spans, want %d", got, held)
+	}
+	const shipped = maxDrainFlushes * maxTelemetryBatch
+	if got := reg.Counter("remote.telemetry_spans_total").Value(); got != shipped {
+		t.Errorf("telemetry_spans_total = %d, want %d", got, shipped)
+	}
+	merged := 0
+	for _, d := range e.Tracer.Snapshot() {
+		if d.Attr("worker") == "w0" {
+			merged++
+		}
+	}
+	if merged != shipped {
+		t.Errorf("the coordinator's tracer gained %d worker spans, want %d", merged, shipped)
+	}
+	if got := reg.Counter("remote.telemetry_dropped_total").Value(); got != held-shipped {
+		t.Errorf("telemetry_dropped_total = %d, want the %d spans the drain left behind", got, held-shipped)
+	}
+}

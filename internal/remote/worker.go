@@ -258,7 +258,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// into the spool for replay.
 	defer c.close()
 
-	c.post(OpHello, w.Name, 0, Hello{Slots: w.slots()})
+	c.post(OpHello, w.Name, 0, &Hello{Slots: w.slots()})
 	m, err := c.recv(10 * time.Second)
 	if err != nil {
 		return fmt.Errorf("remote: waiting for lease: %w", err)
@@ -344,8 +344,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	// make redelivery idempotent; acks (possibly for runs it no longer
 	// tracks) drain the spool.
 	if pend := w.spoolInit().pending(); len(pend) > 0 {
-		for _, out := range pend {
-			c.post(OpResult, name, lease, out)
+		for i := range pend {
+			c.post(OpResult, name, lease, &pend[i])
 		}
 		w.mSpoolReplayed.Add(int64(len(pend)))
 		w.Events.Append(eventlog.Info, eventlog.WorkerSpoolReplay, grant.Campaign, 0,
@@ -458,12 +458,7 @@ func (s *wsession) readLoop(lease int64) error {
 			if err != nil {
 				return err
 			}
-			// One id from a lone ack (all an older coordinator sends), a
-			// list from a merged one.
 			sp := s.w.spoolInit()
-			if a.RunID != "" {
-				sp.ack(a.RunID)
-			}
 			for _, id := range a.RunIDs {
 				sp.ack(id)
 			}
@@ -519,7 +514,7 @@ func (s *wsession) relinquish(n int, lease int64) {
 	}
 	// Always answer, even with nothing to give — the coordinator's
 	// steal-in-flight latch waits for the reply.
-	s.c.post(OpStolen, s.name, lease, Stolen{RunIDs: ids})
+	s.c.post(OpStolen, s.name, lease, &Stolen{RunIDs: ids})
 }
 
 // heartbeatLoop renews the lease until the session ends.
@@ -544,7 +539,8 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 }
 
 // flush queues pending telemetry batches: one on the heartbeat path, up to
-// maxDrainFlushes on drain.
+// maxDrainFlushes on drain, the last of which reports the backlog the burst
+// leaves behind as dropped.
 func (s *wsession) flush(lease int64, drain bool) {
 	if s.ship == nil {
 		return
@@ -559,6 +555,11 @@ func (s *wsession) flush(lease int64, drain bool) {
 			return
 		}
 		b.RTTNanos = s.lastRTT.Load()
+		if drain && i == n-1 {
+			spans, events := s.ship.abandon()
+			b.DroppedSpans += spans
+			b.DroppedEvents += events
+		}
 		s.c.post(OpTelemetry, s.name, lease, &b) // the writer stamps SentUnixNano
 	}
 }
@@ -607,7 +608,7 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 			}
 			w.gSpoolDepth.Set(float64(w.spool.depth()))
 		}
-		s.c.post(OpResult, s.name, lease, out)
+		s.c.post(OpResult, s.name, lease, &out)
 	}
 }
 

@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -88,13 +87,35 @@ func readAll(data []byte) ([]msg, error) {
 	}
 }
 
-// render shows messages as "op worker/lease@epoch body" lines.
-func render(ms []msg) []string {
-	out := make([]string, len(ms))
+// wireMsg is one message as a peer sees it: the envelope and the body decoded
+// as its verb's type (nil for drain).
+type wireMsg struct {
+	Op, Worker   string
+	Lease, Epoch int64
+	Body         wireBody
+}
+
+// decoded decodes every message's body as its own verb.
+func decoded(t testing.TB, ms []msg) []wireMsg {
+	t.Helper()
+	out := make([]wireMsg, len(ms))
 	for i, m := range ms {
-		out[i] = fmt.Sprintf("%s %s/%d@%d %s", m.Op, m.Worker, m.Lease, m.Epoch, m.Body)
+		body, known, err := decodeVerb(m)
+		if !known || err != nil {
+			t.Fatalf("message %d (%s): known=%v err=%v", i, m.Op, known, err)
+		}
+		out[i] = wireMsg{m.Op, m.Worker, m.Lease, m.Epoch, body}
 	}
 	return out
+}
+
+// render shows messages as "op worker/lease@epoch body" lines.
+func render(ms []wireMsg) string {
+	var sb strings.Builder
+	for _, m := range ms {
+		fmt.Fprintf(&sb, "\n  %s %s/%d@%d %+v", m.Op, m.Worker, m.Lease, m.Epoch, m.Body)
+	}
+	return sb.String()
 }
 
 func assignMsg(worker string, lease int64, trace map[string]string, ids ...string) outMsg {
@@ -105,73 +126,68 @@ func assignMsg(worker string, lease int64, trace map[string]string, ids ...strin
 	return outMsg{op: OpAssign, worker: worker, lease: lease, body: a}
 }
 
-func ackMsg(worker string, lease int64, id string) outMsg {
-	return outMsg{op: OpResultAck, worker: worker, lease: lease, body: &ResultAck{RunID: id}}
+func ackMsg(worker string, lease int64, ids ...string) outMsg {
+	return outMsg{op: OpResultAck, worker: worker, lease: lease, body: &ResultAck{RunIDs: ids}}
 }
 
-// TestWriterMergeTable pins the merge rules on the bytes that reach the
-// wire: batch-wide folding of assigns and acks, never across a lease, a
-// worker or an epoch, never touching another verb, and a lone message
-// unrewritten.
+// TestWriterMergeTable pins the merge rules on what a peer decodes from the
+// bytes that reach the wire: batch-wide folding of assigns and acks, never
+// across a lease, a worker or an epoch, never touching another verb, and a
+// lone message unrewritten.
 func TestWriterMergeTable(t *testing.T) {
-	run := func(id string) string {
-		b, _ := json.Marshal(cheetah.Run{ID: id})
-		return string(b)
-	}
-	assign := func(dest string, trace string, ids ...string) string {
-		runs := make([]string, len(ids))
-		for i, id := range ids {
-			runs[i] = run(id)
-		}
-		return fmt.Sprintf(`assign %s {"runs":[%s]%s}`, dest, strings.Join(runs, ","), trace)
-	}
-	steal := outMsg{op: OpSteal, worker: "w", lease: 1, body: Steal{N: 2}}
-	hbAck := outMsg{op: OpHeartbeatAck, worker: "w", lease: 1, body: HeartbeatAck{EchoUnixNano: 7}}
+	// What the peer should see: the message the same constructor builds,
+	// with its epoch.
+	want := func(m outMsg, epoch int64) wireMsg { return wireMsg{m.op, m.worker, m.lease, epoch, m.body} }
+	steal := outMsg{op: OpSteal, worker: "w", lease: 1, body: &Steal{N: 2}}
+	hbAck := outMsg{op: OpHeartbeatAck, worker: "w", lease: 1, body: &HeartbeatAck{EchoUnixNano: 7}}
+	drain := outMsg{op: OpDrain, worker: "w", lease: 1}
 	atEpoch := func(m outMsg, epoch int64) outMsg { m.epoch = epoch; return m }
 
 	cases := []struct {
 		name  string
 		batch []outMsg
-		want  []string
+		want  []wireMsg
 	}{
 		{"steady state alternation folds batch-wide",
 			[]outMsg{assignMsg("w", 1, nil, "a"), ackMsg("w", 1, "x"), assignMsg("w", 1, nil, "b"),
 				ackMsg("w", 1, "y"), steal, assignMsg("w", 1, nil, "c")},
-			[]string{assign("w/1@0", "", "a", "b", "c"), `result-ack w/1@0 {"runs":["x","y"]}`, `steal w/1@0 {"n":2}`}},
+			[]wireMsg{want(assignMsg("w", 1, nil, "a", "b", "c"), 0), want(ackMsg("w", 1, "x", "y"), 0), want(steal, 0)}},
 		{"lone assign unrewritten",
 			[]outMsg{assignMsg("w", 1, map[string]string{"a": "tp-a"}, "a")},
-			[]string{assign("w/1@0", `,"trace":{"a":"tp-a"}`, "a")}},
-		{"lone ack keeps the single-run body",
+			[]wireMsg{want(assignMsg("w", 1, map[string]string{"a": "tp-a"}, "a"), 0)}},
+		{"a lone ack is a one-element list",
 			[]outMsg{ackMsg("w", 1, "x")},
-			[]string{`result-ack w/1@0 {"run":"x"}`}},
+			[]wireMsg{want(ackMsg("w", 1, "x"), 0)}},
 		{"three acks, one list",
 			[]outMsg{ackMsg("w", 1, "x"), ackMsg("w", 1, "y"), ackMsg("w", 1, "z")},
-			[]string{`result-ack w/1@0 {"runs":["x","y","z"]}`}},
+			[]wireMsg{want(ackMsg("w", 1, "x", "y", "z"), 0)}},
 		{"trace maps union, absent ones included",
 			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("w", 1, map[string]string{"b": "tp-b"}, "b"),
 				assignMsg("w", 1, map[string]string{"c": "tp-c"}, "c"), assignMsg("w", 1, nil, "d")},
-			[]string{assign("w/1@0", `,"trace":{"b":"tp-b","c":"tp-c"}`, "a", "b", "c", "d")}},
+			[]wireMsg{want(assignMsg("w", 1, map[string]string{"b": "tp-b", "c": "tp-c"}, "a", "b", "c", "d"), 0)}},
 		{"a different lease never merges",
 			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("w", 2, nil, "b"), ackMsg("w", 1, "x"), ackMsg("w", 2, "y")},
-			[]string{assign("w/1@0", "", "a"), assign("w/2@0", "", "b"), `result-ack w/1@0 {"run":"x"}`, `result-ack w/2@0 {"run":"y"}`}},
+			[]wireMsg{want(assignMsg("w", 1, nil, "a"), 0), want(assignMsg("w", 2, nil, "b"), 0),
+				want(ackMsg("w", 1, "x"), 0), want(ackMsg("w", 2, "y"), 0)}},
 		{"a different worker never merges",
 			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("v", 1, nil, "b"), ackMsg("w", 1, "x"), ackMsg("v", 1, "y")},
-			[]string{assign("w/1@0", "", "a"), assign("v/1@0", "", "b"), `result-ack w/1@0 {"run":"x"}`, `result-ack v/1@0 {"run":"y"}`}},
+			[]wireMsg{want(assignMsg("w", 1, nil, "a"), 0), want(assignMsg("v", 1, nil, "b"), 0),
+				want(ackMsg("w", 1, "x"), 0), want(ackMsg("v", 1, "y"), 0)}},
 		{"a different epoch never merges",
 			[]outMsg{atEpoch(ackMsg("w", 1, "x"), 3), atEpoch(ackMsg("w", 1, "y"), 5), atEpoch(ackMsg("w", 1, "z"), 5)},
-			[]string{`result-ack w/1@3 {"run":"x"}`, `result-ack w/1@5 {"runs":["y","z"]}`}},
+			[]wireMsg{want(ackMsg("w", 1, "x"), 3), want(ackMsg("w", 1, "y", "z"), 5)}},
 		{"other verbs keep their place and their bodies",
-			[]outMsg{hbAck, steal, hbAck, {op: OpDrain, worker: "w", lease: 1}},
-			[]string{`heartbeat-ack w/1@0 {"echo":7}`, `steal w/1@0 {"n":2}`, `heartbeat-ack w/1@0 {"echo":7}`, `drain w/1@0 `}},
+			[]outMsg{hbAck, steal, hbAck, drain},
+			[]wireMsg{want(hbAck, 0), want(steal, 0), want(hbAck, 0), want(drain, 0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := readAll(wireBytes(t, tc.batch...))
+			ms, err := readAll(wireBytes(t, tc.batch...))
 			if err != io.EOF {
 				t.Fatalf("decoding what the writer wrote: %v", err)
 			}
-			if !reflect.DeepEqual(render(got), tc.want) {
-				t.Errorf("wire:\n  %s\nwant:\n  %s", strings.Join(render(got), "\n  "), strings.Join(tc.want, "\n  "))
+			if got := decoded(t, ms); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("wire:%s\nwant:%s", render(got), render(tc.want))
 			}
 		})
 	}
@@ -201,7 +217,7 @@ func TestWriterPostOrder(t *testing.T) {
 			for i := 0; i < each; i++ {
 				mu.Lock()
 				next++
-				tx.post(OpSteal, "w", 1, Steal{N: next})
+				tx.post(OpSteal, "w", 1, &Steal{N: next})
 				mu.Unlock()
 			}
 		}()
@@ -375,14 +391,14 @@ func TestWriterStalledPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.close()
-	stalled.post(OpHello, "stalled", 0, Hello{Slots: 1})
+	stalled.post(OpHello, "stalled", 0, &Hello{Slots: 1})
 	grant, err := stalled.recv(5 * time.Second)
 	if err != nil || grant.Op != OpLeaseGrant {
 		t.Fatalf("want lease-grant, got %q err=%v", grant.Op, err)
 	}
 	go func() {
 		for ctx.Err() == nil {
-			stalled.post(OpHeartbeat, grant.Worker, grant.Lease, Heartbeat{})
+			stalled.post(OpHeartbeat, grant.Worker, grant.Lease, &Heartbeat{})
 			time.Sleep(50 * time.Millisecond)
 		}
 	}()
@@ -556,10 +572,8 @@ func TestResultNotAckedWhenJournalRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range append(a.RunIDs, a.RunID) {
-			if id != "" {
-				acked[id] = true
-			}
+		for _, id := range a.RunIDs {
+			acked[id] = true
 		}
 	}
 	if !reflect.DeepEqual(acked, journaled) {

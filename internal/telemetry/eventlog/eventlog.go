@@ -151,6 +151,9 @@ const (
 	WorkerHeartbeat = "worker.heartbeat" // lease renewed (Debug level: liveness, not progress)
 	WorkerDead      = "worker.dead"      // lease reclaimed; its runs re-dispatch
 	WorkerLeave     = "worker.leave"     // clean departure after drain
+	// WorkerRefused marks a peer turned away at its first record for speaking
+	// another protocol version (attrs: peer, offered, expected).
+	WorkerRefused = "worker.refused"
 	// RunDispatched marks a run handed to a worker under its lease; the
 	// monitor treats it as the run's start (queue wait counts toward
 	// straggler detection — a run stuck behind a slow worker IS late).
@@ -404,20 +407,41 @@ func (l *Log) Snapshot() []Event {
 	return l.snapshotLocked()
 }
 
-// Since returns the events with sequence number > seq, oldest first — the
-// polling cursor for a live watcher.
-func (l *Log) Since(seq int64) []Event {
+// Since returns the events with sequence number > seq, oldest first, at most
+// max of them (max < 1: all) — the polling cursor for a live watcher. The
+// ring's sequence numbers are consecutive and end at the last one assigned,
+// so the cursor's slot is found by arithmetic and only what is returned is
+// copied.
+func (l *Log) Since(seq int64, max int) []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := l.snapshotLocked()
-	lo := 0
-	for lo < len(out) && out[lo].Seq <= seq {
-		lo++
+	skip := 0
+	if oldest := l.nextSeq - int64(l.count) + 1; seq >= oldest {
+		skip = int(min(seq-oldest+1, int64(l.count)))
 	}
-	return out[lo:]
+	n := l.count - skip
+	if max > 0 && n > max {
+		n = max
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = l.buf[(l.start+skip+i)%len(l.buf)]
+	}
+	return out
+}
+
+// LastSeq reports the sequence number of the newest event ever journaled
+// (0 before the first): what a Since cursor reads once it has caught up.
+func (l *Log) LastSeq() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextSeq
 }
 
 // Len reports the number of journaled (not yet overwritten) events.
@@ -486,7 +510,7 @@ func (l *Log) Handler() http.Handler {
 				http.Error(w, "eventlog: bad since cursor", http.StatusBadRequest)
 				return
 			}
-			events = l.Since(seq)
+			events = l.Since(seq, 0)
 		}
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 		w.Header().Set("X-Eventlog-Dropped", strconv.FormatInt(l.Dropped(), 10))

@@ -3,6 +3,7 @@ package eventlog
 import (
 	"bytes"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,12 +164,48 @@ func TestSinceCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append(Info, "tick", "", 0)
 	}
-	tail := l.Since(3)
+	tail := l.Since(3, 0)
 	if len(tail) != 2 || tail[0].Seq != 4 {
-		t.Fatalf("Since(3) = %d events starting at %d, want 2 starting at 4", len(tail), tail[0].Seq)
+		t.Fatalf("Since(3, 0) = %d events starting at %d, want 2 starting at 4", len(tail), tail[0].Seq)
 	}
-	if got := l.Since(99); len(got) != 0 {
-		t.Errorf("Since(99) returned %d events, want 0", len(got))
+	if got := l.Since(99, 0); len(got) != 0 {
+		t.Errorf("Since(99, 0) returned %d events, want 0", len(got))
+	}
+	if got := l.Since(1, 3); len(got) != 3 || got[0].Seq != 2 || got[2].Seq != 4 {
+		t.Errorf("Since(1, 3) = %+v, want seq 2..4", got)
+	}
+	if l.LastSeq() != 5 {
+		t.Errorf("LastSeq() = %d, want 5", l.LastSeq())
+	}
+}
+
+// TestSinceCursorAcrossWraparound checks the cursor arithmetic against a scan
+// of the snapshot, for every cursor and several limits, on a ring that has
+// wrapped (so the oldest event sits mid-buffer and a cursor can point at
+// events already overwritten).
+func TestSinceCursorAcrossWraparound(t *testing.T) {
+	l := NewLog()
+	l.SetCapacity(7)
+	for i := 0; i < 19; i++ {
+		l.Append(Info, "tick", "", 0)
+	}
+	all := l.Snapshot() // seq 13..19
+	for cursor := int64(-1); cursor <= 21; cursor++ {
+		for _, max := range []int{0, 1, 3, 7, 50} {
+			var want []int64
+			for _, ev := range all {
+				if ev.Seq > cursor && (max < 1 || len(want) < max) {
+					want = append(want, ev.Seq)
+				}
+			}
+			var got []int64
+			for _, ev := range l.Since(cursor, max) {
+				got = append(got, ev.Seq)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("Since(%d, %d) = %v, want %v", cursor, max, got, want)
+			}
+		}
 	}
 }
 
@@ -221,7 +258,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	if seq := l.Append(Error, "x", "", 0); seq != 0 {
 		t.Errorf("nil append returned seq %d", seq)
 	}
-	if l.Snapshot() != nil || l.Since(0) != nil || l.Len() != 0 || l.Dropped() != 0 {
+	if l.Snapshot() != nil || l.Since(0, 0) != nil || l.LastSeq() != 0 || l.Len() != 0 || l.Dropped() != 0 {
 		t.Error("nil log reports contents")
 	}
 	if l.Now().IsZero() {
@@ -340,10 +377,10 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	}
 	// The polling cursor agrees with the ring: everything before the suffix
 	// is gone, everything inside it is reachable.
-	if got := l.Since(total - cap); len(got) != cap {
+	if got := l.Since(total-cap, 0); len(got) != cap {
 		t.Fatalf("Since(start of suffix) = %d events, want %d", len(got), cap)
 	}
-	if got := l.Since(total); len(got) != 0 {
+	if got := l.Since(total, 0); len(got) != 0 {
 		t.Fatalf("Since(latest) = %d events, want 0", len(got))
 	}
 }

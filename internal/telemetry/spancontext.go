@@ -52,7 +52,17 @@ func (c SpanContext) String() string {
 	if !c.Valid() {
 		return ""
 	}
-	return fmt.Sprintf("00-%s-%016x-01", c.Trace, uint64(c.Span))
+	// Built in place: this runs once per dispatched run, under the
+	// coordinator's lock.
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], c.Trace[:])
+	b[35] = '-'
+	var span [8]byte
+	binary.BigEndian.PutUint64(span[:], uint64(c.Span))
+	hex.Encode(b[36:52], span[:])
+	copy(b[52:], "-01")
+	return string(b[:])
 }
 
 // ParseSpanContext decodes a traceparent-style string produced by
@@ -172,11 +182,11 @@ func (t *Tracer) Ingest(data SpanData) {
 	t.mu.Unlock()
 }
 
-// SnapshotSince copies finished spans starting at buffer index n — the
-// incremental form of Snapshot for shippers that drain the buffer in
-// batches. The buffer is append-only (the cap drops new spans, it never
-// evicts old ones), so indices are stable cursors.
-func (t *Tracer) SnapshotSince(n int) []SpanData {
+// SnapshotSince copies at most max finished spans (max < 1: all of them)
+// starting at buffer index n — the incremental form of Snapshot for shippers
+// that drain the buffer in batches. The buffer is append-only (the cap drops
+// new spans, it never evicts old ones), so indices are stable cursors.
+func (t *Tracer) SnapshotSince(n, max int) []SpanData {
 	if t == nil {
 		return nil
 	}
@@ -188,5 +198,20 @@ func (t *Tracer) SnapshotSince(n int) []SpanData {
 	if n >= len(t.spans) {
 		return nil
 	}
-	return append([]SpanData(nil), t.spans[n:]...)
+	end := len(t.spans)
+	if max > 0 && end-n > max {
+		end = n + max
+	}
+	return append([]SpanData(nil), t.spans[n:end]...)
+}
+
+// Finished reports how many finished spans the buffer holds: one past the
+// last index SnapshotSince can return.
+func (t *Tracer) Finished() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
 }

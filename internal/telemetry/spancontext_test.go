@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -24,6 +26,35 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	if got != sc {
 		t.Fatalf("round trip: got %+v, want %+v", got, sc)
 	}
+}
+
+// TestSpanContextStringRandom pins the hand-built encoding against the
+// format it replaced and against the parser, over random contexts (negative
+// span ids included), and its cost: the returned string is the one
+// allocation.
+func TestSpanContextStringRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 2000; i++ {
+		var c SpanContext
+		rng.Read(c.Trace[:])
+		c.Span = int64(rng.Uint64())
+		if !c.Valid() {
+			continue
+		}
+		enc := c.String()
+		if want := fmt.Sprintf("00-%s-%016x-01", c.Trace, uint64(c.Span)); enc != want {
+			t.Fatalf("String() = %q, want %q", enc, want)
+		}
+		if got, err := ParseSpanContext(enc); err != nil || got != c {
+			t.Fatalf("ParseSpanContext(%q) = %+v, %v; want %+v", enc, got, err, c)
+		}
+	}
+	c := SpanContext{Trace: NewTraceID(), Span: 42}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = c.String() }); n > 1 {
+		t.Errorf("String() allocates %.0f times, want at most 1", n)
+	}
+	_ = sink
 }
 
 func TestParseSpanContextErrors(t *testing.T) {
@@ -135,17 +166,26 @@ func TestIngestAllocIDAndSnapshotSince(t *testing.T) {
 		t.Fatalf("dropped = %d, want 1", tr.Dropped())
 	}
 
-	if got := tr.SnapshotSince(1); len(got) != 2 || got[0].Name != "b" {
-		t.Fatalf("SnapshotSince(1) = %+v", got)
+	if got := tr.SnapshotSince(1, 0); len(got) != 2 || got[0].Name != "b" {
+		t.Fatalf("SnapshotSince(1, 0) = %+v", got)
 	}
-	if got := tr.SnapshotSince(3); got != nil {
-		t.Fatalf("SnapshotSince(len) = %+v, want nil", got)
+	if got := tr.SnapshotSince(1, 1); len(got) != 1 || got[0].Name != "b" {
+		t.Fatalf("SnapshotSince(1, 1) = %+v, want just b", got)
 	}
-	if got := tr.SnapshotSince(-5); len(got) != 3 {
-		t.Fatalf("SnapshotSince(-5) = %d spans, want all 3", len(got))
+	if got := tr.SnapshotSince(1, 5); len(got) != 2 {
+		t.Fatalf("SnapshotSince(1, 5) = %d spans, want the 2 there are", len(got))
+	}
+	if got := tr.SnapshotSince(3, 0); got != nil {
+		t.Fatalf("SnapshotSince(len, 0) = %+v, want nil", got)
+	}
+	if got := tr.SnapshotSince(-5, 0); len(got) != 3 {
+		t.Fatalf("SnapshotSince(-5, 0) = %d spans, want all 3", len(got))
+	}
+	if tr.Finished() != 3 {
+		t.Fatalf("Finished() = %d, want 3", tr.Finished())
 	}
 	var nilT *Tracer
-	if nilT.AllocID() != 0 || nilT.SnapshotSince(0) != nil {
+	if nilT.AllocID() != 0 || nilT.SnapshotSince(0, 0) != nil || nilT.Finished() != 0 {
 		t.Fatal("nil tracer not inert")
 	}
 	nilT.Ingest(SpanData{ID: 1})
