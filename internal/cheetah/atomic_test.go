@@ -38,7 +38,7 @@ func TestSetRunStatusNeverObservablyTorn(t *testing.T) {
 				return
 			}
 			for i := 0; i < 2000; i++ {
-				if err := l.Set(m.Runs[i%len(m.Runs)].ID, statuses[(i+w)%len(statuses)]); err != nil {
+				if err := l.Set(StatusLine{m.Runs[i%len(m.Runs)].ID, statuses[(i+w)%len(statuses)]}); err != nil {
 					writeErrs <- err
 					break
 				}

@@ -25,8 +25,8 @@ func FuzzStatusLogReplay(f *testing.F) {
 	f.Add([]byte(`null`+"\n"+`[]`+"\n"), uint16(5))
 	f.Add([]byte(``), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		replay := func(data []byte) ([]statusRecord, error) {
-			var recs []statusRecord
+		replay := func(data []byte) ([]StatusLine, error) {
+			var recs []StatusLine
 			_, err := appendlog.Replay(bytes.NewReader(data), func(line []byte) error {
 				rec, err := decodeStatusLine(line)
 				if err == nil {

@@ -14,8 +14,9 @@ import (
 // {"run","status"} per transition, append-only, last line per run wins.
 const statusLogName = "status.log"
 
-// statusRecord is one line of the status log.
-type statusRecord struct {
+// StatusLine is one line of the status log: a run and the status it moved
+// to.
+type StatusLine struct {
 	Run    string    `json:"run"`
 	Status RunStatus `json:"status"`
 }
@@ -31,8 +32,8 @@ func (s RunStatus) valid() bool {
 }
 
 // decodeStatusLine parses and validates one complete line of the status log.
-func decodeStatusLine(line []byte) (statusRecord, error) {
-	var rec statusRecord
+func decodeStatusLine(line []byte) (StatusLine, error) {
+	var rec StatusLine
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return rec, err
 	}
@@ -71,13 +72,13 @@ func appendStatusLine(buf []byte, runID string, status RunStatus) []byte {
 }
 
 // StatusLog is an engine's handle on a campaign directory's status log, held
-// for the length of a campaign. Set appends one line with one write(2): when
-// it returns nil the transition is in the page cache, so it survives the
-// death of this process — kill -9 included — with no Close. It is not yet
+// for the length of a campaign. Set appends its lines with one write(2): when
+// it returns nil the transitions are in the page cache, so they survive the
+// death of this process — kill -9 included — with no Close. They are not yet
 // power-loss durable; Close fsyncs once, at campaign end. In between, the
 // attempt journal under its own sync policy is the durable record, and the
-// engines write its line first: a status lost with the tail of this log only
-// ever makes a finished run look unfinished, never the reverse.
+// engines' recorder writes its lines first: a status lost with the tail of
+// this log only ever makes a finished run look unfinished, never the reverse.
 //
 // Set and Close are safe for concurrent use, and several handles — a
 // successor coordinator, a resumed engine, a SetRunStatus — may append to one
@@ -87,7 +88,7 @@ type StatusLog struct {
 
 	mu  sync.Mutex
 	f   *os.File
-	buf []byte // one line's encoding, reused across Sets
+	buf []byte // one Set's lines, reused across Sets
 	// torn is set when a write failed and may have left part of a line; the
 	// next Set cuts the file back to a line boundary before appending, so the
 	// fragment cannot fuse with a good record into a corrupt one.
@@ -119,10 +120,16 @@ func (l *StatusLog) trim() error {
 	return appendlog.TrimTornTail(l.f, fi.Size())
 }
 
-// Set records that runID is now in status.
-func (l *StatusLog) Set(runID string, status RunStatus) error {
-	if runID == "" || !status.valid() {
-		return fmt.Errorf("cheetah: %s: refusing record {run %q, status %q}", statusLogName, runID, status)
+// Set records, in order, that each line's run is now in its status. One
+// invalid line refuses them all.
+func (l *StatusLog) Set(lines ...StatusLine) error {
+	for _, ln := range lines {
+		if ln.Run == "" || !ln.Status.valid() {
+			return fmt.Errorf("cheetah: %s: refusing record {run %q, status %q}", statusLogName, ln.Run, ln.Status)
+		}
+	}
+	if len(lines) == 0 {
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -132,7 +139,10 @@ func (l *StatusLog) Set(runID string, status RunStatus) error {
 		}
 		l.torn = false
 	}
-	l.buf = appendStatusLine(l.buf[:0], runID, status)
+	l.buf = l.buf[:0]
+	for _, ln := range lines {
+		l.buf = appendStatusLine(l.buf, ln.Run, ln.Status)
+	}
 	if _, err := l.f.Write(l.buf); err != nil {
 		l.torn = true
 		return fmt.Errorf("cheetah: appending to %s: %w", statusLogName, err)
@@ -169,7 +179,7 @@ func SetRunStatus(dir string, runID string, status RunStatus) error {
 	if err != nil {
 		return err
 	}
-	err = l.Set(runID, status)
+	err = l.Set(StatusLine{runID, status})
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -45,7 +45,7 @@ func TestStatusLogTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, run := range m.Runs[:4] {
-		if err := l.Set(run.ID, []RunStatus{RunRunning, RunSucceeded}[i%2]); err != nil {
+		if err := l.Set(StatusLine{run.ID, []RunStatus{RunRunning, RunSucceeded}[i%2]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestStatusLogTornTailEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Set(m.Runs[0].ID, RunFailed); err != nil {
+	if err := l.Set(StatusLine{m.Runs[0].ID, RunFailed}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -167,13 +167,13 @@ func TestStatusIgnoresUnlistedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Set("ghost/run", RunFailed); err != nil {
+	if err := l.Set(StatusLine{"ghost/run", RunFailed}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Set(m.Runs[3].ID, RunSucceeded); err != nil {
+	if err := l.Set(StatusLine{m.Runs[3].ID, RunSucceeded}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Set(m.Runs[3].ID, "done"); err == nil {
+	if err := l.Set(StatusLine{m.Runs[3].ID, "done"}); err == nil {
 		t.Fatal("Set accepted a status outside the schema")
 	}
 	if err := l.Close(); err != nil {
@@ -186,7 +186,7 @@ func TestStatusIgnoresUnlistedRun(t *testing.T) {
 	if sum.Total != 7 || sum.ByStatus[RunSucceeded] != 1 || sum.ByStatus[RunPending] != 6 || sum.ByStatus[RunFailed] != 0 {
 		t.Fatalf("summary counts an unlisted run: %+v", sum)
 	}
-	if err := l.Set(m.Runs[0].ID, RunFailed); err == nil {
+	if err := l.Set(StatusLine{m.Runs[0].ID, RunFailed}); err == nil {
 		t.Fatal("Set on a closed log reported success")
 	}
 }
@@ -206,10 +206,10 @@ func TestStatusLogSurvivesKill(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, run := range m.Runs {
-			if err := l.Set(run.ID, RunRunning); err != nil {
+			if err := l.Set(StatusLine{run.ID, RunRunning}); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Set(run.ID, RunSucceeded); err != nil {
+			if err := l.Set(StatusLine{run.ID, RunSucceeded}); err != nil {
 				t.Fatal(err)
 			}
 			fmt.Printf("set %d\n", i)
@@ -277,11 +277,42 @@ func TestStatusLogSetAllocation(t *testing.T) {
 	defer l.Close()
 	id := m.Runs[0].ID
 	if n := testing.AllocsPerRun(1000, func() {
-		if err := l.Set(id, RunSucceeded); err != nil {
+		if err := l.Set(StatusLine{id, RunSucceeded}); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {
 		t.Fatalf("Set allocates %.0f objects per call, want at most the line", n)
+	}
+}
+
+// TestStatusLogSetBatch: the lines of one Set land in order (the last line
+// of a run wins) with one write, and one invalid line refuses them all.
+func TestStatusLogSetBatch(t *testing.T) {
+	dir, m := materializeDemo(t)
+	l, err := OpenStatusLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := m.Runs[0].ID, m.Runs[1].ID
+	if err := l.Set(StatusLine{a, RunRunning}, StatusLine{b, RunRunning}, StatusLine{a, RunSucceeded}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Set(StatusLine{b, RunFailed}, StatusLine{b, "done"}); err == nil {
+		t.Fatal("a batch holding a status outside the schema was accepted")
+	}
+	if err := l.Set(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := mustStatuses(t, dir)
+	if got[a] != RunSucceeded || got[b] != RunRunning {
+		t.Fatalf("%s is %q and %s is %q, want succeeded and running (the refused batch wrote nothing)", a, got[a], b, got[b])
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "status.log"))
+	if err != nil || strings.Count(string(data), "\n") != 3 {
+		t.Fatalf("status.log holds %q (%v), want the three lines of the one good batch", data, err)
 	}
 }
 

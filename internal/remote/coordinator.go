@@ -73,6 +73,8 @@ type Engine struct {
 	Events  *eventlog.Log
 
 	attempt int64 // provenance record numbering
+	// probe is the recorder's test seam (savanna.RecorderConfig.Probe).
+	probe func(savanna.RecorderStage, []resilience.AttemptRecord) bool
 
 	telOnce      sync.Once
 	mDispatched  *telemetry.Counter
@@ -90,7 +92,6 @@ type Engine struct {
 	mDeadTotal   *telemetry.Counter
 	mStaleEpoch  *telemetry.Counter
 	mTakeovers   *telemetry.Counter
-	mJournalErrs *telemetry.Counter
 	gEpoch       *telemetry.Gauge
 	gLive        *telemetry.Gauge
 	gDead        *telemetry.Gauge
@@ -127,7 +128,6 @@ func (e *Engine) telemetryInit() {
 		e.mDeadTotal = e.Metrics.Counter("remote.workers_dead_total")
 		e.mStaleEpoch = e.Metrics.Counter("remote.stale_epoch_total")
 		e.mTakeovers = e.Metrics.Counter("remote.coordinator_takeovers_total")
-		e.mJournalErrs = e.Metrics.Counter("remote.journal_append_errors_total")
 		e.gEpoch = e.Metrics.Gauge("remote.coordinator_epoch")
 		e.gLive = e.Metrics.Gauge("remote.workers_live")
 		e.gDead = e.Metrics.Gauge("remote.workers_dead")
@@ -220,11 +220,16 @@ type coordinator struct {
 	campaign string
 	span     *telemetry.Span
 	ctx      context.Context
-	// status mirrors terminal transitions into CampaignDir's status log
-	// (nil without one); a successor incarnation appends to the same file.
-	status *savanna.StatusMirror
+	// rec writes what the coordinator decides: journal records, status
+	// lines (a successor incarnation appends to the same files), provenance
+	// — and then releases the acks.
+	rec *savanna.Recorder
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// group collects what the critical section in progress must make
+	// durable; unlock posts it to rec whole, so a result's records, the
+	// top-up's dispatches and its ack are written — or refused — together.
+	group    savanna.Group
 	runs     []cheetah.Run
 	index    map[string]int
 	pending  []int
@@ -240,11 +245,8 @@ type coordinator struct {
 	died      map[string]bool
 	remaining int
 	draining  bool
-	// journalFailed latches the campaign's first refused journal append (the
-	// one that is an event; all of them count).
-	journalFailed bool
-	nameSeq       int
-	zeroSince     time.Time // when the live-worker count last hit zero with work remaining
+	nameSeq   int
+	zeroSince time.Time // when the live-worker count last hit zero with work remaining
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -282,8 +284,8 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 
 	co := &coordinator{
 		e: e, rc: rc, campaign: campaign, span: span, ctx: ctx,
-		status:   savanna.OpenStatusMirror(e.CampaignDir, e.Events, span.ID()),
-		leases:   resilience.NewLeaseTable(e.leaseTTL(), rc.Journal(), nil),
+		rec: savanna.OpenRecorder(savanna.RecorderConfig{Engine: "remote", Campaign: campaign, Span: span.ID(),
+			Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe}),
 		runs:     runs,
 		index:    make(map[string]int, len(runs)),
 		results:  make([]savanna.RunResult, len(runs)),
@@ -295,6 +297,9 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		died:     map[string]bool{},
 		doneCh:   make(chan struct{}),
 	}
+	// Grants, expiries and releases all happen under co.mu: their records
+	// join the group of the critical section that decided them.
+	co.leases = resilience.NewLeaseTable(e.leaseTTL(), co.group.Journal, nil)
 	for i, r := range runs {
 		co.index[r.ID] = i
 	}
@@ -320,7 +325,7 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	} else {
 		co.zeroSince = time.Now()
 	}
-	co.mu.Unlock()
+	co.unlock()
 
 	// Accept loop, lease reaper, cancellation watcher.
 	acceptDone := make(chan struct{})
@@ -357,24 +362,40 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	// give handlers a moment to observe the clean close before forcing it.
 	co.mu.Lock()
 	co.draining = true
-	conns := make([]*conn, 0, len(co.workers))
+	workers := make([]*wstate, 0, len(co.workers))
 	for _, w := range co.workers {
-		conns = append(conns, w.c)
-		// Queued behind every ack posted so far: a drained worker's spool is
-		// empty.
+		workers = append(workers, w)
+	}
+	co.unlock()
+	// The critical section that finished the campaign posted its group
+	// before it unlocked, so the flush covers it: every ack owed so far is
+	// queued on its connection before the drain — a drained worker's spool
+	// is empty.
+	co.rec.Flush()
+	for _, w := range workers {
 		w.c.post(OpDrain, w.name, w.lease.ID, nil)
 	}
-	co.mu.Unlock()
 	ln.Close()
 	<-acceptDone
 	waitTimeout(&co.wg, 2*time.Second)
-	for _, c := range conns {
-		c.close()
+	for _, w := range workers {
+		w.c.close()
 	}
 	co.wg.Wait()
 
+	// Every handler has returned, so nothing posts any more: late duplicates
+	// that arrived after the drain were still journaled and acked above.
+	co.rec.Close()
 	report := co.finish()
 	return co.results, report, nil
+}
+
+// unlock ends a critical section: what it decided goes to the recorder as
+// one group, then the lock is released — so groups are queued in the order
+// their decisions were made.
+func (co *coordinator) unlock() {
+	co.rec.Post(&co.group)
+	co.mu.Unlock()
 }
 
 // waitTimeout waits for wg up to d.
@@ -387,21 +408,17 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 	}
 }
 
-// finish makes the status log durable and closes out the campaign span,
-// events and report.
+// finish closes out the campaign span, events and report (the recorder,
+// closed just before, made the status log and the journal durable).
 func (co *coordinator) finish() resilience.CompletenessReport {
 	e := co.e
 	if reason, aborted := co.rc.Aborted(); aborted {
 		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
 			telemetry.String("campaign", co.campaign))
 	}
-	co.status.Close()
 	co.span.End()
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, co.campaign, co.span.ID(),
 		telemetry.String("campaign", co.campaign))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
 	return co.rc.Report(len(co.runs))
 }
 
@@ -439,7 +456,7 @@ func (co *coordinator) reapLoop(stop <-chan struct{}) {
 func (co *coordinator) cancelCampaign(reason string) {
 	co.rc.Abort(reason)
 	co.mu.Lock()
-	defer co.mu.Unlock()
+	defer co.unlock()
 	for i := range co.runs {
 		if !co.terminal[i] {
 			co.skipLocked(i)
@@ -524,7 +541,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	c.onErr = func(err error) { co.workerGone(w, fmt.Errorf("send failed: %w", err)) }
 	c.post(OpLeaseGrant, name, lease.ID, &grant)
 	co.assignAllLocked()
-	co.mu.Unlock()
+	co.unlock()
 
 	for {
 		m, err := c.recv(0)
@@ -548,17 +565,20 @@ func (co *coordinator) handleConn(nc net.Conn) {
 				return
 			}
 			// Ack every result — duplicates and runs this (possibly resumed)
-			// incarnation no longer tracks included — AFTER handleResult has
-			// folded it into the journal, and only if the journal took it:
-			// the worker's spool entry clears once the outcome is durable
-			// coordinator-side, and otherwise waits for a successor. Posted
-			// under the lock that may have finished the campaign, so the
-			// drain queues behind it.
+			// incarnation no longer tracks included — through the recorder:
+			// the ack leaves AFTER the batch holding the outcome's record is
+			// in the journal, and only if the journal took it. The worker's
+			// spool entry clears once the outcome is durable coordinator-side,
+			// and otherwise waits for a successor.
+			lease, runID := m.Lease, out.RunID
 			co.mu.Lock()
-			if co.handleResultLocked(w, out) {
-				c.post(OpResultAck, name, m.Lease, &ResultAck{RunIDs: []string{out.RunID}})
-			}
-			co.mu.Unlock()
+			co.handleResultLocked(w, out)
+			co.group.Done(func(ok bool) {
+				if ok {
+					c.post(OpResultAck, name, lease, &ResultAck{RunIDs: []string{runID}})
+				}
+			})
+			co.unlock()
 		case OpHeartbeat:
 			hb, err := decodeBody[Heartbeat](m)
 			if err != nil {
@@ -584,7 +604,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			if len(w.outstanding) == 0 {
 				co.assignLocked(w)
 			}
-			co.mu.Unlock()
+			co.unlock()
 			if hb.SentUnixNano != 0 {
 				// Echo the send stamp so the worker can measure the round
 				// trip.
@@ -625,7 +645,7 @@ func (co *coordinator) workerGone(w *wstate, err error) {
 					telemetry.String("worker", w.name))
 			}
 		}
-		co.mu.Unlock()
+		co.unlock()
 		w.c.close()
 		return
 	}
@@ -680,7 +700,7 @@ func (co *coordinator) workerDead(name, reason string) {
 	w.outstanding = map[string]bool{}
 	co.assignAllLocked()
 	co.checkDoneLocked()
-	co.mu.Unlock()
+	co.unlock()
 	w.c.close()
 }
 
@@ -809,7 +829,7 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 // hungry workers.
 func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.mu.Lock()
-	defer co.mu.Unlock()
+	defer co.unlock()
 	w.stealPending = false
 	_, aborted := co.rc.Aborted()
 	for _, id := range st.RunIDs {
@@ -836,31 +856,24 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.checkDoneLocked()
 }
 
-// journalLocked appends one attempt record and reports whether the journal
-// took it (always, without a journal). Every refusal counts; the campaign's
-// first is an Error event.
-func (co *coordinator) journalLocked(run, point string, attempt int, event, worker string, class resilience.Class, cause error) bool {
-	err := co.rc.JournalAttemptWorker(run, point, attempt, event, worker, class, cause)
-	if err == nil {
-		return true
+// journalLocked adds one attempt record, stamped now, to the critical
+// section's group. Without a journal the recorder would drop it: it is not
+// built, since reading the clock twice per run under co.mu is a measurable
+// share of a bare campaign's per-result hold.
+func (co *coordinator) journalLocked(run, point string, attempt int, event, worker string, class resilience.Class, cause error) {
+	if co.rc.Journal() != nil {
+		co.group.Journal(co.rc.Record(run, point, attempt, event, worker, class, cause))
 	}
-	co.e.mJournalErrs.Inc()
-	if !co.journalFailed {
-		co.journalFailed = true
-		co.e.Events.Append(eventlog.Error, eventlog.CampaignJournal, err.Error(), co.span.ID(),
-			telemetry.String("campaign", co.campaign), telemetry.String("run", run))
-	}
-	return false
 }
 
-// handleResultLocked folds one worker outcome into the campaign and
-// reports whether it may be acknowledged: false only when the journal
-// refused the record of this outcome, so the worker keeps it spooled.
-func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
+// handleResultLocked folds one worker outcome into the campaign. What it
+// decides joins the critical section's group, whose callback acknowledges
+// the outcome once the recorder has written it.
+func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
 	e := co.e
 	i, ok := co.index[out.RunID]
 	if !ok {
-		return true
+		return
 	}
 	delete(w.outstanding, out.RunID)
 	if co.terminal[i] {
@@ -869,12 +882,11 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 		// outcome won; this one is accounting noise, never a double count.
 		e.mDuplicates.Inc()
 		co.assignAllLocked()
-		return true
+		return
 	}
 	run := co.runs[i]
 	point := savanna.PointKey(run)
 	co.usage[i].Accumulate(outcomeUsage(out))
-	journaled := true
 	if out.OK {
 		var res cas.ActionResult
 		if len(out.Outputs) > 0 {
@@ -884,15 +896,15 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 			}
 		}
 		if out.Cached {
-			journaled = co.finishCachedLocked(i, w.name, res, out.Seconds)
+			co.finishCachedLocked(i, w.name, res, out.Seconds)
 		} else {
 			co.attempts[i]++
-			journaled = co.journalLocked(run.ID, point, co.attempts[i],
+			co.journalLocked(run.ID, point, co.attempts[i],
 				resilience.AttemptSuccess, w.name, "", nil)
 			co.rc.Quarantine().NoteSuccess(point)
-			co.status.Set(run.ID, cheetah.RunSucceeded)
+			co.group.Status(run.ID, cheetah.RunSucceeded)
 			usage := co.usage[i]
-			e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
+			co.provenanceLocked(run, provenance.StatusSucceeded,
 				time.Duration(out.Seconds*float64(time.Second)), res, false, usage)
 			co.results[i] = savanna.RunResult{
 				Run: run, Status: provenance.StatusSucceeded,
@@ -912,7 +924,7 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 		}
 		co.checkDoneLocked()
 		co.assignAllLocked()
-		return journaled
+		return
 	}
 
 	// Failure path: classify, maybe quarantine, maybe retry.
@@ -922,13 +934,13 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 		class = resilience.ClassTransient
 	}
 	failErr := errors.New(out.Err)
-	journaled = co.journalLocked(run.ID, point, co.attempts[i],
+	co.journalLocked(run.ID, point, co.attempts[i],
 		resilience.AttemptFailure, w.name, class, failErr)
 	if co.rc.Quarantine().NoteFailure(point) {
 		co.quarantineLocked(i, w.name, co.attempts[i], failErr)
 		co.checkDoneLocked()
 		co.assignAllLocked()
-		return journaled
+		return
 	}
 	_, aborted := co.rc.Aborted()
 	if class.Retryable() && co.attempts[i] < co.rc.Attempts() && !aborted {
@@ -941,11 +953,11 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 		// distributed analogue of backoff (any worker may pick it up).
 		co.pending = append(co.pending, i)
 		co.assignAllLocked()
-		return journaled
+		return
 	}
-	co.status.Set(run.ID, cheetah.RunFailed)
+	co.group.Status(run.ID, cheetah.RunFailed)
 	usage := co.usage[i]
-	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, usage)
+	co.provenanceLocked(run, provenance.StatusFailed, 0, cas.ActionResult{}, false, usage)
 	co.results[i] = savanna.RunResult{
 		Run: run, Status: provenance.StatusFailed, Err: out.Err,
 		Seconds: out.Seconds, Attempts: co.attempts[i],
@@ -963,20 +975,18 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) bool {
 		telemetry.Int("attempts", co.attempts[i]))
 	co.checkDoneLocked()
 	co.assignAllLocked()
-	return journaled
 }
 
 // finishCachedLocked closes out a memo-satisfied run (coordinator-side
-// short-circuit or a worker-side cache hit), reporting whether the journal
-// took its record.
-func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) bool {
+// short-circuit or a worker-side cache hit).
+func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) {
 	e := co.e
 	run := co.runs[i]
-	journaled := co.journalLocked(run.ID, savanna.PointKey(run), 0,
+	co.journalLocked(run.ID, savanna.PointKey(run), 0,
 		resilience.AttemptCached, worker, "", nil)
 	co.rc.NoteOutcome(resilience.OutcomeCached)
-	co.status.Set(run.ID, cheetah.RunSucceeded)
-	e.appendProvenance(co.campaign, run, provenance.StatusSucceeded,
+	co.group.Status(run.ID, cheetah.RunSucceeded)
+	co.provenanceLocked(run, provenance.StatusSucceeded,
 		time.Duration(seconds*float64(time.Second)), res, true, savanna.ResourceUsage{})
 	co.results[i] = savanna.RunResult{
 		Run: run, Status: provenance.StatusSucceeded, Seconds: seconds, Cached: true,
@@ -991,7 +1001,6 @@ func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionRe
 	}
 	e.Events.Append(eventlog.Info, eventlog.RunCached, "", co.spanID(i), attrs...)
 	co.checkDoneLocked()
-	return journaled
 }
 
 // quarantineLocked closes out a run whose sweep point is side-lined.
@@ -1005,8 +1014,8 @@ func (co *coordinator) quarantineLocked(i int, worker string, attempts int, caus
 	}
 	co.journalLocked(run.ID, point, attempts,
 		resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
-	co.status.Set(run.ID, cheetah.RunFailed)
-	e.appendProvenance(co.campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
+	co.group.Status(run.ID, cheetah.RunFailed)
+	co.provenanceLocked(run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
 	co.results[i] = savanna.RunResult{
 		Run: run, Status: provenance.StatusFailed, Err: msg,
 		Attempts: attempts, Quarantined: true,
@@ -1028,7 +1037,7 @@ func (co *coordinator) skipLocked(i int) {
 	run := co.runs[i]
 	co.journalLocked(run.ID, savanna.PointKey(run), 0, resilience.AttemptSkipped, "", "", nil)
 	co.rc.NoteOutcome(resilience.OutcomeSkipped)
-	co.e.appendProvenance(co.campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, savanna.ResourceUsage{})
+	co.provenanceLocked(run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, savanna.ResourceUsage{})
 	co.results[i] = savanna.RunResult{Run: run, Status: provenance.StatusSkipped}
 	co.terminal[i] = true
 	co.remaining--
@@ -1095,36 +1104,12 @@ func (co *coordinator) noteResourcesLocked(i int, runID, worker string, usage sa
 		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
 }
 
-// appendProvenance mirrors savanna.LocalEngine's record shape so a remote
-// campaign's provenance is indistinguishable from a local one (same
-// component, same digest fields, same cached annotation).
-func (e *Engine) appendProvenance(campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage savanna.ResourceUsage) {
-	if e.Prov == nil {
-		return
+// provenanceLocked adds one run's provenance record — savanna's, so a remote
+// campaign's provenance is indistinguishable from a local one — to the
+// critical section's group (nothing without a store).
+func (co *coordinator) provenanceLocked(run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage savanna.ResourceUsage) {
+	if e := co.e; e.Prov != nil {
+		co.group.Provenance(savanna.RunProvenance(co.campaign, run, atomic.AddInt64(&e.attempt, 1),
+			status, elapsed, e.Memo, res, cached, usage))
 	}
-	end := time.Now()
-	rec := provenance.Record{
-		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, atomic.AddInt64(&e.attempt, 1)),
-		Component:  "savanna-run",
-		Start:      end.Add(-elapsed),
-		End:        end,
-		Status:     status,
-		CampaignID: campaign,
-		SweepPoint: run.Params,
-		Inputs:     e.Memo.ProvenanceInputs(),
-		Outputs:    savanna.ProvenanceOutputs(res),
-	}
-	if cached {
-		rec.Annotations = append(rec.Annotations, provenance.Annotation{
-			Key: "cached", Value: "true", Sensitivity: provenance.Public,
-		})
-	}
-	if !usage.Zero() {
-		rec.Resources = &provenance.Resources{
-			CPUUserSeconds:   usage.CPUUserSeconds,
-			CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes:      usage.MaxRSSBytes,
-		}
-	}
-	e.Prov.Append(rec)
 }

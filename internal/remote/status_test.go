@@ -65,7 +65,7 @@ func journalBacks(t *testing.T, dir string) {
 // stop-condition abort and after a context cancel, Status(dir) matches the
 // results — terminal for every run that finished, pending for every run
 // skipped — and the status log was never ahead of the journal (checked from
-// the journal's clock hook, just before every append).
+// the recorder's probe on both sides of every status write).
 func TestCoordinatorLeavesStatusesTerminal(t *testing.T) {
 	const n = 40
 	for _, c := range []struct {
@@ -104,8 +104,13 @@ func TestCoordinatorLeavesStatusesTerminal(t *testing.T) {
 				})
 			})
 			e := &Engine{Listener: ln, BatchSize: 4, LeaseTTL: time.Second, CampaignDir: dir,
-				Resilience: &resilience.Config{Journal: journal, Stop: c.stop,
-					Now: func() time.Time { journalBacks(t, dir); return time.Now() }}}
+				Resilience: &resilience.Config{Journal: journal, Stop: c.stop},
+				probe: func(stage savanna.RecorderStage, _ []resilience.AttemptRecord) bool {
+					if stage != savanna.BeforeJournal {
+						journalBacks(t, dir)
+					}
+					return false
+				}}
 			results, _, err := e.RunCampaign(ctx, m.Campaign.Name, m.Runs)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +166,7 @@ func TestCoordinateResumeReconcilesStatus(t *testing.T) {
 		j.Append(resilience.AttemptRecord{Run: r.ID, Point: savanna.PointKey(r),
 			Attempt: 1, Event: resilience.AttemptSuccess, Worker: "w0", Time: time.Now()})
 		if i < 9 {
-			if err := log.Set(r.ID, cheetah.RunSucceeded); err != nil {
+			if err := log.Set(cheetah.StatusLine{Run: r.ID, Status: cheetah.RunSucceeded}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -603,7 +603,7 @@ func TestResultNotAckedWhenJournalRefuses(t *testing.T) {
 	if warned != 1 {
 		t.Errorf("%d campaign.journal events, want exactly 1", warned)
 	}
-	if got := reg.Counter("remote.journal_append_errors_total").Value(); got < int64(len(spooled)) {
+	if got := reg.Counter("campaign.journal_append_errors_total", "engine", "remote").Value(); got < int64(len(spooled)) {
 		t.Errorf("journal_append_errors_total = %d, want at least the %d refused results", got, len(spooled))
 	}
 }

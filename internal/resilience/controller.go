@@ -122,19 +122,11 @@ func (c *Controller) now() time.Time {
 // virtual time).
 func (c *Controller) SetNow(now func() time.Time) { c.cfg.Now = now }
 
-// JournalAttempt appends one attempt transition to the journal (no-op
-// without one configured), returning the journal's append error.
-func (c *Controller) JournalAttempt(run, point string, attempt int, event string, class Class, err error) error {
-	return c.JournalAttemptWorker(run, point, attempt, event, "", class, err)
-}
-
-// JournalAttemptWorker is JournalAttempt with the leaseholder recorded —
-// the remote coordinator's dispatch/lost/terminal transitions name the
-// worker that held (or lost) the run.
-func (c *Controller) JournalAttemptWorker(run, point string, attempt int, event, worker string, class Class, err error) error {
-	if c.cfg.Journal == nil {
-		return nil
-	}
+// Record builds the journal record of one attempt transition, stamped with
+// the controller's clock at the moment of the decision (worker names the
+// leaseholder on the remote coordinator's transitions, "" elsewhere). The
+// engine posts it to the campaign's recorder, which writes it.
+func (c *Controller) Record(run, point string, attempt int, event, worker string, class Class, err error) AttemptRecord {
 	rec := AttemptRecord{
 		Run: run, Point: point, Attempt: attempt,
 		Event: event, Class: class, Time: c.now(), Worker: worker,
@@ -142,11 +134,11 @@ func (c *Controller) JournalAttemptWorker(run, point string, attempt int, event,
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	return c.cfg.Journal.Append(rec)
+	return rec
 }
 
 // Journal exposes the configured attempt journal (nil when none) — the
-// lease table shares it so leases and attempts form one ledger.
+// campaign's recorder writes it.
 func (c *Controller) Journal() *Journal { return c.cfg.Journal }
 
 // Outcome kinds for NoteOutcome.

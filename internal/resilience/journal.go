@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 )
 
@@ -104,12 +106,22 @@ type Journal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	// autoSync > 0 arms the batched-fsync policy: every autoSync-th append
-	// fsyncs inline, bounding how much accounting a power loss can take
-	// without paying fsync latency on every record. unsynced counts appends
-	// since the last flush.
+	buf  []byte // one Append's lines, reused across Appends
+	// write replaces f.Write when set: the seam tests fail a write through.
+	write func([]byte) (int, error)
+	// torn is set when a write failed and may have left part of a line; the
+	// next Append cuts the file back to a line boundary first, so the
+	// fragment cannot fuse with a good record into a terminated malformed
+	// line, which DecodeJournal rejects for the whole file.
+	torn bool
+	// autoSync > 0 arms the batched-fsync policy: an Append that brings the
+	// records written since the last fsync to autoSync or more fsyncs
+	// inline, bounding how much accounting a power loss can take without
+	// paying fsync latency on every record. unsynced counts those records,
+	// syncs the fsyncs this handle has made.
 	autoSync int
 	unsynced int
+	syncs    int64
 	// fenced stops all further writes: a coordinator that lost its lease
 	// must not keep journaling under a successor's epoch.
 	fenced bool
@@ -127,7 +139,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err := repairTail(path); err != nil {
 		return nil, fmt.Errorf("resilience: repairing journal tail: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: opening journal: %w", err)
 	}
@@ -167,38 +179,124 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// Append journals one record. A nil journal swallows the write, so engines
-// without a journal configured pay only a nil check. A fenced journal
-// rejects the write: a deposed coordinator must not keep writing history
-// under its successor's epoch.
-func (j *Journal) Append(rec AttemptRecord) error {
-	if j == nil {
+// Append journals recs, in order, with one write(2): all of them or — when
+// it returns an error — none that a reader will see. A nil journal swallows
+// the write, so engines without a journal configured pay only a nil check. A
+// fenced journal rejects it: a deposed coordinator must not keep writing
+// history under its successor's epoch.
+func (j *Journal) Append(recs ...AttemptRecord) error {
+	if j == nil || len(recs) == 0 {
 		return nil
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.fenced {
 		return ErrJournalFenced
 	}
-	if _, err = j.f.Write(line); err != nil {
+	buf := j.buf[:0]
+	for i := range recs {
+		var err error
+		if buf, err = appendJournalLine(buf, &recs[i]); err != nil {
+			return err
+		}
+	}
+	j.buf = buf
+	if j.torn {
+		fi, err := j.f.Stat()
+		if err == nil {
+			err = appendlog.TrimTornTail(j.f, fi.Size())
+		}
+		if err != nil {
+			return fmt.Errorf("resilience: trimming journal: %w", err)
+		}
+		j.torn = false
+	}
+	write := j.write
+	if write == nil {
+		write = j.f.Write
+	}
+	if _, err := write(buf); err != nil {
+		j.torn = true
 		return err
 	}
 	if j.autoSync > 0 {
-		if j.unsynced++; j.unsynced >= j.autoSync {
-			j.unsynced = 0
-			return j.f.Sync()
+		if j.unsynced += len(recs); j.unsynced >= j.autoSync {
+			return j.syncLocked()
 		}
 	}
 	return nil
 }
 
-// SetAutoSync arms the batched-fsync policy: every n-th Append fsyncs
-// inline. n <= 0 disables (explicit Sync/Close only — the default).
+// syncLocked fsyncs the file and restarts the auto-sync stride.
+func (j *Journal) syncLocked() error {
+	j.unsynced = 0
+	j.syncs++
+	return j.f.Sync()
+}
+
+// Syncs returns how many fsyncs this handle has made (0 for a nil journal).
+func (j *Journal) Syncs() int64 {
+	if j == nil {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncs
+}
+
+// appendJournalLine appends rec's line, newline included, to buf: byte for
+// byte json.Marshal(rec) + "\n". Run ids, point keys, event and worker names
+// are plain ASCII and times sit in years 0–9999, which need no escaping; any
+// other value takes the general encoder.
+func appendJournalLine(buf []byte, rec *AttemptRecord) ([]byte, error) {
+	buf = appendJSONString(append(buf, `{"run":`...), rec.Run)
+	if rec.Point != "" {
+		buf = appendJSONString(append(buf, `,"point":`...), rec.Point)
+	}
+	buf = strconv.AppendInt(append(buf, `,"attempt":`...), int64(rec.Attempt), 10)
+	buf = appendJSONString(append(buf, `,"event":`...), rec.Event)
+	if rec.Class != "" {
+		buf = appendJSONString(append(buf, `,"class":`...), string(rec.Class))
+	}
+	buf = append(buf, `,"time":`...)
+	if _, off := rec.Time.Zone(); rec.Time.Year() >= 0 && rec.Time.Year() <= 9999 && off > -24*3600 && off < 24*3600 {
+		buf = append(rec.Time.AppendFormat(append(buf, '"'), time.RFC3339Nano), '"')
+	} else {
+		quoted, err := json.Marshal(rec.Time) // refuses what RFC 3339 cannot say
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, quoted...)
+	}
+	if rec.Err != "" {
+		buf = appendJSONString(append(buf, `,"err":`...), rec.Err)
+	}
+	if rec.Worker != "" {
+		buf = appendJSONString(append(buf, `,"worker":`...), rec.Worker)
+	}
+	if rec.Epoch != 0 {
+		buf = strconv.AppendInt(append(buf, `,"epoch":`...), rec.Epoch, 10)
+	}
+	return append(buf, "}\n"...), nil
+}
+
+// appendJSONString appends s as a JSON string. Bytes json.Marshal passes
+// through unescaped are copied; a string holding any other byte (a control
+// character, non-ASCII, a quote, a backslash, or the <, >, & it escapes for
+// HTML) takes the general encoder.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(buf, quoted...)
+		}
+	}
+	return append(append(append(buf, '"'), s...), '"')
+}
+
+// SetAutoSync arms the batched-fsync policy: an Append fsyncs inline once n
+// records have been written since the last fsync (every n-th, appended one
+// at a time). n <= 0 disables (explicit Sync/Close only — the default).
 func (j *Journal) SetAutoSync(n int) {
 	if j == nil {
 		return
@@ -217,7 +315,7 @@ func (j *Journal) Fence() {
 	}
 	j.mu.Lock()
 	j.fenced = true
-	j.f.Sync()
+	j.syncLocked()
 	j.mu.Unlock()
 }
 
@@ -228,8 +326,7 @@ func (j *Journal) Sync() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.unsynced = 0
-	return j.f.Sync()
+	return j.syncLocked()
 }
 
 // Close syncs and closes the journal.
@@ -296,7 +393,7 @@ func (j *Journal) Compact() error {
 	// pointing at a usable append handle so later Appends (whose errors many
 	// callers deliberately ignore) don't silently vanish into a closed file.
 	werr := cheetah.WriteFileAtomic(j.path, buf.Bytes(), 0o644)
-	f, oerr := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, oerr := os.OpenFile(j.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if oerr == nil {
 		j.f = f
 	}

@@ -2,8 +2,12 @@ package resilience
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -255,5 +259,215 @@ func TestJournalSurvivesProcessCrashSimulation(t *testing.T) {
 	defer j2.Close()
 	if err := j2.Append(AttemptRecord{Run: "b", Attempt: 2, Event: AttemptSuccess, Time: stamp(3)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomRecord draws an AttemptRecord that exercises every branch of the line
+// encoder: each omitempty field on and off, strings json.Marshal escapes
+// (quotes, backslashes, control bytes, <>&, non-ASCII, invalid UTF-8,
+// U+2028), negative attempts, the zero time, fixed zones, sub-second parts.
+func randomRecord(rng *rand.Rand) AttemptRecord {
+	alphabets := []string{
+		"abcdefghijklmnopqrstuvwxyz0123456789/-_=,. ",
+		"ab\"\\\n\t\r\x00\x1f\x7f<>&",
+		"aé世\u2028\u2029\xff\xc0😀 ",
+	}
+	str := func() string {
+		if rng.Intn(4) == 0 {
+			return ""
+		}
+		alpha := []rune(alphabets[0])
+		if rng.Intn(5) == 0 {
+			alpha = []rune(alphabets[1+rng.Intn(2)])
+		}
+		b := make([]rune, 1+rng.Intn(24))
+		for i := range b {
+			b[i] = alpha[rng.Intn(len(alpha))]
+		}
+		s := string(b)
+		if rng.Intn(40) == 0 {
+			s += "\xff" // []rune would have replaced it
+		}
+		return s
+	}
+	var ts time.Time
+	switch rng.Intn(6) {
+	case 0: // the zero time
+	case 1:
+		ts = time.Unix(rng.Int63n(4e9), 0).UTC()
+	case 2:
+		ts = time.Unix(rng.Int63n(4e9), rng.Int63n(1e9)).In(time.FixedZone("", (rng.Intn(47*3600)-23*3600)/60*60))
+	case 3:
+		ts = time.Unix(rng.Int63n(4e9), rng.Int63n(1e3)*1e6).Local()
+	case 4:
+		ts = time.Date(rng.Intn(10000), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60), rng.Intn(1e9), time.UTC)
+	case 5:
+		ts = time.Unix(rng.Int63n(4e9), rng.Int63n(1e9)).In(time.FixedZone("odd", rng.Intn(3600)))
+	}
+	rec := AttemptRecord{Run: str(), Point: str(), Attempt: rng.Intn(2000) - 1000, Event: str(),
+		Class: Class(str()), Time: ts, Err: str(), Worker: str()}
+	if rng.Intn(2) == 0 {
+		rec.Epoch = rng.Int63() - rng.Int63()
+	}
+	return rec
+}
+
+// TestJournalLineMatchesJSON: the journal's line encoder writes, byte for
+// byte, what json.Marshal wrote before it — on disk nothing changed.
+func TestJournalLineMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var buf []byte
+	for i := 0; i < 20000; i++ {
+		rec := randomRecord(rng)
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if buf, err = appendJournalLine(buf[:0], &rec); err != nil {
+			t.Fatalf("record %d %+v: %v", i, rec, err)
+		}
+		if string(buf) != string(want)+"\n" {
+			t.Fatalf("record %d %+v:\n got %s want %s", i, rec, buf, want)
+		}
+	}
+	// What RFC 3339 cannot say is refused, as json.Marshal refuses it.
+	for _, ts := range []time.Time{
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Unix(0, 0).In(time.FixedZone("far", 24*3600)),
+		time.Unix(0, 0).In(time.FixedZone("far", -24*3600)),
+	} {
+		rec := AttemptRecord{Run: "r", Event: AttemptStart, Time: ts}
+		_, want := json.Marshal(rec)
+		if _, err := appendJournalLine(nil, &rec); want == nil || err == nil {
+			t.Errorf("time %v: json.Marshal says %v, the line encoder %v; want both to refuse", ts, want, err)
+		}
+	}
+}
+
+// FuzzJournalLine drives the line encoder from fuzzed fields: the line equals
+// json.Marshal's and, fed back through DecodeJournal, yields a record that
+// re-encodes to the same line.
+func FuzzJournalLine(f *testing.F) {
+	f.Add("g/s/run-00042", "i=42", 1, AttemptSuccess, "", int64(1700000000), int64(123456789), 0, "", "w0", int64(3))
+	f.Add("r\"<>&\\", "é", -7, "x\n", "transient", int64(-62135596800), int64(0), -3600*5, "boom\x00", "", int64(0))
+	f.Add("", "", 0, "", "", int64(253402300800), int64(0), 86400, "\xff", "\u2028", int64(-1))
+	f.Fuzz(func(t *testing.T, run, point string, attempt int, event, class string, sec, nsec int64, zone int, errs, worker string, epoch int64) {
+		rec := AttemptRecord{Run: run, Point: point, Attempt: attempt, Event: event, Class: Class(class),
+			Time: time.Unix(sec, nsec%1e9).In(time.FixedZone("", zone%(48*3600))), Err: errs, Worker: worker, Epoch: epoch}
+		want, werr := json.Marshal(rec)
+		line, err := appendJournalLine(nil, &rec)
+		if (werr == nil) != (err == nil) {
+			t.Fatalf("%+v: json.Marshal says %v, the line encoder %v", rec, werr, err)
+		}
+		if err != nil {
+			return
+		}
+		if string(line) != string(want)+"\n" {
+			t.Fatalf("%+v:\n got %s want %s", rec, line, want)
+		}
+		recs, err := DecodeJournal(line)
+		if run == "" {
+			if err == nil {
+				t.Fatalf("a line without a run id decoded: %s", line)
+			}
+			return
+		}
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("decoding %s: %d records, %v", line, len(recs), err)
+		}
+		again, err := appendJournalLine(nil, &recs[0])
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", recs[0], err)
+		}
+		// Invalid UTF-8 decodes to U+FFFD, so compare what each line decodes to.
+		back, err := DecodeJournal(again)
+		if err != nil || len(back) != 1 || !back[0].Time.Equal(recs[0].Time) || back[0].Run != recs[0].Run || back[0].Err != recs[0].Err {
+			t.Fatalf("round trip: %+v became %+v (%v)", recs[0], back, err)
+		}
+	})
+}
+
+// TestJournalBatchAppend: a batch is one write, its records land in order,
+// and the auto-sync stride counts records, checked once per batch.
+func TestJournalBatchAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "attempts.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	writes := 0
+	j.write = func(p []byte) (int, error) { writes++; return j.f.Write(p) }
+	j.SetAutoSync(32)
+	var want []AttemptRecord
+	for _, size := range []int{1, 30, 0, 1, 5, 70, 31} {
+		batch := make([]AttemptRecord, size)
+		for i := range batch {
+			batch[i] = AttemptRecord{Run: fmt.Sprintf("r%d", len(want)+i), Attempt: 1, Event: AttemptSuccess, Time: stamp(len(want) + i)}
+		}
+		if err := j.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batch...)
+	}
+	if writes != 6 {
+		t.Errorf("%d writes for six non-empty batches", writes)
+	}
+	// 1+30 = 31 (no sync), +1 = 32 (sync), +5 = 5, +70 = 75 (sync), +31 = 31.
+	if got := j.Syncs(); got != 2 {
+		t.Errorf("%d fsyncs, want 2: the stride is counted in records and checked once per batch", got)
+	}
+	got, err := ReadJournalFile(path)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %d records (%v), want the %d appended, in order", len(got), err, len(want))
+	}
+}
+
+// TestJournalTornWriteIsTrimmed: a write that fails part-way leaves a
+// fragment; the next append must not fuse onto it (a terminated malformed
+// line mid-file makes DecodeJournal refuse the whole journal, so resume
+// becomes impossible). Only the torn batch is lost.
+func TestJournalTornWriteIsTrimmed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "attempts.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rec := func(i int) AttemptRecord {
+		return AttemptRecord{Run: fmt.Sprintf("r%d", i), Attempt: 1, Event: AttemptSuccess, Time: stamp(i)}
+	}
+	if err := j.Append(rec(0), rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	enospc := errors.New("no space left on device")
+	j.write = func(p []byte) (int, error) {
+		n, _ := j.f.Write(p[:len(p)/2+3]) // a whole record and part of the next
+		return n, enospc
+	}
+	if err := j.Append(rec(2), rec(3), rec(4)); !errors.Is(err, enospc) {
+		t.Fatalf("torn append returned %v", err)
+	}
+	if _, err := ReadJournalFile(path); err != nil {
+		t.Fatalf("the torn tail itself must stay readable: %v", err)
+	}
+	j.write = nil
+	if err := j.Append(rec(5)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJournalFile(path)
+	if err != nil {
+		t.Fatalf("journal unreadable after a failed write and a good one: %v", err)
+	}
+	// The half of the torn batch that reached the file whole (r2) stays: its
+	// batch was reported failed, so its runs are owed again and the record
+	// is a duplicate at worst. Nothing is fused and nothing else is lost.
+	var runs []string
+	for _, r := range got {
+		runs = append(runs, r.Run)
+	}
+	if want := []string{"r0", "r1", "r2", "r5"}; !reflect.DeepEqual(runs, want) {
+		t.Fatalf("journal holds %v, want %v", runs, want)
 	}
 }

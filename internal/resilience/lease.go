@@ -25,22 +25,28 @@ type Lease struct {
 // LeaseTable tracks the live leases of one campaign and journals their
 // transitions. Safe for concurrent use.
 type LeaseTable struct {
-	ttl     time.Duration
-	journal *Journal
-	now     func() time.Time
+	ttl  time.Duration
+	sink func(AttemptRecord)
+	now  func() time.Time
 
 	mu     sync.Mutex
 	next   int64
 	leases map[string]*Lease
 }
 
-// NewLeaseTable builds a table with the given TTL. journal may be nil
-// (transitions go unrecorded); now may be nil (wall clock).
-func NewLeaseTable(ttl time.Duration, journal *Journal, now func() time.Time) *LeaseTable {
+// NewLeaseTable builds a table with the given TTL. sink receives the record
+// of every grant, expiry and release, on the caller's goroutine before the
+// call returns — the coordinator hands it the group its recorder writes, so
+// lease records keep their place among the attempts decided around them. A
+// nil sink leaves transitions unrecorded; now may be nil (wall clock).
+func NewLeaseTable(ttl time.Duration, sink func(AttemptRecord), now func() time.Time) *LeaseTable {
 	if now == nil {
 		now = time.Now
 	}
-	return &LeaseTable{ttl: ttl, journal: journal, now: now, leases: map[string]*Lease{}}
+	if sink == nil {
+		sink = func(AttemptRecord) {}
+	}
+	return &LeaseTable{ttl: ttl, sink: sink, now: now, leases: map[string]*Lease{}}
 }
 
 // TTL returns the table's lease duration.
@@ -56,7 +62,7 @@ func (t *LeaseTable) Grant(worker string) Lease {
 	t.leases[worker] = l
 	lease := *l
 	t.mu.Unlock()
-	t.journal.Append(AttemptRecord{
+	t.sink(AttemptRecord{
 		Run: LeaseRunID(worker), Event: LeaseGranted, Worker: worker,
 		Attempt: int(lease.ID), Time: now,
 	})
@@ -102,7 +108,7 @@ func (t *LeaseTable) Expire(worker string, reason string) bool {
 	if !ok {
 		return false
 	}
-	t.journal.Append(AttemptRecord{
+	t.sink(AttemptRecord{
 		Run: LeaseRunID(worker), Event: LeaseExpired, Worker: worker,
 		Time: t.now(), Err: reason,
 	})
@@ -119,7 +125,7 @@ func (t *LeaseTable) Release(worker string) {
 	if !ok {
 		return
 	}
-	t.journal.Append(AttemptRecord{
+	t.sink(AttemptRecord{
 		Run: LeaseRunID(worker), Event: LeaseReleased, Worker: worker, Time: t.now(),
 	})
 }

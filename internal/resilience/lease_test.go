@@ -19,7 +19,11 @@ func TestLeaseGrantRenewExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	lt := NewLeaseTable(10*time.Second, j, clk.now)
+	lt := NewLeaseTable(10*time.Second, func(rec AttemptRecord) {
+		if err := j.Append(rec); err != nil {
+			t.Error(err)
+		}
+	}, clk.now)
 
 	l := lt.Grant("w1")
 	if l.Worker != "w1" || !l.Expires.Equal(clk.t.Add(10*time.Second)) {

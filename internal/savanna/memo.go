@@ -125,14 +125,6 @@ func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) { return m.looku
 // pushes outputs by digest instead of shipping bytes back).
 func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) { return m.record(run) }
 
-// ProvenanceInputs renders the memo's key material as a provenance Inputs
-// map; nil-receiver-safe, mirroring the engines' provenance paths.
-func (m *Memo) ProvenanceInputs() map[string]string { return m.provenanceInputs() }
-
-// ProvenanceOutputs renders an action result's outputs as a provenance
-// Outputs map.
-func ProvenanceOutputs(res cas.ActionResult) map[string]string { return provenanceOutputs(res) }
-
 // provenanceInputs renders the memo's key material as a provenance Inputs
 // map (name → digest) — the gauge ontology's input-digest term made real.
 func (m *Memo) provenanceInputs() map[string]string {

@@ -168,6 +168,8 @@ type LocalEngine struct {
 	// attempt numbers provenance records so resubmitted runs get fresh IDs
 	// (provenance is append-only; each attempt is its own record).
 	attempt int64
+	// probe is the recorder's test seam (RecorderConfig.Probe).
+	probe func(RecorderStage, []resilience.AttemptRecord) bool
 
 	// telOnce resolves the instruments once so executeOne never touches the
 	// registry lock.
@@ -222,6 +224,12 @@ func (e *LocalEngine) controller() *resilience.Controller {
 	})
 }
 
+// openRecorder starts the campaign's recorder over the engine's sinks.
+func (e *LocalEngine) openRecorder(campaign string, span *telemetry.Span, rc *resilience.Controller) *Recorder {
+	return OpenRecorder(RecorderConfig{Engine: "local", Campaign: campaign, Span: span.ID(),
+		Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe})
+}
+
 // RunAll executes the given runs with dynamic scheduling: workers pull the
 // next run as soon as they free up. Results are returned in the input
 // order.
@@ -247,7 +255,7 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 		telemetry.Int("runs", len(runs)))
 	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
-	sm := OpenStatusMirror(e.CampaignDir, e.Events, campaignSpan.ID())
+	rec := e.openRecorder(campaign, campaignSpan, rc)
 	results := make([]RunResult, len(runs))
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -255,39 +263,39 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var g Group // this worker's, reused run after run
 			for i := range work {
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc, sm)
+				results[i] = e.executeOne(ctx, campaign, runs[i], rc, rec, &g)
 			}
 		}()
 	}
+	var g Group
 	for i := range runs {
 		if _, aborted := rc.Aborted(); aborted || ctx.Err() != nil {
-			results[i] = e.skipOne(campaign, runs[i], rc)
+			results[i] = e.skipOne(campaign, runs[i], rc, rec, &g)
 			continue
 		}
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	report := e.finishCampaign(campaign, campaignSpan, rc, sm, len(runs))
+	report := e.finishCampaign(campaign, campaignSpan, rc, rec, len(runs))
 	return results, report, nil
 }
 
-// finishCampaign makes the status log durable, closes the campaign span,
+// finishCampaign closes the recorder — everything posted is written, the
+// status log and the journal are fsynced — then closes the campaign span,
 // emits the abort/done events and renders the completeness report (shared by
 // both disciplines).
-func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, sm *StatusMirror, total int) resilience.CompletenessReport {
+func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, rec *Recorder, total int) resilience.CompletenessReport {
+	rec.Close()
 	if reason, aborted := rc.Aborted(); aborted {
 		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
 			telemetry.String("campaign", campaign))
 	}
-	sm.Close()
 	span.End()
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, campaign, span.ID(),
 		telemetry.String("campaign", campaign))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
 	return rc.Report(total)
 }
 
@@ -309,7 +317,7 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 		telemetry.Int("runs", len(runs)))
 	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
-	sm := OpenStatusMirror(e.CampaignDir, e.Events, campaignSpan.ID())
+	rec := e.openRecorder(campaign, campaignSpan, rc)
 	results := make([]RunResult, len(runs))
 	for lo := 0; lo < len(runs); lo += setSize {
 		hi := lo + setSize
@@ -320,7 +328,7 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 		sem := make(chan struct{}, e.Workers)
 		for i := lo; i < hi; i++ {
 			if _, aborted := rc.Aborted(); aborted {
-				results[i] = e.skipOne(campaign, runs[i], rc)
+				results[i] = e.skipOne(campaign, runs[i], rc, rec, new(Group))
 				continue
 			}
 			i := i
@@ -329,12 +337,12 @@ func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) 
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc, sm)
+				results[i] = e.executeOne(ctx, campaign, runs[i], rc, rec, new(Group))
 			}()
 		}
 		wg.Wait() // the set barrier
 	}
-	e.finishCampaign(campaign, campaignSpan, rc, sm, len(runs))
+	e.finishCampaign(campaign, campaignSpan, rc, rec, len(runs))
 	return results, nil
 }
 
@@ -356,14 +364,19 @@ func (e *LocalEngine) execute(ctx context.Context, run cheetah.Run, rc *resilien
 // or the campaign context was cancelled first). Skipped runs journal as
 // skipped and get no status line (they stay pending), so both resume paths —
 // the attempt journal and the campaign directory — list them as still owed.
-func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.Controller) RunResult {
-	rc.JournalAttempt(run.ID, PointKey(run), 0, resilience.AttemptSkipped, "", nil)
+func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.Controller, rec *Recorder, g *Group) RunResult {
+	g.Journal(rc.Record(run.ID, PointKey(run), 0, resilience.AttemptSkipped, "", "", nil))
 	rc.NoteOutcome(resilience.OutcomeSkipped)
-	e.appendProvenance(campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, ResourceUsage{})
+	e.provenance(g, campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, ResourceUsage{})
+	rec.Post(g)
 	return RunResult{Run: run, Status: provenance.StatusSkipped}
 }
 
-func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller, sm *StatusMirror) RunResult {
+// executeOne takes one run from memo lookup to its terminal outcome. What
+// each step must leave behind goes into g and is posted to the recorder: the
+// start of an attempt before it executes, a failed attempt before its
+// backoff, the terminal record together with its status line and provenance.
+func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller, rec *Recorder, g *Group) RunResult {
 	start := time.Now()
 	runCtx, span := e.Tracer.Start(ctx, "savanna.run", telemetry.String("run", run.ID))
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(), telemetry.String("run", run.ID))
@@ -381,9 +394,10 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 	if e.Memo != nil && e.Memo.validate() == nil {
 		if cached, ok := e.Memo.lookup(run); ok {
 			elapsed := time.Since(start)
-			rc.JournalAttempt(run.ID, point, 0, resilience.AttemptCached, "", nil)
-			sm.Set(run.ID, cheetah.RunSucceeded)
-			e.appendProvenance(campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
+			g.Journal(rc.Record(run.ID, point, 0, resilience.AttemptCached, "", "", nil))
+			g.Status(run.ID, cheetah.RunSucceeded)
+			e.provenance(g, campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
+			rec.Post(g)
 			rc.NoteOutcome(resilience.OutcomeCached)
 			e.mCached.Inc()
 			e.hRunSecs.Observe(elapsed.Seconds())
@@ -397,10 +411,10 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 	// the same point, or restored from a resumed journal) fails without
 	// spending an attempt.
 	if !q.Allow(point) {
-		return e.quarantineOne(campaign, run, span, rc, sm, point, 0, nil)
+		return e.quarantineOne(campaign, run, span, rc, rec, g, point, 0, nil)
 	}
 
-	sm.Set(run.ID, cheetah.RunRunning)
+	g.Status(run.ID, cheetah.RunRunning)
 
 	maxAttempts := rc.Attempts()
 	var (
@@ -411,24 +425,26 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 	)
 	for {
 		attempt++
-		rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptStart, "", nil)
+		g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptStart, "", "", nil))
+		rec.Post(g)
 		err = e.execute(runCtx, run, rc)
 		if err == nil && e.Memo != nil && e.Memo.validate() == nil {
 			recorded, err = e.Memo.record(run) // a failed record is a failed run: its reuse contract is broken
 		}
 		if err == nil {
 			q.NoteSuccess(point)
-			rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
+			g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptSuccess, "", "", nil))
 			break
 		}
 		class := resilience.Classify(err)
-		rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptFailure, class, err)
+		g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptFailure, "", class, err))
 		if q.NoteFailure(point) {
-			return e.quarantineOne(campaign, run, span, rc, sm, point, attempt, err)
+			return e.quarantineOne(campaign, run, span, rc, rec, g, point, attempt, err)
 		}
 		if !class.Retryable() || attempt >= maxAttempts || ctx.Err() != nil {
 			break
 		}
+		rec.Post(g)
 		prev = rc.Backoff(prev)
 		rc.NoteRetry()
 		e.mRetries.Inc()
@@ -457,8 +473,9 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 		res.Err = err.Error()
 	}
 	res.Status = status
-	sm.Set(run.ID, dirStatus)
-	e.appendProvenance(campaign, run, status, elapsed, recorded, false, usage)
+	g.Status(run.ID, dirStatus)
+	e.provenance(g, campaign, run, status, elapsed, recorded, false, usage)
+	rec.Post(g)
 	e.hRunSecs.Observe(elapsed.Seconds())
 	e.hAttempts.Observe(float64(attempt))
 	if !usage.Zero() {
@@ -500,14 +517,15 @@ func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheet
 // quarantineOne closes out a run whose sweep point is (or just became)
 // side-lined by the circuit breaker. attempt is 0 when the gate rejected the
 // run before any execution.
-func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, sm *StatusMirror, point string, attempt int, cause error) RunResult {
+func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, rec *Recorder, g *Group, point string, attempt int, cause error) RunResult {
 	msg := "sweep point " + point + " quarantined"
 	if cause != nil {
 		msg = cause.Error()
 	}
-	rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptQuarantined, resilience.Classify(cause), cause)
-	sm.Set(run.ID, cheetah.RunFailed)
-	e.appendProvenance(campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, ResourceUsage{})
+	g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptQuarantined, "", resilience.Classify(cause), cause))
+	g.Status(run.ID, cheetah.RunFailed)
+	e.provenance(g, campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, ResourceUsage{})
+	rec.Post(g)
 	if attempt > 0 {
 		e.hAttempts.Observe(float64(attempt))
 	}
@@ -529,23 +547,30 @@ func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *tele
 	}
 }
 
-// appendProvenance emits one run's provenance record, carrying the memo's
-// input and output digests (the ontology's input-digest/output-digest terms)
-// and a cached annotation for skipped runs.
-func (e *LocalEngine) appendProvenance(campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage ResourceUsage) {
-	if e.Prov == nil {
-		return
+// provenance adds one run's provenance record to g (nothing without a
+// store).
+func (e *LocalEngine) provenance(g *Group, campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage ResourceUsage) {
+	if e.Prov != nil {
+		g.Provenance(RunProvenance(campaign, run, atomic.AddInt64(&e.attempt, 1), status, elapsed, e.Memo, res, cached, usage))
 	}
+}
+
+// RunProvenance builds the provenance record of one run, the same from every
+// engine (same component, same digest fields, same cached annotation): it
+// carries the memo's input and output digests (the ontology's input-digest/
+// output-digest terms) and a cached annotation for skipped runs. seq makes
+// the record id unique across resubmissions of the run.
+func RunProvenance(campaign string, run cheetah.Run, seq int64, status provenance.Status, elapsed time.Duration, memo *Memo, res cas.ActionResult, cached bool, usage ResourceUsage) provenance.Record {
 	end := time.Now()
 	rec := provenance.Record{
-		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, atomic.AddInt64(&e.attempt, 1)),
+		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, seq),
 		Component:  "savanna-run",
 		Start:      end.Add(-elapsed),
 		End:        end,
 		Status:     status,
 		CampaignID: campaign,
 		SweepPoint: run.Params,
-		Inputs:     e.Memo.provenanceInputs(),
+		Inputs:     memo.provenanceInputs(),
 		Outputs:    provenanceOutputs(res),
 	}
 	if cached {
@@ -560,7 +585,7 @@ func (e *LocalEngine) appendProvenance(campaign string, run cheetah.Run, status 
 			MaxRSSBytes:      usage.MaxRSSBytes,
 		}
 	}
-	e.Prov.Append(rec)
+	return rec
 }
 
 // Remaining filters a manifest's runs to the resubmission set: runs whose

@@ -118,6 +118,10 @@ type SimEngine struct {
 	rc        *resilience.Controller
 	attempts  map[string]int
 	prevDelay map[string]time.Duration
+	// rec writes the campaign's journal; it lives exactly as long as rc.
+	// group is the one the (single-goroutine) simulation posts through.
+	rec   *Recorder
+	group Group
 	// sim is the current allocation's event queue (for virtual-time backoff).
 	sim *hpcsim.Sim
 	// Instruments, resolved once per allocation.
@@ -139,11 +143,27 @@ func (e *SimEngine) controller() *resilience.Controller {
 	return resilience.NewController(resilience.Config{})
 }
 
-// resetResilience installs a fresh controller and per-run retry state.
-func (e *SimEngine) resetResilience() {
+// resetResilience installs a fresh controller, its recorder (events under
+// span) and per-run retry state; closeResilience ends them.
+func (e *SimEngine) resetResilience(span int64) {
 	e.rc = e.controller()
+	e.rec = OpenRecorder(RecorderConfig{Engine: "sim", Span: span, Journal: e.rc.Journal(),
+		Events: e.Events, Metrics: e.Metrics})
 	e.attempts = map[string]int{}
 	e.prevDelay = map[string]time.Duration{}
+}
+
+// closeResilience closes the recorder — on return the journal is complete
+// and fsynced — and uninstalls the campaign's runtime.
+func (e *SimEngine) closeResilience() {
+	e.rec.Close()
+	e.rec, e.rc = nil, nil
+}
+
+// journal posts one attempt transition, stamped in virtual time now.
+func (e *SimEngine) journal(run, point string, attempt int, event string, class resilience.Class, err error) {
+	e.group.Journal(e.rc.Record(run, point, attempt, event, "", class, err))
+	e.rec.Post(&e.group)
 }
 
 // faultRNG derives the deterministic random stream for one (run, attempt)
@@ -238,8 +258,8 @@ func (e *SimEngine) RunAllocation(runs []cheetah.Run, nodes int, walltime float6
 	e.setVirtualClock(func() float64 { return base + sim.Now() })
 	if e.rc == nil {
 		// Standalone allocation (not under RunToCompletion): own runtime.
-		e.resetResilience()
-		defer func() { e.rc = nil }()
+		e.resetResilience(0)
+		defer e.closeResilience()
 	}
 	// Journal stamps advance with the simulation, not the wall clock.
 	e.rc.SetNow(func() time.Time {
@@ -368,7 +388,7 @@ func (e *SimEngine) nextPending(st *allocState) (cheetah.Run, bool) {
 		if e.rc.Quarantine().Allow(point) {
 			return run, true
 		}
-		e.rc.JournalAttempt(run.ID, point, e.attempts[run.ID], resilience.AttemptQuarantined, "", nil)
+		e.journal(run.ID, point, e.attempts[run.ID], resilience.AttemptQuarantined, "", nil)
 		e.noteOutcome(resilience.OutcomeQuarantined)
 		e.mQuarantined.Inc()
 		e.mFailed.Inc()
@@ -393,7 +413,7 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
-	e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptStart, "", nil)
+	e.journal(run.ID, point, attempt, resilience.AttemptStart, "", nil)
 	var task *hpcsim.Task
 	task, err := a.RunTask(run.ID, nid, dur, func(ok bool) {
 		// Every attempt completion is a history sampling opportunity; the
@@ -408,7 +428,7 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 				reason = task.KillReason
 			}
 			e.attempts[run.ID] = attempt - 1
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptKilled, resilience.ClassTransient, fmt.Errorf("%s", reason))
+			e.journal(run.ID, point, attempt, resilience.AttemptKilled, resilience.ClassTransient, fmt.Errorf("%s", reason))
 			e.mKilled.Inc()
 			span.End(telemetry.String("status", "killed"), telemetry.String("reason", reason))
 			e.Events.Append(eventlog.Warn, eventlog.RunKilled, reason, span.ID(),
@@ -422,7 +442,7 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 		}
 		if ferr == nil {
 			e.rc.Quarantine().NoteSuccess(point)
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
+			e.journal(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
 			e.noteOutcome(resilience.OutcomeSucceeded)
 			e.mExecuted.Inc()
 			e.hRunSecs.Observe(dur)
@@ -434,9 +454,9 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 			return
 		}
 		class := resilience.Classify(ferr)
-		e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptFailure, class, ferr)
+		e.journal(run.ID, point, attempt, resilience.AttemptFailure, class, ferr)
 		if e.rc.Quarantine().NoteFailure(point) {
-			e.rc.JournalAttempt(run.ID, point, attempt, resilience.AttemptQuarantined, class, ferr)
+			e.journal(run.ID, point, attempt, resilience.AttemptQuarantined, class, ferr)
 			e.noteOutcome(resilience.OutcomeQuarantined)
 			e.mQuarantined.Inc()
 			e.mFailed.Inc()
@@ -617,8 +637,8 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	defer func() { e.campaignCtx = nil }()
 	// One resilience runtime spans the whole resubmission loop: attempt
 	// counts, quarantine decisions and the journal carry across allocations.
-	e.resetResilience()
-	defer func() { e.rc = nil }()
+	e.resetResilience(campaignSpan.ID())
+	defer e.closeResilience()
 
 	done := map[string]bool{}
 	outcome := &CampaignOutcome{}
@@ -661,16 +681,13 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 			// Graceful abort: the never-to-be-attempted remainder is
 			// journaled and tallied as skipped, once, here.
 			for _, run := range next {
-				rc.JournalAttempt(run.ID, PointKey(run), e.attempts[run.ID], resilience.AttemptSkipped, "", nil)
+				e.journal(run.ID, PointKey(run), e.attempts[run.ID], resilience.AttemptSkipped, "", nil)
 				rc.NoteOutcome(resilience.OutcomeSkipped)
 			}
 			outcome.Report = rc.Report(len(runs))
 			campaignSpan.End(telemetry.String("error", "aborted: "+reason))
 			e.Events.Append(eventlog.Info, eventlog.CampaignDone, "aborted", campaignSpan.ID(),
 				telemetry.Int("allocations", outcome.Allocations))
-			if e.Resilience != nil {
-				e.Resilience.Journal.Sync()
-			}
 			return outcome, nil
 		}
 		if len(next) == len(remaining) {
@@ -690,8 +707,5 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	campaignSpan.End(telemetry.Int("allocations", outcome.Allocations))
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, "", campaignSpan.ID(),
 		telemetry.Int("allocations", outcome.Allocations))
-	if e.Resilience != nil {
-		e.Resilience.Journal.Sync()
-	}
 	return outcome, nil
 }

@@ -96,11 +96,14 @@ const (
 	// failure) and one for its closing fsync. The campaign carries on — the
 	// attempt journal is the record, the log its projection.
 	CampaignStatusLog = "campaign.status-log"
-	// CampaignJournal marks the remote coordinator's first refused attempt-
-	// journal append of a campaign (journal closed, fenced or out of space).
-	// The campaign carries on in memory, but results the journal did not
-	// take are not acknowledged: workers keep them spooled for a successor.
+	// CampaignJournal marks a campaign's first refused attempt-journal write
+	// (journal closed, fenced or out of space), whichever engine runs it. The
+	// campaign carries on in memory, but results the journal did not take
+	// are not acknowledged: remote workers keep them spooled for a successor.
 	CampaignJournal = "campaign.journal"
+	// CampaignProvenance marks a campaign's first refused provenance record
+	// (a duplicate record id, a record that fails validation).
+	CampaignProvenance = "campaign.provenance"
 
 	RunStart     = "run.start"
 	RunSucceeded = "run.succeeded"
