@@ -36,13 +36,16 @@ package cas
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairflow/internal/telemetry"
@@ -111,6 +114,10 @@ type Store struct {
 
 	mu  sync.Mutex
 	idx *Index
+
+	// fanout[aa] is set once this handle knows objects/<aa> exists and its
+	// entry in objects/ is durable, so a put pays for neither again.
+	fanout [256]atomic.Bool
 
 	// Telemetry counters (nil when unset — increments are then no-ops).
 	// Wire them with SetMetrics before concurrent use.
@@ -185,7 +192,7 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	// publishes them: rename-then-crash must never yield a named but empty
 	// (or torn) object.
 	if err == nil {
-		err = tmp.Sync()
+		err = fsync(tmp)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -204,14 +211,22 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 		os.Remove(tmpName) // already stored; content-addressing dedups
 		s.mPutDedup.Inc()
 	} else {
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			os.Remove(tmpName)
-			return "", n, err
-		}
 		// Objects are immutable: read-only mode guards hard-linked
 		// materialized copies against accidental in-place truncation.
 		os.Chmod(tmpName, 0o444)
-		if err := os.Rename(tmpName, dst); err != nil {
+		place := func() error {
+			if err := s.ensureFanout(sum[0], filepath.Dir(dst)); err != nil {
+				return err
+			}
+			return os.Rename(tmpName, dst)
+		}
+		err := place()
+		if errors.Is(err, fs.ErrNotExist) {
+			// The fan-out directory was removed behind this handle.
+			s.fanout[sum[0]].Store(false)
+			err = place()
+		}
+		if err != nil {
 			os.Remove(tmpName)
 			return "", n, err
 		}
@@ -230,6 +245,25 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	err = s.idx.add(d, n)
 	s.mu.Unlock()
 	return d, n, err
+}
+
+// ensureFanout makes objects/<aa> exist with a durable entry in objects/,
+// once per handle and directory: the index log is fsynced on every put, so an
+// object it lists must not sit under a directory a power loss can take back.
+// objects/ is fsynced on the first use even when another handle made the
+// directory — that handle may not have reached its own fsync yet.
+func (s *Store) ensureFanout(aa byte, dir string) error {
+	if s.fanout[aa].Load() {
+		return nil
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	s.fanout[aa].Store(true)
+	return nil
 }
 
 // PutFile stores the named file's content.

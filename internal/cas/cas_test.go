@@ -2,10 +2,12 @@ package cas
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -333,5 +335,137 @@ func TestOpenRejectsCorruptIndex(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted an unsupported index version")
+	}
+}
+
+// recordFsyncs routes the package's fsync seam through a recorder for the
+// length of the test and returns the names fsynced so far, in order.
+func recordFsyncs(t *testing.T) func() []string {
+	var mu sync.Mutex
+	var names []string
+	fsync = func(f *os.File) error {
+		mu.Lock()
+		names = append(names, f.Name())
+		mu.Unlock()
+		return f.Sync()
+	}
+	t.Cleanup(func() { fsync = (*os.File).Sync })
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), names...)
+	}
+}
+
+// TestPutMakesFanoutDirectoryDurable: the first object a handle stores under
+// objects/<aa> fsyncs objects/ — the entry of <aa> itself — before the object
+// is renamed in, and no later put under the same <aa> pays for it again. A
+// second handle cannot know the first one got that far, so it fsyncs once too.
+func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three contents under one fan-out directory (a, b, again) and one under
+	// another (c).
+	fanOf := func(content string) string {
+		return filepath.Join(root, "objects", HashBytes([]byte(content)).hexPart()[:2])
+	}
+	byFan := map[string][]string{}
+	var same []string
+	for i := 0; same == nil; i++ {
+		content := fmt.Sprintf("object %d", i)
+		fan := fanOf(content)
+		if byFan[fan] = append(byFan[fan], content); len(byFan[fan]) == 3 {
+			same = byFan[fan]
+		}
+	}
+	a, b, again := same[0], same[1], same[2]
+	var c string
+	for fan, list := range byFan {
+		if fan != fanOf(a) {
+			c = list[0]
+		}
+	}
+	objects := filepath.Join(root, "objects")
+	fsyncs := recordFsyncs(t)
+	count := func(name string) (n int) {
+		for _, got := range fsyncs() {
+			if got == name {
+				n++
+			}
+		}
+		return n
+	}
+
+	if _, _, err := s.PutBytes([]byte(a)); err != nil {
+		t.Fatal(err)
+	}
+	got := fsyncs()
+	// temp object, objects/, objects/<aa>, then the index log.
+	if len(got) < 3 || filepath.Dir(got[0]) != objects || got[1] != objects || got[2] != fanOf(a) {
+		t.Fatalf("first put fsynced %q, want the temp object, then %s, then %s", got, objects, fanOf(a))
+	}
+	if _, _, err := s.PutBytes([]byte(b)); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(objects); n != 1 {
+		t.Fatalf("objects/ fsynced %d times after two puts under one fan-out directory, want 1", n)
+	}
+	if n := count(fanOf(a)); n != 2 {
+		t.Fatalf("%s fsynced %d times after two puts, want 2", fanOf(a), n)
+	}
+	if _, _, err := s.PutBytes([]byte(c)); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(objects); n != 2 {
+		t.Fatalf("objects/ fsynced %d times after a second fan-out directory appeared, want 2", n)
+	}
+
+	second, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := second.PutBytes([]byte(again)); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(objects); n != 3 {
+		t.Fatalf("objects/ fsynced %d times after a second handle first used an existing fan-out directory, want 3", n)
+	}
+}
+
+// TestPutSurvivesRemovedFanoutDirectory: a fan-out directory deleted behind
+// an open handle is re-created by the next put that needs it.
+func TestPutSurvivesRemovedFanoutDirectory(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := []byte("stored, lost, stored again")
+	d, _, err := s.PutBytes(content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Dir(s.objectPath(d))); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has(d) {
+		t.Fatal("object survived the removal of its directory")
+	}
+	fsyncs := recordFsyncs(t)
+	if _, _, err := s.PutBytes(content); err != nil {
+		t.Fatalf("put after the fan-out directory was removed: %v", err)
+	}
+	if err := s.Verify(d); err != nil {
+		t.Fatal(err)
+	}
+	var synced bool
+	for _, name := range fsyncs() {
+		synced = synced || name == filepath.Join(root, "objects")
+	}
+	if !synced {
+		t.Fatal("the re-created fan-out directory's entry in objects/ was not fsynced")
 	}
 }

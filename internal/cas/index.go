@@ -193,13 +193,18 @@ func writeFileAtomic(path string, data []byte, mode os.FileMode) error {
 	return werr
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
+// fsync replaces (*os.File).Sync in tests: the seam that observes the fsyncs
+// put and syncDir make.
+var fsync = (*os.File).Sync
+
+// syncDir fsyncs a directory so a just-created or just-renamed entry survives
+// power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	serr := d.Sync()
+	serr := fsync(d)
 	if cerr := d.Close(); serr == nil {
 		serr = cerr
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Layer tags where a parameter lives in the software stack; the composition
@@ -69,6 +70,19 @@ func (p Parameter) Validate() error {
 	return nil
 }
 
+// checkName refuses a campaign, group or sweep name that is not exactly one
+// path element: Materialize joins these names into directories under its
+// root, and specs come from outside the program.
+func checkName(kind, name string) error {
+	if name == "" {
+		return fmt.Errorf("cheetah: %s needs a name", kind)
+	}
+	if name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") {
+		return fmt.Errorf("cheetah: %s name %q is not a single path element", kind, name)
+	}
+	return nil
+}
+
 // SweepMode selects how a sweep combines its parameters.
 type SweepMode string
 
@@ -100,8 +114,8 @@ func (s Sweep) mode() SweepMode {
 
 // Validate checks the sweep.
 func (s Sweep) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("cheetah: sweep needs a name")
+	if err := checkName("sweep", s.Name); err != nil {
+		return err
 	}
 	if len(s.Parameters) == 0 {
 		return fmt.Errorf("cheetah: sweep %q has no parameters", s.Name)
@@ -191,8 +205,8 @@ type SweepGroup struct {
 
 // Validate checks the group.
 func (g SweepGroup) Validate() error {
-	if g.Name == "" {
-		return fmt.Errorf("cheetah: sweep group needs a name")
+	if err := checkName("sweep group", g.Name); err != nil {
+		return err
 	}
 	if g.Nodes < 1 {
 		return fmt.Errorf("cheetah: group %q needs ≥1 node", g.Name)
@@ -238,8 +252,8 @@ type Campaign struct {
 
 // Validate checks the whole campaign.
 func (c Campaign) Validate() error {
-	if c.Name == "" {
-		return fmt.Errorf("cheetah: campaign needs a name")
+	if err := checkName("campaign", c.Name); err != nil {
+		return err
 	}
 	if c.App == "" {
 		return fmt.Errorf("cheetah: campaign %q needs an app", c.Name)

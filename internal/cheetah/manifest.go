@@ -3,12 +3,20 @@ package cheetah
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
 )
+
+// fsync replaces (*os.File).Sync in tests: the seam that observes, orders and
+// fails every fsync WriteFileAtomic and Materialize make.
+var fsync = (*os.File).Sync
 
 // WriteFileAtomic writes data via a temp file in the target's directory and
 // an atomic rename: a crash (or a concurrent reader) can never observe a
@@ -24,7 +32,7 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 	tmpName := tmp.Name()
 	_, werr := tmp.Write(data)
 	if werr == nil {
-		werr = tmp.Sync()
+		werr = fsync(tmp)
 	}
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
@@ -44,13 +52,14 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 	return werr
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
+// syncDir fsyncs a directory so a just-created or just-renamed entry survives
+// power loss.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	serr := d.Sync()
+	serr := fsync(d)
 	if cerr := d.Close(); serr == nil {
 		serr = cerr
 	}
@@ -124,10 +133,16 @@ const (
 //	root/<campaign>/campaign.json           — the manifest, written last
 //	root/<campaign>/status.log              — run statuses, written by engines
 //
-// The manifest is the commit marker: it is written after every run
-// directory, so a directory LoadCampaignDir accepts is complete, and one
-// without campaign.json is the removable leftover of an interrupted
-// Materialize.
+// The manifest is the commit marker: a directory that has campaign.json is
+// complete and durable, one that lacks it is garbage. That is why the run
+// files are created in place, with no temp name and no rename — nothing reads
+// a directory without its manifest — and why every file and every directory
+// that gained an entry is fsynced before campaign.json exists: each entry the
+// manifest vouches for is on stable storage by the time the manifest is.
+//
+// The campaign directory is claimed with an exclusive mkdir, so of two
+// concurrent creates one is refused. params.json takes its mode from the
+// process umask (0644 under the usual 022), as the directories around it do.
 //
 // status.log is created by the first engine (or SetRunStatus) to record a
 // transition: one appended JSON line {"run","status"} per transition, status
@@ -141,34 +156,111 @@ const (
 // represent a campaign end-point... campaign metadata is hidden from the
 // user."
 func (m *Manifest) Materialize(root string) (string, error) {
-	dir := filepath.Join(root, m.Campaign.Name)
-	if _, err := os.Stat(dir); err == nil {
-		return "", fmt.Errorf("cheetah: campaign directory %s already exists", dir)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := checkName("campaign", m.Campaign.Name); err != nil {
 		return "", err
 	}
 	var manifest bytes.Buffer
 	if err := m.Write(&manifest); err != nil {
 		return "", err
 	}
+	dir := filepath.Join(root, m.Campaign.Name)
+	// Every directory that will gain an entry: the run directories' parents
+	// (<group>/<sweep>) and their ancestors up to dir. Sorted, a directory
+	// comes before everything under it, and dir comes first.
+	dirs := []string{dir}
+	gained := map[string]bool{dir: true}
 	for _, run := range m.Runs {
 		runDir := filepath.Join(dir, run.ID)
-		if err := os.MkdirAll(runDir, 0o755); err != nil {
+		if !filepath.IsLocal(run.ID) || runDir == dir {
+			return "", fmt.Errorf("cheetah: run ID %q is not a path inside the campaign directory", run.ID)
+		}
+		for p := filepath.Dir(runDir); !gained[p]; p = filepath.Dir(p) {
+			gained[p] = true
+			dirs = append(dirs, p)
+		}
+	}
+	sort.Strings(dirs)
+
+	// 1. Claim the campaign directory, then make each directory under it once.
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return "", err
+	}
+	if err := os.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
+		if _, serr := os.Stat(filepath.Join(dir, "campaign.json")); serr == nil {
+			return "", fmt.Errorf("cheetah: campaign directory %s already exists", dir)
+		}
+		return "", fmt.Errorf("cheetah: campaign directory %s is the leftover of an interrupted create (no campaign.json); remove it, unless another create is still writing it", dir)
+	} else if err != nil {
+		return "", err
+	}
+	for _, d := range dirs[1:] {
+		if err := os.Mkdir(d, 0o755); err != nil {
 			return "", err
 		}
-		params, err := json.MarshalIndent(run.Params, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := WriteFileAtomic(filepath.Join(runDir, "params.json"), params, 0o644); err != nil {
+	}
+
+	// 2. The run directories, in contiguous shards over a fixed pool. A worker
+	// stops at its own first error; the others finish their shards.
+	workers := min(8, 2*runtime.GOMAXPROCS(0), len(m.Runs))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, shard []Run) {
+			defer wg.Done()
+			for _, run := range shard {
+				if errs[w] = writeRunDir(filepath.Join(dir, run.ID), run.Params); errs[w] != nil {
+					return
+				}
+			}
+		}(w, m.Runs[w*len(m.Runs)/workers:(w+1)*len(m.Runs)/workers])
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return "", err
+	}
+
+	// 3. Every directory that gained an entry, deepest first, then the
+	// manifest, then root for dir's own entry.
+	for i := len(dirs) - 1; i >= 0; i-- {
+		if err := syncDir(dirs[i]); err != nil {
 			return "", err
 		}
 	}
 	if err := WriteFileAtomic(filepath.Join(dir, "campaign.json"), manifest.Bytes(), 0o644); err != nil {
 		return "", err
 	}
+	if err := syncDir(root); err != nil {
+		return "", err
+	}
 	return dir, nil
+}
+
+// writeRunDir creates one run directory and its params.json, both durable on
+// return: the file is fsynced, then the directory that names it.
+func writeRunDir(runDir string, params map[string]string) error {
+	data, err := json.MarshalIndent(params, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(runDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(filepath.Join(runDir, "params.json"), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = fsync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = syncDir(runDir)
+	}
+	return err
 }
 
 // LoadCampaignDir reads the manifest back from a materialised campaign
