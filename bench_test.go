@@ -349,20 +349,20 @@ func BenchmarkSavannaWarmResume(b *testing.B) {
 			b.StopTimer()
 			eng := &savanna.LocalEngine{Executor: newRegistry(), Workers: 4, Memo: newMemo(b.TempDir())}
 			b.StartTimer()
-			if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+			if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		eng := &savanna.LocalEngine{Executor: newRegistry(), Workers: 4, Memo: newMemo(b.TempDir())}
-		if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil { // prime
+		if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil { // prime
 			b.Fatal(err)
 		}
 		var cached int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.RunAll(m.Campaign.Name, m.Runs)
+			res, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -126,7 +126,7 @@ func main() {
 		if *sets > 0 {
 			results, err = eng.RunSets(m.Campaign.Name, todo, *sets)
 		} else {
-			results, err = eng.RunAll(m.Campaign.Name, todo)
+			results, _, err = eng.RunCampaign(context.Background(), m.Campaign.Name, todo)
 		}
 	}
 	if err != nil {

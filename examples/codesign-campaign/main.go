@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -73,7 +74,7 @@ func main() {
 		Catalog: cat,
 	}
 	eng := &savanna.LocalEngine{Executor: exe, Workers: 4}
-	if _, err := eng.RunAll(campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(cat.Summary())

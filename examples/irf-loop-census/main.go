@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
@@ -92,7 +93,7 @@ func main() {
 	eng := &savanna.LocalEngine{Executor: reg, Workers: 4, Prov: prov}
 	todo := m.Runs
 	for pass := 1; len(todo) > 0; pass++ {
-		results, err := eng.RunAll(campaign.Name, todo)
+		results, _, err := eng.RunCampaign(context.Background(), campaign.Name, todo)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestCampaignLifecycle(t *testing.T) {
 	}
 	prov := provenance.NewStore()
 	eng := &savanna.LocalEngine{Executor: exe, Workers: 4, Prov: prov, CampaignDir: dir}
-	if _, err := eng.RunAll(campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func TestCampaignLifecycle(t *testing.T) {
 	if len(left) != 1 || left[0].Params["i"] != "5" {
 		t.Fatalf("remaining: %+v", left)
 	}
-	if _, err := eng.RunAll(campaign.Name, left); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, left); err != nil {
 		t.Fatal(err)
 	}
 	if final := savanna.Remaining(m, prov); len(final) != 0 {

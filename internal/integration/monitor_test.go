@@ -2,6 +2,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -242,7 +243,7 @@ func TestFailedRunErrorReachesTrace(t *testing.T) {
 	tracer := telemetry.NewTracer()
 	log := eventlog.NewLog()
 	eng := &savanna.LocalEngine{Executor: reg, Workers: 1, Tracer: tracer, Events: log}
-	if _, err := eng.RunAll("failtest", runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), "failtest", runs); err != nil {
 		t.Fatal(err)
 	}
 

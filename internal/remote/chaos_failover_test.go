@@ -149,7 +149,7 @@ func TestCoordinatorFailoverChaos(t *testing.T) {
 	var localExecs int64
 	local := &savanna.LocalEngine{Workers: 4,
 		Executor: failoverPayload(localOut, &localExecs, nil)}
-	if _, err := local.RunAll("failover", runs); err != nil {
+	if _, _, err := local.RunCampaign(context.Background(), "failover", runs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -69,7 +69,7 @@ func TestRemoteChaosWorkerKill(t *testing.T) {
 	var localExecs int64
 	local := &savanna.LocalEngine{Workers: 4,
 		Executor: chaosPayload(localOut, &localExecs, nil)}
-	if _, err := local.RunAll("chaos", runs); err != nil {
+	if _, _, err := local.RunCampaign(context.Background(), "chaos", runs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,10 +7,8 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
@@ -22,13 +20,13 @@ import (
 // Engine is the RemoteEngine: the third Savanna engine, executing a
 // campaign across worker processes instead of in-process goroutines
 // (LocalEngine) or virtual time (SimEngine). It implements the same
-// contract — RunAll / RunCampaign returning per-run results and a
-// completeness report — but dispatch crosses the stream transport: workers
-// join over TCP, hold heartbeat-renewed leases, receive batched run
-// assignments, and report outcomes carrying output digests. The engine
-// owns all campaign state; workers are stateless executors, so any of them
-// can die (lease expiry re-dispatches their runs) and new ones can join
-// mid-campaign.
+// contract — RunCampaign returning per-run results and a completeness
+// report, every run decided by a savanna.Lifecycle — but dispatch crosses the
+// stream transport: workers join over TCP, hold heartbeat-renewed leases,
+// receive batched run assignments, and report outcomes carrying output
+// digests. The engine owns all campaign state; workers are stateless
+// executors, so any of them can die (lease expiry re-dispatches their runs)
+// and new ones can join mid-campaign.
 type Engine struct {
 	// Listener, when non-nil, is the pre-bound control listener (lets tests
 	// and CLIs bind ":0" and learn the port before starting the campaign).
@@ -57,11 +55,10 @@ type Engine struct {
 	// shared journal.
 	Epoch int64
 
-	// Prov, CampaignDir, Retries, Resilience, Memo, Tracer, Metrics and
-	// Events carry the LocalEngine contract unchanged; see savanna.LocalEngine.
+	// Prov, CampaignDir, Resilience, Memo, Tracer, Metrics and Events carry
+	// the LocalEngine contract unchanged; see savanna.LocalEngine.
 	Prov        *provenance.Store
 	CampaignDir string
-	Retries     int
 	Resilience  *resilience.Config
 	// Memo short-circuits runs already satisfied by the action cache before
 	// they are ever dispatched; its ComponentDigest and InputDigests are
@@ -76,28 +73,25 @@ type Engine struct {
 	// probe is the recorder's test seam (savanna.RecorderConfig.Probe).
 	probe func(savanna.RecorderStage, []resilience.AttemptRecord) bool
 
-	telOnce      sync.Once
-	mDispatched  *telemetry.Counter
-	mCompleted   *telemetry.Counter
-	mCached      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mLost        *telemetry.Counter
-	mDuplicates  *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	mLeases      *telemetry.Counter
-	mHeartbeats  *telemetry.Counter
-	mSteals      *telemetry.Counter
-	mStolenRuns  *telemetry.Counter
-	mDeadTotal   *telemetry.Counter
-	mStaleEpoch  *telemetry.Counter
-	mTakeovers   *telemetry.Counter
-	gEpoch       *telemetry.Gauge
-	gLive        *telemetry.Gauge
-	gDead        *telemetry.Gauge
-	hRunSecs     *telemetry.Histogram
-	hCPUSecs     *telemetry.Histogram
-	hMaxRSS      *telemetry.Histogram
+	telOnce sync.Once
+	// tel is what the lifecycle updates: remote.runs_completed_total /
+	// runs_cached_total / runs_failed_total / retries_total /
+	// quarantined_total and the run_seconds, run_attempts, run_cpu_seconds,
+	// run_max_rss_bytes histograms.
+	tel         savanna.Instruments
+	mDispatched *telemetry.Counter
+	mLost       *telemetry.Counter
+	mDuplicates *telemetry.Counter
+	mLeases     *telemetry.Counter
+	mHeartbeats *telemetry.Counter
+	mSteals     *telemetry.Counter
+	mStolenRuns *telemetry.Counter
+	mDeadTotal  *telemetry.Counter
+	mStaleEpoch *telemetry.Counter
+	mTakeovers  *telemetry.Counter
+	gEpoch      *telemetry.Gauge
+	gLive       *telemetry.Gauge
+	gDead       *telemetry.Gauge
 
 	// Fleet-telemetry instruments: heartbeat round trips (the skew
 	// estimator's input), merged telemetry batches and spans, and telemetry
@@ -113,14 +107,10 @@ type Engine struct {
 
 func (e *Engine) telemetryInit() {
 	e.telOnce.Do(func() {
+		e.tel = savanna.NewInstruments(e.Metrics, "remote", "runs_completed_total")
 		e.mDispatched = e.Metrics.Counter("remote.runs_dispatched_total")
-		e.mCompleted = e.Metrics.Counter("remote.runs_completed_total")
-		e.mCached = e.Metrics.Counter("remote.runs_cached_total")
-		e.mFailed = e.Metrics.Counter("remote.runs_failed_total")
 		e.mLost = e.Metrics.Counter("remote.runs_lost_total")
 		e.mDuplicates = e.Metrics.Counter("remote.runs_duplicate_total")
-		e.mRetries = e.Metrics.Counter("remote.retries_total")
-		e.mQuarantined = e.Metrics.Counter("remote.quarantined_total")
 		e.mLeases = e.Metrics.Counter("remote.leases_granted_total")
 		e.mHeartbeats = e.Metrics.Counter("remote.heartbeats_total")
 		e.mSteals = e.Metrics.Counter("remote.steals_total")
@@ -131,9 +121,6 @@ func (e *Engine) telemetryInit() {
 		e.gEpoch = e.Metrics.Gauge("remote.coordinator_epoch")
 		e.gLive = e.Metrics.Gauge("remote.workers_live")
 		e.gDead = e.Metrics.Gauge("remote.workers_dead")
-		e.hRunSecs = e.Metrics.Histogram("remote.run_seconds", nil)
-		e.hCPUSecs = e.Metrics.Histogram("remote.run_cpu_seconds", nil)
-		e.hMaxRSS = e.Metrics.Histogram("remote.run_max_rss_bytes", savanna.RSSBuckets)
 		e.hHeartbeatRTT = e.Metrics.Histogram("remote.heartbeat_rtt_seconds", nil)
 		e.mTelemetryBatches = e.Metrics.Counter("remote.telemetry_batches_total")
 		e.mWorkerSpans = e.Metrics.Counter("remote.telemetry_spans_total")
@@ -146,7 +133,7 @@ func (e *Engine) validate() error {
 	if e.Listener == nil && e.Addr == "" {
 		return fmt.Errorf("remote: engine needs a Listener or an Addr")
 	}
-	return nil
+	return e.Memo.Validate()
 }
 
 // defaults resolves the tunables.
@@ -178,22 +165,6 @@ func (e *Engine) ioTimeout() time.Duration {
 	return 2*e.leaseTTL() + 2*time.Second
 }
 
-func (e *Engine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{
-		Retry: resilience.RetryPolicy{MaxAttempts: e.Retries + 1},
-	})
-}
-
-// RunAll executes the runs across whatever workers join, returning results
-// in input order (the Savanna engine contract).
-func (e *Engine) RunAll(campaign string, runs []cheetah.Run) ([]savanna.RunResult, error) {
-	results, _, err := e.RunCampaign(context.Background(), campaign, runs)
-	return results, err
-}
-
 // wstate is one connected worker as the coordinator sees it.
 type wstate struct {
 	name  string
@@ -214,12 +185,14 @@ type wstate struct {
 
 // coordinator is one campaign's live dispatch state.
 type coordinator struct {
-	e        *Engine
-	rc       *resilience.Controller
-	leases   *resilience.LeaseTable
-	campaign string
-	span     *telemetry.Span
-	ctx      context.Context
+	e *Engine
+	// lc decides what happens to every run; the coordinator decides where and
+	// when (which worker, which order, which critical section) and tells it
+	// what the wire reported.
+	lc     savanna.Lifecycle
+	leases *resilience.LeaseTable
+	span   *telemetry.Span
+	ctx    context.Context
 	// rec writes what the coordinator decides: journal records, status
 	// lines (a successor incarnation appends to the same files), provenance
 	// — and then releases the acks.
@@ -229,18 +202,11 @@ type coordinator struct {
 	// group collects what the critical section in progress must make
 	// durable; unlock posts it to rec whole, so a result's records, the
 	// top-up's dispatches and its ack are written — or refused — together.
-	group    savanna.Group
-	runs     []cheetah.Run
-	index    map[string]int
-	pending  []int
-	results  []savanna.RunResult
-	terminal []bool
-	attempts []int
-	spans    []*telemetry.Span
-	// usage accumulates each run's reported resource cost across dispatches:
-	// CPU seconds sum over attempts (a retried run's first attempt still
-	// burned its cycles), peak RSS takes the max.
-	usage     []savanna.ResourceUsage
+	group savanna.Group
+	index map[string]int
+	// state is each run's lifecycle state, in the campaign's order.
+	state     []savanna.RunState
+	pending   []int
 	workers   map[string]*wstate
 	died      map[string]bool
 	remaining int
@@ -262,7 +228,7 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		return nil, resilience.CompletenessReport{}, err
 	}
 	e.telemetryInit()
-	rc := e.controller()
+	rc := e.Resilience.Controller()
 
 	ln := e.Listener
 	if ln == nil {
@@ -283,25 +249,26 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
 
 	co := &coordinator{
-		e: e, rc: rc, campaign: campaign, span: span, ctx: ctx,
+		e: e, span: span, ctx: ctx,
+		lc: savanna.Lifecycle{Campaign: campaign, Span: span.ID(), Controller: rc,
+			Memo: e.Memo, Requeues: true, Events: e.Events, Metrics: e.tel},
 		rec: savanna.OpenRecorder(savanna.RecorderConfig{Engine: "remote", Campaign: campaign, Span: span.ID(),
 			Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe}),
-		runs:     runs,
-		index:    make(map[string]int, len(runs)),
-		results:  make([]savanna.RunResult, len(runs)),
-		terminal: make([]bool, len(runs)),
-		attempts: make([]int, len(runs)),
-		spans:    make([]*telemetry.Span, len(runs)),
-		usage:    make([]savanna.ResourceUsage, len(runs)),
-		workers:  map[string]*wstate{},
-		died:     map[string]bool{},
-		doneCh:   make(chan struct{}),
+		index:   make(map[string]int, len(runs)),
+		state:   make([]savanna.RunState, len(runs)),
+		workers: map[string]*wstate{},
+		died:    map[string]bool{},
+		doneCh:  make(chan struct{}),
+	}
+	if e.Prov != nil {
+		co.lc.Seq = &e.attempt
 	}
 	// Grants, expiries and releases all happen under co.mu: their records
 	// join the group of the critical section that decided them.
 	co.leases = resilience.NewLeaseTable(e.leaseTTL(), co.group.Journal, nil)
 	for i, r := range runs {
 		co.index[r.ID] = i
+		co.state[i] = savanna.NewRunState(r)
 	}
 	co.remaining = len(runs)
 
@@ -309,20 +276,15 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	// the wire — the action cache is the cross-machine dedup line.
 	co.mu.Lock()
 	for i := range runs {
-		if co.remaining == 0 {
-			break
+		if res, ok := e.Memo.Lookup(runs[i]); ok {
+			co.lc.Cached(co.run(i), &co.group, "", savanna.OutputDigests(res), 0)
+			co.decidedLocked(i, "", true)
+		} else {
+			co.enqueueLocked(i)
 		}
-		if e.Memo != nil && e.Memo.Validate() == nil {
-			if res, ok := e.Memo.Lookup(runs[i]); ok {
-				co.finishCachedLocked(i, "", res, 0)
-				continue
-			}
-		}
-		co.pending = append(co.pending, i)
 	}
-	if co.remaining == 0 {
-		co.doneOnce.Do(func() { close(co.doneCh) })
-	} else {
+	co.checkDoneLocked()
+	if co.remaining > 0 {
 		co.zeroSince = time.Now()
 	}
 	co.unlock()
@@ -385,9 +347,12 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 
 	// Every handler has returned, so nothing posts any more: late duplicates
 	// that arrived after the drain were still journaled and acked above.
-	co.rec.Close()
-	report := co.finish()
-	return co.results, report, nil
+	report := co.lc.Finish(co.rec, span, len(runs))
+	results := make([]savanna.RunResult, len(runs))
+	for i := range co.state {
+		results[i] = co.state[i].Result
+	}
+	return results, report, nil
 }
 
 // unlock ends a critical section: what it decided goes to the recorder as
@@ -406,20 +371,6 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 	case <-ch:
 	case <-time.After(d):
 	}
-}
-
-// finish closes out the campaign span, events and report (the recorder,
-// closed just before, made the status log and the journal durable).
-func (co *coordinator) finish() resilience.CompletenessReport {
-	e := co.e
-	if reason, aborted := co.rc.Aborted(); aborted {
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
-			telemetry.String("campaign", co.campaign))
-	}
-	co.span.End()
-	e.Events.Append(eventlog.Info, eventlog.CampaignDone, co.campaign, co.span.ID(),
-		telemetry.String("campaign", co.campaign))
-	return co.rc.Report(len(co.runs))
 }
 
 // reapLoop expires silent leases: every quarter-TTL it reclaims leases
@@ -454,13 +405,11 @@ func (co *coordinator) reapLoop(stop <-chan struct{}) {
 // cancelCampaign aborts: every non-terminal run journals skipped and the
 // campaign unblocks. Workers are drained by the main loop.
 func (co *coordinator) cancelCampaign(reason string) {
-	co.rc.Abort(reason)
+	co.lc.Controller.Abort(reason)
 	co.mu.Lock()
 	defer co.unlock()
-	for i := range co.runs {
-		if !co.terminal[i] {
-			co.skipLocked(i)
-		}
+	for i := range co.state {
+		co.dropLocked(i)
 	}
 	co.checkDoneLocked()
 }
@@ -529,7 +478,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	e.mLeases.Inc()
 	e.Events.Append(eventlog.Info, eventlog.WorkerJoin, name, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("slots", hello.Slots))
-	grant := LeaseGrant{Campaign: co.campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch}
+	grant := LeaseGrant{Campaign: co.lc.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch}
 	if e.Memo != nil {
 		grant.Component = e.Memo.ComponentDigest
 		grant.Inputs = e.Memo.InputDigests
@@ -680,22 +629,16 @@ func (co *coordinator) workerDead(name, reason string) {
 	sort.Strings(lost)
 	e.Events.Append(eventlog.Warn, eventlog.WorkerDead, reason, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("outstanding", len(lost)))
-	_, aborted := co.rc.Aborted()
 	for _, id := range lost {
 		i := co.index[id]
-		if co.terminal[i] {
+		if co.state[i].Terminal() {
 			continue
 		}
-		co.journalLocked(id, savanna.PointKey(co.runs[i]), co.attempts[i],
-			resilience.AttemptLost, name, "", errors.New(reason))
+		co.lc.Void(&co.state[i], &co.group, resilience.AttemptLost, name, errors.New(reason))
 		e.mLost.Inc()
-		e.Events.Append(eventlog.Warn, eventlog.RunLost, reason, co.spanID(i),
+		e.Events.Append(eventlog.Warn, eventlog.RunLost, reason, co.state[i].Span.ID(),
 			telemetry.String("run", id), telemetry.String("worker", name))
-		if aborted {
-			co.skipLocked(i) // an aborted campaign never re-dispatches
-		} else {
-			co.pending = append(co.pending, i)
-		}
+		co.enqueueLocked(i)
 	}
 	w.outstanding = map[string]bool{}
 	co.assignAllLocked()
@@ -704,12 +647,26 @@ func (co *coordinator) workerDead(name, reason string) {
 	w.c.close()
 }
 
-// spanID returns the run's live span id (0 when none).
-func (co *coordinator) spanID(i int) int64 {
-	if co.spans[i] != nil {
-		return co.spans[i].ID()
+// run returns run i's lifecycle state with its span open: "remote.run" starts
+// at the first thing that happens to the run — its first dispatch, or the
+// decision that ends it undispatched.
+func (co *coordinator) run(i int) *savanna.RunState {
+	r := &co.state[i]
+	if r.Span == nil {
+		_, r.Span = co.e.Tracer.Start(co.ctx, "remote.run", telemetry.String("run", r.Result.Run.ID))
 	}
-	return co.span.ID()
+	return r
+}
+
+// enqueueLocked puts a run that is owed a placement — never dispatched yet,
+// or taken back (lost, stolen) — at the back of the queue, or skips it: an
+// aborted campaign dispatches nothing more.
+func (co *coordinator) enqueueLocked(i int) {
+	if _, aborted := co.lc.Controller.Aborted(); aborted {
+		co.dropLocked(i)
+	} else {
+		co.pending = append(co.pending, i)
+	}
 }
 
 // assignAllLocked tops up every live worker, hungriest first.
@@ -736,7 +693,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 	if w.dead || co.draining {
 		return
 	}
-	if _, aborted := co.rc.Aborted(); aborted {
+	if _, aborted := co.lc.Controller.Aborted(); aborted {
 		return
 	}
 	want := e.batchSize() - len(w.outstanding)
@@ -745,31 +702,31 @@ func (co *coordinator) assignLocked(w *wstate) {
 	for want > 0 && len(co.pending) > 0 {
 		i := co.pending[0]
 		co.pending = co.pending[1:]
-		if co.terminal[i] {
+		if co.state[i].Terminal() {
 			continue
 		}
-		run := co.runs[i]
+		r := co.run(i)
+		run := r.Result.Run
 		// Quarantine gate at dispatch: a side-lined sweep point fails here,
-		// never crossing the wire.
-		if q := co.rc.Quarantine(); !q.Allow(savanna.PointKey(run)) {
-			co.quarantineLocked(i, w.name, 0, nil)
+		// never crossing the wire. (A gate that trips the stop condition
+		// empties the queue this loop reads.)
+		if !co.lc.Admit(r, &co.group, w.name) {
+			co.decidedLocked(i, w.name, true)
 			continue
 		}
 		batch = append(batch, run)
 		w.outstanding[run.ID] = true
-		co.attemptStartSpanLocked(i)
 		// The dispatch span's wire identity rides along so the worker's run
 		// span parents under it — one trace across the fleet.
-		if tc := co.spans[i].Context(); tc.Valid() {
+		if tc := r.Span.Context(); tc.Valid() {
 			if tracectx == nil {
 				tracectx = map[string]string{}
 			}
 			tracectx[run.ID] = tc.String()
 		}
-		co.journalLocked(run.ID, savanna.PointKey(run), co.attempts[i],
-			resilience.AttemptDispatched, w.name, "", nil)
+		co.lc.Dispatch(r, &co.group, w.name)
 		e.mDispatched.Inc()
-		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", co.spanID(i),
+		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", r.Span.ID(),
 			telemetry.String("run", run.ID), telemetry.String("worker", w.name))
 		want--
 	}
@@ -779,15 +736,6 @@ func (co *coordinator) assignLocked(w *wstate) {
 	}
 	if len(w.outstanding) == 0 {
 		co.stealForLocked(w)
-	}
-}
-
-// attemptStartSpanLocked opens the run's span on first dispatch.
-func (co *coordinator) attemptStartSpanLocked(i int) {
-	if co.spans[i] == nil {
-		_, span := co.e.Tracer.Start(co.ctx, "remote.run",
-			telemetry.String("run", co.runs[i].ID))
-		co.spans[i] = span
 	}
 }
 
@@ -831,10 +779,9 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.mu.Lock()
 	defer co.unlock()
 	w.stealPending = false
-	_, aborted := co.rc.Aborted()
 	for _, id := range st.RunIDs {
 		i, ok := co.index[id]
-		if !ok || co.terminal[i] || !w.outstanding[id] {
+		if !ok || co.state[i].Terminal() || !w.outstanding[id] {
 			continue
 		}
 		delete(w.outstanding, id)
@@ -843,273 +790,88 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 		// the victim" — owed either way, but the journal would blame a
 		// worker that no longer holds it. The stolen record keeps the
 		// ledger's worker attribution truthful across a handover.
-		co.journalLocked(id, savanna.PointKey(co.runs[i]), co.attempts[i],
-			resilience.AttemptStolen, w.name, "", nil)
+		co.lc.Void(&co.state[i], &co.group, resilience.AttemptStolen, w.name, nil)
 		co.e.mStolenRuns.Inc()
-		if aborted {
-			co.skipLocked(i)
-		} else {
-			co.pending = append(co.pending, i)
-		}
+		co.enqueueLocked(i)
 	}
 	co.assignAllLocked()
 	co.checkDoneLocked()
 }
 
-// journalLocked adds one attempt record, stamped now, to the critical
-// section's group. Without a journal the recorder would drop it: it is not
-// built, since reading the clock twice per run under co.mu is a measurable
-// share of a bare campaign's per-result hold.
-func (co *coordinator) journalLocked(run, point string, attempt int, event, worker string, class resilience.Class, cause error) {
-	if co.rc.Journal() != nil {
-		co.group.Journal(co.rc.Record(run, point, attempt, event, worker, class, cause))
-	}
-}
-
-// handleResultLocked folds one worker outcome into the campaign. What it
-// decides joins the critical section's group, whose callback acknowledges
-// the outcome once the recorder has written it.
+// handleResultLocked hands one worker outcome to the lifecycle. What that
+// decides joins the critical section's group, whose callback acknowledges the
+// outcome once the recorder has written it.
 func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
-	e := co.e
 	i, ok := co.index[out.RunID]
 	if !ok {
 		return
 	}
 	delete(w.outstanding, out.RunID)
-	if co.terminal[i] {
+	r := &co.state[i]
+	if r.Terminal() {
 		// A re-dispatched run completed twice (lease expired under a slow
 		// but living worker, or a steal raced a start). First terminal
 		// outcome won; this one is accounting noise, never a double count.
-		e.mDuplicates.Inc()
+		co.e.mDuplicates.Inc()
 		co.assignAllLocked()
 		return
 	}
-	run := co.runs[i]
-	point := savanna.PointKey(run)
-	co.usage[i].Accumulate(outcomeUsage(out))
-	if out.OK {
-		var res cas.ActionResult
-		if len(out.Outputs) > 0 {
-			res.Outputs = map[string]cas.Digest{}
-			for k, v := range out.Outputs {
-				res.Outputs[k] = cas.Digest(v)
+	elapsed := time.Duration(out.Seconds * float64(time.Second))
+	res := savanna.AttemptResult{Worker: w.name, Elapsed: elapsed, Outputs: out.Outputs, Usage: savanna.ResourceUsage{
+		CPUUserSeconds: out.CPUUserSeconds, CPUSystemSeconds: out.CPUSystemSeconds, MaxRSSBytes: out.MaxRSSBytes}}
+	if out.OK && out.Cached {
+		co.lc.Cached(r, &co.group, w.name, out.Outputs, elapsed)
+		co.decidedLocked(i, w.name, true)
+	} else {
+		halted := false
+		if !out.OK {
+			// An outcome from a worker that did not classify it is transient.
+			res.Err, res.Class = errors.New(out.Err), resilience.Class(out.Class)
+			if res.Class == "" {
+				res.Class = resilience.ClassTransient
 			}
+			// An aborted campaign grants no retry: it is winding down.
+			_, halted = co.lc.Controller.Aborted()
 		}
-		if out.Cached {
-			co.finishCachedLocked(i, w.name, res, out.Seconds)
-		} else {
-			co.attempts[i]++
-			co.journalLocked(run.ID, point, co.attempts[i],
-				resilience.AttemptSuccess, w.name, "", nil)
-			co.rc.Quarantine().NoteSuccess(point)
-			co.group.Status(run.ID, cheetah.RunSucceeded)
-			usage := co.usage[i]
-			co.provenanceLocked(run, provenance.StatusSucceeded,
-				time.Duration(out.Seconds*float64(time.Second)), res, false, usage)
-			co.results[i] = savanna.RunResult{
-				Run: run, Status: provenance.StatusSucceeded,
-				Seconds: out.Seconds, Attempts: co.attempts[i],
-			}
-			co.terminal[i] = true
-			co.remaining--
-			if co.rc.NoteOutcome(resilience.OutcomeSucceeded) {
-				co.noteAbortLocked()
-			}
-			e.mCompleted.Inc()
-			e.hRunSecs.Observe(out.Seconds)
-			co.noteResourcesLocked(i, run.ID, w.name, usage)
-			co.endSpanLocked(i, "succeeded", false)
-			e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", co.spanID(i),
-				telemetry.String("run", run.ID), telemetry.String("worker", w.name))
-		}
-		co.checkDoneLocked()
-		co.assignAllLocked()
-		return
+		co.decidedLocked(i, w.name, co.lc.Settle(r, &co.group, res, halted).Terminal)
 	}
-
-	// Failure path: classify, maybe quarantine, maybe retry.
-	co.attempts[i]++
-	class := resilience.Class(out.Class)
-	if class == "" {
-		class = resilience.ClassTransient
-	}
-	failErr := errors.New(out.Err)
-	co.journalLocked(run.ID, point, co.attempts[i],
-		resilience.AttemptFailure, w.name, class, failErr)
-	if co.rc.Quarantine().NoteFailure(point) {
-		co.quarantineLocked(i, w.name, co.attempts[i], failErr)
-		co.checkDoneLocked()
-		co.assignAllLocked()
-		return
-	}
-	_, aborted := co.rc.Aborted()
-	if class.Retryable() && co.attempts[i] < co.rc.Attempts() && !aborted {
-		co.rc.NoteRetry()
-		e.mRetries.Inc()
-		e.Events.Append(eventlog.Warn, eventlog.RunRetry, out.Err, co.spanID(i),
-			telemetry.String("run", run.ID), telemetry.Int("attempt", co.attempts[i]),
-			telemetry.String("class", string(class)))
-		// Requeue at the back: the rest of the sweep paces the retry, the
-		// distributed analogue of backoff (any worker may pick it up).
-		co.pending = append(co.pending, i)
-		co.assignAllLocked()
-		return
-	}
-	co.group.Status(run.ID, cheetah.RunFailed)
-	usage := co.usage[i]
-	co.provenanceLocked(run, provenance.StatusFailed, 0, cas.ActionResult{}, false, usage)
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: out.Err,
-		Seconds: out.Seconds, Attempts: co.attempts[i],
-	}
-	co.terminal[i] = true
-	co.remaining--
-	if co.rc.NoteOutcome(resilience.OutcomeFailed) {
-		co.noteAbortLocked()
-	}
-	e.mFailed.Inc()
-	co.noteResourcesLocked(i, run.ID, w.name, usage)
-	co.endSpanLocked(i, "failed", false)
-	e.Events.Append(eventlog.Error, eventlog.RunFailed, out.Err, co.spanID(i),
-		telemetry.String("run", run.ID), telemetry.String("worker", w.name),
-		telemetry.Int("attempts", co.attempts[i]))
-	co.checkDoneLocked()
 	co.assignAllLocked()
 }
 
-// finishCachedLocked closes out a memo-satisfied run (coordinator-side
-// short-circuit or a worker-side cache hit).
-func (co *coordinator) finishCachedLocked(i int, worker string, res cas.ActionResult, seconds float64) {
-	e := co.e
-	run := co.runs[i]
-	co.journalLocked(run.ID, savanna.PointKey(run), 0,
-		resilience.AttemptCached, worker, "", nil)
-	co.rc.NoteOutcome(resilience.OutcomeCached)
-	co.group.Status(run.ID, cheetah.RunSucceeded)
-	co.provenanceLocked(run, provenance.StatusSucceeded,
-		time.Duration(seconds*float64(time.Second)), res, true, savanna.ResourceUsage{})
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusSucceeded, Seconds: seconds, Cached: true,
+// decidedLocked acts on what the lifecycle decided about run i. A run that
+// ended is concluded here, in the critical section that fills the group with
+// its terminal record; when that trips the stop condition, what is still
+// queued is skipped, so the campaign winds down instead of grinding on. A run
+// owed another attempt requeues at the back — the rest of the sweep paces the
+// retry, the distributed analogue of backoff, and any worker may pick it up.
+// worker is as in the decision.
+func (co *coordinator) decidedLocked(i int, worker string, terminal bool) {
+	if !terminal {
+		co.pending = append(co.pending, i)
+		return
 	}
-	co.terminal[i] = true
 	co.remaining--
-	e.mCached.Inc()
-	co.endSpanLocked(i, "succeeded", true)
-	attrs := []telemetry.Attr{telemetry.String("run", run.ID)}
-	if worker != "" {
-		attrs = append(attrs, telemetry.String("worker", worker))
-	}
-	e.Events.Append(eventlog.Info, eventlog.RunCached, "", co.spanID(i), attrs...)
-	co.checkDoneLocked()
-}
-
-// quarantineLocked closes out a run whose sweep point is side-lined.
-func (co *coordinator) quarantineLocked(i int, worker string, attempts int, cause error) {
-	e := co.e
-	run := co.runs[i]
-	point := savanna.PointKey(run)
-	msg := "sweep point " + point + " quarantined"
-	if cause != nil {
-		msg = cause.Error()
-	}
-	co.journalLocked(run.ID, point, attempts,
-		resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
-	co.group.Status(run.ID, cheetah.RunFailed)
-	co.provenanceLocked(run, provenance.StatusFailed, 0, cas.ActionResult{}, false, co.usage[i])
-	co.results[i] = savanna.RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: msg,
-		Attempts: attempts, Quarantined: true,
-	}
-	co.terminal[i] = true
-	co.remaining--
-	if co.rc.NoteOutcome(resilience.OutcomeQuarantined) {
-		co.noteAbortLocked()
-	}
-	e.mQuarantined.Inc()
-	e.mFailed.Inc()
-	co.endSpanLocked(i, "failed", false)
-	e.Events.Append(eventlog.Error, eventlog.RunQuarantined, msg, co.spanID(i),
-		telemetry.String("run", run.ID), telemetry.String("point", point))
-}
-
-// skipLocked records a run the campaign never finished dispatching.
-func (co *coordinator) skipLocked(i int) {
-	run := co.runs[i]
-	co.journalLocked(run.ID, savanna.PointKey(run), 0, resilience.AttemptSkipped, "", "", nil)
-	co.rc.NoteOutcome(resilience.OutcomeSkipped)
-	co.provenanceLocked(run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, savanna.ResourceUsage{})
-	co.results[i] = savanna.RunResult{Run: run, Status: provenance.StatusSkipped}
-	co.terminal[i] = true
-	co.remaining--
-	co.endSpanLocked(i, "skipped", false)
-}
-
-// noteAbortLocked reacts to the stop condition tripping: pending runs are
-// skipped so the campaign winds down instead of grinding on.
-func (co *coordinator) noteAbortLocked() {
-	reason, _ := co.rc.Aborted()
-	co.e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, co.span.ID(),
-		telemetry.String("campaign", co.campaign))
-	for _, i := range co.pending {
-		if !co.terminal[i] {
-			co.skipLocked(i)
+	if co.lc.Conclude(&co.state[i], worker) {
+		for _, j := range co.pending {
+			co.dropLocked(j)
 		}
+		co.pending = nil
 	}
-	co.pending = nil
 	co.checkDoneLocked()
+}
+
+// dropLocked ends skipped a run the campaign will not place any more (a
+// no-op for one already ended).
+func (co *coordinator) dropLocked(i int) {
+	if !co.state[i].Terminal() {
+		co.lc.Skip(co.run(i), &co.group)
+		co.remaining--
+	}
 }
 
 // checkDoneLocked unblocks RunCampaign once every run is terminal.
 func (co *coordinator) checkDoneLocked() {
 	if co.remaining == 0 {
 		co.doneOnce.Do(func() { close(co.doneCh) })
-	}
-}
-
-// endSpanLocked closes the run's span once.
-func (co *coordinator) endSpanLocked(i int, status string, cached bool) {
-	if co.spans[i] == nil {
-		co.attemptStartSpanLocked(i)
-	}
-	co.spans[i].End(telemetry.Bool("cached", cached), telemetry.String("status", status),
-		telemetry.Int("attempts", co.attempts[i]))
-}
-
-// outcomeUsage lifts a wire outcome's resource fields into the shared type.
-func outcomeUsage(out Outcome) savanna.ResourceUsage {
-	return savanna.ResourceUsage{
-		CPUUserSeconds:   out.CPUUserSeconds,
-		CPUSystemSeconds: out.CPUSystemSeconds,
-		MaxRSSBytes:      out.MaxRSSBytes,
-	}
-}
-
-// noteResourcesLocked surfaces a settling run's accumulated cost on the
-// coordinator side: dispatch-span annotations, the fleet cost histograms and
-// a run.resources event. Call before endSpanLocked.
-func (co *coordinator) noteResourcesLocked(i int, runID, worker string, usage savanna.ResourceUsage) {
-	if usage.Zero() {
-		return
-	}
-	if co.spans[i] == nil {
-		co.attemptStartSpanLocked(i)
-	}
-	co.spans[i].Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
-		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-	co.e.hCPUSecs.Observe(usage.CPUSeconds())
-	co.e.hMaxRSS.Observe(float64(usage.MaxRSSBytes))
-	co.e.Events.Append(eventlog.Info, eventlog.RunResources, "", co.spanID(i),
-		telemetry.String("run", runID), telemetry.String("worker", worker),
-		telemetry.Float("cpu_s", usage.CPUSeconds()),
-		telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-}
-
-// provenanceLocked adds one run's provenance record — savanna's, so a remote
-// campaign's provenance is indistinguishable from a local one — to the
-// critical section's group (nothing without a store).
-func (co *coordinator) provenanceLocked(run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage savanna.ResourceUsage) {
-	if e := co.e; e.Prov != nil {
-		co.group.Provenance(savanna.RunProvenance(co.campaign, run, atomic.AddInt64(&e.attempt, 1),
-			status, elapsed, e.Memo, res, cached, usage))
 	}
 }

@@ -159,8 +159,6 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 	var rcfg resilience.Config
 	if e.Resilience != nil {
 		rcfg = *e.Resilience
-	} else if e.Retries > 0 {
-		rcfg.Retry = resilience.RetryPolicy{MaxAttempts: e.Retries + 1}
 	}
 	rcfg.Journal = journal
 	rcfg.Restore = append(rcfg.Restore, st.QuarantinedList()...)

@@ -336,8 +336,21 @@ func TestNoRecorderGoroutineOutlivesCampaign(t *testing.T) {
 		ln := listen(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		wctx, stopWorkers := context.WithCancel(context.Background())
+		// The normal campaign counts lease records below: no run of it ends
+		// before every worker has attached and started one.
+		attached := make(chan struct{})
+		var starters atomic.Int32
 		wait := startWorkers(t, wctx, ln.Addr().String(), c.workers, 1, func(string) savanna.Executor {
+			var once sync.Once
 			return execFn(func(_ context.Context, run cheetah.Run) error {
+				if c.name == "normal" {
+					once.Do(func() {
+						if int(starters.Add(1)) == c.workers {
+							close(attached)
+						}
+					})
+					<-attached
+				}
 				switch run.Params["i"] {
 				case c.cancelAt:
 					cancel()

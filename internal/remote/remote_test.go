@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -194,6 +195,17 @@ func TestRemoteRetryAndQuarantine(t *testing.T) {
 	}
 	if named == 0 {
 		t.Fatal("no journal record names a worker")
+	}
+}
+
+// TestRemoteRefusesMemoWithoutCache: a memo that could cache nothing is a
+// configuration error said when the campaign opens — before the engine
+// listens for anyone — not a campaign silently dispatched un-memoized.
+func TestRemoteRefusesMemoWithoutCache(t *testing.T) {
+	e := &Engine{Listener: listen(t), Memo: &savanna.Memo{ComponentDigest: "sha256:model-v1"}}
+	results, _, err := e.RunCampaign(context.Background(), "no-cache", testRuns(3))
+	if err == nil || results != nil {
+		t.Fatalf("RunCampaign with a cache-less memo: results %v, err %v; want it refused", results, err)
 	}
 }
 
@@ -565,33 +577,57 @@ func TestRemoteEventsAndSpans(t *testing.T) {
 // "expected lease-grant". Two goroutines join workers over and over against
 // a campaign that a steady worker keeps topping up. The grant lists the
 // memo's input digests and is marshalled before it takes the connection's
-// write lock, so a memo with many inputs (it needs no cache to be sent)
-// holds the window open long enough for a top-up to land in it on most
-// joins rather than one in tens of thousands.
+// write lock, so a memo with many inputs holds the window open long enough
+// for a top-up to land in it on most joins rather than one in tens of
+// thousands. Every lookup hashes those inputs too, so the campaign is small
+// and is kept going by failure instead of by size: the steady worker's runs
+// fail at once and are retried without end, each result a top-up, and only
+// the joiners' runs — one per join — ever succeed.
 func TestRemoteConcurrentJoinGrantFirst(t *testing.T) {
 	const joinsEach = 40
 	inputs := map[string]string{}
 	for i := 0; i < 2000; i++ {
 		inputs[fmt.Sprintf("input-%04d", i)] = fmt.Sprintf("sha256:%064x", i)
 	}
+	store, err := cas.Open(filepath.Join(t.TempDir(), "cas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := cas.OpenActionCache(filepath.Join(store.Root(), "actions.json"), store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln := listen(t)
 	addr := ln.Addr().String()
 	e := &Engine{Listener: ln, BatchSize: 4, LeaseTTL: 5 * time.Second,
-		Memo: &savanna.Memo{InputDigests: inputs}}
+		Memo:       &savanna.Memo{Cache: cache, InputDigests: inputs},
+		Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 1 << 30}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	campaignDone := make(chan struct{})
 	go func() {
 		defer close(campaignDone)
-		e.RunCampaign(ctx, "joins", testRuns(100000))
+		e.RunCampaign(ctx, "joins", testRuns(2*joinsEach+40))
 	}()
+	// The joiners start once the campaign is dispatching: a join during the
+	// lookups would time out waiting for a coordinator not yet accepting.
+	dispatching := make(chan struct{})
+	var first sync.Once
 	steadyDone := make(chan struct{})
 	go func() {
 		defer close(steadyDone)
 		steady := &Worker{Name: "steady", Addr: addr, Slots: 1, Heartbeat: time.Hour,
-			Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+			Executor: execFn(func(context.Context, cheetah.Run) error {
+				first.Do(func() { close(dispatching) })
+				return errors.New("not here")
+			})}
 		steady.Run(ctx)
 	}()
+	select {
+	case <-dispatching:
+	case <-steadyDone:
+		t.Fatal("the steady worker left before its first run")
+	}
 
 	var granted atomic.Int64
 	var joiners sync.WaitGroup

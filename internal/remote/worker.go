@@ -612,8 +612,8 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 	}
 }
 
-// execute runs one assignment locally: memo lookup, execution, memo record,
-// classification — the worker-side mirror of LocalEngine's attempt body.
+// execute runs one assignment locally — memo lookup, then savanna.Attempt,
+// the attempt body LocalEngine runs — and reports it as a wire outcome.
 // parent is the coordinator dispatch span's wire identity (invalid when the
 // coordinator traces nothing), wait the run's local queue wait.
 func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, parent telemetry.SpanContext, wait time.Duration) Outcome {
@@ -623,38 +623,25 @@ func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.M
 		telemetry.Float("queue_wait_s", wait.Seconds()))
 	w.hQueueWait.Observe(wait.Seconds())
 	start := time.Now()
-	if memo != nil {
-		if res, ok := memo.Lookup(run); ok {
-			w.mCached.Inc()
-			span.End(telemetry.Bool("cached", true))
-			w.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(),
-				telemetry.String("run", run.ID))
-			return Outcome{RunID: run.ID, OK: true, Cached: true,
-				Seconds: time.Since(start).Seconds(), Outputs: digestStrings(res)}
-		}
+	if res, ok := memo.Lookup(run); ok {
+		w.mCached.Inc()
+		span.End(telemetry.Bool("cached", true))
+		w.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(),
+			telemetry.String("run", run.ID))
+		return Outcome{RunID: run.ID, OK: true, Cached: true,
+			Seconds: time.Since(start).Seconds(), Outputs: savanna.OutputDigests(res)}
 	}
 	w.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.String("worker", s.name))
-	// Measure what the run costs, not just how long it takes: the executor
-	// accumulates rusage into the sink, the span and histograms surface it
-	// locally, and the Outcome ships it to the coordinator.
-	var usage savanna.ResourceUsage
-	ctx = savanna.WithResourceSink(ctx, &usage)
-	var err error
-	if cx, ok := w.Executor.(savanna.ContextExecutor); ok {
-		err = cx.ExecuteContext(ctx, run)
-	} else {
-		err = w.Executor.Execute(run)
-	}
-	var outputs map[string]string
-	if err == nil && memo != nil {
-		var res cas.ActionResult
-		if res, err = memo.Record(run); err == nil {
-			outputs = digestStrings(res)
-		}
-	}
-	seconds := time.Since(start).Seconds()
-	w.hRunSecs.Observe(seconds)
+	// Measure what the run costs, not just how long it takes: the span and
+	// histograms surface the attempt's rusage locally, and the Outcome ships
+	// it to the coordinator.
+	res := savanna.Attempt(ctx, w.Executor, memo, run, 0)
+	usage := res.Usage
+	out := Outcome{RunID: run.ID, OK: res.Err == nil, Seconds: time.Since(start).Seconds(),
+		CPUUserSeconds: usage.CPUUserSeconds, CPUSystemSeconds: usage.CPUSystemSeconds,
+		MaxRSSBytes: usage.MaxRSSBytes}
+	w.hRunSecs.Observe(out.Seconds)
 	if !usage.Zero() {
 		span.Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
 			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
@@ -665,33 +652,18 @@ func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.M
 			telemetry.Float("cpu_s", usage.CPUSeconds()),
 			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
 	}
-	if err != nil {
+	if res.Err != nil {
+		out.Err, out.Class = res.Err.Error(), string(res.Class)
 		w.mFailed.Inc()
 		span.End(telemetry.String("status", "failed"))
-		w.Events.Append(eventlog.Error, eventlog.RunFailed, err.Error(), span.ID(),
+		w.Events.Append(eventlog.Error, eventlog.RunFailed, out.Err, span.ID(),
 			telemetry.String("run", run.ID), telemetry.String("worker", s.name))
-		return Outcome{RunID: run.ID, Seconds: seconds,
-			Err: err.Error(), Class: string(resilience.Classify(err)),
-			CPUUserSeconds: usage.CPUUserSeconds, CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes: usage.MaxRSSBytes}
+		return out
 	}
+	out.Outputs = res.Outputs
 	w.mExecuted.Inc()
 	span.End(telemetry.String("status", "succeeded"))
 	w.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.String("worker", s.name))
-	return Outcome{RunID: run.ID, OK: true, Seconds: seconds, Outputs: outputs,
-		CPUUserSeconds: usage.CPUUserSeconds, CPUSystemSeconds: usage.CPUSystemSeconds,
-		MaxRSSBytes: usage.MaxRSSBytes}
-}
-
-// digestStrings renders an action result's outputs for the wire.
-func digestStrings(res cas.ActionResult) map[string]string {
-	if len(res.Outputs) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(res.Outputs))
-	for k, d := range res.Outputs {
-		out[k] = string(d)
-	}
 	return out
 }

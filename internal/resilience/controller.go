@@ -63,16 +63,20 @@ type Controller struct {
 	cfg Config
 	q   *Quarantine
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	succeeded   int
-	cached      int
-	failed      int
-	quarantined int
-	skipped     int
-	retries     int
-	aborted     bool
-	reason      string
+	mu  sync.Mutex
+	rng *rand.Rand
+	// tally is the report under construction; Report adds Total and Points.
+	tally CompletenessReport
+}
+
+// Controller builds the runtime for one campaign execution from an engine's
+// optional configuration: nil is the zero Config — one attempt per run, no
+// quarantine, no journal, no stop condition.
+func (cfg *Config) Controller() *Controller {
+	if cfg == nil {
+		return NewController(Config{})
+	}
+	return NewController(*cfg)
 }
 
 // NewController builds the runtime for one campaign execution.
@@ -156,33 +160,34 @@ const (
 func (c *Controller) NoteOutcome(kind string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	t := &c.tally
 	switch kind {
 	case OutcomeSucceeded:
-		c.succeeded++
+		t.Succeeded++
 	case OutcomeCached:
-		c.cached++
+		t.Cached++
 	case OutcomeFailed:
-		c.failed++
+		t.Failed++
 	case OutcomeQuarantined:
-		c.quarantined++
+		t.Quarantined++
 	case OutcomeSkipped:
-		c.skipped++
+		t.Skipped++
 	}
-	if c.aborted || c.cfg.Stop.MaxFailureFraction <= 0 {
+	if t.Aborted || c.cfg.Stop.MaxFailureFraction <= 0 {
 		return false
 	}
 	min := c.cfg.Stop.MinCompleted
 	if min <= 0 {
 		min = 5
 	}
-	terminal := c.succeeded + c.cached + c.failed + c.quarantined
+	terminal := t.Succeeded + t.Cached + t.Failed + t.Quarantined
 	if terminal < min {
 		return false
 	}
-	frac := float64(c.failed+c.quarantined) / float64(terminal)
+	frac := float64(t.Failed+t.Quarantined) / float64(terminal)
 	if frac > c.cfg.Stop.MaxFailureFraction {
-		c.aborted = true
-		c.reason = fmt.Sprintf("failure fraction %.2f exceeds %.2f after %d runs",
+		t.Aborted = true
+		t.Reason = fmt.Sprintf("failure fraction %.2f exceeds %.2f after %d runs",
 			frac, c.cfg.Stop.MaxFailureFraction, terminal)
 		return true
 	}
@@ -193,7 +198,7 @@ func (c *Controller) NoteOutcome(kind string) bool {
 // a metric).
 func (c *Controller) NoteRetry() {
 	c.mu.Lock()
-	c.retries++
+	c.tally.Retries++
 	c.mu.Unlock()
 }
 
@@ -201,9 +206,8 @@ func (c *Controller) NoteRetry() {
 // wins).
 func (c *Controller) Abort(reason string) {
 	c.mu.Lock()
-	if !c.aborted {
-		c.aborted = true
-		c.reason = reason
+	if !c.tally.Aborted {
+		c.tally.Aborted, c.tally.Reason = true, reason
 	}
 	c.mu.Unlock()
 }
@@ -212,7 +216,7 @@ func (c *Controller) Abort(reason string) {
 func (c *Controller) Aborted() (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reason, c.aborted
+	return c.tally.Reason, c.tally.Aborted
 }
 
 // CompletenessReport is the campaign's final accounting: every run ends in
@@ -261,16 +265,7 @@ func (r CompletenessReport) WriteFile(path string) error {
 func (c *Controller) Report(total int) CompletenessReport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CompletenessReport{
-		Total:       total,
-		Succeeded:   c.succeeded,
-		Cached:      c.cached,
-		Failed:      c.failed,
-		Quarantined: c.quarantined,
-		Skipped:     c.skipped,
-		Retries:     c.retries,
-		Aborted:     c.aborted,
-		Reason:      c.reason,
-		Points:      c.q.List(),
-	}
+	r := c.tally
+	r.Total, r.Points = total, c.q.List()
+	return r
 }

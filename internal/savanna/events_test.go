@@ -1,6 +1,7 @@
 package savanna
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ func TestLocalEngineEventJournal(t *testing.T) {
 	tracer := telemetry.NewTracer()
 	log := eventlog.NewLog()
 	eng := &LocalEngine{Executor: reg, Workers: 2, Tracer: tracer, Events: log}
-	if _, err := eng.RunAll("test", runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), "test", runs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -39,9 +39,11 @@ type Memo struct {
 	Restore func(run cheetah.Run, outputs map[string]cas.Digest) error
 }
 
-// validate checks the memo configuration.
-func (m *Memo) validate() error {
-	if m.Cache == nil {
+// Validate checks the memo configuration. The engines call it once, when a
+// campaign opens, and refuse to run with a memo that could cache nothing; no
+// memo at all (nil) is a valid configuration.
+func (m *Memo) Validate() error {
+	if m != nil && m.Cache == nil {
 		return fmt.Errorf("savanna: memo needs an action cache")
 	}
 	return nil
@@ -66,9 +68,14 @@ func (m *Memo) recipeDigest(run cheetah.Run) cas.Digest {
 	return cas.Recipe{Kind: runRecipeKind, Params: params, Inputs: inputs}.Digest()
 }
 
-// lookup checks for a usable cached result, restoring outputs when
-// configured. The bool reports a hit.
-func (m *Memo) lookup(run cheetah.Run) (cas.ActionResult, bool) {
+// Lookup checks for a usable cached result, restoring outputs when
+// configured; the bool reports a hit. A nil memo never hits. LocalEngine and
+// the remote coordinator short-circuit already-computed runs with it before
+// placing them, workers against their own (possibly shared) store.
+func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) {
+	if m == nil {
+		return cas.ActionResult{}, false
+	}
 	res, ok := m.Cache.Get(m.recipeDigest(run))
 	if !ok {
 		return cas.ActionResult{}, false
@@ -81,9 +88,13 @@ func (m *Memo) lookup(run cheetah.Run) (cas.ActionResult, bool) {
 	return res, true
 }
 
-// record ingests a successful run's outputs into the store and caches the
-// result under the run's recipe.
-func (m *Memo) record(run cheetah.Run) (cas.ActionResult, error) {
+// Record ingests a successful run's outputs into the store and caches the
+// result under the run's recipe, so only digests travel on (into provenance,
+// or back from a remote worker). A nil memo records nothing.
+func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) {
+	if m == nil {
+		return cas.ActionResult{}, nil
+	}
 	outputs := map[string]cas.Digest{}
 	if m.Collect != nil {
 		paths, err := m.Collect(run)
@@ -110,21 +121,6 @@ func (m *Memo) record(run cheetah.Run) (cas.ActionResult, error) {
 	return res, nil
 }
 
-// Validate checks the memo configuration — the exported form engines
-// outside this package (internal/remote) gate on.
-func (m *Memo) Validate() error { return m.validate() }
-
-// Lookup checks for a usable cached result, restoring outputs when
-// configured; the bool reports a hit. Exported for the remote engine: the
-// coordinator short-circuits already-computed runs before dispatching, and
-// workers short-circuit against their own (possibly shared) store.
-func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) { return m.lookup(run) }
-
-// Record ingests a successful run's outputs into the store and caches the
-// result under the run's recipe (exported for the remote worker, which
-// pushes outputs by digest instead of shipping bytes back).
-func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) { return m.record(run) }
-
 // provenanceInputs renders the memo's key material as a provenance Inputs
 // map (name → digest) — the gauge ontology's input-digest term made real.
 func (m *Memo) provenanceInputs() map[string]string {
@@ -144,9 +140,9 @@ func (m *Memo) provenanceInputs() map[string]string {
 	return in
 }
 
-// provenanceOutputs renders an action result's outputs as a provenance
-// Outputs map.
-func provenanceOutputs(res cas.ActionResult) map[string]string {
+// OutputDigests renders an action result's outputs as provenance and the
+// remote wire carry them: output name → digest, nil when there are none.
+func OutputDigests(res cas.ActionResult) map[string]string {
 	if len(res.Outputs) == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package savanna
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,7 +48,7 @@ func newMemo(t *testing.T, dir string) *Memo {
 	}}
 }
 
-// TestMemoSkipsWarmRuns: a second RunAll over the same campaign executes
+// TestMemoSkipsWarmRuns: a second RunCampaign over the same campaign executes
 // nothing — every run is a cache hit, reported Cached and succeeded.
 func TestMemoSkipsWarmRuns(t *testing.T) {
 	dir := t.TempDir()
@@ -61,7 +62,7 @@ func TestMemoSkipsWarmRuns(t *testing.T) {
 	memo := newMemo(t, dir)
 	eng := &LocalEngine{Executor: reg, Workers: 4, Memo: memo}
 
-	cold, err := eng.RunAll(m.Campaign.Name, m.Runs)
+	cold, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestMemoSkipsWarmRuns(t *testing.T) {
 		}
 	}
 
-	warm, err := eng.RunAll(m.Campaign.Name, m.Runs)
+	warm, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,12 @@ func TestMemoInvalidatedByComponentAndInputs(t *testing.T) {
 	})
 	memo := newMemo(t, dir)
 	eng := &LocalEngine{Executor: reg, Workers: 2, Memo: memo}
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 
 	memo.ComponentDigest = "sha256:model-v2" // regenerated workflow
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(&executions); got != 8 {
@@ -114,7 +115,7 @@ func TestMemoInvalidatedByComponentAndInputs(t *testing.T) {
 	}
 
 	memo.InputDigests["genotypes"] = string(cas.HashBytes([]byte("new dataset")))
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt64(&executions); got != 12 {
@@ -137,10 +138,10 @@ func TestMemoFailedRunsAreNotCached(t *testing.T) {
 		return nil
 	})
 	eng := &LocalEngine{Executor: reg, Workers: 1, Memo: newMemo(t, dir)}
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunAll(m.Campaign.Name, m.Runs)
+	res, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestMemoCollectRestoreRoundTrip(t *testing.T) {
 	}
 	prov := provenance.NewStore()
 	eng := &LocalEngine{Executor: reg, Workers: 1, Memo: memo, Prov: prov}
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join(outDir, "result-2.txt"))
@@ -201,7 +202,7 @@ func TestMemoCollectRestoreRoundTrip(t *testing.T) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.RunAll(m.Campaign.Name, m.Runs)
+	res, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package savanna
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -25,7 +26,7 @@ func TestCatalogExecutorCollectsMetrics(t *testing.T) {
 		Catalog: cat,
 	}
 	eng := &LocalEngine{Executor: exe, Workers: 3}
-	results, err := eng.RunAll(campaign.Name, m.Runs)
+	results, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}

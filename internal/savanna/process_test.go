@@ -114,7 +114,7 @@ func TestProcessExecutorThroughLocalEngine(t *testing.T) {
 		WorkRoot: root,
 	}
 	eng := &LocalEngine{Executor: exe, Workers: 3}
-	results, err := eng.RunAll(campaign.Name, m.Runs)
+	results, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestLocalEngineLegacyDirectory(t *testing.T) {
 		}
 	}
 	eng := &LocalEngine{Executor: okExecutor(), Workers: 2, CampaignDir: dir}
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs[:2]); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs[:2]); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := cheetah.Status(dir)
@@ -446,7 +446,7 @@ func TestProvenanceAppendErrorsAreLoud(t *testing.T) {
 	}
 	events, reg := eventlog.NewLog(), telemetry.NewRegistry()
 	eng := &LocalEngine{Executor: okExecutor(), Workers: 1, Prov: prov, Events: events, Metrics: reg}
-	if _, err := eng.RunAll(m.Campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	if got := countEvents(t, events, eventlog.CampaignProvenance, eventlog.Warn); got != 1 {

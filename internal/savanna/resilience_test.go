@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,7 +77,7 @@ func TestLocalEngineChaosZeroLostRuns(t *testing.T) {
 
 	baselineDir := t.TempDir()
 	baseline := &chaoticExecutor{rng: rand.New(rand.NewSource(1)), p: 0, outDir: baselineDir}
-	if _, err := (&LocalEngine{Executor: baseline, Workers: 4}).RunAll("test", runs); err != nil {
+	if _, _, err := (&LocalEngine{Executor: baseline, Workers: 4}).RunCampaign(context.Background(), "test", runs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,6 +279,134 @@ func TestLocalEngineStopConditionAborts(t *testing.T) {
 	if !sawAbort {
 		t.Fatal("no campaign.aborted event")
 	}
+}
+
+// TestAbortLeavesRunsUnderWayTheirRetries pins what the in-process engines do
+// with a transient failure that settles after the stop condition tripped — a
+// case only more than one worker, or node, can produce. LocalEngine lets the
+// run use its budget (only a cancelled campaign halts its retries); SimEngine
+// grants the retry too, and the run parked on its backoff is then cleared
+// with the queue and skipped. Neither ends it failed with budget left. And no
+// run starts after the trip: the one LocalEngine was holding for the next free
+// worker is skipped like the rest (the report's one failed, two skipped).
+func TestAbortLeavesRunsUnderWayTheirRetries(t *testing.T) {
+	cfg := func(journal *resilience.Journal) *resilience.Config {
+		return &resilience.Config{
+			Retry:   resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Minute},
+			Stop:    resilience.StopPolicy{MaxFailureFraction: 0.5, MinCompleted: 1},
+			Journal: journal, Sleep: noSleep,
+		}
+	}
+	// verbs reads back what the journal says happened to run id.
+	verbs := func(t *testing.T, path, id string) string {
+		recs, err := resilience.ReadJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range recs {
+			if r.Run == id {
+				out = append(out, fmt.Sprintf("%s/%d", r.Event, r.Attempt))
+			}
+		}
+		return strings.Join(out, " ")
+	}
+
+	t.Run("local", func(t *testing.T) {
+		runs, err := testCampaign(4).EnumerateRuns()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "attempts.jsonl")
+		journal, err := resilience.OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := eventlog.NewLog()
+		aborted := func() bool {
+			for _, ev := range events.Snapshot() {
+				if ev.Type == eventlog.CampaignAborted {
+					return true
+				}
+			}
+			return false
+		}
+		var slow int32
+		reg := NewFuncRegistry("work")
+		reg.Register("work", func(params map[string]string) error {
+			// Run 0 is under way before anything fails, and its first attempt
+			// fails only once another worker's failure has tripped the stop
+			// condition.
+			wait := func(cond func() bool) {
+				for deadline := time.Now().Add(10 * time.Second); !cond() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if params["i"] != "0" {
+				wait(func() bool { return atomic.LoadInt32(&slow) > 0 })
+				return resilience.MarkPermanent(fmt.Errorf("broken"))
+			}
+			if atomic.AddInt32(&slow, 1) > 1 {
+				return nil
+			}
+			wait(aborted)
+			return fmt.Errorf("flaky")
+		})
+		eng := &LocalEngine{Executor: reg, Workers: 2, Events: events, Resilience: cfg(journal)}
+		results, report, err := eng.RunCampaign(context.Background(), "test", runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Close()
+		if r := results[0]; r.Status != provenance.StatusSucceeded || r.Attempts != 2 {
+			t.Errorf("the run under way ended %+v, want succeeded on its second attempt", r)
+		}
+		want := resilience.CompletenessReport{Total: 4, Succeeded: 1, Failed: 1, Skipped: 2, Retries: 1, Aborted: true, Reason: report.Reason}
+		if report.Points = nil; !reflect.DeepEqual(report, want) {
+			t.Errorf("report %+v, want %+v", report, want)
+		}
+		if got := verbs(t, path, runs[0].ID); got != "start/1 failure/1 start/2 success/2" {
+			t.Errorf("journal of the run under way: %s", got)
+		}
+	})
+
+	t.Run("sim", func(t *testing.T) {
+		runs := simRuns(t, 4)
+		path := filepath.Join(t.TempDir(), "attempts.jsonl")
+		journal, err := resilience.OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two nodes: run 0 takes 20 s and fails transiently, run 1 takes 10 s
+		// and fails for good — the latch trips while run 0 is executing.
+		e := &SimEngine{
+			Durations: func(run cheetah.Run, _ *rand.Rand) float64 {
+				if run.ID == runs[0].ID {
+					return 20
+				}
+				return 10
+			},
+			FaultModel: func(run cheetah.Run, _ int, _ *rand.Rand) error {
+				if run.ID == runs[0].ID {
+					return fmt.Errorf("flaky")
+				}
+				return resilience.MarkPermanent(fmt.Errorf("broken"))
+			},
+			Resilience: cfg(journal),
+		}
+		out, err := e.RunToCompletion(runs, 2, 3600, Dynamic, 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Close()
+		want := resilience.CompletenessReport{Total: 4, Failed: 1, Skipped: 3, Retries: 1, Aborted: true, Reason: out.Report.Reason}
+		if out.Report.Points = nil; !reflect.DeepEqual(out.Report, want) {
+			t.Errorf("report %+v, want %+v", out.Report, want)
+		}
+		if got := verbs(t, path, runs[0].ID); got != "start/1 failure/1 skipped/1" {
+			t.Errorf("journal of the run under way: %s", got)
+		}
+	})
 }
 
 // TestLocalEngineRunDeadline: an attempt that overruns the per-run deadline

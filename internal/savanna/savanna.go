@@ -19,10 +19,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
@@ -122,7 +120,8 @@ type RunResult struct {
 }
 
 // LocalEngine executes manifests in-process with a bounded worker pool (the
-// "nodes" of a local pilot).
+// "nodes" of a local pilot). What happens to each run is the Lifecycle's to
+// decide; the engine supplies the pool, the wall clock and the backoff sleep.
 type LocalEngine struct {
 	// Executor performs each run.
 	Executor Executor
@@ -135,23 +134,20 @@ type LocalEngine struct {
 	// directory schema: one line per transition appended to its status.log,
 	// fsynced once when the campaign returns.
 	CampaignDir string
-	// Retries re-executes a failed run up to this many extra times before
-	// recording it failed — the legacy knob, equivalent to a Resilience
-	// config of {Retry: {MaxAttempts: Retries + 1}}. Ignored when Resilience
-	// is set.
-	Retries int
 	// Resilience, when non-nil, arms the full fault-tolerance stack:
 	// classified retries with decorrelated-jitter backoff, per-run
 	// deadlines, sweep-point quarantine, the journaled attempt log that
-	// fairctl resume replays, and the campaign-level stop condition.
+	// fairctl resume replays, and the campaign-level stop condition. Nil is
+	// the zero Config: one attempt per run, nothing else.
 	Resilience *resilience.Config
 	// Memo, when non-nil, memoizes whole runs: a run whose (component
 	// digest, sweep point, input digests) recipe is already cached is
 	// skipped entirely, and successful executions are recorded for the
-	// next campaign re-run or resume.
+	// next campaign re-run or resume. A memo without a cache is refused when
+	// the campaign opens.
 	Memo *Memo
 	// Tracer, when non-nil, records one "savanna.campaign" span per
-	// RunAll/RunSets call and one "savanna.run" span per run under it
+	// RunCampaign/RunSets call and one "savanna.run" span per run under it
 	// (annotated cached/failed), using the tracer's clock.
 	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives the engine instruments:
@@ -170,35 +166,6 @@ type LocalEngine struct {
 	attempt int64
 	// probe is the recorder's test seam (RecorderConfig.Probe).
 	probe func(RecorderStage, []resilience.AttemptRecord) bool
-
-	// telOnce resolves the instruments once so executeOne never touches the
-	// registry lock.
-	telOnce      sync.Once
-	mExecuted    *telemetry.Counter
-	mCached      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	hRunSecs     *telemetry.Histogram
-	hAttempts    *telemetry.Histogram
-	hCPUSecs     *telemetry.Histogram
-	hMaxRSS      *telemetry.Histogram
-}
-
-// telemetryInit resolves the engine's instruments (no-ops when Metrics is
-// nil: nil instruments swallow updates).
-func (e *LocalEngine) telemetryInit() {
-	e.telOnce.Do(func() {
-		e.mExecuted = e.Metrics.Counter("savanna.runs_executed_total")
-		e.mCached = e.Metrics.Counter("savanna.runs_cached_total")
-		e.mFailed = e.Metrics.Counter("savanna.runs_failed_total")
-		e.mRetries = e.Metrics.Counter("savanna.retries_total")
-		e.mQuarantined = e.Metrics.Counter("savanna.quarantined_total")
-		e.hRunSecs = e.Metrics.Histogram("savanna.run_seconds", nil)
-		e.hAttempts = e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13})
-		e.hCPUSecs = e.Metrics.Histogram("savanna.run_cpu_seconds", nil)
-		e.hMaxRSS = e.Metrics.Histogram("savanna.run_max_rss_bytes", RSSBuckets)
-	})
 }
 
 // validate checks the engine configuration.
@@ -209,383 +176,126 @@ func (e *LocalEngine) validate() error {
 	if e.Workers < 1 {
 		return fmt.Errorf("savanna: engine needs ≥1 worker")
 	}
-	return nil
+	return e.Memo.Validate()
 }
 
-// controller builds the campaign's resilience runtime. Without an explicit
-// Resilience config the legacy Retries knob is honoured: immediate retries,
-// no quarantine, no journal, no stop condition.
-func (e *LocalEngine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{
-		Retry: resilience.RetryPolicy{MaxAttempts: e.Retries + 1},
-	})
-}
-
-// openRecorder starts the campaign's recorder over the engine's sinks.
-func (e *LocalEngine) openRecorder(campaign string, span *telemetry.Span, rc *resilience.Controller) *Recorder {
-	return OpenRecorder(RecorderConfig{Engine: "local", Campaign: campaign, Span: span.ID(),
-		Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe})
-}
-
-// RunAll executes the given runs with dynamic scheduling: workers pull the
-// next run as soon as they free up. Results are returned in the input
-// order.
-func (e *LocalEngine) RunAll(campaign string, runs []cheetah.Run) ([]RunResult, error) {
-	results, _, err := e.RunCampaign(context.Background(), campaign, runs)
-	return results, err
-}
-
-// RunCampaign is RunAll with the full fault-tolerance contract surfaced: the
-// context cancels the campaign (in-flight runs are killed, undispatched runs
-// journal as skipped — exactly the state "fairctl resume" restarts from),
-// and the returned CompletenessReport accounts for every run whether or not
-// the campaign ran to the end.
+// RunCampaign executes the given runs with dynamic scheduling: workers pull
+// the next run as soon as they free up, and results are returned in the input
+// order. The context cancels the campaign (in-flight runs are killed, runs
+// not yet started journal as skipped — exactly the state "fairctl resume"
+// restarts from), and the returned CompletenessReport accounts for every run
+// whether or not the campaign ran to the end.
 func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []cheetah.Run) ([]RunResult, resilience.CompletenessReport, error) {
-	if err := e.validate(); err != nil {
-		return nil, resilience.CompletenessReport{}, err
-	}
-	e.telemetryInit()
-	rc := e.controller()
-	ctx, campaignSpan := e.Tracer.Start(ctx, "savanna.campaign",
-		telemetry.String("campaign", campaign),
-		telemetry.String("discipline", "dynamic"),
-		telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
-		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
-	rec := e.openRecorder(campaign, campaignSpan, rc)
-	results := make([]RunResult, len(runs))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < e.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var g Group // this worker's, reused run after run
-			for i := range work {
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc, rec, &g)
-			}
-		}()
-	}
-	var g Group
-	for i := range runs {
-		if _, aborted := rc.Aborted(); aborted || ctx.Err() != nil {
-			results[i] = e.skipOne(campaign, runs[i], rc, rec, &g)
-			continue
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	report := e.finishCampaign(campaign, campaignSpan, rc, rec, len(runs))
-	return results, report, nil
-}
-
-// finishCampaign closes the recorder — everything posted is written, the
-// status log and the journal are fsynced — then closes the campaign span,
-// emits the abort/done events and renders the completeness report (shared by
-// both disciplines).
-func (e *LocalEngine) finishCampaign(campaign string, span *telemetry.Span, rc *resilience.Controller, rec *Recorder, total int) resilience.CompletenessReport {
-	rec.Close()
-	if reason, aborted := rc.Aborted(); aborted {
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-			telemetry.String("campaign", campaign))
-	}
-	span.End()
-	e.Events.Append(eventlog.Info, eventlog.CampaignDone, campaign, span.ID(),
-		telemetry.String("campaign", campaign))
-	return rc.Report(total)
+	return e.run(ctx, campaign, "dynamic", runs, max(len(runs), 1))
 }
 
 // RunSets executes runs in barrier-synchronized sets of setSize — the
 // baseline discipline. All runs of a set must finish before the next set
 // starts, so one straggler idles every other worker.
 func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) ([]RunResult, error) {
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
 	if setSize < 1 {
 		return nil, fmt.Errorf("savanna: set size must be ≥1")
 	}
-	e.telemetryInit()
-	rc := e.controller()
-	ctx, campaignSpan := e.Tracer.Start(context.Background(), "savanna.campaign",
+	results, _, err := e.run(context.Background(), campaign, "set-synchronized", runs, setSize)
+	return results, err
+}
+
+// run is one campaign: its span and start event, its resilience runtime, its
+// recorder over the engine's sinks, the lifecycle that decides every run, and
+// the runs themselves, setSize at a time over the engine's workers — each
+// pulling the next run of the set as soon as it frees up; a set ending is the
+// barrier.
+func (e *LocalEngine) run(ctx context.Context, campaign, discipline string, runs []cheetah.Run, setSize int) ([]RunResult, resilience.CompletenessReport, error) {
+	if err := e.validate(); err != nil {
+		return nil, resilience.CompletenessReport{}, err
+	}
+	rc := e.Resilience.Controller()
+	ctx, span := e.Tracer.Start(ctx, "savanna.campaign",
 		telemetry.String("campaign", campaign),
-		telemetry.String("discipline", "set-synchronized"),
+		telemetry.String("discipline", discipline),
 		telemetry.Int("runs", len(runs)))
-	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, campaignSpan.ID(),
+	e.Events.Append(eventlog.Info, eventlog.CampaignStart, campaign, span.ID(),
 		telemetry.String("campaign", campaign), telemetry.Int("runs", len(runs)))
-	rec := e.openRecorder(campaign, campaignSpan, rc)
+	lc := &Lifecycle{Campaign: campaign, Span: span.ID(), Controller: rc, Memo: e.Memo, Events: e.Events,
+		Metrics: NewInstruments(e.Metrics, "savanna", "runs_executed_total")}
+	if e.Prov != nil {
+		lc.Seq = &e.attempt
+	}
+	rec := OpenRecorder(RecorderConfig{Engine: "local", Campaign: campaign, Span: span.ID(),
+		Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe})
 	results := make([]RunResult, len(runs))
 	for lo := 0; lo < len(runs); lo += setSize {
-		hi := lo + setSize
-		if hi > len(runs) {
-			hi = len(runs)
-		}
+		work := make(chan int)
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, e.Workers)
-		for i := lo; i < hi; i++ {
-			if _, aborted := rc.Aborted(); aborted {
-				results[i] = e.skipOne(campaign, runs[i], rc, rec, new(Group))
-				continue
-			}
-			i := i
+		for w := 0; w < e.Workers; w++ {
 			wg.Add(1)
-			sem <- struct{}{}
 			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
-				results[i] = e.executeOne(ctx, campaign, runs[i], rc, rec, new(Group))
+				var g Group // this worker's, reused run after run
+				for i := range work {
+					results[i] = e.runOne(ctx, lc, rec, runs[i], &g)
+				}
 			}()
 		}
-		wg.Wait() // the set barrier
+		for i := lo; i < min(lo+setSize, len(runs)); i++ {
+			work <- i
+		}
+		close(work)
+		wg.Wait()
 	}
-	e.finishCampaign(campaign, campaignSpan, rc, rec, len(runs))
-	return results, nil
+	return results, lc.Finish(rec, span, len(runs)), nil
 }
 
-// execute performs one attempt, applying the per-run deadline and routing
-// through ExecuteContext when the executor supports cancellation.
-func (e *LocalEngine) execute(ctx context.Context, run cheetah.Run, rc *resilience.Controller) error {
-	if d := rc.RunDeadline(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if cx, ok := e.Executor.(ContextExecutor); ok {
-		return cx.ExecuteContext(ctx, run)
-	}
-	return e.Executor.Execute(run)
-}
-
-// skipOne records a run the campaign never dispatched (abort latch tripped
-// or the campaign context was cancelled first). Skipped runs journal as
-// skipped and get no status line (they stay pending), so both resume paths —
-// the attempt journal and the campaign directory — list them as still owed.
-func (e *LocalEngine) skipOne(campaign string, run cheetah.Run, rc *resilience.Controller, rec *Recorder, g *Group) RunResult {
-	g.Journal(rc.Record(run.ID, PointKey(run), 0, resilience.AttemptSkipped, "", "", nil))
-	rc.NoteOutcome(resilience.OutcomeSkipped)
-	e.provenance(g, campaign, run, provenance.StatusSkipped, 0, cas.ActionResult{}, false, ResourceUsage{})
-	rec.Post(g)
-	return RunResult{Run: run, Status: provenance.StatusSkipped}
-}
-
-// executeOne takes one run from memo lookup to its terminal outcome. What
-// each step must leave behind goes into g and is posted to the recorder: the
-// start of an attempt before it executes, a failed attempt before its
-// backoff, the terminal record together with its status line and provenance.
-func (e *LocalEngine) executeOne(ctx context.Context, campaign string, run cheetah.Run, rc *resilience.Controller, rec *Recorder, g *Group) RunResult {
+// runOne drives one run through the lifecycle on this goroutine, against the
+// wall clock, and posts each step as it is decided: the start of an attempt
+// before it executes, a failed attempt before its backoff, the terminal
+// record together with its status line and provenance — and only then is the
+// outcome tallied, so a run skipped because this one tripped the stop
+// condition is journaled after it. A run is skipped when the worker that
+// picks it up finds the abort latch tripped or the campaign cancelled: no run
+// starts after either. A cancelled campaign retries nothing; an aborted one
+// lets a run under way use its budget.
+func (e *LocalEngine) runOne(ctx context.Context, lc *Lifecycle, rec *Recorder, run cheetah.Run, g *Group) RunResult {
 	start := time.Now()
+	r := NewRunState(run)
+	if _, aborted := lc.Controller.Aborted(); aborted || ctx.Err() != nil {
+		lc.Skip(&r, g)
+		rec.Post(g)
+		return r.Result
+	}
 	runCtx, span := e.Tracer.Start(ctx, "savanna.run", telemetry.String("run", run.ID))
+	r.Span = span
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(), telemetry.String("run", run.ID))
-	// Per-run resource sink: the executor accumulates each attempt's rusage
-	// into it, and the settled total lands on the span, the cost histograms
-	// and the provenance record.
-	var usage ResourceUsage
-	runCtx = WithResourceSink(runCtx, &usage)
-	point := PointKey(run)
-	q := rc.Quarantine()
-
-	// Memoized skip path: an unchanged (component, sweep point, inputs)
-	// recipe means this run's outputs already exist — record it succeeded
-	// without executing anything.
-	if e.Memo != nil && e.Memo.validate() == nil {
-		if cached, ok := e.Memo.lookup(run); ok {
-			elapsed := time.Since(start)
-			g.Journal(rc.Record(run.ID, point, 0, resilience.AttemptCached, "", "", nil))
-			g.Status(run.ID, cheetah.RunSucceeded)
-			e.provenance(g, campaign, run, provenance.StatusSucceeded, elapsed, cached, true, ResourceUsage{})
-			rec.Post(g)
-			rc.NoteOutcome(resilience.OutcomeCached)
-			e.mCached.Inc()
-			e.hRunSecs.Observe(elapsed.Seconds())
-			span.End(telemetry.Bool("cached", true))
-			e.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(), telemetry.String("run", run.ID))
-			return RunResult{Run: run, Status: provenance.StatusSucceeded, Seconds: elapsed.Seconds(), Cached: true}
-		}
+	if cached, ok := e.Memo.Lookup(run); ok {
+		lc.Cached(&r, g, "", OutputDigests(cached), time.Since(start))
+	} else {
+		lc.Admit(&r, g, "")
 	}
-
-	// Quarantine gate: a sweep point already side-lined (by an earlier run at
-	// the same point, or restored from a resumed journal) fails without
-	// spending an attempt.
-	if !q.Allow(point) {
-		return e.quarantineOne(campaign, run, span, rc, rec, g, point, 0, nil)
-	}
-
-	g.Status(run.ID, cheetah.RunRunning)
-
-	maxAttempts := rc.Attempts()
-	var (
-		err      error
-		recorded cas.ActionResult
-		attempt  int
-		prev     time.Duration
-	)
-	for {
-		attempt++
-		g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptStart, "", "", nil))
+	for !r.Terminal() {
+		lc.Begin(&r, g)
 		rec.Post(g)
-		err = e.execute(runCtx, run, rc)
-		if err == nil && e.Memo != nil && e.Memo.validate() == nil {
-			recorded, err = e.Memo.record(run) // a failed record is a failed run: its reuse contract is broken
-		}
-		if err == nil {
-			q.NoteSuccess(point)
-			g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptSuccess, "", "", nil))
-			break
-		}
-		class := resilience.Classify(err)
-		g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptFailure, "", class, err))
-		if q.NoteFailure(point) {
-			return e.quarantineOne(campaign, run, span, rc, rec, g, point, attempt, err)
-		}
-		if !class.Retryable() || attempt >= maxAttempts || ctx.Err() != nil {
+		out := Attempt(runCtx, e.Executor, e.Memo, run, lc.Controller.RunDeadline())
+		out.Elapsed = time.Since(start)
+		d := lc.Settle(&r, g, out, out.Err != nil && ctx.Err() != nil)
+		if d.Terminal {
 			break
 		}
 		rec.Post(g)
-		prev = rc.Backoff(prev)
-		rc.NoteRetry()
-		e.mRetries.Inc()
-		e.Events.Append(eventlog.Warn, eventlog.RunRetry, err.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
-			telemetry.String("class", string(class)), telemetry.Int("delay_ms", int(prev.Milliseconds())))
 		// The backoff sleep gets its own child span so critical-path analysis
 		// can attribute this dead time to "retry" rather than lumping it into
 		// the run's exec time.
 		_, waitSpan := e.Tracer.Start(runCtx, "savanna.retry_wait",
-			telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
-			telemetry.Int("delay_ms", int(prev.Milliseconds())))
-		sleepErr := rc.Sleep(ctx, prev)
+			telemetry.String("run", run.ID), telemetry.Int("attempt", r.Result.Attempts),
+			telemetry.Int("delay_ms", int(d.Delay.Milliseconds())))
+		err := lc.Controller.Sleep(ctx, d.Delay)
 		waitSpan.End()
-		if sleepErr != nil {
-			break // campaign cancelled mid-backoff; err keeps the last failure
+		if err != nil {
+			lc.GiveUp(&r, g, out) // campaign cancelled mid-backoff
 		}
 	}
-	elapsed := time.Since(start)
-	res := RunResult{Run: run, Seconds: elapsed.Seconds(), Attempts: attempt}
-	status := provenance.StatusSucceeded
-	dirStatus := cheetah.RunSucceeded
-	if err != nil {
-		status = provenance.StatusFailed
-		dirStatus = cheetah.RunFailed
-		res.Err = err.Error()
-	}
-	res.Status = status
-	g.Status(run.ID, dirStatus)
-	e.provenance(g, campaign, run, status, elapsed, recorded, false, usage)
 	rec.Post(g)
-	e.hRunSecs.Observe(elapsed.Seconds())
-	e.hAttempts.Observe(float64(attempt))
-	if !usage.Zero() {
-		span.Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Float("cpu_user_s", usage.CPUUserSeconds),
-			telemetry.Float("cpu_sys_s", usage.CPUSystemSeconds),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-		e.hCPUSecs.Observe(usage.CPUSeconds())
-		e.hMaxRSS.Observe(float64(usage.MaxRSSBytes))
-		e.Events.Append(eventlog.Info, eventlog.RunResources, "", span.ID(),
-			telemetry.String("run", run.ID),
-			telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-	}
-	if err != nil {
-		// The failure's cause rides both observability channels: an "error"
-		// span attribute (visible in fairctl trace and the Chrome export)
-		// and an ERROR journal event under the same span.
-		if rc.NoteOutcome(resilience.OutcomeFailed) {
-			reason, _ := rc.Aborted()
-			e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-				telemetry.String("campaign", campaign))
-		}
-		e.mFailed.Inc()
-		span.End(telemetry.Bool("cached", false), telemetry.String("status", string(status)),
-			telemetry.String("error", err.Error()), telemetry.Int("attempts", attempt))
-		e.Events.Append(eventlog.Error, eventlog.RunFailed, err.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempts", attempt))
-		return res
-	}
-	rc.NoteOutcome(resilience.OutcomeSucceeded)
-	e.mExecuted.Inc()
-	span.End(telemetry.Bool("cached", false), telemetry.String("status", string(status)),
-		telemetry.Int("attempts", attempt))
-	e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(), telemetry.String("run", run.ID))
-	return res
-}
-
-// quarantineOne closes out a run whose sweep point is (or just became)
-// side-lined by the circuit breaker. attempt is 0 when the gate rejected the
-// run before any execution.
-func (e *LocalEngine) quarantineOne(campaign string, run cheetah.Run, span *telemetry.Span, rc *resilience.Controller, rec *Recorder, g *Group, point string, attempt int, cause error) RunResult {
-	msg := "sweep point " + point + " quarantined"
-	if cause != nil {
-		msg = cause.Error()
-	}
-	g.Journal(rc.Record(run.ID, point, attempt, resilience.AttemptQuarantined, "", resilience.Classify(cause), cause))
-	g.Status(run.ID, cheetah.RunFailed)
-	e.provenance(g, campaign, run, provenance.StatusFailed, 0, cas.ActionResult{}, false, ResourceUsage{})
-	rec.Post(g)
-	if attempt > 0 {
-		e.hAttempts.Observe(float64(attempt))
-	}
-	if rc.NoteOutcome(resilience.OutcomeQuarantined) {
-		reason, _ := rc.Aborted()
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, span.ID(),
-			telemetry.String("campaign", campaign))
-	}
-	e.mQuarantined.Inc()
-	e.mFailed.Inc()
-	span.End(telemetry.Bool("cached", false), telemetry.String("status", "failed"),
-		telemetry.Bool("quarantined", true), telemetry.Int("attempts", attempt))
-	e.Events.Append(eventlog.Error, eventlog.RunQuarantined, msg, span.ID(),
-		telemetry.String("run", run.ID), telemetry.String("point", point),
-		telemetry.Int("attempts", attempt))
-	return RunResult{
-		Run: run, Status: provenance.StatusFailed, Err: msg,
-		Attempts: attempt, Quarantined: true,
-	}
-}
-
-// provenance adds one run's provenance record to g (nothing without a
-// store).
-func (e *LocalEngine) provenance(g *Group, campaign string, run cheetah.Run, status provenance.Status, elapsed time.Duration, res cas.ActionResult, cached bool, usage ResourceUsage) {
-	if e.Prov != nil {
-		g.Provenance(RunProvenance(campaign, run, atomic.AddInt64(&e.attempt, 1), status, elapsed, e.Memo, res, cached, usage))
-	}
-}
-
-// RunProvenance builds the provenance record of one run, the same from every
-// engine (same component, same digest fields, same cached annotation): it
-// carries the memo's input and output digests (the ontology's input-digest/
-// output-digest terms) and a cached annotation for skipped runs. seq makes
-// the record id unique across resubmissions of the run.
-func RunProvenance(campaign string, run cheetah.Run, seq int64, status provenance.Status, elapsed time.Duration, memo *Memo, res cas.ActionResult, cached bool, usage ResourceUsage) provenance.Record {
-	end := time.Now()
-	rec := provenance.Record{
-		ID:         fmt.Sprintf("%s/%s#%d", campaign, run.ID, seq),
-		Component:  "savanna-run",
-		Start:      end.Add(-elapsed),
-		End:        end,
-		Status:     status,
-		CampaignID: campaign,
-		SweepPoint: run.Params,
-		Inputs:     memo.provenanceInputs(),
-		Outputs:    provenanceOutputs(res),
-	}
-	if cached {
-		rec.Annotations = append(rec.Annotations, provenance.Annotation{
-			Key: "cached", Value: "true", Sensitivity: provenance.Public,
-		})
-	}
-	if !usage.Zero() {
-		rec.Resources = &provenance.Resources{
-			CPUUserSeconds:   usage.CPUUserSeconds,
-			CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes:      usage.MaxRSSBytes,
-		}
-	}
-	return rec
+	lc.Conclude(&r, "")
+	return r.Result
 }
 
 // Remaining filters a manifest's runs to the resubmission set: runs whose

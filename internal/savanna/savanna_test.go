@@ -1,6 +1,7 @@
 package savanna
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
+	"fairflow/internal/resilience"
 )
 
 func testCampaign(n int) cheetah.Campaign {
@@ -42,7 +44,7 @@ func TestFuncRegistryExecute(t *testing.T) {
 	})
 	runs, _ := testCampaign(5).EnumerateRuns()
 	eng := &LocalEngine{Executor: reg, Workers: 2}
-	results, err := eng.RunAll("test", runs)
+	results, _, err := eng.RunCampaign(context.Background(), "test", runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestFuncRegistryUnknownApp(t *testing.T) {
 	reg := NewFuncRegistry("missing")
 	eng := &LocalEngine{Executor: reg, Workers: 1}
 	runs, _ := testCampaign(1).EnumerateRuns()
-	results, err := eng.RunAll("test", runs)
+	results, _, err := eng.RunCampaign(context.Background(), "test", runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +80,29 @@ func TestFuncRegistryUnknownApp(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	runs, _ := testCampaign(1).EnumerateRuns()
-	if _, err := (&LocalEngine{Workers: 1}).RunAll("t", runs); err == nil {
+	if _, _, err := (&LocalEngine{Workers: 1}).RunCampaign(context.Background(), "t", runs); err == nil {
 		t.Fatal("nil executor accepted")
 	}
 	reg := NewFuncRegistry("work")
-	if _, err := (&LocalEngine{Executor: reg}).RunAll("t", runs); err == nil {
+	if _, _, err := (&LocalEngine{Executor: reg}).RunCampaign(context.Background(), "t", runs); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 	if _, err := (&LocalEngine{Executor: reg, Workers: 1}).RunSets("t", runs, 0); err == nil {
 		t.Fatal("zero set size accepted")
+	}
+	// A memo that could cache nothing is refused when the campaign opens, not
+	// run un-memoized: nothing executes.
+	var calls int32
+	reg.Register("work", func(map[string]string) error { atomic.AddInt32(&calls, 1); return nil })
+	eng := &LocalEngine{Executor: reg, Workers: 1, Memo: &Memo{ComponentDigest: "sha256:c"}}
+	if _, _, err := eng.RunCampaign(context.Background(), "t", runs); err == nil {
+		t.Fatal("RunCampaign accepted a memo without a cache")
+	}
+	if _, err := eng.RunSets("t", runs, 1); err == nil {
+		t.Fatal("RunSets accepted a memo without a cache")
+	}
+	if n := atomic.LoadInt32(&calls); n != 0 {
+		t.Fatalf("%d run(s) executed under a refused configuration", n)
 	}
 }
 
@@ -110,7 +126,7 @@ func TestRunAllRecordsProvenanceAndStatus(t *testing.T) {
 	})
 	prov := provenance.NewStore()
 	eng := &LocalEngine{Executor: reg, Workers: 4, Prov: prov, CampaignDir: dir}
-	if _, err := eng.RunAll(campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := cheetah.Status(dir)
@@ -142,7 +158,7 @@ func TestRemainingResumesOnlyUnfinished(t *testing.T) {
 		return nil
 	})
 	eng := &LocalEngine{Executor: reg, Workers: 2, Prov: prov}
-	if _, err := eng.RunAll(campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	left := Remaining(m, prov)
@@ -150,7 +166,7 @@ func TestRemainingResumesOnlyUnfinished(t *testing.T) {
 		t.Fatalf("remaining = %d, want 2", len(left))
 	}
 	atomic.StoreInt32(&attempt, 1)
-	if _, err := eng.RunAll(campaign.Name, left); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, left); err != nil {
 		t.Fatal(err)
 	}
 	if final := Remaining(m, prov); len(final) != 0 {
@@ -203,7 +219,7 @@ func TestRunAllIsDynamicNoBarrier(t *testing.T) {
 		return nil
 	})
 	eng := &LocalEngine{Executor: reg, Workers: 2}
-	if _, err := eng.RunAll(campaign.Name, m.Runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
 		t.Fatal(err)
 	}
 	if started["3"].Sub(started["0"]) > 50*time.Millisecond {
@@ -227,8 +243,9 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 		}
 		return nil
 	})
-	eng := &LocalEngine{Executor: reg, Workers: 2, Retries: 2}
-	results, err := eng.RunAll(campaign.Name, m.Runs)
+	eng := &LocalEngine{Executor: reg, Workers: 2,
+		Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 3}}}
+	results, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +272,7 @@ func TestNoRetriesByDefault(t *testing.T) {
 		return fmt.Errorf("always fails")
 	})
 	eng := &LocalEngine{Executor: reg, Workers: 1}
-	results, _ := eng.RunAll(campaign.Name, m.Runs)
+	results, _, _ := eng.RunCampaign(context.Background(), campaign.Name, m.Runs)
 	if atomic.LoadInt32(&calls) != 1 {
 		t.Fatalf("calls = %d", calls)
 	}

@@ -2,6 +2,7 @@ package savanna
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -111,78 +112,73 @@ type SimEngine struct {
 	// campaignCtx parents allocation spans under RunToCompletion's
 	// campaign span.
 	campaignCtx context.Context
-	// rc is the campaign's resilience runtime; RunToCompletion installs one
-	// for the whole resubmission loop, a standalone RunAllocation gets its
-	// own. attempts and prevDelay carry per-run retry state across
-	// allocations (an infra kill refunds its attempt).
-	rc        *resilience.Controller
-	attempts  map[string]int
-	prevDelay map[string]time.Duration
-	// rec writes the campaign's journal; it lives exactly as long as rc.
-	// group is the one the (single-goroutine) simulation posts through.
-	rec   *Recorder
-	group Group
+	// lc decides every run, for as long as one resilience runtime lives:
+	// RunToCompletion installs one for the whole resubmission loop, a
+	// standalone RunAllocation gets its own. runs holds each run's lifecycle
+	// state across allocations (attempt count, last backoff), rec writes the
+	// journal, group is the one the (single-goroutine) simulation posts
+	// through.
+	lc      *Lifecycle
+	runs    map[string]*RunState
+	rec     *Recorder
+	group   Group
+	mKilled *telemetry.Counter
 	// sim is the current allocation's event queue (for virtual-time backoff).
 	sim *hpcsim.Sim
-	// Instruments, resolved once per allocation.
-	mExecuted    *telemetry.Counter
-	mKilled      *telemetry.Counter
-	mFailed      *telemetry.Counter
-	mRetries     *telemetry.Counter
-	mQuarantined *telemetry.Counter
-	hRunSecs     *telemetry.Histogram
-	hAttempts    *telemetry.Histogram
 }
 
-// controller builds the sim campaign's resilience runtime (a default one
-// when no Resilience config is set: single attempt, no quarantine).
-func (e *SimEngine) controller() *resilience.Controller {
-	if e.Resilience != nil {
-		return resilience.NewController(*e.Resilience)
-	}
-	return resilience.NewController(resilience.Config{})
-}
-
-// resetResilience installs a fresh controller, its recorder (events under
-// span) and per-run retry state; closeResilience ends them.
-func (e *SimEngine) resetResilience(span int64) {
-	e.rc = e.controller()
-	e.rec = OpenRecorder(RecorderConfig{Engine: "sim", Span: span, Journal: e.rc.Journal(),
+// openLifecycle installs a fresh resilience runtime (a nil Resilience is the
+// zero Config: single attempt, no quarantine), its recorder (events under
+// span) and lifecycle; closeLifecycle ends them.
+func (e *SimEngine) openLifecycle(span int64) {
+	rc := e.Resilience.Controller()
+	e.lc = &Lifecycle{Span: span, Controller: rc, Events: e.Events,
+		Metrics: NewInstruments(e.Metrics, "savanna", "runs_executed_total")}
+	e.mKilled = e.Metrics.Counter("savanna.runs_killed_total")
+	e.rec = OpenRecorder(RecorderConfig{Engine: "sim", Span: span, Journal: rc.Journal(),
 		Events: e.Events, Metrics: e.Metrics})
-	e.attempts = map[string]int{}
-	e.prevDelay = map[string]time.Duration{}
+	e.runs = map[string]*RunState{}
 }
 
-// closeResilience closes the recorder — on return the journal is complete
+// closeLifecycle closes the recorder — on return the journal is complete
 // and fsynced — and uninstalls the campaign's runtime.
-func (e *SimEngine) closeResilience() {
+func (e *SimEngine) closeLifecycle() {
 	e.rec.Close()
-	e.rec, e.rc = nil, nil
+	e.rec, e.lc, e.runs = nil, nil, nil
 }
 
-// journal posts one attempt transition, stamped in virtual time now.
-func (e *SimEngine) journal(run, point string, attempt int, event string, class resilience.Class, err error) {
-	e.group.Journal(e.rc.Record(run, point, attempt, event, "", class, err))
-	e.rec.Post(&e.group)
+// state returns run's lifecycle state, tracking it from first sight.
+func (e *SimEngine) state(run cheetah.Run) *RunState {
+	r := e.runs[run.ID]
+	if r == nil {
+		st := NewRunState(run)
+		r = &st
+		e.runs[run.ID] = r
+	}
+	return r
 }
 
-// faultRNG derives the deterministic random stream for one (run, attempt)
-// fault decision.
-func (e *SimEngine) faultRNG(run cheetah.Run, attempt int) *rand.Rand {
+// rng derives the deterministic random stream of one run: its duration
+// (attempt 0) or the fault decision of one attempt.
+func (e *SimEngine) rng(run cheetah.Run, attempt int) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(run.ID))
 	return rand.New(rand.NewSource(e.Seed ^ int64(h.Sum64()) ^ int64(attempt)*1_000_003))
 }
 
-// setVirtualClock points the engine's tracer and journal at the virtual
+// setVirtualClock points the engine's tracer, event log and history — and the
+// journal stamps of the lifecycle installed, if one is — at the virtual
 // instant now() seconds past the epoch.
 func (e *SimEngine) setVirtualClock(now func() float64) {
-	clk := telemetry.ClockFunc(func() time.Time {
+	at := telemetry.ClockFunc(func() time.Time {
 		return time.Unix(0, 0).Add(time.Duration(now() * float64(time.Second)))
 	})
-	e.Tracer.SetClock(clk)
-	e.Events.SetClock(clk)
-	e.History.SetClock(clk)
+	e.Tracer.SetClock(at)
+	e.Events.SetClock(at)
+	e.History.SetClock(at)
+	if e.lc != nil {
+		e.lc.Controller.SetNow(at)
+	}
 }
 
 // sampleHistory throttle-samples the history ring in virtual time.
@@ -199,10 +195,7 @@ func (e *SimEngine) sampleHistory() {
 
 // runDuration derives the deterministic duration of a run.
 func (e *SimEngine) runDuration(run cheetah.Run) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(run.ID))
-	rng := rand.New(rand.NewSource(e.Seed ^ int64(h.Sum64())))
-	d := e.Durations(run, rng)
+	d := e.Durations(run, e.rng(run, 0))
 	if d <= 0 {
 		d = 1e-6
 	}
@@ -255,24 +248,13 @@ func (e *SimEngine) RunAllocation(runs []cheetah.Run, nodes int, walltime float6
 	}
 	sim := hpcsim.New(clusterSeed)
 	base := e.clockBase
-	e.setVirtualClock(func() float64 { return base + sim.Now() })
-	if e.rc == nil {
+	if e.lc == nil {
 		// Standalone allocation (not under RunToCompletion): own runtime.
-		e.resetResilience(0)
-		defer e.closeResilience()
+		e.openLifecycle(0)
+		defer e.closeLifecycle()
 	}
-	// Journal stamps advance with the simulation, not the wall clock.
-	e.rc.SetNow(func() time.Time {
-		return time.Unix(0, 0).Add(time.Duration((base + sim.Now()) * float64(time.Second)))
-	})
+	e.setVirtualClock(func() float64 { return base + sim.Now() })
 	e.sim = sim
-	e.mExecuted = e.Metrics.Counter("savanna.runs_executed_total")
-	e.mKilled = e.Metrics.Counter("savanna.runs_killed_total")
-	e.mFailed = e.Metrics.Counter("savanna.runs_failed_total")
-	e.mRetries = e.Metrics.Counter("savanna.retries_total")
-	e.mQuarantined = e.Metrics.Counter("savanna.quarantined_total")
-	e.hRunSecs = e.Metrics.Histogram("savanna.run_seconds", nil)
-	e.hAttempts = e.Metrics.Histogram("savanna.run_attempts", []float64{1, 2, 3, 5, 8, 13})
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: nodes}, clusterSeed+1)
 	cluster.SetMetrics(e.Metrics)
 	cluster.SetEvents(e.Events)
@@ -337,158 +319,117 @@ func (e *SimEngine) RunAllocation(runs []cheetah.Run, nodes int, walltime float6
 }
 
 // allocState is one allocation's scheduling state: the work queue, the
-// outcome under construction, and the count of retries parked on virtual
-// timers — the allocation must not release while one is still pending.
+// outcome under construction, the count of retries parked on virtual timers —
+// the allocation must not release while one is still pending — and kick, the
+// discipline's scheduler step (assign for dynamic, the barrier check for
+// sets), run whenever the queue or a node changes.
 type allocState struct {
 	pending []cheetah.Run
 	out     *AllocationOutcome
 	waiting int
+	kick    func()
 }
 
-// simDisposition is how one simulated attempt ended, from the scheduler's
-// point of view.
-type simDisposition int
-
-const (
-	// simCompleted: the run finished; it leaves the campaign.
-	simCompleted simDisposition = iota
-	// simRequeueNow: infrastructure cut the attempt off (node failure,
-	// walltime); requeue immediately, no attempt consumed.
-	simRequeueNow
-	// simRetryAfter: the attempt failed transiently; requeue after the
-	// backoff delay elapses in virtual time.
-	simRetryAfter
-	// simFailed: terminal failure (budget exhausted, permanent class, or
-	// quarantined); the run must not be resubmitted.
-	simFailed
-)
-
-// noteOutcome tallies a terminal outcome, emitting the campaign-abort event
-// when this outcome trips the stop condition.
-func (e *SimEngine) noteOutcome(kind string) {
-	if e.rc.NoteOutcome(kind) {
-		reason, _ := e.rc.Aborted()
-		e.Events.Append(eventlog.Error, eventlog.CampaignAborted, reason, 0)
-	}
-}
-
-// nextPending pops the next runnable pending run, disposing quarantined
-// sweep points as terminal failures along the way. When the campaign abort
-// latch has tripped the queue is cleared untallied — RunToCompletion
+// nextPending pops the next runnable pending run; runs the quarantine gate
+// refuses end here as terminal failures along the way. When the campaign
+// abort latch has tripped the queue is cleared untallied — RunToCompletion
 // accounts the skips once, against the full remaining set.
 func (e *SimEngine) nextPending(st *allocState) (cheetah.Run, bool) {
-	if _, aborted := e.rc.Aborted(); aborted {
+	if _, aborted := e.lc.Controller.Aborted(); aborted {
 		st.pending = nil
 		return cheetah.Run{}, false
 	}
 	for len(st.pending) > 0 {
 		run := st.pending[0]
 		st.pending = st.pending[1:]
-		point := PointKey(run)
-		if e.rc.Quarantine().Allow(point) {
+		r := e.state(run)
+		if e.lc.Admit(r, &e.group, "") {
 			return run, true
 		}
-		e.journal(run.ID, point, e.attempts[run.ID], resilience.AttemptQuarantined, "", nil)
-		e.noteOutcome(resilience.OutcomeQuarantined)
-		e.mQuarantined.Inc()
-		e.mFailed.Inc()
-		e.Events.Append(eventlog.Error, eventlog.RunQuarantined, "sweep point "+point+" quarantined", 0,
-			telemetry.String("run", run.ID), telemetry.String("point", point))
+		e.rec.Post(&e.group)
+		e.lc.Conclude(r, "")
 		st.out.Failed = append(st.out.Failed, run)
 	}
 	return cheetah.Run{}, false
 }
 
-// startSimRun launches one run on a node with full observability: a
-// "savanna.run" span under the allocation, run.start and terminal journal
-// events, the attempt journal, and the engine counters — all stamped in
-// virtual time by the engine's clock. done receives the disposition after
-// the bookkeeping; for simRetryAfter, delay is the backoff in (virtual)
-// seconds.
-func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run cheetah.Run, nid int, dur float64, done func(disp simDisposition, delay float64)) {
-	point := PointKey(run)
-	attempt := e.attempts[run.ID] + 1
-	e.attempts[run.ID] = attempt
+// startSimRun places one attempt of run on a node: a "savanna.run" span
+// under the allocation, the run.start event, and — when the simulated task
+// ends — the lifecycle's decision folded back into the allocation state,
+// everything stamped in virtual time by the engine's clock. over, when
+// non-nil, runs once the attempt is accounted for, before the scheduler is
+// kicked.
+func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, st *allocState, run cheetah.Run, nid int, over func()) {
+	r := e.state(run)
+	dur := e.runDuration(run)
 	_, span := e.Tracer.Start(ctx, "savanna.run",
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
+	r.Span = span
 	e.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
 		telemetry.String("run", run.ID), telemetry.Int("node", nid))
-	e.journal(run.ID, point, attempt, resilience.AttemptStart, "", nil)
+	e.lc.Begin(r, &e.group)
+	e.rec.Post(&e.group)
 	var task *hpcsim.Task
 	task, err := a.RunTask(run.ID, nid, dur, func(ok bool) {
 		// Every attempt completion is a history sampling opportunity; the
 		// ring throttles to its virtual-time cadence. Deferred so the sample
 		// sees this attempt's counter updates.
 		defer e.sampleHistory()
+		// Kick on every outcome: after a node failure the allocation lives on
+		// degraded and other idle nodes should pick the run back up.
+		defer st.kick()
+		if over != nil {
+			defer over()
+		}
 		if !ok {
 			// Infrastructure kill: the attempt is refunded — a node failure
-			// or walltime cut says nothing about the run itself.
+			// or walltime cut says nothing about the run itself — and the run
+			// goes straight back to the queue.
 			reason := "killed"
 			if task != nil && task.KillReason != "" {
 				reason = task.KillReason
 			}
-			e.attempts[run.ID] = attempt - 1
-			e.journal(run.ID, point, attempt, resilience.AttemptKilled, resilience.ClassTransient, fmt.Errorf("%s", reason))
+			e.lc.Void(r, &e.group, resilience.AttemptKilled, "", errors.New(reason))
+			e.rec.Post(&e.group)
 			e.mKilled.Inc()
 			span.End(telemetry.String("status", "killed"), telemetry.String("reason", reason))
+			r.Span = nil
 			e.Events.Append(eventlog.Warn, eventlog.RunKilled, reason, span.ID(),
 				telemetry.String("run", run.ID))
-			done(simRequeueNow, 0)
+			st.out.Killed++
+			st.pending = append(st.pending, run)
 			return
 		}
 		var ferr error
 		if e.FaultModel != nil {
-			ferr = e.FaultModel(run, attempt, e.faultRNG(run, attempt))
+			attempt := r.Result.Attempts + 1
+			ferr = e.FaultModel(run, attempt, e.rng(run, attempt))
 		}
-		if ferr == nil {
-			e.rc.Quarantine().NoteSuccess(point)
-			e.journal(run.ID, point, attempt, resilience.AttemptSuccess, "", nil)
-			e.noteOutcome(resilience.OutcomeSucceeded)
-			e.mExecuted.Inc()
-			e.hRunSecs.Observe(dur)
-			e.hAttempts.Observe(float64(attempt))
-			span.End(telemetry.String("status", "succeeded"), telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(),
-				telemetry.String("run", run.ID))
-			done(simCompleted, 0)
-			return
+		d := e.lc.Settle(r, &e.group, AttemptResult{Err: ferr, Class: resilience.Classify(ferr),
+			Elapsed: time.Duration(dur * float64(time.Second))}, false)
+		e.rec.Post(&e.group)
+		if d.Terminal {
+			e.lc.Conclude(r, "")
 		}
-		class := resilience.Classify(ferr)
-		e.journal(run.ID, point, attempt, resilience.AttemptFailure, class, ferr)
-		if e.rc.Quarantine().NoteFailure(point) {
-			e.journal(run.ID, point, attempt, resilience.AttemptQuarantined, class, ferr)
-			e.noteOutcome(resilience.OutcomeQuarantined)
-			e.mQuarantined.Inc()
-			e.mFailed.Inc()
-			e.hAttempts.Observe(float64(attempt))
-			span.End(telemetry.String("status", "failed"), telemetry.Bool("quarantined", true),
-				telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Error, eventlog.RunQuarantined, ferr.Error(), span.ID(),
-				telemetry.String("run", run.ID), telemetry.String("point", point),
-				telemetry.Int("attempts", attempt))
-			done(simFailed, 0)
-			return
+		switch {
+		case !d.Terminal:
+			span.End(telemetry.String("status", "retry"), telemetry.Int("attempts", r.Result.Attempts))
+			r.Span = nil
+			// Park the retry on a virtual timer; waiting keeps the allocation
+			// alive (and the set barrier honest) until it fires.
+			st.waiting++
+			e.sim.After(d.Delay.Seconds(), func() {
+				st.waiting--
+				st.pending = append(st.pending, run)
+				st.kick()
+			})
+		case ferr == nil:
+			st.out.Completed = append(st.out.Completed, run)
+		default:
+			// Terminal: budget exhausted, permanent class, or quarantined. The
+			// run must not be resubmitted.
+			st.out.Failed = append(st.out.Failed, run)
 		}
-		if class.Retryable() && attempt < e.rc.Attempts() {
-			delay := e.rc.Backoff(e.prevDelay[run.ID])
-			e.prevDelay[run.ID] = delay
-			e.rc.NoteRetry()
-			e.mRetries.Inc()
-			span.End(telemetry.String("status", "retry"), telemetry.Int("attempts", attempt))
-			e.Events.Append(eventlog.Warn, eventlog.RunRetry, ferr.Error(), span.ID(),
-				telemetry.String("run", run.ID), telemetry.Int("attempt", attempt),
-				telemetry.String("class", string(class)), telemetry.Int("delay_ms", int(delay.Milliseconds())))
-			done(simRetryAfter, delay.Seconds())
-			return
-		}
-		e.noteOutcome(resilience.OutcomeFailed)
-		e.mFailed.Inc()
-		e.hAttempts.Observe(float64(attempt))
-		span.End(telemetry.String("status", "failed"), telemetry.String("error", ferr.Error()),
-			telemetry.Int("attempts", attempt))
-		e.Events.Append(eventlog.Error, eventlog.RunFailed, ferr.Error(), span.ID(),
-			telemetry.String("run", run.ID), telemetry.Int("attempts", attempt))
-		done(simFailed, 0)
 	})
 	if err != nil {
 		// Callers only target idle nodes, so this is defensive: end the
@@ -497,35 +438,10 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, run c
 	}
 }
 
-// dispose folds one attempt's disposition back into the allocation state and
-// kicks the scheduler (assign for dynamic, the barrier check for sets).
-func (e *SimEngine) dispose(st *allocState, run cheetah.Run, disp simDisposition, delay float64, kick func()) {
-	switch disp {
-	case simCompleted:
-		st.out.Completed = append(st.out.Completed, run)
-	case simRequeueNow:
-		st.out.Killed++
-		st.pending = append(st.pending, run) // back to the queue
-	case simRetryAfter:
-		// Park the retry on a virtual timer; waiting keeps the allocation
-		// alive (and the set barrier honest) until it fires.
-		st.waiting++
-		e.sim.After(delay, func() {
-			st.waiting--
-			st.pending = append(st.pending, run)
-			kick()
-		})
-	case simFailed:
-		st.out.Failed = append(st.out.Failed, run)
-	}
-	kick()
-}
-
 // runDynamic implements the Savanna pilot: every idle node pulls the next
 // pending run immediately.
 func (e *SimEngine) runDynamic(ctx context.Context, a *hpcsim.Allocation, st *allocState) {
-	var assign func()
-	assign = func() {
+	st.kick = func() {
 		if !a.Active() {
 			return
 		}
@@ -534,18 +450,13 @@ func (e *SimEngine) runDynamic(ctx context.Context, a *hpcsim.Allocation, st *al
 			if !ok {
 				break
 			}
-			e.startSimRun(ctx, a, run, nid, e.runDuration(run), func(disp simDisposition, delay float64) {
-				// Reassign on every disposition: after a node failure the
-				// allocation lives on degraded and other idle nodes should
-				// pick the run back up (assign is a no-op once released).
-				e.dispose(st, run, disp, delay, assign)
-			})
+			e.startSimRun(ctx, a, st, run, nid, nil)
 		}
 		if len(st.pending) == 0 && st.waiting == 0 && len(a.IdleNodes()) == len(a.Nodes()) {
 			a.Release()
 		}
 	}
-	assign()
+	st.kick()
 }
 
 // runSets implements the baseline: sets sized to the node count, with an
@@ -555,8 +466,9 @@ func (e *SimEngine) runDynamic(ctx context.Context, a *hpcsim.Allocation, st *al
 // half-finished allocation.
 func (e *SimEngine) runSets(ctx context.Context, a *hpcsim.Allocation, st *allocState) {
 	outstanding := 0
-	var nextSet func()
-	nextSet = func() {
+	// The kick is safe mid-set (the outstanding guard makes it a no-op) and
+	// exactly what a parked retry needs to restart a drained barrier.
+	st.kick = func() {
 		if !a.Active() || outstanding > 0 {
 			return
 		}
@@ -565,7 +477,7 @@ func (e *SimEngine) runSets(ctx context.Context, a *hpcsim.Allocation, st *alloc
 			if st.waiting == 0 || len(nodes) == 0 {
 				a.Release()
 			}
-			return // waiting > 0: a parked retry will call nextSet again
+			return // waiting > 0: a parked retry will kick again
 		}
 		var set []cheetah.Run
 		for len(set) < len(nodes) {
@@ -576,25 +488,17 @@ func (e *SimEngine) runSets(ctx context.Context, a *hpcsim.Allocation, st *alloc
 			set = append(set, run)
 		}
 		if len(set) == 0 {
-			nextSet() // everything pending was quarantined away
+			st.kick() // everything pending was quarantined away
 			return
 		}
 		outstanding = len(set)
 		for i, run := range set {
-			run := run
-			e.startSimRun(ctx, a, run, nodes[i], e.runDuration(run), func(disp simDisposition, delay float64) {
-				// nextSet is the kick: safe mid-set (the outstanding guard
-				// makes it a no-op) and exactly what a parked retry needs to
-				// restart a drained barrier.
-				e.dispose(st, run, disp, delay, nextSet)
-				outstanding--
-				if outstanding == 0 {
-					nextSet() // the barrier
-				}
-			})
+			// The last attempt of the set to end opens the barrier: the kick
+			// that follows starts the next set.
+			e.startSimRun(ctx, a, st, run, nodes[i], func() { outstanding-- })
 		}
 	}
-	nextSet()
+	st.kick()
 }
 
 // CampaignOutcome aggregates a to-completion execution across repeated
@@ -637,10 +541,9 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	defer func() { e.campaignCtx = nil }()
 	// One resilience runtime spans the whole resubmission loop: attempt
 	// counts, quarantine decisions and the journal carry across allocations.
-	e.resetResilience(campaignSpan.ID())
-	defer e.closeResilience()
+	e.openLifecycle(campaignSpan.ID())
+	defer e.closeLifecycle()
 
-	done := map[string]bool{}
 	outcome := &CampaignOutcome{}
 	var utils []float64
 	remaining := append([]cheetah.Run(nil), runs...)
@@ -649,7 +552,7 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 			campaignSpan.End(telemetry.String("error", "allocation budget exhausted"))
 			return nil, fmt.Errorf("savanna: campaign incomplete after %d allocations (%d runs left)", maxAllocations, len(remaining))
 		}
-		rc := e.rc
+		rc := e.lc.Controller
 		res, err := e.RunAllocation(remaining, nodes, walltime, d, seed+int64(alloc)*7919)
 		if err != nil {
 			campaignSpan.End(telemetry.String("error", err.Error()))
@@ -662,18 +565,15 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 		if alloc == 0 {
 			outcome.FirstTimeline = res.Timeline
 		}
-		for _, run := range res.Completed {
-			done[run.ID] = true
-		}
-		// Terminal failures are done with the campaign too — resubmitting
-		// them would burn allocations on runs the breaker already judged.
 		for _, run := range res.Failed {
-			done[run.ID] = true
 			outcome.Failed = append(outcome.Failed, run.ID)
 		}
+		// What is left is what has not ended. Terminal failures are done with
+		// the campaign too — resubmitting them would burn allocations on runs
+		// the breaker already judged.
 		var next []cheetah.Run
 		for _, run := range remaining {
-			if !done[run.ID] {
+			if !e.state(run).Terminal() {
 				next = append(next, run)
 			}
 		}
@@ -681,9 +581,9 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 			// Graceful abort: the never-to-be-attempted remainder is
 			// journaled and tallied as skipped, once, here.
 			for _, run := range next {
-				e.journal(run.ID, PointKey(run), e.attempts[run.ID], resilience.AttemptSkipped, "", nil)
-				rc.NoteOutcome(resilience.OutcomeSkipped)
+				e.lc.Skip(e.state(run), &e.group)
 			}
+			e.rec.Post(&e.group)
 			outcome.Report = rc.Report(len(runs))
 			campaignSpan.End(telemetry.String("error", "aborted: "+reason))
 			e.Events.Append(eventlog.Info, eventlog.CampaignDone, "aborted", campaignSpan.ID(),
@@ -703,7 +603,7 @@ func (e *SimEngine) RunToCompletion(runs []cheetah.Run, nodes int, walltime floa
 	if len(utils) > 0 {
 		outcome.MeanUtilization = sum / float64(len(utils))
 	}
-	outcome.Report = e.rc.Report(len(runs))
+	outcome.Report = e.lc.Controller.Report(len(runs))
 	campaignSpan.End(telemetry.Int("allocations", outcome.Allocations))
 	e.Events.Append(eventlog.Info, eventlog.CampaignDone, "", campaignSpan.ID(),
 		telemetry.Int("allocations", outcome.Allocations))

@@ -1,6 +1,7 @@
 package savanna
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestEngineTelemetry(t *testing.T) {
 	metrics := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer()
 	eng := &LocalEngine{Executor: reg, Workers: 2, Tracer: tracer, Metrics: metrics}
-	if _, err := eng.RunAll("test", runs); err != nil {
+	if _, _, err := eng.RunCampaign(context.Background(), "test", runs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +69,7 @@ func TestEngineTelemetryOff(t *testing.T) {
 	reg.Register("work", func(map[string]string) error { return nil })
 	runs, _ := testCampaign(3).EnumerateRuns()
 	eng := &LocalEngine{Executor: reg, Workers: 2}
-	results, err := eng.RunAll("test", runs)
+	results, _, err := eng.RunCampaign(context.Background(), "test", runs)
 	if err != nil {
 		t.Fatal(err)
 	}
