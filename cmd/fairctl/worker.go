@@ -118,9 +118,6 @@ func workerCmd(args []string) {
 						return fmt.Errorf("cached result is missing output %q", n)
 					}
 					dst := filepath.Join(runDir(run), filepath.FromSlash(rel))
-					if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-						return err
-					}
 					if err := store.Materialize(d, dst); err != nil {
 						return err
 					}

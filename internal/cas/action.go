@@ -1,12 +1,11 @@
 package cas
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -31,31 +30,44 @@ type Recipe struct {
 
 // Digest returns the canonical hash of the recipe. Parameters are folded in
 // sorted order; every field is length-prefixed so no two distinct recipes
-// can collide by concatenation.
+// can collide by concatenation. The hashed bytes are
+//
+//	<len>:<kind> p<n>: (<len>:<key> <len>:<value>)×n i<m>: (<len>:<input>)×m
+//
+// without the spaces, lengths and counts in decimal. Every action cache on
+// disk is keyed by this encoding, so it must never change
+// (TestRecipeDigestPinned). It is appended into one buffer — on the stack
+// for a recipe of the usual size — and hashed in one call.
 func (r Recipe) Digest() Digest {
-	h := sha256.New()
-	writeField := func(s string) {
-		fmt.Fprintf(h, "%d:", len(s))
-		io.WriteString(h, s)
-	}
-	writeField(r.Kind)
-	keys := make([]string, 0, len(r.Params))
+	var keyBuf [16]string
+	keys := keyBuf[:0]
 	for k := range r.Params {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	fmt.Fprintf(h, "p%d:", len(keys))
+	slices.Sort(keys)
+	var buf [512]byte
+	b := appendField(buf[:0], r.Kind)
+	b = appendCount(b, 'p', len(keys))
 	for _, k := range keys {
-		writeField(k)
-		writeField(r.Params[k])
+		b = appendField(b, k)
+		b = appendField(b, r.Params[k])
 	}
-	fmt.Fprintf(h, "i%d:", len(r.Inputs))
+	b = appendCount(b, 'i', len(r.Inputs))
 	for _, in := range r.Inputs {
-		writeField(string(in))
+		b = appendField(b, string(in))
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sumToDigest(sum)
+	return HashBytes(b)
+}
+
+// appendField appends s to a recipe encoding as "<len(s)>:<s>".
+func appendField(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	return append(append(b, ':'), s...)
+}
+
+// appendCount appends a list header, "<tag><n>:", to a recipe encoding.
+func appendCount(b []byte, tag byte, n int) []byte {
+	return append(strconv.AppendInt(append(b, tag), int64(n), 10), ':')
 }
 
 // ActionResult records what a recipe produced: named output digests plus

@@ -57,17 +57,21 @@ type Digest string
 // digestPrefix is the only supported algorithm tag.
 const digestPrefix = "sha256:"
 
-// Valid reports whether d is a well-formed sha256 digest.
+// Valid reports whether d is a well-formed sha256 digest. It allocates
+// nothing: every object lookup checks it.
 func (d Digest) Valid() bool {
-	if !strings.HasPrefix(string(d), digestPrefix) {
+	hx, ok := strings.CutPrefix(string(d), digestPrefix)
+	if !ok || len(hx) != sha256.Size*2 {
 		return false
 	}
-	hx := string(d[len(digestPrefix):])
-	if len(hx) != sha256.Size*2 {
-		return false
+	for i := 0; i < len(hx); i++ {
+		switch c := hx[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'f', 'A' <= c && c <= 'F':
+		default:
+			return false
+		}
 	}
-	_, err := hex.DecodeString(hx)
-	return err == nil
+	return true
 }
 
 // hexPart returns the hex portion of the digest.
@@ -84,7 +88,10 @@ func (d Digest) Short() string {
 
 // sumToDigest converts a raw SHA-256 sum to a Digest.
 func sumToDigest(sum [sha256.Size]byte) Digest {
-	return Digest(digestPrefix + hex.EncodeToString(sum[:]))
+	var b [len(digestPrefix) + sha256.Size*2]byte
+	copy(b[:], digestPrefix)
+	hex.Encode(b[len(digestPrefix):], sum[:])
+	return Digest(b[:])
 }
 
 // HashBytes digests a byte slice without storing it.
@@ -110,7 +117,8 @@ func HashFile(path string) (Digest, int64, error) {
 // Store is an on-disk content-addressed object store. It is safe for
 // concurrent use.
 type Store struct {
-	root string
+	root    string
+	objects string // <root>/objects, cleaned once
 
 	mu  sync.Mutex
 	idx *Index
@@ -131,8 +139,9 @@ type Store struct {
 // SetMetrics registers the store's instruments in reg and starts feeding
 // them: cas.put_bytes_total (bytes streamed through Put), cas.objects_put_total
 // (new objects stored), cas.put_dedup_total (Puts satisfied by an existing
-// object), cas.materialize_total (Materialize calls) and the cas.put_seconds
-// histogram (one observation per object ingested, index append included).
+// object), cas.materialize_total (Materialize calls that found the object)
+// and the cas.put_seconds histogram (one observation per object ingested,
+// index append included).
 // Call before the store is used concurrently; a nil registry is a no-op.
 func (s *Store) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
@@ -147,23 +156,26 @@ func (s *Store) SetMetrics(reg *telemetry.Registry) {
 
 // Open opens (creating if necessary) a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	objects := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(objects, 0o755); err != nil {
 		return nil, fmt.Errorf("cas: opening store: %w", err)
 	}
 	idx, err := loadIndex(filepath.Join(dir, "index.json"))
 	if err != nil {
 		return nil, err
 	}
-	return &Store{root: dir, idx: idx}, nil
+	return &Store{root: dir, objects: objects, idx: idx}, nil
 }
 
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
-// objectPath maps a digest to its object file.
+// objectPath maps a digest to its object file: filepath.Join's result, built
+// by one concatenation since the hex part holds no separator to clean.
 func (s *Store) objectPath(d Digest) string {
 	hx := d.hexPart()
-	return filepath.Join(s.root, "objects", hx[:2], hx[2:])
+	const sep = string(filepath.Separator)
+	return s.objects + sep + hx[:2] + sep + hx[2:]
 }
 
 // Put streams r into the store, returning the content digest and size. The
@@ -181,7 +193,7 @@ func (s *Store) Put(r io.Reader) (Digest, int64, error) {
 func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	start := time.Now()
 	defer func() { s.mPutSeconds.Observe(time.Since(start).Seconds()) }()
-	tmp, err := os.CreateTemp(filepath.Join(s.root, "objects"), "put-*")
+	tmp, err := os.CreateTemp(s.objects, "put-*")
 	if err != nil {
 		return "", 0, err
 	}
@@ -299,39 +311,71 @@ func (s *Store) Get(d Digest) (io.ReadCloser, error) {
 
 // Materialize places the object's content at dst: a hard link when the
 // filesystem allows it (zero-copy, byte-identical by construction), a full
-// copy otherwise. An existing dst is replaced. A hard-linked dst shares the
-// store's inode — writers that later regenerate dst must remove it first
-// (never truncate in place), which is what the paste executor does; objects
-// are stored read-only to catch violations.
+// copy otherwise. An existing dst is replaced and a missing parent directory
+// created. A hard-linked dst shares the store's inode — writers that later
+// regenerate dst must remove it first (never truncate in place), which is
+// what the paste executor does; objects are stored read-only to catch
+// violations.
+//
+// The link is tried first, and only its failure says which other step is
+// due: EEXIST — remove dst and link again; ENOENT — the object is missing
+// (the error) or dst's directory is (create it and link again); anything
+// else — copy. Restoring into an existing directory, a memo hit's case, is
+// therefore one link(2).
 func (s *Store) Materialize(d Digest, dst string) error {
+	if !d.Valid() {
+		return fmt.Errorf("cas: malformed digest %q", d)
+	}
 	src := s.objectPath(d)
-	if _, err := os.Stat(src); err != nil {
-		return fmt.Errorf("cas: materialize %s: %w", d.Short(), err)
+	err := os.Link(src, dst)
+	if errors.Is(err, fs.ErrExist) {
+		os.Remove(dst)
+		err = os.Link(src, dst)
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := os.Stat(src); serr != nil {
+			return fmt.Errorf("cas: materialize %s: %w", d.Short(), serr)
+		}
+		if err = os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		err = os.Link(src, dst)
 	}
 	s.mMaterialized.Inc()
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	os.Remove(dst)
-	if err := os.Link(src, dst); err == nil {
+	if err == nil {
 		return nil
 	}
 	// Cross-device or link-hostile filesystem: copy.
+	return copyReplacing(src, dst)
+}
+
+// copyReplacing copies src to a temporary file beside dst and renames it
+// over dst, so an existing dst — perhaps a hard link into a store, which a
+// truncating create would write through — is replaced, never written to.
+func copyReplacing(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	out, err := os.Create(dst)
+	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+filepath.Base(dst)+".*")
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
+	_, err = io.Copy(tmp, in)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	return out.Close()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Verify re-hashes one object and checks it matches its digest.

@@ -2,10 +2,16 @@ package cas
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +125,173 @@ func TestMaterializeByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatal("materialized bytes differ from stored content")
+	}
+}
+
+// TestMaterializeMakesParentAndReplaces: a destination whose directories do
+// not exist yet gets them; one that holds another object's link is replaced
+// without touching that object.
+func TestMaterializeMakesParentAndReplaces(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, _, err := s.PutBytes([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, _, err := s.PutBytes([]byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "a", "b", "out")
+	for _, d := range []Digest{d1, d2, d2} {
+		if err := s.Materialize(d, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(dst); err != nil || string(got) != "second" {
+		t.Fatalf("dst = %q, %v; want %q", got, err, "second")
+	}
+	for _, d := range []Digest{d1, d2} {
+		if err := s.Verify(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMaterializeMissingObject: an object the store does not hold, or a
+// digest that names none, is an error that leaves the destination alone.
+func TestMaterializeMissingObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "out")
+	if err := os.WriteFile(dst, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Materialize(HashBytes([]byte("never stored")), dst)
+	if !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "cas: materialize ") {
+		t.Fatalf("missing object: err %v, want a cas: materialize error wrapping ErrNotExist", err)
+	}
+	for _, bad := range []Digest{"", "sha256:", "sha256:zz", "md5:0123"} {
+		if err := s.Materialize(bad, dst); err == nil {
+			t.Fatalf("malformed digest %q materialized", bad)
+		}
+	}
+	if err := s.Materialize(HashBytes([]byte("never stored")), filepath.Join(dir, "sub", "out")); err == nil {
+		t.Fatal("missing object materialized into a new directory")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sub")); err == nil {
+		t.Fatal("a failed materialize created the destination's directory")
+	}
+	if got, err := os.ReadFile(dst); err != nil || string(got) != "keep" {
+		t.Fatalf("dst after failed materializes = %q, %v; want it untouched", got, err)
+	}
+}
+
+// TestMaterializeCopiesWhereLinksFail: a store on another filesystem than
+// the destination (tmpfs at /dev/shm) is copied out, over a destination that
+// is a hard link into a second store, which stays intact. Skipped where
+// /dev/shm is missing or shares the test directory's filesystem.
+func TestMaterializeCopiesWhereLinksFail(t *testing.T) {
+	dir := t.TempDir()
+	far, err := os.MkdirTemp("/dev/shm", "cas-xdev-")
+	if err != nil {
+		t.Skipf("no second filesystem: %v", err)
+	}
+	t.Cleanup(func() { os.RemoveAll(far) })
+	if err := os.WriteFile(filepath.Join(far, "p"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if os.Link(filepath.Join(far, "p"), filepath.Join(dir, "p")) == nil {
+		t.Skip("/dev/shm and the test directory share a filesystem")
+	}
+	src, err := Open(filepath.Join(far, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := src.PutBytes([]byte("copied"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := near.PutBytes([]byte("linked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "out")
+	if err := near.Materialize(other, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Materialize(d, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(dst); err != nil || string(got) != "copied" {
+		t.Fatalf("dst = %q, %v; want %q", got, err, "copied")
+	}
+	if err := near.Verify(other); err != nil {
+		t.Fatalf("copy wrote through the destination's old link: %v", err)
+	}
+	fi, err := os.Stat(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("copied dst mode %v, want 0644", fi.Mode().Perm())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 { // store, out
+		t.Fatalf("materialize left %d entries beside dst, want none: %v", len(entries)-2, entries)
+	}
+}
+
+// TestMaterializeConcurrentSameDestination: restores racing for one path end
+// with one of the objects there and every object intact. A restore that
+// found the path taken must replace it, never write through what another
+// restore just linked there — that is the store's own read-only object.
+func TestMaterializeConcurrentSameDestination(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds []Digest
+	for _, c := range []string{"alpha", "beta"} {
+		d, _, err := s.PutBytes([]byte(strings.Repeat(c, 1000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	dst := filepath.Join(dir, "out")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := s.Materialize(ds[(g+i)%2], dst); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, d := range ds {
+		if err := s.Verify(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := HashFile(dst)
+	if err != nil || (got != ds[0] && got != ds[1]) {
+		t.Fatalf("dst hashes to %s (%v), want one of the objects", got, err)
 	}
 }
 
@@ -282,6 +455,91 @@ func TestRecipeDigestSensitivity(t *testing.T) {
 	same := Recipe{Kind: "op@v1", Params: map[string]string{"b": "2", "a": "1"}, Inputs: base.Inputs}
 	if same.Digest() != bd {
 		t.Fatal("recipe digest depends on map iteration order")
+	}
+}
+
+// pinnedRecipes are recipes whose digests were recorded from the fmt-based
+// encoder every existing action cache was written with: empty fields, a
+// separator inside a key, multi-byte runes, multi-digit lengths and counts.
+func pinnedRecipes() []Recipe {
+	many := map[string]string{}
+	for i := 0; i < 12; i++ {
+		many["k"+strconv.Itoa(i)] = strings.Repeat("v", i*11)
+	}
+	var inputs []Digest
+	for i := 0; i < 11; i++ {
+		inputs = append(inputs, HashBytes([]byte{byte(i)}))
+	}
+	return []Recipe{
+		{},
+		{Kind: "tabular/paste@v1", Params: map[string]string{"delim": "\t", "ragged": "false"},
+			Inputs: []Digest{HashBytes([]byte("a")), HashBytes([]byte("b"))}},
+		{Kind: "op@v1", Params: map[string]string{"": "", "é": "ü", "a:1": "2:b"}, Inputs: []Digest{""}},
+		{Kind: strings.Repeat("k", 130), Params: many, Inputs: inputs},
+	}
+}
+
+// TestRecipeDigestPinned: the recipe encoding keys every action cache on
+// disk, so a re-implementation must hash the same bytes — a drift would turn
+// every warm cache cold without an error.
+func TestRecipeDigestPinned(t *testing.T) {
+	want := []Digest{
+		"sha256:eb61bfec43bbadd8fc3d4c23e31d7261cc1e34a60ea5e5e0daf31237599e6811",
+		"sha256:f17948a11757e9b7bb777fa4861b6ee61ec8806134a3477daf8e169a6600478f",
+		"sha256:fb82efae5a7b04d7ce4864a8cac05d3086a0b7780a9d8a7fb9095bf99e09f459",
+		"sha256:d5ce4e88382dfd1b21c269600e89042488c5005707c2b0d45214334c7bdf5a5b",
+	}
+	for i, r := range pinnedRecipes() {
+		if got := r.Digest(); got != want[i] {
+			t.Errorf("recipe %d: digest %s, want %s", i, got, want[i])
+		}
+	}
+}
+
+// referenceRecipeDigest is the recipe encoding written out with fmt, field by
+// field, straight into the hash.
+func referenceRecipeDigest(r Recipe) Digest {
+	h := sha256.New()
+	field := func(s string) { fmt.Fprintf(h, "%d:%s", len(s), s) }
+	field(r.Kind)
+	keys := make([]string, 0, len(r.Params))
+	for k := range r.Params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(h, "p%d:", len(keys))
+	for _, k := range keys {
+		field(k)
+		field(r.Params[k])
+	}
+	fmt.Fprintf(h, "i%d:", len(r.Inputs))
+	for _, in := range r.Inputs {
+		field(string(in))
+	}
+	return Digest("sha256:" + hex.EncodeToString(h.Sum(nil)))
+}
+
+// TestDigestValid: a digest is the algorithm tag and 64 hex digits of either
+// case, and checking one allocates nothing.
+func TestDigestValid(t *testing.T) {
+	good := HashBytes([]byte("x"))
+	cases := map[Digest]bool{
+		good: true,
+		Digest(strings.ToUpper(string(good[:7])) + string(good[7:])): false,
+		Digest(string(good[:7]) + strings.ToUpper(string(good[7:]))): true,
+		good[:len(good)-1]:       false,
+		good + "0":               false,
+		good[:len(good)-1] + "g": false,
+		"sha256:":                false,
+		"":                       false,
+	}
+	for d, want := range cases {
+		if got := d.Valid(); got != want {
+			t.Errorf("Valid(%q) = %v, want %v", d, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { good.Valid() }); n != 0 {
+		t.Fatalf("Valid allocates %.0f times", n)
 	}
 }
 

@@ -4,8 +4,39 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// FuzzRecipeDigest holds the recipe encoder to the fmt reference encoder
+// (cas_test.go) on arbitrary fields: a kind, parameters packed as
+// NUL-separated key/value pairs, and inputs split at NUL. One seed outgrows
+// the encoder's stack buffers: more than 16 parameters, over 512 bytes.
+func FuzzRecipeDigest(f *testing.F) {
+	f.Add("tabular/paste@v1", "delim\x00\t\x00ragged\x00false", "sha256:aa\x00sha256:bb")
+	f.Add("", "", "")
+	f.Add("op@v1", "\x00\x00a:1\x002:b", "\x00")
+	var big []string
+	for i := 0; i < 20; i++ {
+		big = append(big, "key"+strings.Repeat("k", i), strings.Repeat("v", 40*i))
+	}
+	f.Add(strings.Repeat("kind", 50), strings.Join(big, "\x00"), strings.Repeat("sha256:in\x00", 14))
+	f.Fuzz(func(t *testing.T, kind, params, inputs string) {
+		r := Recipe{Kind: kind, Params: map[string]string{}}
+		kv := strings.Split(params, "\x00")
+		for i := 0; i+1 < len(kv); i += 2 {
+			r.Params[kv[i]] = kv[i+1]
+		}
+		if inputs != "" {
+			for _, in := range strings.Split(inputs, "\x00") {
+				r.Inputs = append(r.Inputs, Digest(in))
+			}
+		}
+		if got, want := r.Digest(), referenceRecipeDigest(r); got != want {
+			t.Fatalf("recipe %+v: digest %s, reference %s", r, got, want)
+		}
+	})
+}
 
 // FuzzIndexDecode drives arbitrary bytes through the index decoder: it must
 // never panic, and any index it accepts must re-encode/decode to the same

@@ -248,3 +248,75 @@ func TestMemoCollectRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("cached annotations = %d, want 3", cachedCount)
 	}
 }
+
+// TestMemoRecipeDigestPinned: a run's memo key, as recorded by the code that
+// wrote the action caches already on disk. Run parameters named like the
+// memo's own keys must not shadow them.
+func TestMemoRecipeDigestPinned(t *testing.T) {
+	memos := []*Memo{
+		{},
+		{ComponentDigest: "sha256:model-v1"},
+		{ComponentDigest: "sha256:model-v1", InputDigests: map[string]string{
+			"ref": string(cas.HashBytes([]byte("ref"))), "cfg": string(cas.HashBytes([]byte("cfg")))}},
+	}
+	runs := []cheetah.Run{
+		{ID: "g/s/run-0"},
+		{ID: "g/s/run-1", Params: map[string]string{"x": "1", "y": "two", "component": "c", "input:ref": "shadow"}},
+	}
+	want := []cas.Digest{
+		"sha256:f4b1c2ca118cf7b10dc896d16dfc9f32e00ce0cec46f201f63a11ea76291580e",
+		"sha256:7c4252ad8a9cf511a91cba3bb5a88a87ef54952e231dd4d6f34df07ceac32185",
+		"sha256:5722829be68f767bb7e95bc1ffb399121f918b21778db6598d639f5c5a74c556",
+		"sha256:20c60dbc429447a27d09e35d9ebe476d168d5e76784fbf27921ea03a19758013",
+		"sha256:41f5e1cab8173d19efa609562c353ffe9aca4ae963a3a654a6a8cd66afbe1ea3",
+		"sha256:797c5e1fdde6fb663275f7e0e21f9b297bded3853b12233815dc0c7ddf1195f8",
+	}
+	for i, m := range memos {
+		for j, run := range runs {
+			if got := m.recipeDigest(run); got != want[i*len(runs)+j] {
+				t.Errorf("memo %d, run %d: key %s, want %s", i, j, got, want[i*len(runs)+j])
+			}
+		}
+	}
+}
+
+// BenchmarkMemoLookupHit prices one warm hit as the engines pay it: the
+// recipe digest, ActionCache.Get (one stat per output) and a Restore that
+// materializes the output into an existing directory.
+func BenchmarkMemoLookupHit(b *testing.B) {
+	dir := b.TempDir()
+	src := filepath.Join(dir, "out.bin")
+	if err := os.WriteFile(src, bytes.Repeat([]byte{7}, 4096), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	store, err := cas.Open(filepath.Join(dir, "cas"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := cas.OpenActionCache(filepath.Join(dir, "cas", "actions.json"), store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	memo := &Memo{Cache: cache, ComponentDigest: "sha256:model-v1",
+		Collect: func(cheetah.Run) (map[string]string, error) { return map[string]string{"out": src}, nil }}
+	run := cheetah.Run{ID: "g/s/run-0", Params: map[string]string{"alpha": "0.5", "n": "17", "seed": "3"}}
+	if _, err := memo.Record(run); err != nil {
+		b.Fatal(err)
+	}
+	restoreDir := filepath.Join(dir, "restore")
+	if err := os.Mkdir(restoreDir, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	i := 0
+	memo.Restore = func(_ cheetah.Run, outputs map[string]cas.Digest) error {
+		i++
+		return store.Materialize(outputs["out"], filepath.Join(restoreDir, fmt.Sprintf("run-%d.out", i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, ok := memo.Lookup(run); !ok {
+			b.Fatal("miss on a recorded run")
+		}
+	}
+}
