@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -136,33 +138,19 @@ func (e *Engine) validate() error {
 	return e.Memo.Validate()
 }
 
-// defaults resolves the tunables.
-func (e *Engine) batchSize() int {
-	if e.BatchSize > 0 {
-		return e.BatchSize
+// orDefault resolves a tunable: v when set (positive), def otherwise.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 32
+	return def
 }
 
-func (e *Engine) leaseTTL() time.Duration {
-	if e.LeaseTTL > 0 {
-		return e.LeaseTTL
-	}
-	return 10 * time.Second
-}
-
-func (e *Engine) workerWait() time.Duration {
-	if e.WorkerWait > 0 {
-		return e.WorkerWait
-	}
-	return 60 * time.Second
-}
-
+func (e *Engine) batchSize() int            { return orDefault(e.BatchSize, 32) }
+func (e *Engine) leaseTTL() time.Duration   { return orDefault(e.LeaseTTL, 10*time.Second) }
+func (e *Engine) workerWait() time.Duration { return orDefault(e.WorkerWait, 60*time.Second) }
 func (e *Engine) ioTimeout() time.Duration {
-	if e.IOTimeout > 0 {
-		return e.IOTimeout
-	}
-	return 2*e.leaseTTL() + 2*time.Second
+	return orDefault(e.IOTimeout, 2*e.leaseTTL()+2*time.Second)
 }
 
 // wstate is one connected worker as the coordinator sees it.
@@ -213,6 +201,8 @@ type coordinator struct {
 	draining  bool
 	nameSeq   int
 	zeroSince time.Time // when the live-worker count last hit zero with work remaining
+	// byHunger is assignAllLocked's scratch: the workers in top-up order.
+	byHunger []*wstate
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -581,10 +571,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 // releases the lease; anything else is a death and re-dispatches.
 func (co *coordinator) workerGone(w *wstate, err error) {
 	co.mu.Lock()
-	clean := co.draining || w.dead
-	co.mu.Unlock()
-	if clean {
-		co.mu.Lock()
+	if co.draining || w.dead {
 		if !w.dead {
 			if _, ok := co.workers[w.name]; ok {
 				delete(co.workers, w.name)
@@ -598,6 +585,7 @@ func (co *coordinator) workerGone(w *wstate, err error) {
 		w.c.close()
 		return
 	}
+	co.mu.Unlock()
 	co.workerDead(w.name, err.Error())
 }
 
@@ -626,7 +614,7 @@ func (co *coordinator) workerDead(name, reason string) {
 	for id := range w.outstanding {
 		lost = append(lost, id)
 	}
-	sort.Strings(lost)
+	slices.Sort(lost)
 	e.Events.Append(eventlog.Warn, eventlog.WorkerDead, reason, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("outstanding", len(lost)))
 	for _, id := range lost {
@@ -671,19 +659,18 @@ func (co *coordinator) enqueueLocked(i int) {
 
 // assignAllLocked tops up every live worker, hungriest first.
 func (co *coordinator) assignAllLocked() {
-	ws := make([]*wstate, 0, len(co.workers))
+	ws := co.byHunger[:0]
 	for _, w := range co.workers {
 		ws = append(ws, w)
 	}
-	sort.Slice(ws, func(i, j int) bool {
-		if len(ws[i].outstanding) != len(ws[j].outstanding) {
-			return len(ws[i].outstanding) < len(ws[j].outstanding)
-		}
-		return ws[i].name < ws[j].name
+	slices.SortFunc(ws, func(a, b *wstate) int {
+		return cmp.Or(cmp.Compare(len(a.outstanding), len(b.outstanding)), strings.Compare(a.name, b.name))
 	})
 	for _, w := range ws {
 		co.assignLocked(w)
 	}
+	clear(ws)
+	co.byHunger = ws[:0]
 }
 
 // assignLocked tops the worker up to a full batch from the pending queue,

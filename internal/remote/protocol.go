@@ -227,7 +227,9 @@ type sentStamper interface{ stampSent(unixNano int64) }
 func (h *Heartbeat) stampSent(t int64)      { h.SentUnixNano = t }
 func (b *TelemetryBatch) stampSent(t int64) { b.SentUnixNano = t }
 
-// msg is one decoded protocol record.
+// msg is one decoded protocol record. Body is the message's own: recv reads
+// it into an exact-size allocation, so a message stays valid across later
+// recvs. Op and Worker are shared strings (see recv).
 type msg struct {
 	Op     string
 	Worker string
@@ -246,13 +248,45 @@ func decodeBody[T any, P interface {
 	if len(m.Body) == 0 {
 		return v, nil
 	}
-	r := rbuf{b: m.Body}
-	P(&v).readWire(&r)
+	r := rbuf{b: m.Body, body: m.Body}
+	readBody(P(&v), &r)
 	if err := r.finish(); err != nil {
 		var zero T
 		return zero, fmt.Errorf("remote: bad %s body: %w", m.Op, err)
 	}
 	return v, nil
+}
+
+// readBody calls dst's readWire through its concrete type. A call through
+// decodeBody's type parameter is an indirect call, which the compiler
+// assumes keeps its arguments, moving v and r to the heap: two allocations
+// a message that this switch saves. A body type missing here fails every
+// test that decodes it.
+func readBody(dst any, r *rbuf) {
+	switch b := dst.(type) {
+	case *Hello:
+		b.readWire(r)
+	case *LeaseGrant:
+		b.readWire(r)
+	case *Assignment:
+		b.readWire(r)
+	case *Outcome:
+		b.readWire(r)
+	case *Heartbeat:
+		b.readWire(r)
+	case *HeartbeatAck:
+		b.readWire(r)
+	case *Steal:
+		b.readWire(r)
+	case *Stolen:
+		b.readWire(r)
+	case *ResultAck:
+		b.readWire(r)
+	case *TelemetryBatch:
+		b.readWire(r)
+	default:
+		panic("remote: readBody has no case for this body type")
+	}
 }
 
 // schemaMismatch is recv's error for a peer whose stream declares a schema
@@ -278,8 +312,14 @@ func (e *schemaMismatch) Error() string {
 // batch per heartbeat tick. A peer that stops reading fails the flush in
 // progress at its write deadline, which ends the connection.
 type conn struct {
-	c   net.Conn
-	dec *stream.Decoder
+	c net.Conn
+
+	// Reader-owned (recv). schemaOK is set once the stream's schema has
+	// been checked against msgSchema; worker is the last worker name read,
+	// which the next message's name is interned against.
+	dec      *stream.Decoder
+	schemaOK bool
+	worker   string
 
 	// epoch stamps every message at post time. The coordinator sets it to
 	// its fenced journal epoch at accept; the worker sets it from the lease
@@ -304,7 +344,8 @@ type conn struct {
 	done     chan struct{} // closed when the writer has exited
 
 	// Writer-owned. scratch is the body buffer every message is encoded
-	// into; the FBS encoder copies it out before the next one reuses it.
+	// into; the FBS encoder copies it out before the next one reuses it, so
+	// a warm writer encodes envelope and body without allocating.
 	enc     *stream.Encoder
 	seq     int64
 	scratch []byte
@@ -388,12 +429,14 @@ func (c *conn) write(batch []outMsg) error {
 		if m.body != nil {
 			c.scratch = m.body.appendWire(c.scratch)
 		}
-		rec, err := stream.NewRecord(msgSchema, m.op, m.worker, m.lease, m.epoch, c.scratch)
-		if err != nil {
-			return err
-		}
 		c.seq++
-		if err := c.enc.Encode(stream.Item{Seq: c.seq, Time: start, Payload: rec}); err != nil {
+		c.enc.Begin(c.seq, start)
+		c.enc.PutString(m.op)
+		c.enc.PutString(m.worker)
+		c.enc.PutInt64(m.lease)
+		c.enc.PutInt64(m.epoch)
+		c.enc.PutBytes(c.scratch)
+		if err := c.enc.End(); err != nil {
 			return err
 		}
 	}
@@ -467,7 +510,11 @@ func (c *conn) close() {
 }
 
 // recv decodes the next message, waiting at most maxIdle (0 = the conn's
-// default timeout; negative = no deadline).
+// default timeout; negative = no deadline). The stream's schema is checked
+// once, before its first record; each record is then read field by field
+// with no []any. A known verb comes back as its Op constant and a worker
+// name equal to the previous message's as that same string, so the envelope
+// allocates only the body.
 func (c *conn) recv(maxIdle time.Duration) (msg, error) {
 	if maxIdle == 0 {
 		maxIdle = c.timeout
@@ -477,19 +524,41 @@ func (c *conn) recv(maxIdle time.Duration) (msg, error) {
 	} else {
 		c.c.SetReadDeadline(time.Time{})
 	}
-	it, err := c.dec.Decode()
-	if err != nil {
+	d := c.dec
+	if !c.schemaOK {
+		s, err := d.Schema()
+		if err != nil {
+			return msg{}, err
+		}
+		if !s.Equal(*msgSchema) {
+			return msg{}, &schemaMismatch{offered: s.Name}
+		}
+		c.schemaOK = true
+	}
+	if _, _, err := d.Begin(); err != nil {
 		return msg{}, err
 	}
-	r := it.Payload
-	if r.Schema == nil || !r.Schema.Equal(*msgSchema) {
-		return msg{}, &schemaMismatch{offered: r.Schema.Name}
+	m := msg{Op: internOp(d.ReadView())}
+	if w := d.ReadView(); string(w) != c.worker {
+		c.worker = string(w)
 	}
-	return msg{
-		Op:     r.Values[0].(string),
-		Worker: r.Values[1].(string),
-		Lease:  r.Values[2].(int64),
-		Epoch:  r.Values[3].(int64),
-		Body:   r.Values[4].([]byte),
-	}, nil
+	m.Worker, m.Lease, m.Epoch, m.Body = c.worker, d.ReadInt64(), d.ReadInt64(), d.ReadBytes()
+	if err := d.End(); err != nil {
+		return msg{}, err
+	}
+	return m, nil
+}
+
+// ops are the protocol's verbs: recv hands out these strings rather than a
+// copy per message.
+var ops = [...]string{OpHello, OpLeaseGrant, OpAssign, OpResult, OpHeartbeat, OpSteal,
+	OpStolen, OpDrain, OpHeartbeatAck, OpTelemetry, OpResultAck}
+
+func internOp(b []byte) string {
+	for _, op := range ops {
+		if string(b) == op {
+			return op
+		}
+	}
+	return string(b)
 }

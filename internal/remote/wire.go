@@ -94,9 +94,17 @@ func appendAttrs(b []byte, attrs []telemetry.Attr) []byte {
 // rbuf reads one body. The first failure is latched in err and empties the
 // buffer, after which every read returns a zero value: decoders read straight
 // through and check once, in finish.
+//
+// Strings cost one allocation per body, not one per field: the first
+// non-empty str converts the whole body to one string, and every string
+// read from the body is a substring of it. The retention rule that follows:
+// a string kept from a decoded message — a run id in a map, a parameter —
+// pins that one message's body, and nothing else.
 type rbuf struct {
-	b   []byte
-	err error
+	b    []byte // what is left to read
+	body []byte // the whole body
+	s    string // string(body), made by the first non-empty str
+	err  error
 }
 
 func (r *rbuf) fail(msg string) {
@@ -143,7 +151,17 @@ func (r *rbuf) take(n uint64) []byte {
 	return p
 }
 
-func (r *rbuf) str() string { return string(r.take(r.uvarint())) }
+func (r *rbuf) str() string {
+	p := r.take(r.uvarint())
+	if len(p) == 0 {
+		return ""
+	}
+	if r.s == "" {
+		r.s = string(r.body)
+	}
+	at := len(r.body) - len(r.b) - len(p)
+	return r.s[at : at+len(p)]
+}
 
 func (r *rbuf) bool() bool {
 	p := r.take(1)
@@ -192,24 +210,25 @@ func (r *rbuf) count(min int) int {
 	return int(n)
 }
 
-// readList reads count elements of at least min wire bytes each; an empty
-// list is nil.
-func readList[T any](r *rbuf, min int, read func(*rbuf, *T)) []T {
+// list reads a list's count and makes room for its elements, of at least
+// min wire bytes each; an empty list is nil. The caller reads the elements
+// in place in a plain loop: a per-element callback would be an indirect
+// call, which moves the reader to the heap. After a failure the loop reads
+// zeros, at most one per byte the body had left.
+func list[T any](r *rbuf, min int) []T {
 	n := r.count(min)
 	if n == 0 {
 		return nil
 	}
-	out := make([]T, n)
-	for i := range out {
-		if read(r, &out[i]); r.err != nil {
-			return nil // the rest would only read zeros
-		}
-	}
-	return out
+	return make([]T, n)
 }
 
 func (r *rbuf) strs() []string {
-	return readList(r, 1, func(r *rbuf, s *string) { *s = r.str() })
+	ss := list[string](r, 1)
+	for i := range ss {
+		ss[i] = r.str()
+	}
+	return ss
 }
 
 func (r *rbuf) strMap() map[string]string {
@@ -231,7 +250,11 @@ func (r *rbuf) strMap() map[string]string {
 }
 
 func (r *rbuf) attrs() []telemetry.Attr {
-	return readList(r, 2, func(r *rbuf, a *telemetry.Attr) { a.Key, a.Value = r.str(), r.str() })
+	as := list[telemetry.Attr](r, 2)
+	for i := range as {
+		as[i].Key, as[i].Value = r.str(), r.str()
+	}
+	return as
 }
 
 func (h *Hello) appendWire(b []byte) []byte { return appendInt(b, int64(h.Slots)) }
@@ -260,10 +283,12 @@ func (a *Assignment) appendWire(b []byte) []byte {
 }
 
 func (a *Assignment) readWire(r *rbuf) {
-	a.Runs = readList(r, 5, func(r *rbuf, run *cheetah.Run) {
+	a.Runs = list[cheetah.Run](r, 5)
+	for i := range a.Runs {
+		run := &a.Runs[i]
 		run.ID, run.Group, run.Sweep = r.str(), r.str(), r.str()
 		run.Index, run.Params = r.int(), r.strMap()
-	})
+	}
 	a.Trace = r.strMap()
 }
 
@@ -327,12 +352,16 @@ func (t *TelemetryBatch) appendWire(b []byte) []byte {
 }
 
 func (t *TelemetryBatch) readWire(r *rbuf) {
-	t.Spans = readList(r, 9, func(r *rbuf, d *telemetry.SpanData) {
+	t.Spans = list[telemetry.SpanData](r, 9)
+	for i := range t.Spans {
+		d := &t.Spans[i]
 		d.ID, d.Parent, d.Remote = r.varint(), r.varint(), r.str()
 		d.Name, d.Start, d.End = r.str(), r.time(), r.time()
 		d.Attrs = r.attrs()
-	})
-	t.Events = readList(r, 8, func(r *rbuf, ev *eventlog.Event) {
+	}
+	t.Events = list[eventlog.Event](r, 8)
+	for i := range t.Events {
+		ev := &t.Events[i]
 		ev.Seq, ev.Time = r.varint(), r.time()
 		if lv := r.take(1); len(lv) == 1 {
 			if lv[0] > byte(eventlog.Error) {
@@ -342,7 +371,7 @@ func (t *TelemetryBatch) readWire(r *rbuf) {
 		}
 		ev.Type, ev.Msg, ev.Span = r.str(), r.str(), r.varint()
 		ev.Attrs = r.attrs()
-	})
+	}
 	if r.bool() {
 		t.Metrics = readMetrics(r)
 	}
@@ -377,18 +406,29 @@ func appendMetrics(b []byte, m *telemetry.MetricsSnapshot) []byte {
 }
 
 func readMetrics(r *rbuf) *telemetry.MetricsSnapshot {
-	return &telemetry.MetricsSnapshot{
-		Counters: readList(r, 3, func(r *rbuf, c *telemetry.CounterSnap) {
-			c.Name, c.Labels, c.Value = r.str(), r.strMap(), r.varint()
-		}),
-		Gauges: readList(r, 10, func(r *rbuf, g *telemetry.GaugeSnap) {
-			g.Name, g.Labels, g.Value = r.str(), r.strMap(), r.float()
-		}),
-		Histograms: readList(r, 14, func(r *rbuf, h *telemetry.HistogramSnap) {
-			h.Name, h.Labels = r.str(), r.strMap()
-			h.Bounds = readList(r, 8, func(r *rbuf, f *float64) { *f = r.float() })
-			h.Counts = readList(r, 1, func(r *rbuf, c *uint64) { *c = r.uvarint() })
-			h.Inf, h.Sum, h.Count = r.uvarint(), r.float(), r.uvarint()
-		}),
+	m := &telemetry.MetricsSnapshot{Counters: list[telemetry.CounterSnap](r, 3)}
+	for i := range m.Counters {
+		c := &m.Counters[i]
+		c.Name, c.Labels, c.Value = r.str(), r.strMap(), r.varint()
 	}
+	m.Gauges = list[telemetry.GaugeSnap](r, 10)
+	for i := range m.Gauges {
+		g := &m.Gauges[i]
+		g.Name, g.Labels, g.Value = r.str(), r.strMap(), r.float()
+	}
+	m.Histograms = list[telemetry.HistogramSnap](r, 14)
+	for i := range m.Histograms {
+		h := &m.Histograms[i]
+		h.Name, h.Labels = r.str(), r.strMap()
+		h.Bounds = list[float64](r, 8)
+		for j := range h.Bounds {
+			h.Bounds[j] = r.float()
+		}
+		h.Counts = list[uint64](r, 1)
+		for j := range h.Counts {
+			h.Counts[j] = r.uvarint()
+		}
+		h.Inf, h.Sum, h.Count = r.uvarint(), r.float(), r.uvarint()
+	}
+	return m
 }

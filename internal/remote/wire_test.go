@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fairflow/internal/cheetah"
+	"fairflow/internal/stream"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
@@ -240,6 +241,70 @@ func TestWireEncodeAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { scratch = body.appendWire(scratch[:0]) }); n != 0 {
 			t.Errorf("%T encodes with %.0f allocations into a warm buffer, want 0", body, n)
 		}
+	}
+}
+
+// TestWireWriteAllocs pins the writer's envelope: once the body buffer and
+// the stream header are warm, writing a result and a merged assign — the
+// per-run traffic — allocates nothing.
+func TestWireWriteAllocs(t *testing.T) {
+	bc := &bufConn{}
+	c, err := newConn(bc, 0, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	out := &Outcome{RunID: "g/s/run-00042", OK: true, Seconds: 1.25e-07}
+	batch := merge([]outMsg{
+		{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: out},
+		assignMsg("w0", 3, map[string]string{"g/s/run-00001": goldenTrace}, "g/s/run-00001"),
+		assignMsg("w0", 3, map[string]string{"g/s/run-00002": goldenTrace}, "g/s/run-00002"),
+	})
+	if len(batch) != 2 {
+		t.Fatalf("merged batch has %d messages, want 2", len(batch))
+	}
+	write := func() {
+		if err := c.write(batch); err != nil {
+			t.Fatal(err)
+		}
+		bc.mu.Lock()
+		bc.w.Reset()
+		bc.mu.Unlock()
+	}
+	write()
+	if n := testing.AllocsPerRun(200, write); n != 0 {
+		t.Errorf("conn.write of a result and a merged assign: %.1f allocations, want 0", n)
+	}
+}
+
+// TestWireRecvAllocs pins the reader's budget for a result: the body the
+// message owns, and the one string every id in it is cut from. The verb and
+// the worker name are interned, the envelope is read without boxing and the
+// decoded Outcome stays on the stack.
+func TestWireRecvAllocs(t *testing.T) {
+	want := Outcome{RunID: "g/s/run-00042", OK: true, Seconds: 1.25e-07, CPUUserSeconds: 0.5, MaxRSSBytes: 4096}
+	const n = 300
+	batch := make([]outMsg, n)
+	for i := range batch {
+		o := want
+		batch[i] = outMsg{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: &o}
+	}
+	c := &conn{c: &bufConn{}, dec: stream.NewDecoder(bytes.NewReader(wireBytes(t, batch...)))}
+	recv := func() {
+		m, err := c.recv(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBody[Outcome](m)
+		same := got.RunID == want.RunID && got.OK && got.Seconds == want.Seconds &&
+			got.CPUUserSeconds == want.CPUUserSeconds && got.MaxRSSBytes == want.MaxRSSBytes && got.Outputs == nil
+		if err != nil || !same || m.Op != OpResult || m.Worker != "w0" || m.Lease != 3 || m.Epoch != 2 {
+			t.Fatalf("recv = %+v, %+v, %v", m, got, err)
+		}
+	}
+	recv() // the stream header, and the worker name's first sighting
+	if a := testing.AllocsPerRun(n-2, recv); a > 2 {
+		t.Errorf("recv + decodeBody[Outcome]: %.1f allocations, want at most 2", a)
 	}
 }
 

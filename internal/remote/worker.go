@@ -114,26 +114,9 @@ func (w *Worker) telemetryInit() {
 	})
 }
 
-func (w *Worker) slots() int {
-	if w.Slots > 0 {
-		return w.Slots
-	}
-	return 1
-}
-
-func (w *Worker) ioTimeout() time.Duration {
-	if w.IOTimeout > 0 {
-		return w.IOTimeout
-	}
-	return 10 * time.Second
-}
-
-func (w *Worker) reconnectWait() time.Duration {
-	if w.ReconnectWait > 0 {
-		return w.ReconnectWait
-	}
-	return 60 * time.Second
-}
+func (w *Worker) slots() int                   { return orDefault(w.Slots, 1) }
+func (w *Worker) ioTimeout() time.Duration     { return orDefault(w.IOTimeout, 10*time.Second) }
+func (w *Worker) reconnectWait() time.Duration { return orDefault(w.ReconnectWait, 60*time.Second) }
 
 func (w *Worker) sleeper() resilience.Sleeper {
 	if w.Sleep != nil {
@@ -439,8 +422,10 @@ func (s *wsession) readLoop(lease int64) error {
 			s.mu.Lock()
 			for _, r := range a.Runs {
 				s.enqueued[r.ID] = now
-				if pc, perr := telemetry.ParseSpanContext(a.Trace[r.ID]); perr == nil {
-					s.trace[r.ID] = pc
+				if tc := a.Trace[r.ID]; tc != "" { // none when the coordinator traces nothing
+					if pc, perr := telemetry.ParseSpanContext(tc); perr == nil {
+						s.trace[r.ID] = pc
+					}
 				}
 			}
 			s.queue = append(s.queue, a.Runs...)
@@ -618,9 +603,12 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 // coordinator traces nothing), wait the run's local queue wait.
 func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, parent telemetry.SpanContext, wait time.Duration) Outcome {
 	w := s.w
-	ctx, span := w.Tracer.StartRemote(ctx, parent, "remote.worker.run",
-		telemetry.String("run", run.ID), telemetry.String("worker", s.name),
-		telemetry.Float("queue_wait_s", wait.Seconds()))
+	var span *telemetry.Span
+	if w.Tracer != nil { // the attributes are formatted (a FormatFloat) for a tracer only
+		ctx, span = w.Tracer.StartRemote(ctx, parent, "remote.worker.run",
+			telemetry.String("run", run.ID), telemetry.String("worker", s.name),
+			telemetry.Float("queue_wait_s", wait.Seconds()))
+	}
 	w.hQueueWait.Observe(wait.Seconds())
 	start := time.Now()
 	if res, ok := memo.Lookup(run); ok {

@@ -16,7 +16,7 @@ package savanna
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -52,12 +52,16 @@ func PointKey(run cheetah.Run) string {
 	if len(run.Params) == 0 {
 		return run.ID
 	}
-	keys := make([]string, 0, len(run.Params))
-	for k := range run.Params {
+	// Up to 16 keys sort on the stack; the key is one allocation.
+	var stack [16]string
+	keys, n := stack[:0], 0
+	for k, v := range run.Params {
 		keys = append(keys, k)
+		n += len(k) + len(v) + 2
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
+	b.Grow(n)
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(',')

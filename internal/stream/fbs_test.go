@@ -200,3 +200,61 @@ func TestFBSPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFBSDecodeAllocs pins the decoder's per-field cost at zero. Read
+// field by field, an int64-only record allocates nothing, whatever its
+// values. Through Decode it allocates the Item's values slice and nothing
+// per field: the record holds 0–255, the int64s Go boxes into an any
+// without allocating, so what is left is the decoder's own work (a larger
+// value costs one box each, the price of the []any API, not of the
+// decoder).
+func TestFBSDecodeAllocs(t *testing.T) {
+	const fields, records = 8, 300
+	s := intsSchema(fields)
+	stream := func(base int64) []byte {
+		var buf bytes.Buffer
+		enc, _ := NewEncoder(&buf, s)
+		for i := int64(0); i < records; i++ {
+			enc.Begin(i, time.Unix(i, 0))
+			for f := int64(0); f < fields; f++ {
+				enc.PutInt64(base + f)
+			}
+			if err := enc.End(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		enc.Flush()
+		return buf.Bytes()
+	}
+
+	dec := NewDecoder(bytes.NewReader(stream(1 << 40)))
+	read := func() {
+		if _, _, err := dec.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		for f := int64(0); f < fields; f++ {
+			if v := dec.ReadInt64(); v != 1<<40+f {
+				t.Fatalf("field %d = %d", f, v)
+			}
+		}
+		if err := dec.End(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // the header
+	if n := testing.AllocsPerRun(records-2, read); n != 0 {
+		t.Errorf("field reader: %.1f allocations per %d-field int64 record, want 0", n, fields)
+	}
+
+	dec = NewDecoder(bytes.NewReader(stream(0)))
+	decode := func() {
+		it, err := dec.Decode()
+		if err != nil || len(it.Payload.Values) != fields || it.Payload.Values[fields-1] != int64(fields-1) {
+			t.Fatalf("Decode = %+v, %v", it, err)
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(records-2, decode); n != 1 {
+		t.Errorf("Decode: %.1f allocations per %d-field int64 record, want 1 (the values slice)", n, fields)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -330,11 +331,13 @@ func (l *Log) Subscribe(fn func(Event)) {
 // Append journals one event and returns its sequence number (0 when the
 // log is nil or the level is below the minimum). span is the trace-local
 // span ID the event is correlated to — pass span.ID() (nil-safe) or 0.
+// The event keeps a copy of attrs, so a caller's argument list stays on
+// its stack, and an event that is not journaled costs no allocation.
 func (l *Log) Append(lv Level, typ, msg string, span int64, attrs ...telemetry.Attr) int64 {
 	if !l.Enabled(lv) {
 		return 0
 	}
-	return l.file(Event{Level: lv, Type: typ, Msg: msg, Span: span, Attrs: attrs})
+	return l.file(Event{Level: lv, Type: typ, Msg: msg, Span: span, Attrs: slices.Clone(attrs)})
 }
 
 // Ingest journals an event produced by another process — a worker record

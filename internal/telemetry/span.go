@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -208,7 +209,8 @@ func (t *Tracer) Now() time.Time {
 
 // Start begins a span as a child of the context's current span (a root span
 // when the context has none) and returns a context carrying the new span.
-// On a nil tracer it returns (ctx, nil) untouched.
+// On a nil tracer it returns (ctx, nil) untouched. The span keeps a copy of
+// attrs, so on a nil tracer the argument list costs no allocation.
 func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -222,7 +224,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 		Parent: SpanFromContext(ctx).ID(),
 		Name:   name,
 		Start:  t.Now(),
-		Attrs:  attrs,
+		Attrs:  slices.Clone(attrs),
 	}
 	t.mu.Lock()
 	t.open++

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -146,7 +147,7 @@ func (t *Tracer) StartRemote(ctx context.Context, parent SpanContext, name strin
 		Remote: parent.String(),
 		Name:   name,
 		Start:  t.Now(),
-		Attrs:  attrs,
+		Attrs:  slices.Clone(attrs),
 	}
 	t.mu.Lock()
 	t.open++
