@@ -67,12 +67,17 @@ func coordinateCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	restored := restoreRunFiles(m, *dir)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
 
 	log := eventlog.NewLog()
+	if restored > 0 {
+		log.Append(eventlog.Warn, eventlog.CampaignRestored, "run files re-created from campaign.json", 0,
+			telemetry.Int("run_files", restored))
+	}
 	metrics := telemetry.NewRegistry()
 	mon := monitor.New(monitor.Config{
 		Campaign:  m.Campaign.Name,

@@ -47,6 +47,7 @@ func resumeCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	restoreRunFiles(m, *dir)
 	recs, err := resilience.ReadJournalFile(*journalPath)
 	if err != nil {
 		fatal(err)
@@ -133,4 +134,19 @@ func resumeCmd(args []string) {
 	if !report.Complete() {
 		os.Exit(3)
 	}
+}
+
+// restoreRunFiles re-creates the run directories and params.json files of
+// the campaign directory dir that a power loss took back — only campaign.json
+// is fsynced at create — and says so on stderr when there were any. It
+// returns how many files it wrote.
+func restoreRunFiles(m *cheetah.Manifest, dir string) int {
+	n, err := m.RestoreRunFiles(dir)
+	if err != nil {
+		fatal(fmt.Errorf("restoring run files from campaign.json: %w", err))
+	}
+	if n > 0 {
+		fmt.Fprintf(os.Stderr, "fairctl: %s: %d run file(s) re-created from campaign.json\n", dir, n)
+	}
+	return n
 }

@@ -78,6 +78,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Only campaign.json is fsynced at create: re-create the run directories
+	// and params.json files a power loss took back.
+	restored, err := m.RestoreRunFiles(*dir)
+	if err != nil {
+		fatal(fmt.Errorf("restoring run files from campaign.json: %w", err))
+	}
+	if restored > 0 {
+		fmt.Fprintf(os.Stderr, "savanna: %s: %d run file(s) re-created from campaign.json\n", *dir, restored)
+	}
 	appName := *app
 	if appName == "" {
 		appName = m.Campaign.App
@@ -114,7 +123,7 @@ func main() {
 			addr: *remoteAddr, dir: *dir, batch: *batch,
 			leaseTTL: *leaseTTL, workerWait: *workerWait,
 			eventsOut: *eventsOut, healthOut: *healthOut, telemetryOut: *telemetryOut,
-			monitorAddr: *monitorAddr,
+			monitorAddr: *monitorAddr, restored: restored,
 		}, prov, m.Campaign.Name, todo)
 	} else {
 		eng := &savanna.LocalEngine{
@@ -164,6 +173,7 @@ type remoteOpts struct {
 	eventsOut, healthOut string
 	telemetryOut         string
 	monitorAddr          string
+	restored             int // run files RestoreRunFiles re-created
 }
 
 // runRemote coordinates the campaign across fairctl workers: the full
@@ -176,6 +186,10 @@ func runRemote(o remoteOpts, prov *provenance.Store, campaign string, todo []che
 		return nil, err
 	}
 	log := eventlog.NewLog()
+	if o.restored > 0 {
+		log.Append(eventlog.Warn, eventlog.CampaignRestored, "run files re-created from campaign.json", 0,
+			telemetry.Int("run_files", o.restored))
+	}
 	metrics := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer()
 	// The history ring backs rate() rules with true sliding windows and

@@ -4,6 +4,11 @@
 // once its newline does. A process killed mid-append leaves at most an
 // unterminated last line, which readers skip (Replay) and the next appender
 // cuts away (TrimTornTail) so its own first record lands on a clean line.
+//
+// Beside those rules sit the durable-write helpers the same packages share
+// (file.go): bare-descriptor files, SyncDir, WriteFileAtomic, and the one
+// failpoint hook through which tests observe and fail their opens, writes
+// and fsyncs.
 package appendlog
 
 import (

@@ -3,6 +3,8 @@ package appendlog
 import (
 	"bytes"
 	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,6 +57,115 @@ func TestTrimTornTail(t *testing.T) {
 		f.Close()
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, []byte(c.want)) {
 			t.Errorf("%s: %d bytes left, want %d", name, len(got), len(c.want))
+		}
+	}
+}
+
+// TestWriteFileAtomicDurableRoundTrip overwrites one file repeatedly through
+// the durable write path (temp fsync + rename + parent-directory fsync) and
+// re-reads it each time: the content and mode must round-trip exactly and no
+// temp file may survive.
+func TestWriteFileAtomicDurableRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "campaign.json")
+	for i, content := range []string{"first", "second, longer content", ""} {
+		if err := WriteFileAtomic(path, []byte(content), 0o600); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if string(got) != content {
+			t.Fatalf("round-trip %d: got %q, want %q", i, got, content)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != 0o600 {
+			t.Fatalf("round-trip %d: mode = %v, want 0600", i, fi.Mode().Perm())
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries, want just the target", len(entries))
+	}
+}
+
+// TestWriteFileAndRead: an exclusive create refuses an existing file, a
+// truncating one replaces its content, and a bare-descriptor read returns the
+// bytes and then io.EOF.
+func TestWriteFileAndRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "params.json")
+	if err := WriteFile(path, []byte("first, longer"), os.O_CREATE|os.O_EXCL, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, []byte("again"), os.O_CREATE|os.O_EXCL, 0o644); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("exclusive create over an existing file: %v", err)
+	}
+	if err := WriteFile(path, []byte("second"), os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := io.ReadAll(f)
+	if err != nil || string(got) != "second" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if n, err := f.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("read at the end: %d, %v", n, err)
+	}
+	if _, err := Open(filepath.Join(t.TempDir(), "absent"), os.O_RDONLY, 0); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("open of a missing file: %v", err)
+	}
+}
+
+// TestFailpoint: the hook sees every open, write and fsync with its path, in
+// order, and an error it returns fails that step as a *fs.PathError naming
+// the path, before the system call is made.
+func TestFailpoint(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "f")
+	var seen []string
+	refuse := map[Op]bool{}
+	errFull := errors.New("no space left")
+	Failpoint = func(op Op, path string) error {
+		seen = append(seen, string(op)+" "+filepath.Base(path))
+		if refuse[op] {
+			return errFull
+		}
+		return nil
+	}
+	t.Cleanup(func() { Failpoint = nil })
+
+	if err := WriteFileAtomic(target, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := strings.TrimPrefix(seen[0], "open ")
+	want := []string{"open " + tmp, "write " + tmp, "sync " + tmp, "open " + filepath.Base(dir), "sync " + filepath.Base(dir)}
+	if !strings.HasPrefix(tmp, ".f.tmp-") || strings.Join(seen, "|") != strings.Join(want, "|") {
+		t.Fatalf("hook saw %q, want %q", seen, want)
+	}
+
+	for _, op := range []Op{OpOpen, OpWrite, OpSync} {
+		refuse = map[Op]bool{op: true}
+		err := WriteFileAtomic(target, []byte("refused"), 0o644)
+		var pe *fs.PathError
+		if !errors.As(err, &pe) || pe.Op != string(op) || !errors.Is(err, errFull) || filepath.Dir(pe.Path) != dir {
+			t.Fatalf("refused %s: %v", op, err)
+		}
+		if got, _ := os.ReadFile(target); string(got) != "x" {
+			t.Fatalf("refused %s: target holds %q", op, got)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("refused %s: %d entries left, want the target alone", op, len(entries))
 		}
 	}
 }

@@ -1,0 +1,44 @@
+//go:build !unix
+
+package appendlog
+
+import (
+	"errors"
+	"io"
+	"io/fs"
+	"os"
+)
+
+// fd is an *os.File where there is no bare-descriptor path.
+type fd = *os.File
+
+// bare strips the *fs.PathError os wraps every error in: File wraps it again.
+func bare(err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		return pe.Err
+	}
+	return err
+}
+
+func openFD(name string, flag int, perm os.FileMode) (fd, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	return f, bare(err)
+}
+
+func readFD(d fd, p []byte) (int, error) {
+	n, err := d.Read(p)
+	if err == io.EOF {
+		err = nil // File.Read maps a zero-byte read to io.EOF itself
+	}
+	return n, bare(err)
+}
+
+func writeFD(d fd, p []byte) (int, error) {
+	n, err := d.Write(p)
+	return n, bare(err)
+}
+
+func syncFD(d fd) error { return bare(d.Sync()) }
+
+func closeFD(d fd) error { return bare(d.Close()) }

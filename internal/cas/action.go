@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
@@ -331,7 +332,7 @@ func (c *ActionCache) Save() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(c.path, data, 0o644); err != nil {
+	if err := appendlog.WriteFileAtomic(c.path, data, 0o644); err != nil {
 		return err
 	}
 	c.dirty = false

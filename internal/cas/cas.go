@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/telemetry"
 )
 
@@ -193,7 +194,9 @@ func (s *Store) Put(r io.Reader) (Digest, int64, error) {
 func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	start := time.Now()
 	defer func() { s.mPutSeconds.Observe(time.Since(start).Seconds()) }()
-	tmp, err := os.CreateTemp(s.objects, "put-*")
+	// Objects are immutable: the read-only mode, set at creation, guards
+	// hard-linked materialized copies against accidental in-place truncation.
+	tmp, err := appendlog.CreateTemp(s.objects, "put-", 0o444)
 	if err != nil {
 		return "", 0, err
 	}
@@ -204,7 +207,7 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	// publishes them: rename-then-crash must never yield a named but empty
 	// (or torn) object.
 	if err == nil {
-		err = fsync(tmp)
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -223,9 +226,6 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 		os.Remove(tmpName) // already stored; content-addressing dedups
 		s.mPutDedup.Inc()
 	} else {
-		// Objects are immutable: read-only mode guards hard-linked
-		// materialized copies against accidental in-place truncation.
-		os.Chmod(tmpName, 0o444)
 		place := func() error {
 			if err := s.ensureFanout(sum[0], filepath.Dir(dst)); err != nil {
 				return err
@@ -244,7 +244,7 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 		}
 		// Durability of the rename itself: the new directory entry must
 		// survive power loss, so fsync the parent directory too.
-		if err := syncDir(filepath.Dir(dst)); err != nil {
+		if err := appendlog.SyncDir(filepath.Dir(dst)); err != nil {
 			return "", n, err
 		}
 		s.mObjectsPut.Inc()
@@ -271,7 +271,7 @@ func (s *Store) ensureFanout(aa byte, dir string) error {
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return err
 	}
-	if err := syncDir(filepath.Dir(dir)); err != nil {
+	if err := appendlog.SyncDir(filepath.Dir(dir)); err != nil {
 		return err
 	}
 	s.fanout[aa].Store(true)

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fairflow/internal/appendlog"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -596,18 +598,20 @@ func TestOpenRejectsCorruptIndex(t *testing.T) {
 	}
 }
 
-// recordFsyncs routes the package's fsync seam through a recorder for the
+// recordFsyncs routes appendlog's failpoint hook through a recorder for the
 // length of the test and returns the names fsynced so far, in order.
 func recordFsyncs(t *testing.T) func() []string {
 	var mu sync.Mutex
 	var names []string
-	fsync = func(f *os.File) error {
-		mu.Lock()
-		names = append(names, f.Name())
-		mu.Unlock()
-		return f.Sync()
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if op == appendlog.OpSync {
+			mu.Lock()
+			names = append(names, path)
+			mu.Unlock()
+		}
+		return nil
 	}
-	t.Cleanup(func() { fsync = (*os.File).Sync })
+	t.Cleanup(func() { appendlog.Failpoint = nil })
 	return func() []string {
 		mu.Lock()
 		defer mu.Unlock()

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"fairflow/internal/appendlog"
 )
 
 // The chunked kernel is the single byte-moving core under every hashing and
@@ -152,7 +154,7 @@ func (s *Store) PutAll(paths []string, workers int) ([]PutResult, error) {
 // putFile ingests one file's bytes, optionally updating the index (PutAll
 // defers that to a single batched pass).
 func (s *Store) putFile(path string, updateIndex bool) (Digest, int64, error) {
-	f, err := os.Open(path)
+	f, err := appendlog.Open(path, os.O_RDONLY, 0)
 	if err != nil {
 		return "", 0, err
 	}

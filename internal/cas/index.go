@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"fairflow/internal/appendlog"
 )
 
 // IndexVersion is the current index schema version.
@@ -154,59 +155,8 @@ func (idx *Index) save() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(idx.path, data, 0o644); err != nil {
+	if err := appendlog.WriteFileAtomic(idx.path, data, 0o644); err != nil {
 		return err
 	}
 	return idx.log.compacted()
-}
-
-// writeFileAtomic writes data to path via a temp file in the same directory
-// and an atomic rename. The temp file is fsynced before the rename and the
-// parent directory after it, so the write is durable across power loss —
-// not just atomic against crashes and concurrent readers.
-func writeFileAtomic(path string, data []byte, mode os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmpName, mode)
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr == nil {
-		werr = syncDir(dir)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-	}
-	return werr
-}
-
-// fsync replaces (*os.File).Sync in tests: the seam that observes the fsyncs
-// put and syncDir make.
-var fsync = (*os.File).Sync
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry survives
-// power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := fsync(d)
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
 }

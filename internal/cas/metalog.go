@@ -106,7 +106,7 @@ func (l *metaLog) open() error {
 	fi, err := f.Stat()
 	if err == nil {
 		if fi.Size() == 0 {
-			err = syncDir(filepath.Dir(l.path))
+			err = appendlog.SyncDir(filepath.Dir(l.path))
 		} else {
 			err = appendlog.TrimTornTail(f, fi.Size())
 		}

@@ -3,6 +3,7 @@ package cas
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/telemetry"
 )
 
@@ -510,5 +512,47 @@ func TestPutSurvivesKill(t *testing.T) {
 	}
 	if errs := s.VerifyAll(); len(errs) != 0 {
 		t.Fatalf("VerifyAll after kill -9: %v", errs)
+	}
+}
+
+// TestSnapshotFsyncsGoThroughTheHook: both compaction points write their
+// snapshot through appendlog's WriteFileAtomic, so its fsyncs — the temp file,
+// then the store directory — are seen by the failpoint hook, and one the hook
+// refuses fails the compaction and leaves the previous state in place.
+func TestSnapshotFsyncsGoThroughTheHook(t *testing.T) {
+	dir := t.TempDir()
+	s, c := openBoth(t, dir)
+	for i := 0; i < 3; i++ {
+		putEntry(t, s, c, i)
+	}
+	fsyncs := recordFsyncs(t)
+	if _, _, err := s.GC(c.Live()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	got := fsyncs()
+	if len(got) != 4 || !strings.HasPrefix(filepath.Base(got[0]), ".index.json.tmp-") || got[1] != dir ||
+		!strings.HasPrefix(filepath.Base(got[2]), ".actions.json.tmp-") || got[3] != dir {
+		t.Fatalf("compaction fsynced %q, want index.json's temp file, %s, actions.json's temp file, %s", got, dir, dir)
+	}
+
+	putEntry(t, s, c, 3)
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if op == appendlog.OpSync && strings.HasPrefix(filepath.Base(path), ".actions.json.tmp-") {
+			return errors.New("refused")
+		}
+		return nil
+	}
+	if err := c.Save(); err == nil {
+		t.Fatal("Save succeeded although its snapshot's fsync failed")
+	}
+	appendlog.Failpoint = nil
+	if _, err := os.Stat(filepath.Join(dir, "actions.json.log")); err != nil {
+		t.Fatalf("a failed Save dropped the log it had not folded in: %v", err)
+	}
+	if _, c2 := openBoth(t, dir); c2.Len() != 4 {
+		t.Fatalf("reopened cache holds %d actions, want 4", c2.Len())
 	}
 }

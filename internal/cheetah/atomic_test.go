@@ -128,38 +128,3 @@ func TestMaterializeWritesCompleteFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWriteFileAtomicDurableRoundTrip overwrites one file repeatedly through
-// the durable write path (temp fsync + rename + parent-directory fsync) and
-// re-reads it each time: the content and mode must round-trip exactly and no
-// temp file may survive.
-func TestWriteFileAtomicDurableRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "campaign.json")
-	for i, content := range []string{"first", "second, longer content", ""} {
-		if err := WriteFileAtomic(path, []byte(content), 0o600); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if string(got) != content {
-			t.Fatalf("round-trip %d: got %q, want %q", i, got, content)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Mode().Perm() != 0o600 {
-			t.Fatalf("round-trip %d: mode = %v, want 0600", i, fi.Mode().Perm())
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want just the target", len(entries))
-	}
-}

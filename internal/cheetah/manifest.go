@@ -12,59 +12,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
+
+	"fairflow/internal/appendlog"
 )
-
-// fsync replaces (*os.File).Sync in tests: the seam that observes, orders and
-// fails every fsync WriteFileAtomic and Materialize make.
-var fsync = (*os.File).Sync
-
-// WriteFileAtomic writes data via a temp file in the target's directory and
-// an atomic rename: a crash (or a concurrent reader) can never observe a
-// torn or partially-written campaign file — only the old content or the new.
-// The temp file is fsynced before the rename and the parent directory after
-// it, so the write is also durable across power loss.
-func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = fsync(tmp)
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmpName, mode)
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr == nil {
-		werr = syncDir(dir)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-	}
-	return werr
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry survives
-// power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := fsync(d)
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
-}
 
 // Manifest is the interoperability layer between composition (Cheetah) and
 // execution (Savanna): "an abstract manifest of the campaign ... a JSON
@@ -133,12 +84,16 @@ const (
 //	root/<campaign>/campaign.json           — the manifest, written last
 //	root/<campaign>/status.log              — run statuses, written by engines
 //
-// The manifest is the commit marker: a directory that has campaign.json is
-// complete and durable, one that lacks it is garbage. That is why the run
-// files are created in place, with no temp name and no rename — nothing reads
-// a directory without its manifest — and why every file and every directory
-// that gained an entry is fsynced before campaign.json exists: each entry the
-// manifest vouches for is on stable storage by the time the manifest is.
+// The manifest is the commit marker and the one durable record of what to
+// run: a directory that has campaign.json is complete, one that lacks it is
+// garbage. Everything else under the campaign directory is a projection of
+// it. The run files are therefore created in place — one mkdir and one
+// exclusive create, write and close per run, no temp name, no rename — and
+// none of them is fsynced: only campaign.json is (temp file, rename, its
+// directory), then root for the campaign directory's own entry. A power loss
+// can take back run directories and params.json files that campaign.json
+// lists; RestoreRunFiles re-creates them, and every command that executes a
+// campaign directory calls it when it opens one.
 //
 // The campaign directory is claimed with an exclusive mkdir, so of two
 // concurrent creates one is refused. params.json takes its mode from the
@@ -159,23 +114,19 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	if err := checkName("campaign", m.Campaign.Name); err != nil {
 		return "", err
 	}
-	var manifest bytes.Buffer
-	if err := m.Write(&manifest); err != nil {
-		return "", err
-	}
 	dir := filepath.Join(root, m.Campaign.Name)
-	// Every directory that will gain an entry: the run directories' parents
-	// (<group>/<sweep>) and their ancestors up to dir. Sorted, a directory
-	// comes before everything under it, and dir comes first.
-	dirs := []string{dir}
-	gained := map[string]bool{dir: true}
+	// The run directories' parents (<group>/<sweep>) and their ancestors
+	// below dir, each once. Sorted, a directory comes before everything
+	// under it.
+	var dirs []string
+	made := map[string]bool{dir: true}
 	for _, run := range m.Runs {
-		runDir := filepath.Join(dir, run.ID)
-		if !filepath.IsLocal(run.ID) || runDir == dir {
-			return "", fmt.Errorf("cheetah: run ID %q is not a path inside the campaign directory", run.ID)
+		runDir, err := runPath(dir, run.ID)
+		if err != nil {
+			return "", err
 		}
-		for p := filepath.Dir(runDir); !gained[p]; p = filepath.Dir(p) {
-			gained[p] = true
+		for p := filepath.Dir(runDir); !made[p]; p = filepath.Dir(p) {
+			made[p] = true
 			dirs = append(dirs, p)
 		}
 	}
@@ -193,14 +144,43 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	} else if err != nil {
 		return "", err
 	}
-	for _, d := range dirs[1:] {
+	for _, d := range dirs {
 		if err := os.Mkdir(d, 0o755); err != nil {
 			return "", err
 		}
 	}
 
-	// 2. The run directories, in contiguous shards over a fixed pool. A worker
-	// stops at its own first error; the others finish their shards.
+	// 2. The run directories, with the manifest encoded beside them: the
+	// runs queue on their parent directory's lock, and on tmpfs the encoding
+	// is about a sixth of the call's CPU.
+	var manifest bytes.Buffer
+	encoded := make(chan error, 1)
+	go func() { encoded <- m.Write(&manifest) }()
+	err := m.eachRun(func(run Run) error {
+		return writeRunDir(filepath.Join(dir, run.ID), run.Params)
+	})
+	if eerr := <-encoded; err == nil {
+		err = eerr
+	}
+	if err != nil {
+		return "", err
+	}
+
+	// 3. The manifest, durable with its entry in dir, then root for dir's
+	// own entry.
+	if err := appendlog.WriteFileAtomic(filepath.Join(dir, "campaign.json"), manifest.Bytes(), 0o644); err != nil {
+		return "", err
+	}
+	if err := appendlog.SyncDir(root); err != nil {
+		return "", err
+	}
+	return dir, nil
+}
+
+// eachRun calls fn for every run, in contiguous shards over a fixed pool. A
+// worker stops at its own first error; the others finish their shards. The
+// errors come back joined.
+func (m *Manifest) eachRun(fn func(Run) error) error {
 	workers := min(8, 2*runtime.GOMAXPROCS(0), len(m.Runs))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -209,58 +189,108 @@ func (m *Manifest) Materialize(root string) (string, error) {
 		go func(w int, shard []Run) {
 			defer wg.Done()
 			for _, run := range shard {
-				if errs[w] = writeRunDir(filepath.Join(dir, run.ID), run.Params); errs[w] != nil {
+				if errs[w] = fn(run); errs[w] != nil {
 					return
 				}
 			}
 		}(w, m.Runs[w*len(m.Runs)/workers:(w+1)*len(m.Runs)/workers])
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return "", err
-	}
-
-	// 3. Every directory that gained an entry, deepest first, then the
-	// manifest, then root for dir's own entry.
-	for i := len(dirs) - 1; i >= 0; i-- {
-		if err := syncDir(dirs[i]); err != nil {
-			return "", err
-		}
-	}
-	if err := WriteFileAtomic(filepath.Join(dir, "campaign.json"), manifest.Bytes(), 0o644); err != nil {
-		return "", err
-	}
-	if err := syncDir(root); err != nil {
-		return "", err
-	}
-	return dir, nil
+	return errors.Join(errs...)
 }
 
-// writeRunDir creates one run directory and its params.json, both durable on
-// return: the file is fsynced, then the directory that names it.
+// runPath is the directory of the run with the given ID under the campaign
+// directory dir, refusing an ID that would leave it.
+func runPath(dir, id string) (string, error) {
+	runDir := filepath.Join(dir, id)
+	if !filepath.IsLocal(id) || runDir == dir {
+		return "", fmt.Errorf("cheetah: run ID %q is not a path inside the campaign directory", id)
+	}
+	return runDir, nil
+}
+
+// paramsJSON is a run's params.json: the bytes Materialize writes and
+// RestoreRunFiles compares against.
+func paramsJSON(params map[string]string) ([]byte, error) {
+	return json.MarshalIndent(params, "", "  ")
+}
+
+// writeRunDir creates one run directory and its params.json: a mkdir, then
+// an exclusive create, one write and a close. Neither is fsynced.
 func writeRunDir(runDir string, params map[string]string) error {
-	data, err := json.MarshalIndent(params, "", "  ")
+	data, err := paramsJSON(params)
 	if err != nil {
 		return err
 	}
 	if err := os.Mkdir(runDir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(runDir, "params.json"), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
+	return appendlog.WriteFile(filepath.Join(runDir, "params.json"), data, os.O_CREATE|os.O_EXCL, 0o644)
+}
+
+// RestoreRunFiles re-creates, in the campaign directory dir, every run
+// directory and every params.json that is missing or not byte-equal to what
+// Materialize writes for its run, and returns how many params.json files it
+// wrote. A directory whose run files are all intact is only read. Like
+// Materialize it fsyncs nothing: what it writes is a projection of
+// campaign.json too, and the next restore re-creates whatever a power loss
+// takes back.
+func (m *Manifest) RestoreRunFiles(dir string) (int, error) {
+	var restored atomic.Int64
+	err := m.eachRun(func(run Run) error {
+		runDir, err := runPath(dir, run.ID)
+		if err != nil {
+			return err
+		}
+		wrote, err := restoreRunDir(runDir, run.Params)
+		if wrote {
+			restored.Add(1)
+		}
 		return err
+	})
+	return int(restored.Load()), err
+}
+
+// restoreRunDir rewrites runDir/params.json unless it already holds exactly
+// the run's encoding, making runDir (and its parents) first if they are gone.
+// It reports whether it wrote.
+func restoreRunDir(runDir string, params map[string]string) (bool, error) {
+	want, err := paramsJSON(params)
+	if err != nil {
+		return false, err
 	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = fsync(f)
+	path := filepath.Join(runDir, "params.json")
+	if same, err := holds(path, want); same || err != nil {
+		return false, err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	// O_TRUNC, not O_EXCL: two restores racing on one file write the same
+	// bytes, whichever truncates last.
+	err = appendlog.WriteFile(path, want, os.O_CREATE|os.O_TRUNC, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(runDir, 0o755); err == nil {
+			err = appendlog.WriteFile(path, want, os.O_CREATE|os.O_TRUNC, 0o644)
+		}
 	}
-	if err == nil {
-		err = syncDir(runDir)
+	return err == nil, err
+}
+
+// holds reports whether the file at path holds exactly want. A missing file
+// holds nothing.
+func holds(path string, want []byte) (bool, error) {
+	f, err := appendlog.Open(path, os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
 	}
-	return err
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	got := make([]byte, len(want)+1) // one byte more shows a longer file
+	n, err := io.ReadFull(f, got)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return false, err
+	}
+	return n == len(want) && bytes.Equal(got[:n], want), nil
 }
 
 // LoadCampaignDir reads the manifest back from a materialised campaign

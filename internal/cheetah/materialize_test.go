@@ -8,11 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"fairflow/internal/appendlog"
 )
 
 // sweepCampaign is a one-group, one-sweep campaign of n runs.
@@ -133,43 +136,57 @@ func TestMaterializeTreeMatchesReference(t *testing.T) {
 	}
 }
 
-// traceFsyncs routes the package's fsync seam through a recorder for the
-// length of the test. Every call is recorded, in order, with whether the
+// opTrace records every open, write and fsync made through appendlog's
+// failpoint hook for the length of the test, in order, with whether the
 // manifest (its temp file or campaign.json itself) existed in campaignDir at
-// that moment; fail names the paths whose fsync is refused.
-type fsyncTrace struct {
+// that moment; fail names the paths whose writes are refused.
+type opTrace struct {
 	mu      sync.Mutex
-	names   []string
+	ops     []appendlog.Op
+	paths   []string
 	present []bool
 }
 
-func traceFsyncs(t *testing.T, campaignDir string, fail ...string) *fsyncTrace {
-	tr := &fsyncTrace{}
-	fsync = func(f *os.File) error {
+func traceOps(t *testing.T, campaignDir string, fail ...string) *opTrace {
+	tr := &opTrace{}
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
 		entries, _ := os.ReadDir(campaignDir)
 		var manifest bool
 		for _, e := range entries {
 			manifest = manifest || strings.Contains(e.Name(), "campaign.json")
 		}
 		tr.mu.Lock()
-		tr.names = append(tr.names, f.Name())
+		tr.ops = append(tr.ops, op)
+		tr.paths = append(tr.paths, path)
 		tr.present = append(tr.present, manifest)
 		tr.mu.Unlock()
-		for _, name := range fail {
-			if f.Name() == name {
-				return &fs.PathError{Op: "sync", Path: name, Err: fs.ErrInvalid}
-			}
+		if op == appendlog.OpWrite && slices.Contains(fail, path) {
+			return fs.ErrInvalid
 		}
-		return f.Sync()
+		return nil
 	}
-	t.Cleanup(func() { fsync = (*os.File).Sync })
+	t.Cleanup(func() { appendlog.Failpoint = nil })
 	return tr
 }
 
-// TestMaterializeDurableBeforeManifest: every params.json, every run
-// directory, every sweep and group directory and the campaign directory are
-// fsynced before campaign.json's temp file exists; root is fsynced after the
-// rename; and the count is exact.
+// of returns the paths the trace saw op on, in order.
+func (tr *opTrace) of(op appendlog.Op) []string {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	var out []string
+	for i, o := range tr.ops {
+		if o == op {
+			out = append(out, tr.paths[i])
+		}
+	}
+	return out
+}
+
+// TestMaterializeDurableBeforeManifest: campaign.json is the one durable
+// record. Materialize fsyncs exactly three paths — campaign.json's temp file,
+// the campaign directory that names campaign.json, then root for the
+// campaign directory's own entry — and nothing under a run directory; every
+// params.json is written before campaign.json's temp file exists.
 func TestMaterializeDurableBeforeManifest(t *testing.T) {
 	m, err := BuildManifest(wideCampaign())
 	if err != nil {
@@ -177,60 +194,35 @@ func TestMaterializeDurableBeforeManifest(t *testing.T) {
 	}
 	root := t.TempDir()
 	dir := filepath.Join(root, m.Campaign.Name)
-	tr := traceFsyncs(t, dir)
+	tr := traceOps(t, dir)
 	if _, err := m.Materialize(root); err != nil {
 		t.Fatal(err)
 	}
 
-	// When each path was first fsynced, and where the manifest starts.
-	first := map[string]int{}
+	synced := tr.of(appendlog.OpSync)
+	if len(synced) != 3 || !strings.HasPrefix(filepath.Base(synced[0]), ".campaign.json.tmp-") ||
+		filepath.Dir(synced[0]) != dir || synced[1] != dir || synced[2] != root {
+		t.Fatalf("fsynced %q, want campaign.json's temp file in %s, then %s, then %s", synced, dir, dir, root)
+	}
 	manifestAt := -1
-	for i, name := range tr.names {
-		if _, ok := first[name]; !ok {
-			first[name] = i
-		}
-		if manifestAt < 0 && strings.HasPrefix(filepath.Base(name), ".campaign.json.tmp-") {
+	params := map[string]bool{}
+	for i, path := range tr.paths {
+		switch {
+		case manifestAt < 0 && tr.ops[i] == appendlog.OpOpen && strings.HasPrefix(filepath.Base(path), ".campaign.json.tmp-"):
 			manifestAt = i
+		case filepath.Base(path) == "params.json":
+			if manifestAt >= 0 || tr.present[i] {
+				t.Fatalf("%s %s after campaign.json's temp file was created", tr.ops[i], path)
+			}
+			if tr.ops[i] == appendlog.OpWrite {
+				params[path] = true
+			}
 		}
 	}
-	if manifestAt < 0 {
-		t.Fatalf("campaign.json's temp file was never fsynced: %q", tr.names)
-	}
-	for i := 0; i <= manifestAt; i++ {
-		if tr.present[i] != (i == manifestAt) {
-			t.Fatalf("fsync %d (%s): manifest present = %v", i, tr.names[i], tr.present[i])
-		}
-	}
-	before := func(a, b string) {
-		t.Helper()
-		ia, ok := first[a]
-		ib, ok2 := first[b]
-		if !ok || !ok2 || ia >= ib || ib >= manifestAt {
-			t.Fatalf("want %s fsynced before %s, both before the manifest (%d): got %d (%v), %d (%v)", a, b, manifestAt, ia, ok, ib, ok2)
-		}
-	}
-	parents, ancestors := map[string]bool{}, map[string]bool{}
 	for _, run := range m.Runs {
-		runDir := filepath.Join(dir, run.ID)
-		sweepDir := filepath.Dir(runDir)
-		groupDir := filepath.Dir(sweepDir)
-		before(filepath.Join(runDir, "params.json"), runDir)
-		before(runDir, sweepDir)
-		before(sweepDir, groupDir)
-		before(groupDir, dir)
-		parents[sweepDir], ancestors[groupDir] = true, true
-	}
-	// The tail: the manifest's temp file, the campaign directory that now
-	// names campaign.json, then root for the campaign directory's own entry.
-	if tail := tr.names[manifestAt+1:]; len(tail) != 2 || tail[0] != dir || tail[1] != root {
-		t.Fatalf("after the manifest's temp file: fsynced %q, want %q", tail, []string{dir, root})
-	}
-	// params.json + run directory per run, each sweep and group directory,
-	// the campaign directory, WriteFileAtomic's two, root. (The parent of
-	// this change made 2·N + 2: no sweep, group, campaign or root fsync.)
-	want := 2*len(m.Runs) + len(parents) + len(ancestors) + 1 + 2 + 1
-	if len(tr.names) != want {
-		t.Fatalf("%d fsyncs, want exactly %d", len(tr.names), want)
+		if path := filepath.Join(dir, run.ID, "params.json"); !params[path] {
+			t.Fatalf("%s was not written through appendlog before the manifest", path)
+		}
 	}
 }
 
@@ -261,12 +253,12 @@ func TestMaterializeShardFailures(t *testing.T) {
 			for _, i := range tc.fail {
 				failing = append(failing, filepath.Join(dir, m.Runs[i].ID, "params.json"))
 			}
-			traceFsyncs(t, dir, failing...)
+			traceOps(t, dir, failing...)
 			goroutines := runtime.NumGoroutine()
 
 			_, err = m.Materialize(root)
 			if err == nil {
-				t.Fatal("Materialize succeeded although an fsync failed")
+				t.Fatal("Materialize succeeded although a write failed")
 			}
 			for _, path := range failing {
 				if !strings.Contains(err.Error(), path) {
@@ -427,5 +419,64 @@ func TestMaterializeClaimIsExclusive(t *testing.T) {
 	}
 	if _, err := m.Materialize(root); err == nil || !strings.Contains(err.Error(), "is the leftover of an interrupted create (no campaign.json); remove it") {
 		t.Fatalf("create over a directory without campaign.json: %v", err)
+	}
+}
+
+// TestRestoreRunFiles: run files a power loss took back — a whole run
+// directory, a params.json, one cut to nothing, one holding same-size garbage
+// — are re-created from the manifest without an fsync, leaving the tree
+// Materialize's reference makes; a second restore finds nothing to do and
+// writes nothing.
+func TestRestoreRunFiles(t *testing.T) {
+	m, err := BuildManifest(wideCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := m.Materialize(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := func(i int) string { return filepath.Join(dir, m.Runs[i].ID, "params.json") }
+	last := len(m.Runs) - 1
+	if err := os.RemoveAll(filepath.Join(dir, m.Runs[0].ID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(params(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(params(14), 0); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(params(last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(params(last), bytes.Repeat([]byte{'#'}, int(info.Size())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := treeOf(t, referenceMaterialize(t, m, t.TempDir()))
+
+	tr := traceOps(t, dir)
+	restored, err := m.RestoreRunFiles(dir)
+	if err != nil || restored != 4 {
+		t.Fatalf("restore: %d run files, err %v; want 4", restored, err)
+	}
+	if synced := tr.of(appendlog.OpSync); len(synced) != 0 {
+		t.Fatalf("restore fsynced %q", synced)
+	}
+	if got := treeOf(t, dir); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("restored tree has %d entries, the reference %d, or they differ:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+
+	tr = traceOps(t, dir)
+	restored, err = m.RestoreRunFiles(dir)
+	if err != nil || restored != 0 {
+		t.Fatalf("second restore: %d run files, err %v; want 0", restored, err)
+	}
+	if wrote := append(tr.of(appendlog.OpWrite), tr.of(appendlog.OpSync)...); len(wrote) != 0 {
+		t.Fatalf("second restore wrote %q", wrote)
+	}
+	if got := treeOf(t, dir); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatal("second restore changed the tree")
 	}
 }

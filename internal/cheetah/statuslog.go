@@ -157,7 +157,7 @@ func (l *StatusLog) Close() error {
 	defer l.mu.Unlock()
 	err := l.f.Sync()
 	if err == nil {
-		err = syncDir(l.dir)
+		err = appendlog.SyncDir(l.dir)
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

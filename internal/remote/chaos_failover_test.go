@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
@@ -60,7 +61,7 @@ func failoverCoordinatorMain() int {
 	}
 	// Publish the address before Coordinate blocks in standby wait, so
 	// workers can already aim their reconnect loops at this incarnation.
-	if err := cheetah.WriteFileAtomic(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+	if err := appendlog.WriteFileAtomic(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "failover helper:", err)
 		return 1
 	}
@@ -95,7 +96,7 @@ func failoverCoordinatorMain() int {
 				buf.WriteByte('\n')
 			}
 		}
-		cheetah.WriteFileAtomic(out, buf.Bytes(), 0o644)
+		appendlog.WriteFileAtomic(out, buf.Bytes(), 0o644)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "failover helper %s: %v\n", holder, err)
@@ -125,7 +126,7 @@ func failoverPayload(outDir string, executions *int64, hook func(n int64)) execF
 		default:
 		}
 		content := fmt.Sprintf("point i=%d model=%s value=%d\n", i, run.Params["model"], i*i)
-		return cheetah.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"), []byte(content), 0o644)
+		return appendlog.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"), []byte(content), 0o644)
 	}
 }
 

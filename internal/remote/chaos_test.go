@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
@@ -50,7 +51,7 @@ func chaosPayload(outDir string, executions *int64, hook func(n int64)) execFn {
 		default:
 		}
 		content := fmt.Sprintf("point i=%d model=%s value=%d\n", i, run.Params["model"], i*i)
-		return cheetah.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"), []byte(content), 0o644)
+		return appendlog.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"), []byte(content), 0o644)
 	}
 }
 

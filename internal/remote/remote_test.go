@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
@@ -228,7 +229,7 @@ func TestRemoteMemoShortCircuit(t *testing.T) {
 		return &Worker{
 			Name: name, Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
 				atomic.AddInt64(executed, 1)
-				return cheetah.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"),
+				return appendlog.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"),
 					[]byte("result "+run.Params["i"]+"\n"), 0o644)
 			}),
 			Slots: 2, Heartbeat: 20 * time.Millisecond,

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"fairflow/internal/cheetah"
+	"fairflow/internal/appendlog"
 )
 
 // StopPolicy is the campaign-level circuit breaker: when the fraction of
@@ -258,7 +258,7 @@ func (r CompletenessReport) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	return cheetah.WriteFileAtomic(path, append(data, '\n'), 0o644)
+	return appendlog.WriteFileAtomic(path, append(data, '\n'), 0o644)
 }
 
 // Report renders the controller's tally for a campaign of total runs.

@@ -7,7 +7,7 @@ import (
 	"os"
 	"time"
 
-	"fairflow/internal/cheetah"
+	"fairflow/internal/appendlog"
 )
 
 // The coordinator lease file is the failover election primitive: one small
@@ -99,7 +99,7 @@ func (l *FileLease) write() error {
 	if err != nil {
 		return err
 	}
-	return cheetah.WriteFileAtomic(l.path, append(data, '\n'), 0o644)
+	return appendlog.WriteFileAtomic(l.path, append(data, '\n'), 0o644)
 }
 
 // Holder returns the claim's holder name.

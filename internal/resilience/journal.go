@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fairflow/internal/appendlog"
-	"fairflow/internal/cheetah"
 )
 
 // Attempt journal events.
@@ -392,7 +391,7 @@ func (j *Journal) Compact() error {
 	// Past this point the old handle is gone: whatever happens, leave j.f
 	// pointing at a usable append handle so later Appends (whose errors many
 	// callers deliberately ignore) don't silently vanish into a closed file.
-	werr := cheetah.WriteFileAtomic(j.path, buf.Bytes(), 0o644)
+	werr := appendlog.WriteFileAtomic(j.path, buf.Bytes(), 0o644)
 	f, oerr := os.OpenFile(j.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if oerr == nil {
 		j.f = f
