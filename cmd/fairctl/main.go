@@ -43,32 +43,18 @@
 //	fairctl health -f dump.json [-rule 'name: metric > x']... [-format text|json]
 //	                                  replay a dump's event journal through the
 //	                                  campaign monitor; exit 3 if any alert fires
-//	fairctl resume -campaign <dir> [-journal attempts.jsonl] [flags] [-- cmd {param}...]
-//	                                  replay the attempt journal of a killed
-//	                                  campaign; report the resume position (exit 3
-//	                                  if runs remain), or re-execute the remainder
-//	                                  with retries/quarantine/deadlines armed when
-//	                                  a command template follows --
-//	fairctl worker -connect host:port [-name w1] [-slots 2] [-serve] [-cas store]
+//	fairctl worker -connect host:port [-name w1] [-slots 2] [-cas store]
 //	               [-out name:relpath]... [-workdir dir] -- cmd {param}...
-//	                                  join a coordinator (savanna run -remote, or
-//	                                  fairctl coordinate) as a remote execution
-//	                                  worker: runs arrive in batches under a
-//	                                  heartbeat-renewed lease, each executes via
-//	                                  the command template, and named outputs sync
-//	                                  by CAS digest; -serve survives coordinator
-//	                                  loss by reconnecting with backoff and
-//	                                  replaying spooled outcomes to the successor
-//	fairctl coordinate -campaign <dir> [-listen host:port] [-resume | -standby]
-//	                   [-journal attempts.jsonl] [-lease-file f] [-coord-ttl 3s]
-//	                   [-fsync-every 32] [-events out.jsonl] [-report r.json]
-//	                                  run one failover-capable coordinator
-//	                                  incarnation: journal every state transition,
-//	                                  fence a fresh epoch, dispatch only the runs
-//	                                  the journal still owes; -resume restarts a
-//	                                  crashed campaign, -standby tails the lease
-//	                                  file and takes over when the active claim
-//	                                  goes stale; exit 3 while runs remain
+//	                                  join a coordinator (savanna run -listen) as
+//	                                  a remote execution worker: runs arrive in
+//	                                  batches under a heartbeat-renewed lease,
+//	                                  each executes via the command template, and
+//	                                  named outputs sync by CAS digest; the worker
+//	                                  survives coordinator loss by redialing for
+//	                                  -dial-wait and replaying spooled outcomes to
+//	                                  the successor
+//
+// Campaigns themselves are executed, resumed and coordinated by savanna run.
 package main
 
 import (
@@ -172,12 +158,8 @@ func main() {
 		watchCmd(os.Args[2:])
 	case "health":
 		healthCmd(os.Args[2:])
-	case "resume":
-		resumeCmd(os.Args[2:])
 	case "worker":
 		workerCmd(os.Args[2:])
-	case "coordinate":
-		coordinateCmd(os.Args[2:])
 	default:
 		usage()
 	}
@@ -390,7 +372,7 @@ func export(wfFile, provFile, campaign string, includeInternal bool, out string)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: fairctl <gauges|terms|assess|plan|export|cas|metrics|trace|analyze|watch|health|resume|worker|coordinate> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: fairctl <gauges|terms|assess|plan|export|cas|metrics|trace|analyze|watch|health|worker> [flags]")
 	os.Exit(2)
 }
 

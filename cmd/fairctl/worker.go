@@ -27,14 +27,15 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
 // workerCmd implements "fairctl worker": join a coordinator as a remote
 // execution worker, running each assigned run through a command template
-// (the same {param} substitution as "fairctl resume"). With -cas the worker
+// (the same {param} substitution as "savanna run"). With -cas the worker
 // keeps a local action cache seeded from the coordinator's lease grant, so
 // repeated campaigns skip already-computed runs and only digests cross the
 // wire; -out names which files each run produces for collection.
 //
-// The worker serves one campaign session: it exits 0 when the coordinator
-// drains it, non-zero when the connection breaks. Dialing retries until
-// -dial-wait elapses, so workers may be started before the coordinator.
+// The worker exits 0 when a coordinator drains it. A coordinator that is not
+// listening yet, or that died, is redialed until -dial-wait passes without an
+// attach, so workers may be started before the coordinator and survive its
+// replacement by a successor.
 func workerCmd(args []string) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	connect := fs.String("connect", "", "coordinator address (host:port)")
@@ -42,8 +43,7 @@ func workerCmd(args []string) {
 	slots := fs.Int("slots", 1, "concurrent runs this worker executes")
 	workdir := fs.String("workdir", "", "root for per-run working directories (default: a temp dir)")
 	timeout := fs.Duration("timeout", 0, "per-process walltime (0 = none)")
-	dialWait := fs.Duration("dial-wait", 30*time.Second, "keep retrying the initial dial for this long")
-	serve := fs.Bool("serve", false, "survive coordinator loss: reconnect with backoff and replay spooled outcomes to the successor")
+	dialWait := fs.Duration("dial-wait", 30*time.Second, "keep redialing a coordinator that is not (or no longer) listening for this long")
 	casDir := fs.String("cas", "", "artifact store directory for the worker-side memo cache")
 	var outs multiFlag
 	fs.Var(&outs, "out", "output artifact as name:relpath under the run's working directory (repeatable)")
@@ -130,38 +130,13 @@ func workerCmd(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -serve is the failover mode: the worker outlives coordinator
-	// incarnations, reconnecting with jittered backoff (the initial
-	// not-yet-listening window included) and replaying its outcome spool
-	// to whichever successor fences in (DESIGN.md §4j).
-	if *serve {
-		w.ReconnectWait = *dialWait
-		if err := w.Serve(ctx); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "fairctl: worker drained, exiting")
-		return
+	// The worker outlives coordinator incarnations: it reconnects with
+	// jittered backoff (the initial not-yet-listening window included) and
+	// replays its outcome spool to whichever successor fences in
+	// (DESIGN.md §4j), giving up after -dial-wait without an attach.
+	w.ReconnectWait = *dialWait
+	if err := w.Serve(ctx); err != nil {
+		fatal(err)
 	}
-
-	// The coordinator may not be listening yet (CI starts both at once):
-	// retry the dial with backoff until the window closes.
-	deadline := time.Now().Add(*dialWait)
-	delay := 100 * time.Millisecond
-	for {
-		err := w.Run(ctx)
-		if err == nil {
-			fmt.Fprintln(os.Stderr, "fairctl: worker drained, exiting")
-			return
-		}
-		if ctx.Err() != nil {
-			fatal(fmt.Errorf("worker: interrupted: %w", err))
-		}
-		if !strings.Contains(err.Error(), "dialing coordinator") || time.Now().After(deadline) {
-			fatal(err)
-		}
-		time.Sleep(delay)
-		if delay *= 2; delay > 2*time.Second {
-			delay = 2 * time.Second
-		}
-	}
+	fmt.Fprintln(os.Stderr, "fairctl: worker drained, exiting")
 }

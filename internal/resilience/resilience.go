@@ -17,7 +17,7 @@
 //     worker pool;
 //   - a journaled attempt log whose replay reconstructs the in-flight /
 //     remaining / quarantined sets after a killed process — the substrate of
-//     "fairctl resume".
+//     "savanna run".
 //
 // A Controller bundles the mechanisms with campaign-level stop conditions
 // (max failure fraction → graceful abort) and renders a CompletenessReport

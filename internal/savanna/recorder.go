@@ -102,7 +102,7 @@ type RecorderConfig struct {
 // A record is in the page cache once its batch's write returns, no longer
 // when the engine's call returns: a SIGKILL loses at most the queue. Those
 // runs are owed again — never acknowledged (coordinator), re-run or found in
-// the memo (fairctl resume) — and never reported finished.
+// the memo (savanna run) — and never reported finished.
 //
 // The queue needs no bound of its own because the engines bound it: a
 // coordinator posts one group per message it handles, holding at most

@@ -141,7 +141,7 @@ type LocalEngine struct {
 	// Resilience, when non-nil, arms the full fault-tolerance stack:
 	// classified retries with decorrelated-jitter backoff, per-run
 	// deadlines, sweep-point quarantine, the journaled attempt log that
-	// fairctl resume replays, and the campaign-level stop condition. Nil is
+	// savanna run replays, and the campaign-level stop condition. Nil is
 	// the zero Config: one attempt per run, nothing else.
 	Resilience *resilience.Config
 	// Memo, when non-nil, memoizes whole runs: a run whose (component
@@ -186,7 +186,7 @@ func (e *LocalEngine) validate() error {
 // RunCampaign executes the given runs with dynamic scheduling: workers pull
 // the next run as soon as they free up, and results are returned in the input
 // order. The context cancels the campaign (in-flight runs are killed, runs
-// not yet started journal as skipped — exactly the state "fairctl resume"
+// not yet started journal as skipped — exactly the state "savanna run"
 // restarts from), and the returned CompletenessReport accounts for every run
 // whether or not the campaign ran to the end.
 func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []cheetah.Run) ([]RunResult, resilience.CompletenessReport, error) {
