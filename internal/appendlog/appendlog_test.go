@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -47,16 +48,131 @@ func TestTrimTornTail(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		f, err := Open(path, os.O_RDWR, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := TrimTornTail(f, int64(len(c.in))); err != nil {
+		if err := trimTornTail(f, int64(len(c.in))); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		f.Close()
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, []byte(c.want)) {
 			t.Errorf("%s: %d bytes left, want %d", name, len(got), len(c.want))
+		}
+	}
+}
+
+// recordOps routes the failpoint hook through a recorder until the test ends
+// and returns the "op base" steps seen so far, in order. refuse, when it
+// returns an error for a step, fails that step.
+func recordOps(t *testing.T, refuse func(op Op, path string) error) func() []string {
+	var seen []string
+	Failpoint = func(op Op, path string) error {
+		seen = append(seen, string(op)+" "+filepath.Base(path))
+		if refuse != nil {
+			return refuse(op, path)
+		}
+		return nil
+	}
+	t.Cleanup(func() { Failpoint = nil })
+	return func() []string { return append([]string(nil), seen...) }
+}
+
+// TestLogCreateFsyncsDirectory: creating a log fsyncs its directory once;
+// reopening a log that holds records does not, and nothing is written or
+// fsynced until the owner asks.
+func TestLogCreateFsyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "attempts.jsonl")
+	seen := recordOps(t, nil)
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Base(dir)
+	if got, want := strings.Join(seen(), "|"), "open attempts.jsonl|open "+base+"|sync "+base; got != want {
+		t.Fatalf("creating a log: hook saw %q, want %q", got, want)
+	}
+	if err := l.Append([]byte("a\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(seen())
+	if l, err = OpenLog(path); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if got := seen()[n:]; strings.Join(got, "|") != "open attempts.jsonl" {
+		t.Fatalf("reopening a log: hook saw %q, want the open alone", got)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "a\n" {
+		t.Fatalf("log holds %q", data)
+	}
+}
+
+// TestLogTrimsTornTail: OpenLog cuts an unterminated last line, and a write
+// that fails part-way — here another handle lands half a batch, then the
+// write reports ENOSPC — is cut back to its last newline before the next
+// Append, so every record in the file stays whole.
+func TestLogTrimsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "status.log")
+	if err := os.WriteFile(path, []byte("a\nhal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append([]byte("b\n")); err != nil {
+		t.Fatal(err)
+	}
+	batch := []byte("c\nd\n")
+	recordOps(t, func(op Op, path string) error {
+		if op != OpWrite {
+			return nil
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		f.Write(batch[:3]) // c, and part of d
+		f.Close()
+		return syscall.ENOSPC
+	})
+	if err := l.Append(batch); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("torn append returned %v", err)
+	}
+	Failpoint = nil
+	if data, _ := os.ReadFile(path); string(data) != "a\nb\nc\nd" {
+		t.Fatalf("after the torn append the log holds %q", data)
+	}
+	if err := l.Append([]byte("e\n")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "a\nb\nc\ne\n" {
+		t.Fatalf("after the next append the log holds %q, want the fragment cut and e on a clean line", data)
+	}
+}
+
+// TestLogClosed: a closed log refuses every further call rather than use a
+// descriptor number that may since name another file.
+func TestLogClosed(t *testing.T) {
+	l, err := OpenLog(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{"Append": l.Append([]byte("x\n")), "Sync": l.Sync(), "Close": l.Close()} {
+		if !errors.Is(err, fs.ErrClosed) {
+			t.Errorf("%s after Close: %v", name, err)
 		}
 	}
 }
@@ -133,25 +249,23 @@ func TestWriteFileAndRead(t *testing.T) {
 func TestFailpoint(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "f")
-	var seen []string
 	refuse := map[Op]bool{}
 	errFull := errors.New("no space left")
-	Failpoint = func(op Op, path string) error {
-		seen = append(seen, string(op)+" "+filepath.Base(path))
+	seen := recordOps(t, func(op Op, _ string) error {
 		if refuse[op] {
 			return errFull
 		}
 		return nil
-	}
-	t.Cleanup(func() { Failpoint = nil })
+	})
 
 	if err := WriteFileAtomic(target, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tmp := strings.TrimPrefix(seen[0], "open ")
+	got := seen()
+	tmp := strings.TrimPrefix(got[0], "open ")
 	want := []string{"open " + tmp, "write " + tmp, "sync " + tmp, "open " + filepath.Base(dir), "sync " + filepath.Base(dir)}
-	if !strings.HasPrefix(tmp, ".f.tmp-") || strings.Join(seen, "|") != strings.Join(want, "|") {
-		t.Fatalf("hook saw %q, want %q", seen, want)
+	if !strings.HasPrefix(tmp, ".f.tmp-") || strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("hook saw %q, want %q", got, want)
 	}
 
 	for _, op := range []Op{OpOpen, OpWrite, OpSync} {

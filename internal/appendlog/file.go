@@ -11,13 +11,13 @@ import (
 )
 
 // The durable-write helpers below are what the campaign directory
-// (internal/cheetah), the artifact store (internal/cas) and the attempt
-// journal's compaction share: files opened through a bare descriptor, one
-// SyncDir and one WriteFileAtomic. On unix a File is a bare fd — open, read,
-// write, fsync and close are one system call each, with none of the runtime
-// poller's registration (two fcntl calls and an epoll_ctl that Linux refuses
-// for a regular file, then two more fcntl calls) that os.OpenFile pays per
-// open. Elsewhere it is an *os.File.
+// (internal/cheetah), the artifact store (internal/cas), the resilience
+// layer's state files and every Log share: files opened through a bare
+// descriptor, one SyncDir and one WriteFileAtomic. On unix a File is a bare
+// fd — open, read, write, fsync and close are one system call each, with none
+// of the runtime poller's registration (two fcntl calls and an epoll_ctl that
+// Linux refuses for a regular file, then two more fcntl calls) that
+// os.OpenFile pays per open. Elsewhere it is an *os.File.
 
 // Op names a step the failpoint hook sees.
 type Op string
@@ -78,6 +78,39 @@ func (f *File) Read(p []byte) (int, error) {
 		return n, &fs.PathError{Op: "read", Path: f.name, Err: err}
 	case n == 0 && len(p) > 0:
 		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// readAt fills p from offset off; the end of the file before p is full is
+// io.ErrUnexpectedEOF.
+func (f *File) readAt(p []byte, off int64) error {
+	for len(p) > 0 {
+		n, err := preadFD(f.fd, p, off)
+		if err == nil && n == 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return &fs.PathError{Op: "read", Path: f.name, Err: err}
+		}
+		p, off = p[n:], off+int64(n)
+	}
+	return nil
+}
+
+// truncate cuts the file to size bytes.
+func (f *File) truncate(size int64) error {
+	if err := truncateFD(f.fd, size); err != nil {
+		return &fs.PathError{Op: "truncate", Path: f.name, Err: err}
+	}
+	return nil
+}
+
+// size returns the file's length as it is now.
+func (f *File) size() (int64, error) {
+	n, err := sizeFD(f.fd)
+	if err != nil {
+		return 0, &fs.PathError{Op: "stat", Path: f.name, Err: err}
 	}
 	return n, nil
 }

@@ -39,6 +39,25 @@ func writeFD(d fd, p []byte) (int, error) {
 	return n, bare(err)
 }
 
+// preadFD reports the end of the file as a short read, as pread does.
+func preadFD(d fd, p []byte, off int64) (int, error) {
+	n, err := d.ReadAt(p, off)
+	if err == io.EOF {
+		err = nil
+	}
+	return n, bare(err)
+}
+
+func truncateFD(d fd, size int64) error { return bare(d.Truncate(size)) }
+
+func sizeFD(d fd) (int64, error) {
+	fi, err := d.Stat()
+	if err != nil {
+		return 0, bare(err)
+	}
+	return fi.Size(), nil
+}
+
 func syncFD(d fd) error { return bare(d.Sync()) }
 
 func closeFD(d fd) error { return bare(d.Close()) }

@@ -39,6 +39,32 @@ func writeFD(d fd, p []byte) (int, error) {
 	}
 }
 
+func preadFD(d fd, p []byte, off int64) (int, error) {
+	for {
+		n, err := syscall.Pread(d, p, off)
+		if err != syscall.EINTR {
+			return max(n, 0), err
+		}
+	}
+}
+
+func truncateFD(d fd, size int64) error {
+	for {
+		if err := syscall.Ftruncate(d, size); err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
+func sizeFD(d fd) (int64, error) {
+	var st syscall.Stat_t
+	for {
+		if err := syscall.Fstat(d, &st); err != syscall.EINTR {
+			return st.Size, err
+		}
+	}
+}
+
 func syncFD(d fd) error {
 	for {
 		if err := syscall.Fsync(d); err != syscall.EINTR {

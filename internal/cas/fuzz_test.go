@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fairflow/internal/appendlog"
 )
 
 // FuzzRecipeDigest holds the recipe encoder to the fmt reference encoder
@@ -108,7 +110,7 @@ func FuzzCASLogReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		replayIndex := func(data []byte) ([]indexRecord, error) {
 			var recs []indexRecord
-			_, err := replayLog(bytes.NewReader(data), func(line []byte) error {
+			_, err := appendlog.Replay(bytes.NewReader(data), func(line []byte) error {
 				rec, err := decodeIndexRecord(line)
 				recs = append(recs, rec)
 				return err
@@ -117,7 +119,7 @@ func FuzzCASLogReplay(f *testing.F) {
 		}
 		replayActions := func(data []byte) ([]actionRecord, error) {
 			var recs []actionRecord
-			_, err := replayLog(bytes.NewReader(data), func(line []byte) error {
+			_, err := appendlog.Replay(bytes.NewReader(data), func(line []byte) error {
 				rec, err := decodeActionRecord(line)
 				recs = append(recs, rec)
 				return err

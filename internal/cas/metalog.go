@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -25,9 +24,9 @@ import (
 type metaLog struct {
 	path string // the log file, <snapshot path>.log
 
-	f   *os.File      // opened by the first append, closed by compacted
-	buf bytes.Buffer  // one record's encoding, reused across appends
-	enc *json.Encoder // writes into buf
+	f   *appendlog.Log // opened by the first append, closed by compacted
+	buf bytes.Buffer   // one record's encoding, reused across appends
+	enc *json.Encoder  // writes into buf
 
 	// n counts the records in the tail — replayed at open plus appended
 	// since — so owners know whether a compaction has anything to fold in.
@@ -51,7 +50,7 @@ func (l *metaLog) replay(apply func(line []byte) error) error {
 		return err
 	}
 	defer f.Close()
-	n, err := replayLog(f, apply)
+	n, err := appendlog.Replay(f, apply)
 	l.n += n
 	if err != nil {
 		return fmt.Errorf("cas: %s: %w", filepath.Base(l.path), err)
@@ -59,63 +58,31 @@ func (l *metaLog) replay(apply func(line []byte) error) error {
 	return nil
 }
 
-// replayLog is appendlog.Replay — the torn-tail rules the campaign status
-// log shares — under the name FuzzCASLogReplay pins it by.
-func replayLog(r io.Reader, apply func(line []byte) error) (int, error) {
-	return appendlog.Replay(r, apply)
-}
-
 // append writes rec as one line and fsyncs it: when append returns nil the
-// record survives a crash with no Close ever called. On any failure the
-// handle is dropped, so the next append reopens the file and trims whatever
-// partial line this one may have left.
+// record survives a crash with no Close ever called. The log is opened by
+// the first append — a new file's directory fsynced, an existing one's torn
+// tail cut as it is now, not as replay saw it, so another handle's appends
+// since then are never cut — and a failed open is tried again by the next.
 func (l *metaLog) append(rec any) error {
 	if l.f == nil {
-		if err := l.open(); err != nil {
-			return err
+		f, err := appendlog.OpenLog(l.path)
+		if err != nil {
+			return fmt.Errorf("cas: opening %s: %w", filepath.Base(l.path), err)
 		}
+		l.f = f
 	}
 	l.buf.Reset()
 	err := l.enc.Encode(rec) // Encode terminates the record with '\n'
 	if err == nil {
-		_, err = l.f.Write(l.buf.Bytes())
+		err = l.f.Append(l.buf.Bytes())
 	}
 	if err == nil {
 		err = l.f.Sync()
 	}
 	if err != nil {
-		l.f.Close()
-		l.f = nil
 		return fmt.Errorf("cas: appending to %s: %w", filepath.Base(l.path), err)
 	}
 	l.n++
-	return nil
-}
-
-// open opens the log for appending, creating it if needed. A new log's
-// directory entry is fsynced so the file itself survives power loss; an
-// existing log's torn tail is cut back to the last line boundary so this
-// handle's first record lands on a clean line. The trim looks at the file as
-// it is now, not as replay saw it, so another handle's appends since then
-// are never cut.
-func (l *metaLog) open() error {
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	fi, err := f.Stat()
-	if err == nil {
-		if fi.Size() == 0 {
-			err = appendlog.SyncDir(filepath.Dir(l.path))
-		} else {
-			err = appendlog.TrimTornTail(f, fi.Size())
-		}
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("cas: opening %s: %w", filepath.Base(l.path), err)
-	}
-	l.f = f
 	return nil
 }
 

@@ -75,49 +75,30 @@ func appendStatusLine(buf []byte, runID string, status RunStatus) []byte {
 // for the length of a campaign. Set appends its lines with one write(2): when
 // it returns nil the transitions are in the page cache, so they survive the
 // death of this process — kill -9 included — with no Close. They are not yet
-// power-loss durable; Close fsyncs once, at campaign end. In between, the
-// attempt journal under its own sync policy is the durable record, and the
-// engines' recorder writes its lines first: a status lost with the tail of
-// this log only ever makes a finished run look unfinished, never the reverse.
+// power-loss durable; Close fsyncs once, at campaign end (the directory entry
+// was fsynced when the log was created). In between, the attempt journal
+// under its own sync policy is the durable record, and the engines' recorder
+// writes its lines first: a status lost with the tail of this log only ever
+// makes a finished run look unfinished, never the reverse.
 //
 // Set and Close are safe for concurrent use, and several handles — a
 // successor coordinator, a resumed engine, a SetRunStatus — may append to one
 // log: O_APPEND keeps their lines whole.
 type StatusLog struct {
-	dir string
-
 	mu  sync.Mutex
-	f   *os.File
+	f   *appendlog.Log
 	buf []byte // one Set's lines, reused across Sets
-	// torn is set when a write failed and may have left part of a line; the
-	// next Set cuts the file back to a line boundary before appending, so the
-	// fragment cannot fuse with a good record into a corrupt one.
-	torn bool
 }
 
 // OpenStatusLog opens dir's status log for appending, creating it if needed.
 // A torn last line — a writer died mid-append — is cut away so this handle's
 // first record lands on a clean line.
 func OpenStatusLog(dir string) (*StatusLog, error) {
-	f, err := os.OpenFile(filepath.Join(dir, statusLogName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := appendlog.OpenLog(filepath.Join(dir, statusLogName))
 	if err != nil {
 		return nil, fmt.Errorf("cheetah: opening %s: %w", statusLogName, err)
 	}
-	l := &StatusLog{dir: dir, f: f}
-	if err := l.trim(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cheetah: opening %s: %w", statusLogName, err)
-	}
-	return l, nil
-}
-
-// trim cuts the file back to its last line boundary.
-func (l *StatusLog) trim() error {
-	fi, err := l.f.Stat()
-	if err != nil || fi.Size() == 0 {
-		return err
-	}
-	return appendlog.TrimTornTail(l.f, fi.Size())
+	return &StatusLog{f: f}, nil
 }
 
 // Set records, in order, that each line's run is now in its status. One
@@ -133,32 +114,22 @@ func (l *StatusLog) Set(lines ...StatusLine) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.torn {
-		if err := l.trim(); err != nil {
-			return fmt.Errorf("cheetah: appending to %s: %w", statusLogName, err)
-		}
-		l.torn = false
-	}
 	l.buf = l.buf[:0]
 	for _, ln := range lines {
 		l.buf = appendStatusLine(l.buf, ln.Run, ln.Status)
 	}
-	if _, err := l.f.Write(l.buf); err != nil {
-		l.torn = true
+	if err := l.f.Append(l.buf); err != nil {
 		return fmt.Errorf("cheetah: appending to %s: %w", statusLogName, err)
 	}
 	return nil
 }
 
-// Close fsyncs the log and its directory entry, then releases the handle:
-// after it returns nil every status this handle set is durable.
+// Close fsyncs the log, then releases the handle: after it returns nil every
+// status this handle set is durable.
 func (l *StatusLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	err := l.f.Sync()
-	if err == nil {
-		err = appendlog.SyncDir(l.dir)
-	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

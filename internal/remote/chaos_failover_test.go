@@ -336,8 +336,8 @@ func TestCoordinatorFailoverChaos(t *testing.T) {
 		}
 	}
 
-	// CI artifact export: the raw journal (torn tail and all), a compacted
-	// copy, and the final incarnation's merged events.jsonl.
+	// CI artifact export: the raw journal (torn tail and all) and the final
+	// incarnation's merged events.jsonl.
 	if adir := os.Getenv("REMOTE_FAILOVER_ARTIFACT_DIR"); adir != "" {
 		os.MkdirAll(adir, 0o755)
 		raw, err := os.ReadFile(jpath)
@@ -347,18 +347,6 @@ func TestCoordinatorFailoverChaos(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(adir, "attempts.jsonl"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cpath := filepath.Join(adir, "attempts.compact.jsonl")
-		if err := os.WriteFile(cpath, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cj, err := resilience.OpenJournal(cpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cj.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		cj.Close()
 	}
 }
 

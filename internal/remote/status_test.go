@@ -3,14 +3,15 @@ package remote
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
@@ -227,18 +228,25 @@ func TestCoordinateResumeReconcilesStatus(t *testing.T) {
 // TestCoordinatorStatusWriteFailureWarnsOnce: an unwritable status log costs
 // the distributed campaign one warning per kind of failure, nothing else.
 func TestCoordinatorStatusWriteFailureWarnsOnce(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("needs /dev/full")
-	}
 	dir, m := statusCampaign(t, 30)
-	if err := os.Symlink("/dev/full", filepath.Join(dir, "status.log")); err != nil {
-		t.Fatal(err)
-	}
 	journal, err := resilience.OpenJournal(filepath.Join(dir, "attempts.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer journal.Close()
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if filepath.Base(path) != "status.log" {
+			return nil
+		}
+		switch op {
+		case appendlog.OpWrite:
+			return syscall.ENOSPC
+		case appendlog.OpSync:
+			return syscall.EIO
+		}
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
 	ln := listen(t)
 	wctx, stopWorkers := context.WithCancel(context.Background())
 	defer stopWorkers()

@@ -3,7 +3,9 @@ package resilience
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -96,23 +98,15 @@ type AttemptRecord struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
-// Journal is the append-only attempt log. Appends go through O_APPEND so a
-// crash can lose at most the final, partially-written line — which the
-// decoder tolerates — and never corrupts earlier records. Compact rewrites
-// the file through the same atomic temp+rename path the cheetah campaign
-// files use.
+// Journal is the append-only attempt log, written through an appendlog.Log:
+// a crash can lose at most the final, partially-written line — which the
+// decoder skips and the next OpenJournal cuts — and never corrupts earlier
+// records.
 type Journal struct {
 	mu   sync.Mutex
 	path string
-	f    *os.File
+	f    *appendlog.Log
 	buf  []byte // one Append's lines, reused across Appends
-	// write replaces f.Write when set: the seam tests fail a write through.
-	write func([]byte) (int, error)
-	// torn is set when a write failed and may have left part of a line; the
-	// next Append cuts the file back to a line boundary first, so the
-	// fragment cannot fuse with a good record into a terminated malformed
-	// line, which DecodeJournal rejects for the whole file.
-	torn bool
 	// autoSync > 0 arms the batched-fsync policy: an Append that brings the
 	// records written since the last fsync to autoSync or more fsyncs
 	// inline, bounding how much accounting a power loss can take without
@@ -130,44 +124,17 @@ type Journal struct {
 var ErrJournalFenced = fmt.Errorf("resilience: journal fenced")
 
 // OpenJournal opens (creating if needed) the attempt journal at path. A
-// torn final line left by a killed process is repaired first — completed if
-// it parses, truncated away if it does not — so the resumed process's
-// appends start on a clean line boundary instead of concatenating into the
-// wreckage.
+// torn final line left by a killed process is cut away, so the resumed
+// process's appends start on a clean line boundary instead of concatenating
+// into the wreckage. The torn line is never a record anyone was told of: a
+// batch is one write(2), so its last newline lands with the rest of it or
+// the batch was reported failed.
 func OpenJournal(path string) (*Journal, error) {
-	if err := repairTail(path); err != nil {
-		return nil, fmt.Errorf("resilience: repairing journal tail: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := appendlog.OpenLog(path)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: opening journal: %w", err)
 	}
 	return &Journal{path: path, f: f}, nil
-}
-
-// repairTail fixes an unterminated final line: a parseable record gets its
-// newline, garbage is truncated back to the last line boundary.
-func repairTail(path string) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) || err == nil && (len(data) == 0 || data[len(data)-1] == '\n') {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	tail := data[cut:]
-	var rec AttemptRecord
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if json.Unmarshal(tail, &rec) == nil && rec.Run != "" {
-		_, err = f.WriteAt([]byte{'\n'}, int64(len(data)))
-		return err
-	}
-	return f.Truncate(int64(cut))
 }
 
 // Path returns the journal's file path ("" for a nil journal).
@@ -200,22 +167,7 @@ func (j *Journal) Append(recs ...AttemptRecord) error {
 		}
 	}
 	j.buf = buf
-	if j.torn {
-		fi, err := j.f.Stat()
-		if err == nil {
-			err = appendlog.TrimTornTail(j.f, fi.Size())
-		}
-		if err != nil {
-			return fmt.Errorf("resilience: trimming journal: %w", err)
-		}
-		j.torn = false
-	}
-	write := j.write
-	if write == nil {
-		write = j.f.Write
-	}
-	if _, err := write(buf); err != nil {
-		j.torn = true
+	if err := j.f.Append(buf); err != nil {
 		return err
 	}
 	if j.autoSync > 0 {
@@ -335,71 +287,11 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return err
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	return j.f.Close()
-}
-
-// Compact rewrites the journal keeping one terminal record per finished run
-// (dropping the attempt-by-attempt history), via the atomic temp+rename
-// write path so a crash mid-compaction leaves the previous journal intact.
-// The append lock is held across the whole read → rewrite → rename →
-// reopen sequence, so records appended concurrently land either before the
-// snapshot (and survive compacted) or after the reopen (and survive
-// verbatim) — never in the gap.
-func (j *Journal) Compact() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.fenced {
-		return ErrJournalFenced
-	}
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return err
-	}
-	recs, err := DecodeJournal(data)
-	if err != nil {
-		return err
-	}
-	last := map[string]AttemptRecord{}
-	var order []string
-	for _, r := range recs {
-		if _, seen := last[r.Run]; !seen {
-			order = append(order, r.Run)
-		}
-		last[r.Run] = r
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, run := range order {
-		if err := enc.Encode(last[run]); err != nil {
-			return err
-		}
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	if err := j.f.Close(); err != nil {
-		return err
-	}
-	j.unsynced = 0
-	// Past this point the old handle is gone: whatever happens, leave j.f
-	// pointing at a usable append handle so later Appends (whose errors many
-	// callers deliberately ignore) don't silently vanish into a closed file.
-	werr := appendlog.WriteFileAtomic(j.path, buf.Bytes(), 0o644)
-	f, oerr := os.OpenFile(j.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if oerr == nil {
-		j.f = f
-	}
-	if werr != nil {
-		return werr
-	}
-	return oerr
+	return err
 }
 
 // OpenEpoch fences a new coordinator incarnation into the journal: it
@@ -428,56 +320,49 @@ func (j *Journal) OpenEpoch(holder string) (int64, error) {
 	return epoch, nil
 }
 
-// DecodeJournal parses an attempt journal. A final line without a
-// terminating newline that fails to parse is discarded — that is the torn
-// write of a process killed mid-append. Any other malformed line is an
-// error: the journal before it is real history that silent truncation would
-// rewrite.
+// DecodeJournal parses an attempt journal. A final line without its
+// newline is the torn write of a process killed mid-append and is skipped,
+// whether or not it parses. Blank lines are skipped too. Any other line that
+// does not parse, or names no run, is an error: the journal before it is real
+// history that silent truncation would rewrite.
 func DecodeJournal(data []byte) ([]AttemptRecord, error) {
-	var out []AttemptRecord
-	line := 0
-	for len(data) > 0 {
-		line++
-		var row []byte
-		i := bytes.IndexByte(data, '\n')
-		terminated := i >= 0
-		if terminated {
-			row, data = data[:i], data[i+1:]
-		} else {
-			row, data = data, nil
-		}
-		if len(bytes.TrimSpace(row)) == 0 {
-			continue
-		}
-		var rec AttemptRecord
-		if err := json.Unmarshal(row, &rec); err != nil {
-			if !terminated {
-				break // torn final write: ignore
-			}
-			return nil, fmt.Errorf("resilience: journal line %d: %w", line, err)
-		}
-		if rec.Run == "" {
-			if !terminated {
-				break
-			}
-			return nil, fmt.Errorf("resilience: journal line %d: record missing run id", line)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	return decodeJournal(bytes.NewReader(data))
 }
 
 // ReadJournalFile loads and decodes a journal; a missing file is an empty
 // journal, not an error (first execution has nothing to resume).
 func ReadJournalFile(path string) ([]AttemptRecord, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return DecodeJournal(data)
+	defer f.Close()
+	return decodeJournal(f)
+}
+
+func decodeJournal(r io.Reader) ([]AttemptRecord, error) {
+	var out []AttemptRecord
+	_, err := appendlog.Replay(r, func(line []byte) error {
+		if len(bytes.TrimSpace(line)) == 0 {
+			return nil
+		}
+		var rec AttemptRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if rec.Run == "" {
+			return errors.New("record missing run id")
+		}
+		out = append(out, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("resilience: journal %w", err)
+	}
+	return out, nil
 }
 
 // ResumeState is the campaign position reconstructed from an attempt

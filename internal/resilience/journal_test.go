@@ -9,8 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"fairflow/internal/appendlog"
 )
 
 func stamp(sec int) time.Time { return time.Unix(int64(sec), 0).UTC() }
@@ -137,47 +140,12 @@ func TestReplayReconstructsCampaignState(t *testing.T) {
 	}
 }
 
-func TestJournalCompactKeepsTerminalState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "attempts.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append(AttemptRecord{Run: "a", Attempt: 1, Event: AttemptStart, Time: stamp(1)})
-	j.Append(AttemptRecord{Run: "a", Attempt: 1, Event: AttemptFailure, Class: ClassTransient, Time: stamp(2)})
-	j.Append(AttemptRecord{Run: "a", Attempt: 2, Event: AttemptStart, Time: stamp(3)})
-	j.Append(AttemptRecord{Run: "a", Attempt: 2, Event: AttemptSuccess, Time: stamp(4)})
-	j.Append(AttemptRecord{Run: "b", Attempt: 1, Event: AttemptStart, Time: stamp(5)})
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// The journal must stay appendable after compaction.
-	j.Append(AttemptRecord{Run: "b", Attempt: 1, Event: AttemptSuccess, Time: stamp(6)})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("compacted journal has %d records, want 3", len(recs))
-	}
-	s := Replay(recs)
-	if !s.Done["a"] || !s.Done["b"] {
-		t.Fatalf("compaction lost terminal state: %v", s.Done)
-	}
-}
-
 func TestNilJournalIsNoOp(t *testing.T) {
 	var j *Journal
 	if err := j.Append(AttemptRecord{Run: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -398,7 +366,13 @@ func TestJournalBatchAppend(t *testing.T) {
 	}
 	defer j.Close()
 	writes := 0
-	j.write = func(p []byte) (int, error) { writes++; return j.f.Write(p) }
+	appendlog.Failpoint = func(op appendlog.Op, p string) error {
+		if op == appendlog.OpWrite && p == path {
+			writes++
+		}
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
 	j.SetAutoSync(32)
 	var want []AttemptRecord
 	for _, size := range []int{1, 30, 0, 1, 5, 70, 31} {
@@ -441,18 +415,32 @@ func TestJournalTornWriteIsTrimmed(t *testing.T) {
 	if err := j.Append(rec(0), rec(1)); err != nil {
 		t.Fatal(err)
 	}
-	enospc := errors.New("no space left on device")
-	j.write = func(p []byte) (int, error) {
-		n, _ := j.f.Write(p[:len(p)/2+3]) // a whole record and part of the next
-		return n, enospc
+	var batch []byte
+	for _, r := range []AttemptRecord{rec(2), rec(3), rec(4)} {
+		if batch, err = appendJournalLine(batch, &r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := j.Append(rec(2), rec(3), rec(4)); !errors.Is(err, enospc) {
+	appendlog.Failpoint = func(op appendlog.Op, p string) error {
+		if op != appendlog.OpWrite || p != path {
+			return nil
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		f.Write(batch[:len(batch)/2+3]) // a whole record and part of the next
+		return syscall.ENOSPC
+	}
+	defer func() { appendlog.Failpoint = nil }()
+	if err := j.Append(rec(2), rec(3), rec(4)); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("torn append returned %v", err)
 	}
 	if _, err := ReadJournalFile(path); err != nil {
 		t.Fatalf("the torn tail itself must stay readable: %v", err)
 	}
-	j.write = nil
+	appendlog.Failpoint = nil
 	if err := j.Append(rec(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +457,70 @@ func TestJournalTornWriteIsTrimmed(t *testing.T) {
 	}
 	if want := []string{"r0", "r1", "r2", "r5"}; !reflect.DeepEqual(runs, want) {
 		t.Fatalf("journal holds %v, want %v", runs, want)
+	}
+}
+
+// TestOpenJournalFsyncsItsDirectory: creating the journal fsyncs the
+// directory that holds it, so the file — and the epoch OpenEpoch promises is
+// durable — survives a power loss.
+func TestOpenJournalFsyncsItsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var synced []string
+	appendlog.Failpoint = func(op appendlog.Op, p string) error {
+		if op == appendlog.OpSync {
+			synced = append(synced, p)
+		}
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
+	j, err := OpenJournal(filepath.Join(dir, "attempts.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !reflect.DeepEqual(synced, []string{dir}) {
+		t.Fatalf("creating the journal fsynced %q, want its directory %s", synced, dir)
+	}
+}
+
+// TestJournalTornParseableTailIsCut: a last line without its newline is a
+// batch whose write never returned, even when what landed parses. Readers do
+// not count it, OpenJournal cuts it, and the next Append lands on a clean
+// line.
+func TestJournalTornParseableTailIsCut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "attempts.jsonl")
+	whole, err := appendJournalLine(nil, &AttemptRecord{Run: "r1", Attempt: 1, Event: AttemptSuccess, Time: stamp(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn, err := appendJournalLine(nil, &AttemptRecord{Run: "r2", Attempt: 1, Event: AttemptSuccess, Time: stamp(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn = torn[:len(torn)-1] // the record parses; only its newline is missing
+	if err := os.WriteFile(path, append(append([]byte{}, whole...), torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadJournalFile(path)
+	if err != nil || len(recs) != 1 || recs[0].Run != "r1" {
+		t.Fatalf("read %+v (%v), want r1 alone", recs, err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if data, _ := os.ReadFile(path); string(data) != string(whole) {
+		t.Fatalf("OpenJournal left %q, want the torn line cut", data)
+	}
+	if err := j.Append(AttemptRecord{Run: "r3", Attempt: 1, Event: AttemptSuccess, Time: stamp(3)}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err = ReadJournalFile(path)
+	if err != nil || len(recs) != 2 || recs[0].Run != "r1" || recs[1].Run != "r3" {
+		t.Fatalf("after the next append read %+v (%v), want r1 and r3", recs, err)
+	}
+	if st := Replay(recs); st.Done["r2"] {
+		t.Fatal("the torn record counts as done")
 	}
 }

@@ -10,9 +10,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
@@ -211,17 +213,24 @@ func TestLocalEngineLegacyDirectory(t *testing.T) {
 }
 
 // TestStatusWriteFailureWarnsOnce: with the status log unwritable (every
-// append fails with ENOSPC, the closing fsync with EINVAL) the campaign still
+// append fails with ENOSPC, the closing fsync with EIO) the campaign still
 // completes and the journal is whole — and the failure is said once per kind,
 // not dropped and not once per run.
 func TestStatusWriteFailureWarnsOnce(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("needs /dev/full")
-	}
 	dir, m, journal := statusCampaign(t, 30)
-	if err := os.Symlink("/dev/full", filepath.Join(dir, "status.log")); err != nil {
-		t.Fatal(err)
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if filepath.Base(path) != "status.log" {
+			return nil
+		}
+		switch op {
+		case appendlog.OpWrite:
+			return syscall.ENOSPC
+		case appendlog.OpSync:
+			return syscall.EIO
+		}
+		return nil
 	}
+	defer func() { appendlog.Failpoint = nil }()
 	events := eventlog.NewLog()
 	eng := &LocalEngine{Executor: okExecutor(), Workers: 2, CampaignDir: dir, Events: events,
 		Resilience: &resilience.Config{Journal: journal}}
@@ -258,6 +267,59 @@ func TestStatusWriteFailureWarnsOnce(t *testing.T) {
 	}
 	if done := len(resilience.Replay(recs).Done); done != 30 {
 		t.Fatalf("journal proves %d runs done, want 30", done)
+	}
+}
+
+// TestOneSeamSeesEveryDurableFile: a LocalEngine campaign with a campaign
+// directory, a journal and a memo over a CAS opens, writes and fsyncs each of
+// its append-only files — the journal, the status log and both metadata logs
+// — through appendlog's one failpoint.
+func TestOneSeamSeesEveryDurableFile(t *testing.T) {
+	m, err := cheetah.BuildManifest(testCampaign(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := m.Materialize(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		mu.Lock()
+		seen[string(op)+" "+filepath.Base(path)] = true
+		mu.Unlock()
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
+
+	journal, err := resilience.OpenJournal(filepath.Join(dir, "attempts.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	reg := NewFuncRegistry("work")
+	reg.Register("work", func(params map[string]string) error {
+		return os.WriteFile(filepath.Join(out, params["i"]), []byte("output "+params["i"]), 0o644)
+	})
+	memo := newMemo(t, t.TempDir())
+	memo.Collect = func(run cheetah.Run) (map[string]string, error) {
+		return map[string]string{"out": filepath.Join(out, run.Params["i"])}, nil
+	}
+	eng := &LocalEngine{Executor: reg, Workers: 2, CampaignDir: dir, Memo: memo,
+		Resilience: &resilience.Config{Journal: journal}}
+	if _, report, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil || !report.Complete() {
+		t.Fatalf("campaign: %+v, %v", report, err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"attempts.jsonl", "status.log", "index.json.log", "actions.json.log"} {
+		for _, op := range []appendlog.Op{appendlog.OpOpen, appendlog.OpWrite, appendlog.OpSync} {
+			if !seen[string(op)+" "+name] {
+				t.Errorf("the failpoint never saw %s of %s", op, name)
+			}
+		}
 	}
 }
 
