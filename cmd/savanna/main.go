@@ -7,16 +7,20 @@
 //	savanna run -campaign DIR -listen ADDR [-standby]      coordinate workers
 //	savanna run -campaign DIR                              probe
 //
-// Every mode dispatches only the runs the journal holds no success for, so a
-// re-run is a resume. Locally each run executes the command template after
-// "--" as a process in DIR/<run id>, its {param} placeholders substituted,
-// with retries, deadlines and quarantine armed. With -listen the command is
-// one coordinator incarnation: "fairctl worker -connect ADDR -- cmd
-// {param}..." processes execute the runs under heartbeat-renewed leases,
-// the journal is fenced at a fresh epoch, and -standby waits for the active
-// coordinator's claim (DIR/attempts.jsonl.lease) to go stale before taking
-// over (DESIGN.md §4j). With neither, the command prints the resume position
-// and executes nothing.
+// Every incarnation that executes takes the campaign the same way (DESIGN.md
+// §4j): it claims DIR/attempts.jsonl.lease, replays the journal, fences it at
+// a fresh epoch, and dispatches only the runs the journal holds no success
+// for, so a re-run is a resume. A live claim by another incarnation is
+// refused; a claim whose holder died lapses 3 s after its last renewal, and
+// a re-run right after a kill -9 is refused until then. Locally each run
+// executes the command template after "--" as a process in DIR/<run id>, its
+// {param} placeholders substituted, with retries, deadlines and quarantine
+// armed; a local run whose claim is taken over kills its processes and exits
+// 3. With -listen the command is one coordinator incarnation: "fairctl
+// worker -connect ADDR -- cmd {param}..." processes execute the runs under
+// heartbeat-renewed leases, and -standby waits for the active claim to go
+// stale before taking over. With neither, the command prints the resume
+// position and executes nothing: it claims nothing and writes no journal.
 //
 // Exit status: 0 when every owed run completed, 3 when runs remain, 1 on an
 // error, 2 on a usage error.
@@ -47,9 +51,9 @@ import (
 	"fairflow/internal/telemetry/history"
 )
 
-// coordinatorLeaseTTL is how long a coordinator's claim on the campaign
-// outlives its last renewal: a standby, or the same command re-run after a
-// crash, takes over once it lapses.
+// coordinatorLeaseTTL is how long an incarnation's claim on the campaign,
+// local or -listen, outlives its last renewal: a standby, or the same command
+// re-run after a crash, takes over once it lapses.
 const coordinatorLeaseTTL = 3 * time.Second
 
 func main() {
@@ -122,42 +126,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	journalPath := filepath.Join(*dir, "attempts.jsonl")
 
-	// Locally the journal is replayed here; a coordinator replays it inside
-	// remote.Coordinate, after it holds the campaign's claim.
-	var st *resilience.ResumeState
-	var todo []cheetah.Run
-	if *listen == "" {
+	// The bare probe is read-only: it replays the journal without claiming
+	// the campaign or opening the journal.
+	if *listen == "" && len(command) == 0 {
 		recs, err := resilience.ReadJournalFile(journalPath)
 		if err != nil {
 			return fail(err)
 		}
-		st = resilience.Replay(recs)
-		ids := make([]string, len(m.Runs))
-		for i, r := range m.Runs {
-			ids[i] = r.ID
+		probe := &savanna.Claim{State: resilience.Replay(recs), Records: len(recs)}
+		if len(position(stdout, journalPath, probe, m.Runs)) > 0 {
+			fmt.Fprintln(stdout, "savanna: rerun with a command template after -- (or -listen ADDR) to execute the remainder")
+			return 3
 		}
-		owed := map[string]bool{}
-		for _, id := range st.Remaining(ids) {
-			owed[id] = true
-		}
-		for _, r := range m.Runs {
-			if owed[r.ID] {
-				todo = append(todo, r)
-			}
-		}
-		fmt.Fprintf(stdout, "savanna: %s: %d record(s) — %d done, %d failed on last attempt, %d in flight at crash\n",
-			journalPath, len(recs), len(st.Done), len(st.Failed), len(st.InFlight))
-		for _, p := range st.QuarantinedList() {
-			fmt.Fprintf(stdout, "savanna: quarantined point: %s\n", p)
-		}
-		fmt.Fprintf(stdout, "savanna: %d of %d run(s) remaining\n", len(todo), len(m.Runs))
-		if len(command) == 0 {
-			if len(todo) > 0 {
-				fmt.Fprintln(stdout, "savanna: rerun with a command template after -- (or -listen ADDR) to execute the remainder")
-				return 3
-			}
-			return 0
-		}
+		return 0
 	}
 
 	// One telemetry plane for both modes. The history ring backs rate()
@@ -197,24 +178,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prov = provenance.NewStore()
 	}
 
+	host, _ := os.Hostname()
+	holder := fmt.Sprintf("%s.%d", host, os.Getpid())
 	var report resilience.CompletenessReport
 	if *listen != "" {
-		report, err = coordinate(stdout, *listen, *standby, m, journalPath, &remote.Engine{
+		report, err = coordinate(stdout, *listen, *standby, holder, m, journalPath, &remote.Engine{
 			BatchSize: *batch, LeaseTTL: *leaseTTL, WorkerWait: *workerWait,
 			Prov: prov, CampaignDir: *dir, Resilience: policy,
 			Tracer: tracer, Metrics: metrics, Events: events,
 		})
 	} else {
-		// The journal is the record, the directory's statuses its projection:
-		// a run the journal proves terminal but a crash left "running" is put
-		// right before anything is dispatched (it is not owed, so nothing
-		// else would).
-		if n, err := savanna.ReconcileStatus(*dir, st); err != nil {
-			fmt.Fprintln(stderr, "savanna: reconciling run statuses:", err)
-		} else if n > 0 {
-			fmt.Fprintf(stdout, "savanna: %d run status(es) brought in line with the journal\n", n)
-		}
-		report, err = runLocal(m.Campaign.Name, todo, *sets, journalPath, policy, st, &savanna.LocalEngine{
+		report, err = runLocal(stdout, stderr, m, *sets, holder, journalPath, policy, &savanna.LocalEngine{
 			Executor:    &savanna.ProcessExecutor{Command: command, WorkRoot: *dir},
 			Workers:     *workers,
 			Prov:        prov,
@@ -264,33 +238,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// runLocal executes the owed runs in this process against the campaign's
-// journal, carrying the journal's quarantine decisions forward.
-func runLocal(campaign string, todo []cheetah.Run, sets int, journalPath string, policy *resilience.Config, st *resilience.ResumeState, eng *savanna.LocalEngine) (resilience.CompletenessReport, error) {
-	journal, err := resilience.OpenJournal(journalPath)
+// position prints what the journal holds and how many runs it still owes,
+// and returns those runs.
+func position(stdout io.Writer, journalPath string, claim *savanna.Claim, runs []cheetah.Run) []cheetah.Run {
+	st := claim.State
+	fmt.Fprintf(stdout, "savanna: %s: %d record(s) — %d done, %d failed on last attempt, %d in flight at crash\n",
+		journalPath, claim.Records, len(st.Done), len(st.Failed), len(st.InFlight))
+	for _, p := range st.QuarantinedList() {
+		fmt.Fprintf(stdout, "savanna: quarantined point: %s\n", p)
+	}
+	todo := claim.Owed(runs)
+	fmt.Fprintf(stdout, "savanna: %d of %d run(s) remaining\n", len(todo), len(runs))
+	return todo
+}
+
+// runLocal claims the campaign as every incarnation does, then executes the
+// runs its journal owes in this process, carrying the journal's quarantine
+// decisions forward. Losing the claim to another incarnation fences the
+// journal and cancels the campaign: in-flight processes are killed and the
+// remaining runs skipped.
+func runLocal(stdout, stderr io.Writer, m *cheetah.Manifest, sets int, holder, journalPath string, policy *resilience.Config, eng *savanna.LocalEngine) (resilience.CompletenessReport, error) {
+	claim, err := savanna.ClaimCampaign(context.Background(), savanna.ClaimConfig{
+		Journal: journalPath, Holder: holder, LeaseTTL: coordinatorLeaseTTL, Resume: true,
+		Dir: eng.CampaignDir, Events: eng.Events,
+	})
 	if err != nil {
 		return resilience.CompletenessReport{}, err
 	}
-	policy.Journal = journal
-	policy.Restore = st.QuarantinedList()
+	todo := position(stdout, journalPath, claim, m.Runs)
+	if claim.Reconciled > 0 {
+		fmt.Fprintf(stdout, "savanna: %d run status(es) brought in line with the journal\n", claim.Reconciled)
+	}
+	policy.Journal = claim.Journal
+	policy.Restore = claim.State.QuarantinedList()
 	eng.Resilience = policy
+	ctx := claim.Hold(context.Background())
 	var report resilience.CompletenessReport
 	if sets > 0 {
-		var results []savanna.RunResult
-		results, err = eng.RunSets(campaign, todo, sets)
-		report.Total = len(results)
-		for _, r := range results {
-			if r.Status == provenance.StatusSucceeded {
-				report.Succeeded++
-			} else {
-				report.Failed++
-			}
-		}
+		_, report, err = eng.RunSets(ctx, m.Campaign.Name, todo, sets)
 	} else {
-		_, report, err = eng.RunCampaign(context.Background(), campaign, todo)
+		_, report, err = eng.RunCampaign(ctx, m.Campaign.Name, todo)
 	}
-	if cerr := journal.Close(); err == nil {
-		err = cerr
+	if cause := context.Cause(ctx); cause != nil {
+		fmt.Fprintln(stderr, "savanna: claim lost:", cause)
+	}
+	if rerr := claim.Release(); err == nil {
+		err = rerr
 	}
 	return report, err
 }
@@ -298,15 +291,13 @@ func runLocal(campaign string, todo []cheetah.Run, sets int, journalPath string,
 // coordinate runs one failover-capable coordinator incarnation over the
 // campaign: it claims the campaign, fences the journal at a fresh epoch and
 // dispatches the runs the journal still owes to the workers that connect.
-func coordinate(stdout io.Writer, listen string, standby bool, m *cheetah.Manifest, journalPath string, eng *remote.Engine) (resilience.CompletenessReport, error) {
+func coordinate(stdout io.Writer, listen string, standby bool, holder string, m *cheetah.Manifest, journalPath string, eng *remote.Engine) (resilience.CompletenessReport, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return resilience.CompletenessReport{}, err
 	}
 	defer ln.Close()
 	eng.Listener = ln
-	host, _ := os.Hostname()
-	holder := fmt.Sprintf("%s.%d", host, os.Getpid())
 	role := "coordinating"
 	if standby {
 		role = "standing by"

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,6 +88,26 @@ func wantOneSuccessPerRun(t *testing.T, dir string) {
 	}
 }
 
+// wantEpochs checks that the journal holds exactly one epoch-opened record
+// per incarnation, epochs 1..n in order.
+func wantEpochs(t *testing.T, dir string, n int) {
+	t.Helper()
+	var epochs []int64
+	for _, r := range readJournal(t, dir) {
+		if r.Event == resilience.EpochOpened {
+			epochs = append(epochs, r.Epoch)
+		}
+	}
+	if len(epochs) != n {
+		t.Fatalf("journal holds epochs %v, want 1..%d", epochs, n)
+	}
+	for i, e := range epochs {
+		if e != int64(i+1) {
+			t.Fatalf("journal holds epochs %v, want 1..%d", epochs, n)
+		}
+	}
+}
+
 func TestProbeReportsOwedRunsAndRestoresRunFiles(t *testing.T) {
 	dir := newCampaign(t)
 	params := filepath.Join(dir, "g", "s", "run-00001", "params.json")
@@ -132,9 +154,15 @@ func TestLocalRunCompletesAndRerunDispatchesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Errorf("second invocation changed attempts.jsonl:\nbefore %q\nafter  %q", before, after)
+	// The second incarnation fences in at epoch 2 and appends nothing else.
+	added, ok := bytes.CutPrefix(after, before)
+	if !ok {
+		t.Fatalf("second invocation rewrote attempts.jsonl:\nbefore %q\nafter  %q", before, after)
 	}
+	if recs, err := resilience.DecodeJournal(added); err != nil || len(recs) != 1 || recs[0].Event != resilience.EpochOpened {
+		t.Errorf("second invocation appended %q (%v), want one epoch-opened record", added, err)
+	}
+	wantEpochs(t, dir, 2)
 	if code, stdout, _ := savannaRun(t, "-campaign", dir); code != 0 {
 		t.Errorf("probe of a complete campaign exit = %d, want 0\n%s", code, stdout)
 	}
@@ -156,6 +184,7 @@ func TestFailingRunsExit3AndRerunFinishes(t *testing.T) {
 	if !strings.Contains(stdout, "1 of 4 run(s) remaining") {
 		t.Errorf("re-run did not resume from the journal:\n%s", stdout)
 	}
+	wantEpochs(t, dir, 2)
 	sum, err := cheetah.Status(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -256,5 +285,154 @@ func TestOutputWriteFailureExits1(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "injected write failure") {
 		t.Errorf("stderr does not name the failure:\n%s", stderr)
+	}
+}
+
+// TestMain lets a test start this package's test binary as a separate savanna
+// process: invoked as "<test binary> run ...", it is the command.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "run" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// TestLocalRunRefusedWhileAnotherHolderClaims: a local run claims the
+// campaign like any incarnation, so a live claim by another holder refuses it
+// before the journal is touched, and the error names the holder and expiry.
+func TestLocalRunRefusedWhileAnotherHolderClaims(t *testing.T) {
+	dir := newCampaign(t)
+	lease := filepath.Join(dir, "attempts.jsonl.lease")
+	if _, err := resilience.AcquireFileLease(lease, "elsewhere.1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := savannaRun(t, "-campaign", dir, "--", "sh", "-c", "true")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s%s", code, stdout, stderr)
+	}
+	if !strings.Contains(stderr, `held by "elsewhere.1" until `) {
+		t.Errorf("stderr does not name the holder and expiry:\n%s", stderr)
+	}
+	if recs := readJournal(t, dir); len(recs) != 0 {
+		t.Errorf("a refused run journaled %d record(s)", len(recs))
+	}
+	if st, _, _ := resilience.ReadFileLease(lease); st.Holder != "elsewhere.1" {
+		t.Errorf("the refused run changed the claim: %+v", st)
+	}
+}
+
+// TestTwoLocalRunsOnOneCampaign starts two savanna processes on one campaign
+// at the same moment: one claims it and runs everything once, the other is
+// refused, and the journal ends every run with exactly one success.
+func TestTwoLocalRunsOnOneCampaign(t *testing.T) {
+	dir := newCampaign(t)
+	var cmds [2]*exec.Cmd
+	var outs [2]bytes.Buffer
+	for i := range cmds {
+		cmds[i] = exec.Command(os.Args[0], "run", "-campaign", dir, "--", "sh", "-c", "sleep 1")
+		cmds[i].Stdout, cmds[i].Stderr = &outs[i], &outs[i]
+	}
+	for _, c := range cmds {
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codes := map[int]int{}
+	for i, c := range cmds {
+		c.Wait()
+		codes[c.ProcessState.ExitCode()]++
+		t.Logf("process %d exited %d:\n%s", i, c.ProcessState.ExitCode(), outs[i].String())
+	}
+	if codes[0] != 1 || codes[1] != 1 {
+		t.Errorf("exit statuses %v, want one 0 and one 1", codes)
+	}
+	wantOneSuccessPerRun(t, dir)
+	wantEpochs(t, dir, 1)
+}
+
+// TestLocalRunTakenOverIsFenced: a successor's claim on the lease file ends a
+// local run at its next renewal — the journal is fenced before the campaign
+// is cancelled, so neither the killed attempts nor the skipped runs are
+// journaled, and the run exits 3. A re-run then finishes the campaign.
+func TestLocalRunTakenOverIsFenced(t *testing.T) {
+	dir := newCampaign(t)
+	var stdout, stderr bytes.Buffer
+	codes := make(chan int, 1)
+	go func() {
+		codes <- run([]string{"run", "-campaign", dir, "--", "sh", "-c", "sleep 30"}, &stdout, &stderr)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for started := 0; started < 4; {
+		if time.Now().After(deadline) {
+			t.Fatal("the runs never started")
+		}
+		time.Sleep(10 * time.Millisecond)
+		recs, _ := resilience.ReadJournalFile(filepath.Join(dir, "attempts.jsonl"))
+		started = 0
+		for _, r := range recs {
+			if r.Event == resilience.AttemptStart {
+				started++
+			}
+		}
+	}
+	// What a standby writes when it takes over a claim it found stale.
+	lease := filepath.Join(dir, "attempts.jsonl.lease")
+	claim, _ := json.Marshal(resilience.FileLeaseState{Holder: "successor", Epoch: 2,
+		ExpiresUnixNano: time.Now().Add(time.Minute).UnixNano()})
+	if err := appendlog.WriteFileAtomic(lease, claim, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-codes:
+		if code != 3 {
+			t.Fatalf("exit = %d, want 3\n%s%s", code, stdout.String(), stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the deposed run did not stop")
+	}
+	if !strings.Contains(stderr.String(), `taken over by "successor"`) {
+		t.Errorf("stderr does not say the claim was lost:\n%s", stderr.String())
+	}
+	for _, r := range readJournal(t, dir) {
+		if r.Event != resilience.EpochOpened && r.Event != resilience.AttemptStart {
+			t.Errorf("the fenced journal took %+v", r)
+		}
+	}
+	if st, _, _ := resilience.ReadFileLease(lease); st.Holder != "successor" {
+		t.Errorf("the deposed run dropped its successor's claim: %+v", st)
+	}
+
+	if err := os.Remove(lease); err != nil {
+		t.Fatal(err)
+	}
+	if code, out, errOut := savannaRun(t, "-campaign", dir, "--", "sh", "-c", "true"); code != 0 {
+		t.Fatalf("re-run exit = %d, want 0\n%s%s", code, out, errOut)
+	}
+	wantOneSuccessPerRun(t, dir)
+	wantEpochs(t, dir, 2)
+}
+
+// TestSetsReportsTheEnginesReport: -sets writes the report the engine built,
+// quarantine and points included, exactly as the dynamic discipline does.
+func TestSetsReportsTheEnginesReport(t *testing.T) {
+	for _, sets := range []string{"0", "2"} {
+		dir := newCampaign(t)
+		out := filepath.Join(t.TempDir(), "report.json")
+		code, stdout, stderr := savannaRun(t, "-campaign", dir, "-sets", sets, "-quarantine-after", "1",
+			"-base-delay", "0", "-report", out, "--", "false")
+		if code != 3 {
+			t.Fatalf("-sets %s: exit = %d, want 3\n%s%s", sets, code, stdout, stderr)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report resilience.CompletenessReport
+		if err := json.Unmarshal(data, &report); err != nil {
+			t.Fatal(err)
+		}
+		if report.Total != 4 || report.Quarantined != 4 || report.Failed != 0 || len(report.Points) != 4 {
+			t.Errorf("-sets %s: report %s", sets, data)
+		}
 	}
 }

@@ -97,14 +97,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ok := 0
+		var failed []cheetah.Run
 		for _, r := range results {
-			if r.Status == provenance.StatusSucceeded {
-				ok++
+			if r.Status != provenance.StatusSucceeded {
+				failed = append(failed, r.Run)
 			}
 		}
-		fmt.Printf("pass %d: %d/%d runs succeeded\n", pass, ok, len(todo))
-		todo = savanna.Remaining(m, prov)
+		fmt.Printf("pass %d: %d/%d runs succeeded\n", pass, len(todo)-len(failed), len(todo))
+		todo = failed
 	}
 
 	// 5. Assemble and inspect the network.

@@ -13,12 +13,12 @@ import (
 )
 
 // CoordinateConfig drives one coordinator incarnation through the
-// epoch-fenced handover protocol (DESIGN.md §4j): claim the campaign's
-// lease file, fence the attempt journal at a fresh epoch, replay it to
-// find the runs still owed, and dispatch only those. The same entry point
-// serves all three roles — first coordinator, `-resume` restart, and warm
-// standby — they differ only in what the journal and lease file already
-// contain.
+// epoch-fenced handover protocol (DESIGN.md §4j): take the campaign with
+// savanna.ClaimCampaign — claim Journal + ".lease", replay the attempt
+// journal, fence it at a fresh epoch — and dispatch only the runs it still
+// owes. The same entry point serves all three roles — first coordinator,
+// `-resume` restart, and warm standby — they differ only in what the journal
+// and lease file already contain.
 type CoordinateConfig struct {
 	// Engine is the dispatch engine to run; Coordinate owns its Epoch and
 	// its Resilience journal wiring.
@@ -33,17 +33,12 @@ type CoordinateConfig struct {
 	// Holder names this incarnation in epoch records and the lease file
 	// (default "coordinator").
 	Holder string
-	// Resume permits opening a journal that already has records. Without
-	// it a non-empty journal is an error — accidental re-use of a finished
-	// campaign's ledger should be loud. Standby implies Resume.
-	Resume bool
-	// Standby makes this incarnation wait for the active claim on the
-	// lease file to go stale before taking over — the warm-standby mode.
-	Standby bool
-	// LeaseFile is the coordinator claim file (default Journal + ".lease").
-	LeaseFile string
-	// LeaseTTL is the claim duration (default 3s; renewed at TTL/3).
-	// TakeoverPoll paces a standby's staleness checks (default TTL/4).
+	// Resume, Standby, LeaseTTL and TakeoverPoll are the claim's
+	// (savanna.ClaimConfig): Resume permits a journal with records, Standby
+	// waits for the active claim to go stale, LeaseTTL is the claim duration
+	// (default 3s) and TakeoverPoll paces a standby's staleness checks.
+	Resume       bool
+	Standby      bool
 	LeaseTTL     time.Duration
 	TakeoverPoll time.Duration
 	// AutoSync is the journal's batched-fsync stride (default 32 appends;
@@ -90,65 +85,24 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 		holder = "coordinator"
 	}
 	info.Holder = holder
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = 3 * time.Second
-	}
-	leaseFile := cfg.LeaseFile
-	if leaseFile == "" {
-		leaseFile = cfg.Journal + ".lease"
-	}
-
-	// Standby: tail the lease file until the active claim goes stale.
-	if cfg.Standby {
-		if err := resilience.WaitFileLeaseStale(ctx, leaseFile, ttl, cfg.TakeoverPoll); err != nil {
-			return nil, resilience.CompletenessReport{}, info, err
-		}
-	}
-	flease, err := resilience.AcquireFileLease(leaseFile, holder, ttl)
+	claim, err := savanna.ClaimCampaign(ctx, savanna.ClaimConfig{
+		Journal: cfg.Journal, Holder: holder, LeaseTTL: cfg.LeaseTTL,
+		Standby: cfg.Standby, TakeoverPoll: cfg.TakeoverPoll, Resume: cfg.Resume,
+		Dir: e.CampaignDir, Events: e.Events,
+	})
 	if err != nil {
 		return nil, resilience.CompletenessReport{}, info, err
 	}
-	defer flease.Release()
-
-	// Replay-then-fence: read what the journal owes, then durably bump the
-	// epoch so every past incarnation is fenced out before the first
-	// dispatch.
-	recs, err := resilience.ReadJournalFile(cfg.Journal)
-	if err != nil {
-		return nil, resilience.CompletenessReport{}, info, err
-	}
-	if len(recs) > 0 && !cfg.Resume && !cfg.Standby {
-		return nil, resilience.CompletenessReport{}, info,
-			fmt.Errorf("remote: journal %s has %d record(s); pass Resume to take the campaign over", cfg.Journal, len(recs))
-	}
-	journal, err := resilience.OpenJournal(cfg.Journal)
-	if err != nil {
-		return nil, resilience.CompletenessReport{}, info, err
-	}
-	defer journal.Close()
+	defer claim.Release()
 	if cfg.AutoSync >= 0 {
 		n := cfg.AutoSync
 		if n == 0 {
 			n = 32
 		}
-		journal.SetAutoSync(n)
+		claim.Journal.SetAutoSync(n)
 	}
-	epoch, err := journal.OpenEpoch(holder)
-	if err != nil {
-		return nil, resilience.CompletenessReport{}, info, err
-	}
-	info.Epoch = epoch
-	flease.SetEpoch(epoch)
-	flease.Renew()
-
-	st := resilience.Replay(recs)
-	var todo []cheetah.Run
-	for _, r := range cfg.Runs {
-		if !st.Done[r.ID] {
-			todo = append(todo, r)
-		}
-	}
+	info.Epoch = claim.Epoch
+	todo := claim.Owed(cfg.Runs)
 	info.Total = len(cfg.Runs)
 	info.Done = len(cfg.Runs) - len(todo)
 	info.Dispatched = len(todo)
@@ -160,54 +114,19 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 	if e.Resilience != nil {
 		rcfg = *e.Resilience
 	}
-	rcfg.Journal = journal
-	rcfg.Restore = append(rcfg.Restore, st.QuarantinedList()...)
+	rcfg.Journal = claim.Journal
+	rcfg.Restore = append(rcfg.Restore, claim.State.QuarantinedList()...)
 	e.Resilience = &rcfg
-	e.Epoch = epoch
+	e.Epoch = claim.Epoch
 
 	e.telemetryInit()
-	if epoch > 1 {
+	if claim.Epoch > 1 {
 		e.mTakeovers.Inc()
 	}
 	e.Events.Append(eventlog.Info, eventlog.CoordinatorEpoch, cfg.Campaign, 0,
-		telemetry.String("holder", holder), telemetry.Int("epoch", int(epoch)),
+		telemetry.String("holder", holder), telemetry.Int("epoch", int(claim.Epoch)),
 		telemetry.Int("done", info.Done), telemetry.Int("dispatching", len(todo)))
 
-	// A predecessor that died between a journal line and its status line
-	// left that run "running" in the campaign directory, and nothing below
-	// would touch it again: the journal's verdicts go in before any dispatch.
-	if e.CampaignDir != "" && len(recs) > 0 {
-		if _, err := savanna.ReconcileStatus(e.CampaignDir, st); err != nil {
-			e.Events.Append(eventlog.Warn, eventlog.CampaignStatusLog, err.Error(), 0)
-		}
-	}
-
-	// Renew the claim at TTL/3 until the campaign ends. A renewal that
-	// finds another holder means a standby declared us dead: fence the
-	// journal first (no more history under a stale epoch), then abort.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	renewStop := make(chan struct{})
-	defer close(renewStop)
-	go func() {
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-renewStop:
-				return
-			case <-t.C:
-			}
-			if err := flease.Renew(); err != nil {
-				journal.Fence()
-				e.Events.Append(eventlog.Error, eventlog.CoordinatorFenced, err.Error(), 0,
-					telemetry.String("holder", holder), telemetry.Int("epoch", int(epoch)))
-				cancel()
-				return
-			}
-		}
-	}()
-
-	results, report, err := e.RunCampaign(runCtx, cfg.Campaign, todo)
+	results, report, err := e.RunCampaign(claim.Hold(ctx), cfg.Campaign, todo)
 	return results, report, info, err
 }

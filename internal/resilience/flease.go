@@ -15,7 +15,9 @@ import (
 // when its claim expires. The active incarnation renews it well inside the
 // TTL; a warm standby polls it and takes over the campaign once the claim
 // goes stale. Writes go through the atomic temp+rename path, so observers
-// always read a whole claim — never a torn one.
+// always read a whole claim — never a torn one. A claim is taken under a
+// flock of the file's directory, so two processes claiming at the same instant
+// cannot both find it free.
 //
 // The file is an *election* mechanism, not the fence. Fencing is the
 // journal epoch (OpenEpoch) plus the renewal check below: a coordinator
@@ -76,6 +78,11 @@ func acquireFileLease(path, holder string, ttl time.Duration, now func() time.Ti
 	if ttl <= 0 {
 		ttl = 5 * time.Second
 	}
+	unlock, err := lockClaimDir(path)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	st, ok, err := ReadFileLease(path)
 	if err != nil {
 		return nil, err
@@ -101,9 +108,6 @@ func (l *FileLease) write() error {
 	}
 	return appendlog.WriteFileAtomic(l.path, append(data, '\n'), 0o644)
 }
-
-// Holder returns the claim's holder name.
-func (l *FileLease) Holder() string { return l.holder }
 
 // SetEpoch records the journal epoch in subsequent claim writes, so
 // observers (fairctl, a standby's logs) can see which epoch is active.

@@ -319,37 +319,3 @@ func (r *Recorder) Close() {
 	}
 	r.countFsyncs()
 }
-
-// ReconcileStatus brings dir's status log in line with a replayed journal
-// before a resume dispatches anything: every run the journal proves terminal
-// (Done → succeeded, Failed → failed) whose recorded status differs gets the
-// journal's verdict appended. A crash between a journal line and its status
-// line otherwise leaves the run "running" for good, since resume skips it. It
-// returns how many statuses it corrected.
-func ReconcileStatus(dir string, st *resilience.ResumeState) (int, error) {
-	statuses, err := cheetah.RunStatuses(dir)
-	if err != nil {
-		return 0, err
-	}
-	var verdicts []cheetah.StatusLine
-	for id, have := range statuses {
-		switch {
-		case st.Done[id] && have != cheetah.RunSucceeded:
-			verdicts = append(verdicts, cheetah.StatusLine{Run: id, Status: cheetah.RunSucceeded})
-		case st.Failed[id] && have != cheetah.RunFailed:
-			verdicts = append(verdicts, cheetah.StatusLine{Run: id, Status: cheetah.RunFailed})
-		}
-	}
-	if len(verdicts) == 0 {
-		return 0, nil
-	}
-	log, err := cheetah.OpenStatusLog(dir)
-	if err != nil {
-		return 0, err
-	}
-	if err := log.Set(verdicts...); err != nil {
-		log.Close()
-		return 0, err
-	}
-	return len(verdicts), log.Close()
-}

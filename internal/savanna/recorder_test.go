@@ -118,7 +118,7 @@ func TestLocalEngineLeavesStatusesTerminal(t *testing.T) {
 			var results []RunResult
 			var err error
 			if c.sets > 0 {
-				results, err = eng.RunSets(m.Campaign.Name, m.Runs, c.sets)
+				results, _, err = eng.RunSets(ctx, m.Campaign.Name, m.Runs, c.sets)
 			} else {
 				results, _, err = eng.RunCampaign(ctx, m.Campaign.Name, m.Runs)
 			}
@@ -326,8 +326,8 @@ func TestOneSeamSeesEveryDurableFile(t *testing.T) {
 // TestResumeReconcilesStatusFromJournal: the engine dies between a run's
 // journal line and its status line, so the directory says "running" for a run
 // the journal proves done. Resume skips that run — nothing would ever rewrite
-// it — so ReconcileStatus appends the journal's verdict first. Afterwards the
-// directory agrees with replay and the run was executed once.
+// it — so claiming the campaign appends the journal's verdict first.
+// Afterwards the directory agrees with replay and the run was executed once.
 func TestResumeReconcilesStatusFromJournal(t *testing.T) {
 	dir, m, journal := statusCampaign(t, 10)
 	var mu sync.Mutex
@@ -368,16 +368,18 @@ func TestResumeReconcilesStatusFromJournal(t *testing.T) {
 		t.Fatalf("after the cut run 7 is %q and run 8 %q, want running and pending", st[m.Runs[7].ID], st[m.Runs[8].ID])
 	}
 
-	// Resume as fairctl resume does: replay, reconcile, run what is owed.
-	recs, err := resilience.ReadJournalFile(filepath.Join(dir, "attempts.jsonl"))
+	// Resume as savanna run does: claim the campaign (which replays the
+	// journal and reconciles the directory), then run what is owed.
+	journal.Close()
+	claimCfg := ClaimConfig{Journal: filepath.Join(dir, "attempts.jsonl"), Holder: "resume", Resume: true, Dir: dir}
+	claim, err := ClaimCampaign(context.Background(), claimCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := resilience.Replay(recs)
-	fixed, err := ReconcileStatus(dir, st)
-	if err != nil || fixed != 2 {
-		t.Fatalf("ReconcileStatus corrected %d statuses, err %v; want run 7 → succeeded and run 8 → failed", fixed, err)
+	if claim.Reconciled != 2 {
+		t.Fatalf("the claim corrected %d statuses; want run 7 → succeeded and run 8 → failed", claim.Reconciled)
 	}
+	st := claim.State
 	statuses, _ := cheetah.RunStatuses(dir)
 	for _, run := range m.Runs {
 		want := cheetah.RunPending
@@ -390,18 +392,15 @@ func TestResumeReconcilesStatusFromJournal(t *testing.T) {
 			t.Errorf("%s: directory says %q, replay says %q", run.ID, statuses[run.ID], want)
 		}
 	}
-	if fixed, err := ReconcileStatus(dir, st); err != nil || fixed != 0 {
-		t.Fatalf("a second reconcile corrected %d statuses, err %v", fixed, err)
+	claim.Release()
+	if claim, err = ClaimCampaign(context.Background(), claimCfg); err != nil || claim.Reconciled != 0 {
+		t.Fatalf("a second claim corrected statuses (%v)", err)
 	}
+	defer claim.Release()
 
 	broken.Store(false)
-	var todo []cheetah.Run
-	for _, run := range m.Runs {
-		if !st.Done[run.ID] {
-			todo = append(todo, run)
-		}
-	}
-	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, todo); err != nil {
+	eng.Resilience = &resilience.Config{Journal: claim.Journal}
+	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, claim.Owed(m.Runs)); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := cheetah.Status(dir)
@@ -675,10 +674,12 @@ func TestRecorderAbandon(t *testing.T) {
 	}
 }
 
-// recorderGoroutines counts live recorder goroutines.
-func recorderGoroutines() int {
+// recorderStacks counts the recorder goroutines in a snapshot of every stack
+// and returns the snapshot.
+func recorderStacks() (int, string) {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "savanna.(*Recorder).loop")
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, "savanna.(*Recorder).loop"), stacks
 }
 
 // TestNoRecorderGoroutineOutlivesCampaign: whichever way a campaign ends —
@@ -686,13 +687,25 @@ func recorderGoroutines() int {
 // out of allocations — the recorder goroutine is gone when the engine
 // returns.
 func TestNoRecorderGoroutineOutlivesCampaign(t *testing.T) {
-	if n := recorderGoroutines(); n != 0 {
+	if n, _ := recorderStacks(); n != 0 {
 		t.Fatalf("%d recorder goroutine(s) before the test", n)
 	}
+	// Close returns once the loop has closed exited, which its goroutine does
+	// on the way out: wait for the goroutine to be gone, bounded, rather than
+	// sample the stacks once. A real leak still fails, with its stacks.
 	check := func(name string) {
 		t.Helper()
-		if n := recorderGoroutines(); n != 0 {
-			t.Errorf("%s: %d recorder goroutine(s) left", name, n)
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			n, stacks := recorderStacks()
+			if n == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d recorder goroutine(s) left:\n%s", name, n, stacks)
+				return
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 	local := func(name string, stop resilience.StopPolicy, fail, fence bool, cancelAt string, sets int) {
@@ -716,7 +729,7 @@ func TestNoRecorderGoroutineOutlivesCampaign(t *testing.T) {
 			Resilience: &resilience.Config{Journal: journal, Stop: stop, Sleep: noSleep}}
 		var err error
 		if sets > 0 {
-			_, err = eng.RunSets(m.Campaign.Name, m.Runs, sets)
+			_, _, err = eng.RunSets(ctx, m.Campaign.Name, m.Runs, sets)
 		} else {
 			_, _, err = eng.RunCampaign(ctx, m.Campaign.Name, m.Runs)
 		}

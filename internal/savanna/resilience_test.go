@@ -560,40 +560,6 @@ func TestKillAndResumeComposesWithMemo(t *testing.T) {
 	}
 }
 
-// TestRemainingLastStatusWins: a run whose most recent provenance record is
-// a failure must resurface in the resubmission set even though an earlier
-// attempt succeeded.
-func TestRemainingLastStatusWins(t *testing.T) {
-	m := memoCampaign(t, 3)
-	prov := provenance.NewStore()
-	add := func(run string, attempt int, status provenance.Status) {
-		t.Helper()
-		if err := prov.Append(provenance.Record{
-			ID: fmt.Sprintf("%s/%s#%d", m.Campaign.Name, run, attempt), Component: "savanna-run",
-			Start: time.Unix(int64(attempt), 0), End: time.Unix(int64(attempt), 1),
-			Status: status, CampaignID: m.Campaign.Name,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Run 0: succeeded, then re-executed and failed — must resurface.
-	add(m.Runs[0].ID, 1, provenance.StatusSucceeded)
-	add(m.Runs[0].ID, 2, provenance.StatusFailed)
-	// Run 1: failed then recovered — done.
-	add(m.Runs[1].ID, 3, provenance.StatusFailed)
-	add(m.Runs[1].ID, 4, provenance.StatusSucceeded)
-	// Run 2: no records — remaining.
-	rem := Remaining(m, prov)
-	var ids []string
-	for _, r := range rem {
-		ids = append(ids, r.ID)
-	}
-	want := []string{m.Runs[0].ID, m.Runs[2].ID}
-	if len(ids) != 2 || ids[0] != want[0] || ids[1] != want[1] {
-		t.Fatalf("Remaining = %v, want %v", ids, want)
-	}
-}
-
 // TestSimEngineChaosVirtualTimeRetries is the simulated half of the chaos
 // acceptance test: p=0.3 injected faults plus node failures, multi-minute
 // backoff schedule — the campaign still completes every run, and because

@@ -195,13 +195,13 @@ func (e *LocalEngine) RunCampaign(ctx context.Context, campaign string, runs []c
 
 // RunSets executes runs in barrier-synchronized sets of setSize — the
 // baseline discipline. All runs of a set must finish before the next set
-// starts, so one straggler idles every other worker.
-func (e *LocalEngine) RunSets(campaign string, runs []cheetah.Run, setSize int) ([]RunResult, error) {
+// starts, so one straggler idles every other worker. Results, report and
+// cancellation are RunCampaign's.
+func (e *LocalEngine) RunSets(ctx context.Context, campaign string, runs []cheetah.Run, setSize int) ([]RunResult, resilience.CompletenessReport, error) {
 	if setSize < 1 {
-		return nil, fmt.Errorf("savanna: set size must be ≥1")
+		return nil, resilience.CompletenessReport{}, fmt.Errorf("savanna: set size must be ≥1")
 	}
-	results, _, err := e.run(context.Background(), campaign, "set-synchronized", runs, setSize)
-	return results, err
+	return e.run(ctx, campaign, "set-synchronized", runs, setSize)
 }
 
 // run is one campaign: its span and start event, its resilience runtime, its
@@ -300,30 +300,4 @@ func (e *LocalEngine) runOne(ctx context.Context, lc *Lifecycle, rec *Recorder, 
 	rec.Post(g)
 	lc.Conclude(&r, "")
 	return r.Result
-}
-
-// Remaining filters a manifest's runs to the resubmission set: runs whose
-// *latest* provenance record is not a success. "Users may simply re-submit a
-// partially completed SweepGroup of parameters to continue execution."
-// Last-record-wins matters: a run that succeeded once but whose most recent
-// re-execution failed must resurface — its published outputs no longer match
-// its recorded provenance.
-func Remaining(m *cheetah.Manifest, prov *provenance.Store) []cheetah.Run {
-	last := map[string]provenance.Status{}
-	for _, rec := range prov.Select(provenance.Query{CampaignID: m.Campaign.Name}) {
-		// Record IDs are "<campaign>/<runID>#<attempt>"; strip the attempt.
-		// Select returns insertion order, so later records overwrite earlier.
-		id := rec.ID
-		if i := strings.LastIndexByte(id, '#'); i >= 0 {
-			id = id[:i]
-		}
-		last[id] = rec.Status
-	}
-	var out []cheetah.Run
-	for _, run := range m.Runs {
-		if last[m.Campaign.Name+"/"+run.ID] != provenance.StatusSucceeded {
-			out = append(out, run)
-		}
-	}
-	return out
 }

@@ -87,7 +87,7 @@ func TestEngineValidation(t *testing.T) {
 	if _, _, err := (&LocalEngine{Executor: reg}).RunCampaign(context.Background(), "t", runs); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, err := (&LocalEngine{Executor: reg, Workers: 1}).RunSets("t", runs, 0); err == nil {
+	if _, _, err := (&LocalEngine{Executor: reg, Workers: 1}).RunSets(context.Background(), "t", runs, 0); err == nil {
 		t.Fatal("zero set size accepted")
 	}
 	// A memo that could cache nothing is refused when the campaign opens, not
@@ -98,7 +98,7 @@ func TestEngineValidation(t *testing.T) {
 	if _, _, err := eng.RunCampaign(context.Background(), "t", runs); err == nil {
 		t.Fatal("RunCampaign accepted a memo without a cache")
 	}
-	if _, err := eng.RunSets("t", runs, 1); err == nil {
+	if _, _, err := eng.RunSets(context.Background(), "t", runs, 1); err == nil {
 		t.Fatal("RunSets accepted a memo without a cache")
 	}
 	if n := atomic.LoadInt32(&calls); n != 0 {
@@ -142,38 +142,6 @@ func TestRunAllRecordsProvenanceAndStatus(t *testing.T) {
 	}
 }
 
-func TestRemainingResumesOnlyUnfinished(t *testing.T) {
-	campaign := testCampaign(5)
-	m, _ := cheetah.BuildManifest(campaign)
-	prov := provenance.NewStore()
-	reg := NewFuncRegistry("work")
-	var attempt int32
-	reg.Register("work", func(params map[string]string) error {
-		// First pass: fail odd-indexed runs.
-		if atomic.LoadInt32(&attempt) == 0 {
-			if i, _ := strconv.Atoi(params["i"]); i%2 == 1 {
-				return fmt.Errorf("transient")
-			}
-		}
-		return nil
-	})
-	eng := &LocalEngine{Executor: reg, Workers: 2, Prov: prov}
-	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, m.Runs); err != nil {
-		t.Fatal(err)
-	}
-	left := Remaining(m, prov)
-	if len(left) != 2 {
-		t.Fatalf("remaining = %d, want 2", len(left))
-	}
-	atomic.StoreInt32(&attempt, 1)
-	if _, _, err := eng.RunCampaign(context.Background(), campaign.Name, left); err != nil {
-		t.Fatal(err)
-	}
-	if final := Remaining(m, prov); len(final) != 0 {
-		t.Fatalf("still remaining after resubmission: %d", len(final))
-	}
-}
-
 func TestRunSetsBarrier(t *testing.T) {
 	// With sets of 2 and one slow run per set, the barrier forces set i+1
 	// to start only after set i's straggler. We detect ordering through
@@ -193,7 +161,7 @@ func TestRunSetsBarrier(t *testing.T) {
 		return nil
 	})
 	eng := &LocalEngine{Executor: reg, Workers: 4}
-	if _, err := eng.RunSets(campaign.Name, m.Runs, 2); err != nil {
+	if _, _, err := eng.RunSets(context.Background(), campaign.Name, m.Runs, 2); err != nil {
 		t.Fatal(err)
 	}
 	if started["2"].Sub(started["0"]) < 50*time.Millisecond {
