@@ -35,7 +35,7 @@ func main() {
 	for run := 0; run < *runs; run++ {
 		runSeed := expt.SplitSeed(*seed, run)
 		policy := buildPolicy(*policyName, *budget, *every, *gap)
-		sim := hpcsim.New(runSeed)
+		sim := hpcsim.New()
 		cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{
 			Nodes: *nodes, FS: hpcsim.CongestedFS(),
 		}, expt.SplitSeed(runSeed, 1))

@@ -62,7 +62,13 @@ func main() {
 		steered = append(steered, it.Seq)
 		mu.Unlock()
 	})
-	time.Sleep(50 * time.Millisecond)
+	// Publish only once both subscriptions are registered: an item forwarded
+	// before its subscriber attaches never reaches it.
+	for deadline := time.Now().Add(3 * time.Second); srv.Subscribers("") < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fatal(fmt.Errorf("subscribers never registered"))
+		}
+	}
 
 	// The remote steering process: install a selection queue at runtime.
 	ctl, err := stream.DialControl(serverAddr)

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("%-45s %12s %10s %10s\n", "policy", "checkpoints", "overhead", "wall (s)")
 	for i, policy := range policies {
 		seed := expt.SplitSeed(42, i)
-		sim := hpcsim.New(seed)
+		sim := hpcsim.New()
 		cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{
 			Nodes: 128, FS: hpcsim.CongestedFS(),
 		}, expt.SplitSeed(seed, 1))
@@ -48,7 +48,7 @@ func main() {
 	fmt.Println("\nrecovery analysis — failure right after step 35:")
 	for i, policy := range policies {
 		seed := expt.SplitSeed(42, i)
-		sim := hpcsim.New(seed)
+		sim := hpcsim.New()
 		cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{
 			Nodes: 128, FS: hpcsim.CongestedFS(),
 		}, expt.SplitSeed(seed, 1))

@@ -17,7 +17,6 @@ package annot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -87,12 +86,6 @@ func (f Feature) Validate() error {
 // Length returns the interval length.
 func (f Feature) Length() int64 { return f.End - f.Start }
 
-// Overlaps reports whether two features share any bases on the same
-// chromosome.
-func (f Feature) Overlaps(o Feature) bool {
-	return f.Chrom == o.Chrom && f.Start < o.End && o.Start < f.End
-}
-
 // attr fetches an attribute with a default.
 func (f Feature) attr(key, def string) string {
 	if v, ok := f.Attributes[key]; ok {
@@ -118,34 +111,6 @@ func (s *Set) Validate() error {
 
 // Len reports the number of features.
 func (s *Set) Len() int { return len(s.Features) }
-
-// SortGenomic orders features by (chrom, start, end, name).
-func (s *Set) SortGenomic() {
-	sort.SliceStable(s.Features, func(i, j int) bool {
-		a, b := s.Features[i], s.Features[j]
-		if a.Chrom != b.Chrom {
-			return a.Chrom < b.Chrom
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		return a.Name < b.Name
-	})
-}
-
-// FilterType returns the subset with the given feature type.
-func (s *Set) FilterType(t string) *Set {
-	out := &Set{}
-	for _, f := range s.Features {
-		if f.Type == t {
-			out.Features = append(out.Features, f)
-		}
-	}
-	return out
-}
 
 // TotalBases sums interval lengths (no overlap merging).
 func (s *Set) TotalBases() int64 {

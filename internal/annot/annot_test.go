@@ -40,29 +40,10 @@ func TestFeatureValidate(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	a := Feature{Chrom: "c", Start: 0, End: 10}
-	b := Feature{Chrom: "c", Start: 9, End: 20}
-	c := Feature{Chrom: "c", Start: 10, End: 20} // half-open: no overlap
-	d := Feature{Chrom: "d", Start: 0, End: 10}
-	if !a.Overlaps(b) || a.Overlaps(c) || a.Overlaps(d) {
-		t.Fatalf("overlap semantics wrong: %v %v %v", a.Overlaps(b), a.Overlaps(c), a.Overlaps(d))
-	}
-}
-
 func TestSetHelpers(t *testing.T) {
 	s := demoSet()
 	if s.Len() != 3 || s.TotalBases() != 100+30+50 {
 		t.Fatalf("len=%d bases=%d", s.Len(), s.TotalBases())
-	}
-	genes := s.FilterType("gene")
-	if genes.Len() != 2 {
-		t.Fatalf("genes = %d", genes.Len())
-	}
-	shuffled := &Set{Features: []Feature{s.Features[2], s.Features[1], s.Features[0]}}
-	shuffled.SortGenomic()
-	if shuffled.Features[0].Name != "geneA" || shuffled.Features[2].Name != "geneB" {
-		t.Fatalf("sort order: %v", shuffled.Features)
 	}
 }
 

@@ -168,9 +168,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir, objects: objects, idx: idx}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // objectPath maps a digest to its object file: filepath.Join's result, built
 // by one concatenation since the hex part holds no separator to clean.
 func (s *Store) objectPath(d Digest) string {

@@ -54,7 +54,7 @@ func FuzzIndexDecode(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := DecodeIndex(data)
+		idx, err := DecodeIndexFrom(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -75,7 +75,7 @@ func FuzzIndexDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		idx2, err := DecodeIndex(out)
+		idx2, err := DecodeIndexFrom(bytes.NewReader(out))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,17 +37,12 @@ type indexRecord struct {
 	Size   int64  `json:"size"`
 }
 
-// DecodeIndex parses and validates index JSON. It is the decoder the
+// DecodeIndexFrom parses and validates index JSON. It is the decoder the
 // FuzzIndexDecode target exercises: arbitrary bytes must either yield a
 // structurally valid index or an error — never a panic or an index that
-// later corrupts the store.
-func DecodeIndex(data []byte) (*Index, error) {
-	return DecodeIndexFrom(bytes.NewReader(data))
-}
-
-// DecodeIndexFrom is DecodeIndex over a stream: loadIndex feeds the index
-// file through it directly, so even a pathological multi-MB index is never
-// slurped into one buffer on top of the decoder's working set.
+// later corrupts the store. loadIndex feeds the index file through it
+// directly, so even a pathological multi-MB index is never slurped into one
+// buffer on top of the decoder's working set.
 func DecodeIndexFrom(r io.Reader) (*Index, error) {
 	var idx Index
 	if err := json.NewDecoder(r).Decode(&idx); err != nil {

@@ -37,11 +37,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the paper-scale configuration.
-func DefaultConfig() Config {
-	return Config{Features: 1606, Samples: 3220, LatentFactors: 6, Noise: 0.3, Seed: 2019}
-}
-
 // Dataset is a generated feature table.
 type Dataset struct {
 	// FeatureNames has one entry per column, e.g. "economic_0012".
@@ -57,15 +52,6 @@ func (d *Dataset) Features() int { return len(d.FeatureNames) }
 
 // Samples returns the number of rows.
 func (d *Dataset) Samples() int { return len(d.X) }
-
-// Column extracts feature f as a new slice.
-func (d *Dataset) Column(f int) []float64 {
-	out := make([]float64, len(d.X))
-	for s := range d.X {
-		out[s] = d.X[s][f]
-	}
-	return out
-}
 
 // Generate builds a synthetic dataset. Features are partitioned evenly into
 // four blocks; each block has its own latent factors; each feature is a

@@ -37,7 +37,7 @@ func testFS() hpcsim.FSConfig {
 }
 
 func newTestCluster(seed int64) *hpcsim.Cluster {
-	sim := hpcsim.New(seed)
+	sim := hpcsim.New()
 	return hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: 8, FS: testFS()}, seed+1)
 }
 

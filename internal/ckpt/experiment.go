@@ -124,7 +124,7 @@ func runOnce(cfg SweepConfig, policy Policy, seed int64) (*RunStats, error) {
 	if nodes < cfg.Profile.Nodes {
 		nodes = cfg.Profile.Nodes
 	}
-	sim := hpcsim.New(seed)
+	sim := hpcsim.New()
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: nodes, FS: cfg.FS}, expt.SplitSeed(seed, 1))
 	profile := cfg.Profile
 	profile.Seed = expt.SplitSeed(seed, 2)

@@ -209,7 +209,7 @@ func CompareUnderFailures(scfg SweepConfig, policies []Policy, mttf, restartLate
 			if nodes < scfg.Profile.Nodes {
 				nodes = scfg.Profile.Nodes
 			}
-			sim := hpcsim.New(seed)
+			sim := hpcsim.New()
 			cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: nodes, FS: scfg.FS}, expt.SplitSeed(seed, 1))
 			profile := scfg.Profile
 			profile.Seed = expt.SplitSeed(seed, 2)

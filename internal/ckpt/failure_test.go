@@ -9,7 +9,7 @@ import (
 func TestRunWithFailuresNoFailuresMatchesBaseline(t *testing.T) {
 	// MTTF disabled: the failure driver must behave like the plain driver.
 	mk := func() *hpcsim.Cluster {
-		sim := hpcsim.New(21)
+		sim := hpcsim.New()
 		return hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: 8, FS: testFS()}, 22)
 	}
 	plain, err := RunOnCluster(mk(), RunConfig{Profile: fastProfile(22), Policy: FixedInterval{Every: 5}})
@@ -32,7 +32,7 @@ func TestRunWithFailuresNoFailuresMatchesBaseline(t *testing.T) {
 }
 
 func TestRunWithFailuresRecovers(t *testing.T) {
-	sim := hpcsim.New(5)
+	sim := hpcsim.New()
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: 8, FS: testFS()}, 6)
 	stats, err := RunWithFailures(cluster, FailureRunConfig{
 		RunConfig:      RunConfig{Profile: fastProfile(7), Policy: FixedInterval{Every: 2}},
@@ -63,7 +63,7 @@ func TestRunWithFailuresRecovers(t *testing.T) {
 }
 
 func TestRunWithFailuresLostWorkBoundedByCheckpointSpacing(t *testing.T) {
-	sim := hpcsim.New(9)
+	sim := hpcsim.New()
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: 8, FS: testFS()}, 10)
 	stats, err := RunWithFailures(cluster, FailureRunConfig{
 		RunConfig:      RunConfig{Profile: fastProfile(11), Policy: FixedInterval{Every: 2}},

@@ -36,15 +36,6 @@ type State struct {
 	LastWriteSeconds float64
 }
 
-// Overhead returns the current checkpoint-I/O overhead fraction of total
-// elapsed time (0 when nothing has elapsed).
-func (s State) Overhead() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return s.CheckpointTime / s.Elapsed
-}
-
 // Policy decides whether to checkpoint after a step.
 type Policy interface {
 	// ShouldCheckpoint reports whether to write a checkpoint now.

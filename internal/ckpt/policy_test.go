@@ -148,13 +148,3 @@ func TestPolicyNames(t *testing.T) {
 		t.Fatalf("composite name: %s", names[4])
 	}
 }
-
-func TestStateOverhead(t *testing.T) {
-	if (State{}).Overhead() != 0 {
-		t.Fatal("zero elapsed should give zero overhead")
-	}
-	s := State{Elapsed: 200, CheckpointTime: 50}
-	if s.Overhead() != 0.25 {
-		t.Fatalf("overhead = %v", s.Overhead())
-	}
-}

@@ -113,16 +113,3 @@ func (r *RealRunner) Run(steps int) (*RealStats, []Retained, error) {
 	}
 	return stats, retained, nil
 }
-
-// RestoreLatest rewinds the app to the newest retained snapshot and returns
-// its step (0 and no-op when none exist).
-func (r *RealRunner) RestoreLatest(retained []Retained) (int, error) {
-	if len(retained) == 0 {
-		return 0, nil
-	}
-	last := retained[len(retained)-1]
-	if err := r.App.Restore(last.Snapshot); err != nil {
-		return 0, err
-	}
-	return last.Step, nil
-}

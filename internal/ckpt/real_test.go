@@ -42,8 +42,8 @@ func TestRealRunnerFixedInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StepsCompleted != 12 || g.StepCount() != 12 {
-		t.Fatalf("steps: %d / %d", stats.StepsCompleted, g.StepCount())
+	if stats.StepsCompleted != 12 || g.Snapshot().Step != 12 {
+		t.Fatalf("steps: %d / %d", stats.StepsCompleted, g.Snapshot().Step)
 	}
 	if stats.CheckpointsWritten != 3 {
 		t.Fatalf("checkpoints: %d", stats.CheckpointsWritten)
@@ -69,13 +69,13 @@ func TestRealRunnerRestartEquivalence(t *testing.T) {
 	}
 	want := g.Checksum()
 
-	// Rewind to the step-10 checkpoint and recompute.
-	step, err := r.RestoreLatest(retained)
-	if err != nil || step != 10 {
-		t.Fatalf("restored to %d, %v", step, err)
+	// Rewind to the step-10 checkpoint through the App and recompute.
+	last := retained[len(retained)-1]
+	if err := r.App.Restore(last.Snapshot); err != nil || last.Step != 10 {
+		t.Fatalf("restored to %d, %v", last.Step, err)
 	}
-	if g.StepCount() != 10 {
-		t.Fatalf("app at step %d after restore", g.StepCount())
+	if step := g.Snapshot().Step; step != 10 {
+		t.Fatalf("app at step %d after restore", step)
 	}
 	for i := 0; i < 5; i++ {
 		g.Step()
@@ -114,14 +114,5 @@ func TestRealRunnerValidation(t *testing.T) {
 	g := newGS(t)
 	if _, _, err := (&RealRunner{App: gsApp{g}, Policy: FixedInterval{Every: 1}}).Run(0); err == nil {
 		t.Fatal("zero steps accepted")
-	}
-}
-
-func TestRestoreLatestEmpty(t *testing.T) {
-	g := newGS(t)
-	r := &RealRunner{App: gsApp{g}, Policy: FixedInterval{Every: 1}}
-	step, err := r.RestoreLatest(nil)
-	if err != nil || step != 0 {
-		t.Fatalf("empty restore: %d, %v", step, err)
 	}
 }

@@ -240,24 +240,3 @@ func (w *Workflow) Debt() (interventions int, minutes float64) {
 	}
 	return interventions, minutes
 }
-
-// GaugeFloor returns the workflow's weakest-link gauge vector: the minimum
-// tier per axis across all components. A workflow is only as automatable as
-// its least-described component, so capability checks against the floor are
-// the workflow-level reading of the gauges.
-func (w *Workflow) GaugeFloor() gauge.Vector {
-	floor := gauge.NewVector()
-	if len(w.Components) == 0 {
-		return floor
-	}
-	for _, a := range gauge.Axes() {
-		min := w.Components[0].Assessment.Vector.Get(a)
-		for _, c := range w.Components[1:] {
-			if t := c.Assessment.Vector.Get(a); t < min {
-				min = t
-			}
-		}
-		floor[a] = min
-	}
-	return floor
-}

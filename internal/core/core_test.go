@@ -339,44 +339,3 @@ func TestPlannerFirstPreciousSemantics(t *testing.T) {
 		t.Fatalf("edge after semantics recorded: %+v", plan.Steps[0])
 	}
 }
-
-func TestGaugeFloorIsWeakestLink(t *testing.T) {
-	w := twoStepWorkflow(highTiers(), "bed@v1", "bed@v1")
-	floor := w.GaugeFloor()
-	// Producer: access=2 schema=3 granularity=2; consumer: schema=1
-	// granularity=2, access=0 → floor access=0, schema=1, granularity=2.
-	if floor.Get(gauge.DataAccess) != 0 || floor.Get(gauge.DataSchema) != 1 ||
-		floor.Get(gauge.Granularity) != 2 {
-		t.Fatalf("floor: %s", floor)
-	}
-	// The floor must be dominated by every component's vector.
-	for _, c := range w.Components {
-		if !c.Assessment.Vector.Dominates(floor) {
-			t.Fatalf("component %s below the floor", c.Name)
-		}
-	}
-	empty := &Workflow{Name: "e"}
-	f := empty.GaugeFloor()
-	for _, a := range gauge.Axes() {
-		if f.Get(a) != 0 {
-			t.Fatal("empty workflow floor not zero")
-		}
-	}
-}
-
-func TestWorkflowDOT(t *testing.T) {
-	w := twoStepWorkflow(highTiers(), "bed@v1", "gff3@v1")
-	dot := w.DOT()
-	for _, want := range []string{
-		`digraph "wf"`, `"producer"`, `"consumer"`,
-		`"producer" -> "consumer"`, "bed@v1 → gff3@v1", "rankdir=LR",
-	} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	same := twoStepWorkflow(highTiers(), "bed@v1", "bed@v1")
-	if !strings.Contains(same.DOT(), `label="bed@v1"`) {
-		t.Fatalf("matching-format edge label wrong:\n%s", same.DOT())
-	}
-}

@@ -71,18 +71,3 @@ func (ro *ResearchObject) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(ro)
 }
-
-// LoadResearchObject parses and validates a research object.
-func LoadResearchObject(r io.Reader) (*ResearchObject, error) {
-	var ro ResearchObject
-	if err := json.NewDecoder(r).Decode(&ro); err != nil {
-		return nil, fmt.Errorf("core: parsing research object: %w", err)
-	}
-	if ro.Workflow == nil {
-		return nil, fmt.Errorf("core: research object has no workflow")
-	}
-	if err := ro.Workflow.Validate(); err != nil {
-		return nil, err
-	}
-	return &ro, nil
-}

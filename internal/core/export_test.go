@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -104,14 +104,14 @@ func TestResearchObjectJSONRoundTrip(t *testing.T) {
 	if err := ro.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadResearchObject(&buf)
-	if err != nil {
+	var back ResearchObject
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Workflow.Name != w.Name || len(back.Provenance) != 1 {
+	if back.Workflow == nil || back.Workflow.Name != w.Name || len(back.Provenance) != 1 {
 		t.Fatalf("round trip: %+v", back)
 	}
-	if _, err := LoadResearchObject(strings.NewReader("{}")); err == nil {
-		t.Fatal("workflow-less object accepted")
+	if err := back.Workflow.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

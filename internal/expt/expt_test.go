@@ -58,15 +58,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	rng := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		if v := Pareto(rng, 2.0, 1.5); v < 2.0 {
-			t.Fatalf("pareto draw %v below scale", v)
-		}
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	rng := NewRNG(4)
 	xs := make([]float64, 50000)

@@ -36,16 +36,6 @@ func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(rng.NormFloat64()*sigma + mu)
 }
 
-// Pareto draws from a Pareto distribution with scale xm > 0 and shape
-// alpha > 0. Used for filesystem-load burst modelling.
-func Pareto(rng *rand.Rand, xm, alpha float64) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Exponential draws from an exponential distribution with the given mean.
 // Mean-time-to-failure sampling in the cluster simulator uses this.
 func Exponential(rng *rand.Rand, mean float64) float64 {

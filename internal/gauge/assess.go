@@ -105,16 +105,6 @@ func Capabilities() []Capability {
 	return out
 }
 
-// Requirement returns the minimum vector for a capability. The second value
-// is false for an unknown capability.
-func Requirement(c Capability) (Vector, bool) {
-	req, ok := capabilityRequirements[c]
-	if !ok {
-		return nil, false
-	}
-	return req.Clone(), true
-}
-
 // Unlocked reports whether the vector satisfies the capability's
 // requirements.
 func Unlocked(v Vector, c Capability) bool {
@@ -181,32 +171,6 @@ func (r *Registry) Components() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// WithCapability returns the names of components whose vectors unlock c.
-func (r *Registry) WithCapability(c Capability) []string {
-	var out []string
-	for _, name := range r.Components() {
-		if Unlocked(r.assessments[name].Vector, c) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// WithTerm returns the names of components whose vectors unlock the given
-// ontology term.
-func (r *Registry) WithTerm(term string) []string {
-	var out []string
-	for _, name := range r.Components() {
-		for _, t := range r.assessments[name].Vector.Terms() {
-			if t == term {
-				out = append(out, name)
-				break
-			}
-		}
-	}
 	return out
 }
 

@@ -40,7 +40,7 @@ func TestAssessmentValidate(t *testing.T) {
 
 func TestCapabilityRequirementsAreValidVectors(t *testing.T) {
 	for _, c := range Capabilities() {
-		req, ok := Requirement(c)
+		req, ok := capabilityRequirements[c]
 		if !ok {
 			t.Fatalf("capability %q missing requirement", c)
 		}
@@ -52,15 +52,6 @@ func TestCapabilityRequirementsAreValidVectors(t *testing.T) {
 				t.Fatalf("capability %q requires nonexistent %s tier %d", c, a, tier)
 			}
 		}
-	}
-}
-
-func TestRequirementReturnsCopy(t *testing.T) {
-	req, _ := Requirement(CapAutoConvert)
-	req[DataAccess] = 0
-	req2, _ := Requirement(CapAutoConvert)
-	if req2[DataAccess] == 0 {
-		t.Fatal("Requirement leaked internal state")
 	}
 }
 
@@ -119,12 +110,6 @@ func TestRegistryQueries(t *testing.T) {
 	}
 	if r.Len() != 2 {
 		t.Fatalf("len = %d", r.Len())
-	}
-	if got := r.WithCapability(CapAutoConvert); len(got) != 1 || got[0] != "converter" {
-		t.Fatalf("WithCapability = %v", got)
-	}
-	if got := r.WithTerm("csv"); len(got) != 1 || got[0] != "converter" {
-		t.Fatalf("WithTerm(csv) = %v", got)
 	}
 	if r.Get("nope") != nil {
 		t.Fatal("missing component returned non-nil")
@@ -192,7 +177,10 @@ func TestDebtLedgerZeroAtMaxVector(t *testing.T) {
 
 func TestDebtLedgerAllUnknownHasEveryAxis(t *testing.T) {
 	led := DebtLedger("raw", NewVector())
-	byAxis := led.ByAxis()
+	byAxis := map[Axis]int{}
+	for _, it := range led.Items {
+		byAxis[it.Axis] += it.PerReuse
+	}
 	for _, a := range Axes() {
 		if byAxis[a] == 0 {
 			t.Fatalf("all-unknown component has no debt on axis %s", a)

@@ -97,16 +97,6 @@ func (l Ledger) MinutesPerReuse() float64 {
 	return m
 }
 
-// ByAxis groups outstanding intervention counts per axis, identifying where
-// the reuse bottleneck lives.
-func (l Ledger) ByAxis() map[Axis]int {
-	out := map[Axis]int{}
-	for _, it := range l.Items {
-		out[it.Axis] += it.PerReuse
-	}
-	return out
-}
-
 // String renders the ledger as a short human-readable report.
 func (l Ledger) String() string {
 	var b strings.Builder

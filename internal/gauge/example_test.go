@@ -26,12 +26,13 @@ func Example() {
 	// best next investment: data-access to tier 3
 }
 
-// ExampleVector_Meets shows capability requirements as vectors.
+// ExampleVector_Meets checks a vector against a requirement vector: at
+// least the required tier on every axis the requirement names.
 func ExampleVector_Meets() {
 	v := gauge.NewVector()
 	v.MustSet(gauge.Granularity, 2).MustSet(gauge.Customizability, 1)
-	req, _ := gauge.Requirement(gauge.CapTemplateLaunch)
-	fmt.Println(v.Meets(req))
+	req := gauge.NewVector().MustSet(gauge.Granularity, 2)
+	fmt.Println(v.Meets(req), req.Meets(v))
 	// Output:
-	// true
+	// true false
 }

@@ -76,8 +76,7 @@ type TierInfo struct {
 
 // tierTable is the registry of gauge levels, transcribed from Fig. 1 and the
 // Section III prose. The lists are explicitly non-exhaustive in the paper;
-// RegisterTier allows extensions, which is how downstream ecosystems are
-// expected to refine the model.
+// downstream ecosystems are expected to refine the model by extending them.
 var tierTable = map[Axis][]TierInfo{
 	DataAccess: {
 		{Axis: DataAccess, Tier: 0, Name: "unknown",
@@ -202,30 +201,6 @@ func TierByName(a Axis, name string) (Tier, error) {
 		}
 	}
 	return 0, fmt.Errorf("gauge: axis %q has no tier named %q", a, name)
-}
-
-// RegisterTier appends an extension tier to an axis. The paper states the
-// Fig. 1 lists "are not intended to be exhaustive"; ecosystems refine the
-// gauges over time. The new tier must extend the axis contiguously (tier =
-// current max + 1) and must carry a unique name.
-func RegisterTier(ti TierInfo) error {
-	if !ti.Axis.Valid() {
-		return fmt.Errorf("gauge: invalid axis %q", ti.Axis)
-	}
-	if ti.Name == "" {
-		return fmt.Errorf("gauge: tier name required")
-	}
-	cur := tierTable[ti.Axis]
-	if want := cur[len(cur)-1].Tier + 1; ti.Tier != want {
-		return fmt.Errorf("gauge: tier %d does not extend axis %q contiguously (want %d)", ti.Tier, ti.Axis, want)
-	}
-	for _, existing := range cur {
-		if existing.Name == ti.Name {
-			return fmt.Errorf("gauge: axis %q already has tier named %q", ti.Axis, ti.Name)
-		}
-	}
-	tierTable[ti.Axis] = append(cur, ti)
-	return nil
 }
 
 // TermIndex maps every registered ontology term to the (axis, tier) pairs

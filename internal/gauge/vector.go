@@ -82,18 +82,6 @@ func (v Vector) Validate() error {
 	return nil
 }
 
-// Dominates reports whether v is at least as high as w on every axis. This
-// is the partial order on the reusability continuum; vectors on different
-// axes are intentionally not totally ordered (a gauge is not a metric).
-func (v Vector) Dominates(w Vector) bool {
-	for _, a := range Axes() {
-		if v[a] < w[a] {
-			return false
-		}
-	}
-	return true
-}
-
 // Meets reports whether the vector satisfies a requirement vector: at least
 // the required tier on every axis the requirement mentions.
 func (v Vector) Meets(req Vector) bool {

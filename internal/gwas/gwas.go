@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"fairflow/internal/expt"
 )
@@ -30,11 +29,6 @@ type Config struct {
 	MinMAF float64
 	// Seed drives all randomness.
 	Seed int64
-}
-
-// DefaultConfig returns a laptop-scale cohort with clear signal.
-func DefaultConfig() Config {
-	return Config{SNPs: 2000, Samples: 400, CausalSNPs: 10, EffectSize: 0.8, MinMAF: 0.1, Seed: 42}
 }
 
 // Cohort is a generated GWAS dataset.
@@ -106,22 +100,11 @@ func Generate(cfg Config) (*Cohort, error) {
 	return c, nil
 }
 
-// SampleColumn renders sample s's genotype vector as strings, one SNP per
-// line — the per-sample column file format whose column-wise assembly is the
-// paste workflow's input.
-func (c *Cohort) SampleColumn(s int) []string {
-	out := make([]string, len(c.Genotypes))
-	for v := range c.Genotypes {
-		out[v] = strconv.Itoa(int(c.Genotypes[v][s]))
-	}
-	return out
-}
-
-// SampleColumnBytes renders sample s's column file content in a single
-// buffer — the exact bytes tabular.WriteColumnBytes persists. Genotypes are
-// single digits, so the whole column is rendered with one allocation
-// instead of one string per SNP; this is the writer the paste kernel's
-// wiring uses.
+// SampleColumnBytes renders sample s's genotype vector one SNP per line —
+// the per-sample column file whose column-wise assembly is the paste
+// workflow's input, in the exact bytes tabular.WriteColumnBytes persists.
+// Genotypes are single digits, so the whole column is rendered with one
+// allocation.
 func (c *Cohort) SampleColumnBytes(s int) []byte {
 	out := make([]byte, 0, 2*len(c.Genotypes))
 	for v := range c.Genotypes {

@@ -18,7 +18,7 @@ func holdJob(name string, nodes int, walltime, hold float64, started *[]string, 
 }
 
 func TestBackfillLetsShortJobJumpAhead(t *testing.T) {
-	s := New(1)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 4, FS: quietFS(1e12, 1e10), Scheduling: Backfill}, 7)
 	var order []string
 	times := map[string]float64{}
@@ -52,7 +52,7 @@ func TestBackfillLetsShortJobJumpAhead(t *testing.T) {
 func TestBackfillNeverDelaysHeadJob(t *testing.T) {
 	// A long narrow job must NOT backfill if its walltime crosses the head
 	// job's reservation.
-	s := New(2)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 4, FS: quietFS(1e12, 1e10), Scheduling: Backfill}, 7)
 	var order []string
 	times := map[string]float64{}
@@ -74,7 +74,7 @@ func TestBackfillNeverDelaysHeadJob(t *testing.T) {
 }
 
 func TestFIFOIgnoresBackfillOpportunity(t *testing.T) {
-	s := New(3)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 4, FS: quietFS(1e12, 1e10)}, 7) // default FIFO
 	var order []string
 	times := map[string]float64{}
@@ -96,7 +96,7 @@ func TestBackfillImprovesMakespan(t *testing.T) {
 	// inside B's shadow. FIFO serialises A → B → C; backfill overlaps C
 	// with A and nearly halves the makespan.
 	run := func(policy SchedulingPolicy) float64 {
-		s := New(4)
+		s := New()
 		c := NewCluster(s, ClusterConfig{Nodes: 8, FS: quietFS(1e12, 1e10), Scheduling: policy}, 7)
 		var order []string
 		times := map[string]float64{}
@@ -117,7 +117,7 @@ func TestBackfillImprovesMakespan(t *testing.T) {
 }
 
 func TestReservationTimeImmediateWhenFree(t *testing.T) {
-	s := New(5)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 4, FS: quietFS(1e12, 1e10), Scheduling: Backfill}, 7)
 	if got := c.reservationTime(4); got != 0 {
 		t.Fatalf("reservation on empty machine = %v", got)

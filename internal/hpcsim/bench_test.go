@@ -18,7 +18,7 @@ import (
 func BenchmarkSimReplay(b *testing.B) {
 	const events, cohort, replays = 1_000_000, 64, 3
 	build := func() *Sim {
-		s := New(1)
+		s := New()
 		fired := 0
 		for i := 0; i < events; i++ {
 			t := float64(i / cohort)
@@ -67,7 +67,7 @@ func BenchmarkSimReplay(b *testing.B) {
 }
 
 func BenchmarkEventLoop(b *testing.B) {
-	s := New(1)
+	s := New()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +80,7 @@ func BenchmarkFilesystemContention(b *testing.B) {
 	// Each iteration runs 32 concurrent striped writes through the
 	// processor-sharing model to completion.
 	for i := 0; i < b.N; i++ {
-		s := New(int64(i))
+		s := New()
 		fs := NewFilesystem(s, DefaultSummitFS(), int64(i)+1)
 		for w := 0; w < 32; w++ {
 			fs.Write(4, 1e10, func(float64) {})
@@ -93,7 +93,7 @@ func BenchmarkPilotAllocationCycle(b *testing.B) {
 	// One batch job per iteration: submit, run 64 tasks over 8 nodes
 	// dynamically, release.
 	for i := 0; i < b.N; i++ {
-		s := New(int64(i))
+		s := New()
 		c := NewCluster(s, ClusterConfig{Nodes: 8, FS: quietFS(1e12, 1e10)}, int64(i)+1)
 		c.Submit(JobSpec{
 			Name: "pilot", Nodes: 8, Walltime: 1e6,
@@ -123,7 +123,7 @@ func BenchmarkPilotAllocationCycle(b *testing.B) {
 // through a 50k-task pilot campaign — the simulator's scalability envelope.
 func BenchmarkLeadershipScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := New(int64(i))
+		s := New()
 		c := NewCluster(s, ClusterConfig{Nodes: 4608, FS: quietFS(2.5e12, 12.5e9)}, int64(i)+1)
 		remaining := 50_000
 		c.Submit(JobSpec{

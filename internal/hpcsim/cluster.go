@@ -152,9 +152,6 @@ func (c *Cluster) FS() *Filesystem { return c.fs }
 // Util returns the node-utilisation recorder.
 func (c *Cluster) Util() *UtilRecorder { return c.util }
 
-// NodeCount returns the machine size.
-func (c *Cluster) NodeCount() int { return len(c.nodes) }
-
 // FreeNodes counts nodes that are neither failed nor allocated.
 func (c *Cluster) FreeNodes() int {
 	n := 0
@@ -165,9 +162,6 @@ func (c *Cluster) FreeNodes() int {
 	}
 	return n
 }
-
-// QueuedJobs reports the batch queue length.
-func (c *Cluster) QueuedJobs() int { return len(c.queue) }
 
 // JobStats summarises terminal jobs' queue behaviour.
 type JobStats struct {
@@ -363,9 +357,6 @@ func (a *Allocation) Nodes() []int {
 	return out
 }
 
-// Deadline returns the allocation's absolute walltime deadline.
-func (a *Allocation) Deadline() float64 { return a.deadline }
-
 // Remaining returns seconds left before the walltime deadline.
 func (a *Allocation) Remaining() float64 {
 	r := a.deadline - a.cluster.sim.Now()
@@ -448,7 +439,7 @@ func (t *Task) complete(ok bool) {
 	delete(a.tasks, t)
 	t.finish.Cancel()
 	now := a.cluster.sim.Now()
-	a.cluster.util.Record(t.NodeID, t.node.busySince, now)
+	a.cluster.util.Record(t.node.busySince, now)
 	t.node.busy = false
 	a.cluster.updateTelemetry()
 	if t.done != nil {

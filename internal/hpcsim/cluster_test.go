@@ -7,7 +7,7 @@ import (
 
 func testCluster(t *testing.T, nodes int) (*Sim, *Cluster) {
 	t.Helper()
-	s := New(1)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: nodes, FS: quietFS(1e12, 1e10)}, 7)
 	return s, c
 }
@@ -232,11 +232,12 @@ func TestUtilizationRecordedPerTask(t *testing.T) {
 		},
 	})
 	s.Run()
-	if got := c.Util().BusyNodeSeconds(); math.Abs(got-80) > 1e-9 {
+	start, end := c.Util().Span()
+	if got := c.Util().UtilizationFraction(2, start, end) * 2 * (end - start); math.Abs(got-80) > 1e-9 {
 		t.Fatalf("busy node-seconds = %v", got)
 	}
-	if c.Util().Intervals() != 2 {
-		t.Fatalf("intervals = %d", c.Util().Intervals())
+	if n := len(c.Util().intervals); n != 2 {
+		t.Fatalf("intervals = %d", n)
 	}
 }
 

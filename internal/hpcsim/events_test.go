@@ -4,16 +4,25 @@ import (
 	"testing"
 	"time"
 
+	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
+
+// virtualClock stamps at simulated second s the instant s seconds past the
+// Unix epoch, so journal times read as virtual time.
+func virtualClock(sim *Sim) telemetry.Clock {
+	return telemetry.ClockFunc(func() time.Time {
+		return time.Unix(0, 0).Add(time.Duration(sim.Now() * float64(time.Second)))
+	})
+}
 
 // TestClusterEventJournal drives one job through the cluster and checks the
 // journal records its lifecycle in virtual time.
 func TestClusterEventJournal(t *testing.T) {
-	sim := New(1)
+	sim := New()
 	c := NewCluster(sim, ClusterConfig{Nodes: 4}, 1)
 	l := eventlog.NewLog()
-	l.SetClock(SimClock(sim))
+	l.SetClock(virtualClock(sim))
 	c.SetEvents(l)
 
 	_, err := c.Submit(JobSpec{
@@ -57,10 +66,10 @@ func TestClusterEventJournal(t *testing.T) {
 // TestClusterExpiryAndFailureEvents checks walltime expiry journals at warn
 // level and the failure injector journals node.failed / node.repaired.
 func TestClusterExpiryAndFailureEvents(t *testing.T) {
-	sim := New(1)
+	sim := New()
 	c := NewCluster(sim, ClusterConfig{Nodes: 2}, 1)
 	l := eventlog.NewLog()
-	l.SetClock(SimClock(sim))
+	l.SetClock(virtualClock(sim))
 	c.SetEvents(l)
 	NewFailureInjector(c, FailureConfig{MTTF: 40, RepairTime: 10, Horizon: 200}, 7)
 

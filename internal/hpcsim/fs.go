@@ -138,9 +138,6 @@ func (fs *Filesystem) Write(nodes int, bytes float64, done func(elapsed float64)
 	fs.ensureLoadTick()
 }
 
-// ActiveTransfers reports how many transfers are in flight.
-func (fs *Filesystem) ActiveTransfers() int { return len(fs.active) }
-
 // settle advances every active transfer's remaining bytes to the current
 // simulated time at its current rate. Must be called before any rate change.
 func (fs *Filesystem) settle() {

@@ -19,7 +19,7 @@ func quietFS(aggBW, nodeBW float64) FSConfig {
 }
 
 func TestFSSingleTransferNodeCapped(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(1e12, 1e9), 7)
 	var elapsed float64
 	fs.Write(1, 2e9, func(e float64) { elapsed = e })
@@ -31,7 +31,7 @@ func TestFSSingleTransferNodeCapped(t *testing.T) {
 }
 
 func TestFSSingleTransferAggregateCapped(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(1e9, 1e9), 7)
 	var elapsed float64
 	fs.Write(10, 2e9, func(e float64) { elapsed = e })
@@ -43,7 +43,7 @@ func TestFSSingleTransferAggregateCapped(t *testing.T) {
 }
 
 func TestFSConcurrentTransfersShareBandwidth(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(2e9, 1e9), 7)
 	var e1, e2 float64
 	// Two 2 GB writes from 2-node stripes: each can push up to 2 GB/s but
@@ -57,7 +57,7 @@ func TestFSConcurrentTransfersShareBandwidth(t *testing.T) {
 }
 
 func TestFSWaterFillingGivesSurplusToWideTransfer(t *testing.T) {
-	s := New(1)
+	s := New()
 	// Narrow transfer capped at 1 GB/s, wide transfer capped at 10 GB/s,
 	// aggregate 4 GB/s: narrow gets 1, wide gets the remaining 3.
 	fs := NewFilesystem(s, quietFS(4e9, 1e9), 7)
@@ -76,7 +76,7 @@ func TestFSWaterFillingGivesSurplusToWideTransfer(t *testing.T) {
 }
 
 func TestFSDepartureSpeedsUpRemaining(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(2e9, 2e9), 7)
 	var e1, e2 float64
 	fs.Write(1, 1e9, func(e float64) { e1 = e }) // shares 1 GB/s, finishes at 1 s? see below
@@ -93,7 +93,7 @@ func TestFSDepartureSpeedsUpRemaining(t *testing.T) {
 }
 
 func TestFSZeroByteWriteCompletesImmediately(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(1e9, 1e9), 7)
 	called := false
 	fs.Write(1, 0, func(e float64) {
@@ -110,7 +110,7 @@ func TestFSZeroByteWriteCompletesImmediately(t *testing.T) {
 
 func TestFSLoadSlowsTransfers(t *testing.T) {
 	mk := func(loadMean float64) float64 {
-		s := New(1)
+		s := New()
 		cfg := quietFS(1e9, 1e9)
 		cfg.LoadMean = loadMean
 		fs := NewFilesystem(s, cfg, 7)
@@ -131,7 +131,7 @@ func TestFSLoadSlowsTransfers(t *testing.T) {
 
 func TestFSStochasticLoadVariesAcrossSeeds(t *testing.T) {
 	run := func(seed int64) float64 {
-		s := New(1)
+		s := New()
 		cfg := DefaultSummitFS()
 		fs := NewFilesystem(s, cfg, seed)
 		var elapsed float64
@@ -151,7 +151,7 @@ func TestFSStochasticLoadVariesAcrossSeeds(t *testing.T) {
 }
 
 func TestFSTotalBytesAccounting(t *testing.T) {
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, quietFS(1e9, 1e9), 7)
 	fs.Write(1, 5e8, func(float64) {})
 	fs.Write(1, 5e8, func(float64) {})
@@ -159,8 +159,8 @@ func TestFSTotalBytesAccounting(t *testing.T) {
 	if math.Abs(fs.TotalBytes-1e9) > 1 {
 		t.Fatalf("TotalBytes = %v", fs.TotalBytes)
 	}
-	if fs.ActiveTransfers() != 0 {
-		t.Fatalf("active transfers left: %d", fs.ActiveTransfers())
+	if len(fs.active) != 0 {
+		t.Fatalf("active transfers left: %d", len(fs.active))
 	}
 }
 
@@ -168,11 +168,11 @@ func TestFSEventQueueDrains(t *testing.T) {
 	// The load tick must stop when the filesystem goes idle, or Run() never
 	// returns. Run() returning at all is the assertion; verify the clock is
 	// sane too.
-	s := New(1)
+	s := New()
 	fs := NewFilesystem(s, DefaultSummitFS(), 7)
 	fs.Write(8, 1e11, func(float64) {})
 	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("pending events after drain: %d", s.Pending())
+	if len(s.heap) != 0 {
+		t.Fatalf("%d event cohort(s) queued after drain", len(s.heap))
 	}
 }

@@ -17,7 +17,6 @@ package hpcsim
 
 import (
 	"fmt"
-	"math/rand"
 )
 
 // Event is a scheduled callback. Events are ordered by time, then by
@@ -124,24 +123,20 @@ type Sim struct {
 	// free recycles drained groups (bounded), so steady-state scheduling
 	// allocates no group headers and reuses their event slices.
 	free []*group
-	rng  *rand.Rand
 	// processed counts fired (non-cancelled) events, a cheap progress and
-	// runaway indicator. pending counts queued events, cancelled included.
+	// runaway indicator.
 	processed int64
-	pending   int
 }
 
-// New creates a simulation kernel with its own deterministic random stream.
-func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), byGroup: map[float64]*group{}}
+// New creates a simulation kernel. The kernel itself draws no random
+// numbers: components that need a stream (filesystem load, failures) own a
+// seeded one.
+func New() *Sim {
+	return &Sim{byGroup: map[float64]*group{}}
 }
 
 // Now returns the current simulated time in seconds.
 func (s *Sim) Now() float64 { return s.now }
-
-// RNG exposes the kernel's random stream. Components needing independent
-// streams should derive their own from a split seed instead.
-func (s *Sim) RNG() *rand.Rand { return s.rng }
 
 // Processed reports how many events have fired.
 func (s *Sim) Processed() int64 { return s.processed }
@@ -160,7 +155,6 @@ func (s *Sim) At(t float64, fn func()) *Event {
 		s.heap.push(gentry{at: t, g: g})
 	}
 	g.events = append(g.events, e)
-	s.pending++
 	return e
 }
 
@@ -206,7 +200,6 @@ func (s *Sim) Step() bool {
 		e := g.events[g.head]
 		g.events[g.head] = nil
 		g.head++
-		s.pending--
 		// Check at fire time: an earlier same-instant event may have
 		// cancelled this one after it was queued.
 		if e.cancelled {
@@ -226,69 +219,27 @@ func (s *Sim) Step() bool {
 // event a callback schedules at a *later* time lands in another group and
 // cannot displace the root (its time is strictly greater), so g stays the
 // minimum for the whole drain.
-func (s *Sim) drainGroup(g *group) int {
-	fired := 0
+func (s *Sim) drainGroup(g *group) {
 	for g.head < len(g.events) {
 		e := g.events[g.head]
 		g.events[g.head] = nil
 		g.head++
-		s.pending--
 		if e.cancelled {
 			continue
 		}
 		s.now = g.at
 		s.processed++
-		fired++
 		e.fn()
 	}
 	s.retire(g)
-	return fired
 }
 
-// StepBatch advances the clock to the earliest pending timestamp and fires
-// that whole cohort — in the exact FIFO order Step would have used. Same-
-// time bursts are the common shape of campaign replays (thousands of tasks
-// finishing on one allocation tick); the cohort heap makes the burst cost
-// one heap pop instead of one per event, and the dispatch loop a
-// branch-predictable walk over a contiguous slice.
-//
-// It returns the number of events fired: zero means the queue held nothing
-// but cancelled events (now fully drained) or was empty — the termination
-// condition for a batched run loop.
-func (s *Sim) StepBatch() int {
-	for len(s.heap) > 0 {
-		if fired := s.drainGroup(s.heap[0].g); fired > 0 {
-			return fired
-		}
-	}
-	return 0
-}
-
-// Run fires events until the queue drains. It dispatches in same-timestamp
-// batches (see StepBatch) — observable order is identical to a Step loop.
+// Run fires events until the queue drains. It dispatches whole
+// same-timestamp cohorts, one heap pop per cohort instead of one per event —
+// same-time bursts are the common shape of campaign replays — and the
+// observable order is identical to a Step loop.
 func (s *Sim) Run() {
 	for len(s.heap) > 0 {
 		s.drainGroup(s.heap[0].g)
 	}
 }
-
-// RunUntil fires events with time ≤ horizon, then advances the clock to the
-// horizon. Events beyond the horizon stay queued.
-func (s *Sim) RunUntil(horizon float64) {
-	for len(s.heap) > 0 {
-		g := s.heap[0].g
-		if g.at > horizon {
-			break
-		}
-		// The whole cohort at g.at is ≤ horizon, so draining is safe. A
-		// fully-cancelled cohort drains silently and the loop re-checks the
-		// next timestamp against the horizon before touching it.
-		s.drainGroup(g)
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-}
-
-// Pending reports the number of queued (possibly cancelled) events.
-func (s *Sim) Pending() int { return s.pending }

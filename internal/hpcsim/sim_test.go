@@ -6,7 +6,7 @@ import (
 )
 
 func TestSimFiresInTimeOrder(t *testing.T) {
-	s := New(1)
+	s := New()
 	var got []int
 	s.At(3, func() { got = append(got, 3) })
 	s.At(1, func() { got = append(got, 1) })
@@ -21,7 +21,7 @@ func TestSimFiresInTimeOrder(t *testing.T) {
 }
 
 func TestSimSimultaneousEventsAreFIFO(t *testing.T) {
-	s := New(1)
+	s := New()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -36,7 +36,7 @@ func TestSimSimultaneousEventsAreFIFO(t *testing.T) {
 }
 
 func TestSimAfterAndNestedScheduling(t *testing.T) {
-	s := New(1)
+	s := New()
 	var fired []float64
 	s.After(10, func() {
 		fired = append(fired, s.Now())
@@ -49,7 +49,7 @@ func TestSimAfterAndNestedScheduling(t *testing.T) {
 }
 
 func TestSimCancel(t *testing.T) {
-	s := New(1)
+	s := New()
 	ran := false
 	e := s.At(1, func() { ran = true })
 	e.Cancel()
@@ -65,7 +65,7 @@ func TestSimCancel(t *testing.T) {
 }
 
 func TestSimPastSchedulingPanics(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.At(10, func() {})
 	s.Run()
 	defer func() {
@@ -77,7 +77,7 @@ func TestSimPastSchedulingPanics(t *testing.T) {
 }
 
 func TestSimNegativeAfterClampsToNow(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.At(10, func() {
 		s.After(-5, func() {})
 	})
@@ -87,29 +87,11 @@ func TestSimNegativeAfterClampsToNow(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	s := New(1)
-	var fired []float64
-	s.At(1, func() { fired = append(fired, 1) })
-	s.At(10, func() { fired = append(fired, 10) })
-	s.RunUntil(5)
-	if len(fired) != 1 || s.Now() != 5 {
-		t.Fatalf("fired=%v now=%v", fired, s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 2 || s.Now() != 10 {
-		t.Fatalf("after Run: fired=%v now=%v", fired, s.Now())
-	}
-}
-
 func TestSimClockMonotone(t *testing.T) {
 	// Property: for random event times, the observed firing clock never
 	// decreases.
 	f := func(raw []uint16) bool {
-		s := New(2)
+		s := New()
 		prev := -1.0
 		ok := true
 		for _, r := range raw {
@@ -135,7 +117,7 @@ func TestSimClockMonotone(t *testing.T) {
 // in the same cohort), and cancellations of future cohorts. record appends
 // each firing to *got.
 func buildOrderSim(got *[]int) *Sim {
-	s := New(7)
+	s := New()
 	record := func(id int) func() { return func() { *got = append(*got, id) } }
 	// Burst of ten at t=1.
 	for i := 0; i < 10; i++ {
@@ -164,9 +146,9 @@ func buildOrderSim(got *[]int) *Sim {
 }
 
 // TestStepBatchFIFOMatchesStep pins the batched dispatcher's contract: the
-// exact firing sequence (and final clock/processed counts) of a StepBatch
-// drain equal a one-event-at-a-time Step drain, including same-instant
-// rescheduling and intra-cohort cancellation.
+// exact firing sequence (and final clock/processed counts) of Run's
+// cohort-at-a-time drain equal a one-event-at-a-time Step drain, including
+// same-instant rescheduling and intra-cohort cancellation.
 func TestStepBatchFIFOMatchesStep(t *testing.T) {
 	var stepOrder []int
 	ref := buildOrderSim(&stepOrder)
@@ -175,8 +157,7 @@ func TestStepBatchFIFOMatchesStep(t *testing.T) {
 
 	var batchOrder []int
 	s := buildOrderSim(&batchOrder)
-	for s.StepBatch() > 0 {
-	}
+	s.Run()
 
 	if len(stepOrder) == 0 {
 		t.Fatal("reference run fired nothing")
@@ -206,7 +187,7 @@ func TestStepBatchFIFOMatchesStep(t *testing.T) {
 func TestStepBatchRandomEquivalence(t *testing.T) {
 	f := func(raw []uint16) bool {
 		build := func(got *[]int) *Sim {
-			s := New(11)
+			s := New()
 			for i, r := range raw {
 				id, at := i, float64(r%16) // heavy timestamp collisions
 				s.At(at, func() {
@@ -240,15 +221,16 @@ func TestStepBatchRandomEquivalence(t *testing.T) {
 }
 
 // TestStepBatchReturnsZeroOnCancelledTail pins the drain-termination
-// contract: a queue holding only cancelled events returns 0 and empties.
+// contract: a queue holding only cancelled events fires nothing and empties.
 func TestStepBatchReturnsZeroOnCancelledTail(t *testing.T) {
-	s := New(1)
+	s := New()
 	s.At(1, func() {}).Cancel()
 	s.At(2, func() {}).Cancel()
-	if n := s.StepBatch(); n != 0 {
-		t.Fatalf("StepBatch = %d, want 0", n)
+	s.Run()
+	if n := s.Processed(); n != 0 {
+		t.Fatalf("processed = %d, want 0", n)
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after cancelled drain", s.Pending())
+	if len(s.heap) != 0 {
+		t.Fatalf("%d cohort(s) queued after cancelled drain", len(s.heap))
 	}
 }

@@ -1,21 +1,9 @@
 package hpcsim
 
 import (
-	"time"
-
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
-
-// SimClock adapts the simulation kernel to the telemetry Clock interface:
-// simulated second s maps to the instant s seconds past the Unix epoch. A
-// tracer driven by this clock stamps spans in virtual time, so a Chrome
-// trace of a simulated campaign shows simulated — not wall — durations.
-func SimClock(sim *Sim) telemetry.Clock {
-	return telemetry.ClockFunc(func() time.Time {
-		return time.Unix(0, 0).Add(time.Duration(sim.Now() * float64(time.Second)))
-	})
-}
 
 // SetMetrics registers the cluster's instruments in reg and starts feeding
 // them: gauges hpcsim.free_nodes / busy_nodes / queued_jobs /
@@ -39,8 +27,9 @@ func (c *Cluster) SetMetrics(reg *telemetry.Registry) {
 
 // SetEvents journals the cluster's job transitions (job.queued / started /
 // backfilled / completed / expired) and — via the failure injector — node
-// failures and repairs into l. Give the log the cluster's SimClock so the
-// journal is stamped in virtual time. A nil log is a no-op.
+// failures and repairs into l. Give the log a clock that reads the
+// simulation's Now so the journal is stamped in virtual time. A nil log is a
+// no-op.
 func (c *Cluster) SetEvents(l *eventlog.Log) {
 	c.events = l
 }

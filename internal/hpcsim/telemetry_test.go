@@ -1,9 +1,7 @@
 package hpcsim
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"fairflow/internal/telemetry"
 )
@@ -11,7 +9,7 @@ import (
 // TestClusterTelemetry drives one job through the cluster and checks the
 // gauges track node/queue state and the counters track terminal jobs.
 func TestClusterTelemetry(t *testing.T) {
-	sim := New(1)
+	sim := New()
 	c := NewCluster(sim, ClusterConfig{Nodes: 4}, 1)
 	reg := telemetry.NewRegistry()
 	c.SetMetrics(reg)
@@ -59,35 +57,5 @@ func TestClusterTelemetry(t *testing.T) {
 	}
 	if got := reg.Counter("hpcsim.jobs_completed_total").Value(); got != 1 {
 		t.Errorf("jobs_completed_total = %d, want 1", got)
-	}
-}
-
-// TestSimClockTraces checks that a tracer driven by SimClock stamps spans in
-// virtual time: a span open across 250 simulated seconds reports a 250s
-// duration regardless of wall time.
-func TestSimClockTraces(t *testing.T) {
-	sim := New(7)
-	tr := telemetry.NewTracer()
-	tr.SetClock(SimClock(sim))
-
-	var span *telemetry.Span
-	sim.After(50, func() {
-		_, span = tr.Start(context.Background(), "sim.work")
-	})
-	sim.After(300, func() {
-		span.End()
-	})
-	sim.Run()
-
-	spans := tr.Snapshot()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(spans))
-	}
-	s := spans[0]
-	if want := time.Unix(50, 0); !s.Start.Equal(want) {
-		t.Errorf("span start = %v, want %v", s.Start, want)
-	}
-	if got := s.Duration(); got != 250*time.Second {
-		t.Errorf("span duration = %v, want 250s (virtual)", got)
 	}
 }

@@ -4,13 +4,12 @@ import "sort"
 
 // busyInterval is one closed node-busy interval.
 type busyInterval struct {
-	node       int
 	start, end float64
 }
 
 // UtilRecorder accumulates node-busy intervals and answers utilisation
-// queries: total busy node-seconds, and bucketed timelines like the paper's
-// Fig. 6 (nodes in use over time, baseline vs. dynamic scheduling).
+// queries: the busy fraction of a window, and bucketed timelines like the
+// paper's Fig. 6 (nodes in use over time, baseline vs. dynamic scheduling).
 type UtilRecorder struct {
 	intervals []busyInterval
 }
@@ -20,26 +19,14 @@ func NewUtilRecorder() *UtilRecorder {
 	return &UtilRecorder{}
 }
 
-// Record adds a busy interval for a node. Zero-length intervals are kept:
+// Record adds one node's busy interval. Zero-length intervals are kept:
 // they still mark a (degenerate) task placement.
-func (u *UtilRecorder) Record(node int, start, end float64) {
+func (u *UtilRecorder) Record(start, end float64) {
 	if end < start {
 		start, end = end, start
 	}
-	u.intervals = append(u.intervals, busyInterval{node, start, end})
+	u.intervals = append(u.intervals, busyInterval{start, end})
 }
-
-// BusyNodeSeconds sums busy time across all nodes.
-func (u *UtilRecorder) BusyNodeSeconds() float64 {
-	var total float64
-	for _, iv := range u.intervals {
-		total += iv.end - iv.start
-	}
-	return total
-}
-
-// Intervals reports the number of recorded intervals.
-func (u *UtilRecorder) Intervals() int { return len(u.intervals) }
 
 // TimelinePoint is one bucket of a utilisation timeline.
 type TimelinePoint struct {
@@ -121,15 +108,6 @@ func (u *UtilRecorder) UtilizationFraction(nodes int, start, end float64) float6
 		busy += hi - lo
 	}
 	return busy / capacity
-}
-
-// PerNodeBusy returns busy seconds per node id, sorted by node id.
-func (u *UtilRecorder) PerNodeBusy() map[int]float64 {
-	out := map[int]float64{}
-	for _, iv := range u.intervals {
-		out[iv.node] += iv.end - iv.start
-	}
-	return out
 }
 
 // Span returns the earliest start and latest end across all intervals.

@@ -6,28 +6,19 @@ import (
 	"testing/quick"
 )
 
-func TestUtilBusyNodeSeconds(t *testing.T) {
-	u := NewUtilRecorder()
-	u.Record(0, 0, 10)
-	u.Record(1, 5, 20)
-	if got := u.BusyNodeSeconds(); got != 25 {
-		t.Fatalf("busy = %v", got)
-	}
-}
-
 func TestUtilRecordSwapsReversedInterval(t *testing.T) {
 	u := NewUtilRecorder()
-	u.Record(0, 10, 5)
-	if got := u.BusyNodeSeconds(); got != 5 {
-		t.Fatalf("busy = %v", got)
+	u.Record(10, 5)
+	if start, end := u.Span(); start != 5 || end != 10 {
+		t.Fatalf("span = %v..%v", start, end)
 	}
 }
 
 func TestTimelineBucketsAverages(t *testing.T) {
 	u := NewUtilRecorder()
 	// Node 0 busy [0,10); node 1 busy [0,5).
-	u.Record(0, 0, 10)
-	u.Record(1, 0, 5)
+	u.Record(0, 10)
+	u.Record(0, 5)
 	tl := u.Timeline(0, 10, 2)
 	if len(tl) != 2 {
 		t.Fatalf("buckets = %d", len(tl))
@@ -45,7 +36,7 @@ func TestTimelineBucketsAverages(t *testing.T) {
 
 func TestTimelineClipsToWindow(t *testing.T) {
 	u := NewUtilRecorder()
-	u.Record(0, -100, 100)
+	u.Record(-100, 100)
 	tl := u.Timeline(0, 10, 1)
 	if math.Abs(tl[0].BusyNodes-1) > 1e-9 {
 		t.Fatalf("clipped bucket = %v", tl[0].BusyNodes)
@@ -54,7 +45,7 @@ func TestTimelineClipsToWindow(t *testing.T) {
 
 func TestTimelineDegenerateInputs(t *testing.T) {
 	u := NewUtilRecorder()
-	u.Record(0, 0, 1)
+	u.Record(0, 1)
 	if u.Timeline(0, 10, 0) != nil {
 		t.Fatal("zero buckets should return nil")
 	}
@@ -65,8 +56,8 @@ func TestTimelineDegenerateInputs(t *testing.T) {
 
 func TestUtilizationFraction(t *testing.T) {
 	u := NewUtilRecorder()
-	u.Record(0, 0, 10)
-	u.Record(1, 0, 5)
+	u.Record(0, 10)
+	u.Record(0, 5)
 	got := u.UtilizationFraction(2, 0, 10)
 	if math.Abs(got-0.75) > 1e-9 {
 		t.Fatalf("fraction = %v, want 0.75", got)
@@ -78,13 +69,9 @@ func TestUtilizationFraction(t *testing.T) {
 
 func TestPerNodeBusyAndSpan(t *testing.T) {
 	u := NewUtilRecorder()
-	u.Record(3, 2, 6)
-	u.Record(3, 8, 10)
-	u.Record(1, 0, 1)
-	per := u.PerNodeBusy()
-	if per[3] != 6 || per[1] != 1 {
-		t.Fatalf("per-node: %v", per)
-	}
+	u.Record(2, 6)
+	u.Record(8, 10)
+	u.Record(0, 1)
 	start, end := u.Span()
 	if start != 0 || end != 10 {
 		t.Fatalf("span = %v..%v", start, end)
@@ -101,13 +88,10 @@ func TestSpanEmpty(t *testing.T) {
 func TestTimelineConservesBusyTime(t *testing.T) {
 	// Property: the sum over buckets of BusyNodes×width equals the busy
 	// node-seconds inside the window.
-	f := func(raw [][3]uint8) bool {
+	f := func(raw [][2]uint8) bool {
 		u := NewUtilRecorder()
 		for _, r := range raw {
-			node := int(r[0]) % 4
-			a := float64(r[1])
-			b := float64(r[2])
-			u.Record(node, a, b)
+			u.Record(float64(r[0]), float64(r[1]))
 		}
 		const start, end = 0.0, 256.0
 		const buckets = 16
@@ -126,7 +110,7 @@ func TestTimelineConservesBusyTime(t *testing.T) {
 }
 
 func TestFailureInjectorKillsTasksAndRepairs(t *testing.T) {
-	s := New(1)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 4, FS: quietFS(1e12, 1e10)}, 7)
 	fi := NewFailureInjector(c, FailureConfig{MTTF: 200, RepairTime: 50, Horizon: 5000}, 3)
 	var killed, finished int
@@ -161,7 +145,7 @@ func TestFailureInjectorKillsTasksAndRepairs(t *testing.T) {
 }
 
 func TestFailureInjectorDisabled(t *testing.T) {
-	s := New(1)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 2, FS: quietFS(1e12, 1e10)}, 7)
 	fi := NewFailureInjector(c, FailureConfig{MTTF: 0}, 3)
 	c.Submit(JobSpec{Name: "j", Nodes: 2, Walltime: 100,
@@ -173,7 +157,7 @@ func TestFailureInjectorDisabled(t *testing.T) {
 }
 
 func TestRepairedNodeReturnsToPool(t *testing.T) {
-	s := New(42)
+	s := New()
 	c := NewCluster(s, ClusterConfig{Nodes: 1, FS: quietFS(1e12, 1e10)}, 7)
 	// Deterministically fail the single node soon by choosing a tiny MTTF,
 	// then verify a queued job eventually runs after repair.

@@ -7,6 +7,7 @@ package integration
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -133,8 +134,12 @@ func TestCampaignLifecycle(t *testing.T) {
 	if err := ro.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadResearchObject(&buf); err != nil {
+	var back core.ResearchObject
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
+	}
+	if back.Workflow == nil || back.Workflow.Validate() != nil {
+		t.Fatalf("exported research object has no valid workflow: %+v", back.Workflow)
 	}
 
 	// 6. Run logs exist in the directory schema.
@@ -264,7 +269,7 @@ func TestGWASWrangleToScan(t *testing.T) {
 	inputs := make([]string, cohort.Samples())
 	for s := range inputs {
 		inputs[s] = filepath.Join(dir, "cols", fmt.Sprintf("sample_%04d.txt", s))
-		if err := tabular.WriteColumn(inputs[s], cohort.SampleColumn(s)); err != nil {
+		if err := tabular.WriteColumnBytes(inputs[s], cohort.SampleColumnBytes(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,14 +282,22 @@ func TestGWASWrangleToScan(t *testing.T) {
 	if err != nil || rows != 500 {
 		t.Fatalf("rows=%d err=%v", rows, err)
 	}
-	// Split back and compare one sample column byte-for-byte.
-	split, err := tabular.SplitColumns(matrix, filepath.Join(dir, "back"), "s_*.txt", tabular.Options{})
-	if err != nil || len(split) != 60 {
-		t.Fatalf("split: %d, %v", len(split), err)
+	// Every matrix row holds all 60 samples; column 17 read back down the
+	// rows must equal sample 17's column file byte-for-byte.
+	data, err := os.ReadFile(matrix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, _ := os.ReadFile(split[17])
+	var col17 bytes.Buffer
+	for _, row := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		cells := strings.Split(row, "\t")
+		if len(cells) != 60 {
+			t.Fatalf("matrix row has %d columns, want 60", len(cells))
+		}
+		col17.WriteString(cells[17] + "\n")
+	}
 	b, _ := os.ReadFile(inputs[17])
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(col17.Bytes(), b) {
 		t.Fatal("wrangling round trip corrupted a column")
 	}
 	assocs, err := gwas.Scan(cohort)

@@ -23,15 +23,6 @@ type ForestConfig struct {
 	Parallelism int
 }
 
-// DefaultForestConfig returns a reasonable configuration for n features.
-func DefaultForestConfig(seed int64) ForestConfig {
-	return ForestConfig{
-		Trees: 100,
-		Tree:  TreeConfig{MaxDepth: 0, MinLeaf: 3, MTry: 0},
-		Seed:  seed,
-	}
-}
-
 // Forest is a trained ensemble.
 type Forest struct {
 	Trees []*Tree

@@ -154,8 +154,17 @@ func TestIRFIterationsConcentrateImportance(t *testing.T) {
 	if len(m.History) != 3 || len(m.OOBHistory) != 3 {
 		t.Fatalf("history lengths: %d, %d", len(m.History), len(m.OOBHistory))
 	}
-	first := Concentration(m.History[0])
-	last := Concentration(m.History[2])
+	// Concentration: the sum of squared importances, the inverse effective
+	// feature count.
+	concentration := func(importance []float64) float64 {
+		var s float64
+		for _, v := range importance {
+			s += v * v
+		}
+		return s
+	}
+	first := concentration(m.History[0])
+	last := concentration(m.History[2])
 	if last < first {
 		t.Fatalf("iterations diluted importance: %.4f → %.4f", first, last)
 	}

@@ -20,11 +20,6 @@ type IRFConfig struct {
 	WeightFloor float64
 }
 
-// DefaultIRFConfig returns the standard 3-iteration setup.
-func DefaultIRFConfig(seed int64) IRFConfig {
-	return IRFConfig{Forest: DefaultForestConfig(seed), Iterations: 3, WeightFloor: 0.05}
-}
-
 // IRFModel is a trained iterative random forest.
 type IRFModel struct {
 	// Final is the last iteration's forest, used for prediction.
@@ -88,16 +83,4 @@ func nextWeights(importance []float64, floor float64) []float64 {
 // Predict applies the final forest.
 func (m *IRFModel) Predict(x []float64) float64 {
 	return m.Final.Predict(x)
-}
-
-// Concentration measures how concentrated an importance vector is (sum of
-// squares, i.e. inverse effective feature count; higher = more
-// concentrated). iRF iterations should not decrease it on signal-bearing
-// data — the property tests use this.
-func Concentration(importance []float64) float64 {
-	var s float64
-	for _, v := range importance {
-		s += v * v
-	}
-	return s
 }

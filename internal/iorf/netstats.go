@@ -1,7 +1,5 @@
 package iorf
 
-import "sort"
-
 // NetworkStats summarises an iRF-LOOP network's structure — the
 // post-processing a predictive-expression-network analysis applies before
 // interpretation.
@@ -50,81 +48,4 @@ func (n *Network) Stats(min float64) NetworkStats {
 	}
 	s.MeanOutStrength = strength / float64(s.Nodes)
 	return s
-}
-
-// Hubs returns the k features with the highest out-strength: column j of
-// the adjacency sums feature j's importance in predicting every other
-// feature, so high columns are the network's most influential predictors —
-// the hub regulators in the expression-network reading.
-func (n *Network) Hubs(k int) []Edge {
-	type hub struct {
-		idx      int
-		strength float64
-	}
-	hubs := make([]hub, len(n.Adjacency))
-	for j := range n.Adjacency {
-		hubs[j].idx = j
-	}
-	for _, row := range n.Adjacency {
-		for j, w := range row {
-			hubs[j].strength += w
-		}
-	}
-	sort.Slice(hubs, func(a, b int) bool {
-		if hubs[a].strength != hubs[b].strength {
-			return hubs[a].strength > hubs[b].strength
-		}
-		return hubs[a].idx < hubs[b].idx
-	})
-	if k > len(hubs) {
-		k = len(hubs)
-	}
-	out := make([]Edge, k)
-	for i := 0; i < k; i++ {
-		out[i] = Edge{From: n.FeatureNames[hubs[i].idx], Weight: hubs[i].strength}
-	}
-	return out
-}
-
-// ConnectedComponents returns the sizes of weakly connected components at
-// the given threshold, descending — a quick view of whether the network is
-// one fabric or disjoint clusters (the census generator's blocks should
-// appear as distinct components at high thresholds).
-func (n *Network) ConnectedComponents(min float64) []int {
-	size := len(n.Adjacency)
-	parent := make([]int, size)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for i, row := range n.Adjacency {
-		for j, w := range row {
-			if i != j && w >= min && w > 0 {
-				union(i, j)
-			}
-		}
-	}
-	counts := map[int]int{}
-	for i := range parent {
-		counts[find(i)]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

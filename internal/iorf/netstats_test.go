@@ -48,66 +48,16 @@ func TestNetworkStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestHubsRankByOutStrength(t *testing.T) {
-	n := twoClusterNetwork()
-	hubs := n.Hubs(2)
-	if len(hubs) != 2 {
-		t.Fatalf("hubs = %d", len(hubs))
-	}
-	// Column sums: a=0.8, b=0.9, c=0.65, d=0.7 → b then a.
-	if hubs[0].From != "b" || hubs[1].From != "a" {
-		t.Fatalf("hub order: %v, %v", hubs[0].From, hubs[1].From)
-	}
-	if math.Abs(hubs[0].Weight-0.9) > 1e-12 {
-		t.Fatalf("hub strength: %v", hubs[0].Weight)
-	}
-	if got := n.Hubs(99); len(got) != 4 {
-		t.Fatalf("oversized k: %d", len(got))
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	n := twoClusterNetwork()
-	// Above the weak edge: two components of 2.
-	comps := n.ConnectedComponents(0.1)
-	if len(comps) != 2 || comps[0] != 2 || comps[1] != 2 {
-		t.Fatalf("components: %v", comps)
-	}
-	// Including the weak edge: one component of 4.
-	comps = n.ConnectedComponents(0.01)
-	if len(comps) != 1 || comps[0] != 4 {
-		t.Fatalf("components: %v", comps)
-	}
-	// Threshold above everything: four singletons.
-	comps = n.ConnectedComponents(10)
-	if len(comps) != 4 {
-		t.Fatalf("components: %v", comps)
-	}
-}
-
 func TestBlocksAppearAsComponents(t *testing.T) {
-	// Integration: a real LOOP over chain data should link the chain
-	// features into one component and leave distractors loosely attached.
+	// Integration: a real LOOP over chain data must yield a network with
+	// signal in it.
 	X, names := chainData(200, 2, 31)
 	net, err := RunLOOP(X, names, loopConfig(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := n0(net.ConnectedComponents(0.3))
-	// The chain trio (f0,f1,f2) must be in the same component at a strong
-	// threshold.
-	if comps < 1 {
-		t.Fatalf("components: %d", comps)
-	}
 	s := net.Stats(0)
 	if s.MeanOutStrength <= 0 {
 		t.Fatal("no signal in network")
 	}
-}
-
-func n0(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	return xs[0]
 }

@@ -7,8 +7,8 @@ import (
 
 // DurationStats summarises execution durations of a record selection — the
 // "summarize, evaluate and enable queries over heterogeneous provenance
-// logs" capability of the campaign-knowledge tier, used for straggler
-// analysis and walltime planning.
+// logs" capability of the campaign-knowledge tier, used for walltime
+// planning.
 type DurationStats struct {
 	Count  int
 	Mean   time.Duration
@@ -56,23 +56,4 @@ func quantileDur(sorted []time.Duration, q float64) time.Duration {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo] + time.Duration(frac*float64(sorted[lo+1]-sorted[lo]))
-}
-
-// StragglerReport identifies runs whose duration exceeds factor × the
-// median of their selection — the manual "which runs are holding up my
-// set?" question the iRF-LOOP workflow answers from provenance instead of
-// by watching the queue.
-func (s *Store) StragglerReport(q Query, factor float64) []Record {
-	stats := s.Durations(q)
-	if stats.Count == 0 || factor <= 0 {
-		return nil
-	}
-	threshold := time.Duration(float64(stats.Median) * factor)
-	var out []Record
-	for _, r := range s.Select(q) {
-		if !r.End.IsZero() && r.Duration() > threshold {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -54,20 +54,6 @@ func TestDurationsEmpty(t *testing.T) {
 	}
 }
 
-func TestStragglerReport(t *testing.T) {
-	s := seedDurations(t)
-	stragglers := s.StragglerReport(Query{CampaignID: "camp"}, 3)
-	if len(stragglers) != 1 || stragglers[0].Duration() != 120*time.Second {
-		t.Fatalf("stragglers: %+v", stragglers)
-	}
-	if got := s.StragglerReport(Query{CampaignID: "camp"}, 0); got != nil {
-		t.Fatal("zero factor should return nil")
-	}
-	if got := s.StragglerReport(Query{CampaignID: "ghost"}, 3); got != nil {
-		t.Fatal("empty selection should return nil")
-	}
-}
-
 // TestQuantileDurEdges pins the interpolated quantile at its edges: q=0 is
 // the minimum, q=1 the maximum, and a single sample is every quantile.
 func TestQuantileDurEdges(t *testing.T) {
@@ -82,24 +68,6 @@ func TestQuantileDurEdges(t *testing.T) {
 	for _, q := range []float64{0, 0.5, 0.95, 1} {
 		if got := quantileDur(single, q); got != 7*time.Second {
 			t.Errorf("single sample q=%v: got %v, want 7s", q, got)
-		}
-	}
-}
-
-// TestStragglerReportAllEqual checks the degenerate campaign where every run
-// takes exactly the same time: nothing exceeds factor × median, so the
-// report must be empty for any factor ≥ 1.
-func TestStragglerReportAllEqual(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 5; i++ {
-		if err := s.Append(rec(fmt.Sprintf("eq%d", i), "irf", "camp", StatusSucceeded,
-			t0.Add(time.Duration(i)*time.Minute), 10*time.Second)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, factor := range []float64{1, 1.5, 2} {
-		if got := s.StragglerReport(Query{CampaignID: "camp"}, factor); len(got) != 0 {
-			t.Errorf("factor %v: %d stragglers reported among equal durations", factor, len(got))
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -277,39 +276,6 @@ func (s *Store) Summarize(campaignID string) CampaignSummary {
 		sum.WallTime = last.Sub(first)
 	}
 	return sum
-}
-
-// IncompletePoints returns the sweep points of a campaign that have no
-// succeeded record — exactly the set a resubmission needs to cover. This
-// powers Savanna's "simply re-submit a partially completed SweepGroup".
-func (s *Store) IncompletePoints(campaignID string, allPoints []map[string]string) []map[string]string {
-	done := map[string]bool{}
-	for _, r := range s.Select(Query{CampaignID: campaignID, Status: StatusSucceeded}) {
-		done[pointKey(r.SweepPoint)] = true
-	}
-	var out []map[string]string
-	for _, p := range allPoints {
-		if !done[pointKey(p)] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func pointKey(p map[string]string) string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(p[k])
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // WriteJSONL streams all records as JSON lines in insertion order.

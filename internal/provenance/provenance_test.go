@@ -152,26 +152,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestIncompletePoints(t *testing.T) {
-	s := NewStore()
-	all := []map[string]string{
-		{"f": "a"}, {"f": "b"}, {"f": "c"},
-	}
-	ok := rec("1", "irf", "camp", StatusSucceeded, t0, time.Second)
-	ok.SweepPoint = map[string]string{"f": "a"}
-	fail := rec("2", "irf", "camp", StatusFailed, t0, time.Second)
-	fail.SweepPoint = map[string]string{"f": "b"}
-	for _, r := range []Record{ok, fail} {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	missing := s.IncompletePoints("camp", all)
-	if len(missing) != 2 {
-		t.Fatalf("expected b and c incomplete, got %v", missing)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	s := NewStore()
 	r := rec("a", "c", "camp", StatusSucceeded, t0, time.Second)
@@ -241,41 +221,6 @@ func TestJSONLRoundTripDigestFields(t *testing.T) {
 	bare, _ := back.Get("b")
 	if bare.Inputs != nil || bare.Outputs != nil {
 		t.Fatalf("digest-free record grew maps: %v %v", bare.Inputs, bare.Outputs)
-	}
-}
-
-// TestIncompletePointsDuplicates: repeated sweep points in the plan (and
-// repeated attempts in the store) must not confuse the resubmission set — a
-// point succeeded once is complete however many times it appears, and each
-// incomplete duplicate is reported once per occurrence.
-func TestIncompletePointsDuplicates(t *testing.T) {
-	s := NewStore()
-	all := []map[string]string{
-		{"f": "a"}, {"f": "a"}, // duplicate planned point
-		{"f": "b"},
-		{"f": "c"}, {"f": "c"},
-	}
-	okA := rec("1", "irf", "camp", StatusSucceeded, t0, time.Second)
-	okA.SweepPoint = map[string]string{"f": "a"}
-	failB1 := rec("2", "irf", "camp", StatusFailed, t0, time.Second)
-	failB1.SweepPoint = map[string]string{"f": "b"}
-	failB2 := rec("3", "irf", "camp", StatusFailed, t0.Add(time.Minute), time.Second)
-	failB2.SweepPoint = map[string]string{"f": "b"} // second failed attempt
-	for _, r := range []Record{okA, failB1, failB2} {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	missing := s.IncompletePoints("camp", all)
-	if len(missing) != 3 {
-		t.Fatalf("want b plus both c occurrences incomplete, got %v", missing)
-	}
-	counts := map[string]int{}
-	for _, p := range missing {
-		counts[p["f"]]++
-	}
-	if counts["a"] != 0 || counts["b"] != 1 || counts["c"] != 2 {
-		t.Fatalf("incomplete point multiset wrong: %v", counts)
 	}
 }
 

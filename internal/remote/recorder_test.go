@@ -300,10 +300,12 @@ func contains(ids []string, id string) bool {
 	return false
 }
 
-// recorderGoroutines counts live recorder goroutines.
-func recorderGoroutines() int {
+// recorderStacks counts the recorder goroutines in a snapshot of every stack
+// and returns the snapshot.
+func recorderStacks() (int, string) {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "savanna.(*Recorder).loop")
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, "savanna.(*Recorder).loop"), stacks
 }
 
 // TestNoRecorderGoroutineOutlivesCampaign: however the coordinator's campaign
@@ -311,8 +313,27 @@ func recorderGoroutines() int {
 // workers, fenced out of its journal — the recorder goroutine is gone when
 // RunCampaign returns.
 func TestNoRecorderGoroutineOutlivesCampaign(t *testing.T) {
-	if n := recorderGoroutines(); n != 0 {
+	if n, _ := recorderStacks(); n != 0 {
 		t.Fatalf("%d recorder goroutine(s) before the test", n)
+	}
+	// The recorder's Close returns once its loop has closed exited, which
+	// its goroutine does on the way out: wait for the goroutine to be gone,
+	// bounded, rather than sample the stacks once. A real leak still fails,
+	// with its stacks.
+	check := func(name string, report resilience.CompletenessReport) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			n, stacks := recorderStacks()
+			if n == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%s (%s): %d recorder goroutine(s) left:\n%s", name, report, n, stacks)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	for _, c := range []struct {
 		name     string
@@ -369,9 +390,7 @@ func TestNoRecorderGoroutineOutlivesCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := recorderGoroutines(); n != 0 {
-			t.Errorf("%s (%s): %d recorder goroutine(s) left", c.name, report, n)
-		}
+		check(c.name, report)
 		if quiet := c.name == "normal" || c.name == "fenced"; quiet != report.Complete() {
 			t.Errorf("%s: report %s — the scenario did not play out", c.name, report)
 		}

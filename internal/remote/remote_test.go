@@ -590,11 +590,12 @@ func TestRemoteConcurrentJoinGrantFirst(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		inputs[fmt.Sprintf("input-%04d", i)] = fmt.Sprintf("sha256:%064x", i)
 	}
-	store, err := cas.Open(filepath.Join(t.TempDir(), "cas"))
+	root := filepath.Join(t.TempDir(), "cas")
+	store, err := cas.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := cas.OpenActionCache(filepath.Join(store.Root(), "actions.json"), store)
+	cache, err := cas.OpenActionCache(filepath.Join(root, "actions.json"), store)
 	if err != nil {
 		t.Fatal(err)
 	}

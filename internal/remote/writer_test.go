@@ -7,14 +7,17 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"fairflow/internal/appendlog"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
 	"fairflow/internal/stream"
@@ -501,17 +504,43 @@ func (c *teeConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestResultNotAckedWhenJournalRefuses closes the journal mid-campaign. The
-// campaign still returns, says so once, counts every refused append — and
-// acknowledges only the results the journal took: the others stay in the
-// worker's spool for a successor, with no ack for them on the wire.
+// TestResultNotAckedWhenJournalRefuses makes the journal refuse every write
+// from the first one after a success is on disk, while later successes are
+// still to come. The campaign still returns, says so once, counts every
+// refused append — and acknowledges only the results the journal took: the
+// others stay in the worker's spool for a successor, with no ack for them on
+// the wire.
 func TestResultNotAckedWhenJournalRefuses(t *testing.T) {
-	const n, closeAt = 24, 10
+	const n, gateAt = 24, 10
 	jpath := filepath.Join(t.TempDir(), "attempts.jsonl")
 	j, err := resilience.OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
+	successes := func() int {
+		data, _ := os.ReadFile(jpath)
+		return bytes.Count(data, []byte(`"event":"success"`))
+	}
+	// The trip is an event, not a count of executions: the journal has taken
+	// at least one success and not all of them. Journal writes are
+	// serialised, so the file holds every earlier write when the hook runs.
+	var refusing atomic.Bool
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if path != jpath {
+			return nil
+		}
+		if !refusing.Load() && op == appendlog.OpWrite {
+			if k := successes(); k >= 1 && k < n {
+				refusing.Store(true)
+			}
+		}
+		if refusing.Load() {
+			return syscall.EIO
+		}
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
 	ln := listen(t)
 	events := eventlog.NewLog()
 	reg := telemetry.NewRegistry()
@@ -526,9 +555,14 @@ func TestResultNotAckedWhenJournalRefuses(t *testing.T) {
 			tee = &teeConn{Conn: nc}
 			return tee, err
 		},
+		// Execution gateAt waits until a success is on disk, so the results
+		// from there on reach the journal only after it has taken one: a
+		// fast worker cannot land all n in the first write.
 		Executor: execFn(func(context.Context, cheetah.Run) error {
-			if executed.Add(1) == closeAt {
-				j.Close()
+			if executed.Add(1) == gateAt {
+				for deadline := time.Now().Add(5 * time.Second); successes() == 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
 			}
 			return nil
 		})}
@@ -557,7 +591,7 @@ func TestResultNotAckedWhenJournalRefuses(t *testing.T) {
 		}
 	}
 	if len(journaled) == 0 || len(journaled) >= n {
-		t.Fatalf("%d of %d runs journaled: the journal was not closed mid-campaign", len(journaled), n)
+		t.Fatalf("%d of %d runs journaled: the journal did not start refusing mid-campaign", len(journaled), n)
 	}
 
 	acked := map[string]bool{}

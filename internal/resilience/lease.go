@@ -49,9 +49,6 @@ func NewLeaseTable(ttl time.Duration, sink func(AttemptRecord), now func() time.
 	return &LeaseTable{ttl: ttl, sink: sink, now: now, leases: map[string]*Lease{}}
 }
 
-// TTL returns the table's lease duration.
-func (t *LeaseTable) TTL() time.Duration { return t.ttl }
-
 // Grant issues (or re-issues) the worker's lease and journals it. A
 // re-grant to a returning worker replaces the old lease under a fresh ID.
 func (t *LeaseTable) Grant(worker string) Lease {
@@ -128,11 +125,4 @@ func (t *LeaseTable) Release(worker string) {
 	t.sink(AttemptRecord{
 		Run: LeaseRunID(worker), Event: LeaseReleased, Worker: worker, Time: t.now(),
 	})
-}
-
-// Held reports the number of live leases.
-func (t *LeaseTable) Held() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.leases)
 }

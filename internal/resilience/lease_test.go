@@ -29,8 +29,8 @@ func TestLeaseGrantRenewExpire(t *testing.T) {
 	if l.Worker != "w1" || !l.Expires.Equal(clk.t.Add(10*time.Second)) {
 		t.Fatalf("lease = %+v", l)
 	}
-	if lt.Held() != 1 {
-		t.Fatalf("held = %d", lt.Held())
+	if len(lt.leases) != 1 {
+		t.Fatalf("held = %d", len(lt.leases))
 	}
 
 	// Renew pushes the deadline; without it the lease expires.
@@ -63,8 +63,8 @@ func TestLeaseGrantRenewExpire(t *testing.T) {
 		t.Fatal("re-grant reused lease id")
 	}
 	lt.Release("w1")
-	if lt.Held() != 0 {
-		t.Fatalf("held after release = %d", lt.Held())
+	if len(lt.leases) != 0 {
+		t.Fatalf("held after release = %d", len(lt.leases))
 	}
 
 	j.Sync()

@@ -78,9 +78,6 @@ func MarkTransient(err error) error { return Mark(err, ClassTransient) }
 // MarkPermanent classifies err as permanent.
 func MarkPermanent(err error) error { return Mark(err, ClassPermanent) }
 
-// MarkDeadline classifies err as deadline-exceeded.
-func MarkDeadline(err error) error { return Mark(err, ClassDeadline) }
-
 // Classify reads the failure class of err: an explicit Mark wins, a
 // context.DeadlineExceeded anywhere in the chain is ClassDeadline, and an
 // unmarked error defaults to ClassTransient — on an HPC system the

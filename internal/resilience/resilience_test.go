@@ -19,7 +19,7 @@ func TestClassify(t *testing.T) {
 		{base, ClassTransient}, // unmarked defaults transient
 		{MarkTransient(base), ClassTransient},
 		{MarkPermanent(base), ClassPermanent},
-		{MarkDeadline(base), ClassDeadline},
+		{Mark(base, ClassDeadline), ClassDeadline},
 		{fmt.Errorf("wrapped: %w", MarkPermanent(base)), ClassPermanent},
 		{fmt.Errorf("run x: %w", context.DeadlineExceeded), ClassDeadline},
 	}

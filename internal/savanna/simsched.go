@@ -246,7 +246,7 @@ func (e *SimEngine) RunAllocation(runs []cheetah.Run, nodes int, walltime float6
 	if nodes < 1 || walltime <= 0 {
 		return nil, fmt.Errorf("savanna: invalid allocation shape %d nodes × %.0fs", nodes, walltime)
 	}
-	sim := hpcsim.New(clusterSeed)
+	sim := hpcsim.New()
 	base := e.clockBase
 	if e.lc == nil {
 		// Standalone allocation (not under RunToCompletion): own runtime.

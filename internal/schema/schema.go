@@ -81,41 +81,6 @@ func FormatID(name string, version int) string {
 	return fmt.Sprintf("%s@v%d", name, version)
 }
 
-// SchemaTier reports the data-schema gauge tier this descriptor supports:
-// 0 if only a name is known, 1 with a family, 2 with a logical kind, 3 with
-// a full field list.
-func (f Format) SchemaTier() int {
-	switch {
-	case len(f.Fields) > 0 && f.Kind != "" && f.Family != "":
-		return 3
-	case f.Kind != "" && f.Family != "":
-		return 2
-	case f.Family != "":
-		return 1
-	default:
-		return 0
-	}
-}
-
-// FieldNames returns the schema's field names in declaration order.
-func (f Format) FieldNames() []string {
-	out := make([]string, len(f.Fields))
-	for i, fd := range f.Fields {
-		out[i] = fd.Name
-	}
-	return out
-}
-
-// FieldByName returns the named field and whether it exists.
-func (f Format) FieldByName(name string) (Field, bool) {
-	for _, fd := range f.Fields {
-		if fd.Name == name {
-			return fd, true
-		}
-	}
-	return Field{}, false
-}
-
 // Validate checks descriptor consistency: version ≥ 1, unique non-empty
 // field names, known family/kind/type enums when present.
 func (f Format) Validate() error {
@@ -361,36 +326,4 @@ func (r *Registry) PlanConversion(fromID, toID string) (Plan, error) {
 		at = st.prev
 	}
 	return Plan{Steps: steps}, nil
-}
-
-// RegisterEvolution records that toVersion of a format supersedes
-// fromVersion, with upgrade and (optionally) downgrade converters. This is
-// the data-semantics gauge's "format evolution" tier: the lineage needed to
-// take a format back to an earlier version.
-func (r *Registry) RegisterEvolution(name string, fromVersion, toVersion int, upgrade, downgrade func(any) (any, error)) error {
-	fromID := FormatID(name, fromVersion)
-	toID := FormatID(name, toVersion)
-	if err := r.AddConverter(Converter{From: fromID, To: toID, Apply: upgrade}); err != nil {
-		return err
-	}
-	if downgrade != nil {
-		// Downgrades are marked lossy by convention: newer versions carry
-		// information the older layout cannot represent.
-		if err := r.AddConverter(Converter{From: toID, To: fromID, Apply: downgrade, Lossy: true}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// VersionChain returns all registered versions of a format name, ascending.
-func (r *Registry) VersionChain(name string) []Format {
-	var out []Format
-	for _, f := range r.formats {
-		if f.Name == name {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out
 }

@@ -17,25 +17,6 @@ func tableFormat(name string, version int) Format {
 	}
 }
 
-func TestFormatSchemaTierProgression(t *testing.T) {
-	f := Format{Name: "x", Version: 1}
-	if f.SchemaTier() != 0 {
-		t.Fatalf("bare format tier = %d", f.SchemaTier())
-	}
-	f.Family = ASCII
-	if f.SchemaTier() != 1 {
-		t.Fatalf("family-only tier = %d", f.SchemaTier())
-	}
-	f.Kind = Table
-	if f.SchemaTier() != 2 {
-		t.Fatalf("kind tier = %d", f.SchemaTier())
-	}
-	f.Fields = []Field{{Name: "a", Type: Int64}}
-	if f.SchemaTier() != 3 {
-		t.Fatalf("full tier = %d", f.SchemaTier())
-	}
-}
-
 func TestFormatValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -60,20 +41,6 @@ func TestFormatValidate(t *testing.T) {
 		if err := c.f.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
-	}
-}
-
-func TestFieldLookup(t *testing.T) {
-	f := tableFormat("t", 1)
-	if got := f.FieldNames(); len(got) != 2 || got[0] != "id" {
-		t.Fatalf("FieldNames = %v", got)
-	}
-	fd, ok := f.FieldByName("value")
-	if !ok || fd.Unit != "m" {
-		t.Fatalf("FieldByName(value) = %+v, %v", fd, ok)
-	}
-	if _, ok := f.FieldByName("missing"); ok {
-		t.Fatal("found nonexistent field")
 	}
 }
 
@@ -213,40 +180,6 @@ func TestAddConverterRequiresEndpoints(t *testing.T) {
 	}
 	if err := r.AddConverter(Converter{From: "ghost@v1", To: "only@v1"}); err == nil {
 		t.Fatal("converter from unregistered format accepted")
-	}
-}
-
-func TestRegisterEvolutionChain(t *testing.T) {
-	r := NewRegistry()
-	for v := 1; v <= 3; v++ {
-		if err := r.Register(Format{Name: "mat", Version: v, Family: CustomBinary, Kind: Mesh}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pass := func(x any) (any, error) { return x, nil }
-	if err := r.RegisterEvolution("mat", 1, 2, pass, pass); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterEvolution("mat", 2, 3, pass, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	chain := r.VersionChain("mat")
-	if len(chain) != 3 || chain[0].Version != 1 || chain[2].Version != 3 {
-		t.Fatalf("version chain: %+v", chain)
-	}
-
-	up, err := r.PlanConversion("mat@v1", "mat@v3")
-	if err != nil || len(up.Steps) != 2 || up.Lossy() {
-		t.Fatalf("upgrade plan: %+v, %v", up, err)
-	}
-	// Downgrade 2→1 exists (lossy); 3→1 must not (no downgrade from 3).
-	down, err := r.PlanConversion("mat@v2", "mat@v1")
-	if err != nil || !down.Lossy() {
-		t.Fatalf("downgrade plan: %+v, %v", down, err)
-	}
-	if _, err := r.PlanConversion("mat@v3", "mat@v1"); err == nil {
-		t.Fatal("downgrade from v3 should be impossible")
 	}
 }
 

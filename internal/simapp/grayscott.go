@@ -125,9 +125,6 @@ func (g *GrayScott) stepRows(y0, y1 int) {
 	}
 }
 
-// StepCount returns the number of completed steps.
-func (g *GrayScott) StepCount() int { return g.step }
-
 // Mass returns the total V mass, a conserved-ish diagnostic used in tests.
 func (g *GrayScott) Mass() float64 {
 	var m float64
@@ -172,12 +169,6 @@ func (g *GrayScott) Restore(s Snapshot) error {
 	copy(g.v, s.V)
 	g.step = s.Step
 	return nil
-}
-
-// CheckpointBytes returns the size of a full-state checkpoint of the real
-// solver (two float64 fields).
-func (g *GrayScott) CheckpointBytes() int {
-	return 16 * g.cfg.N * g.cfg.N
 }
 
 // FieldStats returns min/max of the V field (sanity: values must stay

@@ -22,8 +22,8 @@ func TestGrayScottEvolvesAndStaysBounded(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g.Step()
 	}
-	if g.StepCount() != 50 {
-		t.Fatalf("steps = %d", g.StepCount())
+	if g.step != 50 {
+		t.Fatalf("steps = %d", g.step)
 	}
 	if g.Checksum() == before {
 		t.Fatal("field did not evolve")
@@ -70,7 +70,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := g.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if g.Checksum() != mid || g.StepCount() != 10 {
+	if g.Checksum() != mid || g.step != 10 {
 		t.Fatal("restore did not reproduce snapshot state")
 	}
 	// Recompute: same trajectory.
@@ -99,13 +99,6 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 	if g2.Checksum() == g.Checksum() {
 		t.Fatal("snapshot aliased live state")
-	}
-}
-
-func TestCheckpointBytes(t *testing.T) {
-	g, _ := NewGrayScott(DefaultGrayScott(32, 5))
-	if got := g.CheckpointBytes(); got != 16*32*32 {
-		t.Fatalf("checkpoint bytes = %d", got)
 	}
 }
 

@@ -44,9 +44,6 @@ func NewAggregatingWindow(in *Schema, size int) (*AggregatingWindow, error) {
 	return &AggregatingWindow{Size: size, in: in, out: out, idx: idx}, nil
 }
 
-// OutputSchema is the synthetic summary schema.
-func (p *AggregatingWindow) OutputSchema() *Schema { return p.out }
-
 // Admit implements Policy: buffers until the window fills, then emits one
 // summary item (sequence = number of windows emitted, timestamp = last
 // member's).

@@ -28,14 +28,6 @@ func TestAggregatingWindowEmitsSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := p.OutputSchema()
-	if out.Name != "probe.agg" || len(out.Fields) != 3 {
-		t.Fatalf("output schema: %+v", out)
-	}
-	if out.Fields[0].Name != "count" || out.Fields[1].Name != "id_mean" || out.Fields[2].Name != "temp_mean" {
-		t.Fatalf("output fields: %+v", out.Fields)
-	}
-
 	var emitted []Item
 	for i := int64(1); i <= 6; i++ {
 		emitted = append(emitted, p.Admit(aggItem(t, i, float64(i)*10))...)
@@ -44,6 +36,14 @@ func TestAggregatingWindowEmitsSummaries(t *testing.T) {
 		t.Fatalf("summaries = %d", len(emitted))
 	}
 	first := emitted[0].Payload
+	// Summaries carry the synthetic summary schema.
+	out := first.Schema
+	if out.Name != "probe.agg" || len(out.Fields) != 3 {
+		t.Fatalf("output schema: %+v", out)
+	}
+	if out.Fields[0].Name != "count" || out.Fields[1].Name != "id_mean" || out.Fields[2].Name != "temp_mean" {
+		t.Fatalf("output fields: %+v", out.Fields)
+	}
 	if first.Values[0].(int64) != 3 {
 		t.Fatalf("count: %v", first.Values[0])
 	}

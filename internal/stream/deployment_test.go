@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"fairflow/internal/telemetry"
 )
 
 func TestApplyPunctuationScript(t *testing.T) {
@@ -14,6 +16,8 @@ func TestApplyPunctuationScript(t *testing.T) {
 {"op":"mark","label":"deployment-complete"}
 `
 	sched := NewScheduler()
+	reg := telemetry.NewRegistry()
+	sched.SetMetrics(reg)
 	applied, err := ApplyPunctuationScript(strings.NewReader(script), sched)
 	if err != nil {
 		t.Fatal(err)
@@ -25,8 +29,8 @@ func TestApplyPunctuationScript(t *testing.T) {
 	if len(queues) != 2 || queues[0].Name != "live" || queues[1].Name != "steer" {
 		t.Fatalf("queues: %+v", queues)
 	}
-	if sched.Marks() != 1 {
-		t.Fatalf("marks = %d", sched.Marks())
+	if marks := reg.Counter("stream.marks_total").Value(); marks != 1 {
+		t.Fatalf("marks = %d", marks)
 	}
 }
 

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,13 +52,6 @@ type Punctuation struct {
 // Consumer receives forwarded items from a virtual queue.
 type Consumer func(queue string, it Item)
 
-// ContextConsumer receives forwarded items together with the ingesting
-// call's trace context: spans the consumer starts from ctx nest under the
-// "stream.ingest" span (and through it under whatever span called
-// IngestContext), so streamed fan-out renders as one causal tree in the
-// Chrome trace.
-type ContextConsumer func(ctx context.Context, queue string, it Item)
-
 // VirtualQueueInfo is a snapshot of one queue's state.
 type VirtualQueueInfo struct {
 	Name      string
@@ -101,18 +93,11 @@ type Scheduler struct {
 	// to goroutine-local use without re-copying per Ingest — the hot path
 	// never allocates for consumer fan-out.
 	consumers []Consumer
-	// ctxConsumers mirrors consumers for context-aware subscribers.
-	ctxConsumers []ContextConsumer
-	// marks counts OpMark punctuations seen (group boundaries).
-	marks int64
 
 	// metrics, when non-nil, labels per-queue counters; queues installed
 	// after SetMetrics are wired automatically.
 	metrics *telemetry.Registry
 	mMarks  *telemetry.Counter
-	// tracer, when non-nil, wraps each IngestContext call in a
-	// "stream.ingest" span under the caller's context.
-	tracer *telemetry.Tracer
 	// events, when non-nil, journals punctuation commands ("queue.<op>").
 	events *eventlog.Log
 }
@@ -141,13 +126,6 @@ func (s *Scheduler) SetMetrics(reg *telemetry.Registry) {
 	for _, q := range s.queues {
 		s.wireQueue(q)
 	}
-}
-
-// SetTracer makes IngestContext trace deliveries (nil turns tracing off).
-func (s *Scheduler) SetTracer(tr *telemetry.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
 }
 
 // SetEvents journals punctuation commands into l as "queue.<op>" events
@@ -182,19 +160,6 @@ func (s *Scheduler) Subscribe(c Consumer) {
 	s.consumers = next
 }
 
-// SubscribeContext registers a context-aware consumer. Items ingested via
-// IngestContext arrive with the ingest span's context; items delivered from
-// punctuation (flush/select/remove) or plain Ingest arrive with
-// context.Background().
-func (s *Scheduler) SubscribeContext(c ContextConsumer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make([]ContextConsumer, len(s.ctxConsumers)+1)
-	copy(next, s.ctxConsumers)
-	next[len(s.ctxConsumers)] = c
-	s.ctxConsumers = next
-}
-
 // Install is shorthand for Punctuate(OpInstall).
 func (s *Scheduler) Install(queue string, p Policy) error {
 	return s.Punctuate(Punctuation{Op: OpInstall, Queue: queue, Policy: p})
@@ -204,21 +169,12 @@ func (s *Scheduler) Install(queue string, p Policy) error {
 // no queue forwards (a filtering policy absorbing the item) or exactly one
 // queue forwards — allocate nothing beyond what the policy itself returns.
 func (s *Scheduler) Ingest(it Item) {
-	s.IngestContext(context.Background(), it)
-}
-
-// IngestContext is Ingest carrying trace context: when a tracer is set, the
-// whole admit-and-deliver pass runs inside a "stream.ingest" span parented
-// under ctx's span, and context-aware consumers receive the span's context —
-// so work a consumer does for a streamed item nests under the ingesting
-// operation in the exported trace.
-func (s *Scheduler) IngestContext(ctx context.Context, it Item) {
 	type delivery struct {
 		queue string
 		items []Item
 	}
 	s.mu.Lock()
-	tracer, events := s.tracer, s.events
+	events := s.events
 	// First forwarding queue is kept inline; a spill slice is only
 	// allocated when two or more queues forward on the same item.
 	var first delivery
@@ -247,17 +203,10 @@ func (s *Scheduler) IngestContext(ctx context.Context, it Item) {
 		}
 	}
 	consumers := s.consumers // copy-on-write: safe to use after unlock
-	ctxConsumers := s.ctxConsumers
 	s.mu.Unlock()
 
 	if first.items == nil {
 		return
-	}
-	if tracer != nil {
-		var span *telemetry.Span
-		ctx, span = tracer.Start(ctx, "stream.ingest",
-			telemetry.String("queue", first.queue), telemetry.Int("seq", int(it.Seq)))
-		defer span.End()
 	}
 	// Deliver outside the lock so consumers may call back into the
 	// scheduler (e.g. a steering consumer issuing punctuation).
@@ -266,20 +215,10 @@ func (s *Scheduler) IngestContext(ctx context.Context, it Item) {
 			c(first.queue, it)
 		}
 	}
-	for _, c := range ctxConsumers {
-		for _, it := range first.items {
-			c(ctx, first.queue, it)
-		}
-	}
 	for _, d := range spill {
 		for _, c := range consumers {
 			for _, it := range d.items {
 				c(d.queue, it)
-			}
-		}
-		for _, c := range ctxConsumers {
-			for _, it := range d.items {
-				c(ctx, d.queue, it)
 			}
 		}
 	}
@@ -294,7 +233,6 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 	var queueName string
 	switch cmd.Op {
 	case OpMark:
-		s.marks++
 		s.mMarks.Inc()
 		s.mu.Unlock()
 		events.Append(eventlog.Info, "queue."+string(OpMark), cmd.Label, 0)
@@ -353,7 +291,6 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 		}
 	}
 	consumers := s.consumers // copy-on-write: safe to use after unlock
-	ctxConsumers := s.ctxConsumers
 	s.mu.Unlock()
 
 	events.Append(eventlog.Info, "queue."+string(cmd.Op), "", 0,
@@ -361,11 +298,6 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 	for _, c := range consumers {
 		for _, it := range released {
 			c(queueName, it)
-		}
-	}
-	for _, c := range ctxConsumers {
-		for _, it := range released {
-			c(context.Background(), queueName, it)
 		}
 	}
 	return nil
@@ -384,13 +316,6 @@ func (s *Scheduler) Queues() []VirtualQueueInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Marks reports the number of group-boundary punctuations observed.
-func (s *Scheduler) Marks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.marks
 }
 
 // ApplyPunctuationScript reads JSON-lines of WirePunctuation (the format

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fairflow/internal/telemetry"
 )
 
 func intSchema() *Schema {
@@ -284,11 +286,13 @@ func TestSchedulerRemoveFlushesDownstream(t *testing.T) {
 
 func TestSchedulerMarks(t *testing.T) {
 	s := NewScheduler()
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
 	if err := s.Punctuate(Punctuation{Op: OpMark, Label: "group-1"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Marks() != 1 {
-		t.Fatalf("marks = %d", s.Marks())
+	if marks := reg.Counter("stream.marks_total").Value(); marks != 1 {
+		t.Fatalf("marks = %d", marks)
 	}
 }
 

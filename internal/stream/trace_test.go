@@ -1,80 +1,10 @@
 package stream
 
 import (
-	"context"
 	"testing"
 
-	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
-
-// TestIngestContextTraceNesting pins the satellite guarantee: a consumer's
-// span nests under the "stream.ingest" span, which nests under whatever span
-// called IngestContext — one causal tree in the exported trace.
-func TestIngestContextTraceNesting(t *testing.T) {
-	s := NewScheduler()
-	tr := telemetry.NewTracer()
-	s.SetTracer(tr)
-	if err := s.Install("all", ForwardAll{}); err != nil {
-		t.Fatal(err)
-	}
-	s.SubscribeContext(func(ctx context.Context, queue string, it Item) {
-		_, span := tr.Start(ctx, "consume", telemetry.String("queue", queue))
-		span.End()
-	})
-
-	ctx, parent := tr.Start(nil, "collect")
-	s.IngestContext(ctx, intItem(t, 1))
-	parent.End()
-
-	spans := tr.Snapshot()
-	byName := map[string]telemetry.SpanData{}
-	for _, sp := range spans {
-		byName[sp.Name] = sp
-	}
-	collect, ok := byName["collect"]
-	if !ok {
-		t.Fatalf("no collect span in %v", spans)
-	}
-	ingest, ok := byName["stream.ingest"]
-	if !ok {
-		t.Fatalf("no stream.ingest span in %v", spans)
-	}
-	consume, ok := byName["consume"]
-	if !ok {
-		t.Fatalf("no consume span in %v", spans)
-	}
-	if ingest.Parent != collect.ID {
-		t.Errorf("stream.ingest parent = %d, want collect id %d", ingest.Parent, collect.ID)
-	}
-	if consume.Parent != ingest.ID {
-		t.Errorf("consume parent = %d, want stream.ingest id %d", consume.Parent, ingest.ID)
-	}
-	if got := ingest.Attr("queue"); got != "all" {
-		t.Errorf("ingest queue attr = %q, want all", got)
-	}
-}
-
-// TestIngestWithoutTracerDeliversPlain checks plain Ingest and a nil tracer
-// still deliver to context consumers (with a background context).
-func TestIngestWithoutTracerDeliversPlain(t *testing.T) {
-	s := NewScheduler()
-	if err := s.Install("all", ForwardAll{}); err != nil {
-		t.Fatal(err)
-	}
-	var got int
-	s.SubscribeContext(func(ctx context.Context, queue string, it Item) {
-		if ctx == nil {
-			t.Error("nil context delivered")
-		}
-		got++
-	})
-	s.Ingest(intItem(t, 1))
-	s.Ingest(intItem(t, 2))
-	if got != 2 {
-		t.Errorf("context consumer saw %d items, want 2", got)
-	}
-}
 
 // TestSchedulerPunctuationEvents checks the control channel is journaled as
 // queue.<op> events and absorbed items appear at debug level.

@@ -11,6 +11,17 @@ import (
 	"testing"
 )
 
+// phaseTasks returns the tasks of one phase, in plan order.
+func phaseTasks(p PastePlan, phase int) []PasteTask {
+	var out []PasteTask
+	for _, t := range p.Tasks {
+		if t.Phase == phase {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // executeBarrier is the reference executor the DAG scheduler replaced: run
 // the plan phase by phase, serially, with a full barrier between phases.
 // Tests use it as the ground truth the DAG executor must match byte for
@@ -18,7 +29,7 @@ import (
 func executeBarrier(p PastePlan, opts ExecOptions) (int, error) {
 	rows := 0
 	for phase := 0; phase < p.Phases; phase++ {
-		for _, task := range p.TasksInPhase(phase) {
+		for _, task := range phaseTasks(p, phase) {
 			n, err := PasteFiles(task.Output, opts.Options, task.Sources...)
 			if err != nil {
 				return 0, fmt.Errorf("tabular: phase %d task %s: %w", task.Phase, task.Output, err)
@@ -46,7 +57,7 @@ func executeBarrierParallel(p PastePlan, opts ExecOptions) (int, error) {
 		par = 1
 	}
 	for phase := 0; phase < p.Phases; phase++ {
-		tasks := p.TasksInPhase(phase)
+		tasks := phaseTasks(p, phase)
 		sem := make(chan struct{}, par)
 		errCh := make(chan error, len(tasks))
 		var wg sync.WaitGroup

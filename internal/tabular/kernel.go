@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// The paste kernel is the byte-level streaming core under Paste, CountRows
-// and SplitColumns. It never converts row data to strings: lines move as
+// The paste kernel is the byte-level streaming core under Paste and
+// CountRows. It never converts row data to strings: lines move as
 // []byte slices straight from a pooled read buffer into a pooled write
 // buffer, so the per-row cost is a memmove, not an allocation. Buffers are
 // recycled through sync.Pools because a multi-phase paste plan opens and

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -119,29 +118,6 @@ func TestCountRowsEdgeCases(t *testing.T) {
 		if n, err := CountRows(p); err != nil || n != tc.want {
 			t.Fatalf("case %d: CountRows=%d err=%v, want %d", i, n, err, tc.want)
 		}
-	}
-}
-
-// TestSplitColumnsLongLines exercises the split side of the kernel past the
-// read-buffer size.
-func TestSplitColumnsLongLines(t *testing.T) {
-	dir := t.TempDir()
-	wide := strings.Repeat("w", kernelReadBuf/2)
-	content := wide + "\t" + wide + "\t" + wide + "\n" + "a\tb\tc\n"
-	matrix := writeFile(t, dir, "m.tsv", content)
-	paths, err := SplitColumns(matrix, filepath.Join(dir, "out"), "c_*.txt", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 3 {
-		t.Fatalf("columns = %d", len(paths))
-	}
-	rows, err := ReadAll(paths[2], Options{})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("rows=%v err=%v", rows, err)
-	}
-	if rows[0][0] != wide || rows[1][0] != "c" {
-		t.Fatalf("column 2 content wrong (lens %d, %d)", len(rows[0][0]), len(rows[1][0]))
 	}
 }
 

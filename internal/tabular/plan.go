@@ -35,17 +35,6 @@ type PastePlan struct {
 	Final  string      `json:"final"`
 }
 
-// TasksInPhase returns the tasks of one phase, in plan order.
-func (p PastePlan) TasksInPhase(phase int) []PasteTask {
-	var out []PasteTask
-	for _, t := range p.Tasks {
-		if t.Phase == phase {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // PlanPaste builds a paste plan over the input files with the given fan-in
 // limit (the maximum files merged by a single paste — the filesystem
 // bottleneck the paper's manual process works around by hand). The final

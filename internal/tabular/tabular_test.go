@@ -159,10 +159,10 @@ func TestPlanPasteTwoPhase(t *testing.T) {
 	if plan.Phases != 2 {
 		t.Fatalf("phases = %d", plan.Phases)
 	}
-	if got := len(plan.TasksInPhase(0)); got != 3 { // ceil(20/8)
+	if got := len(phaseTasks(plan, 0)); got != 3 { // ceil(20/8)
 		t.Fatalf("phase-0 tasks = %d", got)
 	}
-	if got := len(plan.TasksInPhase(1)); got != 1 {
+	if got := len(phaseTasks(plan, 1)); got != 1 {
 		t.Fatalf("phase-1 tasks = %d", got)
 	}
 	if plan.MaxConcurrentFiles() > 9 {

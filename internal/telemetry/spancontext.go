@@ -115,17 +115,6 @@ func (t *Tracer) TraceID() TraceID {
 	return t.traceID
 }
 
-// SetTraceID pins the tracer's trace id (tests, or resuming a campaign
-// under its original identity). The zero id is ignored.
-func (t *Tracer) SetTraceID(id TraceID) {
-	if t == nil || id.IsZero() {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = id
-	t.mu.Unlock()
-}
-
 // StartRemote begins a span whose parent lives in another process. The
 // local Parent stays 0 (no such span exists here); the parent's wire
 // identity is kept in SpanData.Remote for the merge step to resolve. An

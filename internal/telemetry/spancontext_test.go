@@ -92,15 +92,6 @@ func TestTracerTraceIDStableAndSettable(t *testing.T) {
 	if again := tr.TraceID(); again != id {
 		t.Fatalf("TraceID not stable: %s then %s", id, again)
 	}
-	other := NewTraceID()
-	tr.SetTraceID(other)
-	if got := tr.TraceID(); got != other {
-		t.Fatalf("SetTraceID: got %s, want %s", got, other)
-	}
-	tr.SetTraceID(TraceID{}) // ignored
-	if got := tr.TraceID(); got != other {
-		t.Fatal("zero SetTraceID overwrote the id")
-	}
 	if (*Tracer)(nil).TraceID() != (TraceID{}) {
 		t.Fatal("nil tracer minted a trace id")
 	}
