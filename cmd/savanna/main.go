@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	standby := fs.Bool("standby", false, "with -listen: wait for the active coordinator's claim to go stale, then take over")
 	workers := fs.Int("workers", 8, "local: worker pool size (the local pilot's nodes)")
 	sets := fs.Int("sets", 0, "local: if >0, use the set-synchronized baseline with this set size")
-	batch := fs.Int("batch", 8, "-listen: runs per assignment message")
+	batch := fs.Int("batch", 8, "-listen: most runs a worker holds at once (topped up one per result)")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "-listen: declare a silent worker dead after this long")
 	workerWait := fs.Duration("worker-wait", 60*time.Second, "-listen: abort after this long with work left and no live worker")
 	maxAttempts := fs.Int("max-attempts", 3, "executions per run, first try included")

@@ -3,6 +3,7 @@ package cas
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"slices"
 	"strconv"
@@ -37,28 +38,64 @@ type Recipe struct {
 //
 // without the spaces, lengths and counts in decimal. Every action cache on
 // disk is keyed by this encoding, so it must never change
-// (TestRecipeDigestPinned). It is appended into one buffer — on the stack
-// for a recipe of the usual size — and hashed in one call.
+// (TestRecipeDigestPinned). It is written by RecipeEncoding into one buffer
+// — on the stack for a recipe of the usual size — and hashed in one call.
 func (r Recipe) Digest() Digest {
 	var keyBuf [16]string
-	keys := keyBuf[:0]
-	for k := range r.Params {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	keys := SortedKeys(keyBuf[:0], r.Params)
 	var buf [512]byte
-	b := appendField(buf[:0], r.Kind)
-	b = appendCount(b, 'p', len(keys))
+	e := StartRecipe(buf[:0], r.Kind, len(keys))
 	for _, k := range keys {
-		b = appendField(b, k)
-		b = appendField(b, r.Params[k])
+		e = e.Param("", k, r.Params[k])
 	}
-	b = appendCount(b, 'i', len(r.Inputs))
+	e = e.Inputs(len(r.Inputs))
 	for _, in := range r.Inputs {
-		b = appendField(b, string(in))
+		e = e.Input(in)
 	}
-	return HashBytes(b)
+	return e.Digest()
 }
+
+// SortedKeys appends the keys of m to buf in ascending order: the order a
+// recipe's parameters and a memo's inputs are encoded in. A stack array as
+// buf keeps the usual recipe off the heap.
+func SortedKeys(buf []string, m map[string]string) []string {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// RecipeEncoding is a recipe being written in Digest's encoding one field
+// at a time, for a caller whose parameters are not one map: Memo keys a run
+// on its parameters under "param:" without building the prefixed keys. The
+// counts come first, and the parameters must follow in ascending order of
+// prefix+key, the order Digest sorts them in; any other order hashes some
+// other recipe.
+type RecipeEncoding []byte
+
+// StartRecipe begins a recipe of kind with params parameters in b, which
+// the encoding appends to (a 512-byte stack array keeps the usual recipe off
+// the heap).
+func StartRecipe(b []byte, kind string, params int) RecipeEncoding {
+	return appendCount(appendField(b, kind), 'p', params)
+}
+
+// Param appends the parameter prefix+key = value.
+func (e RecipeEncoding) Param(prefix, key, value string) RecipeEncoding {
+	e = strconv.AppendInt(e, int64(len(prefix)+len(key)), 10)
+	e = append(append(append(e, ':'), prefix...), key...)
+	return appendField(e, value)
+}
+
+// Inputs ends the parameters and announces n inputs.
+func (e RecipeEncoding) Inputs(n int) RecipeEncoding { return appendCount(e, 'i', n) }
+
+// Input appends the next input digest.
+func (e RecipeEncoding) Input(d Digest) RecipeEncoding { return appendField(e, string(d)) }
+
+// Digest hashes the encoded recipe.
+func (e RecipeEncoding) Digest() Digest { return HashBytes(e) }
 
 // appendField appends s to a recipe encoding as "<len(s)>:<s>".
 func appendField(b []byte, s string) []byte {
@@ -125,25 +162,27 @@ type ActionCache struct {
 	mMemoHits   *telemetry.Counter
 	mMemoMisses *telemetry.Counter
 	mPutSeconds *telemetry.Histogram
-	// events, when non-nil, journals Get outcomes at debug level.
+	// events, when non-nil, journals Get and Place outcomes at debug level.
 	events *eventlog.Log
 }
 
-// SetEvents journals each Get outcome into l as a debug-level cache.hit /
-// cache.miss event keyed by the recipe digest. Debug level keeps the hot
-// lookup path silent under the default Info threshold; the level gate is a
-// single atomic load. Call before concurrent use; a nil log is a no-op.
+// SetEvents journals each Get and Place outcome into l as a debug-level
+// cache.hit / cache.miss event keyed by the recipe digest. Debug level keeps
+// the hot lookup path silent under the default Info threshold; the level
+// gate is a single atomic load. Call before concurrent use; a nil log is a
+// no-op.
 func (c *ActionCache) SetEvents(l *eventlog.Log) {
 	c.events = l
 }
 
 // SetMetrics registers the cache's instruments in reg and starts feeding
-// them: cas.action_hits_total / cas.action_misses_total (Get outcomes — a
-// cached entry whose output objects were GC'd counts as a miss, matching the
-// re-execution it forces) and cas.filehash_memo_hits_total /
-// cas.filehash_memo_misses_total (stat-fingerprint digest memo) and the
-// cas.action_put_seconds histogram (one observation per Put). The backing
-// store is wired too. Call before concurrent use; a nil registry is a no-op.
+// them: cas.action_hits_total / cas.action_misses_total (Get and Place
+// outcomes — an entry whose outputs were GC'd or could not be placed counts
+// as a miss, matching the re-execution it forces),
+// cas.filehash_memo_hits_total / cas.filehash_memo_misses_total
+// (stat-fingerprint digest memo) and the cas.action_put_seconds histogram
+// (one observation per Put). The backing store is wired too. Call before
+// concurrent use; a nil registry is a no-op.
 func (c *ActionCache) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -237,20 +276,29 @@ func (c *ActionCache) Len() int {
 // still present in the store — a GC'd or corrupted entry is a miss, so the
 // caller transparently re-executes.
 func (c *ActionCache) Get(recipe Digest) (ActionResult, bool) {
+	return c.Place(recipe, func(res ActionResult) error {
+		for _, d := range res.Outputs {
+			if !c.store.Has(d) {
+				return fs.ErrNotExist
+			}
+		}
+		return nil
+	})
+}
+
+// Place looks a recipe up and hands its result to place, which puts the
+// outputs where the caller wants them. Only a place that succeeds makes a
+// hit; a place error is a miss, so place is also the existence check: one
+// that links each output out of the store (Store.Materialize), failing on a
+// missing object, makes a hit one link per output and no stat.
+func (c *ActionCache) Place(recipe Digest, place func(ActionResult) error) (ActionResult, bool) {
 	c.mu.Lock()
 	res, ok := c.actions[recipe]
 	c.mu.Unlock()
-	if !ok {
+	if !ok || place(res) != nil {
 		c.mMisses.Inc()
 		c.noteGet(eventlog.CacheMiss, recipe)
 		return ActionResult{}, false
-	}
-	for _, d := range res.Outputs {
-		if !c.store.Has(d) {
-			c.mMisses.Inc()
-			c.noteGet(eventlog.CacheMiss, recipe)
-			return ActionResult{}, false
-		}
 	}
 	c.mHits.Inc()
 	c.noteGet(eventlog.CacheHit, recipe)

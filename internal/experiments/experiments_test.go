@@ -27,6 +27,24 @@ func TestGWASPasteEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGWASPasteDigestIndependentOfWorkDir: at a fixed seed the Fig. 2
+// manifest digest is the same whichever directory the experiment runs in,
+// so the digest in results_raw.md can be reproduced.
+func TestGWASPasteDigestIndependentOfWorkDir(t *testing.T) {
+	var digests []string
+	for i := 0; i < 2; i++ {
+		res, err := RunGWASPaste(GWASPasteConfig{Samples: 8, SNPs: 20, FanIn: 4, Parallelism: 2,
+			Seed: 1, WorkDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, res.ManifestDigest)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("manifest digests %s and %s differ between work directories", digests[0], digests[1])
+	}
+}
+
 func TestGWASPasteRejectsBadConfig(t *testing.T) {
 	if _, err := RunGWASPaste(GWASPasteConfig{Samples: 4, SNPs: 1, FanIn: 1}); err == nil {
 		t.Fatal("fan-in 1 accepted")

@@ -79,7 +79,7 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputDir := filepath.Join(cfg.WorkDir, "columns")
+	inputDir := filepath.Join(cfg.WorkDir, "columns") // the model's dataset_dir
 	inputs := make([]string, cfg.Samples)
 	for s := 0; s < cfg.Samples; s++ {
 		inputs[s] = filepath.Join(inputDir, fmt.Sprintf("sample_%04d.txt", s))
@@ -94,10 +94,12 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 		return nil, err
 	}
 
-	// Skel generation: the model is the single point of interaction.
+	// Skel generation: the model is the single point of interaction. Its
+	// paths are relative to cfg.WorkDir, where the generated scripts run, so
+	// the manifest digest does not depend on where the work directory is.
 	model := skel.Model{
-		"dataset_dir": inputDir,
-		"output_file": filepath.Join(cfg.WorkDir, "matrix.tsv"),
+		"dataset_dir": "columns",
+		"output_file": "matrix.tsv",
 		"account":     "BIF101",
 		"fan_in":      cfg.FanIn,
 		"parallelism": cfg.Parallelism,

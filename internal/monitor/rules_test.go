@@ -36,12 +36,12 @@ func TestParseRuleErrors(t *testing.T) {
 		": metric > 5",
 		"name: > 5",
 		"name: metric > banana",
-		"name: metric > NaN",       // non-finite threshold
-		"name: metric < +Inf",      // non-finite threshold
-		"name: metric > -Inf",      // non-finite threshold
-		"name: some metric > 5",    // whitespace inside the metric name
-		"name: rate (m) > 5",       // space between rate and ( → metric "rate (m"... rejected
-		"name: a\tmetric > 5",      // tab inside the metric name
+		"name: metric > NaN",    // non-finite threshold
+		"name: metric < +Inf",   // non-finite threshold
+		"name: metric > -Inf",   // non-finite threshold
+		"name: some metric > 5", // whitespace inside the metric name
+		"name: rate (m) > 5",    // space between rate and ( → metric "rate (m"... rejected
+		"name: a\tmetric > 5",   // tab inside the metric name
 	} {
 		if r, err := ParseRule(in); err == nil {
 			t.Errorf("ParseRule(%q) accepted: %+v", in, r)

@@ -35,8 +35,10 @@ type Engine struct {
 	Listener net.Listener
 	// Addr is the listen address when Listener is nil (e.g. ":7171").
 	Addr string
-	// BatchSize is the number of runs per assignment message (default 32).
-	// Workers are topped back up to a full batch as results stream in.
+	// BatchSize is the most runs a worker holds at once (default 32): the
+	// first assignment fills it, then each result tops the worker up by one
+	// run, and the connection's writer merges top-ups queued together into
+	// one assign on the wire.
 	BatchSize int
 	// LeaseTTL bounds worker silence: a worker that misses heartbeats for
 	// this long is declared dead and its runs re-dispatch (default 10s).

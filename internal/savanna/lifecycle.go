@@ -3,6 +3,7 @@ package savanna
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,6 +54,10 @@ type Lifecycle struct {
 	// lifecycle never asks which engine is driving it.
 	Events  *eventlog.Log
 	Metrics Instruments
+
+	// inputs is Memo.provenanceInputs, built by the first record.
+	inputsOnce sync.Once
+	inputs     map[string]string
 }
 
 // Instruments are the per-run series an engine exports under its own names
@@ -420,6 +425,7 @@ func (lc *Lifecycle) provenance(g *Group, r *RunState, elapsed time.Duration, ou
 	if lc.Seq == nil {
 		return
 	}
+	lc.inputsOnce.Do(func() { lc.inputs = lc.Memo.provenanceInputs() })
 	end := time.Now()
 	rec := provenance.Record{
 		ID:         fmt.Sprintf("%s/%s#%d", lc.Campaign, r.Result.Run.ID, atomic.AddInt64(lc.Seq, 1)),
@@ -429,7 +435,7 @@ func (lc *Lifecycle) provenance(g *Group, r *RunState, elapsed time.Duration, ou
 		Status:     r.Result.Status,
 		CampaignID: lc.Campaign,
 		SweepPoint: r.Result.Run.Params,
-		Inputs:     lc.Memo.provenanceInputs(),
+		Inputs:     lc.inputs,
 		Outputs:    outputs,
 	}
 	if r.Result.Cached {

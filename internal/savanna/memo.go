@@ -2,7 +2,6 @@ package savanna
 
 import (
 	"fmt"
-	"sort"
 
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
@@ -35,7 +34,9 @@ type Memo struct {
 	Collect func(run cheetah.Run) (map[string]string, error)
 	// Restore, when set, is called on a cache hit to rematerialize the
 	// cached outputs (e.g. cas.Store.Materialize into the run directory).
-	// A Restore error demotes the hit to a miss — the run re-executes.
+	// It is also the hit's existence check, so it must fail when an output
+	// it places is missing from the store, as Materialize does. A Restore
+	// error demotes the hit to a miss — the run re-executes.
 	Restore func(run cheetah.Run, outputs map[string]cas.Digest) error
 }
 
@@ -49,43 +50,46 @@ func (m *Memo) Validate() error {
 	return nil
 }
 
-// recipeDigest derives the action-cache key for one run.
+// recipeDigest derives the action-cache key for one run: parameters
+// "component", "input:<name>" and "param:<key>", in that (already sorted)
+// order, then the input digests by name — encoded without building the map.
 func (m *Memo) recipeDigest(run cheetah.Run) cas.Digest {
-	params := map[string]string{"component": m.ComponentDigest}
-	for k, v := range run.Params {
-		params["param:"+k] = v
-	}
-	names := make([]string, 0, len(m.InputDigests))
-	for n := range m.InputDigests {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	inputs := make([]cas.Digest, 0, len(names))
+	var nameBuf [8]string
+	names := cas.SortedKeys(nameBuf[:0], m.InputDigests)
+	var keyBuf [16]string
+	keys := cas.SortedKeys(keyBuf[:0], run.Params)
+	var buf [512]byte
+	e := cas.StartRecipe(buf[:0], runRecipeKind, 1+len(names)+len(keys))
+	e = e.Param("", "component", m.ComponentDigest)
 	for _, n := range names {
-		params["input:"+n] = m.InputDigests[n]
-		inputs = append(inputs, cas.Digest(m.InputDigests[n]))
+		e = e.Param("input:", n, m.InputDigests[n])
 	}
-	return cas.Recipe{Kind: runRecipeKind, Params: params, Inputs: inputs}.Digest()
+	for _, k := range keys {
+		e = e.Param("param:", k, run.Params[k])
+	}
+	e = e.Inputs(len(names))
+	for _, n := range names {
+		e = e.Input(cas.Digest(m.InputDigests[n]))
+	}
+	return e.Digest()
 }
 
 // Lookup checks for a usable cached result, restoring outputs when
-// configured; the bool reports a hit. A nil memo never hits. LocalEngine and
-// the remote coordinator short-circuit already-computed runs with it before
-// placing them, workers against their own (possibly shared) store.
+// configured; the bool reports a hit. A nil memo never hits. With Restore
+// set, the restore is the existence check (ActionCache.Place); without it,
+// ActionCache.Get stats each output. LocalEngine and the remote coordinator
+// short-circuit already-computed runs with it before placing them, workers
+// against their own (possibly shared) store.
 func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) {
 	if m == nil {
 		return cas.ActionResult{}, false
 	}
-	res, ok := m.Cache.Get(m.recipeDigest(run))
-	if !ok {
-		return cas.ActionResult{}, false
+	if m.Restore == nil {
+		return m.Cache.Get(m.recipeDigest(run))
 	}
-	if m.Restore != nil {
-		if err := m.Restore(run, res.Outputs); err != nil {
-			return cas.ActionResult{}, false // demote to miss: re-execute
-		}
-	}
-	return res, true
+	return m.Cache.Place(m.recipeDigest(run), func(res cas.ActionResult) error {
+		return m.Restore(run, res.Outputs)
+	})
 }
 
 // Record ingests a successful run's outputs into the store and caches the
@@ -101,12 +105,7 @@ func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) {
 		if err != nil {
 			return cas.ActionResult{}, fmt.Errorf("savanna: collecting outputs of %s: %w", run.ID, err)
 		}
-		names := make([]string, 0, len(paths))
-		for n := range paths {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range cas.SortedKeys(nil, paths) {
 			d, _, err := m.Cache.Store().PutFile(paths[n])
 			if err != nil {
 				return cas.ActionResult{}, fmt.Errorf("savanna: storing output %s of %s: %w", n, run.ID, err)
@@ -123,6 +122,8 @@ func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) {
 
 // provenanceInputs renders the memo's key material as a provenance Inputs
 // map (name → digest) — the gauge ontology's input-digest term made real.
+// It is the same for every run of the memo: a Lifecycle builds it once and
+// shares it between records, which nothing writes to.
 func (m *Memo) provenanceInputs() map[string]string {
 	if m == nil {
 		return nil

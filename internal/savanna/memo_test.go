@@ -12,6 +12,8 @@ import (
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
+	"fairflow/internal/resilience"
+	"fairflow/internal/telemetry"
 )
 
 func memoCampaign(t *testing.T, points int) *cheetah.Manifest {
@@ -249,6 +251,92 @@ func TestMemoCollectRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemoMissingObjectIsAMiss: a cached run whose output object is gone
+// from the store re-executes, with or without a Restore. With one, the
+// restore's link is the only existence check Lookup makes, so it must fail
+// the hit: the run executes once, journals success (not cached), carries no
+// cached annotation, and counts as an action-cache miss.
+func TestMemoMissingObjectIsAMiss(t *testing.T) {
+	for _, restore := range []bool{true, false} {
+		t.Run(fmt.Sprintf("restore=%v", restore), func(t *testing.T) {
+			dir := t.TempDir()
+			m := memoCampaign(t, 1)
+			run := m.Runs[0]
+			out := filepath.Join(dir, "result.txt")
+			var executions int64
+			reg := NewFuncRegistry("app")
+			reg.Register("app", func(map[string]string) error {
+				atomic.AddInt64(&executions, 1)
+				return os.WriteFile(out, []byte("result\n"), 0o644)
+			})
+			memo := newMemo(t, dir)
+			memo.Collect = func(cheetah.Run) (map[string]string, error) {
+				return map[string]string{"result": out}, nil
+			}
+			if err := os.WriteFile(out, []byte("result\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := memo.Record(run); err != nil {
+				t.Fatal(err)
+			}
+			store := memo.Cache.Store()
+			if removed, _, err := store.GC(nil); err != nil || removed != 1 {
+				t.Fatalf("GC removed %d objects (%v), want 1", removed, err)
+			}
+			if restore {
+				memo.Restore = func(_ cheetah.Run, outputs map[string]cas.Digest) error {
+					return store.Materialize(outputs["result"], filepath.Join(dir, "restored.txt"))
+				}
+			}
+			metrics := telemetry.NewRegistry()
+			memo.Cache.SetMetrics(metrics)
+			journal, err := resilience.OpenJournal(filepath.Join(dir, "attempts.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer journal.Close()
+			prov := provenance.NewStore()
+			eng := &LocalEngine{Executor: reg, Workers: 1, Memo: memo, Prov: prov,
+				Resilience: &resilience.Config{Journal: journal}}
+			res, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := atomic.LoadInt64(&executions); got != 1 || res[0].Cached {
+				t.Fatalf("executed %d times, cached %v; want 1 execution", got, res[0].Cached)
+			}
+			recs, err := resilience.ReadJournalFile(journal.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []string
+			for _, r := range recs {
+				if r.Event == resilience.AttemptSuccess || r.Event == resilience.AttemptCached {
+					events = append(events, r.Event)
+				}
+			}
+			if len(events) != 1 || events[0] != resilience.AttemptSuccess {
+				t.Fatalf("journal terminal records %v, want [success]", events)
+			}
+			provRecs := prov.Select(provenance.Query{})
+			if len(provRecs) != 1 {
+				t.Fatalf("provenance records = %d, want 1", len(provRecs))
+			}
+			for _, rec := range provRecs {
+				for _, a := range rec.Annotations {
+					if a.Key == "cached" {
+						t.Fatalf("provenance record %s annotated cached", rec.ID)
+					}
+				}
+			}
+			if hits, misses := metrics.Counter("cas.action_hits_total").Value(),
+				metrics.Counter("cas.action_misses_total").Value(); hits != 0 || misses != 1 {
+				t.Fatalf("action cache hits %v, misses %v; want 0 and 1", hits, misses)
+			}
+		})
+	}
+}
+
 // TestMemoRecipeDigestPinned: a run's memo key, as recorded by the code that
 // wrote the action caches already on disk. Run parameters named like the
 // memo's own keys must not shadow them.
@@ -281,8 +369,11 @@ func TestMemoRecipeDigestPinned(t *testing.T) {
 }
 
 // BenchmarkMemoLookupHit prices one warm hit as the engines pay it: the
-// recipe digest, ActionCache.Get (one stat per output) and a Restore that
-// materializes the output into an existing directory.
+// recipe digest, the action-cache read and a Restore that materializes the
+// output into an existing directory — its link is the existence check.
+// Every iteration adds a hard link to the one object; past the filesystem's
+// cap (65,000 on ext4) link(2) fails and Materialize copies instead, so
+// compare runs at a fixed -benchtime below it (50000x).
 func BenchmarkMemoLookupHit(b *testing.B) {
 	dir := b.TempDir()
 	src := filepath.Join(dir, "out.bin")

@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fairflow/internal/cheetah"
@@ -126,6 +127,8 @@ type RunResult struct {
 // LocalEngine executes manifests in-process with a bounded worker pool (the
 // "nodes" of a local pilot). What happens to each run is the Lifecycle's to
 // decide; the engine supplies the pool, the wall clock and the backoff sleep.
+// Each slot pulls its own next run from an atomic counter over the set, so
+// no dispatcher goroutine stands between two runs of a slot.
 type LocalEngine struct {
 	// Executor performs each run.
 	Executor Executor
@@ -207,8 +210,8 @@ func (e *LocalEngine) RunSets(ctx context.Context, campaign string, runs []cheet
 // run is one campaign: its span and start event, its resilience runtime, its
 // recorder over the engine's sinks, the lifecycle that decides every run, and
 // the runs themselves, setSize at a time over the engine's workers — each
-// pulling the next run of the set as soon as it frees up; a set ending is the
-// barrier.
+// taking the next run of the set from one shared counter as soon as it frees
+// up; a set ending is the barrier.
 func (e *LocalEngine) run(ctx context.Context, campaign, discipline string, runs []cheetah.Run, setSize int) ([]RunResult, resilience.CompletenessReport, error) {
 	if err := e.validate(); err != nil {
 		return nil, resilience.CompletenessReport{}, err
@@ -229,22 +232,19 @@ func (e *LocalEngine) run(ctx context.Context, campaign, discipline string, runs
 		Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe})
 	results := make([]RunResult, len(runs))
 	for lo := 0; lo < len(runs); lo += setSize {
-		work := make(chan int)
+		hi := min(lo+setSize, len(runs))
+		var next atomic.Int64 // runs of this set taken so far
 		var wg sync.WaitGroup
 		for w := 0; w < e.Workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var g Group // this worker's, reused run after run
-				for i := range work {
+				var g Group // this slot's, reused run after run
+				for i := lo + int(next.Add(1)) - 1; i < hi; i = lo + int(next.Add(1)) - 1 {
 					results[i] = e.runOne(ctx, lc, rec, runs[i], &g)
 				}
 			}()
 		}
-		for i := lo; i < min(lo+setSize, len(runs)); i++ {
-			work <- i
-		}
-		close(work)
 		wg.Wait()
 	}
 	return results, lc.Finish(rec, span, len(runs)), nil
