@@ -113,7 +113,7 @@ func BenchmarkGWASPasteWarmRerun(b *testing.B) {
 // — the full observability stack of fairctl watch.
 func BenchmarkGWASPasteTelemetry(b *testing.B) {
 	const files, rows, fanIn = 64, 200, 16
-	run := func(b *testing.B, tr *telemetry.Tracer, reg *telemetry.Registry, log *eventlog.Log) {
+	run := func(b *testing.B, traced bool, reg *telemetry.Registry, log *eventlog.Log) {
 		dir := b.TempDir()
 		inputs := makeColumns(b, dir, files, rows)
 		b.ResetTimer()
@@ -122,21 +122,23 @@ func BenchmarkGWASPasteTelemetry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := tabular.ExecOptions{Parallelism: 4, Tracer: tr, Metrics: reg, Events: log}
+			opts := tabular.ExecOptions{Parallelism: 4, Metrics: reg, Events: log}
+			if traced {
+				opts.Tracer = telemetry.NewTracer() // one buffer per iteration
+			}
 			if _, err := plan.Execute(context.Background(), opts); err != nil {
 				b.Fatal(err)
 			}
-			tr.Reset() // nil-safe; bounds the span buffer across iterations
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil, nil, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewTracer(), telemetry.NewRegistry(), nil) })
+	b.Run("off", func(b *testing.B) { run(b, false, nil, nil) })
+	b.Run("on", func(b *testing.B) { run(b, true, telemetry.NewRegistry(), nil) })
 	b.Run("monitored", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		log := eventlog.NewLog()
 		log.SetMetrics(reg)
 		monitor.New(monitor.Config{Campaign: "bench"}, reg, log)
-		run(b, telemetry.NewTracer(), reg, log)
+		run(b, true, reg, log)
 	})
 }
 

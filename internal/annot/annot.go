@@ -99,16 +99,6 @@ type Set struct {
 	Features []Feature
 }
 
-// Validate checks every feature.
-func (s *Set) Validate() error {
-	for i, f := range s.Features {
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("annot: feature %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Len reports the number of features.
 func (s *Set) Len() int { return len(s.Features) }
 

@@ -12,7 +12,6 @@ import (
 
 	"fairflow/internal/appendlog"
 	"fairflow/internal/telemetry"
-	"fairflow/internal/telemetry/eventlog"
 )
 
 // Recipe describes one deterministic operation: what kind of work, with
@@ -162,17 +161,6 @@ type ActionCache struct {
 	mMemoHits   *telemetry.Counter
 	mMemoMisses *telemetry.Counter
 	mPutSeconds *telemetry.Histogram
-	// events, when non-nil, journals Get and Place outcomes at debug level.
-	events *eventlog.Log
-}
-
-// SetEvents journals each Get and Place outcome into l as a debug-level
-// cache.hit / cache.miss event keyed by the recipe digest. Debug level keeps
-// the hot lookup path silent under the default Info threshold; the level
-// gate is a single atomic load. Call before concurrent use; a nil log is a
-// no-op.
-func (c *ActionCache) SetEvents(l *eventlog.Log) {
-	c.events = l
 }
 
 // SetMetrics registers the cache's instruments in reg and starts feeding
@@ -297,20 +285,10 @@ func (c *ActionCache) Place(recipe Digest, place func(ActionResult) error) (Acti
 	c.mu.Unlock()
 	if !ok || place(res) != nil {
 		c.mMisses.Inc()
-		c.noteGet(eventlog.CacheMiss, recipe)
 		return ActionResult{}, false
 	}
 	c.mHits.Inc()
-	c.noteGet(eventlog.CacheHit, recipe)
 	return res, true
-}
-
-// noteGet journals one Get outcome when debug events are enabled.
-func (c *ActionCache) noteGet(typ string, recipe Digest) {
-	if c.events.Enabled(eventlog.Debug) {
-		c.events.Append(eventlog.Debug, typ, "", 0,
-			telemetry.String("recipe", string(recipe)))
-	}
 }
 
 // Put records a recipe's result: one fsynced log line, then the in-memory

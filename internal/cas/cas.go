@@ -176,18 +176,14 @@ func (s *Store) objectPath(d Digest) string {
 	return s.objects + sep + hx[:2] + sep + hx[2:]
 }
 
-// Put streams r into the store, returning the content digest and size. The
+// put streams r into the store, returning the content digest and size. The
 // bytes make a single pass through the chunked kernel — hashed *while*
 // spooling to a temp file (pooled 1 MiB buffers, no io.Copy allocation, no
 // whole-file slurp) — and the temp object is renamed into place, so a
 // concurrent reader never observes a partial object; storing bytes that
-// already exist is a cheap no-op.
-func (s *Store) Put(r io.Reader) (Digest, int64, error) {
-	return s.put(r, true)
-}
-
-// put is Put with index bookkeeping optional: PutAll workers skip it and
-// batch the index update into one pass + one save at the end.
+// already exist is a cheap no-op. Index bookkeeping is optional: PutAll
+// workers skip it and batch the index update into one pass + one save at
+// the end.
 func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 	start := time.Now()
 	defer func() { s.mPutSeconds.Observe(time.Since(start).Seconds()) }()
@@ -280,11 +276,6 @@ func (s *Store) PutFile(path string) (Digest, int64, error) {
 	return s.putFile(path, true)
 }
 
-// PutBytes stores a byte slice.
-func (s *Store) PutBytes(b []byte) (Digest, int64, error) {
-	return s.Put(strings.NewReader(string(b)))
-}
-
 // Has reports whether the object exists in the store.
 func (s *Store) Has(d Digest) bool {
 	if !d.Valid() {
@@ -292,18 +283,6 @@ func (s *Store) Has(d Digest) bool {
 	}
 	_, err := os.Stat(s.objectPath(d))
 	return err == nil
-}
-
-// Get opens an object for reading.
-func (s *Store) Get(d Digest) (io.ReadCloser, error) {
-	if !d.Valid() {
-		return nil, fmt.Errorf("cas: malformed digest %q", d)
-	}
-	f, err := os.Open(s.objectPath(d))
-	if err != nil {
-		return nil, fmt.Errorf("cas: object %s: %w", d.Short(), err)
-	}
-	return f, nil
 }
 
 // Materialize places the object's content at dst: a hard link when the

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -25,7 +24,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := []byte("hello, content-addressed world\n")
-	d, n, err := s.PutBytes(content)
+	d, n, err := putBytes(s, content)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +40,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !s.Has(d) {
 		t.Fatal("Has = false after Put")
 	}
-	rc, err := s.Get(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
+	got, err := os.ReadFile(s.objectPath(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +54,11 @@ func TestPutDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _, err := s.PutBytes([]byte("same"))
+	d1, _, err := putBytes(s, []byte("same"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := s.PutBytes([]byte("same"))
+	d2, _, err := putBytes(s, []byte("same"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +76,7 @@ func TestIndexPersistsAcrossOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := s.PutBytes([]byte("persist me"))
+	d, _, err := putBytes(s, []byte("persist me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +100,7 @@ func TestMaterializeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := []byte(strings.Repeat("row\tcol\n", 1000))
-	d, _, err := s.PutBytes(content)
+	d, _, err := putBytes(s, content)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +133,11 @@ func TestMaterializeMakesParentAndReplaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _, err := s.PutBytes([]byte("first"))
+	d1, _, err := putBytes(s, []byte("first"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := s.PutBytes([]byte("second"))
+	d2, _, err := putBytes(s, []byte("second"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +210,7 @@ func TestMaterializeCopiesWhereLinksFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := src.PutBytes([]byte("copied"))
+	d, _, err := putBytes(src, []byte("copied"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +218,7 @@ func TestMaterializeCopiesWhereLinksFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := near.PutBytes([]byte("linked"))
+	other, _, err := putBytes(near, []byte("linked"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +259,7 @@ func TestMaterializeConcurrentSameDestination(t *testing.T) {
 	}
 	var ds []Digest
 	for _, c := range []string{"alpha", "beta"} {
-		d, _, err := s.PutBytes([]byte(strings.Repeat(c, 1000)))
+		d, _, err := putBytes(s, []byte(strings.Repeat(c, 1000)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +296,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := s.PutBytes([]byte("pristine"))
+	d, _, err := putBytes(s, []byte("pristine"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +323,11 @@ func TestGCKeepsLiveRemovesDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := s.PutBytes([]byte("referenced output"))
+	live, _, err := putBytes(s, []byte("referenced output"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, _, err := s.PutBytes([]byte("orphaned intermediate"))
+	dead, _, err := putBytes(s, []byte("orphaned intermediate"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +364,7 @@ func TestActionCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := s.PutBytes([]byte("the output"))
+	out, _, err := putBytes(s, []byte("the output"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +408,7 @@ func TestActionCacheMissWhenOutputEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := s.PutBytes([]byte("will vanish"))
+	out, _, err := putBytes(s, []byte("will vanish"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +655,7 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 		return n
 	}
 
-	if _, _, err := s.PutBytes([]byte(a)); err != nil {
+	if _, _, err := putBytes(s, []byte(a)); err != nil {
 		t.Fatal(err)
 	}
 	got := fsyncs()
@@ -669,7 +663,7 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 	if len(got) < 3 || filepath.Dir(got[0]) != objects || got[1] != objects || got[2] != fanOf(a) {
 		t.Fatalf("first put fsynced %q, want the temp object, then %s, then %s", got, objects, fanOf(a))
 	}
-	if _, _, err := s.PutBytes([]byte(b)); err != nil {
+	if _, _, err := putBytes(s, []byte(b)); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(objects); n != 1 {
@@ -678,7 +672,7 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 	if n := count(fanOf(a)); n != 2 {
 		t.Fatalf("%s fsynced %d times after two puts, want 2", fanOf(a), n)
 	}
-	if _, _, err := s.PutBytes([]byte(c)); err != nil {
+	if _, _, err := putBytes(s, []byte(c)); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(objects); n != 2 {
@@ -689,7 +683,7 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := second.PutBytes([]byte(again)); err != nil {
+	if _, _, err := putBytes(second, []byte(again)); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(objects); n != 3 {
@@ -706,7 +700,7 @@ func TestPutSurvivesRemovedFanoutDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := []byte("stored, lost, stored again")
-	d, _, err := s.PutBytes(content)
+	d, _, err := putBytes(s, content)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,7 +711,7 @@ func TestPutSurvivesRemovedFanoutDirectory(t *testing.T) {
 		t.Fatal("object survived the removal of its directory")
 	}
 	fsyncs := recordFsyncs(t)
-	if _, _, err := s.PutBytes(content); err != nil {
+	if _, _, err := putBytes(s, content); err != nil {
 		t.Fatalf("put after the fan-out directory was removed: %v", err)
 	}
 	if err := s.Verify(d); err != nil {
@@ -730,4 +724,9 @@ func TestPutSurvivesRemovedFanoutDirectory(t *testing.T) {
 	if !synced {
 		t.Fatal("the re-created fan-out directory's entry in objects/ was not fsynced")
 	}
+}
+
+// putBytes stores b as PutFile does a file's content.
+func putBytes(s *Store, b []byte) (Digest, int64, error) {
+	return s.put(bytes.NewReader(b), true)
 }

@@ -38,7 +38,7 @@ func testRecipe(i int) Digest {
 // putEntry stores object i and records action i → that object.
 func putEntry(t testing.TB, s *Store, c *ActionCache, i int) Digest {
 	t.Helper()
-	d, _, err := s.PutBytes([]byte(fmt.Sprintf("object %d", i)))
+	d, _, err := putBytes(s, []byte(fmt.Sprintf("object %d", i)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 	}{
 		{"index.json.log",
 			func(s *Store, _ *ActionCache) int { return s.Stats().Objects },
-			func(s *Store, _ *ActionCache) error { _, _, err := s.PutBytes([]byte("object 2")); return err }},
+			func(s *Store, _ *ActionCache) error { _, _, err := putBytes(s, []byte("object 2")); return err }},
 		{"actions.json.log",
 			func(_ *Store, c *ActionCache) int { return c.Len() },
 			func(_ *Store, c *ActionCache) error {
@@ -345,7 +345,7 @@ func TestPutFailureLeavesMemoryClean(t *testing.T) {
 		}
 	}
 	content := []byte("object 1")
-	d, _, err := s.PutBytes(content)
+	d, _, err := putBytes(s, content)
 	if err == nil {
 		t.Fatal("Store.Put succeeded with an unwritable index log")
 	}
@@ -387,7 +387,7 @@ func TestPutFailureLeavesMemoryClean(t *testing.T) {
 func TestActionPutAllocsFlatInStoreSize(t *testing.T) {
 	dir := t.TempDir()
 	s, c := openBoth(t, dir)
-	out, _, err := s.PutBytes([]byte("shared output"))
+	out, _, err := putBytes(s, []byte("shared output"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestPutLatencyHistograms(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		putEntry(t, s, c, i)
 	}
-	if _, _, err := s.PutBytes([]byte("object 0")); err != nil { // dedup: still one call
+	if _, _, err := putBytes(s, []byte("object 0")); err != nil { // dedup: still one call
 		t.Fatal(err)
 	}
 	if got := reg.Histogram("cas.put_seconds", nil).Count(); got != 4 {

@@ -242,13 +242,6 @@ func (c *Catalog) ParetoFront(objectives []Objective) ([]Entry, error) {
 	return front, nil
 }
 
-// WriteJSON serialises the catalog.
-func (c *Catalog) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}
-
 // ReadJSON loads a catalog.
 func ReadJSON(r io.Reader) (*Catalog, error) {
 	var c Catalog

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -178,7 +179,7 @@ func TestParetoFrontNeverEmpty(t *testing.T) {
 func TestJSONRoundTripAndSummary(t *testing.T) {
 	c := demoCatalog(t)
 	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(c); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadJSON(&buf)

@@ -102,9 +102,7 @@ const (
 // status.log is created by the first engine (or SetRunStatus) to record a
 // transition: one appended JSON line {"run","status"} per transition, status
 // one of pending|running|succeeded|failed, last line per run wins. A run with
-// no line is pending, so a fresh directory has no log at all. Directories
-// materialised before the log existed keep a per-run "status" file in each
-// run directory; it still answers for a run the log does not mention (see
+// no line is pending, so a fresh directory has no log at all (see
 // RunStatuses).
 //
 // "The composition engine further adopts its own directory schema to

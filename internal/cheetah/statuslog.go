@@ -159,9 +159,7 @@ func SetRunStatus(dir string, runID string, status RunStatus) error {
 
 // RunStatuses returns the status of every run of the manifest in dir, by run
 // ID: the manifest overlaid with the status log, last line wins. A run the
-// log does not mention reads from its per-run status file if the directory
-// has one (directories materialised before the log existed), else pending.
-// An unterminated last line is a torn write and ignored; a terminated line
+// log does not mention is pending. An unterminated last line is a torn write and ignored; a terminated line
 // that fails validation is corruption and an error; a line naming a run the
 // manifest does not list is ignored.
 func RunStatuses(dir string) (map[string]RunStatus, error) {
@@ -175,7 +173,7 @@ func RunStatuses(dir string) (map[string]RunStatus, error) {
 func (m *Manifest) runStatuses(dir string) (map[string]RunStatus, error) {
 	statuses := make(map[string]RunStatus, len(m.Runs))
 	for _, run := range m.Runs {
-		statuses[run.ID] = "" // listed, no log line seen yet
+		statuses[run.ID] = RunPending // listed, no log line seen yet
 	}
 	f, err := os.Open(filepath.Join(dir, statusLogName))
 	if err == nil {
@@ -195,20 +193,6 @@ func (m *Manifest) runStatuses(dir string) (map[string]RunStatus, error) {
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
-	}
-	for id, st := range statuses {
-		if st != "" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, id, "status"))
-		switch {
-		case err == nil:
-			statuses[id] = RunStatus(data)
-		case os.IsNotExist(err):
-			statuses[id] = RunPending
-		default:
-			return nil, err
-		}
 	}
 	return statuses, nil
 }

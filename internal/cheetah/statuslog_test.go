@@ -113,48 +113,6 @@ func TestStatusLogCorruptMiddleLine(t *testing.T) {
 	}
 }
 
-// TestStatusLegacyPerRunFiles: a directory in the parent's format — a status
-// file in every run directory, no log — reads as it always did, and once
-// newer code has logged transitions for two runs the others still answer from
-// their files.
-func TestStatusLegacyPerRunFiles(t *testing.T) {
-	dir, m := materializeDemo(t)
-	legacy := map[string]RunStatus{}
-	for i, run := range m.Runs {
-		st := []RunStatus{RunPending, RunSucceeded, RunFailed, RunRunning}[i%4]
-		legacy[run.ID] = st
-		if err := os.WriteFile(filepath.Join(dir, run.ID, "status"), []byte(st), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := mustStatuses(t, dir); !reflect.DeepEqual(got, legacy) {
-		t.Fatalf("legacy directory reads %v, want %v", got, legacy)
-	}
-	sum, err := Status(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Total != 7 || sum.ByStatus[RunPending] != 2 || sum.ByStatus[RunSucceeded] != 2 ||
-		sum.ByStatus[RunFailed] != 2 || sum.ByStatus[RunRunning] != 1 || len(sum.PendingRuns) != 5 {
-		t.Fatalf("legacy summary: %+v", sum)
-	}
-
-	if err := SetRunStatus(dir, m.Runs[0].ID, RunSucceeded); err != nil {
-		t.Fatal(err)
-	}
-	if err := SetRunStatus(dir, m.Runs[2].ID, RunRunning); err != nil {
-		t.Fatal(err)
-	}
-	legacy[m.Runs[0].ID], legacy[m.Runs[2].ID] = RunSucceeded, RunRunning
-	if got := mustStatuses(t, dir); !reflect.DeepEqual(got, legacy) {
-		t.Fatalf("mixed directory reads %v, want %v", got, legacy)
-	}
-	// The log answers for the runs it names; their files were not rewritten.
-	if data, _ := os.ReadFile(filepath.Join(dir, m.Runs[0].ID, "status")); string(data) != "pending" {
-		t.Fatalf("legacy status file rewritten to %q", data)
-	}
-}
-
 // TestStatusIgnoresUnlistedRun: SetRunStatus refuses a run the directory does
 // not have (TestMaterializeAndStatus), and a log line naming one — another
 // writer's, or a later manifest's — is skipped rather than counted.

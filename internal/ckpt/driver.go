@@ -43,8 +43,10 @@ type RunConfig struct {
 	Profile simapp.Profile
 	// Policy decides checkpoint writes.
 	Policy Policy
-	// Walltime is the batch job limit in seconds.
-	Walltime float64
+	// walltime is the batch job limit in seconds; zero means the runner's
+	// default (RunOnCluster 4×, RunWithFailures 20× the pure-compute
+	// time). A test seam: only TestRunOnClusterWalltimeExpiry shortens it.
+	walltime float64
 }
 
 // RunOnCluster executes the profiled application as a batch job on the
@@ -61,13 +63,13 @@ func RunOnCluster(cluster *hpcsim.Cluster, cfg RunConfig) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Walltime <= 0 {
+	if cfg.walltime <= 0 {
 		// Generous default: 4× the expected pure-compute time.
 		total := 0.0
 		for _, t := range stepTimes {
 			total += t
 		}
-		cfg.Walltime = 4 * total
+		cfg.walltime = 4 * total
 	}
 
 	stats := &RunStats{Policy: cfg.Policy.Name()}
@@ -78,7 +80,7 @@ func RunOnCluster(cluster *hpcsim.Cluster, cfg RunConfig) (*RunStats, error) {
 	_, err = cluster.Submit(hpcsim.JobSpec{
 		Name:     "gray-scott",
 		Nodes:    cfg.Profile.Nodes,
-		Walltime: cfg.Walltime,
+		Walltime: cfg.walltime,
 		OnStart: func(a *hpcsim.Allocation) {
 			sim := cluster.Sim()
 			start := sim.Now()

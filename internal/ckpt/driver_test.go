@@ -78,7 +78,7 @@ func TestRunOnClusterWalltimeExpiry(t *testing.T) {
 	stats, err := RunOnCluster(newTestCluster(3), RunConfig{
 		Profile:  fastProfile(4),
 		Policy:   FixedInterval{Every: 100},
-		Walltime: 100, // ~3 steps of 30 s
+		walltime: 100, // ~3 steps of 30 s
 	})
 	if err != nil {
 		t.Fatal(err)

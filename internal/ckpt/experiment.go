@@ -29,8 +29,6 @@ type SweepConfig struct {
 	FS hpcsim.FSConfig
 	// Profile is the application; its Seed is re-derived per run.
 	Profile simapp.Profile
-	// Walltime bounds each run.
-	Walltime float64
 	// Seed drives all run-level randomness.
 	Seed int64
 }
@@ -128,7 +126,7 @@ func runOnce(cfg SweepConfig, policy Policy, seed int64) (*RunStats, error) {
 	cluster := hpcsim.NewCluster(sim, hpcsim.ClusterConfig{Nodes: nodes, FS: cfg.FS}, expt.SplitSeed(seed, 1))
 	profile := cfg.Profile
 	profile.Seed = expt.SplitSeed(seed, 2)
-	return RunOnCluster(cluster, RunConfig{Profile: profile, Policy: policy, Walltime: cfg.Walltime})
+	return RunOnCluster(cluster, RunConfig{Profile: profile, Policy: policy})
 }
 
 // RecoveryPoint returns the step a restart would resume from if the run

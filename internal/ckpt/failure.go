@@ -8,6 +8,9 @@ import (
 	"fairflow/internal/hpcsim"
 )
 
+// maxFailures aborts a pathological run after this many failures.
+const maxFailures = 1000
+
 // FailureRunConfig extends RunConfig with an application-level failure
 // process: failures arrive with exponential inter-arrival times (mean MTTF)
 // and throw the application back to its last stored checkpoint — the
@@ -21,8 +24,6 @@ type FailureRunConfig struct {
 	// RestartLatency is the fixed cost of coming back up after a failure
 	// (re-queue, reload, re-initialise) before recomputation starts.
 	RestartLatency float64
-	// MaxFailures aborts pathological runs (0 = 1000).
-	MaxFailures int
 	// FailureSeed drives the failure process independently of the app and
 	// filesystem streams.
 	FailureSeed int64
@@ -51,17 +52,13 @@ func RunWithFailures(cluster *hpcsim.Cluster, cfg FailureRunConfig) (*FailureRun
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Walltime <= 0 {
+	if cfg.walltime <= 0 {
 		total := 0.0
 		for _, t := range stepTimes {
 			total += t
 		}
 		// Failures inflate runtime; leave generous headroom.
-		cfg.Walltime = 20 * total
-	}
-	maxFailures := cfg.MaxFailures
-	if maxFailures <= 0 {
-		maxFailures = 1000
+		cfg.walltime = 20 * total
 	}
 
 	stats := &FailureRunStats{RunStats: RunStats{Policy: cfg.Policy.Name()}}
@@ -79,7 +76,7 @@ func RunWithFailures(cluster *hpcsim.Cluster, cfg FailureRunConfig) (*FailureRun
 	_, err = cluster.Submit(hpcsim.JobSpec{
 		Name:     "gray-scott-ft",
 		Nodes:    cfg.Profile.Nodes,
-		Walltime: cfg.Walltime,
+		Walltime: cfg.walltime,
 		OnStart: func(a *hpcsim.Allocation) {
 			sim := cluster.Sim()
 			start := sim.Now()
@@ -214,7 +211,7 @@ func CompareUnderFailures(scfg SweepConfig, policies []Policy, mttf, restartLate
 			profile := scfg.Profile
 			profile.Seed = expt.SplitSeed(seed, 2)
 			fcfg := FailureRunConfig{
-				RunConfig:      RunConfig{Profile: profile, Policy: freshPolicy(pol), Walltime: scfg.Walltime},
+				RunConfig:      RunConfig{Profile: profile, Policy: freshPolicy(pol)},
 				MTTF:           mttf,
 				RestartLatency: restartLatency,
 				FailureSeed:    expt.SplitSeed(seed, 3),

@@ -162,34 +162,3 @@ func (p AnyOf) Name() string {
 	}
 	return name + ")"
 }
-
-// AllOf composes policies with AND: checkpoint only when every member
-// agrees (e.g. overhead within budget AND minimum spacing elapsed).
-type AllOf struct {
-	Policies []Policy
-}
-
-// ShouldCheckpoint implements Policy.
-func (p AllOf) ShouldCheckpoint(s State) bool {
-	if len(p.Policies) == 0 {
-		return false
-	}
-	for _, m := range p.Policies {
-		if !m.ShouldCheckpoint(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// Name implements Policy.
-func (p AllOf) Name() string {
-	name := "all-of("
-	for i, m := range p.Policies {
-		if i > 0 {
-			name += ", "
-		}
-		name += m.Name()
-	}
-	return name + ")"
-}

@@ -116,15 +116,6 @@ func TestAnyOfAllOfComposition(t *testing.T) {
 	if (AnyOf{Policies: []Policy{never, never}}).ShouldCheckpoint(st) {
 		t.Fatal("AnyOf fired with no firing member")
 	}
-	if (AllOf{Policies: []Policy{fire, never}}).ShouldCheckpoint(st) {
-		t.Fatal("AllOf fired despite a dissenter")
-	}
-	if !(AllOf{Policies: []Policy{fire, fire}}).ShouldCheckpoint(st) {
-		t.Fatal("AllOf missed unanimous firing")
-	}
-	if (AllOf{}).ShouldCheckpoint(st) {
-		t.Fatal("empty AllOf fired")
-	}
 }
 
 func TestPolicyNames(t *testing.T) {
@@ -134,7 +125,6 @@ func TestPolicyNames(t *testing.T) {
 		MinGap{Gap: 60}.Name(),
 		(&FailureAware{SpikeFactor: 3}).Name(),
 		AnyOf{Policies: []Policy{FixedInterval{Every: 2}, MinGap{Gap: 1}}}.Name(),
-		AllOf{Policies: []Policy{FixedInterval{Every: 2}}}.Name(),
 	}
 	for _, n := range names {
 		if n == "" {

@@ -6,14 +6,6 @@ import (
 	"io"
 )
 
-// WriteJSON serialises the workflow as indented JSON — the shareable
-// workflow document a research object carries.
-func (w *Workflow) WriteJSON(out io.Writer) error {
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(w)
-}
-
 // LoadWorkflow parses and validates a workflow document.
 func LoadWorkflow(r io.Reader) (*Workflow, error) {
 	var w Workflow

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestWorkflowJSONRoundTrip(t *testing.T) {
 	w := twoStepWorkflow(highTiers(), "bed@v1", "gff3@v1")
 	var buf bytes.Buffer
-	if err := w.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(w); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadWorkflow(&buf)

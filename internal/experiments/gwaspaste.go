@@ -28,8 +28,6 @@ type GWASPasteConfig struct {
 	FanIn int
 	// Parallelism for campaign-parallel execution.
 	Parallelism int
-	// WorkDir hosts the generated files (a temp dir if empty).
-	WorkDir string
 	// Seed drives the synthetic cohort.
 	Seed int64
 }
@@ -64,14 +62,11 @@ type GWASPasteResult struct {
 // with Skel, and execute single-phase, two-phase-serial and
 // campaign-parallel pastes of the same data.
 func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
-	if cfg.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "gwas-paste-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.WorkDir = dir
+	workDir, err := os.MkdirTemp("", "gwas-paste-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(workDir)
 	cohort, err := gwas.Generate(gwas.Config{
 		SNPs: cfg.SNPs, Samples: cfg.Samples, CausalSNPs: 10,
 		EffectSize: 0.8, MinMAF: 0.1, Seed: cfg.Seed,
@@ -79,7 +74,7 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputDir := filepath.Join(cfg.WorkDir, "columns") // the model's dataset_dir
+	inputDir := filepath.Join(workDir, "columns") // the model's dataset_dir
 	inputs := make([]string, cfg.Samples)
 	for s := 0; s < cfg.Samples; s++ {
 		inputs[s] = filepath.Join(inputDir, fmt.Sprintf("sample_%04d.txt", s))
@@ -95,7 +90,7 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 	}
 
 	// Skel generation: the model is the single point of interaction. Its
-	// paths are relative to cfg.WorkDir, where the generated scripts run, so
+	// paths are relative to workDir, where the generated scripts run, so
 	// the manifest digest does not depend on where the work directory is.
 	model := skel.Model{
 		"dataset_dir": "columns",
@@ -108,7 +103,7 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := skel.WriteArtifacts(filepath.Join(cfg.WorkDir, "generated"), artifacts); err != nil {
+	if err := skel.WriteArtifacts(filepath.Join(workDir, "generated"), artifacts); err != nil {
 		return nil, err
 	}
 	res.GeneratedArtifacts = len(artifacts)
@@ -116,15 +111,15 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 
 	// Ablation 1: single-phase paste of everything at once.
 	start := time.Now()
-	single := filepath.Join(cfg.WorkDir, "single.tsv")
+	single := filepath.Join(workDir, "single.tsv")
 	if _, err := tabular.PasteFiles(single, tabular.Options{}, inputs...); err != nil {
 		return nil, err
 	}
 	res.SinglePhaseSeconds = time.Since(start).Seconds()
 
 	// Ablation 2: the generated two-phase plan, serial execution.
-	plan, err := tabular.PlanPaste(inputs, filepath.Join(cfg.WorkDir, "twophase.tsv"),
-		filepath.Join(cfg.WorkDir, "work-serial"), cfg.FanIn)
+	plan, err := tabular.PlanPaste(inputs, filepath.Join(workDir, "twophase.tsv"),
+		filepath.Join(workDir, "work-serial"), cfg.FanIn)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +131,8 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 
 	// Ablation 3: the same plan run as a DAG-parallel campaign; the row
 	// count comes from the final paste task itself, not a re-scan.
-	plan2, err := tabular.PlanPaste(inputs, filepath.Join(cfg.WorkDir, "campaign.tsv"),
-		filepath.Join(cfg.WorkDir, "work-par"), cfg.FanIn)
+	plan2, err := tabular.PlanPaste(inputs, filepath.Join(workDir, "campaign.tsv"),
+		filepath.Join(workDir, "work-par"), cfg.FanIn)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +143,7 @@ func RunGWASPaste(cfg GWASPasteConfig) (*GWASPasteResult, error) {
 	}
 	res.CampaignSeconds = time.Since(start).Seconds()
 	res.Rows = rows
-	cols, err := tabular.CountColumns(filepath.Join(cfg.WorkDir, "campaign.tsv"), tabular.Options{})
+	cols, err := tabular.CountColumns(filepath.Join(workDir, "campaign.tsv"), tabular.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -161,9 +161,6 @@ func (r *Registry) Get(component string) *Assessment {
 	return r.assessments[component]
 }
 
-// Len reports the number of stored assessments.
-func (r *Registry) Len() int { return len(r.assessments) }
-
 // Components returns all component names in sorted order.
 func (r *Registry) Components() []string {
 	out := make([]string, 0, len(r.assessments))

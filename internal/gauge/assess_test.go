@@ -108,9 +108,6 @@ func TestRegistryQueries(t *testing.T) {
 	if err := r.Put(b); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
 	if r.Get("nope") != nil {
 		t.Fatal("missing component returned non-nil")
 	}

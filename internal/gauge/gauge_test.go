@@ -171,15 +171,6 @@ func TestVectorRaiseNeverLowers(t *testing.T) {
 	}
 }
 
-func TestVectorTermsGrowWithTiers(t *testing.T) {
-	v := NewVector()
-	base := len(v.Terms())
-	v.MustSet(DataAccess, 2)
-	if len(v.Terms()) <= base {
-		t.Fatal("raising a tier did not add ontology terms")
-	}
-}
-
 func TestVectorJSONRoundTrip(t *testing.T) {
 	v := NewVector().MustSet(DataAccess, 2).MustSet(DataSchema, 3).MustSet(Provenance, 1)
 	data, err := json.Marshal(v)

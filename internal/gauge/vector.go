@@ -113,27 +113,6 @@ func (v Vector) Raise(a Axis, t Tier) error {
 	return v.Set(a, t)
 }
 
-// Terms returns the full set of ontology terms unlocked by the vector: all
-// terms from every achieved tier on every axis, deduplicated.
-func (v Vector) Terms() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range Axes() {
-		for _, ti := range tierTable[a] {
-			if ti.Tier > v[a] {
-				break
-			}
-			for _, term := range ti.Terms {
-				if !seen[term] {
-					seen[term] = true
-					out = append(out, term)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // String renders the vector compactly, e.g.
 // "access=2/3 schema=3/3 semantics=1/4 granularity=2/3 custom=1/3 prov=1/3".
 func (v Vector) String() string {

@@ -42,15 +42,6 @@ type Job struct {
 	alloc     *Allocation
 }
 
-// QueueWait returns how long the job waited in the batch queue (zero while
-// queued).
-func (j *Job) QueueWait() float64 {
-	if j.State == JobQueued {
-		return 0
-	}
-	return j.Started - j.Submitted
-}
-
 // node is one compute node.
 type node struct {
 	id     int
@@ -146,9 +137,6 @@ func NewCluster(sim *Sim, cfg ClusterConfig, fsSeed int64) *Cluster {
 // Sim returns the simulation kernel the cluster runs on.
 func (c *Cluster) Sim() *Sim { return c.sim }
 
-// FS returns the shared filesystem.
-func (c *Cluster) FS() *Filesystem { return c.fs }
-
 // Util returns the node-utilisation recorder.
 func (c *Cluster) Util() *UtilRecorder { return c.util }
 
@@ -161,43 +149,6 @@ func (c *Cluster) FreeNodes() int {
 		}
 	}
 	return n
-}
-
-// JobStats summarises terminal jobs' queue behaviour.
-type JobStats struct {
-	Completed  int
-	Expired    int
-	Backfilled int
-	// MeanWait and MaxWait summarise queue wait times of jobs that started.
-	MeanWait float64
-	MaxWait  float64
-}
-
-// Stats aggregates over all jobs this cluster has seen (started jobs only
-// contribute wait times).
-func (c *Cluster) Stats() JobStats {
-	st := JobStats{
-		Completed:  c.CompletedJobs,
-		Expired:    c.ExpiredJobs,
-		Backfilled: c.BackfilledJobs,
-	}
-	var sum float64
-	n := 0
-	for _, j := range c.jobs {
-		if j.State == JobQueued {
-			continue
-		}
-		wait := j.QueueWait()
-		sum += wait
-		if wait > st.MaxWait {
-			st.MaxWait = wait
-		}
-		n++
-	}
-	if n > 0 {
-		st.MeanWait = sum / float64(n)
-	}
-	return st
 }
 
 // Submit places a job in the batch queue and returns it. The queue is
@@ -342,9 +293,6 @@ type Allocation struct {
 	tasks    map[*Task]struct{}
 	released bool
 }
-
-// Job returns the owning job.
-func (a *Allocation) Job() *Job { return a.job }
 
 // Nodes returns the IDs of the allocation's (non-failed) nodes.
 func (a *Allocation) Nodes() []int {

@@ -110,9 +110,6 @@ func NewFilesystem(sim *Sim, cfg FSConfig, seed int64) *Filesystem {
 	}
 }
 
-// Load returns the current external load factor.
-func (fs *Filesystem) Load() float64 { return fs.load }
-
 // EffectiveAggregateBW is the aggregate bandwidth available to simulated
 // clients right now.
 func (fs *Filesystem) EffectiveAggregateBW() float64 {

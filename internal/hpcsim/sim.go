@@ -39,9 +39,6 @@ func (e *Event) Cancel() {
 // Cancelled reports whether the event was cancelled.
 func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
 
-// At reports the simulated time the event is scheduled for.
-func (e *Event) At() float64 { return e.at }
-
 // group is every event scheduled at one instant, in scheduling order.
 // Appends happen in At-call order, so the slice *is* the FIFO — tie-breaking
 // needs no sequence numbers. head marks how far a drain has progressed;

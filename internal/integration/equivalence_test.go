@@ -301,9 +301,10 @@ func equivSim(t *testing.T, c equivCampaign) *equivTrace {
 type terminalRow struct {
 	Verb     string
 	Attempts int
+	Class    resilience.Class // the terminal record's failure class
 }
 
-// equivTable projects a journal onto (run, terminal verb, attempts) and checks
+// equivTable projects a journal onto (run, terminal verb, attempts, class) and checks
 // on the way that every run of the campaign ends in exactly one terminal
 // record.
 func equivTable(t *testing.T, c equivCampaign, journal []resilience.AttemptRecord) map[string]terminalRow {
@@ -326,7 +327,7 @@ func equivTable(t *testing.T, c equivCampaign, journal []resilience.AttemptRecor
 		if prev, dup := table[r.Run]; dup {
 			t.Errorf("%s: run %s has two terminal records, %s and %s", c.name, r.Run, prev.Verb, r.Event)
 		}
-		table[r.Run] = terminalRow{Verb: r.Event, Attempts: executed[r.Run]}
+		table[r.Run] = terminalRow{Verb: r.Event, Attempts: executed[r.Run], Class: r.Class}
 	}
 	for _, run := range c.runs {
 		if _, ok := table[run.ID]; ok {
@@ -360,7 +361,9 @@ var equivEngines = []struct {
 // TestThreeEngineEquivalence runs the seeded scenario through all three
 // engines, compares everything each left behind with the golden files
 // generated before the lifecycle was unified, and checks that all three
-// journals project onto the same (run, terminal verb, attempts) table.
+// journals project onto the same (run, terminal verb, attempts, class)
+// table: a quarantined record keeps the class of the failure that tripped
+// the breaker, whichever engine wrote it.
 func TestThreeEngineEquivalence(t *testing.T) {
 	traces := map[string]map[string]*equivTrace{}
 	for _, eng := range equivEngines {
@@ -398,7 +401,7 @@ func TestThreeEngineEquivalence(t *testing.T) {
 		sim := equivTable(t, c, traces["sim"][c.name].Journal)
 		// SimEngine has no memo: what the others find cached it executes once.
 		for _, id := range c.cached {
-			if sim[id] != (terminalRow{resilience.AttemptSuccess, 1}) {
+			if sim[id] != (terminalRow{Verb: resilience.AttemptSuccess, Attempts: 1}) {
 				t.Errorf("%s: sim row %s = %+v, want success after 1 attempt", c.name, id, sim[id])
 			}
 			sim[id] = terminalRow{Verb: resilience.AttemptCached}

@@ -119,7 +119,12 @@ func TestDistributedForensicsEndToEnd(t *testing.T) {
 	}
 
 	// ...and in provenance: the coordinator persisted each run's cost.
-	recs := prov.Select(provenance.Query{CampaignID: "forensics", Status: provenance.StatusSucceeded})
+	var recs []provenance.Record
+	for _, r := range prov.Select(provenance.Query{CampaignID: "forensics"}) {
+		if r.Status == provenance.StatusSucceeded {
+			recs = append(recs, r)
+		}
+	}
 	if len(recs) != len(campaign) {
 		t.Fatalf("provenance records = %d, want %d", len(recs), len(campaign))
 	}
@@ -127,7 +132,7 @@ func TestDistributedForensicsEndToEnd(t *testing.T) {
 		if r.Resources == nil {
 			t.Fatalf("record %s has no resource accounting", r.ID)
 		}
-		if r.Resources.CPUSeconds() <= 0 || r.Resources.MaxRSSBytes <= 0 {
+		if r.Resources.CPUUserSeconds+r.Resources.CPUSystemSeconds <= 0 || r.Resources.MaxRSSBytes <= 0 {
 			t.Errorf("record %s resources = %+v, want nonzero CPU and RSS", r.ID, r.Resources)
 		}
 	}

@@ -47,19 +47,6 @@ func BenchmarkTrainIRF3Iterations(b *testing.B) {
 	}
 }
 
-func BenchmarkForestPredict(b *testing.B) {
-	X, y := benchData(400, 16)
-	f, err := TrainForest(X, y, nil, ForestConfig{
-		Trees: 50, Tree: TreeConfig{MaxDepth: 10, MinLeaf: 3, MTry: 4}, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Predict(X[i%len(X)])
-	}
-}
-
 func BenchmarkRunLOOPSmall(b *testing.B) {
 	X, _ := benchData(150, 10)
 	cfg := LoopConfig{
@@ -68,7 +55,6 @@ func BenchmarkRunLOOPSmall(b *testing.B) {
 			Iterations:  2,
 			WeightFloor: 0.05,
 		},
-		Parallelism: 4,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,8 +19,6 @@ type ForestConfig struct {
 	// independent stream, so forests are reproducible regardless of build
 	// parallelism.
 	Seed int64
-	// Parallelism bounds concurrent tree builds (≤0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // Forest is a trained ensemble.
@@ -54,10 +52,7 @@ func TrainForest(X [][]float64, y []float64, w []float64, cfg ForestConfig) (*Fo
 		}
 	}
 
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := runtime.GOMAXPROCS(0)
 
 	f := &Forest{Trees: make([]*Tree, cfg.Trees)}
 	// Per-sample OOB accumulators.
@@ -135,13 +130,4 @@ func TrainForest(X [][]float64, y []float64, w []float64, cfg ForestConfig) (*Fo
 		f.OOBError = sse / float64(n)
 	}
 	return f, nil
-}
-
-// Predict averages tree predictions for one sample.
-func (f *Forest) Predict(x []float64) float64 {
-	var sum float64
-	for _, t := range f.Trees {
-		sum += t.Predict(x)
-	}
-	return sum / float64(len(f.Trees))
 }

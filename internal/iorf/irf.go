@@ -79,8 +79,3 @@ func nextWeights(importance []float64, floor float64) []float64 {
 	}
 	return w
 }
-
-// Predict applies the final forest.
-func (m *IRFModel) Predict(x []float64) float64 {
-	return m.Final.Predict(x)
-}

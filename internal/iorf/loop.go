@@ -14,8 +14,6 @@ import (
 type LoopConfig struct {
 	// IRF configures each per-feature model.
 	IRF IRFConfig
-	// Parallelism bounds concurrent per-feature fits (≤0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // Network is the iRF-LOOP output: a directed weighted adjacency over
@@ -59,10 +57,7 @@ func RunLOOP(X [][]float64, names []string, cfg LoopConfig) (*Network, error) {
 			names[i] = fmt.Sprintf("f%04d", i)
 		}
 	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := runtime.GOMAXPROCS(0)
 
 	net := &Network{
 		FeatureNames: names,
@@ -172,19 +167,4 @@ func (n *Network) TopEdges(k int) []Edge {
 		k = len(edges)
 	}
 	return edges[:k]
-}
-
-// Threshold returns a copy of the adjacency with entries below min zeroed —
-// the standard post-processing before interpreting the network.
-func (n *Network) Threshold(min float64) [][]float64 {
-	out := make([][]float64, len(n.Adjacency))
-	for i, row := range n.Adjacency {
-		out[i] = make([]float64, len(row))
-		for j, w := range row {
-			if w >= min {
-				out[i][j] = w
-			}
-		}
-	}
-	return out
 }

@@ -38,7 +38,6 @@ func loopConfig(seed int64) LoopConfig {
 			Iterations:  2,
 			WeightFloor: 0.05,
 		},
-		Parallelism: 4,
 	}
 }
 
@@ -153,21 +152,6 @@ func TestTopEdgesSortedDescending(t *testing.T) {
 	huge := net.TopEdges(1 << 20)
 	if len(huge) == 0 || len(huge) > len(names)*len(names) {
 		t.Fatalf("oversized k returned %d edges", len(huge))
-	}
-}
-
-func TestThresholdZeroesSmallEntries(t *testing.T) {
-	net := &Network{
-		FeatureNames: []string{"a", "b"},
-		Adjacency:    [][]float64{{0, 0.8}, {0.1, 0}},
-	}
-	got := net.Threshold(0.5)
-	if got[0][1] != 0.8 || got[1][0] != 0 {
-		t.Fatalf("threshold: %v", got)
-	}
-	// Original untouched.
-	if net.Adjacency[1][0] != 0.1 {
-		t.Fatal("Threshold mutated the network")
 	}
 }
 

@@ -56,30 +56,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// Nodes reports the tree size (diagnostics and tests).
-func (t *Tree) Nodes() int { return len(t.nodes) }
-
-// Depth returns the maximum depth of the tree.
-func (t *Tree) Depth() int {
-	var walk func(i, d int) int
-	walk = func(i, d int) int {
-		n := t.nodes[i]
-		if n.feature < 0 {
-			return d
-		}
-		l := walk(n.left, d+1)
-		r := walk(n.right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0, 0)
-}
-
 // growTree builds one regression tree on the sample indices idx of (X, y),
 // choosing MTry candidate features per split by weighted sampling without
 // replacement using weights w (nil = uniform).

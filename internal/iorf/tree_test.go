@@ -71,7 +71,7 @@ func TestGrowTreeRespectsMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 2 {
+	if d := depth(tree); d > 2 {
 		t.Fatalf("depth %d exceeds max 2", d)
 	}
 }
@@ -84,8 +84,8 @@ func TestGrowTreePureLeafStopsSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes() != 1 {
-		t.Fatalf("constant target grew %d nodes", tree.Nodes())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("constant target grew %d nodes", len(tree.nodes))
 	}
 	if tree.Predict([]float64{99}) != 5 {
 		t.Fatal("wrong leaf value")
@@ -196,4 +196,25 @@ func TestWeightedSampleZeroWeightsDegradeToUniform(t *testing.T) {
 			t.Fatalf("feature %d drawn only %d/3000 times under all-zero weights", f, c)
 		}
 	}
+}
+
+// depth returns the maximum depth of the tree.
+func depth(t *Tree) int {
+	var walk func(i, d int) int
+	walk = func(i, d int) int {
+		n := t.nodes[i]
+		if n.feature < 0 {
+			return d
+		}
+		l := walk(n.left, d+1)
+		r := walk(n.right, d+1)
+		if l > r {
+			return l
+		}
+		return r
+	}
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return walk(0, 0)
 }

@@ -37,9 +37,6 @@ type Config struct {
 	// StragglerFactor flags a running run as a straggler when its elapsed
 	// time exceeds factor × median(completed run durations). Default 3.
 	StragglerFactor float64
-	// MinCompleted is the number of completed runs required before the
-	// median is trusted for straggler detection and ETA. Default 3.
-	MinCompleted int
 	// StallWindow fires the stall alert when no event progress is observed
 	// for this long. Zero disables the watchdog. The window is measured on
 	// the monitor's clock — virtual time under a simulation.
@@ -52,9 +49,6 @@ type Config struct {
 	// over the ring's samples instead of deltas between consecutive Health
 	// evaluations (whose spacing is whatever the caller's poll loop does).
 	History *history.Ring
-	// RateWindow is the sliding window for History-backed rate() rules.
-	// Default 30s.
-	RateWindow time.Duration
 }
 
 // Straggler is a running run whose elapsed time dwarfs its completed
@@ -214,9 +208,6 @@ func New(cfg Config, reg *telemetry.Registry, log *eventlog.Log) *Monitor {
 	if cfg.StragglerFactor <= 0 {
 		cfg.StragglerFactor = 3
 	}
-	if cfg.MinCompleted <= 0 {
-		cfg.MinCompleted = 3
-	}
 	m := &Monitor{
 		cfg:       cfg,
 		reg:       reg,
@@ -241,13 +232,12 @@ func (m *Monitor) now() time.Time {
 	return m.log.Now()
 }
 
+// minCompleted is the number of completed runs required before the median
+// is trusted for straggler detection and ETA.
+const minCompleted = 3
+
 // rateWindow is the sliding window for History-backed rate() rules.
-func (m *Monitor) rateWindow() time.Duration {
-	if m.cfg.RateWindow > 0 {
-		return m.cfg.RateWindow
-	}
-	return 30 * time.Second
-}
+const rateWindow = 30 * time.Second
 
 // unitID extracts the work-unit identifier from an event — savanna runs
 // and tabular tasks are both units of campaign progress.
@@ -500,7 +490,7 @@ func (m *Monitor) Health() CampaignHealth {
 			h.ThroughputPerSec = float64(h.Completed) / elapsed
 		}
 	}
-	if remaining := h.TotalRuns - h.Completed; h.TotalRuns > 0 && !h.Aborted && h.Completed >= m.cfg.MinCompleted && h.ThroughputPerSec > 0 {
+	if remaining := h.TotalRuns - h.Completed; h.TotalRuns > 0 && !h.Aborted && h.Completed >= minCompleted && h.ThroughputPerSec > 0 {
 		if remaining > 0 {
 			h.HasETA = true
 			h.ETASeconds = float64(remaining) / h.ThroughputPerSec
@@ -512,7 +502,7 @@ func (m *Monitor) Health() CampaignHealth {
 	// Straggler detection: running runs measured against the median of
 	// completed executed siblings. Needs a trustworthy sample.
 	h.MedianRunSeconds = median(m.durs)
-	if len(m.durs) >= m.cfg.MinCompleted && h.MedianRunSeconds > 0 {
+	if len(m.durs) >= minCompleted && h.MedianRunSeconds > 0 {
 		for id, st := range m.runs {
 			elapsed := now.Sub(st.start).Seconds()
 			if elapsed > m.cfg.StragglerFactor*h.MedianRunSeconds {

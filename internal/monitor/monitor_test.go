@@ -406,8 +406,7 @@ func TestRateRuleUsesHistoryWindow(t *testing.T) {
 		Rules: []Rule{
 			{Name: "burst", Metric: "savanna.runs_failed_total", Predicate: Above, Threshold: 0.5, Rate: true},
 		},
-		History:    ring,
-		RateWindow: 30 * time.Second,
+		History: ring,
 	}, reg, log)
 
 	burst := func(h CampaignHealth) AlertState {

@@ -234,7 +234,7 @@ func (m *Monitor) evalRuleLocked(r Rule, snap telemetry.MetricsSnapshot, now tim
 		// the window's endpoints, not whatever happened to elapse between two
 		// Health calls. Fall through to the between-eval estimate only while
 		// the ring has too few samples to answer.
-		if rate, ok := m.cfg.History.RateOver(r.Metric, m.rateWindow()); ok {
+		if rate, ok := m.cfg.History.RateOver(r.Metric, rateWindow); ok {
 			return rate, true
 		}
 	}

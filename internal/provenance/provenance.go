@@ -78,24 +78,11 @@ type Resources struct {
 	MaxRSSBytes      int64   `json:"max_rss_bytes,omitempty"`
 }
 
-// CPUSeconds is the total CPU time, user plus system.
-func (r Resources) CPUSeconds() float64 {
-	return r.CPUUserSeconds + r.CPUSystemSeconds
-}
-
 // Annotation is one tagged provenance fact.
 type Annotation struct {
 	Key         string      `json:"key"`
 	Value       string      `json:"value"`
 	Sensitivity Sensitivity `json:"sensitivity"`
-}
-
-// Duration returns the execution wall time (zero while running).
-func (r Record) Duration() time.Duration {
-	if r.End.IsZero() {
-		return 0
-	}
-	return r.End.Sub(r.Start)
 }
 
 // Validate checks structural invariants.
@@ -153,38 +140,6 @@ func (s *Store) Append(r Record) error {
 	return nil
 }
 
-// Close transitions a running record to a terminal status, setting its end
-// time and exit code. Closing a non-running record is an error — provenance
-// is otherwise immutable.
-func (s *Store) Close(id string, status Status, end time.Time, exitCode int) error {
-	if status == StatusRunning {
-		return fmt.Errorf("provenance: cannot close %s to running", id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.records[id]
-	if !ok {
-		return fmt.Errorf("provenance: unknown record %s", id)
-	}
-	if r.Status != StatusRunning {
-		return fmt.Errorf("provenance: record %s already terminal (%s)", id, r.Status)
-	}
-	r.Status, r.End, r.ExitCode = status, end, exitCode
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	s.records[id] = r
-	return nil
-}
-
-// Get returns a record by ID.
-func (s *Store) Get(id string) (Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.records[id]
-	return r, ok
-}
-
 // Len reports the number of stored records.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -192,15 +147,9 @@ func (s *Store) Len() int {
 	return len(s.records)
 }
 
-// Query selects records. Zero-valued fields match everything.
+// Query selects records: an empty CampaignID matches every campaign.
 type Query struct {
-	Component  string
 	CampaignID string
-	Status     Status
-	// SweepPoint entries must all match the record's sweep point.
-	SweepPoint map[string]string
-	// Since filters to records starting at or after the instant.
-	Since time.Time
 }
 
 // Select returns matching records in insertion order. This is the
@@ -210,27 +159,7 @@ func (s *Store) Select(q Query) []Record {
 	defer s.mu.RUnlock()
 	var out []Record
 	for _, id := range s.order {
-		r := s.records[id]
-		if q.Component != "" && r.Component != q.Component {
-			continue
-		}
-		if q.CampaignID != "" && r.CampaignID != q.CampaignID {
-			continue
-		}
-		if q.Status != "" && r.Status != q.Status {
-			continue
-		}
-		if !q.Since.IsZero() && r.Start.Before(q.Since) {
-			continue
-		}
-		match := true
-		for k, v := range q.SweepPoint {
-			if r.SweepPoint[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
+		if r := s.records[id]; q.CampaignID == "" || r.CampaignID == q.CampaignID {
 			out = append(out, r)
 		}
 	}

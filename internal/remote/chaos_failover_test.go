@@ -82,7 +82,7 @@ func failoverCoordinatorMain() int {
 		Holder:   holder,
 		Resume:   true,
 		Standby:  os.Getenv("FAILOVER_STANDBY") == "1",
-		LeaseTTL: ttl, TakeoverPoll: ttl / 8,
+		LeaseTTL: ttl,
 		AutoSync: 16,
 	})
 
@@ -209,7 +209,6 @@ func TestCoordinatorFailoverChaos(t *testing.T) {
 		w := &Worker{Name: name, Dial: dial,
 			Executor: failoverPayload(remoteOut, &execs, hook),
 			Slots:    2, Heartbeat: 50 * time.Millisecond,
-			ReconnectBase: 20 * time.Millisecond, ReconnectMax: 250 * time.Millisecond,
 			ReconnectWait: 60 * time.Second,
 			Tracer:        telemetry.NewTracer(),
 			Metrics:       telemetry.NewRegistry(),

@@ -30,11 +30,9 @@ import (
 // executors, so any of them can die (lease expiry re-dispatches their runs)
 // and new ones can join mid-campaign.
 type Engine struct {
-	// Listener, when non-nil, is the pre-bound control listener (lets tests
-	// and CLIs bind ":0" and learn the port before starting the campaign).
+	// Listener is the bound control listener (callers bind ":0" to learn
+	// the port before starting the campaign). RunCampaign closes it.
 	Listener net.Listener
-	// Addr is the listen address when Listener is nil (e.g. ":7171").
-	Addr string
 	// BatchSize is the most runs a worker holds at once (default 32): the
 	// first assignment fills it, then each result tops the worker up by one
 	// run, and the connection's writer merges top-ups queued together into
@@ -47,10 +45,6 @@ type Engine struct {
 	// and no live worker — covering both "no worker ever joined" and
 	// "every worker died and none returned" (default 60s).
 	WorkerWait time.Duration
-	// IOTimeout bounds each flush of a connection's writer and each idle
-	// connection read (default 2×LeaseTTL + 2s; heartbeats keep healthy
-	// connections warm). A worker that stops reading is ended by it.
-	IOTimeout time.Duration
 	// Epoch is this coordinator incarnation's fenced journal epoch
 	// (resilience.Journal.OpenEpoch). It stamps every outgoing message and
 	// the lease grant; workers reject traffic from lower epochs. 0 (the
@@ -134,8 +128,8 @@ func (e *Engine) telemetryInit() {
 }
 
 func (e *Engine) validate() error {
-	if e.Listener == nil && e.Addr == "" {
-		return fmt.Errorf("remote: engine needs a Listener or an Addr")
+	if e.Listener == nil {
+		return fmt.Errorf("remote: engine needs a Listener")
 	}
 	return e.Memo.Validate()
 }
@@ -151,9 +145,11 @@ func orDefault[T int | time.Duration](v, def T) T {
 func (e *Engine) batchSize() int            { return orDefault(e.BatchSize, 32) }
 func (e *Engine) leaseTTL() time.Duration   { return orDefault(e.LeaseTTL, 10*time.Second) }
 func (e *Engine) workerWait() time.Duration { return orDefault(e.WorkerWait, 60*time.Second) }
-func (e *Engine) ioTimeout() time.Duration {
-	return orDefault(e.IOTimeout, 2*e.leaseTTL()+2*time.Second)
-}
+
+// ioTimeout bounds each flush of a connection's writer and each idle
+// connection read: two lease TTLs and 2s, so heartbeats keep healthy
+// connections warm while a worker that stops reading is ended by it.
+func (e *Engine) ioTimeout() time.Duration { return 2*e.leaseTTL() + 2*time.Second }
 
 // wstate is one connected worker as the coordinator sees it.
 type wstate struct {
@@ -223,13 +219,6 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	rc := e.Resilience.Controller()
 
 	ln := e.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", e.Addr)
-		if err != nil {
-			return nil, resilience.CompletenessReport{}, fmt.Errorf("remote: listen: %w", err)
-		}
-	}
 	defer ln.Close()
 
 	e.gEpoch.Set(float64(e.Epoch))

@@ -33,14 +33,12 @@ type CoordinateConfig struct {
 	// Holder names this incarnation in epoch records and the lease file
 	// (default "coordinator").
 	Holder string
-	// Resume, Standby, LeaseTTL and TakeoverPoll are the claim's
-	// (savanna.ClaimConfig): Resume permits a journal with records, Standby
-	// waits for the active claim to go stale, LeaseTTL is the claim duration
-	// (default 3s) and TakeoverPoll paces a standby's staleness checks.
-	Resume       bool
-	Standby      bool
-	LeaseTTL     time.Duration
-	TakeoverPoll time.Duration
+	// Resume, Standby and LeaseTTL are the claim's (savanna.ClaimConfig):
+	// Resume permits a journal with records, Standby waits for the active
+	// claim to go stale and LeaseTTL is the claim duration (default 3s).
+	Resume   bool
+	Standby  bool
+	LeaseTTL time.Duration
 	// AutoSync is the journal's batched-fsync stride (default 32 appends;
 	// <0 disables). Batching bounds the window a power loss can erase
 	// without paying fsync latency on every record — a crash in the window
@@ -87,7 +85,7 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 	info.Holder = holder
 	claim, err := savanna.ClaimCampaign(ctx, savanna.ClaimConfig{
 		Journal: cfg.Journal, Holder: holder, LeaseTTL: cfg.LeaseTTL,
-		Standby: cfg.Standby, TakeoverPoll: cfg.TakeoverPoll, Resume: cfg.Resume,
+		Standby: cfg.Standby, Resume: cfg.Resume,
 		Dir: e.CampaignDir, Events: e.Events,
 	})
 	if err != nil {

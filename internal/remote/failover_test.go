@@ -171,8 +171,8 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 		t.Fatal("stale lease grant accepted")
 	}
 	c2.close()
-	if w.Epoch() != 5 {
-		t.Errorf("worker epoch = %d, want 5", w.Epoch())
+	if got := w.maxEpoch.Load(); got != 5 {
+		t.Errorf("worker epoch = %d, want 5", got)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 			}
 			return nil
 		}),
-		ReconnectBase: 10 * time.Millisecond, ReconnectWait: 10 * time.Second,
+		ReconnectWait: 10 * time.Second,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -314,7 +314,7 @@ func TestWorkerServeReconnectNoGoroutineLeak(t *testing.T) {
 	w := &Worker{
 		Name: "w0", Addr: fc.addr(), Slots: 2, Heartbeat: 10 * time.Millisecond,
 		Executor:      execFn(func(ctx context.Context, run cheetah.Run) error { return nil }),
-		ReconnectBase: 5 * time.Millisecond, ReconnectWait: 30 * time.Second,
+		ReconnectWait: 30 * time.Second,
 	}
 	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
@@ -378,7 +378,7 @@ func TestCoordinateStandbyTakeover(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		w := &Worker{Name: fmt.Sprintf("w%d", i), Addr: ln.Addr().String(), Slots: 2,
-			Heartbeat: 20 * time.Millisecond, ReconnectBase: 10 * time.Millisecond,
+			Heartbeat:     20 * time.Millisecond,
 			ReconnectWait: 20 * time.Second,
 			Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
 				atomic.AddInt64(&executed, 1)
@@ -393,7 +393,7 @@ func TestCoordinateStandbyTakeover(t *testing.T) {
 	_, report, info, err := Coordinate(context.Background(), CoordinateConfig{
 		Engine: e, Campaign: "standby", Runs: runs, Journal: jpath,
 		Holder: "standby", Standby: true,
-		LeaseTTL: 150 * time.Millisecond, TakeoverPoll: 20 * time.Millisecond,
+		LeaseTTL: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +429,9 @@ func TestCoordinateRefusesDirtyJournalWithoutResume(t *testing.T) {
 	j, _ := resilience.OpenJournal(jpath)
 	j.Append(resilience.AttemptRecord{Run: "r1", Attempt: 1, Event: resilience.AttemptSuccess, Time: time.Now()})
 	j.Close()
-	e := &Engine{Addr: "127.0.0.1:0"}
+	ln := listen(t)
+	defer ln.Close()
+	e := &Engine{Listener: ln}
 	_, _, _, err := Coordinate(context.Background(), CoordinateConfig{
 		Engine: e, Campaign: "dirty", Runs: testRuns(2), Journal: jpath,
 	})

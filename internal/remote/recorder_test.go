@@ -156,7 +156,7 @@ func TestCrashBetweenSinks(t *testing.T) {
 			ln1 := listen(t)
 			addr.Store(ln1.Addr().String())
 			w := &Worker{Name: "w0", Slots: 2, Heartbeat: 20 * time.Millisecond,
-				ReconnectBase: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond, ReconnectWait: 20 * time.Second,
+				ReconnectWait: 20 * time.Second,
 				Dial: func() (net.Conn, error) {
 					nc, err := net.Dial("tcp", addr.Load().(string))
 					if err != nil {

@@ -13,17 +13,17 @@ import "sync"
 // the successor — but the eviction is counted, never silent.
 type outcomeSpool struct {
 	mu      sync.Mutex
-	limit   int
 	order   []string
 	byRun   map[string]Outcome
 	dropped int64
 }
 
-func newOutcomeSpool(limit int) *outcomeSpool {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &outcomeSpool{limit: limit, byRun: map[string]Outcome{}}
+// spoolLimit bounds the spool; overflow counts on
+// remote_worker.spool_dropped_total.
+const spoolLimit = 4096
+
+func newOutcomeSpool() *outcomeSpool {
+	return &outcomeSpool{byRun: map[string]Outcome{}}
 }
 
 // put buffers one outcome, returning how many entries were evicted to make
@@ -36,7 +36,7 @@ func (sp *outcomeSpool) put(out Outcome) int {
 	}
 	sp.byRun[out.RunID] = out
 	evicted := 0
-	for len(sp.order) > sp.limit {
+	for len(sp.order) > spoolLimit {
 		oldest := sp.order[0]
 		sp.order = sp.order[1:]
 		delete(sp.byRun, oldest)

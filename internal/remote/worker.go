@@ -39,8 +39,6 @@ type Worker struct {
 	Slots int
 	// Heartbeat overrides the renewal period (default: lease TTL / 3).
 	Heartbeat time.Duration
-	// IOTimeout bounds each flush of the connection's writer (default 10s).
-	IOTimeout time.Duration
 	// Cache, when set, gives the worker a memo recipe seeded from the lease
 	// grant: cache hits skip execution, and successful runs push their
 	// outputs (named by Collect) into the store so only digests travel back.
@@ -51,17 +49,9 @@ type Worker struct {
 
 	// ReconnectWait bounds Serve's patience: after this long without a
 	// successful attach it gives up and returns the last error (default
-	// 60s). ReconnectBase/ReconnectMax tune the decorrelated-jitter backoff
-	// between attempts (defaults 100ms / 5s); Sleep paces it (nil =
-	// resilience.StdSleeper).
+	// 60s). Between attempts Serve backs off with decorrelated jitter from
+	// reconnectBase up to reconnectMax.
 	ReconnectWait time.Duration
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
-	Sleep         resilience.Sleeper
-	// SpoolLimit bounds the unacknowledged-outcome spool (default 4096
-	// entries). Overflow evicts oldest — the run re-executes under the next
-	// coordinator — and counts on remote_worker.spool_dropped_total.
-	SpoolLimit int
 
 	Tracer  *telemetry.Tracer
 	Metrics *telemetry.Registry
@@ -114,19 +104,20 @@ func (w *Worker) telemetryInit() {
 	})
 }
 
+// The worker's fixed timings: workerIOTimeout bounds each flush of the
+// connection's writer; Serve's redial backoff starts at reconnectBase and
+// is capped at reconnectMax.
+const (
+	workerIOTimeout = 10 * time.Second
+	reconnectBase   = 100 * time.Millisecond
+	reconnectMax    = 5 * time.Second
+)
+
 func (w *Worker) slots() int                   { return orDefault(w.Slots, 1) }
-func (w *Worker) ioTimeout() time.Duration     { return orDefault(w.IOTimeout, 10*time.Second) }
 func (w *Worker) reconnectWait() time.Duration { return orDefault(w.ReconnectWait, 60*time.Second) }
 
-func (w *Worker) sleeper() resilience.Sleeper {
-	if w.Sleep != nil {
-		return w.Sleep
-	}
-	return resilience.StdSleeper
-}
-
 func (w *Worker) spoolInit() *outcomeSpool {
-	w.spoolOnce.Do(func() { w.spool = newOutcomeSpool(w.SpoolLimit) })
+	w.spoolOnce.Do(func() { w.spool = newOutcomeSpool() })
 	return w.spool
 }
 
@@ -136,9 +127,6 @@ func (w *Worker) SpoolDepth() int {
 	return w.spoolInit().depth()
 }
 
-// Epoch reports the highest coordinator epoch this worker has served.
-func (w *Worker) Epoch() int64 { return w.maxEpoch.Load() }
-
 // Serve runs campaign sessions until one drains cleanly (nil) or the
 // context ends, reconnecting through coordinator loss with
 // decorrelated-jitter backoff. Outcomes finished while disconnected sit in
@@ -147,13 +135,7 @@ func (w *Worker) Epoch() int64 { return w.maxEpoch.Load() }
 // attach, covering both "coordinator never came back" and "the address now
 // fences us out".
 func (w *Worker) Serve(ctx context.Context) error {
-	policy := resilience.RetryPolicy{BaseDelay: w.ReconnectBase, MaxDelay: w.ReconnectMax}
-	if policy.BaseDelay <= 0 {
-		policy.BaseDelay = 100 * time.Millisecond
-	}
-	if policy.MaxDelay <= 0 {
-		policy.MaxDelay = 5 * time.Second
-	}
+	policy := resilience.RetryPolicy{BaseDelay: reconnectBase, MaxDelay: reconnectMax}
 	// Deterministic per-worker jitter: a fleet restarting together still
 	// spreads its redials, and tests replay the exact schedule.
 	h := fnv.New64a()
@@ -179,7 +161,7 @@ func (w *Worker) Serve(ctx context.Context) error {
 		w.telemetryInit()
 		w.mReconnects.Inc()
 		prev = policy.Backoff(prev, rng)
-		if serr := w.sleeper()(ctx, prev); serr != nil {
+		if serr := resilience.StdSleeper(ctx, prev); serr != nil {
 			return err
 		}
 	}
@@ -230,7 +212,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("remote: dialing coordinator: %w", err)
 	}
-	c, err := newConn(nc, w.ioTimeout(), w.Metrics, "remote_worker")
+	c, err := newConn(nc, workerIOTimeout, w.Metrics, "remote_worker")
 	if err != nil {
 		nc.Close()
 		return err

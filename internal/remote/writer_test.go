@@ -355,8 +355,9 @@ func TestWriterStalledPeer(t *testing.T) {
 	ln := listen(t)
 	addr := ln.Addr().String()
 	events := eventlog.NewLog()
-	e := &Engine{Listener: smallSendBuffer{ln}, BatchSize: batch, LeaseTTL: 10 * time.Second,
-		IOTimeout: 2 * time.Second, Events: events}
+	// LeaseTTL 1s puts the write deadline at 4s (2×TTL + 2s); the stalled
+	// worker's 50ms heartbeats keep its lease and its reads alive.
+	e := &Engine{Listener: smallSendBuffer{ln}, BatchSize: batch, LeaseTTL: time.Second, Events: events}
 	// Runs heavy enough that one batch (512 KiB) overflows the socket
 	// buffers, light enough that the healthy worker's share takes a small
 	// fraction of the write deadline even under the race detector.

@@ -284,7 +284,7 @@ func TestWaitFileLeaseStale(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := resilienceWaitStale(ctx, path, 80*time.Millisecond, 10*time.Millisecond); err != nil {
+	if err := WaitFileLeaseStale(ctx, path, 80*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if e := time.Since(start); e < 40*time.Millisecond {
@@ -293,7 +293,7 @@ func TestWaitFileLeaseStale(t *testing.T) {
 	// Missing file: stale only after a full TTL of observation.
 	missing := filepath.Join(t.TempDir(), "never.lease")
 	start = time.Now()
-	if err := resilienceWaitStale(ctx, missing, 60*time.Millisecond, 10*time.Millisecond); err != nil {
+	if err := WaitFileLeaseStale(ctx, missing, 60*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if e := time.Since(start); e < 50*time.Millisecond {
@@ -303,10 +303,7 @@ func TestWaitFileLeaseStale(t *testing.T) {
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
 	l2, _ := AcquireFileLease(filepath.Join(t.TempDir(), "x.lease"), "h", time.Hour)
-	if err := resilienceWaitStale(cctx, l2.path, time.Hour, 10*time.Millisecond); err == nil {
+	if err := WaitFileLeaseStale(cctx, l2.path, time.Hour); err == nil {
 		t.Fatal("cancelled wait returned nil")
 	}
 }
-
-// resilienceWaitStale aliases the exported helper (keeps call sites short).
-var resilienceWaitStale = WaitFileLeaseStale

@@ -144,19 +144,13 @@ func (l *FileLease) Release() error {
 }
 
 // WaitFileLeaseStale blocks until the lease file's claim is stale — the
-// standby's takeover trigger. A missing file counts as stale only after a
-// full ttl of observation (covering the startup race where the standby
-// polls before the primary's first claim lands). Returns ctx.Err() on
-// cancellation.
-func WaitFileLeaseStale(ctx context.Context, path string, ttl, poll time.Duration) error {
-	if poll <= 0 {
-		poll = ttl / 4
-	}
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
+// standby's takeover trigger — checking every ttl/4, and at most once a
+// millisecond. A missing file counts as stale only after a full ttl of
+// observation (covering the startup race where the standby polls before
+// the primary's first claim lands). Returns ctx.Err() on cancellation.
+func WaitFileLeaseStale(ctx context.Context, path string, ttl time.Duration) error {
 	var missingSince time.Time
-	t := time.NewTicker(poll)
+	t := time.NewTicker(max(ttl/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		st, ok, err := ReadFileLease(path)

@@ -73,16 +73,6 @@ func (q *Quarantine) NoteSuccess(key string) {
 	q.mu.Unlock()
 }
 
-// Quarantined reports whether the point is side-lined.
-func (q *Quarantine) Quarantined(key string) bool {
-	if q == nil {
-		return false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.out[key]
-}
-
 // List returns the quarantined point keys, sorted.
 func (q *Quarantine) List() []string {
 	if q == nil {

@@ -12,20 +12,18 @@ import (
 )
 
 // ClaimConfig is what an incarnation takes its campaign with. Standby waits
-// for the active claim to go stale, polling every TakeoverPoll (default
-// TTL/4), and implies Resume. Without Resume a journal that has records is
+// for the active claim to go stale, polling every TTL/4, and implies Resume. Without Resume a journal that has records is
 // refused: re-using a finished campaign's ledger by accident should be loud.
 // Dir is the campaign directory whose status log is reconciled, Events where
 // a failed reconcile and a lost claim are said.
 type ClaimConfig struct {
-	Journal      string        // the attempt journal; the claim file is Journal + ".lease"
-	Holder       string        // names the incarnation in the claim file and its epoch record
-	LeaseTTL     time.Duration // claim duration (default 3s); Hold renews at TTL/3
-	Standby      bool
-	TakeoverPoll time.Duration
-	Resume       bool
-	Dir          string
-	Events       *eventlog.Log
+	Journal  string        // the attempt journal; the claim file is Journal + ".lease"
+	Holder   string        // names the incarnation in the claim file and its epoch record
+	LeaseTTL time.Duration // claim duration (default 3s); Hold renews at TTL/3
+	Standby  bool
+	Resume   bool
+	Dir      string
+	Events   *eventlog.Log
 }
 
 // Claim is one incarnation's hold on a campaign: the claim file, and the
@@ -56,7 +54,7 @@ func ClaimCampaign(ctx context.Context, cfg ClaimConfig) (_ *Claim, err error) {
 	}
 	leaseFile := cfg.Journal + ".lease"
 	if cfg.Standby {
-		if err := resilience.WaitFileLeaseStale(ctx, leaseFile, cfg.LeaseTTL, cfg.TakeoverPoll); err != nil {
+		if err := resilience.WaitFileLeaseStale(ctx, leaseFile, cfg.LeaseTTL); err != nil {
 			return nil, err
 		}
 	}

@@ -192,7 +192,7 @@ func (lc *Lifecycle) Admit(r *RunState, g *Group, worker string) bool {
 	if lc.Controller.Quarantine().Allow(r.point) {
 		return true
 	}
-	lc.quarantine(r, g, worker, nil)
+	lc.quarantine(r, g, worker, "", nil)
 	return false
 }
 
@@ -253,7 +253,7 @@ func (lc *Lifecycle) Settle(r *RunState, g *Group, o AttemptResult, halted bool)
 	}
 	lc.journal(g, r, r.Result.Attempts, resilience.AttemptFailure, o.Worker, o.Class, o.Err)
 	if q.NoteFailure(r.point) {
-		lc.quarantine(r, g, o.Worker, o.Err)
+		lc.quarantine(r, g, o.Worker, o.Class, o.Err)
 		return Decision{Terminal: true}
 	}
 	if !o.Class.Retryable() || r.Result.Attempts >= lc.Controller.Attempts() || halted {
@@ -322,13 +322,14 @@ func (lc *Lifecycle) end(r *RunState, g *Group, o AttemptResult) {
 }
 
 // quarantine ends a run whose sweep point is side-lined: at the gate (cause
-// nil, no attempt spent on it) or by the failure that tripped the breaker.
-func (lc *Lifecycle) quarantine(r *RunState, g *Group, worker string, cause error) {
+// nil and no class, no attempt spent on it) or by the failure that tripped
+// the breaker, whose class the engine reported with it.
+func (lc *Lifecycle) quarantine(r *RunState, g *Group, worker string, class resilience.Class, cause error) {
 	r.Result.Err = "sweep point " + r.point + " quarantined"
 	if cause != nil {
 		r.Result.Err = cause.Error()
 	}
-	lc.journal(g, r, r.Result.Attempts, resilience.AttemptQuarantined, worker, resilience.Classify(cause), cause)
+	lc.journal(g, r, r.Result.Attempts, resilience.AttemptQuarantined, worker, class, cause)
 	g.Status(r.Result.Run.ID, cheetah.RunFailed)
 	r.Result.Status = provenance.StatusFailed
 	r.Result.Quarantined = true

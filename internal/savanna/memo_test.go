@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -370,16 +371,13 @@ func TestMemoRecipeDigestPinned(t *testing.T) {
 
 // BenchmarkMemoLookupHit prices one warm hit as the engines pay it: the
 // recipe digest, the action-cache read and a Restore that materializes the
-// output into an existing directory — its link is the existence check.
-// Every iteration adds a hard link to the one object; past the filesystem's
-// cap (65,000 on ext4) link(2) fails and Materialize copies instead, so
-// compare runs at a fixed -benchtime below it (50000x).
+// output into an existing directory — its link is the existence check. The
+// hits cycle over memoBenchRuns recorded runs with distinct objects, so no
+// object nears a filesystem's hard-link cap (65,000 on ext4, past which
+// Materialize copies) at any -benchtime a run can reach.
 func BenchmarkMemoLookupHit(b *testing.B) {
+	const memoBenchRuns = 128
 	dir := b.TempDir()
-	src := filepath.Join(dir, "out.bin")
-	if err := os.WriteFile(src, bytes.Repeat([]byte{7}, 4096), 0o644); err != nil {
-		b.Fatal(err)
-	}
 	store, err := cas.Open(filepath.Join(dir, "cas"))
 	if err != nil {
 		b.Fatal(err)
@@ -389,10 +387,21 @@ func BenchmarkMemoLookupHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	memo := &Memo{Cache: cache, ComponentDigest: "sha256:model-v1",
-		Collect: func(cheetah.Run) (map[string]string, error) { return map[string]string{"out": src}, nil }}
-	run := cheetah.Run{ID: "g/s/run-0", Params: map[string]string{"alpha": "0.5", "n": "17", "seed": "3"}}
-	if _, err := memo.Record(run); err != nil {
-		b.Fatal(err)
+		Collect: func(run cheetah.Run) (map[string]string, error) {
+			return map[string]string{"out": filepath.Join(dir, run.Params["seed"]+".bin")}, nil
+		}}
+	runs := make([]cheetah.Run, memoBenchRuns)
+	for k := range runs {
+		seed := strconv.Itoa(k)
+		out := bytes.Repeat([]byte{7}, 4096)
+		copy(out, seed)
+		if err := os.WriteFile(filepath.Join(dir, seed+".bin"), out, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		runs[k] = cheetah.Run{ID: "g/s/run-" + seed, Params: map[string]string{"alpha": "0.5", "n": "17", "seed": seed}}
+		if _, err := memo.Record(runs[k]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	restoreDir := filepath.Join(dir, "restore")
 	if err := os.Mkdir(restoreDir, 0o755); err != nil {
@@ -406,7 +415,7 @@ func BenchmarkMemoLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, ok := memo.Lookup(run); !ok {
+		if _, ok := memo.Lookup(runs[n%memoBenchRuns]); !ok {
 			b.Fatal("miss on a recorded run")
 		}
 	}

@@ -30,12 +30,10 @@ type ProcessExecutor struct {
 	// (WorkRoot/<run id>). Empty runs in the current directory.
 	WorkRoot string
 	// Timeout bounds each process (0 = no limit) — the per-run walltime.
+	// Each process inherits the environment plus its sweep parameters as
+	// SWEEP_<NAME>, RUN_ID, and, when the attempt context carries an active
+	// telemetry span, its traceparent encoding as TRACEPARENT.
 	Timeout time.Duration
-	// Env appends environment variables ("K=V") to the inherited set;
-	// sweep parameters are also exported as SWEEP_<NAME>, and when the
-	// attempt context carries an active telemetry span its traceparent
-	// encoding is exported as TRACEPARENT.
-	Env []string
 }
 
 // Substitute expands {param} placeholders in one template string.
@@ -111,7 +109,7 @@ func (p *ProcessExecutor) ExecuteContext(ctx context.Context, run cheetah.Run) e
 		cmd.Stdout, cmd.Stderr = stdout, stderr
 	}
 
-	env := append(os.Environ(), p.Env...)
+	env := os.Environ()
 	for k, v := range run.Params {
 		env = append(env, "SWEEP_"+strings.ToUpper(k)+"="+v)
 	}

@@ -185,33 +185,6 @@ func TestLocalEngineCachedRunStatus(t *testing.T) {
 	}
 }
 
-// TestLocalEngineLegacyDirectory: an engine running two runs of a
-// parent-format directory (a status file per run, no log) logs those two;
-// the rest still answer from their files.
-func TestLocalEngineLegacyDirectory(t *testing.T) {
-	dir, m, _ := statusCampaign(t, 6)
-	for i, run := range m.Runs {
-		st := cheetah.RunPending
-		if i == 5 {
-			st = cheetah.RunFailed
-		}
-		if err := os.WriteFile(filepath.Join(dir, run.ID, "status"), []byte(st), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := &LocalEngine{Executor: okExecutor(), Workers: 2, CampaignDir: dir}
-	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs[:2]); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := cheetah.Status(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.ByStatus[cheetah.RunSucceeded] != 2 || sum.ByStatus[cheetah.RunPending] != 3 || sum.ByStatus[cheetah.RunFailed] != 1 {
-		t.Fatalf("mixed directory: %+v", sum)
-	}
-}
-
 // TestStatusWriteFailureWarnsOnce: with the status log unwritable (every
 // append fails with ENOSPC, the closing fsync with EIO) the campaign still
 // completes and the journal is whole — and the failure is said once per kind,

@@ -14,7 +14,6 @@ import (
 	"fairflow/internal/resilience"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
-	"fairflow/internal/telemetry/history"
 )
 
 // DurationModel predicts the execution time of a run on the simulated
@@ -96,15 +95,6 @@ type SimEngine struct {
 	// and before the simulation drains — the hook for scheduling mid-sim
 	// observations (e.g. recurring monitor.Health evaluations) on the sim.
 	Probe func(*hpcsim.Sim, *hpcsim.Cluster)
-	// History, when non-nil, records registry snapshots in virtual time: the
-	// engine points the ring's clock at the simulation and samples at run
-	// completions, throttled to HistoryInterval, so a campaign simulated in
-	// milliseconds still yields a metric time series spanning its simulated
-	// hours.
-	History *history.Ring
-	// HistoryInterval is the minimum virtual time between History samples.
-	// Default 1s.
-	HistoryInterval time.Duration
 
 	// clockBase accumulates virtual seconds across allocations so each
 	// fresh Sim (which starts at 0) continues the campaign's timeline.
@@ -166,7 +156,7 @@ func (e *SimEngine) rng(run cheetah.Run, attempt int) *rand.Rand {
 	return rand.New(rand.NewSource(e.Seed ^ int64(h.Sum64()) ^ int64(attempt)*1_000_003))
 }
 
-// setVirtualClock points the engine's tracer, event log and history — and the
+// setVirtualClock points the engine's tracer and event log — and the
 // journal stamps of the lifecycle installed, if one is — at the virtual
 // instant now() seconds past the epoch.
 func (e *SimEngine) setVirtualClock(now func() float64) {
@@ -175,22 +165,9 @@ func (e *SimEngine) setVirtualClock(now func() float64) {
 	})
 	e.Tracer.SetClock(at)
 	e.Events.SetClock(at)
-	e.History.SetClock(at)
 	if e.lc != nil {
 		e.lc.Controller.SetNow(at)
 	}
-}
-
-// sampleHistory throttle-samples the history ring in virtual time.
-func (e *SimEngine) sampleHistory() {
-	if e.History == nil {
-		return
-	}
-	min := e.HistoryInterval
-	if min <= 0 {
-		min = time.Second
-	}
-	e.History.SampleEvery(min)
 }
 
 // runDuration derives the deterministic duration of a run.
@@ -371,10 +348,6 @@ func (e *SimEngine) startSimRun(ctx context.Context, a *hpcsim.Allocation, st *a
 	e.rec.Post(&e.group)
 	var task *hpcsim.Task
 	task, err := a.RunTask(run.ID, nid, dur, func(ok bool) {
-		// Every attempt completion is a history sampling opportunity; the
-		// ring throttles to its virtual-time cadence. Deferred so the sample
-		// sees this attempt's counter updates.
-		defer e.sampleHistory()
 		// Kick on every outcome: after a node failure the allocation lives on
 		// degraded and other idle nodes should pick the run back up.
 		defer st.kick()

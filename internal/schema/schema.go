@@ -173,16 +173,6 @@ func (r *Registry) Lookup(id string) (Format, bool) {
 	return f, ok
 }
 
-// Formats lists all registered format IDs in sorted order.
-func (r *Registry) Formats() []string {
-	out := make([]string, 0, len(r.formats))
-	for id := range r.formats {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddConverter registers a direct conversion edge. Both endpoints must be
 // registered formats.
 func (r *Registry) AddConverter(c Converter) error {

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 	if !ok || got.Name != "bed" {
 		t.Fatalf("lookup = %+v, %v", got, ok)
 	}
-	if ids := r.Formats(); len(ids) != 1 || ids[0] != "bed@v1" {
+	if ids := formatIDs(r); len(ids) != 1 || ids[0] != "bed@v1" {
 		t.Fatalf("Formats = %v", ids)
 	}
 }
@@ -186,7 +187,7 @@ func TestAddConverterRequiresEndpoints(t *testing.T) {
 func TestPlanConversionCostNeverNegativeAndDeterministic(t *testing.T) {
 	r := buildChainRegistry(t)
 	f := func(pick uint8) bool {
-		ids := r.Formats()
+		ids := formatIDs(r)
 		from := ids[int(pick)%len(ids)]
 		for _, to := range ids {
 			p1, err1 := r.PlanConversion(from, to)
@@ -205,4 +206,14 @@ func TestPlanConversionCostNeverNegativeAndDeterministic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// formatIDs lists all registered format IDs in sorted order.
+func formatIDs(r *Registry) []string {
+	out := make([]string, 0, len(r.formats))
+	for id := range r.formats {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
 }

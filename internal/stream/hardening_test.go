@@ -85,7 +85,7 @@ func TestServerHandshakeDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Timeout = 100 * time.Millisecond
+	srv.timeout = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

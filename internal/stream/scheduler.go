@@ -8,9 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"fairflow/internal/telemetry"
-	"fairflow/internal/telemetry/eventlog"
 )
 
 // PunctuationOp enumerates control-channel operations. Punctuation signals
@@ -61,20 +58,13 @@ type VirtualQueueInfo struct {
 	Forwarded int64
 }
 
-// virtualQueue pairs a policy with delivery state. The telemetry counters
-// live on the queue itself (resolved once at install or SetMetrics time) so
-// the per-item ingest path never takes the registry lock; nil counters
-// swallow updates.
+// virtualQueue pairs a policy with delivery state.
 type virtualQueue struct {
 	name      string
 	policy    Policy
 	active    bool
 	admitted  int64
 	forwarded int64
-
-	mAdmitted  *telemetry.Counter
-	mForwarded *telemetry.Counter
-	mAbsorbed  *telemetry.Counter
 }
 
 // Scheduler is the data-scheduling component of the collection/selection/
@@ -93,59 +83,12 @@ type Scheduler struct {
 	// to goroutine-local use without re-copying per Ingest — the hot path
 	// never allocates for consumer fan-out.
 	consumers []Consumer
-
-	// metrics, when non-nil, labels per-queue counters; queues installed
-	// after SetMetrics are wired automatically.
-	metrics *telemetry.Registry
-	mMarks  *telemetry.Counter
-	// events, when non-nil, journals punctuation commands ("queue.<op>").
-	events *eventlog.Log
 }
 
 // NewScheduler returns a scheduler with no queues; a freshly generated
 // deployment typically installs ForwardAll as its initial policy.
 func NewScheduler() *Scheduler {
 	return &Scheduler{queues: map[string]*virtualQueue{}}
-}
-
-// SetMetrics registers the scheduler's instruments in reg and starts feeding
-// them: stream.items_admitted_total / items_forwarded_total /
-// items_absorbed_total, labelled {queue, policy} per virtual queue, plus
-// stream.marks_total. Absorbed counts items a policy held back (or dropped)
-// at admission; a later flush/select release counts them forwarded. Queues
-// already installed are wired retroactively; future installs wire
-// automatically. A nil registry is a no-op.
-func (s *Scheduler) SetMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = reg
-	s.mMarks = reg.Counter("stream.marks_total")
-	for _, q := range s.queues {
-		s.wireQueue(q)
-	}
-}
-
-// SetEvents journals punctuation commands into l as "queue.<op>" events
-// (nil turns journaling off). Data items are not journaled — they are the
-// hot path; the control channel is the story worth keeping.
-func (s *Scheduler) SetEvents(l *eventlog.Log) {
-	s.mu.Lock()
-	s.events = l
-	s.mu.Unlock()
-}
-
-// wireQueue resolves one queue's counters; callers hold mu.
-func (s *Scheduler) wireQueue(q *virtualQueue) {
-	if s.metrics == nil {
-		return
-	}
-	labels := []string{"queue", q.name, "policy", q.policy.Name()}
-	q.mAdmitted = s.metrics.Counter("stream.items_admitted_total", labels...)
-	q.mForwarded = s.metrics.Counter("stream.items_forwarded_total", labels...)
-	q.mAbsorbed = s.metrics.Counter("stream.items_absorbed_total", labels...)
 }
 
 // Subscribe registers a consumer for all queues' forwarded items. The
@@ -174,7 +117,6 @@ func (s *Scheduler) Ingest(it Item) {
 		items []Item
 	}
 	s.mu.Lock()
-	events := s.events
 	// First forwarding queue is kept inline; a spill slice is only
 	// allocated when two or more queues forward on the same item.
 	var first delivery
@@ -185,20 +127,12 @@ func (s *Scheduler) Ingest(it Item) {
 			continue
 		}
 		q.admitted++
-		q.mAdmitted.Inc()
 		if out := q.policy.Admit(it); len(out) > 0 {
 			q.forwarded += int64(len(out))
-			q.mForwarded.Add(int64(len(out)))
 			if first.items == nil {
 				first = delivery{name, out}
 			} else {
 				spill = append(spill, delivery{name, out})
-			}
-		} else {
-			q.mAbsorbed.Inc()
-			if events.Enabled(eventlog.Debug) {
-				events.Append(eventlog.Debug, eventlog.QueueAbsorbed, "", 0,
-					telemetry.String("queue", name), telemetry.Int("seq", int(it.Seq)))
 			}
 		}
 	}
@@ -225,17 +159,14 @@ func (s *Scheduler) Ingest(it Item) {
 }
 
 // Punctuate applies one control message. Unknown queues are an error except
-// for OpMark, which is queue-independent.
+// for OpMark, which is queue-independent and changes no queue.
 func (s *Scheduler) Punctuate(cmd Punctuation) error {
 	s.mu.Lock()
-	events := s.events
 	var released []Item
 	var queueName string
 	switch cmd.Op {
 	case OpMark:
-		s.mMarks.Inc()
 		s.mu.Unlock()
-		events.Append(eventlog.Info, "queue."+string(OpMark), cmd.Label, 0)
 		return nil
 	case OpInstall:
 		if cmd.Queue == "" || cmd.Policy == nil {
@@ -246,13 +177,9 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 			s.mu.Unlock()
 			return fmt.Errorf("stream: queue %q already installed", cmd.Queue)
 		}
-		q := &virtualQueue{name: cmd.Queue, policy: cmd.Policy, active: true}
-		s.wireQueue(q)
-		s.queues[cmd.Queue] = q
+		s.queues[cmd.Queue] = &virtualQueue{name: cmd.Queue, policy: cmd.Policy, active: true}
 		s.order = append(s.order, cmd.Queue)
 		s.mu.Unlock()
-		events.Append(eventlog.Info, "queue."+string(OpInstall), "", 0,
-			telemetry.String("queue", cmd.Queue), telemetry.String("policy", cmd.Policy.Name()))
 		return nil
 	default:
 		q, ok := s.queues[cmd.Queue]
@@ -269,7 +196,6 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 		case OpRemove:
 			released = q.policy.Flush()
 			q.forwarded += int64(len(released))
-			q.mForwarded.Add(int64(len(released)))
 			delete(s.queues, cmd.Queue)
 			for i, n := range s.order {
 				if n == cmd.Queue {
@@ -280,11 +206,9 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 		case OpFlush:
 			released = q.policy.Flush()
 			q.forwarded += int64(len(released))
-			q.mForwarded.Add(int64(len(released)))
 		case OpSelect:
 			released = q.policy.Control(cmd)
 			q.forwarded += int64(len(released))
-			q.mForwarded.Add(int64(len(released)))
 		default:
 			s.mu.Unlock()
 			return fmt.Errorf("stream: unknown punctuation op %q", cmd.Op)
@@ -293,8 +217,6 @@ func (s *Scheduler) Punctuate(cmd Punctuation) error {
 	consumers := s.consumers // copy-on-write: safe to use after unlock
 	s.mu.Unlock()
 
-	events.Append(eventlog.Info, "queue."+string(cmd.Op), "", 0,
-		telemetry.String("queue", queueName), telemetry.Int("released", len(released)))
 	for _, c := range consumers {
 		for _, it := range released {
 			c(queueName, it)
@@ -347,23 +269,4 @@ func ApplyPunctuationScript(r io.Reader, s *Scheduler) (int, error) {
 		applied++
 	}
 	return applied, sc.Err()
-}
-
-// Replay decodes an FBS stream and ingests every item into the scheduler —
-// the file-based re-run path: a captured instrument stream can be pushed
-// back through a (re)configured workflow graph. Returns the item count.
-func Replay(r io.Reader, s *Scheduler) (int, error) {
-	dec := NewDecoder(r)
-	n := 0
-	for {
-		it, err := dec.Decode()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		s.Ingest(it)
-		n++
-	}
 }

@@ -1,11 +1,10 @@
 package stream
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"fairflow/internal/telemetry"
 )
 
 func intSchema() *Schema {
@@ -284,15 +283,18 @@ func TestSchedulerRemoveFlushesDownstream(t *testing.T) {
 	}
 }
 
+// TestSchedulerMarks: a mark needs no queue and changes none.
 func TestSchedulerMarks(t *testing.T) {
 	s := NewScheduler()
-	reg := telemetry.NewRegistry()
-	s.SetMetrics(reg)
+	if err := s.Install("all", ForwardAll{}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Queues()
 	if err := s.Punctuate(Punctuation{Op: OpMark, Label: "group-1"}); err != nil {
 		t.Fatal(err)
 	}
-	if marks := reg.Counter("stream.marks_total").Value(); marks != 1 {
-		t.Fatalf("marks = %d", marks)
+	if after := s.Queues(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("mark changed the queues: %+v, was %+v", after, before)
 	}
 }
 

@@ -316,7 +316,7 @@ func TestExecuteRaggedPlanEndToEnd(t *testing.T) {
 	if rows != 7 {
 		t.Fatalf("rows = %d, want 7 (longest column)", rows)
 	}
-	got, err := ReadAll(final, Options{})
+	got, err := readAll(final, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

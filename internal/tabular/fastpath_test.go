@@ -170,7 +170,7 @@ func TestCountColumnsAndReadAllLongLines(t *testing.T) {
 	if cols != 2 {
 		t.Fatalf("CountColumns = %d, want 2", cols)
 	}
-	rows, err := ReadAll(path, Options{})
+	rows, err := readAll(path, Options{})
 	if err != nil {
 		t.Fatalf("ReadAll on >64KiB line: %v", err)
 	}

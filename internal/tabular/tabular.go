@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Options configures paste behaviour.
@@ -297,29 +296,4 @@ func WriteColumnBytes(path string, data []byte) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadAll reads a delimited file fully into rows of fields. Intended for
-// tests and small files; the paste path never materialises tables. Rows of
-// any byte length parse (pooled lineReader, no Scanner line-length cap).
-func ReadAll(path string, opts Options) ([][]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := getReader(f)
-	defer putReader(br)
-	lr := lineReader{br: br}
-	var rows [][]string
-	for {
-		line, ok, err := lr.next()
-		if err != nil {
-			return rows, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, strings.Split(string(line), opts.delimiter()))
-	}
 }

@@ -98,7 +98,7 @@ func TestPasteFilesAndHelpers(t *testing.T) {
 	if n, err := CountColumns(dst, Options{}); err != nil || n != 2 {
 		t.Fatalf("CountColumns=%d err=%v", n, err)
 	}
-	got, err := ReadAll(dst, Options{})
+	got, err := readAll(dst, Options{})
 	if err != nil || len(got) != 2 || got[0][0] != "r1" || got[1][1] != "s2" {
 		t.Fatalf("ReadAll=%v err=%v", got, err)
 	}
@@ -120,7 +120,7 @@ func TestWriteColumnRoundTrip(t *testing.T) {
 	if err := WriteColumn(p, []string{"1", "2", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadAll(p, Options{})
+	rows, err := readAll(p, Options{})
 	if err != nil || len(rows) != 3 || rows[2][0] != "3" {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -259,7 +259,7 @@ func TestExecuteTwoPhasePlanEndToEnd(t *testing.T) {
 	if rows != nRows {
 		t.Fatalf("rows = %d", rows)
 	}
-	got, err := ReadAll(final, Options{})
+	got, err := readAll(final, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,5 +308,29 @@ func TestExecutePropagatesErrors(t *testing.T) {
 	}
 	if _, err := plan.Execute(context.Background(), ExecOptions{}); err == nil {
 		t.Fatal("missing input did not fail execution")
+	}
+}
+
+// readAll reads a delimited file fully into rows of fields. Rows of any
+// byte length parse (pooled lineReader, no Scanner line-length cap).
+func readAll(path string, opts Options) ([][]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := getReader(f)
+	defer putReader(br)
+	lr := lineReader{br: br}
+	var rows [][]string
+	for {
+		line, ok, err := lr.next()
+		if err != nil {
+			return rows, err
+		}
+		if !ok {
+			return rows, nil
+		}
+		rows = append(rows, strings.Split(string(line), opts.delimiter()))
 	}
 }

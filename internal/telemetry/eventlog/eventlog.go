@@ -146,11 +146,6 @@ const (
 	NodeFailed   = "node.failed"
 	NodeRepaired = "node.repaired"
 
-	CacheHit  = "cache.hit"
-	CacheMiss = "cache.miss"
-
-	QueueAbsorbed = "queue.absorbed"
-
 	AlertFiring   = "alert.firing"
 	AlertResolved = "alert.resolved"
 
@@ -456,16 +451,6 @@ func (l *Log) LastSeq() int64 {
 	return l.nextSeq
 }
 
-// Len reports the number of journaled (not yet overwritten) events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
-}
-
 // Dropped reports events overwritten because the ring was full.
 func (l *Log) Dropped() int64 {
 	if l == nil {
@@ -487,27 +472,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses a JSONL journal previously written with WriteJSONL.
-// Blank lines are skipped.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("eventlog: line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	return out, sc.Err()
 }
 
 // Handler serves the journal as /events.jsonl: the full ring by default,

@@ -1,7 +1,11 @@
 package eventlog
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -43,7 +47,7 @@ func TestRingOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(Info, "tick", "", 0)
 	}
-	if got := l.Len(); got != 4 {
+	if got := len(l.Snapshot()); got != 4 {
 		t.Errorf("ring holds %d events, want 4", got)
 	}
 	if got := l.Dropped(); got != 6 {
@@ -74,7 +78,7 @@ func TestMinLevelGate(t *testing.T) {
 		t.Errorf("below-minimum append returned seq %d, want 0", seq)
 	}
 	l.Append(Error, "loud", "", 0)
-	if got := l.Len(); got != 1 {
+	if got := len(l.Snapshot()); got != 1 {
 		t.Errorf("journal holds %d events, want 1", got)
 	}
 }
@@ -123,7 +127,7 @@ func TestSubscribeDeliversAndAllowsReentrantAppend(t *testing.T) {
 	if len(seen) != 3 || seen[2] != AlertFiring {
 		t.Fatalf("subscriber saw %v, want [run.start run.failed alert.firing]", seen)
 	}
-	if got := l.Len(); got != 3 {
+	if got := len(l.Snapshot()); got != 3 {
 		t.Errorf("journal holds %d events, want 3", got)
 	}
 }
@@ -141,7 +145,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Fatalf("JSONL has %d lines, want 2", got)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestHandlerServesJSONL(t *testing.T) {
 	if rr.Header().Get("X-Eventlog-Dropped") != "1" {
 		t.Errorf("drop header = %q, want 1", rr.Header().Get("X-Eventlog-Dropped"))
 	}
-	evs, err := ReadJSONL(rr.Body)
+	evs, err := readJSONL(rr.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +234,7 @@ func TestHandlerServesJSONL(t *testing.T) {
 
 	rr = httptest.NewRecorder()
 	l.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events.jsonl?since=2", nil))
-	evs, err = ReadJSONL(rr.Body)
+	evs, err = readJSONL(rr.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,7 @@ func TestNilLogIsSafe(t *testing.T) {
 	if seq := l.Append(Error, "x", "", 0); seq != 0 {
 		t.Errorf("nil append returned seq %d", seq)
 	}
-	if l.Snapshot() != nil || l.Since(0, 0) != nil || l.LastSeq() != 0 || l.Len() != 0 || l.Dropped() != 0 {
+	if l.Snapshot() != nil || l.Since(0, 0) != nil || l.LastSeq() != 0 || len(l.Snapshot()) != 0 || l.Dropped() != 0 {
 		t.Error("nil log reports contents")
 	}
 	if l.Now().IsZero() {
@@ -280,7 +284,7 @@ func TestConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := l.Len() + int(l.Dropped()); got != 800 {
+	if got := len(l.Snapshot()) + int(l.Dropped()); got != 800 {
 		t.Errorf("kept+dropped = %d, want 800", got)
 	}
 	evs := l.Snapshot()
@@ -363,8 +367,8 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	wg.Wait()
 
 	total := int64(goroutines * each)
-	if l.Len() != cap {
-		t.Fatalf("Len = %d, want the full ring %d", l.Len(), cap)
+	if len(l.Snapshot()) != cap {
+		t.Fatalf("Len = %d, want the full ring %d", len(l.Snapshot()), cap)
 	}
 	if got := l.Dropped(); got != total-cap {
 		t.Fatalf("dropped = %d, want %d", got, total-cap)
@@ -427,4 +431,25 @@ func TestIngestMergesForeignEvents(t *testing.T) {
 	if len(notified) != 2 {
 		t.Fatalf("subscribers saw %d events, want 2", len(notified))
 	}
+}
+
+// readJSONL parses a JSONL journal previously written with WriteJSONL.
+// Blank lines are skipped.
+func readJSONL(r io.Reader) ([]Event, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	var out []Event
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return nil, fmt.Errorf("eventlog: line %d: %w", line, err)
+		}
+		out = append(out, ev)
+	}
+	return out, sc.Err()
 }

@@ -1,8 +1,8 @@
 // Package history keeps a bounded in-memory time series of metric registry
 // snapshots — the "what was the rate over the last 30 seconds?" substrate
 // that a single point-in-time snapshot cannot answer. A Ring samples a
-// telemetry.Registry periodically (wall clock via Start, virtual time via an
-// injected Clock, or explicitly via Sample) and serves windowed queries:
+// telemetry.Registry periodically (wall clock via Start, or explicitly via
+// Sample, in virtual time with SetClock) and serves windowed queries:
 // true sliding-window rates for the monitor's rate() rules and a /series.json
 // debug endpoint for plotting a campaign's metrics over time.
 package history
@@ -32,7 +32,6 @@ type Ring struct {
 	samples []Sample // ring storage, len == capacity once full
 	next    int      // ring cursor: index the next sample lands in
 	taken   uint64   // total samples ever taken (wraparound evidence)
-	lastAt  time.Time
 }
 
 // DefaultCapacity bounds a ring built with capacity ≤ 0. At the monitor's
@@ -49,8 +48,7 @@ func New(reg *telemetry.Registry, capacity int) *Ring {
 }
 
 // SetClock replaces the ring's time source (nil restores the wall clock) so
-// a simulated campaign samples in virtual time. Set it before sampling
-// starts.
+// samples are stamped in virtual time. Set it before sampling starts.
 func (r *Ring) SetClock(c telemetry.Clock) {
 	if r == nil {
 		return
@@ -78,31 +76,6 @@ func (r *Ring) Sample() {
 	r.recordLocked(Sample{Time: r.now(), Metrics: snap})
 }
 
-// SampleEvery samples only when at least min has elapsed since the previous
-// sample (by the ring's clock). This is the virtual-time throttle: engines
-// call it from run-completion points, which may arrive thousands per virtual
-// second, and the ring keeps a bounded cadence instead of one sample per
-// completion.
-func (r *Ring) SampleEvery(min time.Duration) {
-	if r == nil || r.reg == nil {
-		return
-	}
-	r.mu.Lock()
-	now := r.now()
-	if !r.lastAt.IsZero() && now.Sub(r.lastAt) < min {
-		r.mu.Unlock()
-		return
-	}
-	// Mark the slot taken before snapshotting so concurrent callers throttle
-	// against this sample rather than racing past the gate together.
-	r.lastAt = now
-	r.mu.Unlock()
-	snap := r.reg.Snapshot()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordLocked(Sample{Time: now, Metrics: snap})
-}
-
 func (r *Ring) recordLocked(s Sample) {
 	if len(r.samples) < cap(r.samples) {
 		r.samples = append(r.samples, s)
@@ -111,14 +84,10 @@ func (r *Ring) recordLocked(s Sample) {
 	}
 	r.next = (r.next + 1) % cap(r.samples)
 	r.taken++
-	if s.Time.After(r.lastAt) {
-		r.lastAt = s.Time
-	}
 }
 
 // Start launches a wall-clock sampler goroutine at the given interval and
-// returns its stop function (idempotent). Use Sample/SampleEvery instead
-// when time is virtual.
+// returns its stop function (idempotent).
 func (r *Ring) Start(interval time.Duration) (stop func()) {
 	if r == nil || interval <= 0 {
 		return func() {}
@@ -169,16 +138,6 @@ func (r *Ring) Taken() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.taken
-}
-
-// Len reports how many samples the ring currently retains.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
 }
 
 // RateOver computes metric's per-second rate over the trailing window: the

@@ -42,8 +42,8 @@ func TestRingWraparoundDeterministic(t *testing.T) {
 	if r.Taken() != 6 {
 		t.Fatalf("taken = %d, want 6", r.Taken())
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4 (capacity)", r.Len())
+	if len(r.Samples()) != 4 {
+		t.Fatalf("len = %d, want 4 (capacity)", len(r.Samples()))
 	}
 	samples := r.Samples()
 	if len(samples) != 4 {
@@ -91,8 +91,8 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	if got := r.Taken(); got != goroutines*perG {
 		t.Fatalf("taken = %d, want %d", got, goroutines*perG)
 	}
-	if r.Len() != 8 {
-		t.Fatalf("len = %d, want 8", r.Len())
+	if len(r.Samples()) != 8 {
+		t.Fatalf("len = %d, want 8", len(r.Samples()))
 	}
 	samples := r.Samples()
 	for i := 1; i < len(samples); i++ {
@@ -158,36 +158,13 @@ func TestRateOverCounterReset(t *testing.T) {
 	}
 }
 
-func TestSampleEveryThrottles(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r := New(reg, 8)
-	clk := &fixedClock{now: time.Unix(4000, 0)}
-	r.SetClock(clk)
-	r.SampleEvery(time.Second)
-	r.SampleEvery(time.Second) // same instant: throttled
-	if r.Taken() != 1 {
-		t.Fatalf("taken = %d, want 1 (second call throttled)", r.Taken())
-	}
-	clk.advance(500 * time.Millisecond)
-	r.SampleEvery(time.Second) // under the minimum: throttled
-	if r.Taken() != 1 {
-		t.Fatalf("taken = %d, want 1 (half-interval call throttled)", r.Taken())
-	}
-	clk.advance(time.Second)
-	r.SampleEvery(time.Second)
-	if r.Taken() != 2 {
-		t.Fatalf("taken = %d, want 2", r.Taken())
-	}
-}
-
 func TestNilRingIsInert(t *testing.T) {
 	var r *Ring
 	r.Sample()
-	r.SampleEvery(time.Second)
 	r.SetClock(telemetry.ClockFunc(time.Now))
 	stop := r.Start(time.Second)
 	stop()
-	if r.Len() != 0 || r.Taken() != 0 || r.Samples() != nil {
+	if r.Taken() != 0 || r.Samples() != nil {
 		t.Fatal("nil ring reported state")
 	}
 	if _, ok := r.RateOver("m", time.Second); ok {

@@ -60,9 +60,6 @@ type DebugServer struct {
 	ln   net.Listener
 }
 
-// Close shuts the endpoint down.
-func (d *DebugServer) Close() error { return d.srv.Close() }
-
 // StartDebugServer binds addr and serves NewDebugMux(reg, tr, extras...) in
 // a background goroutine. Callers own the returned server's lifetime.
 func StartDebugServer(addr string, reg *Registry, tr *Tracer, extras ...Endpoint) (*DebugServer, error) {

@@ -52,7 +52,7 @@ func TestStartDebugServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
+	defer d.srv.Close()
 	resp, err := http.Get("http://" + d.Addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -277,14 +277,3 @@ func (t *Tracer) Dropped() int64 {
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// Reset discards all recorded spans (the drop counter too).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.dropped = 0
-	t.mu.Unlock()
-}
