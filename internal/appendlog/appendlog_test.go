@@ -283,3 +283,27 @@ func TestFailpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestRename: the one rename replaces an existing file, and a missing
+// source is an *os.LinkError that still reads as fs.ErrNotExist (the CAS
+// retries its placement on that).
+func TestRename(t *testing.T) {
+	dir := t.TempDir()
+	src, dst := filepath.Join(dir, "src"), filepath.Join(dir, "dst")
+	for _, f := range []struct{ path, data string }{{src, "new"}, {dst, "old"}} {
+		if err := os.WriteFile(f.path, []byte(f.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Rename(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(dst); err != nil || string(got) != "new" {
+		t.Fatalf("dst = %q, %v; want the renamed file", got, err)
+	}
+	err := Rename(src, dst)
+	var le *os.LinkError
+	if !errors.As(err, &le) || le.Old != src || le.New != dst || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("renaming a missing file: %v, want an *os.LinkError that is fs.ErrNotExist", err)
+	}
+}

@@ -13,11 +13,11 @@ import (
 // The durable-write helpers below are what the campaign directory
 // (internal/cheetah), the artifact store (internal/cas), the resilience
 // layer's state files and every Log share: files opened through a bare
-// descriptor, one SyncDir and one WriteFileAtomic. On unix a File is a bare
-// fd — open, read, write, fsync and close are one system call each, with none
-// of the runtime poller's registration (two fcntl calls and an epoll_ctl that
-// Linux refuses for a regular file, then two more fcntl calls) that
-// os.OpenFile pays per open. Elsewhere it is an *os.File.
+// descriptor, one SyncDir, one Rename and one WriteFileAtomic. On unix a
+// File is a bare fd — open, read, write, fsync and close are one system call
+// each, with none of the runtime poller's registration (two fcntl calls and
+// an epoll_ctl that Linux refuses for a regular file, then two more fcntl
+// calls) that os.OpenFile pays per open. Elsewhere it is an *os.File.
 
 // Op names a step the failpoint hook sees.
 type Op string
@@ -197,6 +197,17 @@ func SyncDir(dir string) error {
 	return err
 }
 
+// Rename moves the file oldpath to newpath, replacing any file there, with
+// one rename(2): os.Rename first Lstats newpath to refuse renaming onto a
+// directory, which a file renamed through here never is. Errors are
+// *os.LinkError, as os.Rename's are.
+func Rename(oldpath, newpath string) error {
+	if err := rename(oldpath, newpath); err != nil {
+		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: err}
+	}
+	return nil
+}
+
 // WriteFileAtomic writes data via a temp file in the target's directory and
 // an atomic rename: a crash (or a concurrent reader) can never observe a torn
 // or partially-written file — only the old content or the new. The temp file
@@ -220,7 +231,7 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 		werr = os.Chmod(tmp.Name(), mode)
 	}
 	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
+		werr = Rename(tmp.Name(), path)
 	}
 	if werr == nil {
 		werr = SyncDir(dir)

@@ -61,3 +61,12 @@ func sizeFD(d fd) (int64, error) {
 func syncFD(d fd) error { return bare(d.Sync()) }
 
 func closeFD(d fd) error { return bare(d.Close()) }
+
+func rename(oldpath, newpath string) error {
+	err := os.Rename(oldpath, newpath)
+	var le *os.LinkError
+	if errors.As(err, &le) {
+		return le.Err
+	}
+	return err
+}

@@ -75,3 +75,11 @@ func syncFD(d fd) error {
 
 // closeFD does not retry on EINTR: on Linux the descriptor is gone either way.
 func closeFD(d fd) error { return syscall.Close(d) }
+
+func rename(oldpath, newpath string) error {
+	for {
+		if err := syscall.Rename(oldpath, newpath); err != syscall.EINTR {
+			return err
+		}
+	}
+}

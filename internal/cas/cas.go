@@ -223,7 +223,7 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 			if err := s.ensureFanout(sum[0], filepath.Dir(dst)); err != nil {
 				return err
 			}
-			return os.Rename(tmpName, dst)
+			return appendlog.Rename(tmpName, dst)
 		}
 		err := place()
 		if errors.Is(err, fs.ErrNotExist) {

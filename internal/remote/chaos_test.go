@@ -244,8 +244,9 @@ func TestRemoteChaosWorkerKill(t *testing.T) {
 			}
 		}
 		if s.Name == "remote.worker.run" && s.Parent != 0 {
-			if p := byID[s.Parent]; p.Name != "remote.run" {
-				t.Fatalf("worker run span %d parents under %q, want remote.run", s.ID, p.Name)
+			if p := byID[s.Parent]; p.Name != "remote.run" || p.Attr("run") != s.Attr("run") {
+				t.Fatalf("worker run span %d (run %s) parents under %q (run %s), want its run's remote.run",
+					s.ID, s.Attr("run"), p.Name, p.Attr("run"))
 			}
 			fleet[s.Attr("worker")] = true
 		}

@@ -676,7 +676,6 @@ func (co *coordinator) assignLocked(w *wstate) {
 	}
 	want := e.batchSize() - len(w.outstanding)
 	var batch []cheetah.Run
-	var tracectx map[string]string
 	for want > 0 && len(co.pending) > 0 {
 		i := co.pending[0]
 		co.pending = co.pending[1:]
@@ -694,14 +693,6 @@ func (co *coordinator) assignLocked(w *wstate) {
 		}
 		batch = append(batch, run)
 		w.outstanding[run.ID] = true
-		// The dispatch span's wire identity rides along so the worker's run
-		// span parents under it — one trace across the fleet.
-		if tc := r.Span.Context(); tc.Valid() {
-			if tracectx == nil {
-				tracectx = map[string]string{}
-			}
-			tracectx[run.ID] = tc.String()
-		}
 		co.lc.Dispatch(r, &co.group, w.name)
 		e.mDispatched.Inc()
 		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", r.Span.ID(),
@@ -709,7 +700,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 		want--
 	}
 	if len(batch) > 0 {
-		w.c.post(OpAssign, w.name, w.lease.ID, &Assignment{Runs: batch, Trace: tracectx})
+		w.c.post(OpAssign, w.name, w.lease.ID, &Assignment{Runs: batch})
 		return
 	}
 	if len(w.outstanding) == 0 {

@@ -9,7 +9,7 @@
 // the journal keeps exactly-once accounting across worker and coordinator
 // crashes alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v2) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v3) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
 // binary body whose layout the verb selects (wire.go) — the same
 // typed-records + control-punctuation design as the streaming substrate,
@@ -19,7 +19,6 @@ package remote
 
 import (
 	"fmt"
-	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -92,7 +91,7 @@ const (
 // refused at its first record by the schema check in recv, instead of
 // misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v2",
+	Name: "remote.v3",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -129,11 +128,10 @@ type LeaseGrant struct {
 // Assignment is one batch of runs.
 type Assignment struct {
 	Runs []cheetah.Run `json:"runs"`
-	// Trace maps run id → the coordinator's dispatch span context
-	// (traceparent string, see telemetry.SpanContext), so the worker's run
-	// span parents under the span that dispatched it and the campaign stays
-	// one trace across processes. Absent when the coordinator traces
-	// nothing.
+	// Trace is not filled and not on the wire: the coordinator parents a
+	// worker's run span by its run id (DESIGN.md §4h). It stays declared
+	// only because bench/layers.go still builds it to size its JSON body
+	// measurement; ROADMAP item 1b-ii removes it.
 	Trace map[string]string `json:"trace,omitempty"`
 }
 
@@ -447,8 +445,8 @@ func (c *conn) write(batch []outMsg) error {
 	return err
 }
 
-// merge folds a batch's assigns into its first assign (runs in order, trace
-// maps unioned) and its result-acks into its first ack (run ids in order),
+// merge folds a batch's assigns into its first assign (runs in order) and
+// its result-acks into its first ack (run ids in order),
 // while worker, lease and epoch agree. It is batch-wide, not adjacency-only
 // (a busy queue alternates assign, ack, assign, ack); moving a later assign
 // or ack ahead of a steal or heartbeat-ack between them is safe, since a
@@ -467,11 +465,6 @@ func merge(batch []outMsg) []outMsg {
 			if assign >= 0 && same(assign, m) {
 				t := out[assign].body.(*Assignment)
 				t.Runs = append(t.Runs, b.Runs...)
-				if t.Trace == nil {
-					t.Trace = b.Trace
-				} else {
-					maps.Copy(t.Trace, b.Trace)
-				}
 				continue
 			}
 			assign = len(out)

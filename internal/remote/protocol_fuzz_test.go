@@ -18,11 +18,11 @@ import (
 func FuzzRemoteMessage(f *testing.F) {
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	merged := wireBytes(f,
-		assignMsg("w0", 3, map[string]string{"r1": "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"}, "r1"),
+		assignMsg("w0", 3, "r1"),
 		ackMsg("w0", 3, "x"),
-		assignMsg("w0", 3, map[string]string{"r2": "00-0123456789abcdef0123456789abcdef-fedcba9876543210-01"}, "r2"),
+		assignMsg("w0", 3, "r2"),
 		ackMsg("w0", 3, "y"))
-	f.Add(merged) // a merged assign with its trace map, a list ack
+	f.Add(merged) // a merged assign, a list ack
 	// The session's bookkeeping verbs.
 	f.Add(wireBytes(f,
 		outMsg{op: OpLeaseGrant, worker: "w0", lease: 3, epoch: 2, body: &LeaseGrant{Campaign: "c", TTLMillis: 10_000,

@@ -14,6 +14,10 @@ import (
 	"fairflow/internal/telemetry/eventlog"
 )
 
+// workerRunSpan names a worker's span for one run: the span the merge
+// parents by its "run" attribute.
+const workerRunSpan = "remote.worker.run"
+
 // maxTelemetryBatch caps the spans and the events carried by one
 // OpTelemetry message, bounding both the message size and the work one
 // merge does under the coordinator's lock.
@@ -152,9 +156,10 @@ func (sh *shipper) abandon() (spans, events int64) {
 
 // handleTelemetry merges one worker batch into the coordinator's
 // telemetry: span and event ids re-key into the coordinator tracer's id
-// space, remote parents resolve to the dispatch spans that sent the runs
-// out, timestamps shift onto the coordinator's timeline by the worker's
-// estimated clock skew, and everything gains worker=<name> attribution.
+// space, a worker's run spans parent under the coordinator's spans for
+// their runs, timestamps shift onto the coordinator's timeline by the
+// worker's estimated clock skew, and everything gains worker=<name>
+// attribution.
 func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Time) {
 	e := co.e
 	e.mTelemetryBatches.Inc()
@@ -183,7 +188,8 @@ func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Ti
 		// origin=worker lets consumers that already track run lifecycles
 		// from Outcome reports (the monitor) skip the shipped copies instead
 		// of double counting.
-		attrs := append([]telemetry.Attr(nil), ev.Attrs...)
+		attrs := make([]telemetry.Attr, len(ev.Attrs), len(ev.Attrs)+2)
+		copy(attrs, ev.Attrs)
 		if ev.Attr("worker") == "" {
 			attrs = append(attrs, telemetry.String("worker", w.name))
 		}
@@ -228,27 +234,27 @@ func (co *coordinator) remapIDLocked(w *wstate, id int64) int64 {
 }
 
 // remapSpanLocked rewrites one worker span for the coordinator's trace:
-// fresh id, resolved parent, skew-adjusted times, worker attribution.
-// Callers hold co.mu.
+// fresh id, resolved parent, skew-adjusted times, worker attribution. A
+// worker's run span parents under this coordinator's span for its "run"
+// attribute, whatever its worker-local parent, and files as a root when
+// there is no such span: an unknown run id, or a run this incarnation never
+// dispatched. Callers hold co.mu.
 func (co *coordinator) remapSpanLocked(w *wstate, d telemetry.SpanData, skew skewEstimator) telemetry.SpanData {
 	d.ID = co.remapIDLocked(w, d.ID)
-	if d.Remote != "" {
-		// A cross-process parent: when it names this campaign's trace, the
-		// span id inside it IS a coordinator-local id (the dispatch span the
-		// assignment carried). A foreign trace id files as a root fragment.
-		pc, err := telemetry.ParseSpanContext(d.Remote)
-		if err == nil && pc.Trace == co.e.Tracer.TraceID() {
-			d.Parent = pc.Span
-		} else {
-			d.Parent = 0
+	if d.Name == workerRunSpan {
+		d.Parent = 0
+		if i, ok := co.index[d.Attr("run")]; ok {
+			d.Parent = co.state[i].Span.ID()
 		}
-	} else if d.Parent != 0 {
+	} else {
 		d.Parent = co.remapIDLocked(w, d.Parent)
 	}
 	d.Start = skew.adjust(d.Start)
 	d.End = skew.adjust(d.End)
 	if d.Attr("worker") == "" {
-		d.Attrs = append(append([]telemetry.Attr(nil), d.Attrs...), telemetry.String("worker", w.name))
+		attrs := make([]telemetry.Attr, len(d.Attrs), len(d.Attrs)+1)
+		copy(attrs, d.Attrs)
+		d.Attrs = append(attrs, telemetry.String("worker", w.name))
 	}
 	return d
 }

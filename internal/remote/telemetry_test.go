@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fairflow/internal/cheetah"
+	"fairflow/internal/savanna"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
@@ -157,9 +158,11 @@ func TestShipperBatchesCursorsAndDrops(t *testing.T) {
 }
 
 // TestHandleTelemetryMerge drives the coordinator-side merge directly: a
-// worker batch with its own id space, a 5-second-fast clock, spans that
-// parent (a) remotely under a dispatch span, (b) locally under a worker
-// session span that ships in a LATER batch, and (c) under a foreign trace.
+// worker batch with its own id space, a 5-second-fast clock, and spans that
+// parent (a) under the coordinator's span for their run, whatever their
+// worker-local parent, (b) locally under a worker session span that ships in
+// a LATER batch, and (c) nowhere: a run span for an unknown run id, or for a
+// run this incarnation never dispatched, files as a root.
 func TestHandleTelemetryMerge(t *testing.T) {
 	e := &Engine{
 		Tracer:  telemetry.NewTracer(),
@@ -167,27 +170,32 @@ func TestHandleTelemetryMerge(t *testing.T) {
 		Events:  eventlog.NewLog(),
 	}
 	e.telemetryInit()
-	co := &coordinator{e: e, workers: map[string]*wstate{}}
+	co := mergeCoordinator(e, "g/s/run-1", "g/s/run-2")
 	w := &wstate{name: "w9"}
 
-	// The dispatch span whose context travelled in the assignment.
-	_, dispatch := e.Tracer.Start(context.Background(), "remote.run")
+	// The coordinator's span for run 1; run 2 was terminal on replay, so
+	// this incarnation never opened one.
+	_, dispatch := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
 	dispatch.End()
-	pc := telemetry.SpanContext{Trace: e.Tracer.TraceID(), Span: dispatch.ID()}
+	co.state[0].Span = dispatch
 
 	recv := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
 	skewd := 5 * time.Second // worker clock runs 5s ahead
 	wnow := recv.Add(skewd)
 
-	foreign := telemetry.SpanContext{Trace: telemetry.NewTraceID(), Span: 1}
+	runSpan := func(id int64, run string) telemetry.SpanData {
+		return telemetry.SpanData{ID: id, Parent: 100, Name: "remote.worker.run",
+			Start: wnow.Add(-20 * time.Millisecond), End: wnow,
+			Attrs: []telemetry.Attr{telemetry.String("run", run)}}
+	}
 	batch1 := TelemetryBatch{
 		SentUnixNano: wnow.UnixNano(),
 		Spans: []telemetry.SpanData{
+			runSpan(101, "g/s/run-1"),
+			runSpan(102, "g/s/run-9"), // unknown run id
+			runSpan(103, "g/s/run-2"), // never dispatched here
 			// Child of the not-yet-shipped worker session span 100.
-			{ID: 101, Parent: 100, Remote: pc.String(), Name: "remote.worker.run",
-				Start: wnow.Add(-20 * time.Millisecond), End: wnow},
-			// Parented in another campaign's trace: must re-root, not attach.
-			{ID: 102, Remote: foreign.String(), Name: "stray", Start: wnow, End: wnow},
+			{ID: 104, Parent: 100, Name: "remote.worker.idle", Start: wnow, End: wnow},
 			{ID: 0, Name: "invalid"}, // id 0: dropped
 		},
 		Events: []eventlog.Event{
@@ -208,32 +216,38 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	co.handleTelemetry(w, batch2, recv)
 
 	spans := e.Tracer.Snapshot()
+	byRun := map[string]telemetry.SpanData{}
 	byName := map[string]telemetry.SpanData{}
 	for _, s := range spans {
 		byName[s.Name] = s
+		if s.Name == "remote.worker.run" {
+			byRun[s.Attr("run")] = s
+		}
 	}
-	run, okRun := byName["remote.worker.run"]
+	run, okRun := byRun["g/s/run-1"]
 	sess, okSess := byName["remote.worker"]
-	stray, okStray := byName["stray"]
-	if !okRun || !okSess || !okStray {
+	idle, okIdle := byName["remote.worker.idle"]
+	if !okRun || !okSess || !okIdle || len(byRun) != 3 {
 		t.Fatalf("merged spans missing: %+v", spans)
 	}
 	if _, leaked := byName["invalid"]; leaked {
 		t.Fatal("id-0 span entered the trace")
 	}
 
-	// Remote parent resolved to the dispatch span; the remote marker is
-	// consumed territory for exporters but Parent is what matters.
+	// The run span parents under the coordinator's span for its run, not
+	// under its worker-local session parent.
 	if run.Parent != dispatch.ID() {
-		t.Fatalf("run parent = %d, want dispatch %d", run.Parent, dispatch.ID())
+		t.Fatalf("run parent = %d, want the run's coordinator span %d", run.Parent, dispatch.ID())
+	}
+	for _, id := range []string{"g/s/run-9", "g/s/run-2"} {
+		if p := byRun[id].Parent; p != 0 {
+			t.Fatalf("run span for %s has parent %d, want a root", id, p)
+		}
 	}
 	// The lazily-reserved id for span 100 matches where the session span
 	// landed when it arrived one batch later.
-	if got := w.idmap[100]; got != sess.ID {
-		t.Fatalf("idmap[100] = %d but session span landed at %d", got, sess.ID)
-	}
-	if stray.Parent != 0 {
-		t.Fatalf("foreign-trace span parent = %d, want re-rooted 0", stray.Parent)
+	if got := w.idmap[100]; got != sess.ID || idle.Parent != sess.ID {
+		t.Fatalf("idmap[100] = %d, idle parent %d, but session span landed at %d", got, idle.Parent, sess.ID)
 	}
 	// Worker ids re-keyed into the coordinator's space without collisions.
 	if run.ID == 101 || run.ID == dispatch.ID() || run.ID == sess.ID {
@@ -274,6 +288,48 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	}
 	if got := e.mTelemetryBatches.Value(); got != 2 {
 		t.Fatalf("telemetry_batches = %d, want 2", got)
+	}
+}
+
+// mergeCoordinator is the part of a coordinator the telemetry merge reads:
+// the engine and the campaign's runs, by id.
+func mergeCoordinator(e *Engine, ids ...string) *coordinator {
+	co := &coordinator{e: e, workers: map[string]*wstate{}, index: map[string]int{}}
+	for i, id := range ids {
+		co.index[id] = i
+		co.state = append(co.state, savanna.NewRunState(cheetah.Run{ID: id}))
+	}
+	return co
+}
+
+// TestTraceMergeParentsReDispatchedAttempts: a run whose first worker's lease
+// expired is re-dispatched to a second worker, and both workers ship a run
+// span for it — the first from the session the coordinator declared dead.
+// Both attempts parent under the run's one coordinator span.
+func TestTraceMergeParentsReDispatchedAttempts(t *testing.T) {
+	e := &Engine{Tracer: telemetry.NewTracer(), Metrics: telemetry.NewRegistry(), Events: eventlog.NewLog()}
+	e.telemetryInit()
+	co := mergeCoordinator(e, "g/s/run-1")
+	_, runSpan := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
+	co.state[0].Span = runSpan
+	expired := &wstate{name: "wa", dead: true}
+	live := &wstate{name: "wb"}
+	now := time.Now()
+	for _, w := range []*wstate{expired, live} {
+		co.handleTelemetry(w, TelemetryBatch{Spans: []telemetry.SpanData{
+			{ID: 2, Parent: 1, Name: "remote.worker.run", Start: now, End: now,
+				Attrs: []telemetry.Attr{telemetry.String("run", "g/s/run-1"), telemetry.String("worker", w.name)}},
+		}}, now)
+	}
+	runSpan.End()
+	parents := map[string]int64{}
+	for _, d := range e.Tracer.Snapshot() {
+		if d.Name == "remote.worker.run" {
+			parents[d.Attr("worker")] = d.Parent
+		}
+	}
+	if len(parents) != 2 || parents["wa"] != runSpan.ID() || parents["wb"] != runSpan.ID() {
+		t.Fatalf("attempt parents = %v, want both under the run span %d", parents, runSpan.ID())
 	}
 }
 
@@ -343,8 +399,9 @@ func TestDistributedTraceMerge(t *testing.T) {
 			t.Fatalf("worker run span %d missing worker attribution", s.ID)
 		}
 		dispatch, ok := byID[s.Parent]
-		if !ok || dispatch.Name != "remote.run" {
-			t.Fatalf("worker run span %d not under a dispatch span (parent %d %q)", s.ID, s.Parent, dispatch.Name)
+		if !ok || dispatch.Name != "remote.run" || dispatch.Attr("run") != s.Attr("run") {
+			t.Fatalf("worker run span %d (run %s) not under its run's dispatch span (parent %d %q, run %s)",
+				s.ID, s.Attr("run"), s.Parent, dispatch.Name, dispatch.Attr("run"))
 		}
 		if dispatch.Parent != campaignID {
 			t.Fatalf("dispatch span %d not under the campaign span", dispatch.ID)

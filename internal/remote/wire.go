@@ -279,7 +279,7 @@ func (a *Assignment) appendWire(b []byte) []byte {
 		b = appendString(appendString(appendString(b, run.ID), run.Group), run.Sweep)
 		b = appendMap(appendInt(b, int64(run.Index)), run.Params)
 	}
-	return appendMap(b, a.Trace)
+	return b
 }
 
 func (a *Assignment) readWire(r *rbuf) {
@@ -289,7 +289,6 @@ func (a *Assignment) readWire(r *rbuf) {
 		run.ID, run.Group, run.Sweep = r.str(), r.str(), r.str()
 		run.Index, run.Params = r.int(), r.strMap()
 	}
-	a.Trace = r.strMap()
 }
 
 func (o *Outcome) appendWire(b []byte) []byte {
@@ -332,7 +331,7 @@ func (t *TelemetryBatch) appendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.Spans)))
 	for i := range t.Spans {
 		d := &t.Spans[i]
-		b = appendString(appendInt(appendInt(b, d.ID), d.Parent), d.Remote)
+		b = appendInt(appendInt(b, d.ID), d.Parent)
 		b = appendTime(appendTime(appendString(b, d.Name), d.Start), d.End)
 		b = appendAttrs(b, d.Attrs)
 	}
@@ -352,10 +351,10 @@ func (t *TelemetryBatch) appendWire(b []byte) []byte {
 }
 
 func (t *TelemetryBatch) readWire(r *rbuf) {
-	t.Spans = list[telemetry.SpanData](r, 9)
+	t.Spans = list[telemetry.SpanData](r, 8)
 	for i := range t.Spans {
 		d := &t.Spans[i]
-		d.ID, d.Parent, d.Remote = r.varint(), r.varint(), r.str()
+		d.ID, d.Parent = r.varint(), r.varint()
 		d.Name, d.Start, d.End = r.str(), r.time(), r.time()
 		d.Attrs = r.attrs()
 	}

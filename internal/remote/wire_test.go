@@ -60,8 +60,6 @@ func decodeVerb(m msg) (body wireBody, ok bool, err error) {
 	return body, true, err
 }
 
-const goldenTrace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
-
 // goldenBodies is one pinned body per verb: the bytes are the protocol. A
 // change here is a layout change, and a layout change bumps msgSchema.Name
 // (see the comment there) — do not edit a vector without doing that.
@@ -77,10 +75,8 @@ var goldenBodies = []struct {
 	{OpAssign, &Assignment{
 		Runs: []cheetah.Run{
 			{ID: "g/s/run-00001", Group: "g", Sweep: "s", Index: 1, Params: map[string]string{"x": "1"}},
-			{ID: "g/s/run-00002", Group: "g", Sweep: "s", Index: 2}},
-		Trace: map[string]string{"g/s/run-00001": goldenTrace}},
-		"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400" +
-			"010d672f732f72756e2d303030303137" + hex.EncodeToString([]byte(goldenTrace))},
+			{ID: "g/s/run-00002", Group: "g", Sweep: "s", Index: 2}}},
+		"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400"},
 	{OpResult, &Outcome{RunID: "r1", OK: true, Seconds: 1.5, Outputs: map[string]string{"out": "sha256:ab"},
 		CPUUserSeconds: 0.25, MaxRSSBytes: 4096},
 		"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040"},
@@ -94,8 +90,8 @@ var goldenBodies = []struct {
 	{OpResultAck, &ResultAck{RunIDs: []string{"x", "y"}}, "0201780179"},
 	{OpTelemetry, goldenBatch(),
 		// two spans: the second's zero times are ffdb8ff9ce03 00
-		"020e0237" + hex.EncodeToString([]byte(goldenTrace)) + "1172656d6f74652e776f726b65722e72756e" +
-			"cad6b9950dd804cad6b9950d98893d010372756e027231" + "100000046f70656effdb8ff9ce0300ffdb8ff9ce030000" +
+		"020e02" + "1172656d6f74652e776f726b65722e72756e" +
+			"cad6b9950dd804cad6b9950d98893d010372756e027231" + "1000046f70656effdb8ff9ce0300ffdb8ff9ce030000" +
 			// one event, level warn
 			"0108cad6b9950dd804020972756e2e726574727905616761696e0e020372756e02723107617474656d70740132" +
 			// metrics present: a counter, a gauge, a histogram
@@ -104,11 +100,29 @@ var goldenBodies = []struct {
 			"04028080d0e2c6bfce972fb817"},
 }
 
+// remoteV2Trace is a traceparent as remote.v2 carried one per run.
+const remoteV2Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+
+// remoteV2Bodies are the assign and telemetry vectors of the previous
+// layout, remote.v2, in which an assign ended in a trace map (run id →
+// traceparent) and a span carried a remote-parent string after its parent
+// id. A v2 peer is refused at its first record by the schema check; its
+// bodies stay fuzz seeds, which every reader must refuse or round-trip.
+var remoteV2Bodies = []string{
+	"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400" +
+		"010d672f732f72756e2d303030303137" + hex.EncodeToString([]byte(remoteV2Trace)),
+	"020e0237" + hex.EncodeToString([]byte(remoteV2Trace)) + "1172656d6f74652e776f726b65722e72756e" +
+		"cad6b9950dd804cad6b9950d98893d010372756e027231" + "100000046f70656effdb8ff9ce0300ffdb8ff9ce030000" +
+		"0108cad6b9950dd804020972756e2e726574727905616761696e0e020372756e02723107617474656d70740132" +
+		"01" + "01016301016b017606" + "01016700000000000000e0bf" + "0101680002fca9f1d24d62503f000000000000f03f0202ac02010000000000002940af02" +
+		"04028080d0e2c6bfce972fb817",
+}
+
 func goldenBatch() *TelemetryBatch {
 	at := time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC)
 	return &TelemetryBatch{
 		Spans: []telemetry.SpanData{
-			{ID: 7, Parent: 1, Remote: goldenTrace, Name: "remote.worker.run", Start: at, End: at.Add(time.Millisecond),
+			{ID: 7, Parent: 1, Name: "remote.worker.run", Start: at, End: at.Add(time.Millisecond),
 				Attrs: []telemetry.Attr{telemetry.String("run", "r1")}},
 			{ID: 8, Name: "open"}, // zero times stay zero
 		},
@@ -154,11 +168,15 @@ func TestWireGolden(t *testing.T) {
 
 // FuzzWireBody feeds arbitrary bytes to every verb's readWire: nothing
 // panics, and whatever decodes cleanly re-encodes to bytes that decode to a
-// deep-equal value. Seeds are the golden vectors and every proper prefix of
-// each.
+// deep-equal value. Seeds are the golden vectors, then remote.v2's, and
+// every proper prefix of each.
 func FuzzWireBody(f *testing.F) {
+	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies))
 	for _, g := range goldenBodies {
-		raw, _ := hex.DecodeString(g.hex)
+		vectors = append(vectors, g.hex)
+	}
+	for _, v := range append(vectors, remoteV2Bodies...) {
+		raw, _ := hex.DecodeString(v)
 		for n := 0; n <= len(raw); n++ {
 			f.Add(raw[:n])
 		}
@@ -229,12 +247,10 @@ func TestWireRejects(t *testing.T) {
 // buffer, the two bodies on the per-run path encode without allocating.
 func TestWireEncodeAllocs(t *testing.T) {
 	out := &Outcome{RunID: "g/s/run-00042", OK: true, Seconds: 1.25e-07, Outputs: map[string]string{"out": "sha256:ab"}}
-	a := &Assignment{Trace: map[string]string{}}
+	a := &Assignment{}
 	for i := 0; i < 8; i++ {
-		id := fmt.Sprintf("g/s/run-%05d", i)
-		a.Runs = append(a.Runs, cheetah.Run{ID: id, Group: "g", Sweep: "s", Index: i,
+		a.Runs = append(a.Runs, cheetah.Run{ID: fmt.Sprintf("g/s/run-%05d", i), Group: "g", Sweep: "s", Index: i,
 			Params: map[string]string{"x": "1", "y": "2", "z": "3"}})
-		a.Trace[id] = goldenTrace
 	}
 	for _, body := range []wireBody{out, a} {
 		scratch := body.appendWire(nil)
@@ -257,8 +273,8 @@ func TestWireWriteAllocs(t *testing.T) {
 	out := &Outcome{RunID: "g/s/run-00042", OK: true, Seconds: 1.25e-07}
 	batch := merge([]outMsg{
 		{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: out},
-		assignMsg("w0", 3, map[string]string{"g/s/run-00001": goldenTrace}, "g/s/run-00001"),
-		assignMsg("w0", 3, map[string]string{"g/s/run-00002": goldenTrace}, "g/s/run-00002"),
+		assignMsg("w0", 3, "g/s/run-00001"),
+		assignMsg("w0", 3, "g/s/run-00002"),
 	})
 	if len(batch) != 2 {
 		t.Fatalf("merged batch has %d messages, want 2", len(batch))
@@ -394,7 +410,7 @@ func (r randBodies) attrs() []telemetry.Attr {
 func (r randBodies) all() []wireBody {
 	batch := &TelemetryBatch{
 		Spans: randList(r, func() telemetry.SpanData {
-			return telemetry.SpanData{ID: r.i64(), Parent: r.i64(), Remote: r.str(), Name: r.str(),
+			return telemetry.SpanData{ID: r.i64(), Parent: r.i64(), Name: r.str(),
 				Start: r.time(), End: r.time(), Attrs: r.attrs()}
 		}),
 		Events: randList(r, func() eventlog.Event {
@@ -423,7 +439,7 @@ func (r randBodies) all() []wireBody {
 		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Component: r.str(), Inputs: r.strMap(), Epoch: r.i64()},
 		&Assignment{Runs: randList(r, func() cheetah.Run {
 			return cheetah.Run{ID: r.str(), Group: r.str(), Sweep: r.str(), Index: int(r.i64()), Params: r.strMap()}
-		}), Trace: r.strMap()},
+		})},
 		&Outcome{RunID: r.str(), OK: r.Intn(2) == 0, Cached: r.Intn(2) == 0, Seconds: r.f64(), Err: r.str(),
 			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64()},
 		&Heartbeat{Queued: int(r.i64()), InFlight: int(r.i64()), SentUnixNano: r.i64(), RTTNanos: r.i64()},

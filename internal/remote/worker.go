@@ -179,11 +179,9 @@ type wsession struct {
 	inFlight int
 	draining bool
 	readErr  error
-	// enqueued stamps each queued run's arrival (the queue-wait clock);
-	// trace holds each run's dispatch span context from the assignment.
+	// enqueued stamps each queued run's arrival (the queue-wait clock).
 	// Entries leave at pop, steal, or drain.
 	enqueued map[string]time.Time
-	trace    map[string]telemetry.SpanContext
 
 	// ship drains local telemetry to the coordinator (nil = nothing to
 	// ship); lastRTT is the latest heartbeat round trip in nanoseconds.
@@ -280,7 +278,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	s := &wsession{w: w, c: c, name: name,
-		enqueued: map[string]time.Time{}, trace: map[string]telemetry.SpanContext{}}
+		enqueued: map[string]time.Time{}}
 	s.cond = sync.NewCond(&s.mu)
 	s.ship = newShipper(w.Tracer, w.Metrics, w.Events)
 	runCtx, span := w.Tracer.Start(runCtx, "remote.worker",
@@ -404,11 +402,6 @@ func (s *wsession) readLoop(lease int64) error {
 			s.mu.Lock()
 			for _, r := range a.Runs {
 				s.enqueued[r.ID] = now
-				if tc := a.Trace[r.ID]; tc != "" { // none when the coordinator traces nothing
-					if pc, perr := telemetry.ParseSpanContext(tc); perr == nil {
-						s.trace[r.ID] = pc
-					}
-				}
 			}
 			s.queue = append(s.queue, a.Runs...)
 			s.w.gQueued.Set(float64(len(s.queue)))
@@ -448,7 +441,6 @@ func (s *wsession) readLoop(lease int64) error {
 			s.draining = true
 			s.queue = nil
 			s.enqueued = map[string]time.Time{}
-			s.trace = map[string]telemetry.SpanContext{}
 			s.w.gQueued.Set(0)
 			s.cond.Broadcast()
 			s.mu.Unlock()
@@ -470,7 +462,6 @@ func (s *wsession) relinquish(n int, lease int64) {
 		for _, r := range s.queue[cut:] {
 			ids = append(ids, r.ID)
 			delete(s.enqueued, r.ID)
-			delete(s.trace, r.ID)
 		}
 		s.queue = s.queue[:cut]
 		s.w.gQueued.Set(float64(len(s.queue)))
@@ -551,13 +542,11 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 			wait = time.Since(at)
 			delete(s.enqueued, run.ID)
 		}
-		parentCtx := s.trace[run.ID]
-		delete(s.trace, run.ID)
 		w.gQueued.Set(float64(len(s.queue)))
 		w.gInFlight.Add(1)
 		s.mu.Unlock()
 
-		out := s.execute(ctx, run, memo, parentCtx, wait)
+		out := s.execute(ctx, run, memo, wait)
 
 		s.mu.Lock()
 		s.inFlight--
@@ -581,13 +570,13 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 
 // execute runs one assignment locally — memo lookup, then savanna.Attempt,
 // the attempt body LocalEngine runs — and reports it as a wire outcome.
-// parent is the coordinator dispatch span's wire identity (invalid when the
-// coordinator traces nothing), wait the run's local queue wait.
-func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, parent telemetry.SpanContext, wait time.Duration) Outcome {
+// wait is the run's local queue wait. The run span's "run" attribute is
+// what the coordinator's merge parents it by (DESIGN.md §4h).
+func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, wait time.Duration) Outcome {
 	w := s.w
 	var span *telemetry.Span
 	if w.Tracer != nil { // the attributes are formatted (a FormatFloat) for a tracer only
-		ctx, span = w.Tracer.StartRemote(ctx, parent, "remote.worker.run",
+		ctx, span = w.Tracer.Start(ctx, workerRunSpan,
 			telemetry.String("run", run.ID), telemetry.String("worker", s.name),
 			telemetry.Float("queue_wait_s", wait.Seconds()))
 	}

@@ -121,8 +121,8 @@ func render(ms []wireMsg) string {
 	return sb.String()
 }
 
-func assignMsg(worker string, lease int64, trace map[string]string, ids ...string) outMsg {
-	a := &Assignment{Trace: trace}
+func assignMsg(worker string, lease int64, ids ...string) outMsg {
+	a := &Assignment{}
 	for _, id := range ids {
 		a.Runs = append(a.Runs, cheetah.Run{ID: id})
 	}
@@ -152,29 +152,25 @@ func TestWriterMergeTable(t *testing.T) {
 		want  []wireMsg
 	}{
 		{"steady state alternation folds batch-wide",
-			[]outMsg{assignMsg("w", 1, nil, "a"), ackMsg("w", 1, "x"), assignMsg("w", 1, nil, "b"),
-				ackMsg("w", 1, "y"), steal, assignMsg("w", 1, nil, "c")},
-			[]wireMsg{want(assignMsg("w", 1, nil, "a", "b", "c"), 0), want(ackMsg("w", 1, "x", "y"), 0), want(steal, 0)}},
+			[]outMsg{assignMsg("w", 1, "a"), ackMsg("w", 1, "x"), assignMsg("w", 1, "b"),
+				ackMsg("w", 1, "y"), steal, assignMsg("w", 1, "c")},
+			[]wireMsg{want(assignMsg("w", 1, "a", "b", "c"), 0), want(ackMsg("w", 1, "x", "y"), 0), want(steal, 0)}},
 		{"lone assign unrewritten",
-			[]outMsg{assignMsg("w", 1, map[string]string{"a": "tp-a"}, "a")},
-			[]wireMsg{want(assignMsg("w", 1, map[string]string{"a": "tp-a"}, "a"), 0)}},
+			[]outMsg{assignMsg("w", 1, "a")},
+			[]wireMsg{want(assignMsg("w", 1, "a"), 0)}},
 		{"a lone ack is a one-element list",
 			[]outMsg{ackMsg("w", 1, "x")},
 			[]wireMsg{want(ackMsg("w", 1, "x"), 0)}},
 		{"three acks, one list",
 			[]outMsg{ackMsg("w", 1, "x"), ackMsg("w", 1, "y"), ackMsg("w", 1, "z")},
 			[]wireMsg{want(ackMsg("w", 1, "x", "y", "z"), 0)}},
-		{"trace maps union, absent ones included",
-			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("w", 1, map[string]string{"b": "tp-b"}, "b"),
-				assignMsg("w", 1, map[string]string{"c": "tp-c"}, "c"), assignMsg("w", 1, nil, "d")},
-			[]wireMsg{want(assignMsg("w", 1, map[string]string{"b": "tp-b", "c": "tp-c"}, "a", "b", "c", "d"), 0)}},
 		{"a different lease never merges",
-			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("w", 2, nil, "b"), ackMsg("w", 1, "x"), ackMsg("w", 2, "y")},
-			[]wireMsg{want(assignMsg("w", 1, nil, "a"), 0), want(assignMsg("w", 2, nil, "b"), 0),
+			[]outMsg{assignMsg("w", 1, "a"), assignMsg("w", 2, "b"), ackMsg("w", 1, "x"), ackMsg("w", 2, "y")},
+			[]wireMsg{want(assignMsg("w", 1, "a"), 0), want(assignMsg("w", 2, "b"), 0),
 				want(ackMsg("w", 1, "x"), 0), want(ackMsg("w", 2, "y"), 0)}},
 		{"a different worker never merges",
-			[]outMsg{assignMsg("w", 1, nil, "a"), assignMsg("v", 1, nil, "b"), ackMsg("w", 1, "x"), ackMsg("v", 1, "y")},
-			[]wireMsg{want(assignMsg("w", 1, nil, "a"), 0), want(assignMsg("v", 1, nil, "b"), 0),
+			[]outMsg{assignMsg("w", 1, "a"), assignMsg("v", 1, "b"), ackMsg("w", 1, "x"), ackMsg("v", 1, "y")},
+			[]wireMsg{want(assignMsg("w", 1, "a"), 0), want(assignMsg("v", 1, "b"), 0),
 				want(ackMsg("w", 1, "x"), 0), want(ackMsg("v", 1, "y"), 0)}},
 		{"a different epoch never merges",
 			[]outMsg{atEpoch(ackMsg("w", 1, "x"), 3), atEpoch(ackMsg("w", 1, "y"), 5), atEpoch(ackMsg("w", 1, "z"), 5)},

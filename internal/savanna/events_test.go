@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fairflow/internal/cheetah"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
 )
@@ -167,5 +168,24 @@ func TestSimEngineKilledRunEvents(t *testing.T) {
 	}
 	if killed != out.Killed {
 		t.Errorf("run.killed events = %d, want %d", killed, out.Killed)
+	}
+}
+
+// TestLifecycleRunEventAllocs pins a run event's cost: the attributes are
+// built on the stack, and the event log's own copy is the one allocation.
+func TestLifecycleRunEventAllocs(t *testing.T) {
+	log := eventlog.NewLog()
+	lc := Lifecycle{Campaign: "c", Events: log}
+	tr := telemetry.NewTracer()
+	r := NewRunState(cheetah.Run{ID: "g/s/run-00042"})
+	_, r.Span = tr.Start(context.Background(), "remote.run")
+	event := func() {
+		lc.event(eventlog.Warn, eventlog.RunRetry, "again", &r, "w0", telemetry.String("attempt", "2"))
+	}
+	if n := testing.AllocsPerRun(100, event); n != 1 {
+		t.Fatalf("a run event with a worker and one more attribute = %.0f allocations, want 1", n)
+	}
+	if ev := log.Snapshot()[0]; ev.Attr("run") != "g/s/run-00042" || ev.Attr("worker") != "w0" || ev.Attr("attempt") != "2" || ev.Span != r.Span.ID() {
+		t.Fatalf("event = %+v", ev)
 	}
 }

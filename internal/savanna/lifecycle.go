@@ -460,8 +460,8 @@ func (lc *Lifecycle) event(level eventlog.Level, typ, msg string, r *RunState, w
 	if !lc.Events.Enabled(level) {
 		return
 	}
-	attrs := make([]telemetry.Attr, 0, 2+len(more))
-	attrs = append(attrs, telemetry.String("run", r.Result.Run.ID))
+	var buf [4]telemetry.Attr // on the stack: Append's copy is the one allocation
+	attrs := append(buf[:0], telemetry.String("run", r.Result.Run.ID))
 	if worker != "" {
 		attrs = append(attrs, telemetry.String("worker", worker))
 	}

@@ -46,13 +46,8 @@ func Float(k string, v float64) Attr {
 
 // SpanData is the immutable record of a finished span.
 type SpanData struct {
-	ID     int64 `json:"id"`
-	Parent int64 `json:"parent,omitempty"` // 0 = root
-	// Remote names a parent span in another process, as a traceparent
-	// string (see SpanContext). It is set by StartRemote and consumed by
-	// the coordinator's merge step, which resolves it to a local Parent id;
-	// exporters ignore it.
-	Remote string    `json:"remote,omitempty"`
+	ID     int64     `json:"id"`
+	Parent int64     `json:"parent,omitempty"` // 0 = root
 	Name   string    `json:"name"`
 	Start  time.Time `json:"start"`
 	End    time.Time `json:"end"`
@@ -72,14 +67,51 @@ func (d SpanData) Attr(key string) string {
 	return ""
 }
 
+// inlineAttrs is how many attributes a span holds without a second
+// allocation: a run's span on the per-run path carries four, more only for
+// a failure or a measured resource usage.
+const inlineAttrs = 4
+
 // Span is an in-flight traced operation. All methods are safe on a nil
 // receiver, so callers can thread spans unconditionally and pay nothing when
 // tracing is off.
+//
+// A span is one allocation: its first attributes live in inline, and the
+// context Start returns is ctx, a field of the span itself.
 type Span struct {
 	tracer *Tracer
+	ctx    spanCtx
 	mu     sync.Mutex
 	data   SpanData
 	ended  bool
+	inline [inlineAttrs]Attr
+}
+
+// spanCtx is the context Start returns: its parent context plus the span.
+type spanCtx struct {
+	context.Context
+	span *Span
+}
+
+// Value answers the span key itself and defers every other key to the
+// parent.
+func (c *spanCtx) Value(key any) any {
+	if _, ok := key.(spanKey); ok {
+		return c.span
+	}
+	return c.Context.Value(key)
+}
+
+// add appends attributes, filling the inline array first. Callers hold s.mu
+// or own s exclusively.
+func (s *Span) add(attrs []Attr) {
+	if len(attrs) == 0 {
+		return
+	}
+	if s.data.Attrs == nil {
+		s.data.Attrs = s.inline[:0]
+	}
+	s.data.Attrs = append(s.data.Attrs, attrs...)
 }
 
 // Annotate appends attributes to the span. After End it is a no-op: the
@@ -91,7 +123,7 @@ func (s *Span) Annotate(attrs ...Attr) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		s.data.Attrs = append(s.data.Attrs, attrs...)
+		s.add(attrs)
 	}
 	s.mu.Unlock()
 }
@@ -108,11 +140,13 @@ func (s *Span) End(attrs ...Attr) {
 		return
 	}
 	s.ended = true
-	s.data.Attrs = append(s.data.Attrs, attrs...)
+	s.add(attrs)
+	// Clipped, so a reader's append copies instead of writing into inline.
+	s.data.Attrs = slices.Clip(s.data.Attrs)
 	s.data.End = s.tracer.Now()
-	data := s.data
 	s.mu.Unlock()
-	s.tracer.record(data)
+	s.tracer.file(&s.data)
+	s.tracer.open.Add(-1)
 }
 
 // ID returns the span's trace-local id (0 on a nil receiver).
@@ -126,16 +160,14 @@ func (s *Span) ID() int64 {
 // spanKey is the context key for span propagation.
 type spanKey struct{}
 
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // SpanFromContext returns the context's span, nil when none (or when ctx is
 // nil).
 func SpanFromContext(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
+	}
+	if c, ok := ctx.(*spanCtx); ok {
+		return c.span
 	}
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
@@ -145,18 +177,25 @@ func SpanFromContext(ctx context.Context) *Span {
 // beyond it are dropped (counted, never silently).
 const DefaultSpanCapacity = 65536
 
+// spanChunk is the size of one block of the finished-span buffer. The
+// buffer grows a block at a time, so filed spans are never copied again.
+const spanChunk = 256
+
 // Tracer records spans into a bounded in-memory buffer. A nil *Tracer is a
 // valid "tracing off" tracer: Start returns a nil span and the context
 // unchanged.
+//
+// Starting a span takes no lock; ending one takes mu once, to file it.
 type Tracer struct {
-	clock Clock
-	cap   int
-
+	clock   atomic.Pointer[Clock]
+	traceID atomic.Pointer[TraceID]
 	nextID  atomic.Int64
+	open    atomic.Int64
+
 	mu      sync.Mutex
-	traceID TraceID
-	spans   []SpanData
-	open    int64
+	cap     int
+	chunks  [][]SpanData // spanChunk spans each; only the last has room
+	n       int          // spans filed
 	dropped int64
 }
 
@@ -172,9 +211,11 @@ func (t *Tracer) SetClock(c Clock) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.clock = c
-	t.mu.Unlock()
+	if c == nil {
+		t.clock.Store(nil)
+	} else {
+		t.clock.Store(&c)
+	}
 }
 
 // SetCapacity bounds the finished-span buffer (values < 1 restore the
@@ -198,13 +239,10 @@ func (t *Tracer) Now() time.Time {
 	if t == nil {
 		return time.Now()
 	}
-	t.mu.Lock()
-	c := t.clock
-	t.mu.Unlock()
-	if c == nil {
-		return time.Now()
+	if c := t.clock.Load(); c != nil {
+		return (*c).Now()
 	}
-	return c.Now()
+	return time.Now()
 }
 
 // Start begins a span as a child of the context's current span (a root span
@@ -219,32 +257,46 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 		ctx = context.Background()
 	}
 	s := &Span{tracer: t}
+	s.ctx = spanCtx{Context: ctx, span: s}
 	s.data = SpanData{
 		ID:     t.nextID.Add(1),
 		Parent: SpanFromContext(ctx).ID(),
 		Name:   name,
 		Start:  t.Now(),
-		Attrs:  slices.Clone(attrs),
 	}
-	t.mu.Lock()
-	t.open++
-	t.mu.Unlock()
-	return ContextWithSpan(ctx, s), s
+	s.add(attrs)
+	t.open.Add(1)
+	return &s.ctx, s
 }
 
-// record files a finished span into the bounded buffer.
-func (t *Tracer) record(data SpanData) {
-	if t == nil {
-		return
-	}
+// file copies a finished span into the bounded buffer.
+func (t *Tracer) file(d *SpanData) {
 	t.mu.Lock()
-	t.open--
-	if len(t.spans) >= t.cap {
+	if t.n >= t.cap {
 		t.dropped++
 	} else {
-		t.spans = append(t.spans, data)
+		if t.n%spanChunk == 0 {
+			t.chunks = append(t.chunks, make([]SpanData, spanChunk))
+		}
+		t.chunks[t.n/spanChunk][t.n%spanChunk] = *d
+		t.n++
 	}
 	t.mu.Unlock()
+}
+
+// spansLocked copies the filed spans [from, to). Callers hold t.mu.
+func (t *Tracer) spansLocked(from, to int) []SpanData {
+	if from >= to {
+		return nil
+	}
+	out := make([]SpanData, 0, to-from)
+	for i := from; i < to; {
+		off := i % spanChunk
+		k := min(to-i, spanChunk-off)
+		out = append(out, t.chunks[i/spanChunk][off:off+k]...)
+		i += k
+	}
+	return out
 }
 
 // Snapshot copies the finished spans recorded so far.
@@ -253,9 +305,8 @@ func (t *Tracer) Snapshot() []SpanData {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]SpanData(nil), t.spans...)
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.spansLocked(0, t.n)
 }
 
 // Open reports spans started but not yet ended.
@@ -263,9 +314,7 @@ func (t *Tracer) Open() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.open
+	return t.open.Load()
 }
 
 // Dropped reports finished spans discarded because the buffer was full.

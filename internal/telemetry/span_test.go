@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -107,5 +109,157 @@ func TestSpanBufferCap(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("dropped = %d, want 6", got)
+	}
+}
+
+// TestSpanStartEndAllocs pins a span's cost: with at most four attributes
+// between Start and End, the span, its attributes and the context Start
+// returns are one allocation, and filing it into a chunk already there
+// allocates nothing more.
+func TestSpanStartEndAllocs(t *testing.T) {
+	tr := NewTracer()
+	ctx, root := tr.Start(context.Background(), "root")
+	defer root.End()
+	run := func() {
+		_, sp := tr.Start(ctx, "run", String("run", "g/s/run-00042"), String("worker", "w0"))
+		sp.End(String("status", "succeeded"), String("cached", "false"))
+	}
+	run() // the first filed span allocates the buffer's first chunk
+	if n := testing.AllocsPerRun(100, run); n != 1 {
+		t.Fatalf("Start + End with 4 attributes = %.0f allocations, want 1", n)
+	}
+}
+
+// TestSpanContextValues checks the context Start returns: it answers the
+// span, defers other keys to its parent, and cancels with it.
+func TestSpanContextValues(t *testing.T) {
+	type key struct{}
+	tr := NewTracer()
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, sp := tr.Start(parent, "op")
+	if SpanFromContext(ctx) != sp || ctx.Value(key{}) != "v" {
+		t.Fatal("span context lost the span or its parent's value")
+	}
+	child, stop := context.WithCancel(ctx)
+	defer stop()
+	if SpanFromContext(child) != sp {
+		t.Fatal("a context derived from the span context lost the span")
+	}
+	cancel()
+	<-child.Done()
+	if ctx.Err() == nil {
+		t.Fatal("span context did not see its parent's cancellation")
+	}
+	sp.End()
+}
+
+// TestSpanAttrsClippedAtEnd: a reader appending to a filed span's attributes
+// must get a copy, never write into the span's own array.
+func TestSpanAttrsClippedAtEnd(t *testing.T) {
+	tr := NewTracer()
+	_, sp := tr.Start(context.Background(), "op", String("a", "1"))
+	sp.End()
+	d := tr.Snapshot()[0]
+	_ = append(d.Attrs, String("b", "2"))
+	if got := tr.Snapshot()[0]; len(got.Attrs) != 1 || sp.inline[1] != (Attr{}) {
+		t.Fatalf("a reader's append wrote into the span: %+v", got.Attrs)
+	}
+	// More attributes than the inline array holds spill to the heap intact.
+	_, big := tr.Start(context.Background(), "big", Int("a", 1), Int("b", 2), Int("c", 3))
+	big.Annotate(Int("d", 4), Int("e", 5))
+	big.End(Int("f", 6))
+	if got := tr.Snapshot()[1]; len(got.Attrs) != 6 || got.Attr("a") != "1" || got.Attr("f") != "6" {
+		t.Fatalf("spilled attributes = %+v", got.Attrs)
+	}
+}
+
+// TestSpanBufferChunks files spans across several buffer chunks and reads
+// them back whole and in windows that straddle chunk boundaries.
+func TestSpanBufferChunks(t *testing.T) {
+	tr := NewTracer()
+	total := 2*spanChunk + 17
+	for i := 0; i < total; i++ {
+		_, sp := tr.Start(context.Background(), "s", Int("i", i))
+		sp.End()
+	}
+	all := tr.Snapshot()
+	if len(all) != total || tr.Finished() != total {
+		t.Fatalf("snapshot %d spans, finished %d, want %d", len(all), tr.Finished(), total)
+	}
+	for i, d := range all {
+		if d.Attr("i") != strconv.Itoa(i) {
+			t.Fatalf("span %d holds i=%s", i, d.Attr("i"))
+		}
+	}
+	for _, w := range [][2]int{{spanChunk - 3, 10}, {0, 2*spanChunk + 1}, {spanChunk, spanChunk}, {2 * spanChunk, 0}} {
+		got := tr.SnapshotSince(w[0], w[1])
+		want := all[w[0]:]
+		if w[1] > 0 {
+			want = all[w[0]:min(total, w[0]+w[1])]
+		}
+		if len(got) != len(want) || got[0].ID != want[0].ID || got[len(got)-1].ID != want[len(want)-1].ID {
+			t.Fatalf("SnapshotSince(%d, %d) = %d spans, want %d", w[0], w[1], len(got), len(want))
+		}
+	}
+}
+
+// TestTracerConcurrentStartEndAndReads runs under -race: two goroutines
+// start and end spans while a third swaps the clock and reads the trace id
+// and the buffer — the clock, trace id and open count live outside the
+// tracer's mutex.
+func TestTracerConcurrentStartEndAndReads(t *testing.T) {
+	tr := NewTracer()
+	const per = 2000
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, root := tr.Start(context.Background(), "root")
+			for i := 0; i < per-1; i++ {
+				_, sp := tr.Start(ctx, "child", Int("i", i))
+				sp.Annotate(Bool("odd", i%2 == 1))
+				sp.End()
+			}
+			root.End()
+		}()
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		virtual := time.Unix(0, 0)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				tr.SetClock(ClockFunc(func() time.Time { return virtual }))
+			} else {
+				tr.SetClock(nil)
+			}
+			if tr.TraceID().IsZero() {
+				t.Error("zero trace id")
+			}
+			n := len(tr.Snapshot())
+			if got := tr.SnapshotSince(n/2, 0); len(got) < n-n/2 {
+				t.Errorf("SnapshotSince(%d) = %d spans, want at least %d", n/2, len(got), n-n/2)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if got := len(tr.Snapshot()); got != 2*per || tr.Open() != 0 || tr.Dropped() != 0 {
+		t.Fatalf("spans %d, open %d, dropped %d; want %d, 0, 0", got, tr.Open(), tr.Dropped(), 2*per)
+	}
+	ids := map[int64]bool{}
+	for _, d := range tr.Snapshot() {
+		if ids[d.ID] {
+			t.Fatalf("span id %d filed twice", d.ID)
+		}
+		ids[d.ID] = true
 	}
 }

@@ -298,7 +298,8 @@ const (
 // not count. A method is exempt when its receiver type implements an
 // interface that declares it: one declared in the module, or one the
 // standard library calls (error, fmt.Stringer and fmt.Formatter, the json
-// and text (un)marshalers, io.Reader and io.Writer, errors' Unwrap/Is/As).
+// and text (un)marshalers, io.Reader and io.Writer, context.Context, errors'
+// Unwrap/Is/As).
 //
 // Knob rule: an exported field of a struct type declared in a non-test file
 // under internal/ is alive when non-test code writes it: a keyed or
@@ -497,6 +498,7 @@ func calledInterfaces(t *testing.T, s *shipped) []*types.Interface {
 		"encoding/json": {"Marshaler", "Unmarshaler"},
 		"encoding":      {"TextMarshaler", "TextUnmarshaler"},
 		"io":            {"Reader", "Writer"},
+		"context":       {"Context"},
 	}
 	for p, names := range std {
 		pkg, err := s.std.Import(p)
