@@ -143,7 +143,8 @@ func RetryStormRule(threshold float64) Rule {
 
 // DeadWorkerRule is the canned alert for the distributed plane: the
 // coordinator's remote.workers_dead gauge counts workers whose lease
-// expired without a clean leave and who have not rejoined. Any value
+// expired without a clean leave and whom no later join, under any name, has
+// replaced. Any value
 // above zero means the campaign is running degraded — the lost runs
 // re-dispatch, but capacity is gone until a replacement connects (which
 // decrements the gauge and resolves the alert). Equivalent to the rule

@@ -151,22 +151,22 @@ func (e *Engine) workerWait() time.Duration { return orDefault(e.WorkerWait, 60*
 // connections warm while a worker that stops reading is ended by it.
 func (e *Engine) ioTimeout() time.Duration { return 2*e.leaseTTL() + 2*time.Second }
 
-// wstate is one connected worker as the coordinator sees it.
+// wstate is one connected worker as the coordinator sees it, and the one
+// record of its lease: the id the join granted (unique within the campaign)
+// and the deadline its heartbeats push, both under co.mu.
 type wstate struct {
-	name  string
-	c     *conn
-	lease resilience.Lease
+	name    string
+	c       *conn
+	lease   int64
+	expires time.Time
 	// outstanding holds run ids assigned to this worker with no terminal
 	// outcome yet (the lease-expiry re-dispatch set).
 	outstanding  map[string]bool
 	stealPending bool
 	dead         bool
 	slots        int
-	// skew is this worker's clock-offset estimate; idmap translates its
-	// span ids into the coordinator tracer's id space (lazily populated by
-	// the telemetry merge). Both live under co.mu.
-	skew  skewEstimator
-	idmap map[int64]int64
+	// skew is this worker's clock-offset estimate (under co.mu).
+	skew skewEstimator
 }
 
 // coordinator is one campaign's live dispatch state.
@@ -175,10 +175,9 @@ type coordinator struct {
 	// lc decides what happens to every run; the coordinator decides where and
 	// when (which worker, which order, which critical section) and tells it
 	// what the wire reported.
-	lc     savanna.Lifecycle
-	leases *resilience.LeaseTable
-	span   *telemetry.Span
-	ctx    context.Context
+	lc   savanna.Lifecycle
+	span *telemetry.Span
+	ctx  context.Context
 	// rec writes what the coordinator decides: journal records, status
 	// lines (a successor incarnation appends to the same files), provenance
 	// — and then releases the acks.
@@ -191,10 +190,13 @@ type coordinator struct {
 	group savanna.Group
 	index map[string]int
 	// state is each run's lifecycle state, in the campaign's order.
-	state     []savanna.RunState
-	pending   []int
-	workers   map[string]*wstate
-	died      map[string]bool
+	state   []savanna.RunState
+	pending []int
+	workers map[string]*wstate
+	// dead counts the workers that died with no later join to replace
+	// them: the remote.workers_dead gauge. leaseSeq numbers the leases.
+	dead      int
+	leaseSeq  int64
 	remaining int
 	draining  bool
 	nameSeq   int
@@ -238,15 +240,11 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		index:   make(map[string]int, len(runs)),
 		state:   make([]savanna.RunState, len(runs)),
 		workers: map[string]*wstate{},
-		died:    map[string]bool{},
 		doneCh:  make(chan struct{}),
 	}
 	if e.Prov != nil {
 		co.lc.Seq = &e.attempt
 	}
-	// Grants, expiries and releases all happen under co.mu: their records
-	// join the group of the critical section that decided them.
-	co.leases = resilience.NewLeaseTable(e.leaseTTL(), co.group.Journal, nil)
 	for i, r := range runs {
 		co.index[r.ID] = i
 		co.state[i] = savanna.NewRunState(r)
@@ -316,7 +314,7 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	// is empty.
 	co.rec.Flush()
 	for _, w := range workers {
-		w.c.post(OpDrain, w.name, w.lease.ID, nil)
+		w.c.post(OpDrain, w.name, w.lease, nil)
 	}
 	ln.Close()
 	<-acceptDone
@@ -370,13 +368,20 @@ func (co *coordinator) reapLoop(stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		for _, l := range co.leases.Expired() {
-			co.workerDead(l.Worker, "lease expired: missed heartbeats")
-		}
 		co.mu.Lock()
+		var expired []*wstate
+		now := time.Now()
+		for _, w := range co.workers {
+			if now.After(w.expires) {
+				expired = append(expired, w)
+			}
+		}
 		starved := co.remaining > 0 && len(co.workers) == 0 &&
 			!co.zeroSince.IsZero() && time.Since(co.zeroSince) > co.e.workerWait()
 		co.mu.Unlock()
+		for _, w := range expired {
+			co.workerDead(w, "lease expired: missed heartbeats")
+		}
 		if starved {
 			co.cancelCampaign(fmt.Sprintf("no live workers for %s", co.e.workerWait()))
 		}
@@ -447,12 +452,18 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		co.nameSeq++
 		name = fmt.Sprintf("%s-%d", m.Worker, co.nameSeq)
 	}
-	lease := co.leases.Grant(name)
-	w := &wstate{name: name, c: c, lease: lease, outstanding: map[string]bool{}, slots: hello.Slots}
+	co.leaseSeq++
+	w := &wstate{name: name, c: c, lease: co.leaseSeq, expires: time.Now().Add(e.leaseTTL()),
+		outstanding: map[string]bool{}, slots: hello.Slots}
 	co.workers[name] = w
+	// Grants, expiries and releases are journaled in the group of the
+	// critical section that decided them, among the attempts around them.
+	co.group.Journal(resilience.AttemptRecord{Run: resilience.LeaseRunID(name), Event: resilience.LeaseGranted,
+		Worker: name, Attempt: int(w.lease), Time: time.Now()})
 	co.zeroSince = time.Time{}
-	if co.died[name] {
-		delete(co.died, name)
+	// A join under any name replaces one dead worker.
+	if co.dead > 0 {
+		co.dead--
 		e.gDead.Add(-1)
 	}
 	e.gLive.Add(1)
@@ -469,7 +480,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	// new). The grant is queued under the lock that registered the worker:
 	// no top-up's assign can be ahead of it.
 	c.onErr = func(err error) { co.workerGone(w, fmt.Errorf("send failed: %w", err)) }
-	c.post(OpLeaseGrant, name, lease.ID, &grant)
+	c.post(OpLeaseGrant, name, w.lease, &grant)
 	co.assignAllLocked()
 	co.unlock()
 
@@ -491,7 +502,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		case OpResult:
 			out, err := decodeBody[Outcome](m)
 			if err != nil {
-				co.workerDead(name, err.Error())
+				co.workerDead(w, err.Error())
 				return
 			}
 			// Ack every result — duplicates and runs this (possibly resumed)
@@ -512,10 +523,9 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		case OpHeartbeat:
 			hb, err := decodeBody[Heartbeat](m)
 			if err != nil {
-				co.workerDead(name, err.Error())
+				co.workerDead(w, err.Error())
 				return
 			}
-			co.leases.Renew(name)
 			e.mHeartbeats.Inc()
 			if hb.RTTNanos > 0 {
 				e.hHeartbeatRTT.Observe(time.Duration(hb.RTTNanos).Seconds())
@@ -525,6 +535,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 					telemetry.String("worker", name))
 			}
 			co.mu.Lock()
+			w.expires = time.Now().Add(e.leaseTTL())
 			if hb.SentUnixNano != 0 {
 				w.skew.sample(time.Unix(0, hb.SentUnixNano), time.Duration(hb.RTTNanos), time.Now())
 			}
@@ -543,14 +554,14 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		case OpTelemetry:
 			b, err := decodeBody[TelemetryBatch](m)
 			if err != nil {
-				co.workerDead(name, err.Error())
+				co.workerDead(w, err.Error())
 				return
 			}
 			co.handleTelemetry(w, b, time.Now())
 		case OpStolen:
 			st, err := decodeBody[Stolen](m)
 			if err != nil {
-				co.workerDead(name, err.Error())
+				co.workerDead(w, err.Error())
 				return
 			}
 			co.handleStolen(w, st)
@@ -564,9 +575,10 @@ func (co *coordinator) workerGone(w *wstate, err error) {
 	co.mu.Lock()
 	if co.draining || w.dead {
 		if !w.dead {
-			if _, ok := co.workers[w.name]; ok {
+			if co.workers[w.name] == w {
 				delete(co.workers, w.name)
-				co.leases.Release(w.name)
+				co.group.Journal(resilience.AttemptRecord{Run: resilience.LeaseRunID(w.name),
+					Event: resilience.LeaseReleased, Worker: w.name, Time: time.Now()})
 				co.e.gLive.Add(-1)
 				co.e.Events.Append(eventlog.Info, eventlog.WorkerLeave, w.name, co.span.ID(),
 					telemetry.String("worker", w.name))
@@ -577,17 +589,16 @@ func (co *coordinator) workerGone(w *wstate, err error) {
 		return
 	}
 	co.mu.Unlock()
-	co.workerDead(w.name, err.Error())
+	co.workerDead(w, err.Error())
 }
 
-// workerDead reclaims a worker's lease: every outstanding run journals
-// lost and requeues (the attempt budget is untouched — the fault was the
+// workerDead expires a worker's lease: every outstanding run journals lost
+// and requeues (the attempt budget is untouched — the fault was the
 // worker's), the dead gauge rises, and the remaining workers are topped up.
-func (co *coordinator) workerDead(name, reason string) {
-	e := co.e
+func (co *coordinator) workerDead(w *wstate, reason string) {
+	e, name := co.e, w.name
 	co.mu.Lock()
-	w := co.workers[name]
-	if w == nil || w.dead {
+	if co.workers[name] != w { // already ended: dead or released
 		co.mu.Unlock()
 		return
 	}
@@ -596,11 +607,12 @@ func (co *coordinator) workerDead(name, reason string) {
 	if co.remaining > 0 && len(co.workers) == 0 {
 		co.zeroSince = time.Now()
 	}
-	co.leases.Expire(name, reason)
+	co.group.Journal(resilience.AttemptRecord{Run: resilience.LeaseRunID(name), Event: resilience.LeaseExpired,
+		Worker: name, Time: time.Now(), Err: reason})
 	e.gLive.Add(-1)
+	co.dead++
 	e.gDead.Add(1)
 	e.mDeadTotal.Inc()
-	co.died[name] = true
 	lost := make([]string, 0, len(w.outstanding))
 	for id := range w.outstanding {
 		lost = append(lost, id)
@@ -700,7 +712,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 		want--
 	}
 	if len(batch) > 0 {
-		w.c.post(OpAssign, w.name, w.lease.ID, &Assignment{Runs: batch})
+		w.c.post(OpAssign, w.name, w.lease, &Assignment{Runs: batch})
 		return
 	}
 	if len(w.outstanding) == 0 {
@@ -739,7 +751,7 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 	co.e.Events.Append(eventlog.Info, eventlog.WorkSteal, "", co.span.ID(),
 		telemetry.String("from", victim.name), telemetry.String("to", idle.name),
 		telemetry.Int("n", n))
-	victim.c.post(OpSteal, victim.name, victim.lease.ID, &Steal{N: n})
+	victim.c.post(OpSteal, victim.name, victim.lease, &Steal{N: n})
 }
 
 // handleStolen requeues the runs a victim relinquished and feeds the

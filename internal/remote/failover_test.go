@@ -462,15 +462,15 @@ func waitFor(t *testing.T, d time.Duration, ok func() bool) {
 	}
 }
 
-// remoteV1 is the schema of the previous protocol version: msgSchema's
+// remoteV3 is the schema of the previous protocol version: msgSchema's
 // fields under the old name.
-func remoteV1() *stream.Schema {
+func remoteV3() *stream.Schema {
 	old := *msgSchema
-	old.Name = "remote.v1"
+	old.Name = "remote.v3"
 	return &old
 }
 
-// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v1
+// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v3
 // stream to a live campaign. The coordinator refuses it at its first record
 // — one Warn event, one count — answers with a record of its own so the
 // peer's schema check can name both versions, leaves no goroutine behind,
@@ -492,11 +492,11 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	enc, err := stream.NewEncoder(nc, remoteV1())
+	enc, err := stream.NewEncoder(nc, remoteV3())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, _ := stream.NewRecord(remoteV1(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
+	hello, _ := stream.NewRecord(remoteV3(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
 	if err := enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 			continue
 		}
 		refused++
-		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v1" || ev.Attr("expected") != msgSchema.Name ||
+		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v3" || ev.Attr("expected") != msgSchema.Name ||
 			ev.Attr("peer") != nc.LocalAddr().String() {
 			t.Errorf("worker.refused event = %+v", ev)
 		}
@@ -559,15 +559,15 @@ func TestWorkerNamesBothSchemasOnMismatch(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		enc, _ := stream.NewEncoder(nc, remoteV1())
-		grant, _ := stream.NewRecord(remoteV1(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
+		enc, _ := stream.NewEncoder(nc, remoteV3())
+		grant, _ := stream.NewRecord(remoteV3(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
 		enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: grant})
 		enc.Flush()
 	}()
 	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1,
 		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
 	err := w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `"remote.v1"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
+	if err == nil || !strings.Contains(err.Error(), `"remote.v3"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
 		t.Fatalf("Run error = %v, want one naming both schemas", err)
 	}
 }

@@ -9,7 +9,7 @@
 // the journal keeps exactly-once accounting across worker and coordinator
 // crashes alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v3) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v4) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
 // binary body whose layout the verb selects (wire.go) — the same
 // typed-records + control-punctuation design as the streaming substrate,
@@ -91,7 +91,7 @@ const (
 // refused at its first record by the schema check in recv, instead of
 // misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v3",
+	Name: "remote.v4",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -158,11 +158,9 @@ type Outcome struct {
 	MaxRSSBytes      int64   `json:"max_rss,omitempty"`
 }
 
-// Heartbeat renews a lease and reports queue occupancy (the coordinator's
-// steal heuristic input).
+// Heartbeat renews a lease. What a worker holds the coordinator already
+// knows (wstate.outstanding), so the body carries only clock samples.
 type Heartbeat struct {
-	Queued   int `json:"queued"`
-	InFlight int `json:"in_flight"`
 	// SentUnixNano stamps the worker's clock at send time; with RTTNanos it
 	// feeds the coordinator's per-worker clock-skew estimate.
 	SentUnixNano int64 `json:"sent,omitempty"`

@@ -27,7 +27,7 @@ func FuzzRemoteMessage(f *testing.F) {
 	f.Add(wireBytes(f,
 		outMsg{op: OpLeaseGrant, worker: "w0", lease: 3, epoch: 2, body: &LeaseGrant{Campaign: "c", TTLMillis: 10_000,
 			Component: "sha256:cd", Inputs: map[string]string{"in": "sha256:ef"}, Epoch: 2}},
-		outMsg{op: OpHeartbeat, worker: "w0", lease: 3, epoch: 2, body: &Heartbeat{Queued: 3, InFlight: 1, RTTNanos: 1500}},
+		outMsg{op: OpHeartbeat, worker: "w0", lease: 3, epoch: 2, body: &Heartbeat{RTTNanos: 1500}},
 		outMsg{op: OpHeartbeatAck, worker: "w0", lease: 3, epoch: 2, body: &HeartbeatAck{EchoUnixNano: 7}},
 		outMsg{op: OpSteal, worker: "w0", lease: 3, epoch: 2, body: &Steal{N: 2}}))
 	f.Add(wireBytes(f, outMsg{op: OpTelemetry, worker: "w0", lease: 3, epoch: 2, body: &TelemetryBatch{

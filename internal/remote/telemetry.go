@@ -139,6 +139,18 @@ func (sh *shipper) next(max int) (b TelemetryBatch, ok bool) {
 	return b, ok
 }
 
+// rewind moves every cursor back to the start, so the next batches ship the
+// whole backlog again (a no-op on a nil shipper).
+func (sh *shipper) rewind() {
+	if sh == nil {
+		return
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.spanCursor, sh.spanDropped, sh.eventCursor = 0, 0, 0
+	sh.prev = telemetry.MetricsSnapshot{}
+}
+
 // abandon gives up on everything finished or journaled since the last batch:
 // it moves both cursors to the end and returns how many spans and events
 // that skipped, for the caller to report as dropped.
@@ -154,18 +166,31 @@ func (sh *shipper) abandon() (spans, events int64) {
 	return spans, events
 }
 
+// workerSpanBits splits the coordinator tracer's span ids: the tracer
+// numbers its own spans from 1, below 2^32, and the worker holding lease n
+// files its span x at n<<32 | x. Leases below 2^21 keep every merged id below
+// 2^53, so JSON readers hold it exactly.
+const workerSpanBits = 32
+
+// spanID maps one of w's span ids into its namespace, or returns 0 for an id
+// that does not fit: outside input, dropped with what carries it.
+func (w *wstate) spanID(id int64) int64 {
+	if id <= 0 || id >= 1<<workerSpanBits || w.lease >= 1<<(53-workerSpanBits) {
+		return 0
+	}
+	return w.lease<<workerSpanBits | id
+}
+
 // handleTelemetry merges one worker batch into the coordinator's
-// telemetry: span and event ids re-key into the coordinator tracer's id
-// space, a worker's run spans parent under the coordinator's spans for
-// their runs, timestamps shift onto the coordinator's timeline by the
-// worker's estimated clock skew, and everything gains worker=<name>
-// attribution.
+// telemetry: span ids map into the worker's namespace of the coordinator
+// tracer's ids (so a child shipped before its parent still names it), a
+// worker's run spans parent under the coordinator's spans for their runs,
+// timestamps shift onto the coordinator's timeline by the worker's
+// estimated clock skew, and everything gains worker=<name> attribution.
 func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Time) {
 	e := co.e
 	e.mTelemetryBatches.Inc()
-	if n := b.DroppedSpans + b.DroppedEvents; n > 0 {
-		e.mTelemetryDropped.Add(n)
-	}
+	dropped := b.DroppedSpans + b.DroppedEvents
 
 	co.mu.Lock()
 	if b.SentUnixNano != 0 {
@@ -174,17 +199,23 @@ func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Ti
 	skew := w.skew
 	spans := make([]telemetry.SpanData, 0, len(b.Spans))
 	for _, d := range b.Spans {
-		if d.ID == 0 {
-			continue
+		if co.remapSpanLocked(w, &d, skew) {
+			spans = append(spans, d)
+		} else {
+			dropped++
 		}
-		spans = append(spans, co.remapSpanLocked(w, d, skew))
 	}
+	co.mu.Unlock()
+
 	events := make([]eventlog.Event, 0, len(b.Events))
 	for _, ev := range b.Events {
-		ev.Time = skew.adjust(ev.Time)
 		if ev.Span != 0 {
-			ev.Span = co.remapIDLocked(w, ev.Span)
+			if ev.Span = w.spanID(ev.Span); ev.Span == 0 {
+				dropped++
+				continue
+			}
 		}
+		ev.Time = skew.adjust(ev.Time)
 		// origin=worker lets consumers that already track run lifecycles
 		// from Outcome reports (the monitor) skip the shipped copies instead
 		// of double counting.
@@ -196,8 +227,10 @@ func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Ti
 		ev.Attrs = append(attrs, telemetry.String("origin", "worker"))
 		events = append(events, ev)
 	}
-	co.mu.Unlock()
 
+	if dropped > 0 {
+		e.mTelemetryDropped.Add(dropped)
+	}
 	for _, d := range spans {
 		e.Tracer.Ingest(d)
 	}
@@ -210,44 +243,26 @@ func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Ti
 	}
 }
 
-// remapIDLocked translates one worker-local span id into the coordinator
-// tracer's id space, allocating on first sight. Lazy allocation matters:
-// child spans routinely ship before their parents (a run span finishes
-// before the session span that contains it), so a parent reference must be
-// able to reserve the id its span will land on later. Callers hold co.mu.
-func (co *coordinator) remapIDLocked(w *wstate, id int64) int64 {
-	if id == 0 {
-		return 0
+// remapSpanLocked rewrites one worker span for the coordinator's trace —
+// mapped ids, resolved parent, skew-adjusted times, worker attribution — and
+// reports false when an id it carries does not fit w's namespace. A worker's
+// run span parents under this coordinator's span for its "run" attribute,
+// whatever its worker-local parent, and files as a root when there is no
+// such span: an unknown run id, or a run this incarnation never dispatched.
+// Callers hold co.mu.
+func (co *coordinator) remapSpanLocked(w *wstate, d *telemetry.SpanData, skew skewEstimator) bool {
+	if d.ID = w.spanID(d.ID); d.ID == 0 {
+		return false
 	}
-	if m, ok := w.idmap[id]; ok {
-		return m
-	}
-	m := co.e.Tracer.AllocID()
-	if m == 0 {
-		return 0 // tracing off: nothing to collide with
-	}
-	if w.idmap == nil {
-		w.idmap = map[int64]int64{}
-	}
-	w.idmap[id] = m
-	return m
-}
-
-// remapSpanLocked rewrites one worker span for the coordinator's trace:
-// fresh id, resolved parent, skew-adjusted times, worker attribution. A
-// worker's run span parents under this coordinator's span for its "run"
-// attribute, whatever its worker-local parent, and files as a root when
-// there is no such span: an unknown run id, or a run this incarnation never
-// dispatched. Callers hold co.mu.
-func (co *coordinator) remapSpanLocked(w *wstate, d telemetry.SpanData, skew skewEstimator) telemetry.SpanData {
-	d.ID = co.remapIDLocked(w, d.ID)
 	if d.Name == workerRunSpan {
 		d.Parent = 0
 		if i, ok := co.index[d.Attr("run")]; ok {
 			d.Parent = co.state[i].Span.ID()
 		}
-	} else {
-		d.Parent = co.remapIDLocked(w, d.Parent)
+	} else if d.Parent != 0 {
+		if d.Parent = w.spanID(d.Parent); d.Parent == 0 {
+			return false
+		}
 	}
 	d.Start = skew.adjust(d.Start)
 	d.End = skew.adjust(d.End)
@@ -256,5 +271,5 @@ func (co *coordinator) remapSpanLocked(w *wstate, d telemetry.SpanData, skew ske
 		copy(attrs, d.Attrs)
 		d.Attrs = append(attrs, telemetry.String("worker", w.name))
 	}
-	return d
+	return true
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,8 +162,10 @@ func TestShipperBatchesCursorsAndDrops(t *testing.T) {
 // worker batch with its own id space, a 5-second-fast clock, and spans that
 // parent (a) under the coordinator's span for their run, whatever their
 // worker-local parent, (b) locally under a worker session span that ships in
-// a LATER batch, and (c) nowhere: a run span for an unknown run id, or for a
-// run this incarnation never dispatched, files as a root.
+// a LATER batch — the child still lands under it, with no map between the
+// two batches — and (c) nowhere: a run span for an unknown run id, or for a
+// run this incarnation never dispatched, files as a root. Ids that do not
+// fit the worker's namespace are dropped and counted.
 func TestHandleTelemetryMerge(t *testing.T) {
 	e := &Engine{
 		Tracer:  telemetry.NewTracer(),
@@ -171,7 +174,7 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	}
 	e.telemetryInit()
 	co := mergeCoordinator(e, "g/s/run-1", "g/s/run-2")
-	w := &wstate{name: "w9"}
+	w := &wstate{name: "w9", lease: 3}
 
 	// The coordinator's span for run 1; run 2 was terminal on replay, so
 	// this incarnation never opened one.
@@ -196,10 +199,14 @@ func TestHandleTelemetryMerge(t *testing.T) {
 			runSpan(103, "g/s/run-2"), // never dispatched here
 			// Child of the not-yet-shipped worker session span 100.
 			{ID: 104, Parent: 100, Name: "remote.worker.idle", Start: wnow, End: wnow},
-			{ID: 0, Name: "invalid"}, // id 0: dropped
+			// Ids outside the worker's namespace: dropped, counted.
+			{ID: 0, Name: "invalid"},
+			{ID: 1 << workerSpanBits, Name: "invalid"},
+			{ID: 105, Parent: -1, Name: "invalid"},
 		},
 		Events: []eventlog.Event{
 			{Time: wnow, Level: eventlog.Info, Type: eventlog.RunSucceeded, Span: 101},
+			{Time: wnow, Level: eventlog.Info, Type: eventlog.RunSucceeded, Span: 1 << 40},
 		},
 		Metrics:      &telemetry.MetricsSnapshot{Counters: []telemetry.CounterSnap{{Name: "remote_worker.runs_executed_total", Value: 7}}},
 		DroppedSpans: 3,
@@ -231,7 +238,7 @@ func TestHandleTelemetryMerge(t *testing.T) {
 		t.Fatalf("merged spans missing: %+v", spans)
 	}
 	if _, leaked := byName["invalid"]; leaked {
-		t.Fatal("id-0 span entered the trace")
+		t.Fatal("a span with an id outside the worker's namespace entered the trace")
 	}
 
 	// The run span parents under the coordinator's span for its run, not
@@ -244,14 +251,24 @@ func TestHandleTelemetryMerge(t *testing.T) {
 			t.Fatalf("run span for %s has parent %d, want a root", id, p)
 		}
 	}
-	// The lazily-reserved id for span 100 matches where the session span
-	// landed when it arrived one batch later.
-	if got := w.idmap[100]; got != sess.ID || idle.Parent != sess.ID {
-		t.Fatalf("idmap[100] = %d, idle parent %d, but session span landed at %d", got, idle.Parent, sess.ID)
+	// The idle span named span 100 one batch before it arrived, and lands
+	// under it: worker ids map arithmetically into lease 3's namespace,
+	// above every id the coordinator's own tracer hands out.
+	if idle.Parent != sess.ID || sess.ID != 3<<workerSpanBits|100 {
+		t.Fatalf("idle parent %d, session span at %d; want both at %d", idle.Parent, sess.ID, 3<<workerSpanBits|100)
 	}
-	// Worker ids re-keyed into the coordinator's space without collisions.
-	if run.ID == 101 || run.ID == dispatch.ID() || run.ID == sess.ID {
-		t.Fatalf("suspicious remapped id %d", run.ID)
+	if run.ID != 3<<workerSpanBits|101 || run.ID <= dispatch.ID() {
+		t.Fatalf("run span at %d, want %d (the coordinator's span is %d)", run.ID, 3<<workerSpanBits|101, dispatch.ID())
+	}
+	// Merged ids stay below 2^53, which JSON readers hold exactly: the last
+	// lease with a namespace maps the largest worker id under it, and the
+	// next lease's ids do not fit.
+	top := &wstate{lease: 1<<(53-workerSpanBits) - 1}
+	if id := top.spanID(1<<workerSpanBits - 1); id != 1<<53-1 {
+		t.Fatalf("largest merged id = %d, want 2^53-1", id)
+	}
+	if id := (&wstate{lease: top.lease + 1}).spanID(1); id != 0 {
+		t.Fatalf("a lease beyond the id space mapped span 1 to %d", id)
 	}
 
 	// Clock skew removed: the worker's 5s-fast timestamps land on the
@@ -266,7 +283,7 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	// Events: remapped span correlation, adjusted time, origin tag.
 	evs := e.Events.Snapshot()
 	if len(evs) != 1 {
-		t.Fatalf("events = %d", len(evs))
+		t.Fatalf("events = %d, want the one whose span id fits", len(evs))
 	}
 	ev := evs[0]
 	if ev.Span != run.ID {
@@ -283,8 +300,8 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	if got := e.Metrics.Counter("remote_worker.runs_executed_total", "worker", "w9").Value(); got != 7 {
 		t.Fatalf("merged counter = %d", got)
 	}
-	if got := e.mTelemetryDropped.Value(); got != 3 {
-		t.Fatalf("telemetry_dropped = %d, want 3", got)
+	if got := e.mTelemetryDropped.Value(); got != 3+4 {
+		t.Fatalf("telemetry_dropped = %d, want the worker's 3 and the merge's 4", got)
 	}
 	if got := e.mTelemetryBatches.Value(); got != 2 {
 		t.Fatalf("telemetry_batches = %d, want 2", got)
@@ -312,8 +329,8 @@ func TestTraceMergeParentsReDispatchedAttempts(t *testing.T) {
 	co := mergeCoordinator(e, "g/s/run-1")
 	_, runSpan := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
 	co.state[0].Span = runSpan
-	expired := &wstate{name: "wa", dead: true}
-	live := &wstate{name: "wb"}
+	expired := &wstate{name: "wa", lease: 1, dead: true}
+	live := &wstate{name: "wb", lease: 2}
 	now := time.Now()
 	for _, w := range []*wstate{expired, live} {
 		co.handleTelemetry(w, TelemetryBatch{Spans: []telemetry.SpanData{
@@ -514,5 +531,85 @@ func TestDrainBacklogCountedAsDropped(t *testing.T) {
 	}
 	if got := reg.Counter("remote.telemetry_dropped_total").Value(); got != held-shipped {
 		t.Errorf("telemetry_dropped_total = %d, want the %d spans the drain left behind", got, held-shipped)
+	}
+}
+
+// TestShipperSurvivesReconnect: a worker's telemetry shipper outlives its
+// sessions. A second session at the same coordinator epoch ships only what
+// the first did not — no span, event or counter delta twice — and a session
+// at a higher epoch, a successor coordinator that has none of it, gets the
+// whole backlog again.
+func TestShipperSurvivesReconnect(t *testing.T) {
+	fc := newFakeCoord(t)
+	defer fc.ln.Close()
+	tr, reg, log := telemetry.NewTracer(), telemetry.NewRegistry(), eventlog.NewLog()
+	mark := func(name string) {
+		_, sp := tr.Start(context.Background(), name)
+		sp.End()
+		log.Append(eventlog.Info, "test.mark", name, 0)
+		reg.Counter("test.marks_total").Inc()
+	}
+	w := &Worker{Name: "w0", Addr: fc.addr(), Slots: 1, Heartbeat: 5 * time.Millisecond,
+		Tracer: tr, Metrics: reg, Events: log,
+		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+
+	// session serves one session until the span named until has shipped,
+	// then breaks the connection. It returns the marks that shipped: span
+	// names, event messages, and the sum of the counter's deltas.
+	session := func(epoch, lease int64, until string) (spans, events []string, count int64) {
+		done := make(chan error, 1)
+		go func() { done <- w.Run(context.Background()) }()
+		c := fc.accept(epoch, lease)
+		for !slices.Contains(spans, until) {
+			m, err := c.recv(5 * time.Second)
+			if err != nil {
+				t.Fatalf("epoch %d: waiting for span %s: %v", epoch, until, err)
+			}
+			if m.Op != OpTelemetry {
+				continue
+			}
+			b, err := decodeBody[TelemetryBatch](m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range b.Spans {
+				if d.Name != "remote.worker" {
+					spans = append(spans, d.Name)
+				}
+			}
+			for _, ev := range b.Events {
+				if ev.Type == "test.mark" {
+					events = append(events, ev.Msg)
+				}
+			}
+			if b.Metrics != nil {
+				for _, s := range b.Metrics.Counters {
+					if s.Name == "test.marks_total" {
+						count += s.Value
+					}
+				}
+			}
+		}
+		c.close()
+		if err := <-done; err == nil {
+			t.Fatalf("epoch %d: the broken session ended cleanly", epoch)
+		}
+		return spans, events, count
+	}
+
+	mark("one")
+	session(1, 1, "one")
+	mark("two")
+	if spans, events, count := session(1, 2, "two"); !slices.Equal(spans, []string{"two"}) ||
+		!slices.Equal(events, []string{"two"}) || count != 1 {
+		t.Errorf("same-epoch reconnect shipped spans %v, events %v, counter delta %d; want only the second mark",
+			spans, events, count)
+	}
+	mark("three")
+	all := []string{"one", "two", "three"}
+	if spans, events, count := session(2, 3, "three"); !slices.Equal(spans, all) ||
+		!slices.Equal(events, all) || count != 3 {
+		t.Errorf("a successor at epoch 2 got spans %v, events %v, counter delta %d; want all three marks",
+			spans, events, count)
 	}
 }

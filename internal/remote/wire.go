@@ -306,14 +306,10 @@ func (o *Outcome) readWire(r *rbuf) {
 }
 
 func (h *Heartbeat) appendWire(b []byte) []byte {
-	b = appendInt(appendInt(b, int64(h.Queued)), int64(h.InFlight))
 	return appendInt(appendInt(b, h.SentUnixNano), h.RTTNanos)
 }
 
-func (h *Heartbeat) readWire(r *rbuf) {
-	h.Queued, h.InFlight = r.int(), r.int()
-	h.SentUnixNano, h.RTTNanos = r.varint(), r.varint()
-}
+func (h *Heartbeat) readWire(r *rbuf) { h.SentUnixNano, h.RTTNanos = r.varint(), r.varint() }
 
 func (a *HeartbeatAck) appendWire(b []byte) []byte { return appendInt(b, a.EchoUnixNano) }
 func (a *HeartbeatAck) readWire(r *rbuf)           { a.EchoUnixNano = r.varint() }

@@ -82,8 +82,8 @@ var goldenBodies = []struct {
 		"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040"},
 	{OpResult, &Outcome{RunID: "r2", Cached: true, Err: "boom", Class: "transient"},
 		"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000"},
-	{OpHeartbeat, &Heartbeat{Queued: 3, InFlight: 1, SentUnixNano: 1_700_000_000_000_000_000, RTTNanos: 1500},
-		"06028080d0e2c6bfce972fb817"},
+	{OpHeartbeat, &Heartbeat{SentUnixNano: 1_700_000_000_000_000_000, RTTNanos: 1500},
+		"8080d0e2c6bfce972fb817"},
 	{OpHeartbeatAck, &HeartbeatAck{EchoUnixNano: 7}, "0e"},
 	{OpSteal, &Steal{N: 2}, "04"},
 	{OpStolen, &Stolen{RunIDs: []string{"r8", "r9"}}, "02027238027239"},
@@ -99,6 +99,11 @@ var goldenBodies = []struct {
 			// dropped spans, dropped events, sent, rtt
 			"04028080d0e2c6bfce972fb817"},
 }
+
+// remoteV3Heartbeat is the heartbeat of remote.v3, which led with the
+// worker's queued and in-flight counts (3 and 1 here). A v3 peer is refused
+// at its first record by the schema check; the body stays a fuzz seed.
+const remoteV3Heartbeat = "0602" + "8080d0e2c6bfce972fb817"
 
 // remoteV2Trace is a traceparent as remote.v2 carried one per run.
 const remoteV2Trace = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
@@ -168,14 +173,15 @@ func TestWireGolden(t *testing.T) {
 
 // FuzzWireBody feeds arbitrary bytes to every verb's readWire: nothing
 // panics, and whatever decodes cleanly re-encodes to bytes that decode to a
-// deep-equal value. Seeds are the golden vectors, then remote.v2's, and
-// every proper prefix of each.
+// deep-equal value. Seeds are the golden vectors, then remote.v2's and
+// remote.v3's, and every proper prefix of each.
 func FuzzWireBody(f *testing.F) {
-	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies))
+	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies)+1)
 	for _, g := range goldenBodies {
 		vectors = append(vectors, g.hex)
 	}
-	for _, v := range append(vectors, remoteV2Bodies...) {
+	vectors = append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat)
+	for _, v := range vectors {
 		raw, _ := hex.DecodeString(v)
 		for n := 0; n <= len(raw); n++ {
 			f.Add(raw[:n])
@@ -442,7 +448,7 @@ func (r randBodies) all() []wireBody {
 		})},
 		&Outcome{RunID: r.str(), OK: r.Intn(2) == 0, Cached: r.Intn(2) == 0, Seconds: r.f64(), Err: r.str(),
 			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64()},
-		&Heartbeat{Queued: int(r.i64()), InFlight: int(r.i64()), SentUnixNano: r.i64(), RTTNanos: r.i64()},
+		&Heartbeat{SentUnixNano: r.i64(), RTTNanos: r.i64()},
 		&HeartbeatAck{EchoUnixNano: r.i64()},
 		&Steal{N: int(r.i64())},
 		&Stolen{RunIDs: randList(r, r.str)},

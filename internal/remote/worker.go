@@ -60,13 +60,16 @@ type Worker struct {
 	// maxEpoch is the highest coordinator epoch this worker has served; it
 	// survives sessions, so after a handover the deposed incarnation's
 	// grants and messages are rejected. spool survives sessions too — that
-	// is its whole point.
+	// is its whole point — and so does ship, which drains local telemetry to
+	// the coordinator (nil = nothing to ship): a session at the same epoch
+	// ships only what the last one did not.
 	maxEpoch  atomic.Int64
 	sawGrant  atomic.Bool
 	spoolOnce sync.Once
 	spool     *outcomeSpool
 
 	telOnce        sync.Once
+	ship           *shipper
 	mExecuted      *telemetry.Counter
 	mCached        *telemetry.Counter
 	mFailed        *telemetry.Counter
@@ -101,6 +104,7 @@ func (w *Worker) telemetryInit() {
 		w.hQueueWait = w.Metrics.Histogram("remote_worker.queue_wait_seconds", nil)
 		w.hCPUSecs = w.Metrics.Histogram("remote_worker.run_cpu_seconds", nil)
 		w.hMaxRSS = w.Metrics.Histogram("remote_worker.run_max_rss_bytes", savanna.RSSBuckets)
+		w.ship = newShipper(w.Tracer, w.Metrics, w.Events)
 	})
 }
 
@@ -176,16 +180,13 @@ type wsession struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []cheetah.Run
-	inFlight int
 	draining bool
 	readErr  error
 	// enqueued stamps each queued run's arrival (the queue-wait clock).
 	// Entries leave at pop, steal, or drain.
 	enqueued map[string]time.Time
 
-	// ship drains local telemetry to the coordinator (nil = nothing to
-	// ship); lastRTT is the latest heartbeat round trip in nanoseconds.
-	ship    *shipper
+	// lastRTT is the latest heartbeat round trip in nanoseconds.
 	lastRTT atomic.Int64
 }
 
@@ -254,6 +255,11 @@ func (w *Worker) Run(ctx context.Context) error {
 				return fmt.Errorf("remote: stale coordinator epoch %d (worker has served %d)", grant.Epoch, cur)
 			}
 			if w.maxEpoch.CompareAndSwap(cur, grant.Epoch) {
+				if grant.Epoch > cur {
+					// A new incarnation: it is owed the whole telemetry
+					// backlog, none of which reached it.
+					w.ship.rewind()
+				}
 				break
 			}
 		}
@@ -280,7 +286,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	s := &wsession{w: w, c: c, name: name,
 		enqueued: map[string]time.Time{}}
 	s.cond = sync.NewCond(&s.mu)
-	s.ship = newShipper(w.Tracer, w.Metrics, w.Events)
 	runCtx, span := w.Tracer.Start(runCtx, "remote.worker",
 		telemetry.String("worker", name), telemetry.String("campaign", grant.Campaign))
 	defer span.End()
@@ -485,10 +490,7 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 			return
 		case <-t.C:
 		}
-		s.mu.Lock()
-		hb := &Heartbeat{Queued: len(s.queue), InFlight: s.inFlight, RTTNanos: s.lastRTT.Load()}
-		s.mu.Unlock()
-		s.c.post(OpHeartbeat, s.name, lease, hb) // the writer stamps SentUnixNano
+		s.c.post(OpHeartbeat, s.name, lease, &Heartbeat{RTTNanos: s.lastRTT.Load()}) // the writer stamps SentUnixNano
 		// Telemetry flushes ride the heartbeat cadence: one bounded batch
 		// per tick, so shipping never competes with the result path for
 		// long.
@@ -500,7 +502,8 @@ func (s *wsession) heartbeatLoop(period time.Duration, lease int64, stop <-chan 
 // maxDrainFlushes on drain, the last of which reports the backlog the burst
 // leaves behind as dropped.
 func (s *wsession) flush(lease int64, drain bool) {
-	if s.ship == nil {
+	sh := s.w.ship
+	if sh == nil {
 		return
 	}
 	n := 1
@@ -508,13 +511,13 @@ func (s *wsession) flush(lease int64, drain bool) {
 		n = maxDrainFlushes
 	}
 	for i := 0; i < n; i++ {
-		b, ok := s.ship.next(maxTelemetryBatch)
+		b, ok := sh.next(maxTelemetryBatch)
 		if !ok {
 			return
 		}
 		b.RTTNanos = s.lastRTT.Load()
 		if drain && i == n-1 {
-			spans, events := s.ship.abandon()
+			spans, events := sh.abandon()
 			b.DroppedSpans += spans
 			b.DroppedEvents += events
 		}
@@ -536,7 +539,6 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 		}
 		run := s.queue[0]
 		s.queue = s.queue[1:]
-		s.inFlight++
 		var wait time.Duration
 		if at, ok := s.enqueued[run.ID]; ok {
 			wait = time.Since(at)
@@ -547,10 +549,6 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 		s.mu.Unlock()
 
 		out := s.execute(ctx, run, memo, wait)
-
-		s.mu.Lock()
-		s.inFlight--
-		s.mu.Unlock()
 		w.gInFlight.Add(-1)
 		// Spool before sending: the outcome survives until the coordinator
 		// acks it, so a result lost to a dying connection (or to a

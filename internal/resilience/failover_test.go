@@ -130,6 +130,53 @@ func TestReplayLeaseRecordsForWorkersThatNeverRejoined(t *testing.T) {
 	}
 }
 
+// TestReplayDispatchedAndLostStayPending pins the exactly-once resume
+// semantics of the remote events: a run journaled dispatched (or lost to a
+// dead worker) with no terminal record is still owed, and lease records
+// under pseudo run ids never surface in Remaining.
+func TestReplayDispatchedAndLostStayPending(t *testing.T) {
+	recs := []AttemptRecord{
+		{Run: LeaseRunID("w1"), Event: LeaseGranted, Worker: "w1"},
+		{Run: "a", Event: AttemptDispatched, Worker: "w1"},
+		{Run: "b", Event: AttemptDispatched, Worker: "w1"},
+		{Run: "b", Attempt: 1, Event: AttemptSuccess, Worker: "w1"},
+		{Run: "c", Event: AttemptDispatched, Worker: "w1"},
+		{Run: LeaseRunID("w1"), Event: LeaseExpired, Worker: "w1"},
+		{Run: "c", Event: AttemptLost, Worker: "w1"},
+	}
+	st := Replay(recs)
+	if st.Done["a"] || st.Done["c"] || !st.Done["b"] {
+		t.Fatalf("done = %+v", st.Done)
+	}
+	if st.InFlight["a"] || st.Failed["a"] {
+		t.Fatal("dispatched run must be pending, not in-flight or failed")
+	}
+	got := st.Remaining([]string{"a", "b", "c"})
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("remaining = %v", got)
+	}
+}
+
+// TestLeaseRecordsSurviveJournalRoundTrip pins the Worker field through the
+// JSONL encode/decode path.
+func TestLeaseRecordsSurviveJournalRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "attempts.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(AttemptRecord{Run: "r1", Event: AttemptDispatched, Worker: "w2", Time: time.Unix(5, 0)})
+	j.Append(AttemptRecord{Run: "r1", Event: AttemptLost, Worker: "w2", Time: time.Unix(6, 0)})
+	j.Close()
+	recs, err := ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Worker != "w2" || recs[1].Event != AttemptLost {
+		t.Fatalf("recs = %+v", recs)
+	}
+}
+
 func TestReplayStolenRunsStayOwed(t *testing.T) {
 	recs := []AttemptRecord{
 		{Run: "r1", Attempt: 0, Event: AttemptDispatched, Worker: "w1", Time: stamp(1)},
@@ -270,6 +317,44 @@ func TestFileLeaseTakeoverFencesOldHolder(t *testing.T) {
 		t.Fatalf("successor's claim damaged: ok=%v holder=%q", ok, st.Holder)
 	}
 	_ = b
+}
+
+// TestFileLeaseRenewReleaseUnderClaimLock races a deposed holder's Renew or
+// Release against its successor's acquire. Whatever order the claim-directory
+// flock lets them run in, the successor's claim survives: a renewal that read
+// the old claim cannot overwrite it, and a release cannot delete it.
+func TestFileLeaseRenewReleaseUnderClaimLock(t *testing.T) {
+	const trials = 200
+	path := filepath.Join(t.TempDir(), "attempts.jsonl.lease")
+	then := time.Unix(1000, 0)
+	later := func() time.Time { return then.Add(time.Hour) } // A's claim is stale to B
+	lost := 0
+	for i := 0; i < trials; i++ {
+		os.Remove(path)
+		a, err := acquireFileLease(path, "coord-a", time.Millisecond, func() time.Time { return then })
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if i%2 == 0 {
+				a.Renew()
+			} else {
+				a.Release()
+			}
+		}()
+		if _, err := acquireFileLease(path, "coord-b", time.Millisecond, later); err != nil {
+			t.Fatalf("takeover of a stale claim: %v", err)
+		}
+		<-done
+		if st, ok, err := ReadFileLease(path); err != nil || !ok || st.Holder != "coord-b" {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("the successor's claim was overwritten or deleted in %d of %d races", lost, trials)
+	}
 }
 
 func TestWaitFileLeaseStale(t *testing.T) {

@@ -15,9 +15,11 @@ import (
 // when its claim expires. The active incarnation renews it well inside the
 // TTL; a warm standby polls it and takes over the campaign once the claim
 // goes stale. Writes go through the atomic temp+rename path, so observers
-// always read a whole claim — never a torn one. A claim is taken under a
-// flock of the file's directory, so two processes claiming at the same instant
-// cannot both find it free.
+// always read a whole claim — never a torn one. Every read-check-write of
+// the claim (acquire, renew, release) runs under a flock of the file's
+// directory, so two processes claiming at the same instant cannot both find
+// it free, and a deposed holder's renewal or release cannot land on top of
+// its successor's claim.
 //
 // The file is an *election* mechanism, not the fence. Fencing is the
 // journal epoch (OpenEpoch) plus the renewal check below: a coordinator
@@ -118,6 +120,11 @@ func (l *FileLease) SetEpoch(epoch int64) { l.epoch = epoch }
 // dead and took over: the caller must fence its journal and abort, not
 // fight back.
 func (l *FileLease) Renew() error {
+	unlock, err := lockClaimDir(l.path)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	st, ok, err := ReadFileLease(l.path)
 	if err != nil {
 		return err
@@ -136,6 +143,11 @@ func (l *FileLease) Renew() error {
 // Release drops the claim if it is still ours (a deposed incarnation must
 // not delete its successor's claim).
 func (l *FileLease) Release() error {
+	unlock, err := lockClaimDir(l.path)
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	st, ok, err := ReadFileLease(l.path)
 	if err != nil || !ok || st.Holder != l.holder {
 		return err

@@ -82,16 +82,6 @@ func (t *Tracer) TraceID() TraceID {
 	return *t.traceID.Load()
 }
 
-// AllocID reserves a fresh span id without starting a span. The merge step
-// uses it to re-key foreign spans into this tracer's id space (0 on a nil
-// tracer).
-func (t *Tracer) AllocID() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.nextID.Add(1)
-}
-
 // Ingest files an already-finished span record produced elsewhere —
 // typically a worker span whose ids and times the coordinator has remapped.
 // Unlike End it touches no open count; buffer bounds and the drop

@@ -73,14 +73,10 @@ func TestTracerTraceIDStableAndSettable(t *testing.T) {
 	}
 }
 
-func TestIngestAllocIDAndSnapshotSince(t *testing.T) {
+func TestIngestAndSnapshotSince(t *testing.T) {
 	tr := NewTracer()
 	tr.SetCapacity(3)
-	id := tr.AllocID()
-	if id == 0 {
-		t.Fatal("AllocID returned 0")
-	}
-	tr.Ingest(SpanData{ID: id, Name: "foreign"})
+	tr.Ingest(SpanData{ID: 1 << 40, Name: "foreign"})
 	tr.Ingest(SpanData{ID: 0, Name: "dropped"}) // id 0 never enters the buffer
 	if got := tr.Snapshot(); len(got) != 1 || got[0].Name != "foreign" {
 		t.Fatalf("snapshot = %+v", got)
@@ -89,9 +85,9 @@ func TestIngestAllocIDAndSnapshotSince(t *testing.T) {
 		t.Fatal("Ingest touched the open count")
 	}
 
-	tr.Ingest(SpanData{ID: tr.AllocID(), Name: "b"})
-	tr.Ingest(SpanData{ID: tr.AllocID(), Name: "c"})
-	tr.Ingest(SpanData{ID: tr.AllocID(), Name: "over"}) // beyond cap: dropped, counted
+	tr.Ingest(SpanData{ID: 1<<40 + 1, Name: "b"})
+	tr.Ingest(SpanData{ID: 1<<40 + 2, Name: "c"})
+	tr.Ingest(SpanData{ID: 1<<40 + 3, Name: "over"}) // beyond cap: dropped, counted
 	if tr.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", tr.Dropped())
 	}
@@ -115,7 +111,7 @@ func TestIngestAllocIDAndSnapshotSince(t *testing.T) {
 		t.Fatalf("Finished() = %d, want 3", tr.Finished())
 	}
 	var nilT *Tracer
-	if nilT.AllocID() != 0 || nilT.SnapshotSince(0, 0) != nil || nilT.Finished() != 0 {
+	if nilT.SnapshotSince(0, 0) != nil || nilT.Finished() != 0 {
 		t.Fatal("nil tracer not inert")
 	}
 	nilT.Ingest(SpanData{ID: 1})
