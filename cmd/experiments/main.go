@@ -37,9 +37,16 @@ func main() {
 		defer f.Close()
 		w = f
 	}
+	if err := report(w, *run, *scale, *seed); err != nil {
+		fatal(err)
+	}
+}
 
-	quick := *scale == "quick"
-	selected := strings.Split(*run, ",")
+// report writes the markdown of the experiments named in run (a
+// comma-separated list, or "all") at the given scale and seed.
+func report(w io.Writer, run, scale string, seed int64) error {
+	quick := scale == "quick"
+	selected := strings.Split(run, ",")
 	want := func(name string) bool {
 		for _, s := range selected {
 			if s == "all" || s == name {
@@ -50,7 +57,7 @@ func main() {
 	}
 
 	fmt.Fprintf(w, "# Experiment results (%s scale, seed %d, generated %s)\n\n",
-		*scale, *seed, time.Now().UTC().Format(time.RFC3339))
+		scale, seed, time.Now().UTC().Format(time.RFC3339))
 
 	if want("gwas") {
 		section(w, "EXP-A — GWAS paste workflow (Fig. 2)")
@@ -58,23 +65,23 @@ func main() {
 		if quick {
 			cfg.Samples, cfg.SNPs = 48, 500
 		}
-		cfg.Seed = *seed
+		cfg.Seed = seed
 		res, err := experiments.RunGWASPaste(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, experiments.GWASPasteTable(res).Markdown())
 	}
 
 	if want("ckpt-sweep") {
 		section(w, "EXP-B — checkpoints vs I/O overhead budget (Fig. 3)")
-		cfg := experiments.CheckpointSweepConfig{Seed: *seed}
+		cfg := experiments.CheckpointSweepConfig{Seed: seed}
 		if quick {
 			cfg.RunsPerBudget = 2
 		}
 		pts, err := experiments.RunCheckpointSweep(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fig := experiments.CheckpointSweepFigure(pts)
 		fmt.Fprintln(w, fig.Markdown())
@@ -89,21 +96,21 @@ func main() {
 		if quick {
 			n = 5
 		}
-		runs, err := experiments.RunCheckpointVariation(*seed, n)
+		runs, err := experiments.RunCheckpointVariation(seed, n)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, experiments.CheckpointVariationFigure(runs).Markdown())
-		cmp, err := ckpt.ComparePolicies(ckpt.DefaultSweepConfig(*seed), 5, 0.10)
+		cmp, err := ckpt.ComparePolicies(ckpt.DefaultSweepConfig(seed), 5, 0.10)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, experiments.CheckpointVariationSummary(runs, cmp).Markdown())
 	}
 
 	if want("ckpt-failures") {
 		section(w, "EXT — time-to-solution under failures (extension ablation)")
-		scfg := ckpt.DefaultSweepConfig(*seed)
+		scfg := ckpt.DefaultSweepConfig(seed)
 		runs := 5
 		if quick {
 			runs = 2
@@ -119,7 +126,7 @@ func main() {
 		}
 		outs, err := ckpt.CompareUnderFailures(scfg, policies, 1800, 120, runs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, "MTTF 1800 s, restart latency 120 s, 50 steps × 1 TB:")
 		fmt.Fprintln(w)
@@ -140,7 +147,7 @@ func main() {
 		}
 		res, err := experiments.RunStreaming(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, experiments.StreamingTable(res).Markdown())
 	}
@@ -151,10 +158,10 @@ func main() {
 		if quick {
 			cfg.Features, cfg.Nodes, cfg.WalltimeSeconds = 200, 10, 3600
 		}
-		cfg.Seed = *seed
+		cfg.Seed = seed
 		res, err := experiments.RunIRFLoopScheduling(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		utilFig := experiments.IRFUtilizationFigure(res)
 		fmt.Fprintln(w, utilFig.Markdown())
@@ -168,9 +175,9 @@ func main() {
 		if quick {
 			features, samples = 12, 150
 		}
-		net, data, err := experiments.RunRealIRFLoop(features, samples, *seed)
+		net, data, err := experiments.RunRealIRFLoop(features, samples, seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		frac := experiments.WithinBlockEdgeFraction(net, data, 30)
 		fmt.Fprintf(w, "Real iRF-LOOP validation (%d features × %d samples): %.0f%% of top-30 network edges connect features of the same generator block (chance ≈ 25%%).\n\n",
@@ -181,10 +188,11 @@ func main() {
 		section(w, "TBL-DEBT — reusability continuum")
 		points, err := experiments.RunDebtContinuum()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintln(w, experiments.DebtContinuumTable(points).Markdown())
 	}
+	return nil
 }
 
 func section(w io.Writer, title string) {

@@ -115,15 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// Only campaign.json is fsynced at create: re-create the run directories
-	// and params.json files a power loss took back.
-	restored, err := m.RestoreRunFiles(*dir)
-	if err != nil {
-		return fail(fmt.Errorf("restoring run files from campaign.json: %w", err))
-	}
-	if restored > 0 {
-		fmt.Fprintf(stderr, "savanna: %s: %d run file(s) re-created from campaign.json\n", *dir, restored)
-	}
 	journalPath := filepath.Join(*dir, "attempts.jsonl")
 
 	// The bare probe is read-only: it replays the journal without claiming
@@ -144,10 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One telemetry plane for both modes. The history ring backs rate()
 	// rules with true sliding windows and serves /series.json.
 	tracer, metrics, events := telemetry.NewTracer(), telemetry.NewRegistry(), eventlog.NewLog()
-	if restored > 0 {
-		events.Append(eventlog.Warn, eventlog.CampaignRestored, "run files re-created from campaign.json", 0,
-			telemetry.Int("run_files", restored))
-	}
 	ring := history.New(metrics, 0)
 	defer ring.Start(2 * time.Second)()
 	mon := monitor.New(monitor.Config{

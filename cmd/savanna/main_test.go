@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"os/exec"
@@ -108,28 +109,61 @@ func wantEpochs(t *testing.T, dir string, n int) {
 	}
 }
 
-func TestProbeReportsOwedRunsAndRestoresRunFiles(t *testing.T) {
-	dir := newCampaign(t)
-	params := filepath.Join(dir, "g", "s", "run-00001", "params.json")
-	if err := os.Remove(params); err != nil {
+// wantParamsCopies checks that every run of the campaign in dir left a
+// got.json under root/<run id> holding exactly its parameters: the copy a
+// "cp params.json got.json" template made of the params.json it found.
+func wantParamsCopies(t *testing.T, dir, root string) {
+	t.Helper()
+	m, err := cheetah.LoadCampaignDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range m.Runs {
+		data, err := os.ReadFile(filepath.Join(root, r.ID, "got.json"))
+		if err != nil {
+			t.Errorf("run %s: %v", r.ID, err)
+			continue
+		}
+		var got map[string]string
+		if err := json.Unmarshal(data, &got); err != nil || !maps.Equal(got, r.Params) {
+			t.Errorf("run %s read params %q (%v), want %v", r.ID, data, err, r.Params)
+		}
+	}
+}
+
+// TestProbeReportsOwedRunsAndWritesNoRunFile: the bare probe reports the
+// resume position and writes nothing — no journal and no run file.
+func TestProbeReportsOwedRunsAndWritesNoRunFile(t *testing.T) {
+	dir := newCampaign(t)
 	code, stdout, stderr := savannaRun(t, "-campaign", dir)
 	if code != 3 {
 		t.Fatalf("probe exit = %d, want 3\n%s%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stderr, "1 run file(s) re-created from campaign.json") {
-		t.Errorf("stderr lacks the restore count:\n%s", stderr)
-	}
 	if !strings.Contains(stdout, "4 of 4 run(s) remaining") {
 		t.Errorf("stdout lacks the resume position:\n%s", stdout)
-	}
-	if _, err := os.Stat(params); err != nil {
-		t.Errorf("params.json not restored: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "attempts.jsonl")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the probe created a journal (stat: %v)", err)
 	}
+	runFiles, err := filepath.Glob(filepath.Join(dir, "g", "s", "run-*", "*"))
+	if err != nil || len(runFiles) != 0 {
+		t.Errorf("the probe wrote run files %q (%v)", runFiles, err)
+	}
+}
+
+// TestLocalRunWritesParamsWhereEachRunExecutes: each local run finds its
+// params.json in its run directory, including a run whose directory was
+// removed before the command.
+func TestLocalRunWritesParamsWhereEachRunExecutes(t *testing.T) {
+	dir := newCampaign(t)
+	if err := os.RemoveAll(filepath.Join(dir, "g", "s", "run-00002")); err != nil {
+		t.Fatal(err)
+	}
+	if code, stdout, stderr := savannaRun(t, "-campaign", dir, "--", "sh", "-c", "cp params.json got.json"); code != 0 {
+		t.Fatalf("exit = %d, want 0\n%s%s", code, stdout, stderr)
+	}
+	wantOneSuccessPerRun(t, dir)
+	wantParamsCopies(t, dir, dir)
 }
 
 func TestLocalRunCompletesAndRerunDispatchesNothing(t *testing.T) {
@@ -221,9 +255,10 @@ func TestListenCoordinatesAServingWorker(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("coordinator never printed its address")
 	}
+	workdir := t.TempDir()
 	w := &remote.Worker{
 		Name: "w1", Addr: addr, Slots: 2, ReconnectWait: 10 * time.Second,
-		Executor: &savanna.ProcessExecutor{Command: []string{"sh", "-c", "true"}, WorkRoot: t.TempDir()},
+		Executor: &savanna.ProcessExecutor{Command: []string{"sh", "-c", "cp params.json got.json"}, WorkRoot: workdir},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -234,6 +269,8 @@ func TestListenCoordinatesAServingWorker(t *testing.T) {
 		t.Fatalf("coordinator exit = %d, want 0: %s", code, stderr.String())
 	}
 	wantOneSuccessPerRun(t, dir)
+	// The worker's runs find their params.json under its own work root.
+	wantParamsCopies(t, dir, workdir)
 }
 
 func TestContradictoryFlagsAreRejected(t *testing.T) {

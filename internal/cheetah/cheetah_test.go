@@ -237,7 +237,7 @@ func TestMaterializeAndStatus(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "campaign.json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "g1/s1/run-00003/params.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "g1/s1/run-00003")); err != nil {
 		t.Fatal(err)
 	}
 	// Double materialisation is refused.

@@ -9,10 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fairflow/internal/appendlog"
 )
@@ -80,24 +77,22 @@ const (
 // Materialize creates the campaign's directory schema under root:
 //
 //	root/<campaign>/<group>/<sweep>/run-N/  — one directory per run
-//	    params.json                         — the run's sweep point
 //	root/<campaign>/campaign.json           — the manifest, written last
 //	root/<campaign>/status.log              — run statuses, written by engines
 //
 // The manifest is the commit marker and the one durable record of what to
 // run: a directory that has campaign.json is complete, one that lacks it is
-// garbage. Everything else under the campaign directory is a projection of
-// it. The run files are therefore created in place — one mkdir and one
-// exclusive create, write and close per run, no temp name, no rename — and
-// none of them is fsynced: only campaign.json is (temp file, rename, its
-// directory), then root for the campaign directory's own entry. A power loss
-// can take back run directories and params.json files that campaign.json
-// lists; RestoreRunFiles re-creates them, and every command that executes a
-// campaign directory calls it when it opens one.
+// garbage. It is also the one file create writes: each run costs one mkdir,
+// and nothing under a run directory is opened or fsynced — only
+// campaign.json is (temp file, rename, its directory), then root for the
+// campaign directory's own entry. A run's params.json is written by the
+// executor that runs it in its directory, at attempt start (WriteParams);
+// the executor's own MkdirAll re-creates a run directory a power loss took
+// back.
 //
 // The campaign directory is claimed with an exclusive mkdir, so of two
-// concurrent creates one is refused. params.json takes its mode from the
-// process umask (0644 under the usual 022), as the directories around it do.
+// concurrent creates one is refused. The directories take their mode from
+// the process umask (0755 under the usual 022).
 //
 // status.log is created by the first engine (or SetRunStatus) to record a
 // transition: one appended JSON line {"run","status"} per transition, status
@@ -148,15 +143,16 @@ func (m *Manifest) Materialize(root string) (string, error) {
 		}
 	}
 
-	// 2. The run directories, with the manifest encoded beside them: the
-	// runs queue on their parent directory's lock, and on tmpfs the encoding
-	// is about a sixth of the call's CPU.
+	// 2. The run directories, with the manifest encoded beside them.
 	var manifest bytes.Buffer
 	encoded := make(chan error, 1)
 	go func() { encoded <- m.Write(&manifest) }()
-	err := m.eachRun(func(run Run) error {
-		return writeRunDir(filepath.Join(dir, run.ID), run.Params)
-	})
+	var err error
+	for _, run := range m.Runs {
+		if err = os.Mkdir(filepath.Join(dir, run.ID), 0o755); err != nil {
+			break
+		}
+	}
 	if eerr := <-encoded; err == nil {
 		err = eerr
 	}
@@ -175,28 +171,6 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	return dir, nil
 }
 
-// eachRun calls fn for every run, in contiguous shards over a fixed pool. A
-// worker stops at its own first error; the others finish their shards. The
-// errors come back joined.
-func (m *Manifest) eachRun(fn func(Run) error) error {
-	workers := min(8, 2*runtime.GOMAXPROCS(0), len(m.Runs))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, shard []Run) {
-			defer wg.Done()
-			for _, run := range shard {
-				if errs[w] = fn(run); errs[w] != nil {
-					return
-				}
-			}
-		}(w, m.Runs[w*len(m.Runs)/workers:(w+1)*len(m.Runs)/workers])
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // runPath is the directory of the run with the given ID under the campaign
 // directory dir, refusing an ID that would leave it.
 func runPath(dir, id string) (string, error) {
@@ -207,88 +181,15 @@ func runPath(dir, id string) (string, error) {
 	return runDir, nil
 }
 
-// paramsJSON is a run's params.json: the bytes Materialize writes and
-// RestoreRunFiles compares against.
-func paramsJSON(params map[string]string) ([]byte, error) {
-	return json.MarshalIndent(params, "", "  ")
-}
-
-// writeRunDir creates one run directory and its params.json: a mkdir, then
-// an exclusive create, one write and a close. Neither is fsynced.
-func writeRunDir(runDir string, params map[string]string) error {
-	data, err := paramsJSON(params)
+// WriteParams writes a run's sweep point to runDir/params.json, indented
+// JSON, creating or truncating it without an fsync, so a retry or a resume
+// rewrites the same bytes. It is the one encoding of params.json.
+func WriteParams(runDir string, params map[string]string) error {
+	data, err := json.MarshalIndent(params, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.Mkdir(runDir, 0o755); err != nil {
-		return err
-	}
-	return appendlog.WriteFile(filepath.Join(runDir, "params.json"), data, os.O_CREATE|os.O_EXCL, 0o644)
-}
-
-// RestoreRunFiles re-creates, in the campaign directory dir, every run
-// directory and every params.json that is missing or not byte-equal to what
-// Materialize writes for its run, and returns how many params.json files it
-// wrote. A directory whose run files are all intact is only read. Like
-// Materialize it fsyncs nothing: what it writes is a projection of
-// campaign.json too, and the next restore re-creates whatever a power loss
-// takes back.
-func (m *Manifest) RestoreRunFiles(dir string) (int, error) {
-	var restored atomic.Int64
-	err := m.eachRun(func(run Run) error {
-		runDir, err := runPath(dir, run.ID)
-		if err != nil {
-			return err
-		}
-		wrote, err := restoreRunDir(runDir, run.Params)
-		if wrote {
-			restored.Add(1)
-		}
-		return err
-	})
-	return int(restored.Load()), err
-}
-
-// restoreRunDir rewrites runDir/params.json unless it already holds exactly
-// the run's encoding, making runDir (and its parents) first if they are gone.
-// It reports whether it wrote.
-func restoreRunDir(runDir string, params map[string]string) (bool, error) {
-	want, err := paramsJSON(params)
-	if err != nil {
-		return false, err
-	}
-	path := filepath.Join(runDir, "params.json")
-	if same, err := holds(path, want); same || err != nil {
-		return false, err
-	}
-	// O_TRUNC, not O_EXCL: two restores racing on one file write the same
-	// bytes, whichever truncates last.
-	err = appendlog.WriteFile(path, want, os.O_CREATE|os.O_TRUNC, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(runDir, 0o755); err == nil {
-			err = appendlog.WriteFile(path, want, os.O_CREATE|os.O_TRUNC, 0o644)
-		}
-	}
-	return err == nil, err
-}
-
-// holds reports whether the file at path holds exactly want. A missing file
-// holds nothing.
-func holds(path string, want []byte) (bool, error) {
-	f, err := appendlog.Open(path, os.O_RDONLY, 0)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	got := make([]byte, len(want)+1) // one byte more shows a longer file
-	n, err := io.ReadFull(f, got)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return false, err
-	}
-	return n == len(want) && bytes.Equal(got[:n], want), nil
+	return appendlog.WriteFile(filepath.Join(runDir, "params.json"), data, os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
 // LoadCampaignDir reads the manifest back from a materialised campaign

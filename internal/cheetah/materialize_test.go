@@ -2,18 +2,14 @@ package cheetah
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fairflow/internal/appendlog"
 )
@@ -51,20 +47,13 @@ func wideCampaign() Campaign {
 }
 
 // referenceMaterialize is the tree Materialize must produce, written the
-// plain way: MkdirAll and os.WriteFile, one run at a time.
+// plain way: MkdirAll per run, then os.WriteFile of campaign.json. No run
+// file: a run's params.json is its executor's to write.
 func referenceMaterialize(t *testing.T, m *Manifest, root string) string {
 	t.Helper()
 	dir := filepath.Join(root, m.Campaign.Name)
 	for _, run := range m.Runs {
-		runDir := filepath.Join(dir, run.ID)
-		if err := os.MkdirAll(runDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		params, err := json.MarshalIndent(run.Params, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(runDir, "params.json"), params, 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, run.ID), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +99,7 @@ func treeOf(t *testing.T, dir string) []string {
 
 // TestMaterializeTreeMatchesReference: same paths, same bytes, same modes as
 // the plain writer gives under the process umask (0644 and 0755 under 022),
-// and no other entry — no temp leftover.
+// and no other entry — no params.json, no temp leftover.
 func TestMaterializeTreeMatchesReference(t *testing.T) {
 	for _, c := range []Campaign{wideCampaign(), sweepCampaign("big", 2000)} {
 		m, err := BuildManifest(c)
@@ -136,167 +125,46 @@ func TestMaterializeTreeMatchesReference(t *testing.T) {
 	}
 }
 
-// opTrace records every open, write and fsync made through appendlog's
-// failpoint hook for the length of the test, in order, with whether the
-// manifest (its temp file or campaign.json itself) existed in campaignDir at
-// that moment; fail names the paths whose writes are refused.
-type opTrace struct {
-	mu      sync.Mutex
-	ops     []appendlog.Op
-	paths   []string
-	present []bool
-}
-
-func traceOps(t *testing.T, campaignDir string, fail ...string) *opTrace {
-	tr := &opTrace{}
+// TestMaterializeDurableBeforeManifest: campaign.json is the one file create
+// writes and the one durable record. Whatever N is, Materialize opens one
+// file, campaign.json's temp file, and writes and fsyncs it, then opens and
+// fsyncs the campaign directory that names campaign.json, then root for the
+// campaign directory's own entry — and opens nothing under a run directory.
+func TestMaterializeDurableBeforeManifest(t *testing.T) {
+	var ops []string // every open, write and fsync made through appendlog, as "op path"
 	appendlog.Failpoint = func(op appendlog.Op, path string) error {
-		entries, _ := os.ReadDir(campaignDir)
-		var manifest bool
-		for _, e := range entries {
-			manifest = manifest || strings.Contains(e.Name(), "campaign.json")
-		}
-		tr.mu.Lock()
-		tr.ops = append(tr.ops, op)
-		tr.paths = append(tr.paths, path)
-		tr.present = append(tr.present, manifest)
-		tr.mu.Unlock()
-		if op == appendlog.OpWrite && slices.Contains(fail, path) {
-			return fs.ErrInvalid
-		}
+		ops = append(ops, string(op)+" "+path)
 		return nil
 	}
-	t.Cleanup(func() { appendlog.Failpoint = nil })
-	return tr
-}
-
-// of returns the paths the trace saw op on, in order.
-func (tr *opTrace) of(op appendlog.Op) []string {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	var out []string
-	for i, o := range tr.ops {
-		if o == op {
-			out = append(out, tr.paths[i])
+	defer func() { appendlog.Failpoint = nil }()
+	for _, n := range []int{1, 1000} {
+		m, err := BuildManifest(sweepCampaign("c", n))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	return out
-}
-
-// TestMaterializeDurableBeforeManifest: campaign.json is the one durable
-// record. Materialize fsyncs exactly three paths — campaign.json's temp file,
-// the campaign directory that names campaign.json, then root for the
-// campaign directory's own entry — and nothing under a run directory; every
-// params.json is written before campaign.json's temp file exists.
-func TestMaterializeDurableBeforeManifest(t *testing.T) {
-	m, err := BuildManifest(wideCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	dir := filepath.Join(root, m.Campaign.Name)
-	tr := traceOps(t, dir)
-	if _, err := m.Materialize(root); err != nil {
-		t.Fatal(err)
-	}
-
-	synced := tr.of(appendlog.OpSync)
-	if len(synced) != 3 || !strings.HasPrefix(filepath.Base(synced[0]), ".campaign.json.tmp-") ||
-		filepath.Dir(synced[0]) != dir || synced[1] != dir || synced[2] != root {
-		t.Fatalf("fsynced %q, want campaign.json's temp file in %s, then %s, then %s", synced, dir, dir, root)
-	}
-	manifestAt := -1
-	params := map[string]bool{}
-	for i, path := range tr.paths {
-		switch {
-		case manifestAt < 0 && tr.ops[i] == appendlog.OpOpen && strings.HasPrefix(filepath.Base(path), ".campaign.json.tmp-"):
-			manifestAt = i
-		case filepath.Base(path) == "params.json":
-			if manifestAt >= 0 || tr.present[i] {
-				t.Fatalf("%s %s after campaign.json's temp file was created", tr.ops[i], path)
-			}
-			if tr.ops[i] == appendlog.OpWrite {
-				params[path] = true
-			}
+		root := t.TempDir()
+		dir := filepath.Join(root, m.Campaign.Name)
+		ops = nil
+		if _, err := m.Materialize(root); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, run := range m.Runs {
-		if path := filepath.Join(dir, run.ID, "params.json"); !params[path] {
-			t.Fatalf("%s was not written through appendlog before the manifest", path)
+		if len(ops) == 0 {
+			t.Fatalf("%d runs: no open, write or fsync went through appendlog", n)
+		}
+		tmp := strings.TrimPrefix(ops[0], "open ")
+		if filepath.Dir(tmp) != dir || !strings.HasPrefix(filepath.Base(tmp), ".campaign.json.tmp-") {
+			t.Fatalf("%d runs: first step %q, want the open of campaign.json's temp file in %s", n, ops[0], dir)
+		}
+		want := []string{"open " + tmp, "write " + tmp, "sync " + tmp, "open " + dir, "sync " + dir, "open " + root, "sync " + root}
+		if strings.Join(ops, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%d runs: steps\n%s\nwant\n%s", n, strings.Join(ops, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }
 
-// TestMaterializeShardFailures: a failure in one shard, or in two at once,
-// comes back naming every failing path; the other shards run to their end,
-// the failing ones stop where they failed, there is no campaign.json, and no
-// goroutine outlives the call.
-func TestMaterializeShardFailures(t *testing.T) {
-	const n = 64 // the pool is 2–8 wide, so shards hold 8–32 runs
-	for _, tc := range []struct {
-		name          string
-		fail          []int
-		exist, absent []int
-	}{
-		// Whatever the pool width, runs 30 and 31 share a shard, and so do
-		// 0–2 and 61–63; 63 never shares one with 30.
-		{"middle shard", []int{30}, []int{0, 29, 63}, []int{31}},
-		{"two shards", []int{1, 62}, []int{0, 61}, []int{2, 63}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := BuildManifest(sweepCampaign("c", n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			root := t.TempDir()
-			dir := filepath.Join(root, "c")
-			var failing []string
-			for _, i := range tc.fail {
-				failing = append(failing, filepath.Join(dir, m.Runs[i].ID, "params.json"))
-			}
-			traceOps(t, dir, failing...)
-			goroutines := runtime.NumGoroutine()
-
-			_, err = m.Materialize(root)
-			if err == nil {
-				t.Fatal("Materialize succeeded although a write failed")
-			}
-			for _, path := range failing {
-				if !strings.Contains(err.Error(), path) {
-					t.Errorf("error %q does not name %s", err, path)
-				}
-			}
-			for _, i := range tc.exist {
-				if _, err := os.Stat(filepath.Join(dir, m.Runs[i].ID, "params.json")); err != nil {
-					t.Errorf("run %d should have been written: %v", i, err)
-				}
-			}
-			for _, i := range tc.absent {
-				if _, err := os.Stat(filepath.Join(dir, m.Runs[i].ID)); !os.IsNotExist(err) {
-					t.Errorf("run %d follows a failure in its shard and should not exist (stat err = %v)", i, err)
-				}
-			}
-			if _, err := os.Stat(filepath.Join(dir, "campaign.json")); !os.IsNotExist(err) {
-				t.Errorf("campaign.json present after a failed Materialize (stat err = %v)", err)
-			}
-			if _, err := LoadCampaignDir(dir); err == nil {
-				t.Error("LoadCampaignDir accepts a half-materialised directory")
-			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines, %d before the call", runtime.NumGoroutine(), goroutines)
-				}
-			}
-			if _, err := m.Materialize(root); err == nil || !strings.Contains(err.Error(), "is the leftover of an interrupted create (no campaign.json); remove it") {
-				t.Errorf("retry over the leftover: %v", err)
-			}
-		})
-	}
-}
-
-// TestMaterializeFewRuns: no runs, one run, fewer runs than the pool is wide,
-// and a count the pool does not divide.
+// TestMaterializeFewRuns: no runs, one run and a few make run directories
+// and campaign.json, and nothing else.
 func TestMaterializeFewRuns(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // the pool is 8 wide
 	for _, n := range []int{0, 1, 3, 7, 9} {
 		m, err := BuildManifest(sweepCampaign("few", max(n, 1)))
 		if err != nil {
@@ -312,7 +180,7 @@ func TestMaterializeFewRuns(t *testing.T) {
 			want = append(want, "g", "g/s")
 		}
 		for _, run := range m.Runs {
-			want = append(want, run.ID, run.ID+"/params.json")
+			want = append(want, run.ID)
 		}
 		var got []string
 		for _, line := range treeOf(t, dir)[1:] {
@@ -419,64 +287,5 @@ func TestMaterializeClaimIsExclusive(t *testing.T) {
 	}
 	if _, err := m.Materialize(root); err == nil || !strings.Contains(err.Error(), "is the leftover of an interrupted create (no campaign.json); remove it") {
 		t.Fatalf("create over a directory without campaign.json: %v", err)
-	}
-}
-
-// TestRestoreRunFiles: run files a power loss took back — a whole run
-// directory, a params.json, one cut to nothing, one holding same-size garbage
-// — are re-created from the manifest without an fsync, leaving the tree
-// Materialize's reference makes; a second restore finds nothing to do and
-// writes nothing.
-func TestRestoreRunFiles(t *testing.T) {
-	m, err := BuildManifest(wideCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := m.Materialize(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := func(i int) string { return filepath.Join(dir, m.Runs[i].ID, "params.json") }
-	last := len(m.Runs) - 1
-	if err := os.RemoveAll(filepath.Join(dir, m.Runs[0].ID)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(params(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(params(14), 0); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(params(last))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(params(last), bytes.Repeat([]byte{'#'}, int(info.Size())), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := treeOf(t, referenceMaterialize(t, m, t.TempDir()))
-
-	tr := traceOps(t, dir)
-	restored, err := m.RestoreRunFiles(dir)
-	if err != nil || restored != 4 {
-		t.Fatalf("restore: %d run files, err %v; want 4", restored, err)
-	}
-	if synced := tr.of(appendlog.OpSync); len(synced) != 0 {
-		t.Fatalf("restore fsynced %q", synced)
-	}
-	if got := treeOf(t, dir); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("restored tree has %d entries, the reference %d, or they differ:\n%s", len(got), len(want), strings.Join(got, "\n"))
-	}
-
-	tr = traceOps(t, dir)
-	restored, err = m.RestoreRunFiles(dir)
-	if err != nil || restored != 0 {
-		t.Fatalf("second restore: %d run files, err %v; want 0", restored, err)
-	}
-	if wrote := append(tr.of(appendlog.OpWrite), tr.of(appendlog.OpSync)...); len(wrote) != 0 {
-		t.Fatalf("second restore wrote %q", wrote)
-	}
-	if got := treeOf(t, dir); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatal("second restore changed the tree")
 	}
 }

@@ -289,7 +289,7 @@ func TestMaterializeWritesManifestLast(t *testing.T) {
 		t.Fatal("Materialize succeeded with an uncreatable run directory")
 	}
 	dir := filepath.Join(root, m.Campaign.Name)
-	if _, err := os.Stat(filepath.Join(dir, m.Runs[1].ID, "params.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, m.Runs[1].ID)); err != nil {
 		t.Fatalf("the run directories before the failure should exist: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "campaign.json")); !os.IsNotExist(err) {

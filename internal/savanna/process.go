@@ -27,7 +27,8 @@ type ProcessExecutor struct {
 	// placeholders, plus the builtins {run_id}, {group}, {sweep}.
 	Command []string
 	// WorkRoot, when non-empty, hosts per-run working directories
-	// (WorkRoot/<run id>). Empty runs in the current directory.
+	// (WorkRoot/<run id>), each given the run's params.json at attempt
+	// start (cheetah.WriteParams). Empty runs in the current directory.
 	WorkRoot string
 	// Timeout bounds each process (0 = no limit) — the per-run walltime.
 	// Each process inherits the environment plus its sweep parameters as
@@ -93,6 +94,9 @@ func (p *ProcessExecutor) ExecuteContext(ctx context.Context, run cheetah.Run) e
 	if p.WorkRoot != "" {
 		dir := filepath.Join(p.WorkRoot, filepath.FromSlash(run.ID))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		if err := cheetah.WriteParams(dir, run.Params); err != nil {
 			return err
 		}
 		cmd.Dir = dir

@@ -1,7 +1,9 @@
 package savanna
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +74,51 @@ func TestProcessExecutorExportsSweepEnv(t *testing.T) {
 	out, _ := os.ReadFile(filepath.Join(root, "g/s/run-00002/stdout.log"))
 	if !strings.Contains(string(out), "f7 g/s/run-00002") {
 		t.Fatalf("env not exported: %q", out)
+	}
+}
+
+// TestProcessExecutorWritesParams: with WorkRoot set, the command finds its
+// run's params.json in its working directory, byte-equal to the manifest's
+// encoding of the run's parameters; a second attempt of the run rewrites it
+// whole. With WorkRoot empty nothing is written where the command runs.
+func TestProcessExecutorWritesParams(t *testing.T) {
+	m, err := cheetah.BuildManifest(cheetah.Campaign{Name: "c", App: "app", Groups: []cheetah.SweepGroup{{
+		Name: "g", Nodes: 1, WalltimeMinutes: 1,
+		Sweeps: []cheetah.Sweep{{Name: "s", Parameters: []cheetah.Parameter{
+			{Name: "b", Values: []string{"<&>"}},
+			{Name: "a", Values: []string{"1", "2"}},
+		}}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := m.Runs[1]
+	want, err := json.MarshalIndent(run.Params, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	exe := &ProcessExecutor{Command: []string{"sh", "-c", "cp params.json got.json"}, WorkRoot: root}
+	runDir := filepath.Join(root, run.ID)
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := exe.Execute(run); err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(runDir, "got.json")); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("attempt %d: the command read %q (%v), want %q", attempt, got, err, want)
+		}
+		// A longer stale file: the next attempt must truncate it.
+		if err := os.WriteFile(filepath.Join(runDir, "params.json"), bytes.Repeat([]byte{'#'}, 2*len(want)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	exe = &ProcessExecutor{Command: []string{"sh", "-c", "test ! -e params.json"}}
+	if err := exe.Execute(run); err != nil {
+		t.Fatalf("without WorkRoot: %v", err)
+	}
+	if _, err := os.Stat("params.json"); !os.IsNotExist(err) {
+		t.Fatalf("without WorkRoot a params.json appeared in the current directory (stat err = %v)", err)
 	}
 }
 

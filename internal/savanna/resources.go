@@ -54,17 +54,11 @@ type resourceSinkKey struct{}
 // engines read it back after the run settles. The sink must not be shared
 // between concurrently executing runs — each run gets its own.
 func WithResourceSink(ctx context.Context, sink *ResourceUsage) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return context.WithValue(ctx, resourceSinkKey{}, sink)
 }
 
 // ResourceSinkFrom returns the context's resource sink, nil when none.
 func ResourceSinkFrom(ctx context.Context) *ResourceUsage {
-	if ctx == nil {
-		return nil
-	}
 	sink, _ := ctx.Value(resourceSinkKey{}).(*ResourceUsage)
 	return sink
 }

@@ -105,12 +105,6 @@ const (
 	// CampaignProvenance marks a campaign's first refused provenance record
 	// (a duplicate record id, a record that fails validation).
 	CampaignProvenance = "campaign.provenance"
-	// CampaignRestored marks run files — run directories and their
-	// params.json — that a command found missing or changed when it opened a
-	// campaign directory and re-created from campaign.json (attr: run_files).
-	// Only the manifest is fsynced at create, so a power loss can take them
-	// back.
-	CampaignRestored = "campaign.restored"
 
 	RunStart     = "run.start"
 	RunSucceeded = "run.succeeded"
