@@ -83,9 +83,10 @@ func workerCmd(args []string) {
 			WorkRoot: *workdir,
 			Timeout:  *timeout,
 		},
-		// Full local telemetry plane: run spans, queue-wait/exec histograms
-		// and events all ship back to the coordinator piggybacked on the
-		// heartbeat cadence, so the campaign renders as one merged trace.
+		// Full local telemetry plane: session spans, queue-wait/exec
+		// histograms and events ship back to the coordinator piggybacked on
+		// the heartbeat cadence, and each run's span rides its outcome, so
+		// the campaign renders as one merged trace.
 		Tracer:  telemetry.NewTracer(),
 		Metrics: telemetry.NewRegistry(),
 		Events:  eventlog.NewLog(),

@@ -96,14 +96,26 @@ func TestDistributedForensicsEndToEnd(t *testing.T) {
 		t.Fatalf("coverage = %.3f, want ≥ 0.9", rep.Coverage)
 	}
 
-	// Every executed run carries nonzero resource accounting in the merged
-	// trace: the worker-side span annotations shipped to the coordinator.
+	// Every executed run has exactly one worker span in the merged trace,
+	// filed by the coordinator from the run's Outcome: under the run's
+	// remote.run span, starting from the worker's start stamp (after the
+	// dispatch), with the resource accounting the Outcome carried.
+	byID := map[int64]telemetry.SpanData{}
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
 	seen := map[string]bool{}
 	for _, s := range spans {
 		if s.Name != "remote.worker.run" {
 			continue
 		}
 		run := s.Attr("run")
+		if seen[run] {
+			t.Errorf("run %s has a second worker span", run)
+		}
+		if p := byID[s.Parent]; p.Name != "remote.run" || p.Attr("run") != run || s.Start.Before(p.Start) {
+			t.Errorf("run %s worker span from %v is not under its remote.run span %+v", run, s.Start, p)
+		}
 		cpu, _ := strconv.ParseFloat(s.Attr("cpu_s"), 64)
 		rss, _ := strconv.ParseInt(s.Attr("max_rss_bytes"), 10, 64)
 		if cpu <= 0 {

@@ -257,10 +257,12 @@ func (m *Monitor) observe(ev eventlog.Event) {
 		return
 	}
 	// Worker-shipped events (merged into this log by the remote engine's
-	// telemetry sync, tagged origin=worker) are the worker's own view of
-	// runs the coordinator already accounts for via Outcome reports —
-	// folding them again would double count progress. The fleet-wide view
-	// of worker execution comes from the merged metrics instead (Fleet).
+	// telemetry sync, tagged origin=worker) are a worker's own account of
+	// its sessions — join, leave, fencing, spool replay — which the
+	// coordinator journals itself; a run's execution is not among them: it
+	// rides the run's Outcome, which the coordinator's own events report.
+	// Folding them again would double count. The fleet-wide view of worker
+	// execution comes from the merged metrics instead (Fleet).
 	if ev.Attr("origin") == "worker" {
 		return
 	}

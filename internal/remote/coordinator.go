@@ -159,6 +159,7 @@ type wstate struct {
 	c       *conn
 	lease   int64
 	expires time.Time
+	joined  time.Time // when the lease was granted
 	// outstanding holds run ids assigned to this worker with no terminal
 	// outcome yet (the lease-expiry re-dispatch set).
 	outstanding  map[string]bool
@@ -453,7 +454,8 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		name = fmt.Sprintf("%s-%d", m.Worker, co.nameSeq)
 	}
 	co.leaseSeq++
-	w := &wstate{name: name, c: c, lease: co.leaseSeq, expires: time.Now().Add(e.leaseTTL()),
+	now := time.Now()
+	w := &wstate{name: name, c: c, lease: co.leaseSeq, expires: now.Add(e.leaseTTL()), joined: now,
 		outstanding: map[string]bool{}, slots: hello.Slots}
 	co.workers[name] = w
 	// Grants, expiries and releases are journaled in the group of the
@@ -470,7 +472,8 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	e.mLeases.Inc()
 	e.Events.Append(eventlog.Info, eventlog.WorkerJoin, name, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("slots", hello.Slots))
-	grant := LeaseGrant{Campaign: co.lc.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch}
+	grant := LeaseGrant{Campaign: co.lc.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch,
+		Trace: e.Tracer.TraceID()}
 	if e.Memo != nil {
 		grant.Component = e.Memo.ComponentDigest
 		grant.Inputs = e.Memo.InputDigests
@@ -779,11 +782,17 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.checkDoneLocked()
 }
 
-// handleResultLocked hands one worker outcome to the lifecycle. What that
-// decides joins the critical section's group, whose callback acknowledges the
-// outcome once the recorder has written it.
+// handleResultLocked files the worker span of every outcome it is handed and
+// hands the outcome to the lifecycle. What that decides joins the critical
+// section's group, whose callback acknowledges the outcome once the recorder
+// has written it.
 func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
 	i, ok := co.index[out.RunID]
+	var parent int64 // a root for a run this incarnation has no span for
+	if ok {
+		parent = co.state[i].Span.ID()
+	}
+	co.fileWorkerSpanLocked(w, &out, parent)
 	if !ok {
 		return
 	}

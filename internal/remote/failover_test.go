@@ -208,7 +208,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 		return true
 	}
 	w = &Worker{
-		Name: "w0", Slots: 2, Heartbeat: time.Hour,
+		Name: "w0", Slots: 2, Heartbeat: time.Hour, Tracer: telemetry.NewTracer(),
 		Dial: func() (net.Conn, error) { return net.Dial("tcp", addr.Load().(string)) },
 		Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
 			started <- struct{}{}
@@ -257,9 +257,11 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	// The worker's spool replays r0/r1; the first-terminal-outcome latch
 	// dedups any re-dispatch race; the journal must end with exactly one
 	// terminal record per run.
+	succession := time.Now()
 	ln2 := listen(t)
 	addr.Store(ln2.Addr().String())
-	e := &Engine{Listener: ln2, BatchSize: 4, LeaseTTL: time.Second, WorkerWait: 20 * time.Second}
+	e := &Engine{Listener: ln2, BatchSize: 4, LeaseTTL: time.Second, WorkerWait: 20 * time.Second,
+		Tracer: telemetry.NewTracer()}
 	results, report, info, err := Coordinate(context.Background(), CoordinateConfig{
 		Engine: e, Campaign: "spool", Runs: runs,
 		Journal: jpath, Holder: "coord-2", Resume: true, LeaseTTL: time.Second,
@@ -301,6 +303,22 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	st := resilience.Replay(recs)
 	if rem := st.Remaining(runIDs(runs)); len(rem) != 0 {
 		t.Errorf("runs still owed after failover: %v", rem)
+	}
+	// Each replayed outcome filed exactly one worker span in the successor's
+	// trace, at the worker's own start time: incarnation 1's, before the
+	// successor existed. (A re-dispatch race's second execution starts
+	// after.)
+	for _, r := range runs[:2] {
+		var replayed []telemetry.SpanData
+		for _, d := range e.Tracer.Snapshot() {
+			if d.Name == workerRunSpan && d.Attr("run") == r.ID && d.Start.Before(succession) {
+				replayed = append(replayed, d)
+			}
+		}
+		if len(replayed) != 1 {
+			t.Errorf("run %s: %d worker spans from before the successor, want the replayed outcome's one: %+v",
+				r.ID, len(replayed), replayed)
+		}
 	}
 }
 
@@ -462,15 +480,15 @@ func waitFor(t *testing.T, d time.Duration, ok func() bool) {
 	}
 }
 
-// remoteV3 is the schema of the previous protocol version: msgSchema's
+// remoteV4 is the schema of the previous protocol version: msgSchema's
 // fields under the old name.
-func remoteV3() *stream.Schema {
+func remoteV4() *stream.Schema {
 	old := *msgSchema
-	old.Name = "remote.v3"
+	old.Name = "remote.v4"
 	return &old
 }
 
-// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v3
+// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v4
 // stream to a live campaign. The coordinator refuses it at its first record
 // — one Warn event, one count — answers with a record of its own so the
 // peer's schema check can name both versions, leaves no goroutine behind,
@@ -492,11 +510,11 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	enc, err := stream.NewEncoder(nc, remoteV3())
+	enc, err := stream.NewEncoder(nc, remoteV4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, _ := stream.NewRecord(remoteV3(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
+	hello, _ := stream.NewRecord(remoteV4(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
 	if err := enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +549,7 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 			continue
 		}
 		refused++
-		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v3" || ev.Attr("expected") != msgSchema.Name ||
+		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v4" || ev.Attr("expected") != msgSchema.Name ||
 			ev.Attr("peer") != nc.LocalAddr().String() {
 			t.Errorf("worker.refused event = %+v", ev)
 		}
@@ -559,15 +577,15 @@ func TestWorkerNamesBothSchemasOnMismatch(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		enc, _ := stream.NewEncoder(nc, remoteV3())
-		grant, _ := stream.NewRecord(remoteV3(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
+		enc, _ := stream.NewEncoder(nc, remoteV4())
+		grant, _ := stream.NewRecord(remoteV4(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
 		enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: grant})
 		enc.Flush()
 	}()
 	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1,
 		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
 	err := w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `"remote.v3"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
+	if err == nil || !strings.Contains(err.Error(), `"remote.v4"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
 		t.Fatalf("Run error = %v, want one naming both schemas", err)
 	}
 }

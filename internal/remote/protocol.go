@@ -9,7 +9,7 @@
 // the journal keeps exactly-once accounting across worker and coordinator
 // crashes alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v4) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v5) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
 // binary body whose layout the verb selects (wire.go) — the same
 // typed-records + control-punctuation design as the streaming substrate,
@@ -59,11 +59,11 @@ const (
 	// → worker): body HeartbeatAck. The worker measures heartbeat RTT from
 	// it — the clock-skew estimator's input.
 	OpHeartbeatAck = "heartbeat-ack"
-	// OpTelemetry ships a bounded batch of worker telemetry — finished
-	// spans, metric deltas, journal events — to the coordinator (worker →
-	// coordinator): body TelemetryBatch. Flushes piggyback on the heartbeat
-	// cadence; a final drain flush follows OpDrain, before the worker
-	// closes.
+	// OpTelemetry ships a bounded batch of worker telemetry — session
+	// spans, metric deltas, journal events; a run's span rides its Outcome —
+	// to the coordinator (worker → coordinator): body TelemetryBatch. Flushes
+	// piggyback on the heartbeat cadence; a final drain flush follows
+	// OpDrain, before the worker closes.
 	OpTelemetry = "telemetry"
 	// OpResultAck acknowledges OpResults (coordinator → worker): body
 	// ResultAck. The ack clears the worker's outcome spool entry; until it
@@ -91,7 +91,7 @@ const (
 // refused at its first record by the schema check in recv, instead of
 // misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v4",
+	Name: "remote.v5",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -123,13 +123,16 @@ type LeaseGrant struct {
 	// that has already served a higher epoch rejects the grant — the dialed
 	// address reached a deposed incarnation.
 	Epoch int64 `json:"epoch,omitempty"`
+	// Trace is the coordinator tracer's trace id (zero: no tracer), which a
+	// run's TRACEPARENT names with the id its worker span is filed under.
+	Trace telemetry.TraceID `json:"trace"`
 }
 
 // Assignment is one batch of runs.
 type Assignment struct {
 	Runs []cheetah.Run `json:"runs"`
-	// Trace is not filled and not on the wire: the coordinator parents a
-	// worker's run span by its run id (DESIGN.md §4h). It stays declared
+	// Trace is not filled and not on the wire: the coordinator files a
+	// worker's run span from its Outcome (DESIGN.md §4h). It stays declared
 	// only because bench/layers.go still builds it to size its JSON body
 	// measurement; ROADMAP item 1b-ii removes it.
 	Trace map[string]string `json:"trace,omitempty"`
@@ -156,6 +159,12 @@ type Outcome struct {
 	CPUUserSeconds   float64 `json:"cpu_user_s,omitempty"`
 	CPUSystemSeconds float64 `json:"cpu_sys_s,omitempty"`
 	MaxRSSBytes      int64   `json:"max_rss,omitempty"`
+	// StartUnixNano (worker clock), QueueWaitNanos and Span are what only
+	// the worker knows of the attempt's span, which the coordinator files
+	// under number Span in the worker's namespace (DESIGN.md §4h).
+	StartUnixNano  int64 `json:"start,omitempty"`
+	QueueWaitNanos int64 `json:"queue_wait,omitempty"`
+	Span           int64 `json:"span,omitempty"`
 }
 
 // Heartbeat renews a lease. What a worker holds the coordinator already

@@ -1,8 +1,9 @@
 // Telemetry synchronisation for the execution plane: the worker-side
 // shipper that drains local telemetry toward the coordinator in bounded
-// batches, the NTP-lite per-worker clock-skew estimator, and the
-// coordinator-side merge that re-keys worker spans, events and metric
-// deltas into the campaign's single trace. See DESIGN.md §4h.
+// batches, the NTP-lite per-worker clock-skew estimator, the coordinator-side
+// merge that re-keys worker spans, events and metric deltas into the
+// campaign's single trace, and the worker run span filed from each Outcome.
+// See DESIGN.md §4h.
 
 package remote
 
@@ -14,8 +15,8 @@ import (
 	"fairflow/internal/telemetry/eventlog"
 )
 
-// workerRunSpan names a worker's span for one run: the span the merge
-// parents by its "run" attribute.
+// workerRunSpan names the span the coordinator files for each attempt a
+// worker reports (fileWorkerSpanLocked).
 const workerRunSpan = "remote.worker.run"
 
 // maxTelemetryBatch caps the spans and the events carried by one
@@ -47,23 +48,24 @@ type skewEstimator struct {
 // recv ≈ sent + rtt/2, so the offset estimate is sent + rtt/2 − recv.
 // NTP-style, the lowest-RTT measured sample wins: queueing delay only
 // inflates the round trip, so the tightest one bounds the estimate's error
-// best. Unmeasured samples stand in until a measured one arrives.
+// best. Unmeasured samples (an outcome's end stamp, a heartbeat before the
+// first echo) stand in until a measured one arrives, the largest offset
+// winning: sent − recv falls short of the offset by the sample's delay.
 func (e *skewEstimator) sample(sent time.Time, rtt time.Duration, recv time.Time) {
 	if sent.IsZero() {
 		return
 	}
-	if rtt < 0 {
-		rtt = 0
-	}
+	rtt = max(rtt, 0)
+	offset := sent.Add(rtt / 2).Sub(recv)
 	measured, best := rtt > 0, e.rtt > 0
 	switch {
 	case !e.valid:
 	case measured && (!best || rtt <= e.rtt):
-	case !measured && !best:
+	case !measured && !best && offset > e.offset:
 	default:
 		return
 	}
-	e.valid, e.rtt, e.offset = true, rtt, sent.Add(rtt/2).Sub(recv)
+	e.valid, e.rtt, e.offset = true, rtt, offset
 }
 
 // adjust maps a worker-clock timestamp onto the coordinator's timeline.
@@ -172,19 +174,55 @@ func (sh *shipper) abandon() (spans, events int64) {
 // 2^53, so JSON readers hold it exactly.
 const workerSpanBits = 32
 
-// spanID maps one of w's span ids into its namespace, or returns 0 for an id
-// that does not fit: outside input, dropped with what carries it.
-func (w *wstate) spanID(id int64) int64 {
-	if id <= 0 || id >= 1<<workerSpanBits || w.lease >= 1<<(53-workerSpanBits) {
+// spanID maps span id of the worker holding lease into that worker's
+// namespace, or returns 0 for an id that does not fit: outside input, dropped
+// with what carries it.
+func spanID(lease, id int64) int64 {
+	if id <= 0 || id >= 1<<workerSpanBits || lease >= 1<<(53-workerSpanBits) {
 		return 0
 	}
-	return w.lease<<workerSpanBits | id
+	return lease<<workerSpanBits | id
+}
+
+// fileWorkerSpanLocked files the span of the attempt out reports, under the
+// number the worker exported as TRACEPARENT (0: the worker has no tracer), in
+// w's namespace, with parent (the run's remote.run span, 0 for a root). First
+// its end stamp feeds w's skew estimate as an unmeasured sample, so spans land
+// on the coordinator's timeline before any heartbeat — when the attempt was
+// one of w's, queue wait and all since its lease was granted: a spool
+// replay's stamp predates the grant. Callers hold co.mu, before out leaves
+// w.outstanding.
+func (co *coordinator) fileWorkerSpanLocked(w *wstate, out *Outcome, parent int64) {
+	id := spanID(w.lease, out.Span)
+	if co.e.Tracer == nil || id == 0 {
+		return
+	}
+	start, elapsed := time.Unix(0, out.StartUnixNano), time.Duration(out.Seconds*float64(time.Second))
+	if recv := time.Now(); w.outstanding[out.RunID] && recv.Sub(w.joined) >= elapsed+time.Duration(out.QueueWaitNanos) {
+		w.skew.sample(start.Add(elapsed), 0, recv)
+	}
+	attrs := append(make([]telemetry.Attr, 0, 6), telemetry.String("run", out.RunID), telemetry.String("worker", w.name),
+		telemetry.Float("queue_wait_s", time.Duration(out.QueueWaitNanos).Seconds()))
+	if out.Cached {
+		attrs = append(attrs, telemetry.Bool("cached", true))
+	} else {
+		if cpu := out.CPUUserSeconds + out.CPUSystemSeconds; cpu != 0 || out.MaxRSSBytes != 0 {
+			attrs = append(attrs, telemetry.Float("cpu_s", cpu), telemetry.Int("max_rss_bytes", int(out.MaxRSSBytes)))
+		}
+		status := "failed"
+		if out.OK {
+			status = "succeeded"
+		}
+		attrs = append(attrs, telemetry.String("status", status))
+	}
+	start = w.skew.adjust(start)
+	co.e.Tracer.Ingest(telemetry.SpanData{ID: id, Parent: parent, Name: workerRunSpan,
+		Start: start, End: start.Add(elapsed), Attrs: attrs})
 }
 
 // handleTelemetry merges one worker batch into the coordinator's
 // telemetry: span ids map into the worker's namespace of the coordinator
-// tracer's ids (so a child shipped before its parent still names it), a
-// worker's run spans parent under the coordinator's spans for their runs,
+// tracer's ids (so a child shipped before its parent still names it),
 // timestamps shift onto the coordinator's timeline by the worker's
 // estimated clock skew, and everything gains worker=<name> attribution.
 func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Time) {
@@ -197,79 +235,48 @@ func (co *coordinator) handleTelemetry(w *wstate, b TelemetryBatch, recv time.Ti
 		w.skew.sample(time.Unix(0, b.SentUnixNano), time.Duration(b.RTTNanos), recv)
 	}
 	skew := w.skew
-	spans := make([]telemetry.SpanData, 0, len(b.Spans))
-	for _, d := range b.Spans {
-		if co.remapSpanLocked(w, &d, skew) {
-			spans = append(spans, d)
-		} else {
-			dropped++
-		}
-	}
 	co.mu.Unlock()
 
-	events := make([]eventlog.Event, 0, len(b.Events))
+	for _, d := range b.Spans {
+		parent := spanID(w.lease, d.Parent)
+		if d.ID = spanID(w.lease, d.ID); d.ID == 0 || (parent == 0) != (d.Parent == 0) {
+			dropped++
+			continue
+		}
+		d.Parent, d.Start, d.End = parent, skew.adjust(d.Start), skew.adjust(d.End)
+		d.Attrs = withWorker(d.Attrs, d.Attr("worker") == "", w.name)
+		e.Tracer.Ingest(d)
+		e.mWorkerSpans.Inc()
+	}
 	for _, ev := range b.Events {
 		if ev.Span != 0 {
-			if ev.Span = w.spanID(ev.Span); ev.Span == 0 {
+			if ev.Span = spanID(w.lease, ev.Span); ev.Span == 0 {
 				dropped++
 				continue
 			}
 		}
 		ev.Time = skew.adjust(ev.Time)
-		// origin=worker lets consumers that already track run lifecycles
-		// from Outcome reports (the monitor) skip the shipped copies instead
+		// origin=worker lets consumers that hear the coordinator's own
+		// account of a worker (the monitor) skip the shipped copies instead
 		// of double counting.
-		attrs := make([]telemetry.Attr, len(ev.Attrs), len(ev.Attrs)+2)
-		copy(attrs, ev.Attrs)
-		if ev.Attr("worker") == "" {
-			attrs = append(attrs, telemetry.String("worker", w.name))
-		}
-		ev.Attrs = append(attrs, telemetry.String("origin", "worker"))
-		events = append(events, ev)
+		ev.Attrs = withWorker(ev.Attrs, ev.Attr("worker") == "", w.name, telemetry.String("origin", "worker"))
+		e.Events.Ingest(ev)
 	}
-
 	if dropped > 0 {
 		e.mTelemetryDropped.Add(dropped)
-	}
-	for _, d := range spans {
-		e.Tracer.Ingest(d)
-	}
-	e.mWorkerSpans.Add(int64(len(spans)))
-	for _, ev := range events {
-		e.Events.Ingest(ev)
 	}
 	if b.Metrics != nil {
 		e.Metrics.Merge(*b.Metrics, "worker", w.name)
 	}
 }
 
-// remapSpanLocked rewrites one worker span for the coordinator's trace —
-// mapped ids, resolved parent, skew-adjusted times, worker attribution — and
-// reports false when an id it carries does not fit w's namespace. A worker's
-// run span parents under this coordinator's span for its "run" attribute,
-// whatever its worker-local parent, and files as a root when there is no
-// such span: an unknown run id, or a run this incarnation never dispatched.
-// Callers hold co.mu.
-func (co *coordinator) remapSpanLocked(w *wstate, d *telemetry.SpanData, skew skewEstimator) bool {
-	if d.ID = w.spanID(d.ID); d.ID == 0 {
-		return false
+// withWorker copies attrs, sized for what it appends: worker=<name> when add
+// is set, then extra.
+func withWorker(attrs []telemetry.Attr, add bool, name string, extra ...telemetry.Attr) []telemetry.Attr {
+	out := make([]telemetry.Attr, len(attrs), len(attrs)+1+len(extra))
+	copy(out, attrs)
+	if add {
+		out = append(out, telemetry.String("worker", name))
 	}
-	if d.Name == workerRunSpan {
-		d.Parent = 0
-		if i, ok := co.index[d.Attr("run")]; ok {
-			d.Parent = co.state[i].Span.ID()
-		}
-	} else if d.Parent != 0 {
-		if d.Parent = w.spanID(d.Parent); d.Parent == 0 {
-			return false
-		}
-	}
-	d.Start = skew.adjust(d.Start)
-	d.End = skew.adjust(d.End)
-	if d.Attr("worker") == "" {
-		attrs := make([]telemetry.Attr, len(d.Attrs), len(d.Attrs)+1)
-		copy(attrs, d.Attrs)
-		d.Attrs = append(attrs, telemetry.String("worker", w.name))
-	}
-	return true
+	return append(out, extra...)
 }

@@ -2,12 +2,15 @@ package remote
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"fairflow/internal/cheetah"
+	"fairflow/internal/provenance"
 	"fairflow/internal/savanna"
 	"fairflow/internal/telemetry"
 	"fairflow/internal/telemetry/eventlog"
@@ -80,6 +83,21 @@ func TestSkewEstimatorEdgeCases(t *testing.T) {
 		e.sample(base.Add(100*time.Second), 0, base)
 		if e.rtt != 10*time.Millisecond {
 			t.Fatal("placeholder replaced a measured sample")
+		}
+	})
+
+	t.Run("largest unmeasured offset wins", func(t *testing.T) {
+		// With no round trip known, sent − recv falls short of the offset by
+		// the sample's delay: a stale stamp must not displace a fresh one.
+		var e skewEstimator
+		e.sample(base.Add(2*time.Second), 0, base)
+		e.sample(base.Add(-time.Minute), 0, base)
+		if e.offset != 2*time.Second {
+			t.Fatalf("offset = %v, want the least delayed sample's 2s", e.offset)
+		}
+		e.sample(base.Add(3*time.Second), 0, base)
+		if e.offset != 3*time.Second {
+			t.Fatalf("offset = %v, want 3s", e.offset)
 		}
 	})
 
@@ -159,13 +177,10 @@ func TestShipperBatchesCursorsAndDrops(t *testing.T) {
 }
 
 // TestHandleTelemetryMerge drives the coordinator-side merge directly: a
-// worker batch with its own id space, a 5-second-fast clock, and spans that
-// parent (a) under the coordinator's span for their run, whatever their
-// worker-local parent, (b) locally under a worker session span that ships in
-// a LATER batch — the child still lands under it, with no map between the
-// two batches — and (c) nowhere: a run span for an unknown run id, or for a
-// run this incarnation never dispatched, files as a root. Ids that do not
-// fit the worker's namespace are dropped and counted.
+// worker batch with its own id space, a 5-second-fast clock, and a span that
+// parents locally under a worker session span that ships in a LATER batch —
+// the child still lands under it, with no map between the two batches. Ids
+// that do not fit the worker's namespace are dropped and counted.
 func TestHandleTelemetryMerge(t *testing.T) {
 	e := &Engine{
 		Tracer:  telemetry.NewTracer(),
@@ -173,40 +188,26 @@ func TestHandleTelemetryMerge(t *testing.T) {
 		Events:  eventlog.NewLog(),
 	}
 	e.telemetryInit()
-	co := mergeCoordinator(e, "g/s/run-1", "g/s/run-2")
+	co := mergeCoordinator(e)
 	w := &wstate{name: "w9", lease: 3}
-
-	// The coordinator's span for run 1; run 2 was terminal on replay, so
-	// this incarnation never opened one.
-	_, dispatch := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
-	dispatch.End()
-	co.state[0].Span = dispatch
 
 	recv := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
 	skewd := 5 * time.Second // worker clock runs 5s ahead
 	wnow := recv.Add(skewd)
 
-	runSpan := func(id int64, run string) telemetry.SpanData {
-		return telemetry.SpanData{ID: id, Parent: 100, Name: "remote.worker.run",
-			Start: wnow.Add(-20 * time.Millisecond), End: wnow,
-			Attrs: []telemetry.Attr{telemetry.String("run", run)}}
-	}
 	batch1 := TelemetryBatch{
 		SentUnixNano: wnow.UnixNano(),
 		Spans: []telemetry.SpanData{
-			runSpan(101, "g/s/run-1"),
-			runSpan(102, "g/s/run-9"), // unknown run id
-			runSpan(103, "g/s/run-2"), // never dispatched here
 			// Child of the not-yet-shipped worker session span 100.
-			{ID: 104, Parent: 100, Name: "remote.worker.idle", Start: wnow, End: wnow},
+			{ID: 104, Parent: 100, Name: "remote.worker.idle", Start: wnow.Add(-20 * time.Millisecond), End: wnow},
 			// Ids outside the worker's namespace: dropped, counted.
 			{ID: 0, Name: "invalid"},
 			{ID: 1 << workerSpanBits, Name: "invalid"},
 			{ID: 105, Parent: -1, Name: "invalid"},
 		},
 		Events: []eventlog.Event{
-			{Time: wnow, Level: eventlog.Info, Type: eventlog.RunSucceeded, Span: 101},
-			{Time: wnow, Level: eventlog.Info, Type: eventlog.RunSucceeded, Span: 1 << 40},
+			{Time: wnow, Level: eventlog.Info, Type: eventlog.WorkerJoin, Span: 104},
+			{Time: wnow, Level: eventlog.Info, Type: eventlog.WorkerJoin, Span: 1 << 40},
 		},
 		Metrics:      &telemetry.MetricsSnapshot{Counters: []telemetry.CounterSnap{{Name: "remote_worker.runs_executed_total", Value: 7}}},
 		DroppedSpans: 3,
@@ -222,61 +223,40 @@ func TestHandleTelemetryMerge(t *testing.T) {
 	}
 	co.handleTelemetry(w, batch2, recv)
 
-	spans := e.Tracer.Snapshot()
-	byRun := map[string]telemetry.SpanData{}
 	byName := map[string]telemetry.SpanData{}
-	for _, s := range spans {
+	for _, s := range e.Tracer.Snapshot() {
 		byName[s.Name] = s
-		if s.Name == "remote.worker.run" {
-			byRun[s.Attr("run")] = s
-		}
 	}
-	run, okRun := byRun["g/s/run-1"]
 	sess, okSess := byName["remote.worker"]
 	idle, okIdle := byName["remote.worker.idle"]
-	if !okRun || !okSess || !okIdle || len(byRun) != 3 {
-		t.Fatalf("merged spans missing: %+v", spans)
-	}
-	if _, leaked := byName["invalid"]; leaked {
-		t.Fatal("a span with an id outside the worker's namespace entered the trace")
+	if !okSess || !okIdle || len(byName) != 2 {
+		t.Fatalf("merged spans = %+v, want the session and idle spans alone", byName)
 	}
 
-	// The run span parents under the coordinator's span for its run, not
-	// under its worker-local session parent.
-	if run.Parent != dispatch.ID() {
-		t.Fatalf("run parent = %d, want the run's coordinator span %d", run.Parent, dispatch.ID())
-	}
-	for _, id := range []string{"g/s/run-9", "g/s/run-2"} {
-		if p := byRun[id].Parent; p != 0 {
-			t.Fatalf("run span for %s has parent %d, want a root", id, p)
-		}
-	}
 	// The idle span named span 100 one batch before it arrived, and lands
 	// under it: worker ids map arithmetically into lease 3's namespace,
 	// above every id the coordinator's own tracer hands out.
-	if idle.Parent != sess.ID || sess.ID != 3<<workerSpanBits|100 {
-		t.Fatalf("idle parent %d, session span at %d; want both at %d", idle.Parent, sess.ID, 3<<workerSpanBits|100)
-	}
-	if run.ID != 3<<workerSpanBits|101 || run.ID <= dispatch.ID() {
-		t.Fatalf("run span at %d, want %d (the coordinator's span is %d)", run.ID, 3<<workerSpanBits|101, dispatch.ID())
+	if idle.Parent != sess.ID || sess.ID != 3<<workerSpanBits|100 || idle.ID != 3<<workerSpanBits|104 {
+		t.Fatalf("idle %d under %d, session span at %d; want %d under %d", idle.ID, idle.Parent, sess.ID,
+			3<<workerSpanBits|104, 3<<workerSpanBits|100)
 	}
 	// Merged ids stay below 2^53, which JSON readers hold exactly: the last
 	// lease with a namespace maps the largest worker id under it, and the
 	// next lease's ids do not fit.
-	top := &wstate{lease: 1<<(53-workerSpanBits) - 1}
-	if id := top.spanID(1<<workerSpanBits - 1); id != 1<<53-1 {
+	top := int64(1<<(53-workerSpanBits) - 1)
+	if id := spanID(top, 1<<workerSpanBits-1); id != 1<<53-1 {
 		t.Fatalf("largest merged id = %d, want 2^53-1", id)
 	}
-	if id := (&wstate{lease: top.lease + 1}).spanID(1); id != 0 {
+	if id := spanID(top+1, 1); id != 0 {
 		t.Fatalf("a lease beyond the id space mapped span 1 to %d", id)
 	}
 
 	// Clock skew removed: the worker's 5s-fast timestamps land on the
 	// coordinator timeline.
-	if !run.End.Equal(recv) {
-		t.Fatalf("run end = %v, want skew-adjusted %v", run.End, recv)
+	if !idle.End.Equal(recv) {
+		t.Fatalf("idle end = %v, want skew-adjusted %v", idle.End, recv)
 	}
-	if run.Attr("worker") != "w9" {
+	if idle.Attr("worker") != "w9" {
 		t.Fatal("worker attribution missing")
 	}
 
@@ -286,8 +266,8 @@ func TestHandleTelemetryMerge(t *testing.T) {
 		t.Fatalf("events = %d, want the one whose span id fits", len(evs))
 	}
 	ev := evs[0]
-	if ev.Span != run.ID {
-		t.Fatalf("event span = %d, want remapped %d", ev.Span, run.ID)
+	if ev.Span != idle.ID {
+		t.Fatalf("event span = %d, want remapped %d", ev.Span, idle.ID)
 	}
 	if !ev.Time.Equal(recv) {
 		t.Fatalf("event time = %v, want %v", ev.Time, recv)
@@ -320,34 +300,104 @@ func mergeCoordinator(e *Engine, ids ...string) *coordinator {
 }
 
 // TestTraceMergeParentsReDispatchedAttempts: a run whose first worker's lease
-// expired is re-dispatched to a second worker, and both workers ship a run
-// span for it — the first from the session the coordinator declared dead.
-// Both attempts parent under the run's one coordinator span.
+// expired is re-dispatched to a second worker, and both workers report it —
+// the first from the session the coordinator declared dead, after the second
+// ended the run. Each outcome files exactly one worker span, at its worker's
+// own start time, both under the run's one coordinator span.
 func TestTraceMergeParentsReDispatchedAttempts(t *testing.T) {
 	e := &Engine{Tracer: telemetry.NewTracer(), Metrics: telemetry.NewRegistry(), Events: eventlog.NewLog()}
 	e.telemetryInit()
 	co := mergeCoordinator(e, "g/s/run-1")
 	_, runSpan := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
 	co.state[0].Span = runSpan
-	expired := &wstate{name: "wa", lease: 1, dead: true}
-	live := &wstate{name: "wb", lease: 2}
-	now := time.Now()
-	for _, w := range []*wstate{expired, live} {
-		co.handleTelemetry(w, TelemetryBatch{Spans: []telemetry.SpanData{
-			{ID: 2, Parent: 1, Name: "remote.worker.run", Start: now, End: now,
-				Attrs: []telemetry.Attr{telemetry.String("run", "g/s/run-1"), telemetry.String("worker", w.name)}},
-		}}, now)
+	co.state[0].Result.Status = provenance.StatusSucceeded // the live worker's outcome ended it
+	expired := &wstate{name: "wa", lease: 1, dead: true, outstanding: map[string]bool{}}
+	live := &wstate{name: "wb", lease: 2, outstanding: map[string]bool{}}
+	started := map[string]time.Time{}
+	for i, w := range []*wstate{live, expired} {
+		started[w.name] = time.Now().Add(-time.Duration(i+1) * time.Second).Truncate(time.Microsecond)
+		co.handleResultLocked(w, Outcome{RunID: "g/s/run-1", OK: true, Seconds: 0.25,
+			StartUnixNano: started[w.name].UnixNano(), Span: 2})
 	}
 	runSpan.End()
-	parents := map[string]int64{}
+	spans := map[string]telemetry.SpanData{}
 	for _, d := range e.Tracer.Snapshot() {
-		if d.Name == "remote.worker.run" {
-			parents[d.Attr("worker")] = d.Parent
+		if d.Name == workerRunSpan {
+			if _, twice := spans[d.Attr("worker")]; twice {
+				t.Fatalf("a second worker span from %s: %+v", d.Attr("worker"), d)
+			}
+			spans[d.Attr("worker")] = d
 		}
 	}
-	if len(parents) != 2 || parents["wa"] != runSpan.ID() || parents["wb"] != runSpan.ID() {
-		t.Fatalf("attempt parents = %v, want both under the run span %d", parents, runSpan.ID())
+	if len(spans) != 2 {
+		t.Fatalf("worker spans = %+v, want one from each worker", spans)
 	}
+	for name, d := range spans {
+		if d.Parent != runSpan.ID() || !d.Start.Equal(started[name]) || d.Duration() != 250*time.Millisecond {
+			t.Errorf("%s's span = %+v, want under the run span %d from its own start %v for 250ms",
+				name, d, runSpan.ID(), started[name])
+		}
+	}
+	if got := e.mDuplicates.Value(); got != 2 {
+		t.Errorf("runs_duplicate_total = %d, want both outcomes counted as duplicates", got)
+	}
+}
+
+// TestWorkerSpanSkewWithoutHeartbeat: a worker whose clock runs 5 s fast
+// reports runs before its first heartbeat. Each outcome's end stamp is an
+// unmeasured skew sample, so its span lands on the coordinator's timeline. A
+// stamp that sat in the writer's queue does not displace a fresher one; a
+// spool replay's (a run the session does not hold, or an attempt older than
+// the lease) is no sample; and a heartbeat's measured round trip outranks
+// every outcome.
+func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
+	e := &Engine{Tracer: telemetry.NewTracer(), Metrics: telemetry.NewRegistry()}
+	e.telemetryInit()
+	co := mergeCoordinator(e, "r1", "r2", "r3", "r4", "r5")
+	for i := range co.state {
+		co.state[i].Result.Status = provenance.StatusSucceeded // the span is all this test reads
+	}
+	w := &wstate{name: "w0", lease: 1, joined: time.Now().Add(-2 * time.Second),
+		outstanding: map[string]bool{"r1": true, "r3": true, "r4": true, "r5": true}}
+	const fast = 5 * time.Second
+	// report hands over run's outcome, which ended ago before now and waited
+	// wait in the worker's queue, and returns where its span ends against
+	// where it should, on the coordinator's clock.
+	report := func(run string, ago, wait time.Duration) (got, want time.Time) {
+		now := time.Now()
+		end := now.Add(fast - ago)
+		co.handleResultLocked(w, Outcome{RunID: run, OK: true, Seconds: 0.5, StartUnixNano: end.Add(-500 * time.Millisecond).UnixNano(),
+			QueueWaitNanos: int64(wait), Span: int64(co.index[run] + 1)})
+		for _, d := range e.Tracer.Snapshot() {
+			if d.Attr("run") == run {
+				got = d.End
+			}
+		}
+		return got, now.Add(-ago)
+	}
+	near := func(what string, got, want time.Time, by time.Duration) {
+		t.Helper()
+		if d := got.Sub(want); d < -by || d > by {
+			t.Errorf("%s: span ends %v, want %v ± %v", what, got, want, by)
+		}
+	}
+	const slack = 50 * time.Millisecond
+	got, want := report("r1", 0, 0)
+	near("the first outcome", got, want, slack)
+	got, want = report("r2", time.Minute, 0)
+	near("a replay of a run the session does not hold", got, want, slack)
+	got, want = report("r3", time.Second, 0)
+	near("an outcome queued a second", got, want, slack)
+	// An attempt that began before the grant: its stamp would move the
+	// estimate a second (its end looks a second ahead), and must not.
+	got, want = report("r4", -time.Second, 10*time.Second)
+	near("an attempt older than the lease", got, want, slack)
+	// A heartbeat with a measured round trip: its estimate (the worker
+	// 4 s fast) holds against later outcomes.
+	now := time.Now()
+	w.skew.sample(now.Add(4*time.Second+time.Millisecond), 2*time.Millisecond, now.Add(2*time.Millisecond))
+	got, want = report("r5", 0, 0)
+	near("after a measured heartbeat", got, want.Add(time.Second), slack)
 }
 
 // TestDistributedTraceMerge is the tentpole's end-to-end check: two fully
@@ -462,8 +512,8 @@ func TestDistributedTraceMerge(t *testing.T) {
 		}
 	}
 
-	// Worker events merged span-correlated: every shipped run.succeeded
-	// event points at a span that exists in the merged trace.
+	// Worker events merged span-correlated: every shipped event (a session's
+	// join and leave) points at a span that exists in the merged trace.
 	workerEvents := 0
 	for _, ev := range events.Snapshot() {
 		if ev.Attr("origin") != "worker" {
@@ -475,8 +525,8 @@ func TestDistributedTraceMerge(t *testing.T) {
 				t.Fatalf("worker event %q points at unknown span %d", ev.Type, ev.Span)
 			}
 		}
-		if strings.HasPrefix(ev.Type, "run.") && ev.Attr("worker") == "" {
-			t.Fatalf("worker run event lacks worker attr: %+v", ev)
+		if strings.HasPrefix(ev.Type, "run.") {
+			t.Fatalf("a worker shipped a run event, which its Outcome carries: %+v", ev)
 		}
 	}
 	if workerEvents == 0 {
@@ -485,10 +535,11 @@ func TestDistributedTraceMerge(t *testing.T) {
 }
 
 // TestDrainBacklogCountedAsDropped pins §4h's "dropping is allowed, silence
-// is not" at the drain: a worker that ends the campaign holding 9 000
+// is not" at the drain: a worker that ends the campaign holding 8 999
 // finished spans ships the 8 × 1024 the drain burst allows, and the rest —
 // which no buffer overflowed, so no local drop counter saw — arrives as a
-// count on remote.telemetry_dropped_total.
+// count on remote.telemetry_dropped_total. The one run's span is the
+// coordinator's, filed from its Outcome, outside the burst.
 func TestDrainBacklogCountedAsDropped(t *testing.T) {
 	const held = 9000
 	ln := listen(t)
@@ -497,7 +548,7 @@ func TestDrainBacklogCountedAsDropped(t *testing.T) {
 	e.Tracer.SetCapacity(2 * held)
 
 	wtr := telemetry.NewTracer()
-	// The one run's span and the session span end during the campaign.
+	// The session span ends during the campaign.
 	for i := 0; i < held-2; i++ {
 		_, sp := wtr.Start(context.Background(), "backlog")
 		sp.End()
@@ -513,8 +564,8 @@ func TestDrainBacklogCountedAsDropped(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	if got := wtr.Finished(); got != held {
-		t.Fatalf("the worker finished %d spans, want %d", got, held)
+	if got := wtr.Finished(); got != held-1 {
+		t.Fatalf("the worker finished %d spans, want %d", got, held-1)
 	}
 	const shipped = maxDrainFlushes * maxTelemetryBatch
 	if got := reg.Counter("remote.telemetry_spans_total").Value(); got != shipped {
@@ -522,15 +573,104 @@ func TestDrainBacklogCountedAsDropped(t *testing.T) {
 	}
 	merged := 0
 	for _, d := range e.Tracer.Snapshot() {
-		if d.Attr("worker") == "w0" {
+		if d.Attr("worker") == "w0" && d.Name != workerRunSpan {
 			merged++
 		}
 	}
 	if merged != shipped {
-		t.Errorf("the coordinator's tracer gained %d worker spans, want %d", merged, shipped)
+		t.Errorf("the coordinator's tracer gained %d shipped worker spans, want %d", merged, shipped)
 	}
-	if got := reg.Counter("remote.telemetry_dropped_total").Value(); got != held-shipped {
-		t.Errorf("telemetry_dropped_total = %d, want the %d spans the drain left behind", got, held-shipped)
+	if got := reg.Counter("remote.telemetry_dropped_total").Value(); got != held-1-shipped {
+		t.Errorf("telemetry_dropped_total = %d, want the %d spans the drain left behind", got, held-1-shipped)
+	}
+}
+
+// TestEveryRunFilesOneWorkerSpan: a campaign of more runs than the drain
+// burst could ship, on a worker with a tracer and an event log and no
+// heartbeat before the end, puts exactly one worker span per run in the
+// merged trace — under its run's remote.run span, with the attributes the
+// worker's own span carried — and loses no telemetry.
+func TestEveryRunFilesOneWorkerSpan(t *testing.T) {
+	const n = 9000
+	ln := listen(t)
+	reg := telemetry.NewRegistry()
+	e := &Engine{Listener: ln, BatchSize: 32, LeaseTTL: 5 * time.Second, Tracer: telemetry.NewTracer(), Metrics: reg}
+	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1, Heartbeat: time.Hour,
+		Tracer: telemetry.NewTracer(), Events: eventlog.NewLog(),
+		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	if _, report, err := e.RunCampaign(context.Background(), "every-run", testRuns(n)); err != nil || report.Succeeded != n {
+		t.Fatalf("report = %+v err=%v", report, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	spans := e.Tracer.Snapshot()
+	runSpans := map[int64]string{}
+	for _, d := range spans {
+		if d.Name == "remote.run" {
+			runSpans[d.ID] = d.Attr("run")
+		}
+	}
+	perRun := map[string]int{}
+	for _, d := range spans {
+		if d.Name != workerRunSpan {
+			continue
+		}
+		run := d.Attr("run")
+		perRun[run]++
+		if runSpans[d.Parent] != run || d.Attr("worker") != "w0" || d.Attr("status") != "succeeded" || d.Attr("queue_wait_s") == "" {
+			t.Fatalf("worker span %+v: want it under run %s's remote.run span, with worker, status and queue_wait_s", d, run)
+		}
+	}
+	if len(perRun) != n {
+		t.Fatalf("worker spans for %d runs, want %d", len(perRun), n)
+	}
+	for run, k := range perRun {
+		if k != 1 {
+			t.Fatalf("run %s has %d worker spans, want 1", run, k)
+		}
+	}
+	if got := reg.Counter("remote.telemetry_dropped_total").Value(); got != 0 {
+		t.Errorf("telemetry_dropped_total = %d, want 0", got)
+	}
+}
+
+// TestWorkerTraceparentNamesFiledSpan: a run's process, started by a
+// ProcessExecutor under a remote worker, is handed a TRACEPARENT that names
+// the coordinator's trace and the id the coordinator files the attempt's
+// worker span under, a span of the merged trace.
+func TestWorkerTraceparentNamesFiledSpan(t *testing.T) {
+	ln := listen(t)
+	e := &Engine{Listener: ln, BatchSize: 2, LeaseTTL: 5 * time.Second, Tracer: telemetry.NewTracer()}
+	dir := t.TempDir()
+	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 2, Heartbeat: time.Hour, Tracer: telemetry.NewTracer(),
+		Executor: &savanna.ProcessExecutor{Command: []string{"sh", "-c", `echo "$TRACEPARENT" > tp`}, WorkRoot: dir}}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+	runs := testRuns(4)
+	if _, report, err := e.RunCampaign(context.Background(), "traceparent", runs); err != nil || report.Succeeded != len(runs) {
+		t.Fatalf("report = %+v err=%v", report, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	filed := map[string]int64{}
+	for _, d := range e.Tracer.Snapshot() {
+		if d.Name == workerRunSpan {
+			filed[d.Attr("run")] = d.ID
+		}
+	}
+	for _, r := range runs {
+		got, err := os.ReadFile(filepath.Join(dir, r.ID, "tp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := telemetry.SpanContext{Trace: e.Tracer.TraceID(), Span: filed[r.ID]}
+		if !want.Valid() || strings.TrimSpace(string(got)) != want.String() {
+			t.Errorf("run %s: TRACEPARENT = %q, want %q: the coordinator's trace, the worker span it filed", r.ID, got, want)
+		}
 	}
 }
 

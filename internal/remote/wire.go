@@ -263,13 +263,14 @@ func (h *Hello) readWire(r *rbuf)           { h.Slots = r.int() }
 func (g *LeaseGrant) appendWire(b []byte) []byte {
 	b = appendInt(appendString(b, g.Campaign), g.TTLMillis)
 	b = appendMap(appendString(b, g.Component), g.Inputs)
-	return appendInt(b, g.Epoch)
+	return append(appendInt(b, g.Epoch), g.Trace[:]...)
 }
 
 func (g *LeaseGrant) readWire(r *rbuf) {
 	g.Campaign, g.TTLMillis = r.str(), r.varint()
 	g.Component, g.Inputs = r.str(), r.strMap()
 	g.Epoch = r.varint()
+	copy(g.Trace[:], r.take(16))
 }
 
 func (a *Assignment) appendWire(b []byte) []byte {
@@ -295,14 +296,15 @@ func (o *Outcome) appendWire(b []byte) []byte {
 	b = appendBool(appendBool(appendString(b, o.RunID), o.OK), o.Cached)
 	b = appendString(appendString(appendFloat(b, o.Seconds), o.Err), o.Class)
 	b = appendFloat(appendFloat(appendMap(b, o.Outputs), o.CPUUserSeconds), o.CPUSystemSeconds)
-	return appendInt(b, o.MaxRSSBytes)
+	b = appendInt(appendInt(appendInt(b, o.MaxRSSBytes), o.StartUnixNano), o.QueueWaitNanos)
+	return appendInt(b, o.Span)
 }
 
 func (o *Outcome) readWire(r *rbuf) {
 	o.RunID, o.OK, o.Cached = r.str(), r.bool(), r.bool()
 	o.Seconds, o.Err, o.Class = r.float(), r.str(), r.str()
 	o.Outputs, o.CPUUserSeconds, o.CPUSystemSeconds = r.strMap(), r.float(), r.float()
-	o.MaxRSSBytes = r.varint()
+	o.MaxRSSBytes, o.StartUnixNano, o.QueueWaitNanos, o.Span = r.varint(), r.varint(), r.varint(), r.varint()
 }
 
 func (h *Heartbeat) appendWire(b []byte) []byte {

@@ -70,18 +70,19 @@ var goldenBodies = []struct {
 }{
 	{OpHello, &Hello{Slots: 2}, "04"},
 	{OpLeaseGrant, &LeaseGrant{Campaign: "c", TTLMillis: 1500, Component: "sha256:ab",
-		Inputs: map[string]string{"b": "2", "a": "1"}, Epoch: 3},
-		"0163b8170973686132" + "35363a616202016101310162013206"},
+		Inputs: map[string]string{"b": "2", "a": "1"}, Epoch: 3, Trace: goldenTrace},
+		"0163b8170973686132" + "35363a616202016101310162013206" + "0123456789abcdef0123456789abcdef"},
 	{OpAssign, &Assignment{
 		Runs: []cheetah.Run{
 			{ID: "g/s/run-00001", Group: "g", Sweep: "s", Index: 1, Params: map[string]string{"x": "1"}},
 			{ID: "g/s/run-00002", Group: "g", Sweep: "s", Index: 2}}},
 		"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400"},
 	{OpResult, &Outcome{RunID: "r1", OK: true, Seconds: 1.5, Outputs: map[string]string{"out": "sha256:ab"},
-		CPUUserSeconds: 0.25, MaxRSSBytes: 4096},
-		"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040"},
+		CPUUserSeconds: 0.25, MaxRSSBytes: 4096, StartUnixNano: 1_700_000_000_000_000_000, QueueWaitNanos: 1500, Span: 7},
+		"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040" +
+			"8080d0e2c6bfce972fb8170e"},
 	{OpResult, &Outcome{RunID: "r2", Cached: true, Err: "boom", Class: "transient"},
-		"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000"},
+		"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000" + "000000"},
 	{OpHeartbeat, &Heartbeat{SentUnixNano: 1_700_000_000_000_000_000, RTTNanos: 1500},
 		"8080d0e2c6bfce972fb817"},
 	{OpHeartbeatAck, &HeartbeatAck{EchoUnixNano: 7}, "0e"},
@@ -98,6 +99,19 @@ var goldenBodies = []struct {
 			"01" + "01016301016b017606" + "01016700000000000000e0bf" + "0101680002fca9f1d24d62503f000000000000f03f0202ac02010000000000002940af02" +
 			// dropped spans, dropped events, sent, rtt
 			"04028080d0e2c6bfce972fb817"},
+}
+
+// goldenTrace is the lease-grant vector's coordinator trace id.
+var goldenTrace = telemetry.TraceID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}
+
+// remoteV4Bodies are the lease-grant and result vectors of remote.v4, whose
+// grant carried no trace id and whose outcome ended at max_rss: a worker's
+// run span then shipped in a telemetry batch. A v4 peer is refused at its
+// first record by the schema check; its bodies stay fuzz seeds.
+var remoteV4Bodies = []string{
+	"0163b8170973686132" + "35363a616202016101310162013206",
+	"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040",
+	"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000",
 }
 
 // remoteV3Heartbeat is the heartbeat of remote.v3, which led with the
@@ -173,14 +187,14 @@ func TestWireGolden(t *testing.T) {
 
 // FuzzWireBody feeds arbitrary bytes to every verb's readWire: nothing
 // panics, and whatever decodes cleanly re-encodes to bytes that decode to a
-// deep-equal value. Seeds are the golden vectors, then remote.v2's and
-// remote.v3's, and every proper prefix of each.
+// deep-equal value. Seeds are the golden vectors, then remote.v2's,
+// remote.v3's and remote.v4's, and every proper prefix of each.
 func FuzzWireBody(f *testing.F) {
-	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies)+1)
+	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies)+1+len(remoteV4Bodies))
 	for _, g := range goldenBodies {
 		vectors = append(vectors, g.hex)
 	}
-	vectors = append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat)
+	vectors = append(append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat), remoteV4Bodies...)
 	for _, v := range vectors {
 		raw, _ := hex.DecodeString(v)
 		for n := 0; n <= len(raw); n++ {
@@ -381,6 +395,14 @@ func (r randBodies) time() time.Time {
 	}
 }
 
+// trace is a zero trace id (a coordinator without a tracer) or a random one.
+func (r randBodies) trace() (id telemetry.TraceID) {
+	if r.Intn(3) > 0 {
+		r.Read(id[:])
+	}
+	return id
+}
+
 // n is a container length: absent, present-but-empty (as size 0 of a made
 // container), or small.
 func (r randBodies) n() int { return r.Intn(5) - 1 }
@@ -442,12 +464,14 @@ func (r randBodies) all() []wireBody {
 	}
 	return []wireBody{
 		&Hello{Slots: int(r.i64())},
-		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Component: r.str(), Inputs: r.strMap(), Epoch: r.i64()},
+		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Component: r.str(), Inputs: r.strMap(), Epoch: r.i64(),
+			Trace: r.trace()},
 		&Assignment{Runs: randList(r, func() cheetah.Run {
 			return cheetah.Run{ID: r.str(), Group: r.str(), Sweep: r.str(), Index: int(r.i64()), Params: r.strMap()}
 		})},
 		&Outcome{RunID: r.str(), OK: r.Intn(2) == 0, Cached: r.Intn(2) == 0, Seconds: r.f64(), Err: r.str(),
-			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64()},
+			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64(),
+			StartUnixNano: r.i64(), QueueWaitNanos: r.i64(), Span: r.i64()},
 		&Heartbeat{SentUnixNano: r.i64(), RTTNanos: r.i64()},
 		&HeartbeatAck{EchoUnixNano: r.i64()},
 		&Steal{N: int(r.i64())},

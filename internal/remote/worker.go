@@ -83,8 +83,6 @@ type Worker struct {
 	gInFlight      *telemetry.Gauge
 	hRunSecs       *telemetry.Histogram
 	hQueueWait     *telemetry.Histogram
-	hCPUSecs       *telemetry.Histogram
-	hMaxRSS        *telemetry.Histogram
 }
 
 func (w *Worker) telemetryInit() {
@@ -102,8 +100,6 @@ func (w *Worker) telemetryInit() {
 		w.gInFlight = w.Metrics.Gauge("remote_worker.in_flight")
 		w.hRunSecs = w.Metrics.Histogram("remote_worker.run_seconds", nil)
 		w.hQueueWait = w.Metrics.Histogram("remote_worker.queue_wait_seconds", nil)
-		w.hCPUSecs = w.Metrics.Histogram("remote_worker.run_cpu_seconds", nil)
-		w.hMaxRSS = w.Metrics.Histogram("remote_worker.run_max_rss_bytes", savanna.RSSBuckets)
 		w.ship = newShipper(w.Tracer, w.Metrics, w.Events)
 	})
 }
@@ -173,9 +169,10 @@ func (w *Worker) Serve(ctx context.Context) error {
 
 // wsession is one connected campaign session's worker-side state.
 type wsession struct {
-	w    *Worker
-	c    *conn
-	name string
+	w     *Worker
+	c     *conn
+	name  string
+	trace telemetry.TraceID // the coordinator's (LeaseGrant.Trace)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -283,7 +280,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s := &wsession{w: w, c: c, name: name,
+	s := &wsession{w: w, c: c, name: name, trace: grant.Trace,
 		enqueued: map[string]time.Time{}}
 	s.cond = sync.NewCond(&s.mu)
 	runCtx, span := w.Tracer.Start(runCtx, "remote.worker",
@@ -337,7 +334,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		eg.Add(1)
 		go func() {
 			defer eg.Done()
-			s.executeLoop(runCtx, memo, lease, span)
+			s.executeLoop(runCtx, memo, lease)
 		}()
 	}
 
@@ -526,7 +523,7 @@ func (s *wsession) flush(lease int64, drain bool) {
 }
 
 // executeLoop is one slot: pull, execute, report, repeat.
-func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease int64, parent *telemetry.Span) {
+func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease int64) {
 	w := s.w
 	for {
 		s.mu.Lock()
@@ -548,7 +545,7 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 		w.gInFlight.Add(1)
 		s.mu.Unlock()
 
-		out := s.execute(ctx, run, memo, wait)
+		out := s.execute(ctx, run, memo, wait, lease)
 		w.gInFlight.Add(-1)
 		// Spool before sending: the outcome survives until the coordinator
 		// acks it, so a result lost to a dying connection (or to a
@@ -567,60 +564,36 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 }
 
 // execute runs one assignment locally — memo lookup, then savanna.Attempt,
-// the attempt body LocalEngine runs — and reports it as a wire outcome.
-// wait is the run's local queue wait. The run span's "run" attribute is
-// what the coordinator's merge parents it by (DESIGN.md §4h).
-func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, wait time.Duration) Outcome {
+// the attempt body LocalEngine runs — and reports it as a wire outcome, which
+// carries what the coordinator files the attempt's span from (DESIGN.md §4h),
+// numbered from the worker's tracer (0, no span, without one). wait is the
+// run's local queue wait.
+func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, wait time.Duration, lease int64) Outcome {
 	w := s.w
-	var span *telemetry.Span
-	if w.Tracer != nil { // the attributes are formatted (a FormatFloat) for a tracer only
-		ctx, span = w.Tracer.Start(ctx, workerRunSpan,
-			telemetry.String("run", run.ID), telemetry.String("worker", s.name),
-			telemetry.Float("queue_wait_s", wait.Seconds()))
-	}
 	w.hQueueWait.Observe(wait.Seconds())
 	start := time.Now()
+	out := Outcome{RunID: run.ID, StartUnixNano: start.UnixNano(), QueueWaitNanos: int64(wait), Span: w.Tracer.NewSpanID()}
 	if res, ok := memo.Lookup(run); ok {
 		w.mCached.Inc()
-		span.End(telemetry.Bool("cached", true))
-		w.Events.Append(eventlog.Info, eventlog.RunCached, "", span.ID(),
-			telemetry.String("run", run.ID))
-		return Outcome{RunID: run.ID, OK: true, Cached: true,
-			Seconds: time.Since(start).Seconds(), Outputs: savanna.OutputDigests(res)}
+		out.OK, out.Cached, out.Outputs = true, true, savanna.OutputDigests(res)
+		out.Seconds = time.Since(start).Seconds()
+		return out
 	}
-	w.Events.Append(eventlog.Info, eventlog.RunStart, "", span.ID(),
-		telemetry.String("run", run.ID), telemetry.String("worker", s.name))
-	// Measure what the run costs, not just how long it takes: the span and
-	// histograms surface the attempt's rusage locally, and the Outcome ships
-	// it to the coordinator.
+	// The run's TRACEPARENT names the span the coordinator files for it.
+	if sc := (telemetry.SpanContext{Trace: s.trace, Span: spanID(lease, out.Span)}); sc.Valid() {
+		ctx = telemetry.WithRemoteSpanContext(ctx, sc)
+	}
 	res := savanna.Attempt(ctx, w.Executor, memo, run, 0)
-	usage := res.Usage
-	out := Outcome{RunID: run.ID, OK: res.Err == nil, Seconds: time.Since(start).Seconds(),
-		CPUUserSeconds: usage.CPUUserSeconds, CPUSystemSeconds: usage.CPUSystemSeconds,
-		MaxRSSBytes: usage.MaxRSSBytes}
+	u := res.Usage
+	out.OK, out.Seconds = res.Err == nil, time.Since(start).Seconds()
+	out.CPUUserSeconds, out.CPUSystemSeconds, out.MaxRSSBytes = u.CPUUserSeconds, u.CPUSystemSeconds, u.MaxRSSBytes
 	w.hRunSecs.Observe(out.Seconds)
-	if !usage.Zero() {
-		span.Annotate(telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-		w.hCPUSecs.Observe(usage.CPUSeconds())
-		w.hMaxRSS.Observe(float64(usage.MaxRSSBytes))
-		w.Events.Append(eventlog.Info, eventlog.RunResources, "", span.ID(),
-			telemetry.String("run", run.ID), telemetry.String("worker", s.name),
-			telemetry.Float("cpu_s", usage.CPUSeconds()),
-			telemetry.Int("max_rss_bytes", int(usage.MaxRSSBytes)))
-	}
 	if res.Err != nil {
 		out.Err, out.Class = res.Err.Error(), string(res.Class)
 		w.mFailed.Inc()
-		span.End(telemetry.String("status", "failed"))
-		w.Events.Append(eventlog.Error, eventlog.RunFailed, out.Err, span.ID(),
-			telemetry.String("run", run.ID), telemetry.String("worker", s.name))
 		return out
 	}
 	out.Outputs = res.Outputs
 	w.mExecuted.Inc()
-	span.End(telemetry.String("status", "succeeded"))
-	w.Events.Append(eventlog.Info, eventlog.RunSucceeded, "", span.ID(),
-		telemetry.String("run", run.ID), telemetry.String("worker", s.name))
 	return out
 }

@@ -121,7 +121,7 @@ func (p *ProcessExecutor) ExecuteContext(ctx context.Context, run cheetah.Run) e
 	// Export the active span's wire identity so instrumented applications
 	// can parent their own telemetry under this run — the trace chain
 	// follows the computation across the process boundary.
-	if sc := telemetry.SpanFromContext(ctx).Context(); sc.Valid() {
+	if sc := telemetry.SpanContextFromContext(ctx); sc.Valid() {
 		env = append(env, "TRACEPARENT="+sc.String())
 	}
 	cmd.Env = env

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -66,6 +67,37 @@ func (s *Span) Context() SpanContext {
 		return SpanContext{}
 	}
 	return SpanContext{Trace: s.tracer.TraceID(), Span: s.ID()}
+}
+
+// WithRemoteSpanContext returns ctx with sc as its current span: a span that
+// another process's trace holds, which a process started under ctx names as
+// its parent. A span this process starts under ctx has no local parent.
+func WithRemoteSpanContext(ctx context.Context, sc SpanContext) context.Context {
+	return context.WithValue(ctx, spanKey{}, sc)
+}
+
+// SpanContextFromContext returns the wire identity of ctx's current span —
+// one of this process's, or one set by WithRemoteSpanContext — or the
+// invalid zero value when there is none.
+func SpanContextFromContext(ctx context.Context) SpanContext {
+	switch v := ctx.Value(spanKey{}).(type) {
+	case *Span:
+		return v.Context()
+	case SpanContext:
+		return v
+	}
+	return SpanContext{}
+}
+
+// NewSpanID takes the tracer's next span id without starting a span: the id
+// of a span another process files from this one's report (a remote worker
+// numbers the span its coordinator files for a run with it). A nil tracer
+// returns 0.
+func (t *Tracer) NewSpanID() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.nextID.Add(1)
 }
 
 // TraceID returns the tracer's trace id, minting a random one on first use.

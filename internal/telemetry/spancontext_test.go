@@ -143,3 +143,33 @@ func TestAnnotateAfterEndIsNoop(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteSpanContext: the span context set by WithRemoteSpanContext is
+// what a process started under it names, it gives way to a span started
+// under it, and a context with neither names nothing.
+func TestRemoteSpanContext(t *testing.T) {
+	tr := NewTracer()
+	ctx, local := tr.Start(context.Background(), "session")
+	remote := SpanContext{Trace: NewTraceID(), Span: 3<<32 | 7}
+	rctx := WithRemoteSpanContext(ctx, remote)
+	if got := SpanContextFromContext(rctx); got != remote {
+		t.Fatalf("under a remote span context: %+v, want %+v", got, remote)
+	}
+	if got := SpanContextFromContext(ctx); got != local.Context() {
+		t.Fatalf("under a local span: %+v, want %+v", got, local.Context())
+	}
+	inner, child := tr.Start(rctx, "inner")
+	if got := SpanContextFromContext(inner); got != child.Context() || child.data.Parent != 0 {
+		t.Fatalf("a span started under the remote context: %+v (parent %d), want its own context and no local parent",
+			got, child.data.Parent)
+	}
+	if SpanContextFromContext(context.Background()).Valid() {
+		t.Fatal("a bare context names a span")
+	}
+	if n := tr.NewSpanID(); n <= child.ID() {
+		t.Fatalf("NewSpanID = %d, want past the tracer's last span %d", n, child.ID())
+	}
+	if (*Tracer)(nil).NewSpanID() != 0 {
+		t.Fatal("a nil tracer numbered a span")
+	}
+}
