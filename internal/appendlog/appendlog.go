@@ -1,16 +1,16 @@
 // Package appendlog holds the one append-only log every durable JSONL file in
 // this repository is written through — the attempt journal
 // (internal/resilience), the campaign status log (internal/cheetah) and the
-// CAS metadata logs (internal/cas) — and the torn-tail rules they are read
+// CAS action log (internal/cas) — and the torn-tail rules they are read
 // by. A record is one line; it exists once its newline does. A process killed
 // mid-append leaves at most an unterminated last line, which readers skip
 // (Replay) and the next Log cuts away so its own first record lands on a
 // clean line.
 //
 // Beside the log sit the durable-write helpers the same packages share
-// (file.go): bare-descriptor files, SyncDir, WriteFileAtomic, and the one
-// failpoint hook through which tests observe and fail their opens, writes
-// and fsyncs.
+// (file.go): bare-descriptor files and directories, SyncDir, Link,
+// WriteFileAtomic, and the one failpoint hook through which tests observe
+// and fail their opens, writes, fsyncs and links.
 package appendlog
 
 import (

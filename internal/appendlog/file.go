@@ -13,7 +13,8 @@ import (
 // The durable-write helpers below are what the campaign directory
 // (internal/cheetah), the artifact store (internal/cas), the resilience
 // layer's state files and every Log share: files opened through a bare
-// descriptor, one SyncDir, one Rename and one WriteFileAtomic. On unix a
+// descriptor, directories held open for a sequence of steps on their entries
+// (Dir), one SyncDir, one Rename, one Link and one WriteFileAtomic. On unix a
 // File is a bare fd — open, read, write, fsync and close are one system call
 // each, with none of the runtime poller's registration (two fcntl calls and
 // an epoll_ctl that Linux refuses for a regular file, then two more fcntl
@@ -27,11 +28,13 @@ const (
 	OpOpen  Op = "open"
 	OpWrite Op = "write"
 	OpSync  Op = "sync"
+	OpLink  Op = "link"
 )
 
-// Failpoint, when non-nil, is called before every open, write and fsync made
-// through this package, with the path involved; an error it returns fails
-// that step in place of the system call, as a *fs.PathError naming the path.
+// Failpoint, when non-nil, is called before every open, write, fsync and
+// link made through this package, with the path involved (a link's new
+// name); an error it returns fails that step in place of the system call,
+// as a *fs.PathError naming the path.
 // It is the one seam tests observe, order and fail durable writes through.
 // Set it before the code under test starts and reset it after: it is read
 // without synchronisation.
@@ -173,9 +176,16 @@ func WriteFile(name string, data []byte, flag int, perm os.FileMode) error {
 // number, opened for writing with perm (which the umask narrows). The
 // caller removes it or renames it into place.
 func CreateTemp(dir, prefix string, perm os.FileMode) (*File, error) {
+	return createTemp(prefix, func(name string) (*File, error) {
+		return Open(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+	})
+}
+
+// createTemp calls create with prefix followed by a random number until a
+// name is free.
+func createTemp(prefix string, create func(name string) (*File, error)) (*File, error) {
 	for try := 0; ; try++ {
-		name := filepath.Join(dir, prefix+strconv.FormatUint(uint64(rand.Uint32()), 10))
-		f, err := Open(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+		f, err := create(prefix + strconv.FormatUint(uint64(rand.Uint32()), 10))
 		if errors.Is(err, fs.ErrExist) && try < 10000 {
 			continue
 		}
@@ -186,7 +196,7 @@ func CreateTemp(dir, prefix string, perm os.FileMode) (*File, error) {
 // SyncDir fsyncs a directory so a just-created or just-renamed entry survives
 // power loss.
 func SyncDir(dir string) error {
-	d, err := Open(dir, os.O_RDONLY, 0)
+	d, err := OpenDir(dir)
 	if err != nil {
 		return err
 	}
@@ -195,6 +205,85 @@ func SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// Dir is a directory opened through a bare descriptor, for a sequence of
+// steps on its entries. Its methods take names resolved in the directory, as
+// the *at system calls resolve them: on Linux each step is one such call on
+// the descriptor, which looks up one name where a call on a path walks every
+// component of it again; elsewhere a step takes the joined path. A Dir is
+// not safe for concurrent use, and holds a descriptor until it is closed.
+type Dir File
+
+// OpenDir opens the directory name.
+func OpenDir(name string) (*Dir, error) {
+	f, err := Open(name, os.O_RDONLY, 0)
+	return (*Dir)(f), err
+}
+
+// Name returns the name the directory was opened with.
+func (d *Dir) Name() string { return d.name }
+
+// join returns the path of the entry name.
+func (d *Dir) join(name string) string { return d.name + string(filepath.Separator) + name }
+
+// CreateTemp creates a new file in the directory, as CreateTemp does in a
+// named one; the file's Name is the joined path.
+func (d *Dir) CreateTemp(prefix string, perm os.FileMode) (*File, error) {
+	return createTemp(prefix, func(name string) (*File, error) {
+		path := d.join(name)
+		if err := failpoint(OpOpen, path); err != nil {
+			return nil, err
+		}
+		f, err := d.openat(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, perm)
+		if err != nil {
+			return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+		}
+		return &File{fd: f, name: path}, nil
+	})
+}
+
+// Link makes newname a hard link to oldname, with one link(2); an existing
+// newname is never replaced but fails with an error that is fs.ErrExist.
+// Errors are *os.LinkError, as os.Link's are.
+func (d *Dir) Link(oldname, newname string) error {
+	if Failpoint != nil {
+		if err := failpoint(OpLink, d.join(newname)); err != nil {
+			return err
+		}
+	}
+	if err := d.linkat(oldname, newname); err != nil {
+		return &os.LinkError{Op: "link", Old: d.join(oldname), New: d.join(newname), Err: err}
+	}
+	return nil
+}
+
+// Remove unlinks the file name.
+func (d *Dir) Remove(name string) error {
+	if err := d.unlinkat(name); err != nil {
+		return &fs.PathError{Op: "remove", Path: d.join(name), Err: err}
+	}
+	return nil
+}
+
+// Sync fsyncs the directory, so its entries made or removed so far survive
+// a power loss.
+func (d *Dir) Sync() error { return (*File)(d).Sync() }
+
+// Close releases the descriptor.
+func (d *Dir) Close() error { return (*File)(d).Close() }
+
+// Link makes newpath a hard link to oldpath, with one link(2); an existing
+// newpath is never replaced but fails with an error that is fs.ErrExist.
+// Errors are *os.LinkError, as os.Link's are.
+func Link(oldpath, newpath string) error {
+	if err := failpoint(OpLink, newpath); err != nil {
+		return err
+	}
+	if err := link(oldpath, newpath); err != nil {
+		return &os.LinkError{Op: "link", Old: oldpath, New: newpath, Err: err}
+	}
+	return nil
 }
 
 // Rename moves the file oldpath to newpath, replacing any file there, with

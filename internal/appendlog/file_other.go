@@ -70,3 +70,12 @@ func rename(oldpath, newpath string) error {
 	}
 	return err
 }
+
+func link(oldpath, newpath string) error {
+	err := os.Link(oldpath, newpath)
+	var le *os.LinkError
+	if errors.As(err, &le) {
+		return le.Err
+	}
+	return err
+}

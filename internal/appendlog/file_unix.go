@@ -83,3 +83,11 @@ func rename(oldpath, newpath string) error {
 		}
 	}
 }
+
+func link(oldpath, newpath string) error {
+	for {
+		if err := syscall.Link(oldpath, newpath); err != syscall.EINTR {
+			return err
+		}
+	}
+}

@@ -11,26 +11,26 @@
 // On-disk layout under a store root:
 //
 //	objects/<aa>/<rest-of-hex>   — one file per object, named by digest
-//	index.json                   — object metadata (size per digest), snapshot
-//	index.json.log               — objects added since that snapshot
 //	actions.json                 — the action cache (when co-located), snapshot
 //	actions.json.log             — actions recorded since that snapshot
 //
-// Each metadata file is a snapshot plus an append-only tail (metaLog). A new
-// entry — Store.Put, ActionCache.Put — appends one JSON line to the tail and
-// fsyncs it, so it is durable when the call returns and costs the same
-// however large the store has grown. Open reads the snapshot, then replays
-// the tail through the same validation; an unterminated last line is the torn
-// write of a crash and is ignored. The snapshot is rewritten, atomically
-// (temp file + rename, so a crash never leaves a torn one behind), only at
-// the compaction points — Store.GC, PutAll's single batched save,
-// ActionCache.Save — each of which then removes the tail it has folded in.
-// Entries are idempotent, so a crash between those two steps only replays
-// what the snapshot already holds (after a GC it can re-list a removed
-// object; the object files are the source of truth — Stats and VerifyAll
-// show the stale entry — and the next GC drops it again). Any number of handles may append to one store at a time, each
-// seeing its own entries until it reopens; compaction is for one handle
-// with no other appender alive.
+// The object files are the store's only record of what it holds: Stats,
+// VerifyAll and GC list the 256 fan-out directories, and Open reads nothing. An object is published by a hard link that never replaces what is
+// there, so any number of handles, in one process or several, may put into
+// one store at a time.
+//
+// The action cache is a snapshot plus an append-only tail (metaLog). A new
+// entry appends one JSON line to the tail and fsyncs it, so it is durable
+// when ActionCache.Put returns and costs the same however large the cache
+// has grown. OpenActionCache reads the snapshot, then replays the tail
+// through the same validation; an unterminated last line is the torn write
+// of a crash and is ignored. ActionCache.Save rewrites the snapshot
+// atomically (temp file + rename) and then removes the tail it has folded
+// in. Entries are idempotent, so a crash between those two steps only
+// replays what the snapshot already holds. Compaction — Save, and GC, which
+// also sweeps the temps of puts that died — is for one handle with no other
+// appender alive. The index.json and index.json.log files of stores written
+// before the object files became the record are ignored.
 package cas
 
 import (
@@ -42,9 +42,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,8 +97,8 @@ func sumToDigest(sum [sha256.Size]byte) Digest {
 func HashBytes(b []byte) Digest { return sumToDigest(sha256.Sum256(b)) }
 
 // HashReader digests a stream without storing it, returning the byte count.
-// It shares the chunked kernel with Put, so the two always agree on what a
-// byte stream hashes to.
+// It shares the chunked kernel and its pooled buffer with Put, so the two
+// agree on what a byte stream hashes to (TestHashFilePutAgreeMultiChunk).
 func HashReader(r io.Reader) (Digest, int64, error) {
 	return hashReaderChunked(r)
 }
@@ -116,13 +114,10 @@ func HashFile(path string) (Digest, int64, error) {
 }
 
 // Store is an on-disk content-addressed object store. It is safe for
-// concurrent use.
+// concurrent use, and holds no descriptor between calls: a put opens its
+// fan-out directory and closes it before it returns.
 type Store struct {
-	root    string
 	objects string // <root>/objects, cleaned once
-
-	mu  sync.Mutex
-	idx *Index
 
 	// fanout[aa] is set once this handle knows objects/<aa> exists and its
 	// entry in objects/ is durable, so a put pays for neither again.
@@ -142,7 +137,7 @@ type Store struct {
 // (new objects stored), cas.put_dedup_total (Puts satisfied by an existing
 // object), cas.materialize_total (Materialize calls that found the object)
 // and the cas.put_seconds histogram (one observation per object ingested,
-// index append included).
+// source read to directory fsync).
 // Call before the store is used concurrently; a nil registry is a no-op.
 func (s *Store) SetMetrics(reg *telemetry.Registry) {
 	if reg == nil {
@@ -161,11 +156,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(objects, 0o755); err != nil {
 		return nil, fmt.Errorf("cas: opening store: %w", err)
 	}
-	idx, err := loadIndex(filepath.Join(dir, "index.json"))
-	if err != nil {
-		return nil, err
-	}
-	return &Store{root: dir, objects: objects, idx: idx}, nil
+	return &Store{objects: objects}, nil
 }
 
 // objectPath maps a digest to its object file: filepath.Join's result, built
@@ -176,29 +167,69 @@ func (s *Store) objectPath(d Digest) string {
 	return s.objects + sep + hx[:2] + sep + hx[2:]
 }
 
-// put streams r into the store, returning the content digest and size. The
-// bytes make a single pass through the chunked kernel — hashed *while*
-// spooling to a temp file (pooled 1 MiB buffers, no io.Copy allocation, no
-// whole-file slurp) — and the temp object is renamed into place, so a
-// concurrent reader never observes a partial object; storing bytes that
-// already exist is a cheap no-op. Index bookkeeping is optional: PutAll
-// workers skip it and batch the index update into one pass + one save at
-// the end.
-func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
+// put stores r's bytes, returning their digest and size. The first chunk is
+// read and hashed before anything is written. A source that ends inside it —
+// every memo output up to 1 MiB — therefore has its object written where it
+// will live, through one descriptor on objects/<aa>: a read-only temp is
+// created, written and fsynced, linked to the object's name and unlinked,
+// and the directory is fsynced when it gained the entry. A longer source
+// streams into a temp in objects/, hashed while it spools, and is linked
+// into its fan-out directory the same way. The link never replaces a file,
+// so a reader never sees a partial object, and its EEXIST is how a put of
+// bytes already stored finds out: a dedup, with no stat first.
+func (s *Store) put(r io.Reader) (Digest, int64, error) {
 	start := time.Now()
 	defer func() { s.mPutSeconds.Observe(time.Since(start).Seconds()) }()
-	// Objects are immutable: the read-only mode, set at creation, guards
-	// hard-linked materialized copies against accidental in-place truncation.
+	bufp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bufp)
+	buf := *bufp
+	n, err := io.ReadFull(r, buf)
+	var sum [sha256.Size]byte
+	size, spooled := int64(n), ""
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF:
+		sum = sha256.Sum256(buf[:n])
+	case nil:
+		if sum, size, spooled, err = s.spool(buf, r); err != nil {
+			return "", size, err
+		}
+	default:
+		return "", size, err
+	}
+	d := sumToDigest(sum)
+	s.mPutBytes.Add(size)
+	stored, err := s.place(sum[0], d, buf[:n], spooled)
+	if spooled != "" && err != nil {
+		os.Remove(spooled)
+	}
+	if err != nil {
+		return "", size, err
+	}
+	if stored {
+		s.mObjectsPut.Inc()
+	} else {
+		s.mPutDedup.Inc()
+	}
+	return d, size, nil
+}
+
+// spool writes a source longer than one chunk — buf, already read from r,
+// then the rest of r — to a fsynced temp in objects/, hashing it on the way.
+// It returns the sum, the size and the temp's path.
+func (s *Store) spool(buf []byte, r io.Reader) (sum [sha256.Size]byte, size int64, path string, err error) {
 	tmp, err := appendlog.CreateTemp(s.objects, "put-", 0o444)
 	if err != nil {
-		return "", 0, err
+		return sum, 0, "", err
 	}
-	tmpName := tmp.Name()
 	h := sha256.New()
-	n, err := hashCopy(tmp, h, r)
-	// The object's bytes must be on stable storage before the rename
-	// publishes them: rename-then-crash must never yield a named but empty
-	// (or torn) object.
+	h.Write(buf)
+	_, err = tmp.Write(buf)
+	size = int64(len(buf))
+	if err == nil {
+		var n int64
+		n, err = hashCopy(tmp, h, r, buf)
+		size += n
+	}
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -206,74 +237,122 @@ func (s *Store) put(r io.Reader, updateIndex bool) (Digest, int64, error) {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmpName)
-		return "", n, err
+		os.Remove(tmp.Name())
+		return sum, size, "", err
 	}
-	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
-	d := sumToDigest(sum)
-
-	s.mPutBytes.Add(n)
-	dst := s.objectPath(d)
-	if _, statErr := os.Stat(dst); statErr == nil {
-		os.Remove(tmpName) // already stored; content-addressing dedups
-		s.mPutDedup.Inc()
-	} else {
-		place := func() error {
-			if err := s.ensureFanout(sum[0], filepath.Dir(dst)); err != nil {
-				return err
-			}
-			return appendlog.Rename(tmpName, dst)
-		}
-		err := place()
-		if errors.Is(err, fs.ErrNotExist) {
-			// The fan-out directory was removed behind this handle.
-			s.fanout[sum[0]].Store(false)
-			err = place()
-		}
-		if err != nil {
-			os.Remove(tmpName)
-			return "", n, err
-		}
-		// Durability of the rename itself: the new directory entry must
-		// survive power loss, so fsync the parent directory too.
-		if err := appendlog.SyncDir(filepath.Dir(dst)); err != nil {
-			return "", n, err
-		}
-		s.mObjectsPut.Inc()
-	}
-
-	if !updateIndex {
-		return d, n, nil
-	}
-	s.mu.Lock()
-	err = s.idx.add(d, n)
-	s.mu.Unlock()
-	return d, n, err
+	return sum, size, tmp.Name(), nil
 }
 
-// ensureFanout makes objects/<aa> exist with a durable entry in objects/,
-// once per handle and directory: the index log is fsynced on every put, so an
-// object it lists must not sit under a directory a power loss can take back.
-// objects/ is fsynced on the first use even when another handle made the
-// directory — that handle may not have reached its own fsync yet.
-func (s *Store) ensureFanout(aa byte, dir string) error {
-	if s.fanout[aa].Load() {
-		return nil
+// place publishes object d, whose first byte is aa, through one descriptor
+// on its fan-out directory: the temp at spooled when a large source was
+// spooled, or else a new temp holding data, created there. It reports
+// whether the object is new. The temp is fsynced before the link publishes
+// it, and the directory after, so a put that returned survives a power loss.
+func (s *Store) place(aa byte, d Digest, data []byte, spooled string) (stored bool, err error) {
+	hx := d.hexPart()
+	dir, err := s.openFanout(aa, s.objects+string(filepath.Separator)+hx[:2])
+	if err != nil {
+		return false, err
 	}
-	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
-		return err
+	tmp := ""
+	if spooled != "" {
+		tmp = ".." + string(filepath.Separator) + filepath.Base(spooled)
+	} else {
+		tmp, err = writeTemp(dir, data)
 	}
-	if err := appendlog.SyncDir(filepath.Dir(dir)); err != nil {
-		return err
+	if err == nil {
+		stored, err = publish(dir, tmp, hx[2:])
+		dir.Remove(tmp) // a temp left behind is not an object, and GC sweeps it
 	}
-	s.fanout[aa].Store(true)
-	return nil
+	if err == nil && stored {
+		err = dir.Sync()
+	}
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return stored, err
+}
+
+// writeTemp writes data to a new temp in dir and fsyncs it, returning its
+// name. Objects are immutable: the read-only mode, set at creation here and
+// in spool, guards hard-linked materialized copies against accidental
+// in-place truncation.
+func writeTemp(dir *appendlog.Dir, data []byte) (string, error) {
+	f, err := dir.CreateTemp("put-", 0o444)
+	if err != nil {
+		return "", err
+	}
+	name := filepath.Base(f.Name())
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		dir.Remove(name)
+		return "", err
+	}
+	return name, nil
+}
+
+// publish gives the temp tmp in dir the object's name, reporting whether
+// the object is new: a hard link, whose EEXIST says the object is already
+// stored. A filesystem that refuses hard links gets a stat of the name and,
+// when nothing is there, the temp renamed onto it.
+func publish(dir *appendlog.Dir, tmp, name string) (stored bool, err error) {
+	err = dir.Link(tmp, name)
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, fs.ErrExist):
+		return false, nil
+	case errors.Is(err, fs.ErrPermission), errors.Is(err, errors.ErrUnsupported):
+		dst := filepath.Join(dir.Name(), name)
+		if _, serr := os.Stat(dst); serr == nil {
+			return false, nil
+		}
+		return true, appendlog.Rename(filepath.Join(dir.Name(), tmp), dst)
+	}
+	return false, err
+}
+
+// openFanout opens objects/<aa> (at path), making it on this handle's first
+// use of it: mkdir, then an fsync of objects/, so the entry survives a power
+// loss before any object under it does. objects/ is fsynced on the first use
+// even when another handle made the directory — that handle may not have
+// reached its own fsync yet. A directory removed behind this handle is made
+// again.
+func (s *Store) openFanout(aa byte, path string) (*appendlog.Dir, error) {
+	for retried := false; ; retried = true {
+		if !s.fanout[aa].Load() {
+			if err := os.Mkdir(path, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+				return nil, err
+			}
+			if err := appendlog.SyncDir(s.objects); err != nil {
+				return nil, err
+			}
+			s.fanout[aa].Store(true)
+		}
+		dir, err := appendlog.OpenDir(path)
+		if errors.Is(err, fs.ErrNotExist) && !retried {
+			s.fanout[aa].Store(false)
+			continue
+		}
+		return dir, err
+	}
 }
 
 // PutFile stores the named file's content.
 func (s *Store) PutFile(path string) (Digest, int64, error) {
-	return s.putFile(path, true)
+	f, err := appendlog.Open(path, os.O_RDONLY, 0)
+	if err != nil {
+		return "", 0, err
+	}
+	defer f.Close()
+	return s.put(f)
 }
 
 // Has reports whether the object exists in the store.
@@ -303,10 +382,10 @@ func (s *Store) Materialize(d Digest, dst string) error {
 		return fmt.Errorf("cas: malformed digest %q", d)
 	}
 	src := s.objectPath(d)
-	err := os.Link(src, dst)
+	err := appendlog.Link(src, dst)
 	if errors.Is(err, fs.ErrExist) {
 		os.Remove(dst)
-		err = os.Link(src, dst)
+		err = appendlog.Link(src, dst)
 	}
 	if errors.Is(err, fs.ErrNotExist) {
 		if _, serr := os.Stat(src); serr != nil {
@@ -315,7 +394,7 @@ func (s *Store) Materialize(d Digest, dst string) error {
 		if err = os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			return err
 		}
-		err = os.Link(src, dst)
+		err = appendlog.Link(src, dst)
 	}
 	s.mMaterialized.Inc()
 	if err == nil {
@@ -366,27 +445,20 @@ func (s *Store) Verify(d Digest) error {
 	return nil
 }
 
-// VerifyAll re-hashes every indexed object, returning all corruption errors.
+// VerifyAll re-hashes every object, returning all corruption errors and any
+// error listing the store.
 func (s *Store) VerifyAll() []error {
 	var errs []error
-	for _, d := range s.Digests() {
-		if err := s.Verify(d); err != nil {
-			errs = append(errs, err)
+	if err := s.walk(func(_ string, d Digest, _ fs.DirEntry) {
+		if d != "" {
+			if err := s.Verify(d); err != nil {
+				errs = append(errs, err)
+			}
 		}
+	}); err != nil {
+		errs = append(errs, err)
 	}
 	return errs
-}
-
-// Digests lists every indexed object in sorted order.
-func (s *Store) Digests() []Digest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Digest, 0, len(s.idx.Objects))
-	for hx := range s.idx.Objects {
-		out = append(out, Digest(digestPrefix+hx))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Stats summarises the store.
@@ -397,40 +469,82 @@ type Stats struct {
 
 // Stats returns object count and total payload bytes.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{Objects: len(s.idx.Objects)}
-	for _, o := range s.idx.Objects {
-		st.Bytes += o.Size
-	}
+	var st Stats
+	s.walk(func(_ string, d Digest, e fs.DirEntry) {
+		if d != "" {
+			st.Objects++
+			if info, err := e.Info(); err == nil {
+				st.Bytes += info.Size()
+			}
+		}
+	})
 	return st
 }
 
 // GC removes every object not referenced by the live set (the ref-counting
 // sweep: liveness flows from live manifests — action-cache entries — down to
-// objects). It returns the number of objects removed and the bytes freed.
-// GC is a compaction point: it rewrites the index snapshot whenever it
-// removed something or the log has entries to fold in.
+// objects), and the temps of puts that died. It returns the number of
+// objects removed and the bytes they freed; temps are not counted. GC is a
+// compaction point: no other handle may be putting into the store, or GC
+// takes its temp away.
 func (s *Store) GC(live map[Digest]bool) (removed int, freed int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for hx, obj := range s.idx.Objects {
-		d := Digest(digestPrefix + hx)
+	werr := s.walk(func(path string, d Digest, e fs.DirEntry) {
 		if live[d] {
-			continue
+			return
 		}
-		if rmErr := os.Remove(s.objectPath(d)); rmErr != nil && !os.IsNotExist(rmErr) {
+		info, ierr := e.Info()
+		if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
 			err = rmErr
-			continue
+			return
 		}
-		delete(s.idx.Objects, hx)
-		removed++
-		freed += obj.Size
-	}
-	if removed > 0 || s.idx.log.n > 0 {
-		if serr := s.idx.save(); err == nil {
-			err = serr
+		if d != "" {
+			removed++
+			if ierr == nil {
+				freed += info.Size()
+			}
 		}
+	})
+	if err == nil {
+		err = werr
 	}
 	return removed, freed, err
+}
+
+// walk calls fn for every object under objects/, in digest order, with its
+// path, digest and directory entry — a name in a fan-out directory
+// objects/<aa> that is the other 62 hex digits of a digest — and with an
+// empty digest for every put-* temp, in objects/ or a fan-out directory,
+// that a put left behind when it died. Other names are skipped.
+func (s *Store) walk(fn func(path string, d Digest, e fs.DirEntry)) error {
+	fans, err := os.ReadDir(s.objects)
+	if err != nil {
+		return err
+	}
+	const sep = string(filepath.Separator)
+	var firstErr error
+	for _, fan := range fans {
+		aa := fan.Name()
+		if strings.HasPrefix(aa, "put-") {
+			fn(s.objects+sep+aa, "", fan)
+			continue
+		}
+		if len(aa) != 2 || !fan.IsDir() {
+			continue
+		}
+		ents, err := os.ReadDir(s.objects + sep + aa)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		for _, e := range ents {
+			name := e.Name()
+			d := Digest(digestPrefix + aa + name)
+			switch {
+			case strings.HasPrefix(name, "put-"):
+				fn(s.objects+sep+aa+sep+name, "", e)
+			case len(name) == sha256.Size*2-2 && d.Valid():
+				fn(s.objects+sep+aa+sep+name, d, e)
+			}
+		}
+	}
+	return firstErr
 }

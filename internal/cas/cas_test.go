@@ -9,13 +9,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"fairflow/internal/appendlog"
+	"fairflow/internal/telemetry"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -579,43 +582,44 @@ func TestHashFileCachedTrustsStatAndInvalidatesOnChange(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsCorruptIndex(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"version":99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted an unsupported index version")
-	}
-}
-
-// recordFsyncs routes appendlog's failpoint hook through a recorder for the
-// length of the test and returns the names fsynced so far, in order.
-func recordFsyncs(t *testing.T) func() []string {
+// recordSteps routes appendlog's failpoint hook through a recorder for the
+// length of the test and returns the steps it saw so far, in order, each as
+// "<op> <path>".
+func recordSteps(t *testing.T) func() []string {
 	var mu sync.Mutex
-	var names []string
+	var steps []string
 	appendlog.Failpoint = func(op appendlog.Op, path string) error {
-		if op == appendlog.OpSync {
-			mu.Lock()
-			names = append(names, path)
-			mu.Unlock()
-		}
+		mu.Lock()
+		steps = append(steps, string(op)+" "+path)
+		mu.Unlock()
 		return nil
 	}
 	t.Cleanup(func() { appendlog.Failpoint = nil })
 	return func() []string {
 		mu.Lock()
 		defer mu.Unlock()
-		return append([]string(nil), names...)
+		return append([]string(nil), steps...)
+	}
+}
+
+// recordFsyncs is recordSteps narrowed to fsyncs, returning their paths.
+func recordFsyncs(t *testing.T) func() []string {
+	steps := recordSteps(t)
+	return func() []string {
+		var names []string
+		for _, st := range steps() {
+			if name, ok := strings.CutPrefix(st, string(appendlog.OpSync)+" "); ok {
+				names = append(names, name)
+			}
+		}
+		return names
 	}
 }
 
 // TestPutMakesFanoutDirectoryDurable: the first object a handle stores under
-// objects/<aa> fsyncs objects/ — the entry of <aa> itself — before the object
-// is renamed in, and no later put under the same <aa> pays for it again. A
+// objects/<aa> fsyncs objects/ — the entry of <aa> itself — before anything
+// is written there, then the temp object, links it in and fsyncs
+// objects/<aa>; no later put under the same <aa> pays for objects/ again. A
 // second handle cannot know the first one got that far, so it fsyncs once too.
 func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 	root := t.TempDir()
@@ -645,7 +649,15 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 		}
 	}
 	objects := filepath.Join(root, "objects")
-	fsyncs := recordFsyncs(t)
+	steps := recordSteps(t)
+	fsyncs := func() (names []string) {
+		for _, st := range steps() {
+			if name, ok := strings.CutPrefix(st, "sync "); ok {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
 	count := func(name string) (n int) {
 		for _, got := range fsyncs() {
 			if got == name {
@@ -658,10 +670,19 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 	if _, _, err := putBytes(s, []byte(a)); err != nil {
 		t.Fatal(err)
 	}
-	got := fsyncs()
-	// temp object, objects/, objects/<aa>, then the index log.
-	if len(got) < 3 || filepath.Dir(got[0]) != objects || got[1] != objects || got[2] != fanOf(a) {
-		t.Fatalf("first put fsynced %q, want the temp object, then %s, then %s", got, objects, fanOf(a))
+	var got []string
+	for _, st := range steps() {
+		if op, path, _ := strings.Cut(st, " "); op != "open" && op != "write" {
+			if op == "sync" && filepath.Dir(path) == fanOf(a) {
+				path = filepath.Join(fanOf(a), "<temp>")
+			}
+			got = append(got, op+" "+path)
+		}
+	}
+	want := []string{"sync " + objects, "sync " + filepath.Join(fanOf(a), "<temp>"),
+		"link " + filepath.Join(fanOf(a), HashBytes([]byte(a)).hexPart()[2:]), "sync " + fanOf(a)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("first put made the durable steps\n%q\nwant\n%q", got, want)
 	}
 	if _, _, err := putBytes(s, []byte(b)); err != nil {
 		t.Fatal(err)
@@ -726,7 +747,240 @@ func TestPutSurvivesRemovedFanoutDirectory(t *testing.T) {
 	}
 }
 
+// sameFanout returns two distinct contents of size bytes whose objects
+// share a fan-out directory.
+func sameFanout(size int) (a, b []byte) {
+	byFan := map[string][]byte{}
+	for i := 0; ; i++ {
+		c := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, size/2)
+		aa := HashBytes(c).hexPart()[:2]
+		if prev, ok := byFan[aa]; ok {
+			return prev, c
+		}
+		byFan[aa] = c
+	}
+}
+
+// TestPutOpsPerObject pins a put's durable steps as the failpoint sees them.
+// A cold 4 KiB put into a fan-out directory the handle has used: the source
+// opened, the directory opened, the temp created, written and fsynced, the
+// link, the directory fsynced. A put of bytes already stored makes the same
+// steps up to the link, which finds the object, and no directory fsync.
+func TestPutOpsPerObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, cold := sameFanout(4096)
+	if _, _, err := putBytes(s, warm); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(dir, "out")
+	if err := os.WriteFile(src, cold, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hx := HashBytes(cold).hexPart()
+	fan := filepath.Join(dir, "store", "objects", hx[:2])
+	wantCold := []string{"open " + src, "open " + fan, "open <temp>", "write <temp>", "sync <temp>",
+		"link " + filepath.Join(fan, hx[2:]), "sync " + fan}
+	for _, want := range [][]string{wantCold, wantCold[:6]} {
+		steps := recordSteps(t)
+		if _, _, err := s.PutFile(src); err != nil {
+			t.Fatal(err)
+		}
+		got := steps()
+		for i, st := range got {
+			if op, path, _ := strings.Cut(st, " "); filepath.Dir(path) == fan && strings.HasPrefix(filepath.Base(path), "put-") {
+				got[i] = op + " <temp>"
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("put made the steps\n%q\nwant\n%q", got, want)
+		}
+	}
+}
+
+// TestPutConcurrentIdenticalContent: puts of one content racing on one
+// handle store one object; every other put is a dedup, every put returns the
+// same digest, and no temp is left.
+func TestPutConcurrentIdenticalContent(t *testing.T) {
+	const n = 8
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
+	content := []byte(strings.Repeat("same bytes\n", 400))
+	digests := make([]Digest, n)
+	var wg sync.WaitGroup
+	for g := range digests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, _, err := putBytes(s, content)
+			if err != nil {
+				t.Error(err)
+			}
+			digests[g] = d
+		}()
+	}
+	wg.Wait()
+	for _, d := range digests {
+		if d != HashBytes(content) {
+			t.Fatalf("digests %v, want every one %s", digests, HashBytes(content))
+		}
+	}
+	if put, dedup := reg.Counter("cas.objects_put_total").Value(), reg.Counter("cas.put_dedup_total").Value(); put != 1 || dedup != n-1 {
+		t.Fatalf("%d objects put, %d dedups; want 1 and %d", put, dedup, n-1)
+	}
+	if got := listDir(t, filepath.Dir(s.objectPath(digests[0]))); len(got) != 1 {
+		t.Fatalf("the fan-out directory holds %v, want the object alone", got)
+	}
+}
+
+// TestPutFallsBackWhereLinksRefused: on a filesystem that refuses hard links
+// (the failpoint answers every link with EPERM) a put renames its temp into
+// place instead, storing the same bytes, and a second put of them is a dedup.
+func TestPutFallsBackWhereLinksRefused(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(reg)
+	appendlog.Failpoint = func(op appendlog.Op, _ string) error {
+		if op == appendlog.OpLink {
+			return syscall.EPERM
+		}
+		return nil
+	}
+	t.Cleanup(func() { appendlog.Failpoint = nil })
+	content := []byte(strings.Repeat("no links here\n", 300))
+	for i := 0; i < 2; i++ {
+		d, _, err := putBytes(s, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(s.objectPath(d)); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("put %d: object holds %d bytes (%v), want the %d put", i, len(got), err, len(content))
+		}
+	}
+	if put, dedup := reg.Counter("cas.objects_put_total").Value(), reg.Counter("cas.put_dedup_total").Value(); put != 1 || dedup != 1 {
+		t.Fatalf("%d objects put, %d dedups; want 1 and 1", put, dedup)
+	}
+	if got := listDir(t, filepath.Dir(s.objectPath(HashBytes(content)))); len(got) != 1 {
+		t.Fatalf("the fan-out directory holds %v, want the object alone", got)
+	}
+}
+
+// TestPutLargeSource: a source of several chunks is spooled through objects/
+// and stored byte-identically, with no temp left in either directory; a
+// second put of it is a dedup.
+func TestPutLargeSource(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeRandomFile(t, dir, "big.bin", 3<<20, 7)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		d, n, err := s.PutFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != HashBytes(want) || n != int64(len(want)) {
+			t.Fatalf("put %d = (%s, %d), want (%s, %d)", i, d.Short(), n, HashBytes(want).Short(), len(want))
+		}
+		if got, err := os.ReadFile(s.objectPath(d)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("put %d: stored object differs from the source (%v)", i, err)
+		}
+	}
+	hx := HashBytes(want).hexPart()
+	if got := listDir(t, filepath.Join(dir, "store", "objects")); !slices.Equal(got, []string{hx[:2]}) {
+		t.Fatalf("objects/ holds %v, want the one fan-out directory", got)
+	}
+	if got := listDir(t, filepath.Join(dir, "store", "objects", hx[:2])); !slices.Equal(got, []string{hx[2:]}) {
+		t.Fatalf("the fan-out directory holds %v, want the object alone", got)
+	}
+}
+
+// TestGCSweepsPutLeftovers: the temps a killed put leaves, in objects/ and in
+// a fan-out directory, are removed by GC and counted nowhere; names that are
+// neither objects nor temps are left alone.
+func TestGCSweepsPutLeftovers(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := putBytes(s, []byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan := filepath.Dir(s.objectPath(d))
+	for _, p := range []string{filepath.Join(root, "objects", "put-1"), filepath.Join(fan, "put-2"), filepath.Join(fan, "notes")} {
+		if err := os.WriteFile(p, []byte("leftover"), 0o444); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Objects != 1 || st.Bytes != 4 {
+		t.Fatalf("Stats = %+v, want the one object", st)
+	}
+	removed, freed, err := s.GC(map[Digest]bool{d: true})
+	if err != nil || removed != 0 || freed != 0 {
+		t.Fatalf("GC = %d, %d, %v; want nothing counted", removed, freed, err)
+	}
+	if got := listDir(t, filepath.Join(root, "objects")); !slices.Equal(got, []string{filepath.Base(fan)}) {
+		t.Fatalf("objects/ after GC holds %v", got)
+	}
+	if got, want := listDir(t, fan), []string{d.hexPart()[2:], "notes"}; !slices.Equal(got, want) {
+		t.Fatalf("the fan-out directory after GC holds %v, want %v", got, want)
+	}
+}
+
+// TestPutHoldsNoDescriptor: no descriptor outlives a put — stored, deduped
+// or failed — so a process may open any number of stores. Skipped where
+// /proc/self/fd is missing.
+func TestPutHoldsNoDescriptor(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	for i := 0; i < 50; i++ {
+		if _, _, err := putBytes(s, []byte(fmt.Sprintf("object %d", i%25))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendlog.Failpoint = func(op appendlog.Op, _ string) error {
+		if op == appendlog.OpLink {
+			return syscall.EIO
+		}
+		return nil
+	}
+	t.Cleanup(func() { appendlog.Failpoint = nil })
+	if _, _, err := putBytes(s, []byte("refused")); err == nil {
+		t.Fatal("a put whose link failed succeeded")
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open after the puts, %d before", after, before)
+	}
+}
+
 // putBytes stores b as PutFile does a file's content.
 func putBytes(s *Store, b []byte) (Digest, int64, error) {
-	return s.put(bytes.NewReader(b), true)
+	return s.put(bytes.NewReader(b))
 }

@@ -4,15 +4,14 @@ import (
 	"crypto/sha256"
 	"hash"
 	"io"
-	"os"
 	"sync"
-
-	"fairflow/internal/appendlog"
 )
 
 // The chunked kernel is the single byte-moving core under every hashing and
-// ingestion path in the package: Put, PutFile, PutAll, HashReader, HashFile
-// and Verify all pump bytes through hashCopy. One pass, one pooled buffer —
+// ingestion path in the package: HashReader, HashFile and Verify pump bytes
+// through hashCopy, and a put reads its first chunk into the same pooled
+// buffer — hashing it in one call when the source ends there, and spooling
+// the rest through hashCopy when it does not. One pass, one pooled buffer —
 // a multi-GB artifact is hashed (and simultaneously spooled to its temp
 // object) without ever being whole in memory, and without io.Copy's
 // per-call 32 KiB allocation.
@@ -30,13 +29,10 @@ var chunkPool = sync.Pool{
 	},
 }
 
-// hashCopy streams src through h in chunkSize reads, mirroring each chunk
+// hashCopy streams src through h in reads of len(buf), mirroring each chunk
 // to dst when dst is non-nil (the ingestion path: hash while spooling, not
 // after). It returns the byte count.
-func hashCopy(dst io.Writer, h hash.Hash, src io.Reader) (int64, error) {
-	bufp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bufp)
-	buf := *bufp
+func hashCopy(dst io.Writer, h hash.Hash, src io.Reader, buf []byte) (int64, error) {
 	var n int64
 	for {
 		r, rerr := src.Read(buf)
@@ -63,8 +59,10 @@ func hashCopy(dst io.Writer, h hash.Hash, src io.Reader) (int64, error) {
 
 // hashReaderChunked digests a stream through the chunked kernel.
 func hashReaderChunked(r io.Reader) (Digest, int64, error) {
+	bufp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bufp)
 	h := sha256.New()
-	n, err := hashCopy(nil, h, r)
+	n, err := hashCopy(nil, h, r, *bufp)
 	if err != nil {
 		return "", n, err
 	}
@@ -83,22 +81,14 @@ type PutResult struct {
 
 // PutAll ingests a set of files concurrently with at most workers in
 // flight, the shape of storing a run's whole output set after a campaign
-// step. Each file streams through the chunked hash-while-spooling kernel
-// exactly as PutFile does, but index bookkeeping is batched: workers only
-// ingest object bytes, and the index is updated and persisted once at the
-// end — one snapshot write that also compacts the log — instead of one
-// fsynced log line per file under the store mutex, the serial step a
-// parallel ingest would otherwise queue on.
+// step. Each file is stored exactly as PutFile stores it; the workers
+// overlap one another's fsync waits and, on a multi-core host, their
+// hashing.
 //
 // Results are returned in input order. The first error (if any) is also
 // returned, but every file is attempted regardless.
 func (s *Store) PutAll(paths []string, workers int) ([]PutResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
+	workers = min(max(workers, 1), len(paths))
 	results := make([]PutResult, len(paths))
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -107,7 +97,7 @@ func (s *Store) PutAll(paths []string, workers int) ([]PutResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				d, n, err := s.putFile(paths[i], false)
+				d, n, err := s.PutFile(paths[i])
 				results[i] = PutResult{Path: paths[i], Digest: d, Size: n, Err: err}
 			}
 		}()
@@ -117,47 +107,10 @@ func (s *Store) PutAll(paths []string, workers int) ([]PutResult, error) {
 	}
 	close(next)
 	wg.Wait()
-
-	// One index pass, one save (a compaction point). A failed save takes the
-	// new entries back out, as a failed Put does: an entry left in memory
-	// would make the next Put of that object skip the log.
-	s.mu.Lock()
-	var added []Digest
-	for _, r := range results {
-		if r.Err == nil && s.idx.set(r.Digest, r.Size) {
-			added = append(added, r.Digest)
-		}
-	}
-	var serr error
-	if len(added) > 0 {
-		if serr = s.idx.save(); serr != nil {
-			for _, d := range added {
-				delete(s.idx.Objects, d.hexPart())
-			}
-		}
-	}
-	s.mu.Unlock()
-
-	var firstErr error
 	for _, r := range results {
 		if r.Err != nil {
-			firstErr = r.Err
-			break
+			return results, r.Err
 		}
 	}
-	if firstErr == nil {
-		firstErr = serr
-	}
-	return results, firstErr
-}
-
-// putFile ingests one file's bytes, optionally updating the index (PutAll
-// defers that to a single batched pass).
-func (s *Store) putFile(path string, updateIndex bool) (Digest, int64, error) {
-	f, err := appendlog.Open(path, os.O_RDONLY, 0)
-	if err != nil {
-		return "", 0, err
-	}
-	defer f.Close()
-	return s.put(f, updateIndex)
+	return results, nil
 }

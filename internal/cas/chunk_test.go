@@ -75,8 +75,8 @@ func TestHashFilePutAgreeMultiChunk(t *testing.T) {
 }
 
 // TestPutAll pins the parallel ingestion contract: results in input order,
-// digests identical to sequential PutFile, duplicates deduplicated, and the
-// index persisted once with every object present after reopen.
+// digests identical to sequential PutFile, duplicates deduplicated, and
+// every object present after reopen.
 func TestPutAll(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
@@ -145,7 +145,7 @@ func TestPutAll(t *testing.T) {
 }
 
 // TestPutAllPartialFailure: a missing file reports its error but every
-// other file still lands in the store and the index.
+// other file still lands in the store.
 func TestPutAllPartialFailure(t *testing.T) {
 	dir := t.TempDir()
 	good1 := writeRandomFile(t, dir, "g1", 5_000, 1)

@@ -2,7 +2,6 @@ package cas
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,62 +39,13 @@ func FuzzRecipeDigest(f *testing.F) {
 	})
 }
 
-// FuzzIndexDecode drives arbitrary bytes through the index decoder: it must
-// never panic, and any index it accepts must re-encode/decode to the same
-// object set (the round-trip property a store reopen depends on).
-func FuzzIndexDecode(f *testing.F) {
-	f.Add([]byte(`{"version":1,"objects":{}}`))
-	f.Add([]byte(`{"version":1,"objects":{"` +
-		`aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa":{"size":12}}}`))
-	f.Add([]byte(`{"version":2}`))
-	f.Add([]byte(`{"version":1,"objects":{"nothex":{"size":1}}}`))
-	f.Add([]byte(`{"version":1,"objects":{"` +
-		`bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb":{"size":-5}}}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(``))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := DecodeIndexFrom(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted indexes must satisfy the invariants the store relies on.
-		if idx.Version != IndexVersion {
-			t.Fatalf("accepted version %d", idx.Version)
-		}
-		for hx, obj := range idx.Objects {
-			if !Digest(digestPrefix + hx).Valid() {
-				t.Fatalf("accepted malformed digest key %q", hx)
-			}
-			if obj.Size < 0 {
-				t.Fatalf("accepted negative size %d", obj.Size)
-			}
-		}
-		// Round trip: encode and decode back to an equivalent index.
-		out, err := json.Marshal(idx)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		idx2, err := DecodeIndexFrom(bytes.NewReader(out))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(idx2.Objects) != len(idx.Objects) {
-			t.Fatalf("round trip changed object count: %d → %d", len(idx.Objects), len(idx2.Objects))
-		}
-		for hx, obj := range idx.Objects {
-			if idx2.Objects[hx] != obj {
-				t.Fatalf("round trip changed entry %q", hx)
-			}
-		}
-	})
-}
-
-// FuzzCASLogReplay drives arbitrary bytes through the replay of both
-// metadata logs — the line splitter and each line decoder. It must never
-// panic; whatever it accepts must satisfy the invariants the store relies
-// on; and since only an unterminated last line may be skipped, cutting an
-// accepted log short anywhere must be accepted too, yielding a prefix of
-// the same records.
+// FuzzCASLogReplay drives arbitrary bytes through the replay of the action
+// log — the line splitter and the line decoder. It must never panic;
+// whatever it accepts must satisfy the invariants the cache relies on; and
+// since only an unterminated last line may be skipped, cutting an accepted
+// log short anywhere must be accepted too, yielding a prefix of the same
+// records. The seeds shaped as lines of the index log stores once kept stay:
+// the action log must reject them.
 func FuzzCASLogReplay(f *testing.F) {
 	const hx = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
 	f.Add([]byte(`{"digest":"sha256:`+hx+`","size":12}`+"\n"), uint16(7))
@@ -108,15 +58,6 @@ func FuzzCASLogReplay(f *testing.F) {
 	f.Add([]byte(`null`+"\n"+`[]`+"\n"), uint16(5))
 	f.Add([]byte(``), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
-		replayIndex := func(data []byte) ([]indexRecord, error) {
-			var recs []indexRecord
-			_, err := appendlog.Replay(bytes.NewReader(data), func(line []byte) error {
-				rec, err := decodeIndexRecord(line)
-				recs = append(recs, rec)
-				return err
-			})
-			return recs, err
-		}
 		replayActions := func(data []byte) ([]actionRecord, error) {
 			var recs []actionRecord
 			_, err := appendlog.Replay(bytes.NewReader(data), func(line []byte) error {
@@ -128,20 +69,6 @@ func FuzzCASLogReplay(f *testing.F) {
 		}
 		short := data[:int(cut)%(len(data)+1)]
 
-		if recs, err := replayIndex(data); err == nil {
-			if len(recs) != bytes.Count(data, []byte("\n")) {
-				t.Fatalf("accepted %d records from %d terminated lines", len(recs), bytes.Count(data, []byte("\n")))
-			}
-			for _, rec := range recs {
-				if !rec.Digest.Valid() || rec.Size < 0 {
-					t.Fatalf("accepted index record %+v", rec)
-				}
-			}
-			prefix, err := replayIndex(short)
-			if err != nil || len(prefix) > len(recs) || len(prefix) > 0 && !reflect.DeepEqual(prefix, recs[:len(prefix)]) {
-				t.Fatalf("index log accepted whole but cut at %d gives %v, err %v", len(short), prefix, err)
-			}
-		}
 		if recs, err := replayActions(data); err == nil {
 			for _, rec := range recs {
 				if rec.Recipe == "" {

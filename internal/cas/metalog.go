@@ -14,8 +14,8 @@ import (
 // the snapshot at <path> was last written live as one JSON line each in
 // <path>.log. An append costs one small write and one fsync however large
 // the store has grown; the snapshot is rewritten only at the owner's
-// compaction points (see compacted). A metaLog is not safe for concurrent
-// use — the owning Store or ActionCache calls it under its own mutex.
+// compaction point (see compacted). A metaLog is not safe for concurrent
+// use — the owning ActionCache calls it under its own mutex.
 //
 // Several handles may append to one log (O_APPEND keeps their lines whole),
 // but compaction is for a single handle with no other appender alive: a

@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"fairflow/internal/appendlog"
@@ -58,12 +61,23 @@ type view struct {
 }
 
 func viewOf(s *Store, c *ActionCache, n int) view {
-	v := view{Digests: s.Digests(), Stats: s.Stats(), Len: c.Len()}
+	v := view{Digests: digestsOf(s), Stats: s.Stats(), Len: c.Len()}
 	for i := 0; i < n; i++ {
 		res, _ := c.Get(testRecipe(i))
 		v.Results = append(v.Results, res)
 	}
 	return v
+}
+
+// digestsOf lists the store's objects in digest order.
+func digestsOf(s *Store) []Digest {
+	var out []Digest
+	s.walk(func(_ string, d Digest, _ fs.DirEntry) {
+		if d != "" {
+			out = append(out, d)
+		}
+	})
+	return out
 }
 
 func listDir(t *testing.T, dir string) []string {
@@ -96,9 +110,6 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 		count func(*Store, *ActionCache) int
 		rePut func(*Store, *ActionCache) error
 	}{
-		{"index.json.log",
-			func(s *Store, _ *ActionCache) int { return s.Stats().Objects },
-			func(s *Store, _ *ActionCache) error { _, _, err := putBytes(s, []byte("object 2")); return err }},
 		{"actions.json.log",
 			func(_ *Store, c *ActionCache) int { return c.Len() },
 			func(_ *Store, c *ActionCache) error {
@@ -149,30 +160,27 @@ func TestLogTornTailEveryOffset(t *testing.T) {
 // TestLogRejectsCorruptMiddleLine: a terminated line that fails validation
 // is corruption, not a torn write, and must fail the open.
 func TestLogRejectsCorruptMiddleLine(t *testing.T) {
-	for _, name := range []string{"index.json.log", "actions.json.log"} {
-		dir := t.TempDir()
-		s, c := openBoth(t, dir)
-		putEntry(t, s, c, 0)
-		path := filepath.Join(dir, name)
-		good, _ := os.ReadFile(path)
-		for _, bad := range []string{"{garbage\n", "\n", `{"digest":"sha256:zz","size":1}` + "\n", `{"size":-1}` + "\n"} {
-			if err := os.WriteFile(path, append([]byte(bad), good...), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := Open(dir)
-			if err == nil {
-				_, err = OpenActionCache(filepath.Join(dir, "actions.json"), s)
-			}
-			if err == nil || !strings.Contains(err.Error(), name) {
-				t.Fatalf("%s with line %q: open error = %v, want one naming the log", name, bad, err)
-			}
+	const name = "actions.json.log"
+	dir := t.TempDir()
+	s, c := openBoth(t, dir)
+	putEntry(t, s, c, 0)
+	path := filepath.Join(dir, name)
+	good, _ := os.ReadFile(path)
+	for _, bad := range []string{"{garbage\n", "\n", `{"digest":"sha256:zz","size":1}` + "\n", `{"size":-1}` + "\n"} {
+		if err := os.WriteFile(path, append([]byte(bad), good...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenActionCache(filepath.Join(dir, "actions.json"), s)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s with line %q: open error = %v, want one naming the log", name, bad, err)
 		}
 	}
 }
 
 // TestCompactionPreservesEverything: a store grown by Puts and reopened
 // equals the same store after compaction (GC with everything live,
-// ActionCache.Save) and a second reopen; compaction leaves no log behind.
+// ActionCache.Save) and a second reopen; compaction leaves no log behind,
+// and no Put writes store metadata beside the object files.
 func TestCompactionPreservesEverything(t *testing.T) {
 	const n = 25
 	dir := t.TempDir()
@@ -184,8 +192,8 @@ func TestCompactionPreservesEverything(t *testing.T) {
 	if grown.Stats.Objects != n || grown.Len != n {
 		t.Fatalf("grown store: %+v", grown)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
-		t.Fatalf("Put wrote an index snapshot (stat err %v); only compaction may", err)
+	if got, want := listDir(t, dir), []string{"actions.json.log", "objects"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the grown store holds %v, want %v: the object files are the store's record", got, want)
 	}
 
 	s2, c2 := openBoth(t, dir)
@@ -198,7 +206,7 @@ func TestCompactionPreservesEverything(t *testing.T) {
 	if err := c2.Save(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"actions.json", "index.json", "objects"}
+	want := []string{"actions.json", "objects"}
 	if got := listDir(t, dir); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after compaction the store holds %v, want %v", got, want)
 	}
@@ -249,8 +257,9 @@ func parentFormatStore(t *testing.T, dir string) []Digest {
 }
 
 // TestParentFormatOpensUnchanged: a directory holding only the snapshot
-// files of the pre-log format opens to the same contents, and opening and
-// reading it writes nothing.
+// files of the pre-log format opens to the same contents — its index.json
+// ignored, the objects listed from their files — and opening and reading it
+// writes nothing.
 func TestParentFormatOpensUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	ds := parentFormatStore(t, dir)
@@ -329,31 +338,43 @@ func TestTwoHandlesInterleavedPuts(t *testing.T) {
 // TestPutFailureLeavesMemoryClean: when the log cannot be written, Put
 // returns the error and neither this handle nor a reopen sees the entry;
 // once the log is writable again the same handle recovers. (The tests run
-// as root, so "unwritable" is a directory squatting on the log's name.)
+// as root, so "unwritable" is a directory squatting on the log's name.) A
+// Store.Put whose publishing link fails returns the error and leaves neither
+// the object nor its temp behind.
 func TestPutFailureLeavesMemoryClean(t *testing.T) {
 	dir := t.TempDir()
 	s, c := openBoth(t, dir)
-	putEntry(t, s, c, 0)
-	// Fresh handles, so neither log is open yet.
+	d0 := putEntry(t, s, c, 0)
+	// Fresh handles, so the log is not open yet.
 	s, c = openBoth(t, dir)
-	for _, name := range []string{"index.json.log", "actions.json.log"} {
-		if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, name+".aside")); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	const name = "actions.json.log"
+	if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, name+".aside")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+		t.Fatal(err)
 	}
 	content := []byte("object 1")
+	appendlog.Failpoint = func(op appendlog.Op, _ string) error {
+		if op == appendlog.OpLink {
+			return syscall.EIO
+		}
+		return nil
+	}
+	_, _, err := putBytes(s, content)
+	appendlog.Failpoint = nil
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Store.Put with its link refused: err %v, want EIO", err)
+	}
+	if got := digestsOf(s); !reflect.DeepEqual(got, []Digest{d0}) {
+		t.Fatalf("a failed Put left objects %v, want only %v", got, d0)
+	}
+	if got := listDir(t, filepath.Dir(s.objectPath(HashBytes(content)))); slices.ContainsFunc(got, func(n string) bool { return strings.HasPrefix(n, "put-") }) {
+		t.Fatalf("a failed Put left its temp: %v", got)
+	}
 	d, _, err := putBytes(s, content)
-	if err == nil {
-		t.Fatal("Store.Put succeeded with an unwritable index log")
-	}
-	if d != HashBytes(content) {
-		t.Fatalf("failed Put returned digest %q", d)
-	}
-	if st := s.Stats(); st.Objects != 1 {
-		t.Fatalf("index holds %d objects after a failed Put, want 1", st.Objects)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res := ActionResult{Outputs: map[string]Digest{"out": d}}
 	if err := c.Put(testRecipe(1), res); err == nil {
@@ -362,19 +383,16 @@ func TestPutFailureLeavesMemoryClean(t *testing.T) {
 	if _, ok := c.Get(testRecipe(1)); ok || c.Len() != 1 {
 		t.Fatalf("failed Put is visible in memory (Len %d)", c.Len())
 	}
-	for _, name := range []string{"index.json.log", "actions.json.log"} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(filepath.Join(dir, name+".aside"), filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
 	}
-	s2, c2 := openBoth(t, dir)
-	if _, ok := c2.Get(testRecipe(1)); ok || c2.Len() != 1 || s2.Stats().Objects != 1 {
-		t.Fatalf("failed Puts reached disk: %d objects, %d actions", s2.Stats().Objects, c2.Len())
+	if err := os.Rename(filepath.Join(dir, name+".aside"), filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
 	}
-	// The handles that failed work again now.
+	if _, c2 := openBoth(t, dir); c2.Len() != 1 {
+		t.Fatalf("failed Put reached disk: %d actions", c2.Len())
+	}
+	// The handle that failed works again now.
 	putEntry(t, s, c, 1)
 	s3, c3 := openBoth(t, dir)
 	if _, ok := c3.Get(testRecipe(1)); !ok || s3.Stats().Objects != 2 {
@@ -434,42 +452,12 @@ func TestPutLatencyHistograms(t *testing.T) {
 	}
 }
 
-// TestPutAllFailedSaveLeavesMemoryClean: PutAll indexes in memory first and
-// saves once; when that save fails the entries come back out, so a later Put
-// of the same object still reaches the log.
-func TestPutAllFailedSaveLeavesMemoryClean(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openBoth(t, dir)
-	src := filepath.Join(t.TempDir(), "in.txt")
-	if err := os.WriteFile(src, []byte("object 0"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A non-empty directory squatting on the snapshot's name fails the rename.
-	if err := os.MkdirAll(filepath.Join(dir, "index.json", "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PutAll([]string{src}, 1); err == nil {
-		t.Fatal("PutAll succeeded with an unwritable index snapshot")
-	}
-	if st := s.Stats(); st.Objects != 0 {
-		t.Fatalf("index holds %d objects after a failed PutAll, want 0", st.Objects)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.PutFile(src); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := openBoth(t, dir)
-	if st := s2.Stats(); st.Objects != 1 {
-		t.Fatalf("reopen sees %d objects, want 1", st.Objects)
-	}
-}
-
 // TestPutSurvivesKill: every Put that returned is there after the process is
 // killed with no Close, Save or GC ever called. The child (this test binary
 // re-run with CAS_KILL_DIR set) announces each entry only after both Puts
-// for it returned; the parent kills it mid-stream and reopens.
+// for it returned; the parent kills it mid-stream and reopens. A temp that
+// a put killed mid-way leaves in a fan-out directory is not an object:
+// VerifyAll and Stats pass over it.
 func TestPutSurvivesKill(t *testing.T) {
 	if dir := os.Getenv("CAS_KILL_DIR"); dir != "" {
 		s, c := openBoth(t, dir)
@@ -501,6 +489,10 @@ func TestPutSurvivesKill(t *testing.T) {
 	if announced < 200 {
 		t.Fatalf("child announced only %d entries", announced)
 	}
+	d0 := HashBytes([]byte("object 0")).hexPart()
+	if err := os.WriteFile(filepath.Join(dir, "objects", d0[:2], "put-12345"), []byte("torn"), 0o444); err != nil {
+		t.Fatal(err)
+	}
 	s, c := openBoth(t, dir)
 	if s.Stats().Objects < announced || c.Len() < announced {
 		t.Fatalf("after kill -9: %d objects, %d actions; %d were announced", s.Stats().Objects, c.Len(), announced)
@@ -515,10 +507,11 @@ func TestPutSurvivesKill(t *testing.T) {
 	}
 }
 
-// TestSnapshotFsyncsGoThroughTheHook: both compaction points write their
-// snapshot through appendlog's WriteFileAtomic, so its fsyncs — the temp file,
-// then the store directory — are seen by the failpoint hook, and one the hook
-// refuses fails the compaction and leaves the previous state in place.
+// TestSnapshotFsyncsGoThroughTheHook: ActionCache.Save writes its snapshot
+// through appendlog's WriteFileAtomic, so its fsyncs — the temp file, then
+// the store directory — are seen by the failpoint hook, and one the hook
+// refuses fails the compaction and leaves the previous state in place. GC
+// writes no metadata: it fsyncs nothing.
 func TestSnapshotFsyncsGoThroughTheHook(t *testing.T) {
 	dir := t.TempDir()
 	s, c := openBoth(t, dir)
@@ -533,9 +526,8 @@ func TestSnapshotFsyncsGoThroughTheHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := fsyncs()
-	if len(got) != 4 || !strings.HasPrefix(filepath.Base(got[0]), ".index.json.tmp-") || got[1] != dir ||
-		!strings.HasPrefix(filepath.Base(got[2]), ".actions.json.tmp-") || got[3] != dir {
-		t.Fatalf("compaction fsynced %q, want index.json's temp file, %s, actions.json's temp file, %s", got, dir, dir)
+	if len(got) != 2 || !strings.HasPrefix(filepath.Base(got[0]), ".actions.json.tmp-") || got[1] != dir {
+		t.Fatalf("compaction fsynced %q, want actions.json's temp file, %s", got, dir)
 	}
 
 	putEntry(t, s, c, 3)

@@ -524,6 +524,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			})
 			co.unlock()
 		case OpHeartbeat:
+			recv := time.Now() // before the decode and the lock: the skew sample's receive time
 			hb, err := decodeBody[Heartbeat](m)
 			if err != nil {
 				co.workerDead(w, err.Error())
@@ -538,9 +539,12 @@ func (co *coordinator) handleConn(nc net.Conn) {
 					telemetry.String("worker", name))
 			}
 			co.mu.Lock()
-			w.expires = time.Now().Add(e.leaseTTL())
+			w.expires = recv.Add(e.leaseTTL())
 			if hb.SentUnixNano != 0 {
-				w.skew.sample(time.Unix(0, hb.SentUnixNano), time.Duration(hb.RTTNanos), time.Now())
+				w.skew.sample(time.Unix(0, hb.SentUnixNano), time.Duration(hb.RTTNanos), recv)
+				// Echo the send stamp so the worker can measure the round
+				// trip; queued ahead of any assignment below.
+				c.post(OpHeartbeatAck, name, m.Lease, &HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
 			}
 			// An idle worker's heartbeat doubles as a work request — it
 			// periodically retries the steal path when a one-shot steal
@@ -549,18 +553,14 @@ func (co *coordinator) handleConn(nc net.Conn) {
 				co.assignLocked(w)
 			}
 			co.unlock()
-			if hb.SentUnixNano != 0 {
-				// Echo the send stamp so the worker can measure the round
-				// trip.
-				c.post(OpHeartbeatAck, name, m.Lease, &HeartbeatAck{EchoUnixNano: hb.SentUnixNano})
-			}
 		case OpTelemetry:
+			recv := time.Now()
 			b, err := decodeBody[TelemetryBatch](m)
 			if err != nil {
 				co.workerDead(w, err.Error())
 				return
 			}
-			co.handleTelemetry(w, b, time.Now())
+			co.handleTelemetry(w, b, recv)
 		case OpStolen:
 			st, err := decodeBody[Stolen](m)
 			if err != nil {

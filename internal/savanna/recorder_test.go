@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"fairflow/internal/appendlog"
+	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
@@ -245,8 +247,8 @@ func TestStatusWriteFailureWarnsOnce(t *testing.T) {
 
 // TestOneSeamSeesEveryDurableFile: a LocalEngine campaign with a campaign
 // directory, a journal and a memo over a CAS opens, writes and fsyncs each of
-// its append-only files — the journal, the status log and both metadata logs
-// — through appendlog's one failpoint.
+// its append-only files — the journal, the status log and the action log —
+// through appendlog's one failpoint, and publishes its objects through it.
 func TestOneSeamSeesEveryDurableFile(t *testing.T) {
 	m, err := cheetah.BuildManifest(testCampaign(6))
 	if err != nil {
@@ -287,11 +289,17 @@ func TestOneSeamSeesEveryDurableFile(t *testing.T) {
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"attempts.jsonl", "status.log", "index.json.log", "actions.json.log"} {
+	for _, name := range []string{"attempts.jsonl", "status.log", "actions.json.log"} {
 		for _, op := range []appendlog.Op{appendlog.OpOpen, appendlog.OpWrite, appendlog.OpSync} {
 			if !seen[string(op)+" "+name] {
 				t.Errorf("the failpoint never saw %s of %s", op, name)
 			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		hx := strings.TrimPrefix(string(cas.HashBytes([]byte("output "+strconv.Itoa(i)))), "sha256:")
+		if !seen[string(appendlog.OpLink)+" "+hx[2:]] {
+			t.Errorf("the failpoint never saw the link that published run %d's output", i)
 		}
 	}
 }
