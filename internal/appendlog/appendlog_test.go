@@ -307,3 +307,55 @@ func TestRename(t *testing.T) {
 		t.Fatalf("renaming a missing file: %v, want an *os.LinkError that is fs.ErrNotExist", err)
 	}
 }
+
+// TestMkdir: Mkdir and Dir.Mkdir make a directory, the hook sees each as
+// "mkdir" with its path, a refusal fails it before the system call, and an
+// existing name is a *fs.PathError naming the path that reads as
+// fs.ErrExist.
+func TestMkdir(t *testing.T) {
+	root := t.TempDir()
+	errFull := errors.New("no space left")
+	refuse := false
+	seen := recordOps(t, func(op Op, _ string) error {
+		if refuse {
+			return errFull
+		}
+		return nil
+	})
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	mkdirs := map[string]func(name string) error{
+		"Mkdir":     func(name string) error { return Mkdir(filepath.Join(root, name), 0o755) },
+		"Dir.Mkdir": func(name string) error { return d.Mkdir(name, 0o755) },
+	}
+	for how, mkdir := range mkdirs {
+		name := strings.ReplaceAll(how, ".", "-")
+		path := filepath.Join(root, name)
+		n := len(seen())
+		if err := mkdir(name); err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if got := seen()[n:]; strings.Join(got, "|") != "mkdir "+name {
+			t.Fatalf("%s: hook saw %q, want the mkdir of %s", how, got, name)
+		}
+		if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+			t.Fatalf("%s: %s is not a directory: %v", how, path, err)
+		}
+		var pe *fs.PathError
+		if err := mkdir(name); !errors.As(err, &pe) || pe.Path != path || !errors.Is(err, fs.ErrExist) {
+			t.Fatalf("%s of an existing name: %v, want a *fs.PathError on %s that is fs.ErrExist", how, err, path)
+		}
+		refuse = true
+		err := mkdir(name + "-refused")
+		refuse = false
+		if !errors.As(err, &pe) || pe.Op != "mkdir" || pe.Path != path+"-refused" || !errors.Is(err, errFull) {
+			t.Fatalf("%s refused: %v", how, err)
+		}
+		if _, err := os.Stat(path + "-refused"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s refused: the directory was made anyway (%v)", how, err)
+		}
+	}
+}

@@ -43,6 +43,14 @@ func (d *Dir) linkat(oldname, newname string) error {
 	}
 }
 
+func (d *Dir) mkdirat(name string, perm os.FileMode) error {
+	for {
+		if err := syscall.Mkdirat(d.fd, name, uint32(perm.Perm())); err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
 func (d *Dir) unlinkat(name string) error {
 	for {
 		if err := syscall.Unlinkat(d.fd, name); err != syscall.EINTR {

@@ -20,8 +20,17 @@ func (d *Dir) linkat(oldname, newname string) error {
 	return link(filepath.Join(d.name, oldname), filepath.Join(d.name, newname))
 }
 
+func (d *Dir) mkdirat(name string, perm os.FileMode) error {
+	return bare(os.Mkdir(filepath.Join(d.name, name), perm))
+}
+
 func (d *Dir) unlinkat(name string) error {
-	err := os.Remove(filepath.Join(d.name, name))
+	return bare(os.Remove(filepath.Join(d.name, name)))
+}
+
+// bare strips the *fs.PathError os wraps every error in: File and Dir wrap
+// it again.
+func bare(err error) error {
 	var pe *fs.PathError
 	if errors.As(err, &pe) {
 		return pe.Err

@@ -29,10 +29,11 @@ const (
 	OpWrite Op = "write"
 	OpSync  Op = "sync"
 	OpLink  Op = "link"
+	OpMkdir Op = "mkdir"
 )
 
-// Failpoint, when non-nil, is called before every open, write, fsync and
-// link made through this package, with the path involved (a link's new
+// Failpoint, when non-nil, is called before every open, write, fsync, link
+// and mkdir made through this package, with the path involved (a link's new
 // name); an error it returns fails that step in place of the system call,
 // as a *fs.PathError naming the path.
 // It is the one seam tests observe, order and fail durable writes through.
@@ -258,6 +259,21 @@ func (d *Dir) Link(oldname, newname string) error {
 	return nil
 }
 
+// Mkdir makes the directory name with perm (which the umask narrows), with
+// one mkdir(2): on Linux mkdirat on the descriptor, which looks up name alone
+// where a mkdir of the joined path walks every component of it.
+func (d *Dir) Mkdir(name string, perm os.FileMode) error {
+	if Failpoint != nil {
+		if err := failpoint(OpMkdir, d.join(name)); err != nil {
+			return err
+		}
+	}
+	if err := d.mkdirat(name, perm); err != nil {
+		return &fs.PathError{Op: "mkdir", Path: d.join(name), Err: err}
+	}
+	return nil
+}
+
 // Remove unlinks the file name.
 func (d *Dir) Remove(name string) error {
 	if err := d.unlinkat(name); err != nil {
@@ -284,6 +300,15 @@ func Link(oldpath, newpath string) error {
 		return &os.LinkError{Op: "link", Old: oldpath, New: newpath, Err: err}
 	}
 	return nil
+}
+
+// Mkdir makes the directory name with perm (which the umask narrows), as
+// os.Mkdir does; an existing name fails with an error that is fs.ErrExist.
+func Mkdir(name string, perm os.FileMode) error {
+	if err := failpoint(OpMkdir, name); err != nil {
+		return err
+	}
+	return os.Mkdir(name, perm)
 }
 
 // Rename moves the file oldpath to newpath, replacing any file there, with

@@ -5,21 +5,11 @@ package appendlog
 import (
 	"errors"
 	"io"
-	"io/fs"
 	"os"
 )
 
 // fd is an *os.File where there is no bare-descriptor path.
 type fd = *os.File
-
-// bare strips the *fs.PathError os wraps every error in: File wraps it again.
-func bare(err error) error {
-	var pe *fs.PathError
-	if errors.As(err, &pe) {
-		return pe.Err
-	}
-	return err
-}
 
 func openFD(name string, flag int, perm os.FileMode) (fd, error) {
 	f, err := os.OpenFile(name, flag, perm)

@@ -328,7 +328,7 @@ func publish(dir *appendlog.Dir, tmp, name string) (stored bool, err error) {
 func (s *Store) openFanout(aa byte, path string) (*appendlog.Dir, error) {
 	for retried := false; ; retried = true {
 		if !s.fanout[aa].Load() {
-			if err := os.Mkdir(path, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+			if err := appendlog.Mkdir(path, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 				return nil, err
 			}
 			if err := appendlog.SyncDir(s.objects); err != nil {

@@ -679,7 +679,7 @@ func TestPutMakesFanoutDirectoryDurable(t *testing.T) {
 			got = append(got, op+" "+path)
 		}
 	}
-	want := []string{"sync " + objects, "sync " + filepath.Join(fanOf(a), "<temp>"),
+	want := []string{"mkdir " + fanOf(a), "sync " + objects, "sync " + filepath.Join(fanOf(a), "<temp>"),
 		"link " + filepath.Join(fanOf(a), HashBytes([]byte(a)).hexPart()[2:]), "sync " + fanOf(a)}
 	if !slices.Equal(got, want) {
 		t.Fatalf("first put made the durable steps\n%q\nwant\n%q", got, want)

@@ -161,32 +161,24 @@ func (s Sweep) Size() int {
 // Points enumerates the sweep in deterministic order (cross mode: first
 // parameter slowest; zip mode: value index order).
 func (s Sweep) Points() []map[string]string {
-	if s.mode() == Zip {
-		n := len(s.Parameters[0].Values)
-		out := make([]map[string]string, n)
-		for i := 0; i < n; i++ {
-			point := make(map[string]string, len(s.Parameters))
+	zip := s.mode() == Zip
+	out := make([]map[string]string, s.Size())
+	for i := range out {
+		point := make(map[string]string, len(s.Parameters))
+		if zip {
 			for _, p := range s.Parameters {
 				point[p.Name] = p.Values[i]
 			}
-			out[i] = point
-		}
-		return out
-	}
-	out := []map[string]string{{}}
-	for _, p := range s.Parameters {
-		var next []map[string]string
-		for _, base := range out {
-			for _, v := range p.Values {
-				point := make(map[string]string, len(base)+1)
-				for k, bv := range base {
-					point[k] = bv
-				}
-				point[p.Name] = v
-				next = append(next, point)
+		} else {
+			// i in mixed radix, the last parameter's digit least significant.
+			rest := i
+			for j := len(s.Parameters) - 1; j >= 0; j-- {
+				p := s.Parameters[j]
+				point[p.Name] = p.Values[rest%len(p.Values)]
+				rest /= len(p.Values)
 			}
 		}
-		out = next
+		out[i] = point
 	}
 	return out
 }
@@ -298,13 +290,14 @@ func (c Campaign) EnumerateRuns() ([]Run, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	var out []Run
+	out := make([]Run, 0, c.Size())
 	for _, g := range c.Groups {
 		idx := 0
 		for _, s := range g.Sweeps {
+			prefix := g.Name + "/" + s.Name + "/run-"
 			for _, point := range s.Points() {
 				out = append(out, Run{
-					ID:     fmt.Sprintf("%s/%s/run-%05d", g.Name, s.Name, idx),
+					ID:     runID(prefix, idx),
 					Group:  g.Name,
 					Sweep:  s.Name,
 					Index:  idx,
@@ -315,6 +308,22 @@ func (c Campaign) EnumerateRuns() ([]Run, error) {
 		}
 	}
 	return out, nil
+}
+
+// runID is prefix followed by idx zero-padded to five digits, as
+// fmt.Sprintf("%s%05d", prefix, idx) gives it for idx ≥ 0, in one
+// allocation.
+func runID(prefix string, idx int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(idx), 10)
+	var b strings.Builder
+	b.Grow(len(prefix) + max(len(d), 5))
+	b.WriteString(prefix)
+	for i := len(d); i < 5; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // ParamNames returns the sorted union of parameter names across the

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"fairflow/internal/appendlog"
 )
@@ -82,8 +83,9 @@ const (
 //
 // The manifest is the commit marker and the one durable record of what to
 // run: a directory that has campaign.json is complete, one that lacks it is
-// garbage. It is also the one file create writes: each run costs one mkdir,
-// and nothing under a run directory is opened or fsynced — only
+// garbage. It is also the one file create writes: each run costs one mkdir
+// (mkdirat of its last ID element on its sweep directory, opened once per
+// sweep), and nothing under a run directory is opened or fsynced — only
 // campaign.json is (temp file, rename, its directory), then root for the
 // campaign directory's own entry. A run's params.json is written by the
 // executor that runs it in its directory, at attempt start (WriteParams);
@@ -108,19 +110,24 @@ func (m *Manifest) Materialize(root string) (string, error) {
 		return "", err
 	}
 	dir := filepath.Join(root, m.Campaign.Name)
-	// The run directories' parents (<group>/<sweep>) and their ancestors
-	// below dir, each once. Sorted, a directory comes before everything
-	// under it.
+	// Each run's directory relative to dir, and the run directories' parents
+	// (<group>/<sweep>) and their ancestors below dir, each once. Sorted, a
+	// directory comes before everything under it.
+	rels := make([]string, len(m.Runs))
 	var dirs []string
-	made := map[string]bool{dir: true}
-	for _, run := range m.Runs {
-		runDir, err := runPath(dir, run.ID)
+	made := map[string]bool{".": true}
+	last := "."
+	for i, run := range m.Runs {
+		rel, err := runRel(run.ID)
 		if err != nil {
 			return "", err
 		}
-		for p := filepath.Dir(runDir); !made[p]; p = filepath.Dir(p) {
-			made[p] = true
-			dirs = append(dirs, p)
+		rels[i] = rel
+		if p := filepath.Dir(rel); p != last {
+			for last = p; !made[p]; p = filepath.Dir(p) {
+				made[p] = true
+				dirs = append(dirs, p)
+			}
 		}
 	}
 	sort.Strings(dirs)
@@ -129,7 +136,7 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return "", err
 	}
-	if err := os.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
+	if err := appendlog.Mkdir(dir, 0o755); errors.Is(err, fs.ErrExist) {
 		if _, serr := os.Stat(filepath.Join(dir, "campaign.json")); serr == nil {
 			return "", fmt.Errorf("cheetah: campaign directory %s already exists", dir)
 		}
@@ -138,7 +145,7 @@ func (m *Manifest) Materialize(root string) (string, error) {
 		return "", err
 	}
 	for _, d := range dirs {
-		if err := os.Mkdir(d, 0o755); err != nil {
+		if err := appendlog.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
 			return "", err
 		}
 	}
@@ -147,12 +154,7 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	var manifest bytes.Buffer
 	encoded := make(chan error, 1)
 	go func() { encoded <- m.Write(&manifest) }()
-	var err error
-	for _, run := range m.Runs {
-		if err = os.Mkdir(filepath.Join(dir, run.ID), 0o755); err != nil {
-			break
-		}
-	}
+	err := makeRunDirs(dir, rels)
 	if eerr := <-encoded; err == nil {
 		err = eerr
 	}
@@ -171,14 +173,50 @@ func (m *Manifest) Materialize(root string) (string, error) {
 	return dir, nil
 }
 
-// runPath is the directory of the run with the given ID under the campaign
-// directory dir, refusing an ID that would leave it.
-func runPath(dir, id string) (string, error) {
-	runDir := filepath.Join(dir, id)
-	if !filepath.IsLocal(id) || runDir == dir {
+// makeRunDirs makes the run directory at each path in rels, relative to dir,
+// by its last element in its parent, held open across consecutive runs that
+// share it: one mkdirat a run, and one open a parent where the runs come
+// sweep by sweep. A manifest in any other order re-opens a parent each time
+// it changes.
+func makeRunDirs(dir string, rels []string) error {
+	var parent *appendlog.Dir
+	defer func() {
+		if parent != nil {
+			parent.Close()
+		}
+	}()
+	var parentRel string
+	for _, rel := range rels {
+		p, base := ".", rel
+		if i := strings.LastIndexByte(rel, filepath.Separator); i >= 0 {
+			p, base = rel[:i], rel[i+1:]
+		}
+		if parent == nil || p != parentRel {
+			if parent != nil {
+				parent.Close()
+			}
+			var err error
+			if parent, err = appendlog.OpenDir(filepath.Join(dir, p)); err != nil {
+				return err
+			}
+			parentRel = p
+		}
+		if err := parent.Mkdir(base, 0o755); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runRel is the directory of the run with the given ID relative to the
+// campaign directory, refusing an ID that would leave it or name the
+// directory itself.
+func runRel(id string) (string, error) {
+	rel := filepath.Clean(id)
+	if !filepath.IsLocal(id) || rel == "." {
 		return "", fmt.Errorf("cheetah: run ID %q is not a path inside the campaign directory", id)
 	}
-	return runDir, nil
+	return rel, nil
 }
 
 // WriteParams writes a run's sweep point to runDir/params.json, indented

@@ -126,12 +126,15 @@ func TestMaterializeTreeMatchesReference(t *testing.T) {
 }
 
 // TestMaterializeDurableBeforeManifest: campaign.json is the one file create
-// writes and the one durable record. Whatever N is, Materialize opens one
-// file, campaign.json's temp file, and writes and fsyncs it, then opens and
-// fsyncs the campaign directory that names campaign.json, then root for the
-// campaign directory's own entry — and opens nothing under a run directory.
+// writes and the one durable record. Whatever N is, Materialize claims the
+// campaign directory, makes the group and sweep directories, opens the sweep
+// directory once and makes each run directory in it; then it opens one file,
+// campaign.json's temp file, and writes and fsyncs it, then opens and fsyncs
+// the campaign directory that names campaign.json, then root for the
+// campaign directory's own entry — and opens, writes or fsyncs nothing under
+// a run directory.
 func TestMaterializeDurableBeforeManifest(t *testing.T) {
-	var ops []string // every open, write and fsync made through appendlog, as "op path"
+	var ops []string // every step made through appendlog, as "op path"
 	appendlog.Failpoint = func(op appendlog.Op, path string) error {
 		ops = append(ops, string(op)+" "+path)
 		return nil
@@ -144,20 +147,82 @@ func TestMaterializeDurableBeforeManifest(t *testing.T) {
 		}
 		root := t.TempDir()
 		dir := filepath.Join(root, m.Campaign.Name)
+		sweep := filepath.Join(dir, "g", "s")
 		ops = nil
 		if _, err := m.Materialize(root); err != nil {
 			t.Fatal(err)
 		}
-		if len(ops) == 0 {
-			t.Fatalf("%d runs: no open, write or fsync went through appendlog", n)
+		want := []string{"mkdir " + dir, "mkdir " + filepath.Join(dir, "g"), "mkdir " + sweep, "open " + sweep}
+		for _, run := range m.Runs {
+			want = append(want, "mkdir "+filepath.Join(dir, run.ID))
 		}
-		tmp := strings.TrimPrefix(ops[0], "open ")
+		var tmp string
+		if len(ops) > len(want) {
+			tmp = strings.TrimPrefix(ops[len(want)], "open ")
+		}
 		if filepath.Dir(tmp) != dir || !strings.HasPrefix(filepath.Base(tmp), ".campaign.json.tmp-") {
-			t.Fatalf("%d runs: first step %q, want the open of campaign.json's temp file in %s", n, ops[0], dir)
+			t.Fatalf("%d runs: no open of campaign.json's temp file in %s after the run directories; steps\n%s", n, dir, strings.Join(ops, "\n"))
 		}
-		want := []string{"open " + tmp, "write " + tmp, "sync " + tmp, "open " + dir, "sync " + dir, "open " + root, "sync " + root}
+		want = append(want, "open "+tmp, "write "+tmp, "sync "+tmp, "open "+dir, "sync "+dir, "open "+root, "sync "+root)
 		if strings.Join(ops, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("%d runs: steps\n%s\nwant\n%s", n, strings.Join(ops, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestMaterializeInterleavedSweeps: a hand-ordered manifest whose runs
+// alternate between sweeps (and one in its own group) gets the same tree as
+// the reference: the run directories' parent is re-opened each time it
+// changes, and its directory opens are counted.
+func TestMaterializeInterleavedSweeps(t *testing.T) {
+	m, err := BuildManifest(wideCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g2 []Run
+	for _, run := range m.Runs {
+		if run.Group == "g2" {
+			g2 = append(g2, run)
+		}
+	}
+	// Deal g2's three sweeps round-robin, then put g0's runs after them.
+	var dealt []Run
+	for i := 0; i < len(g2)/3; i++ {
+		for s := 0; s < 3; s++ {
+			dealt = append(dealt, g2[s*len(g2)/3+i])
+		}
+	}
+	var rest []Run
+	for _, run := range m.Runs {
+		if run.Group != "g2" {
+			rest = append(rest, run)
+		}
+	}
+	m.Runs = append(dealt, rest...)
+
+	opens := map[string]int{}
+	appendlog.Failpoint = func(op appendlog.Op, path string) error {
+		if op == appendlog.OpOpen {
+			opens[path]++
+		}
+		return nil
+	}
+	defer func() { appendlog.Failpoint = nil }()
+	root := t.TempDir()
+	dir, err := m.Materialize(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendlog.Failpoint = nil
+	if got, want := treeOf(t, dir), treeOf(t, referenceMaterialize(t, m, t.TempDir())); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("tree\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, c := range []struct {
+		sweep string
+		want  int
+	}{{"g2/s0", len(dealt) / 3}, {"g2/s1", len(dealt) / 3}, {"g2/s2", len(dealt) / 3}, {"g0/s0", 1}, {"g1/s0", 1}, {"g1/s1", 1}} {
+		if got := opens[filepath.Join(dir, c.sweep)]; got != c.want {
+			t.Errorf("%s opened %d times, want %d", c.sweep, got, c.want)
 		}
 	}
 }

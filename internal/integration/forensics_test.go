@@ -97,9 +97,9 @@ func TestDistributedForensicsEndToEnd(t *testing.T) {
 	}
 
 	// Every executed run has exactly one worker span in the merged trace,
-	// filed by the coordinator from the run's Outcome: under the run's
-	// remote.run span, starting from the worker's start stamp (after the
-	// dispatch), with the resource accounting the Outcome carried.
+	// filed by the coordinator from the run's Outcome: inside the run's
+	// remote.run span, starting after the dispatch and ending by the time
+	// the run concluded, with the resource accounting the Outcome carried.
 	byID := map[int64]telemetry.SpanData{}
 	for _, s := range spans {
 		byID[s.ID] = s
@@ -113,8 +113,8 @@ func TestDistributedForensicsEndToEnd(t *testing.T) {
 		if seen[run] {
 			t.Errorf("run %s has a second worker span", run)
 		}
-		if p := byID[s.Parent]; p.Name != "remote.run" || p.Attr("run") != run || s.Start.Before(p.Start) {
-			t.Errorf("run %s worker span from %v is not under its remote.run span %+v", run, s.Start, p)
+		if p := byID[s.Parent]; p.Name != "remote.run" || p.Attr("run") != run || s.Start.Before(p.Start) || s.End.After(p.End) {
+			t.Errorf("run %s worker span %v–%v is not under its remote.run span %+v", run, s.Start, s.End, p)
 		}
 		cpu, _ := strconv.ParseFloat(s.Attr("cpu_s"), 64)
 		rss, _ := strconv.ParseInt(s.Attr("max_rss_bytes"), 10, 64)

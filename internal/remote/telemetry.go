@@ -191,14 +191,19 @@ func spanID(lease, id int64) int64 {
 // on the coordinator's timeline before any heartbeat — when the attempt was
 // one of w's, queue wait and all since its lease was granted: a spool
 // replay's stamp predates the grant. Callers hold co.mu, before out leaves
-// w.outstanding.
+// w.outstanding. The attempt ended before its Outcome was received, so a
+// span the estimate ends later is moved back, whole, to end at the receipt:
+// the skew estimate's error is bounded only by half a round trip, and the
+// run's remote.run span, which ends once an Outcome concludes the run, must
+// contain it.
 func (co *coordinator) fileWorkerSpanLocked(w *wstate, out *Outcome, parent int64) {
 	id := spanID(w.lease, out.Span)
 	if co.e.Tracer == nil || id == 0 {
 		return
 	}
 	start, elapsed := time.Unix(0, out.StartUnixNano), time.Duration(out.Seconds*float64(time.Second))
-	if recv := time.Now(); w.outstanding[out.RunID] && recv.Sub(w.joined) >= elapsed+time.Duration(out.QueueWaitNanos) {
+	recv := time.Now()
+	if w.outstanding[out.RunID] && recv.Sub(w.joined) >= elapsed+time.Duration(out.QueueWaitNanos) {
 		w.skew.sample(start.Add(elapsed), 0, recv)
 	}
 	attrs := append(make([]telemetry.Attr, 0, 6), telemetry.String("run", out.RunID), telemetry.String("worker", w.name),
@@ -216,8 +221,12 @@ func (co *coordinator) fileWorkerSpanLocked(w *wstate, out *Outcome, parent int6
 		attrs = append(attrs, telemetry.String("status", status))
 	}
 	start = w.skew.adjust(start)
+	end := start.Add(elapsed)
+	if end.After(recv) {
+		start, end = recv.Add(-elapsed), recv
+	}
 	co.e.Tracer.Ingest(telemetry.SpanData{ID: id, Parent: parent, Name: workerRunSpan,
-		Start: start, End: start.Add(elapsed), Attrs: attrs})
+		Start: start, End: end, Attrs: attrs})
 }
 
 // handleTelemetry merges one worker batch into the coordinator's

@@ -349,7 +349,8 @@ func TestTraceMergeParentsReDispatchedAttempts(t *testing.T) {
 // stamp that sat in the writer's queue does not displace a fresher one; a
 // spool replay's (a run the session does not hold, or an attempt older than
 // the lease) is no sample; and a heartbeat's measured round trip outranks
-// every outcome.
+// every outcome. A span the estimate would end after its outcome was
+// received is moved back, whole, to end at the receipt.
 func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
 	e := &Engine{Tracer: telemetry.NewTracer(), Metrics: telemetry.NewRegistry()}
 	e.telemetryInit()
@@ -360,20 +361,23 @@ func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
 	w := &wstate{name: "w0", lease: 1, joined: time.Now().Add(-2 * time.Second),
 		outstanding: map[string]bool{"r1": true, "r3": true, "r4": true, "r5": true}}
 	const fast = 5 * time.Second
+	const elapsed = 500 * time.Millisecond
+	const slack = 50 * time.Millisecond
 	// report hands over run's outcome, which ended ago before now and waited
-	// wait in the worker's queue, and returns where its span ends against
-	// where it should, on the coordinator's clock.
-	report := func(run string, ago, wait time.Duration) (got, want time.Time) {
+	// wait in the worker's queue, and returns its span, where the span
+	// should end on the coordinator's clock, and when the outcome was
+	// handed over.
+	report := func(run string, ago, wait time.Duration) (span telemetry.SpanData, want, recv time.Time) {
 		now := time.Now()
 		end := now.Add(fast - ago)
-		co.handleResultLocked(w, Outcome{RunID: run, OK: true, Seconds: 0.5, StartUnixNano: end.Add(-500 * time.Millisecond).UnixNano(),
+		co.handleResultLocked(w, Outcome{RunID: run, OK: true, Seconds: elapsed.Seconds(), StartUnixNano: end.Add(-elapsed).UnixNano(),
 			QueueWaitNanos: int64(wait), Span: int64(co.index[run] + 1)})
 		for _, d := range e.Tracer.Snapshot() {
 			if d.Attr("run") == run {
-				got = d.End
+				span = d
 			}
 		}
-		return got, now.Add(-ago)
+		return span, now.Add(-ago), now
 	}
 	near := func(what string, got, want time.Time, by time.Duration) {
 		t.Helper()
@@ -381,23 +385,35 @@ func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
 			t.Errorf("%s: span ends %v, want %v ± %v", what, got, want, by)
 		}
 	}
-	const slack = 50 * time.Millisecond
-	got, want := report("r1", 0, 0)
-	near("the first outcome", got, want, slack)
-	got, want = report("r2", time.Minute, 0)
-	near("a replay of a run the session does not hold", got, want, slack)
-	got, want = report("r3", time.Second, 0)
-	near("an outcome queued a second", got, want, slack)
+	offset := func(what string, want time.Duration) {
+		t.Helper()
+		if d := w.skew.offset - want; d < -slack || d > slack {
+			t.Errorf("%s: skew estimate %v, want %v ± %v", what, w.skew.offset, want, slack)
+		}
+	}
+	span, want, _ := report("r1", 0, 0)
+	near("the first outcome", span.End, want, slack)
+	span, want, _ = report("r2", time.Minute, 0)
+	near("a replay of a run the session does not hold", span.End, want, slack)
+	span, want, _ = report("r3", time.Second, 0)
+	near("an outcome queued a second", span.End, want, slack)
 	// An attempt that began before the grant: its stamp would move the
-	// estimate a second (its end looks a second ahead), and must not.
-	got, want = report("r4", -time.Second, 10*time.Second)
-	near("an attempt older than the lease", got, want, slack)
+	// estimate a second (its end looks a second ahead), and must not. On
+	// the estimate its span ends a second after the outcome was received,
+	// so it is moved back to end at the receipt, its length kept.
+	span, _, recv := report("r4", -time.Second, 10*time.Second)
+	offset("after an attempt older than the lease", fast)
+	near("an attempt that ended after its receipt", span.End, recv, slack)
+	if d := span.End.Sub(span.Start); d != elapsed {
+		t.Errorf("a span moved back to its receipt lasts %v, want %v", d, elapsed)
+	}
 	// A heartbeat with a measured round trip: its estimate (the worker
 	// 4 s fast) holds against later outcomes.
 	now := time.Now()
 	w.skew.sample(now.Add(4*time.Second+time.Millisecond), 2*time.Millisecond, now.Add(2*time.Millisecond))
-	got, want = report("r5", 0, 0)
-	near("after a measured heartbeat", got, want.Add(time.Second), slack)
+	span, want, _ = report("r5", 2*time.Second, 0)
+	offset("after a measured heartbeat", 4*time.Second)
+	near("after a measured heartbeat", span.End, want.Add(time.Second), slack)
 }
 
 // TestDistributedTraceMerge is the tentpole's end-to-end check: two fully
