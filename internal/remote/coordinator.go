@@ -68,28 +68,21 @@ type Engine struct {
 	Events  *eventlog.Log
 
 	attempt int64 // provenance record numbering
-	// probe is the recorder's test seam (savanna.RecorderConfig.Probe).
-	probe func(savanna.RecorderStage, []resilience.AttemptRecord) bool
+	// probe is the recorder's test seam (savanna.RecorderConfig.Probe);
+	// finished, the coordinator's: it sees each campaign's state at its end.
+	probe    func(savanna.RecorderStage, []resilience.AttemptRecord) bool
+	finished func(*coordinator)
 
 	telOnce sync.Once
 	// tel is what the lifecycle updates: remote.runs_completed_total /
 	// runs_cached_total / runs_failed_total / retries_total /
 	// quarantined_total and the run_seconds, run_attempts, run_cpu_seconds,
 	// run_max_rss_bytes histograms.
-	tel         savanna.Instruments
-	mDispatched *telemetry.Counter
-	mLost       *telemetry.Counter
-	mDuplicates *telemetry.Counter
-	mLeases     *telemetry.Counter
-	mHeartbeats *telemetry.Counter
-	mSteals     *telemetry.Counter
-	mStolenRuns *telemetry.Counter
-	mDeadTotal  *telemetry.Counter
-	mStaleEpoch *telemetry.Counter
-	mTakeovers  *telemetry.Counter
-	gEpoch      *telemetry.Gauge
-	gLive       *telemetry.Gauge
-	gDead       *telemetry.Gauge
+	tel                                           savanna.Instruments
+	mDispatched, mLost, mDuplicates, mLeases      *telemetry.Counter
+	mHeartbeats, mSteals, mStolenRuns, mDeadTotal *telemetry.Counter
+	mStaleEpoch, mTakeovers                       *telemetry.Counter
+	gEpoch, gLive, gDead                          *telemetry.Gauge
 
 	// Fleet-telemetry instruments: heartbeat round trips (the skew
 	// estimator's input), merged telemetry batches and spans, and telemetry
@@ -160,9 +153,9 @@ type wstate struct {
 	lease   int64
 	expires time.Time
 	joined  time.Time // when the lease was granted
-	// outstanding holds run ids assigned to this worker with no terminal
-	// outcome yet (the lease-expiry re-dispatch set).
-	outstanding  map[string]bool
+	// outstanding holds the slots of the runs assigned to this worker with no
+	// terminal outcome yet (the lease-expiry re-dispatch set).
+	outstanding  map[int]bool
 	stealPending bool
 	dead         bool
 	slots        int
@@ -189,9 +182,16 @@ type coordinator struct {
 	// durable; unlock posts it to rec whole, so a result's records, the
 	// top-up's dispatches and its ack are written — or refused — together.
 	group savanna.Group
-	index map[string]int
-	// state is each run's lifecycle state, in the campaign's order.
+	// A run's slot is its index in runs, state (its lifecycle state, begun
+	// on first use by st) and results (where that state writes its result).
+	// index finds a slot by run id when an outcome's slot does not (slotOf).
+	runs    []cheetah.Run
 	state   []savanna.RunState
+	results []savanna.RunResult
+	index   map[string]int
+	// The queue of runs owed a placement: runs[next:], never queued, then
+	// pending, the runs taken back or owed another attempt.
+	next    int
 	pending []int
 	workers map[string]*wstate
 	// dead counts the workers that died with no later join to replace
@@ -238,17 +238,14 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 			Memo: e.Memo, Requeues: true, Events: e.Events, Metrics: e.tel},
 		rec: savanna.OpenRecorder(savanna.RecorderConfig{Engine: "remote", Campaign: campaign, Span: span.ID(),
 			Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe}),
-		index:   make(map[string]int, len(runs)),
+		runs:    runs,
 		state:   make([]savanna.RunState, len(runs)),
+		results: make([]savanna.RunResult, len(runs)),
 		workers: map[string]*wstate{},
 		doneCh:  make(chan struct{}),
 	}
 	if e.Prov != nil {
 		co.lc.Seq = &e.attempt
-	}
-	for i, r := range runs {
-		co.index[r.ID] = i
-		co.state[i] = savanna.NewRunState(r)
 	}
 	co.remaining = len(runs)
 
@@ -259,8 +256,6 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 		if res, ok := e.Memo.Lookup(runs[i]); ok {
 			co.lc.Cached(co.run(i), &co.group, "", savanna.OutputDigests(res), 0)
 			co.decidedLocked(i, "", true)
-		} else {
-			co.enqueueLocked(i)
 		}
 	}
 	co.checkDoneLocked()
@@ -328,11 +323,10 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	// Every handler has returned, so nothing posts any more: late duplicates
 	// that arrived after the drain were still journaled and acked above.
 	report := co.lc.Finish(co.rec, span, len(runs))
-	results := make([]savanna.RunResult, len(runs))
-	for i := range co.state {
-		results[i] = co.state[i].Result
+	if e.finished != nil {
+		e.finished(co)
 	}
-	return results, report, nil
+	return co.results, report, nil
 }
 
 // unlock ends a critical section: what it decided goes to the recorder as
@@ -357,11 +351,7 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 // past their deadline (re-dispatching their runs) and aborts the campaign
 // if no live worker has shown up inside WorkerWait.
 func (co *coordinator) reapLoop(stop <-chan struct{}) {
-	period := co.e.leaseTTL() / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(max(co.e.leaseTTL()/4, 5*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -434,9 +424,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		c.close()
 		return
 	}
-	if hello.Slots < 1 {
-		hello.Slots = 1
-	}
+	hello.Slots = max(hello.Slots, 1)
 
 	co.mu.Lock()
 	if co.draining {
@@ -456,7 +444,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	co.leaseSeq++
 	now := time.Now()
 	w := &wstate{name: name, c: c, lease: co.leaseSeq, expires: now.Add(e.leaseTTL()), joined: now,
-		outstanding: map[string]bool{}, slots: hello.Slots}
+		outstanding: map[int]bool{}, slots: hello.Slots}
 	co.workers[name] = w
 	// Grants, expiries and releases are journaled in the group of the
 	// critical section that decided them, among the attempts around them.
@@ -475,8 +463,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	grant := LeaseGrant{Campaign: co.lc.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch,
 		Trace: e.Tracer.TraceID()}
 	if e.Memo != nil {
-		grant.Component = e.Memo.ComponentDigest
-		grant.Inputs = e.Memo.InputDigests
+		grant.Component, grant.Inputs = e.Memo.ComponentDigest, e.Memo.InputDigests
 	}
 	// A failed write ends the worker as a failed read does (every other
 	// close follows w.dead or draining, so a write it fails reports nothing
@@ -577,15 +564,13 @@ func (co *coordinator) handleConn(nc net.Conn) {
 func (co *coordinator) workerGone(w *wstate, err error) {
 	co.mu.Lock()
 	if co.draining || w.dead {
-		if !w.dead {
-			if co.workers[w.name] == w {
-				delete(co.workers, w.name)
-				co.group.Journal(resilience.AttemptRecord{Run: resilience.LeaseRunID(w.name),
-					Event: resilience.LeaseReleased, Worker: w.name, Time: time.Now()})
-				co.e.gLive.Add(-1)
-				co.e.Events.Append(eventlog.Info, eventlog.WorkerLeave, w.name, co.span.ID(),
-					telemetry.String("worker", w.name))
-			}
+		if !w.dead && co.workers[w.name] == w {
+			delete(co.workers, w.name)
+			co.group.Journal(resilience.AttemptRecord{Run: resilience.LeaseRunID(w.name),
+				Event: resilience.LeaseReleased, Worker: w.name, Time: time.Now()})
+			co.e.gLive.Add(-1)
+			co.e.Events.Append(eventlog.Info, eventlog.WorkerLeave, w.name, co.span.ID(),
+				telemetry.String("worker", w.name))
 		}
 		co.unlock()
 		w.c.close()
@@ -616,45 +601,54 @@ func (co *coordinator) workerDead(w *wstate, reason string) {
 	co.dead++
 	e.gDead.Add(1)
 	e.mDeadTotal.Inc()
-	lost := make([]string, 0, len(w.outstanding))
-	for id := range w.outstanding {
-		lost = append(lost, id)
+	// Lost runs journal in run id order, whatever their slots.
+	lost := make([]int, 0, len(w.outstanding))
+	for i := range w.outstanding {
+		lost = append(lost, i)
 	}
-	slices.Sort(lost)
+	slices.SortFunc(lost, func(a, b int) int { return strings.Compare(co.runs[a].ID, co.runs[b].ID) })
 	e.Events.Append(eventlog.Warn, eventlog.WorkerDead, reason, co.span.ID(),
 		telemetry.String("worker", name), telemetry.Int("outstanding", len(lost)))
-	for _, id := range lost {
-		i := co.index[id]
+	for _, i := range lost {
 		if co.state[i].Terminal() {
 			continue
 		}
 		co.lc.Void(&co.state[i], &co.group, resilience.AttemptLost, name, errors.New(reason))
 		e.mLost.Inc()
 		e.Events.Append(eventlog.Warn, eventlog.RunLost, reason, co.state[i].Span.ID(),
-			telemetry.String("run", id), telemetry.String("worker", name))
+			telemetry.String("run", co.runs[i].ID), telemetry.String("worker", name))
 		co.enqueueLocked(i)
 	}
-	w.outstanding = map[string]bool{}
+	w.outstanding = map[int]bool{}
 	co.assignAllLocked()
 	co.checkDoneLocked()
 	co.unlock()
 	w.c.close()
 }
 
+// st returns run i's lifecycle state, begun the first time anything happens
+// to the run: a campaign's set-up touches no run.
+func (co *coordinator) st(i int) *savanna.RunState {
+	r := &co.state[i]
+	if r.Result == nil {
+		*r = savanna.NewRunState(co.runs[i], &co.results[i])
+	}
+	return r
+}
+
 // run returns run i's lifecycle state with its span open: "remote.run" starts
 // at the first thing that happens to the run — its first dispatch, or the
 // decision that ends it undispatched.
 func (co *coordinator) run(i int) *savanna.RunState {
-	r := &co.state[i]
+	r := co.st(i)
 	if r.Span == nil {
 		_, r.Span = co.e.Tracer.Start(co.ctx, "remote.run", telemetry.String("run", r.Result.Run.ID))
 	}
 	return r
 }
 
-// enqueueLocked puts a run that is owed a placement — never dispatched yet,
-// or taken back (lost, stolen) — at the back of the queue, or skips it: an
-// aborted campaign dispatches nothing more.
+// enqueueLocked puts a run taken back (lost, stolen) at the back of the
+// queue, or skips it: an aborted campaign dispatches nothing more.
 func (co *coordinator) enqueueLocked(i int) {
 	if _, aborted := co.lc.Controller.Aborted(); aborted {
 		co.dropLocked(i)
@@ -683,17 +677,19 @@ func (co *coordinator) assignAllLocked() {
 // or triggers a steal when the queue is dry and the worker is idle.
 func (co *coordinator) assignLocked(w *wstate) {
 	e := co.e
-	if w.dead || co.draining {
-		return
-	}
-	if _, aborted := co.lc.Controller.Aborted(); aborted {
+	if _, aborted := co.lc.Controller.Aborted(); aborted || w.dead || co.draining {
 		return
 	}
 	want := e.batchSize() - len(w.outstanding)
 	var batch []cheetah.Run
-	for want > 0 && len(co.pending) > 0 {
-		i := co.pending[0]
-		co.pending = co.pending[1:]
+	var slots []int
+	for want > 0 && (co.next < len(co.runs) || len(co.pending) > 0) {
+		i := co.next
+		if i < len(co.runs) {
+			co.next++
+		} else {
+			i, co.pending = co.pending[0], co.pending[1:]
+		}
 		if co.state[i].Terminal() {
 			continue
 		}
@@ -706,8 +702,8 @@ func (co *coordinator) assignLocked(w *wstate) {
 			co.decidedLocked(i, w.name, true)
 			continue
 		}
-		batch = append(batch, run)
-		w.outstanding[run.ID] = true
+		batch, slots = append(batch, run), append(slots, i)
+		w.outstanding[i] = true
 		co.lc.Dispatch(r, &co.group, w.name)
 		e.mDispatched.Inc()
 		e.Events.Append(eventlog.Info, eventlog.RunDispatched, "", r.Span.ID(),
@@ -715,7 +711,7 @@ func (co *coordinator) assignLocked(w *wstate) {
 		want--
 	}
 	if len(batch) > 0 {
-		w.c.post(OpAssign, w.name, w.lease, &Assignment{Runs: batch})
+		w.c.post(OpAssign, w.name, w.lease, &Assignment{Runs: batch, Slots: slots})
 		return
 	}
 	if len(w.outstanding) == 0 {
@@ -758,17 +754,16 @@ func (co *coordinator) stealForLocked(idle *wstate) {
 }
 
 // handleStolen requeues the runs a victim relinquished and feeds the
-// hungry workers.
+// hungry workers. A slot the victim does not hold is ignored.
 func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 	co.mu.Lock()
 	defer co.unlock()
 	w.stealPending = false
-	for _, id := range st.RunIDs {
-		i, ok := co.index[id]
-		if !ok || co.state[i].Terminal() || !w.outstanding[id] {
+	for _, i := range st.Slots {
+		if !w.outstanding[i] || co.state[i].Terminal() {
 			continue
 		}
-		delete(w.outstanding, id)
+		delete(w.outstanding, i)
 		// Journal the requeue: without it, a coordinator dying between this
 		// steal and the re-dispatch would replay the run as "dispatched to
 		// the victim" — owed either way, but the journal would blame a
@@ -787,17 +782,13 @@ func (co *coordinator) handleStolen(w *wstate, st Stolen) {
 // section's group, whose callback acknowledges the outcome once the recorder
 // has written it.
 func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
-	i, ok := co.index[out.RunID]
-	var parent int64 // a root for a run this incarnation has no span for
-	if ok {
-		parent = co.state[i].Span.ID()
-	}
-	co.fileWorkerSpanLocked(w, &out, parent)
-	if !ok {
+	i := co.slotOf(out)
+	co.fileWorkerSpanLocked(w, &out, i)
+	if i < 0 {
 		return
 	}
-	delete(w.outstanding, out.RunID)
-	r := &co.state[i]
+	delete(w.outstanding, i)
+	r := co.st(i)
 	if r.Terminal() {
 		// A re-dispatched run completed twice (lease expired under a slow
 		// but living worker, or a steal raced a start). First terminal
@@ -828,6 +819,23 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
 	co.assignAllLocked()
 }
 
+// slotOf finds the run an outcome reports (-1: none this incarnation tracks):
+// its slot when the run there has its id, as always within one incarnation,
+// else — a spool replay of an earlier incarnation's slot, after Owed shifted
+// the list — the id's, from index (slot+1 by id), built on first need.
+func (co *coordinator) slotOf(out Outcome) int {
+	if uint(out.Slot) < uint(len(co.runs)) && co.runs[out.Slot].ID == out.RunID {
+		return out.Slot
+	}
+	if co.index == nil {
+		co.index = make(map[string]int, len(co.runs))
+		for i := range co.runs {
+			co.index[co.runs[i].ID] = i + 1
+		}
+	}
+	return co.index[out.RunID] - 1
+}
+
 // decidedLocked acts on what the lifecycle decided about run i. A run that
 // ended is concluded here, in the critical section that fills the group with
 // its terminal record; when that trips the stop condition, what is still
@@ -842,6 +850,9 @@ func (co *coordinator) decidedLocked(i int, worker string, terminal bool) {
 	}
 	co.remaining--
 	if co.lc.Conclude(&co.state[i], worker) {
+		for ; co.next < len(co.runs); co.next++ {
+			co.dropLocked(co.next)
+		}
 		for _, j := range co.pending {
 			co.dropLocked(j)
 		}

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -78,10 +79,7 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 	if cfg.Journal == "" {
 		return nil, resilience.CompletenessReport{}, info, fmt.Errorf("remote: coordinate needs a journal path")
 	}
-	holder := cfg.Holder
-	if holder == "" {
-		holder = "coordinator"
-	}
+	holder := cmp.Or(cfg.Holder, "coordinator")
 	info.Holder = holder
 	claim, err := savanna.ClaimCampaign(ctx, savanna.ClaimConfig{
 		Journal: cfg.Journal, Holder: holder, LeaseTTL: cfg.LeaseTTL,
@@ -93,17 +91,10 @@ func Coordinate(ctx context.Context, cfg CoordinateConfig) ([]savanna.RunResult,
 	}
 	defer claim.Release()
 	if cfg.AutoSync >= 0 {
-		n := cfg.AutoSync
-		if n == 0 {
-			n = 32
-		}
-		claim.Journal.SetAutoSync(n)
+		claim.Journal.SetAutoSync(cmp.Or(cfg.AutoSync, 32))
 	}
-	info.Epoch = claim.Epoch
 	todo := claim.Owed(cfg.Runs)
-	info.Total = len(cfg.Runs)
-	info.Done = len(cfg.Runs) - len(todo)
-	info.Dispatched = len(todo)
+	info.Epoch, info.Total, info.Done, info.Dispatched = claim.Epoch, len(cfg.Runs), len(cfg.Runs)-len(todo), len(todo)
 
 	// Wire the engine to the fenced journal. A caller-provided resilience
 	// config keeps its policy knobs; the journal and the quarantine restore

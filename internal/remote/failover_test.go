@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fairflow/internal/cheetah"
+	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
 	"fairflow/internal/stream"
@@ -118,7 +119,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 	// Current coordinator: epoch 5.
 	c := fc.accept(5, 1)
-	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-live"}}})
+	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-live"}}, Slots: []int{0}})
 	m := fc.expect(c, OpResult)
 	out, err := decodeBody[Outcome](m)
 	if err != nil || out.RunID != "r-live" {
@@ -133,7 +134,7 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 
 	// Partitioned predecessor (epoch 3): its assignment must not execute,
 	// and its ack must not clear the spooled r-live outcome.
-	fc.sendAt(c, 3, OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-stale"}}})
+	fc.sendAt(c, 3, OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{{ID: "r-stale"}}, Slots: []int{1}})
 	fc.sendAt(c, 3, OpResultAck, "w0", 1, &ResultAck{RunIDs: []string{"r-live"}})
 	// A current-epoch ack right behind them orders the stream: once it is
 	// processed, the stale messages are too.
@@ -233,7 +234,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	go func() { serveDone <- w.Serve(ctx) }()
 
 	c := fc.accept(1, 1)
-	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{runs[0], runs[1]}})
+	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{runs[0], runs[1]}, Slots: []int{0, 1}})
 	<-started
 	<-started
 	c.close() // kill -9, morally: both runs are now mid-execution, unreported
@@ -322,6 +323,102 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestSpoolReplayAcrossShiftedSlots: incarnation 1 (scripted) assigned runs 3
+// and 4 at slots 3 and 4 of the full run list, then died; their outcomes wait
+// in the worker's spool. Run 0 is journaled done, so incarnation 2 owes runs
+// 1-5, and its slots 3 and 4 are runs 4 and 5: each replayed slot names
+// another run. Checked against the run's id, the slot is not trusted, and
+// each outcome reaches its own run through the id index — applied once, and
+// nothing executes twice.
+func TestSpoolReplayAcrossShiftedSlots(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "attempts.jsonl")
+	runs := testRuns(6)
+	fc := newFakeCoord(t)
+	var addr atomic.Value
+	addr.Store(fc.addr())
+	var mu sync.Mutex
+	executed := map[string]int{}
+	w := &Worker{
+		Name: "w0", Slots: 1, Heartbeat: time.Hour, ReconnectWait: 10 * time.Second,
+		Dial: func() (net.Conn, error) { return net.Dial("tcp", addr.Load().(string)) },
+		Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
+			mu.Lock()
+			executed[run.ID]++
+			mu.Unlock()
+			return nil
+		}),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- w.Serve(ctx) }()
+
+	c := fc.accept(1, 1)
+	c.post(OpAssign, "w0", 1, &Assignment{Runs: []cheetah.Run{runs[3], runs[4]}, Slots: []int{3, 4}})
+	for range 2 {
+		if out, err := decodeBody[Outcome](fc.expect(c, OpResult)); err != nil || out.Slot != 3 && out.Slot != 4 {
+			t.Fatalf("incarnation 1 got %+v, %v; want runs 3 and 4 at their slots", out, err)
+		}
+	}
+	c.close() // unacknowledged: both outcomes stay spooled
+	fc.ln.Close()
+
+	j, err := resilience.OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.OpenEpoch("coord-1"); err != nil {
+		t.Fatal(err)
+	}
+	j.Append(resilience.AttemptRecord{Run: runs[0].ID, Point: savanna.PointKey(runs[0]),
+		Event: resilience.AttemptSuccess, Attempt: 1, Worker: "w0", Time: time.Now()})
+	for _, r := range runs[3:5] {
+		j.Append(resilience.AttemptRecord{Run: r.ID, Point: savanna.PointKey(r),
+			Event: resilience.AttemptDispatched, Worker: "w0", Time: time.Now()})
+	}
+	j.Close()
+
+	// Batch 1 and one executor: only slot 0 is out when the replay lands.
+	ln2 := listen(t)
+	addr.Store(ln2.Addr().String())
+	results, report, info, err := Coordinate(context.Background(), CoordinateConfig{
+		Engine:   &Engine{Listener: ln2, BatchSize: 1, LeaseTTL: time.Second, WorkerWait: 20 * time.Second},
+		Campaign: "shifted", Runs: runs, Journal: jpath, Holder: "coord-2", Resume: true, LeaseTTL: time.Second,
+	})
+	if err != nil || !report.Complete() || info.Done != 1 {
+		t.Fatalf("report %+v, info %+v, err %v", report, info, err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	for i, r := range results {
+		if r.Run.ID != runs[i+1].ID || r.Status != provenance.StatusSucceeded {
+			t.Errorf("result %d = %+v, want %s succeeded", i, r, runs[i+1].ID)
+		}
+	}
+	recs, err := resilience.ReadJournalFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	success := map[string]int{}
+	for _, r := range recs {
+		if r.Event == resilience.AttemptSuccess {
+			success[r.Run]++
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, r := range runs {
+		want := 1
+		if i == 0 {
+			want = 0 // done before incarnation 1's assign
+		}
+		if executed[r.ID] != want || success[r.ID] != 1 {
+			t.Errorf("run %s: executed %d times, journaled %d successes; want %d and 1", r.ID, executed[r.ID], success[r.ID], want)
+		}
+	}
+}
+
 // TestWorkerServeReconnectNoGoroutineLeak pins satellite 2: forced
 // coordinator drops must not leak the dead session's goroutines (reader,
 // heartbeat, watcher, executors) across reconnects.
@@ -341,7 +438,7 @@ func TestWorkerServeReconnectNoGoroutineLeak(t *testing.T) {
 	// Five sessions ending in abrupt coordinator death, then a clean drain.
 	for i := 0; i < 5; i++ {
 		c := fc.accept(int64(i+1), int64(i+1))
-		c.post(OpAssign, "w0", int64(i+1), &Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}})
+		c.post(OpAssign, "w0", int64(i+1), &Assignment{Runs: []cheetah.Run{{ID: fmt.Sprintf("r%d", i)}}, Slots: []int{i}})
 		fc.expect(c, OpResult)
 		c.close() // forced drop mid-session
 	}
@@ -480,15 +577,15 @@ func waitFor(t *testing.T, d time.Duration, ok func() bool) {
 	}
 }
 
-// remoteV4 is the schema of the previous protocol version: msgSchema's
+// remoteV5 is the schema of the previous protocol version: msgSchema's
 // fields under the old name.
-func remoteV4() *stream.Schema {
+func remoteV5() *stream.Schema {
 	old := *msgSchema
-	old.Name = "remote.v4"
+	old.Name = "remote.v5"
 	return &old
 }
 
-// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v4
+// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v5
 // stream to a live campaign. The coordinator refuses it at its first record
 // — one Warn event, one count — answers with a record of its own so the
 // peer's schema check can name both versions, leaves no goroutine behind,
@@ -510,11 +607,11 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	enc, err := stream.NewEncoder(nc, remoteV4())
+	enc, err := stream.NewEncoder(nc, remoteV5())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, _ := stream.NewRecord(remoteV4(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
+	hello, _ := stream.NewRecord(remoteV5(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
 	if err := enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +646,7 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 			continue
 		}
 		refused++
-		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v4" || ev.Attr("expected") != msgSchema.Name ||
+		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v5" || ev.Attr("expected") != msgSchema.Name ||
 			ev.Attr("peer") != nc.LocalAddr().String() {
 			t.Errorf("worker.refused event = %+v", ev)
 		}
@@ -577,15 +674,15 @@ func TestWorkerNamesBothSchemasOnMismatch(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		enc, _ := stream.NewEncoder(nc, remoteV4())
-		grant, _ := stream.NewRecord(remoteV4(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
+		enc, _ := stream.NewEncoder(nc, remoteV5())
+		grant, _ := stream.NewRecord(remoteV5(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
 		enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: grant})
 		enc.Flush()
 	}()
 	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1,
 		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
 	err := w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `"remote.v4"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
+	if err == nil || !strings.Contains(err.Error(), `"remote.v5"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
 		t.Fatalf("Run error = %v, want one naming both schemas", err)
 	}
 }

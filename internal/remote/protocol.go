@@ -9,7 +9,7 @@
 // the journal keeps exactly-once accounting across worker and coordinator
 // crashes alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v5) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v6) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
 // binary body whose layout the verb selects (wire.go) — the same
 // typed-records + control-punctuation design as the streaming substrate,
@@ -49,7 +49,7 @@ const (
 	// OpSteal asks the worker to relinquish queued-but-unstarted runs
 	// (coordinator → worker): body Steal.
 	OpSteal = "steal"
-	// OpStolen returns the run ids actually relinquished (worker →
+	// OpStolen returns the slots of the runs actually relinquished (worker →
 	// coordinator): body Stolen.
 	OpStolen = "stolen"
 	// OpDrain tells the worker the campaign is over (coordinator → worker);
@@ -91,7 +91,7 @@ const (
 // refused at its first record by the schema check in recv, instead of
 // misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v5",
+	Name: "remote.v6",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -128,9 +128,11 @@ type LeaseGrant struct {
 	Trace telemetry.TraceID `json:"trace"`
 }
 
-// Assignment is one batch of runs.
+// Assignment is one batch of runs. Slots[i] is Runs[i]'s slot, its index in
+// the coordinator's run list, which the run's Outcome echoes.
 type Assignment struct {
-	Runs []cheetah.Run `json:"runs"`
+	Runs  []cheetah.Run `json:"runs"`
+	Slots []int         `json:"slots,omitempty"`
 	// Trace is not filled and not on the wire: the coordinator files a
 	// worker's run span from its Outcome (DESIGN.md §4h). It stays declared
 	// only because bench/layers.go still builds it to size its JSON body
@@ -165,6 +167,7 @@ type Outcome struct {
 	StartUnixNano  int64 `json:"start,omitempty"`
 	QueueWaitNanos int64 `json:"queue_wait,omitempty"`
 	Span           int64 `json:"span,omitempty"`
+	Slot           int   `json:"slot,omitempty"` // the run's assigned slot, checked against RunID (DESIGN.md §4g)
 }
 
 // Heartbeat renews a lease. What a worker holds the coordinator already
@@ -211,10 +214,10 @@ type Steal struct {
 	N int `json:"n"`
 }
 
-// Stolen lists the run ids a worker actually relinquished (never ones it
-// already started — stealing must not double-execute).
+// Stolen lists the slots of the runs a worker actually relinquished (never
+// ones it already started — stealing must not double-execute).
 type Stolen struct {
-	RunIDs []string `json:"runs"`
+	Slots []int `json:"slots,omitempty"`
 }
 
 // ResultAck acknowledges outcome reports: the run ids whose outcomes the
@@ -452,12 +455,12 @@ func (c *conn) write(batch []outMsg) error {
 	return err
 }
 
-// merge folds a batch's assigns into its first assign (runs in order) and
-// its result-acks into its first ack (run ids in order),
-// while worker, lease and epoch agree. It is batch-wide, not adjacency-only
+// merge folds a batch's assigns into its first assign (runs and their slots
+// in order) and its result-acks into its first ack (run ids in order), while
+// worker, lease and epoch agree. It is batch-wide, not adjacency-only
 // (a busy queue alternates assign, ack, assign, ack); moving a later assign
 // or ack ahead of a steal or heartbeat-ack between them is safe, since a
-// stolen reply names the ids actually relinquished and an ack only clears a
+// stolen reply names the slots actually relinquished and an ack only clears a
 // spool entry. No other verb is touched; a lone message goes out as posted.
 func merge(batch []outMsg) []outMsg {
 	out := batch[:0]
@@ -471,7 +474,7 @@ func merge(batch []outMsg) []outMsg {
 		case *Assignment:
 			if assign >= 0 && same(assign, m) {
 				t := out[assign].body.(*Assignment)
-				t.Runs = append(t.Runs, b.Runs...)
+				t.Runs, t.Slots = append(t.Runs, b.Runs...), append(t.Slots, b.Slots...)
 				continue
 			}
 			assign = len(out)

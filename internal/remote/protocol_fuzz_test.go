@@ -37,8 +37,8 @@ func FuzzRemoteMessage(f *testing.F) {
 	}}))
 	f.Add(wireBytes(f,
 		outMsg{op: OpHello, worker: "w0", body: &Hello{Slots: 2}},
-		outMsg{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: &Outcome{RunID: "r1", OK: true, Seconds: 1.25e-07, Outputs: map[string]string{"out": "sha256:ab"}}},
-		outMsg{op: OpStolen, worker: "w0", lease: 3, body: &Stolen{RunIDs: []string{"r8", "r9"}}},
+		outMsg{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: &Outcome{RunID: "r1", OK: true, Seconds: 1.25e-07, Outputs: map[string]string{"out": "sha256:ab"}, Slot: 1}},
+		outMsg{op: OpStolen, worker: "w0", lease: 3, body: &Stolen{Slots: []int{8, 9}}},
 		outMsg{op: OpDrain, worker: "w0", lease: 3}))
 	f.Add(merged[:len(merged)-9]) // a truncated frame
 	f.Add([]byte("FBS1"))

@@ -7,6 +7,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"fairflow/internal/appendlog"
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
+	"fairflow/internal/provenance"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
 	"fairflow/internal/telemetry"
@@ -403,6 +406,121 @@ func TestRemoteSteal(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(counts["w1"]); got == 0 {
 		t.Fatal("late worker executed nothing — steal did not rebalance")
+	}
+}
+
+// TestStolenSlotNotHeldIsIgnored: a scripted worker holding slots 0 and 1
+// answers with an unasked-for stolen reply naming slot 1, which it holds, and
+// slots 2 (queued, not yet anyone's), 7 (past the run list) and -1, which it
+// does not. Only slot 1 is taken back; the rest are ignored, so every run is
+// dispatched once but slot 1, twice, and succeeds once.
+func TestStolenSlotNotHeldIsIgnored(t *testing.T) {
+	ln := listen(t)
+	metrics := telemetry.NewRegistry()
+	e := &Engine{Listener: ln, BatchSize: 2, LeaseTTL: 5 * time.Second, Metrics: metrics}
+	type campaign struct {
+		results []savanna.RunResult
+		report  resilience.CompletenessReport
+	}
+	done := make(chan campaign, 1)
+	go func() {
+		results, report, _ := e.RunCampaign(context.Background(), "steal-slots", testRuns(4))
+		done <- campaign{results, report}
+	}()
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newConn(nc, 5*time.Second, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	c.post(OpHello, "w0", 0, &Hello{Slots: 1})
+	var assigned []int
+	finish := func(a Assignment, skip int) {
+		for i, run := range a.Runs {
+			assigned = append(assigned, a.Slots[i])
+			if a.Slots[i] != skip {
+				c.post(OpResult, "w0", 1, &Outcome{RunID: run.ID, OK: true, Slot: a.Slots[i]})
+			}
+		}
+	}
+	for first := true; ; {
+		m, err := c.recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("scripted worker: %v", err)
+		}
+		if m.Op == OpDrain {
+			break
+		}
+		if m.Op != OpAssign {
+			continue
+		}
+		a, err := decodeBody[Assignment](m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			if !slices.Equal(a.Slots, []int{0, 1}) {
+				t.Fatalf("first assign slots = %v, want [0 1]", a.Slots)
+			}
+			c.post(OpStolen, "w0", 1, &Stolen{Slots: []int{1, 2, 7, -1}})
+			finish(a, 1)
+			first = false
+			continue
+		}
+		finish(a, -1)
+	}
+	c.close()
+	got := <-done
+	if !got.report.Complete() || got.report.Succeeded != 4 {
+		t.Fatalf("report = %+v", got.report)
+	}
+	for i, r := range got.results {
+		if r.Run.ID != testRuns(4)[i].ID || r.Status != provenance.StatusSucceeded {
+			t.Errorf("result %d = %+v", i, r)
+		}
+	}
+	if !slices.Equal(assigned, []int{0, 1, 2, 3, 1}) {
+		t.Errorf("slots assigned in order %v, want [0 1 2 3 1]: only slot 1 taken back, at the back of the queue", assigned)
+	}
+	if n := metrics.Counter("remote.stolen_runs_total").Value(); n != 1 {
+		t.Errorf("stolen_runs_total = %d, want 1", n)
+	}
+}
+
+// TestBareCampaignMakesNoPointKeyOrIndex: a journal-less, quarantine-less
+// 10,000-run loopback campaign never makes a point key and never builds the
+// id index — every outcome found its run by its slot — and its results are
+// the ones its runs' states wrote in place, in run order.
+func TestBareCampaignMakesNoPointKeyOrIndex(t *testing.T) {
+	ln := listen(t)
+	var co *coordinator
+	e := &Engine{Listener: ln, BatchSize: 32, LeaseTTL: 5 * time.Second, finished: func(c *coordinator) { co = c }}
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := startWorkers(t, ctx, ln.Addr().String(), 2, 1, func(string) savanna.Executor {
+		return execFn(func(context.Context, cheetah.Run) error { return nil })
+	})
+	runs := testRuns(10_000)
+	results, report, err := e.RunCampaign(context.Background(), "bare", runs)
+	cancel()
+	stop()
+	if err != nil || !report.Complete() || report.Succeeded != len(runs) {
+		t.Fatalf("report = %+v, err %v", report, err)
+	}
+	if co.index != nil {
+		t.Errorf("the id index was built (%d entries) though every slot matched", len(co.index))
+	}
+	for i := range runs {
+		st := &co.state[i]
+		if point := reflect.ValueOf(st).Elem().FieldByName("point").String(); point != "" {
+			t.Fatalf("run %d: point key %q made with neither journal nor quarantine", i, point)
+		}
+		if st.Result != &results[i] || results[i].Run.ID != runs[i].ID || results[i].Status != provenance.StatusSucceeded {
+			t.Fatalf("run %d: result %+v, not its state's in place", i, results[i])
+		}
 	}
 }
 

@@ -184,26 +184,30 @@ func spanID(lease, id int64) int64 {
 	return lease<<workerSpanBits | id
 }
 
-// fileWorkerSpanLocked files the span of the attempt out reports, under the
-// number the worker exported as TRACEPARENT (0: the worker has no tracer), in
-// w's namespace, with parent (the run's remote.run span, 0 for a root). First
-// its end stamp feeds w's skew estimate as an unmeasured sample, so spans land
-// on the coordinator's timeline before any heartbeat — when the attempt was
-// one of w's, queue wait and all since its lease was granted: a spool
-// replay's stamp predates the grant. Callers hold co.mu, before out leaves
-// w.outstanding. The attempt ended before its Outcome was received, so a
-// span the estimate ends later is moved back, whole, to end at the receipt:
-// the skew estimate's error is bounded only by half a round trip, and the
-// run's remote.run span, which ends once an Outcome concludes the run, must
-// contain it.
-func (co *coordinator) fileWorkerSpanLocked(w *wstate, out *Outcome, parent int64) {
+// fileWorkerSpanLocked files the span of the attempt out reports on run i
+// (-1: none tracked), under the number the worker exported as TRACEPARENT (0:
+// the worker has no tracer), in w's namespace, under the run's remote.run
+// span (a root without one). First its end stamp feeds w's skew estimate as
+// an unmeasured sample, so spans land on the coordinator's timeline before
+// any heartbeat — when the attempt was one of w's, queue wait and all since
+// its lease was granted: a spool replay's stamp predates the grant. Callers
+// hold co.mu, before out leaves w.outstanding. The attempt ended before its
+// Outcome was received, so a span the estimate ends later is moved back,
+// whole, to end at the receipt: the skew estimate's error is bounded only by
+// half a round trip, and the run's remote.run span, which ends once an
+// Outcome concludes the run, must contain it.
+func (co *coordinator) fileWorkerSpanLocked(w *wstate, out *Outcome, i int) {
 	id := spanID(w.lease, out.Span)
 	if co.e.Tracer == nil || id == 0 {
 		return
 	}
+	var parent int64
+	if i >= 0 {
+		parent = co.state[i].Span.ID()
+	}
 	start, elapsed := time.Unix(0, out.StartUnixNano), time.Duration(out.Seconds*float64(time.Second))
 	recv := time.Now()
-	if w.outstanding[out.RunID] && recv.Sub(w.joined) >= elapsed+time.Duration(out.QueueWaitNanos) {
+	if w.outstanding[i] && recv.Sub(w.joined) >= elapsed+time.Duration(out.QueueWaitNanos) {
 		w.skew.sample(start.Add(elapsed), 0, recv)
 	}
 	attrs := append(make([]telemetry.Attr, 0, 6), telemetry.String("run", out.RunID), telemetry.String("worker", w.name),

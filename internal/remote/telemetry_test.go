@@ -289,12 +289,15 @@ func TestHandleTelemetryMerge(t *testing.T) {
 }
 
 // mergeCoordinator is the part of a coordinator the telemetry merge reads:
-// the engine and the campaign's runs, by id.
+// the engine and the campaign's runs, each begun, at slots in order.
 func mergeCoordinator(e *Engine, ids ...string) *coordinator {
-	co := &coordinator{e: e, workers: map[string]*wstate{}, index: map[string]int{}}
-	for i, id := range ids {
-		co.index[id] = i
-		co.state = append(co.state, savanna.NewRunState(cheetah.Run{ID: id}))
+	co := &coordinator{e: e, workers: map[string]*wstate{}}
+	for _, id := range ids {
+		co.runs = append(co.runs, cheetah.Run{ID: id})
+	}
+	co.state, co.results = make([]savanna.RunState, len(ids)), make([]savanna.RunResult, len(ids))
+	for i := range ids {
+		co.st(i)
 	}
 	return co
 }
@@ -311,8 +314,8 @@ func TestTraceMergeParentsReDispatchedAttempts(t *testing.T) {
 	_, runSpan := e.Tracer.Start(context.Background(), "remote.run", telemetry.String("run", "g/s/run-1"))
 	co.state[0].Span = runSpan
 	co.state[0].Result.Status = provenance.StatusSucceeded // the live worker's outcome ended it
-	expired := &wstate{name: "wa", lease: 1, dead: true, outstanding: map[string]bool{}}
-	live := &wstate{name: "wb", lease: 2, outstanding: map[string]bool{}}
+	expired := &wstate{name: "wa", lease: 1, dead: true, outstanding: map[int]bool{}}
+	live := &wstate{name: "wb", lease: 2, outstanding: map[int]bool{}}
 	started := map[string]time.Time{}
 	for i, w := range []*wstate{live, expired} {
 		started[w.name] = time.Now().Add(-time.Duration(i+1) * time.Second).Truncate(time.Microsecond)
@@ -359,7 +362,7 @@ func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
 		co.state[i].Result.Status = provenance.StatusSucceeded // the span is all this test reads
 	}
 	w := &wstate{name: "w0", lease: 1, joined: time.Now().Add(-2 * time.Second),
-		outstanding: map[string]bool{"r1": true, "r3": true, "r4": true, "r5": true}}
+		outstanding: map[int]bool{0: true, 2: true, 3: true, 4: true}} // r1, r3, r4, r5
 	const fast = 5 * time.Second
 	const elapsed = 500 * time.Millisecond
 	const slack = 50 * time.Millisecond
@@ -370,8 +373,9 @@ func TestWorkerSpanSkewWithoutHeartbeat(t *testing.T) {
 	report := func(run string, ago, wait time.Duration) (span telemetry.SpanData, want, recv time.Time) {
 		now := time.Now()
 		end := now.Add(fast - ago)
+		slot := int(run[1] - '1')
 		co.handleResultLocked(w, Outcome{RunID: run, OK: true, Seconds: elapsed.Seconds(), StartUnixNano: end.Add(-elapsed).UnixNano(),
-			QueueWaitNanos: int64(wait), Span: int64(co.index[run] + 1)})
+			QueueWaitNanos: int64(wait), Span: int64(slot + 1), Slot: slot})
 		for _, d := range e.Tracer.Snapshot() {
 			if d.Attr("run") == run {
 				span = d

@@ -277,17 +277,20 @@ func (a *Assignment) appendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(a.Runs)))
 	for i := range a.Runs {
 		run := &a.Runs[i]
-		b = appendString(appendString(appendString(b, run.ID), run.Group), run.Sweep)
+		b = appendString(appendString(appendString(binary.AppendUvarint(b, uint64(a.Slots[i])), run.ID), run.Group), run.Sweep)
 		b = appendMap(appendInt(b, int64(run.Index)), run.Params)
 	}
 	return b
 }
 
 func (a *Assignment) readWire(r *rbuf) {
-	a.Runs = list[cheetah.Run](r, 5)
+	a.Runs = list[cheetah.Run](r, 6)
+	if a.Runs != nil {
+		a.Slots = make([]int, len(a.Runs))
+	}
 	for i := range a.Runs {
 		run := &a.Runs[i]
-		run.ID, run.Group, run.Sweep = r.str(), r.str(), r.str()
+		a.Slots[i], run.ID, run.Group, run.Sweep = int(r.uvarint()), r.str(), r.str(), r.str()
 		run.Index, run.Params = r.int(), r.strMap()
 	}
 }
@@ -297,7 +300,7 @@ func (o *Outcome) appendWire(b []byte) []byte {
 	b = appendString(appendString(appendFloat(b, o.Seconds), o.Err), o.Class)
 	b = appendFloat(appendFloat(appendMap(b, o.Outputs), o.CPUUserSeconds), o.CPUSystemSeconds)
 	b = appendInt(appendInt(appendInt(b, o.MaxRSSBytes), o.StartUnixNano), o.QueueWaitNanos)
-	return appendInt(b, o.Span)
+	return binary.AppendUvarint(appendInt(b, o.Span), uint64(o.Slot))
 }
 
 func (o *Outcome) readWire(r *rbuf) {
@@ -305,6 +308,7 @@ func (o *Outcome) readWire(r *rbuf) {
 	o.Seconds, o.Err, o.Class = r.float(), r.str(), r.str()
 	o.Outputs, o.CPUUserSeconds, o.CPUSystemSeconds = r.strMap(), r.float(), r.float()
 	o.MaxRSSBytes, o.StartUnixNano, o.QueueWaitNanos, o.Span = r.varint(), r.varint(), r.varint(), r.varint()
+	o.Slot = int(r.uvarint())
 }
 
 func (h *Heartbeat) appendWire(b []byte) []byte {
@@ -319,8 +323,20 @@ func (a *HeartbeatAck) readWire(r *rbuf)           { a.EchoUnixNano = r.varint()
 func (s *Steal) appendWire(b []byte) []byte { return appendInt(b, int64(s.N)) }
 func (s *Steal) readWire(r *rbuf)           { s.N = r.int() }
 
-func (s *Stolen) appendWire(b []byte) []byte { return appendStrings(b, s.RunIDs) }
-func (s *Stolen) readWire(r *rbuf)           { s.RunIDs = r.strs() }
+func (s *Stolen) appendWire(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Slots)))
+	for _, slot := range s.Slots {
+		b = binary.AppendUvarint(b, uint64(slot))
+	}
+	return b
+}
+
+func (s *Stolen) readWire(r *rbuf) {
+	s.Slots = list[int](r, 1)
+	for i := range s.Slots {
+		s.Slots[i] = int(r.uvarint())
+	}
+}
 
 func (a *ResultAck) appendWire(b []byte) []byte { return appendStrings(b, a.RunIDs) }
 func (a *ResultAck) readWire(r *rbuf)           { a.RunIDs = r.strs() }

@@ -72,22 +72,25 @@ var goldenBodies = []struct {
 	{OpLeaseGrant, &LeaseGrant{Campaign: "c", TTLMillis: 1500, Component: "sha256:ab",
 		Inputs: map[string]string{"b": "2", "a": "1"}, Epoch: 3, Trace: goldenTrace},
 		"0163b8170973686132" + "35363a616202016101310162013206" + "0123456789abcdef0123456789abcdef"},
+	// Each run leads with its slot (1, then 300: a two-byte uvarint).
 	{OpAssign, &Assignment{
 		Runs: []cheetah.Run{
 			{ID: "g/s/run-00001", Group: "g", Sweep: "s", Index: 1, Params: map[string]string{"x": "1"}},
-			{ID: "g/s/run-00002", Group: "g", Sweep: "s", Index: 2}}},
-		"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400"},
+			{ID: "g/s/run-00002", Group: "g", Sweep: "s", Index: 2}},
+		Slots: []int{1, 300}},
+		"02" + "01" + "0d672f732f72756e2d303030303101670173020101780131" + "ac02" + "0d672f732f72756e2d3030303032016701730400"},
+	// An outcome ends with its slot.
 	{OpResult, &Outcome{RunID: "r1", OK: true, Seconds: 1.5, Outputs: map[string]string{"out": "sha256:ab"},
-		CPUUserSeconds: 0.25, MaxRSSBytes: 4096, StartUnixNano: 1_700_000_000_000_000_000, QueueWaitNanos: 1500, Span: 7},
+		CPUUserSeconds: 0.25, MaxRSSBytes: 4096, StartUnixNano: 1_700_000_000_000_000_000, QueueWaitNanos: 1500, Span: 7, Slot: 5},
 		"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040" +
-			"8080d0e2c6bfce972fb8170e"},
-	{OpResult, &Outcome{RunID: "r2", Cached: true, Err: "boom", Class: "transient"},
-		"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000" + "000000"},
+			"8080d0e2c6bfce972fb8170e" + "05"},
+	{OpResult, &Outcome{RunID: "r2", Cached: true, Err: "boom", Class: "transient", Slot: 300},
+		"0272320001000000000000000004626f6f6d097472616e7369656e7400" + "0000000000000000000000000000000000" + "000000" + "ac02"},
 	{OpHeartbeat, &Heartbeat{SentUnixNano: 1_700_000_000_000_000_000, RTTNanos: 1500},
 		"8080d0e2c6bfce972fb817"},
 	{OpHeartbeatAck, &HeartbeatAck{EchoUnixNano: 7}, "0e"},
 	{OpSteal, &Steal{N: 2}, "04"},
-	{OpStolen, &Stolen{RunIDs: []string{"r8", "r9"}}, "02027238027239"},
+	{OpStolen, &Stolen{Slots: []int{8, 300}}, "02" + "08" + "ac02"},
 	{OpResultAck, &ResultAck{RunIDs: []string{"x", "y"}}, "0201780179"},
 	{OpTelemetry, goldenBatch(),
 		// two spans: the second's zero times are ffdb8ff9ce03 00
@@ -103,6 +106,17 @@ var goldenBodies = []struct {
 
 // goldenTrace is the lease-grant vector's coordinator trace id.
 var goldenTrace = telemetry.TraceID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}
+
+// remoteV5Bodies are the assign, result and stolen vectors of remote.v5,
+// which carried no slots: an outcome found its run by id alone and a stolen
+// reply listed run ids. A v5 peer is refused at its first record by the
+// schema check; its bodies stay fuzz seeds.
+var remoteV5Bodies = []string{
+	"020d672f732f72756e2d303030303101670173020101780131" + "0d672f732f72756e2d3030303032016701730400",
+	"0272310100000000000000f83f000001036f7574097368613235363a6162" + "000000000000d03f00000000000000008040" +
+		"8080d0e2c6bfce972fb8170e",
+	"02027238027239",
+}
 
 // remoteV4Bodies are the lease-grant and result vectors of remote.v4, whose
 // grant carried no trace id and whose outcome ended at max_rss: a worker's
@@ -187,14 +201,23 @@ func TestWireGolden(t *testing.T) {
 
 // FuzzWireBody feeds arbitrary bytes to every verb's readWire: nothing
 // panics, and whatever decodes cleanly re-encodes to bytes that decode to a
-// deep-equal value. Seeds are the golden vectors, then remote.v2's,
-// remote.v3's and remote.v4's, and every proper prefix of each.
+// deep-equal value. Seeds are the golden vectors, remote.v6's slots at their
+// edges, then remote.v2's, remote.v3's, remote.v4's and remote.v5's, and
+// every proper prefix of each.
 func FuzzWireBody(f *testing.F) {
-	vectors := make([]string, 0, len(goldenBodies)+len(remoteV2Bodies)+1+len(remoteV4Bodies))
+	var vectors []string
 	for _, g := range goldenBodies {
 		vectors = append(vectors, g.hex)
 	}
-	vectors = append(append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat), remoteV4Bodies...)
+	for _, b := range []wireBody{
+		&Assignment{Runs: []cheetah.Run{{ID: "r0"}, {ID: "r1"}}, Slots: []int{0, math.MaxInt}},
+		&Outcome{RunID: "r", Slot: -1}, // all 64 bits: a ten-byte uvarint
+		&Stolen{Slots: []int{}},
+		&Stolen{Slots: []int{0, math.MaxInt, -1}},
+	} {
+		vectors = append(vectors, hex.EncodeToString(encodeBody(b)))
+	}
+	vectors = append(append(append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat), remoteV4Bodies...), remoteV5Bodies...)
 	for _, v := range vectors {
 		raw, _ := hex.DecodeString(v)
 		for n := 0; n <= len(raw); n++ {
@@ -236,7 +259,8 @@ func TestWireRejects(t *testing.T) {
 		// 2³² spans claimed by a 5-byte body: refused at the count, before
 		// anything that size could be allocated.
 		{"count beyond the body", OpTelemetry, []byte{0x80, 0x80, 0x80, 0x80, 0x10}, "count exceeds"},
-		{"string beyond the body", OpStolen, []byte{1, 200, 'x'}, "past the end"},
+		{"string beyond the body", OpResultAck, []byte{1, 200, 'x'}, "past the end"},
+		{"slot list beyond the body", OpStolen, []byte{3, 8, 9}, "count exceeds"},
 		{"trailing bytes", OpHello, []byte{4, 0}, "trailing bytes"},
 		{"truncated", OpResult, outcome[:len(outcome)-1], "varint"},
 		{"overlong varint", OpSteal, bytes.Repeat([]byte{0xff}, 11), "varint"},
@@ -271,6 +295,7 @@ func TestWireEncodeAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		a.Runs = append(a.Runs, cheetah.Run{ID: fmt.Sprintf("g/s/run-%05d", i), Group: "g", Sweep: "s", Index: i,
 			Params: map[string]string{"x": "1", "y": "2", "z": "3"}})
+		a.Slots = append(a.Slots, i)
 	}
 	for _, body := range []wireBody{out, a} {
 		scratch := body.appendWire(nil)
@@ -462,20 +487,28 @@ func (r randBodies) all() []wireBody {
 			}),
 		}
 	}
+	// An assign's slots run parallel to its runs.
+	assign := &Assignment{Runs: randList(r, func() cheetah.Run {
+		return cheetah.Run{ID: r.str(), Group: r.str(), Sweep: r.str(), Index: int(r.i64()), Params: r.strMap()}
+	})}
+	if assign.Runs != nil {
+		assign.Slots = make([]int, len(assign.Runs))
+		for i := range assign.Slots {
+			assign.Slots[i] = int(r.i64())
+		}
+	}
 	return []wireBody{
 		&Hello{Slots: int(r.i64())},
 		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Component: r.str(), Inputs: r.strMap(), Epoch: r.i64(),
 			Trace: r.trace()},
-		&Assignment{Runs: randList(r, func() cheetah.Run {
-			return cheetah.Run{ID: r.str(), Group: r.str(), Sweep: r.str(), Index: int(r.i64()), Params: r.strMap()}
-		})},
+		assign,
 		&Outcome{RunID: r.str(), OK: r.Intn(2) == 0, Cached: r.Intn(2) == 0, Seconds: r.f64(), Err: r.str(),
 			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64(),
-			StartUnixNano: r.i64(), QueueWaitNanos: r.i64(), Span: r.i64()},
+			StartUnixNano: r.i64(), QueueWaitNanos: r.i64(), Span: r.i64(), Slot: int(r.i64())},
 		&Heartbeat{SentUnixNano: r.i64(), RTTNanos: r.i64()},
 		&HeartbeatAck{EchoUnixNano: r.i64()},
 		&Steal{N: int(r.i64())},
-		&Stolen{RunIDs: randList(r, r.str)},
+		&Stolen{Slots: randList(r, func() int { return int(r.i64()) })},
 		&ResultAck{RunIDs: randList(r, r.str)},
 		batch,
 	}

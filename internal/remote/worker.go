@@ -176,15 +176,20 @@ type wsession struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []cheetah.Run
+	queue    []queued
 	draining bool
 	readErr  error
-	// enqueued stamps each queued run's arrival (the queue-wait clock).
-	// Entries leave at pop, steal, or drain.
-	enqueued map[string]time.Time
 
 	// lastRTT is the latest heartbeat round trip in nanoseconds.
 	lastRTT atomic.Int64
+}
+
+// queued is one assigned run awaiting an executor: its wire slot, which its
+// Outcome echoes, and its arrival, the queue-wait clock.
+type queued struct {
+	run  cheetah.Run
+	slot int
+	at   time.Time
 }
 
 // Run serves one campaign: dial, hello, lease, then execute assignments
@@ -266,13 +271,8 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	var memo *savanna.Memo
 	if w.Cache != nil {
-		memo = &savanna.Memo{
-			Cache:           w.Cache,
-			ComponentDigest: grant.Component,
-			InputDigests:    grant.Inputs,
-			Collect:         w.Collect,
-			Restore:         w.Restore,
-		}
+		memo = &savanna.Memo{Cache: w.Cache, ComponentDigest: grant.Component, InputDigests: grant.Inputs,
+			Collect: w.Collect, Restore: w.Restore}
 		if memo.Validate() != nil {
 			memo = nil
 		}
@@ -280,8 +280,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s := &wsession{w: w, c: c, name: name, trace: grant.Trace,
-		enqueued: map[string]time.Time{}}
+	s := &wsession{w: w, c: c, name: name, trace: grant.Trace}
 	s.cond = sync.NewCond(&s.mu)
 	runCtx, span := w.Tracer.Start(runCtx, "remote.worker",
 		telemetry.String("worker", name), telemetry.String("campaign", grant.Campaign))
@@ -291,13 +290,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	// Heartbeat at a third of the TTL — two may be lost before the lease
 	// lapses.
-	hb := w.Heartbeat
-	if hb <= 0 {
-		hb = time.Duration(grant.TTLMillis) * time.Millisecond / 3
-	}
-	if hb <= 0 {
-		hb = time.Second
-	}
+	hb := orDefault(w.Heartbeat, orDefault(time.Duration(grant.TTLMillis)*time.Millisecond/3, time.Second))
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go s.heartbeatLoop(hb, lease, hbStop)
@@ -402,10 +395,9 @@ func (s *wsession) readLoop(lease int64) error {
 			}
 			now := time.Now()
 			s.mu.Lock()
-			for _, r := range a.Runs {
-				s.enqueued[r.ID] = now
+			for i, r := range a.Runs {
+				s.queue = append(s.queue, queued{r, a.Slots[i], now})
 			}
-			s.queue = append(s.queue, a.Runs...)
 			s.w.gQueued.Set(float64(len(s.queue)))
 			s.cond.Broadcast()
 			s.mu.Unlock()
@@ -442,7 +434,6 @@ func (s *wsession) readLoop(lease int64) error {
 			s.mu.Lock()
 			s.draining = true
 			s.queue = nil
-			s.enqueued = map[string]time.Time{}
 			s.w.gQueued.Set(0)
 			s.cond.Broadcast()
 			s.mu.Unlock()
@@ -455,26 +446,21 @@ func (s *wsession) readLoop(lease int64) error {
 // only runs no executor has started, so a steal can never double-execute.
 func (s *wsession) relinquish(n int, lease int64) {
 	s.mu.Lock()
-	if n > len(s.queue) {
-		n = len(s.queue)
-	}
-	ids := make([]string, 0, n)
+	n = max(min(n, len(s.queue)), 0)
+	slots := make([]int, 0, n)
 	if n > 0 {
 		cut := len(s.queue) - n
-		for _, r := range s.queue[cut:] {
-			ids = append(ids, r.ID)
-			delete(s.enqueued, r.ID)
+		for _, q := range s.queue[cut:] {
+			slots = append(slots, q.slot)
 		}
 		s.queue = s.queue[:cut]
 		s.w.gQueued.Set(float64(len(s.queue)))
 	}
 	s.mu.Unlock()
-	for range ids {
-		s.w.mStolen.Inc()
-	}
+	s.w.mStolen.Add(int64(n))
 	// Always answer, even with nothing to give — the coordinator's
 	// steal-in-flight latch waits for the reply.
-	s.c.post(OpStolen, s.name, lease, &Stolen{RunIDs: ids})
+	s.c.post(OpStolen, s.name, lease, &Stolen{Slots: slots})
 }
 
 // heartbeatLoop renews the lease until the session ends.
@@ -534,18 +520,13 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 			s.mu.Unlock()
 			return
 		}
-		run := s.queue[0]
+		q := s.queue[0]
 		s.queue = s.queue[1:]
-		var wait time.Duration
-		if at, ok := s.enqueued[run.ID]; ok {
-			wait = time.Since(at)
-			delete(s.enqueued, run.ID)
-		}
 		w.gQueued.Set(float64(len(s.queue)))
 		w.gInFlight.Add(1)
 		s.mu.Unlock()
 
-		out := s.execute(ctx, run, memo, wait, lease)
+		out := s.execute(ctx, q, memo, lease)
 		w.gInFlight.Add(-1)
 		// Spool before sending: the outcome survives until the coordinator
 		// acks it, so a result lost to a dying connection (or to a
@@ -565,14 +546,15 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 
 // execute runs one assignment locally — memo lookup, then savanna.Attempt,
 // the attempt body LocalEngine runs — and reports it as a wire outcome, which
-// carries what the coordinator files the attempt's span from (DESIGN.md §4h),
-// numbered from the worker's tracer (0, no span, without one). wait is the
-// run's local queue wait.
-func (s *wsession) execute(ctx context.Context, run cheetah.Run, memo *savanna.Memo, wait time.Duration, lease int64) Outcome {
-	w := s.w
-	w.hQueueWait.Observe(wait.Seconds())
+// echoes its slot and carries what the coordinator files the attempt's span
+// from (DESIGN.md §4h), numbered from the worker's tracer (0, no span,
+// without one).
+func (s *wsession) execute(ctx context.Context, q queued, memo *savanna.Memo, lease int64) Outcome {
+	w, run := s.w, q.run
 	start := time.Now()
-	out := Outcome{RunID: run.ID, StartUnixNano: start.UnixNano(), QueueWaitNanos: int64(wait), Span: w.Tracer.NewSpanID()}
+	wait := start.Sub(q.at)
+	w.hQueueWait.Observe(wait.Seconds())
+	out := Outcome{RunID: run.ID, StartUnixNano: start.UnixNano(), QueueWaitNanos: int64(wait), Span: w.Tracer.NewSpanID(), Slot: q.slot}
 	if res, ok := memo.Lookup(run); ok {
 		w.mCached.Inc()
 		out.OK, out.Cached, out.Outputs = true, true, savanna.OutputDigests(res)

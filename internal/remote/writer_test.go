@@ -121,10 +121,16 @@ func render(ms []wireMsg) string {
 	return sb.String()
 }
 
+// assignMsg assigns the runs ids, each at a slot of its own: the sum of its
+// id's bytes.
 func assignMsg(worker string, lease int64, ids ...string) outMsg {
 	a := &Assignment{}
 	for _, id := range ids {
-		a.Runs = append(a.Runs, cheetah.Run{ID: id})
+		slot := 0
+		for _, c := range []byte(id) {
+			slot += int(c)
+		}
+		a.Runs, a.Slots = append(a.Runs, cheetah.Run{ID: id}), append(a.Slots, slot)
 	}
 	return outMsg{op: OpAssign, worker: worker, lease: lease, body: a}
 }
@@ -134,7 +140,8 @@ func ackMsg(worker string, lease int64, ids ...string) outMsg {
 }
 
 // TestWriterMergeTable pins the merge rules on what a peer decodes from the
-// bytes that reach the wire: batch-wide folding of assigns and acks, never
+// bytes that reach the wire: batch-wide folding of assigns (each run with its
+// slot) and acks, never
 // across a lease, a worker or an epoch, never touching another verb, and a
 // lone message unrewritten.
 func TestWriterMergeTable(t *testing.T) {

@@ -131,10 +131,7 @@ func (c *Controller) SetNow(now func() time.Time) { c.cfg.Now = now }
 // leaseholder on the remote coordinator's transitions, "" elsewhere). The
 // engine posts it to the campaign's recorder, which writes it.
 func (c *Controller) Record(run, point string, attempt int, event, worker string, class Class, err error) AttemptRecord {
-	rec := AttemptRecord{
-		Run: run, Point: point, Attempt: attempt,
-		Event: event, Class: class, Time: c.now(), Worker: worker,
-	}
+	rec := AttemptRecord{Run: run, Point: point, Attempt: attempt, Event: event, Class: class, Time: c.now(), Worker: worker}
 	if err != nil {
 		rec.Err = err.Error()
 	}

@@ -418,9 +418,7 @@ func Replay(recs []AttemptRecord) *ResumeState {
 			// pending — Remaining filters on real run ids, so they never
 			// resurface as work.)
 		case EpochOpened:
-			if r.Epoch > s.Epoch {
-				s.Epoch = r.Epoch
-			}
+			s.Epoch = max(s.Epoch, r.Epoch)
 		}
 		// AttemptKilled and AttemptSkipped leave the run pending: both
 		// requeue on resume.
@@ -434,10 +432,9 @@ func Replay(recs []AttemptRecord) *ResumeState {
 func (s *ResumeState) Remaining(runIDs []string) []string {
 	var out []string
 	for _, id := range runIDs {
-		if s.Done[id] {
-			continue
+		if !s.Done[id] {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
 	return out
 }

@@ -109,12 +109,7 @@ type RetryPolicy struct {
 }
 
 // Attempts returns the effective attempt cap (≥ 1).
-func (p RetryPolicy) Attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
+func (p RetryPolicy) Attempts() int { return max(p.MaxAttempts, 1) }
 
 // Backoff computes the next delay using decorrelated jitter: the next wait
 // is drawn uniformly from [BaseDelay, 3 × previous wait], capped at
@@ -130,18 +125,11 @@ func (p RetryPolicy) Backoff(prev time.Duration, rng *rand.Rand) time.Duration {
 	if cap <= 0 {
 		cap = 64 * base
 	}
-	hi := 3 * prev
-	if hi < base {
-		hi = base
-	}
 	d := base
-	if span := hi - base; span > 0 {
+	if span := max(3*prev, base) - base; span > 0 {
 		d = base + time.Duration(rng.Int63n(int64(span)+1))
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, cap)
 }
 
 // Sleeper pauses between attempts. The local engine uses a real timer; tests

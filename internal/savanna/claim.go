@@ -126,9 +126,13 @@ func (c *Claim) reconcile() (int, error) {
 }
 
 // Owed filters runs to those the journal holds no success for, in order.
-// Quarantined runs stay owed; State carries the quarantine decisions.
+// Quarantined runs stay owed; State carries the quarantine decisions. With
+// nothing done the result is runs itself: callers treat both as read-only.
 func (c *Claim) Owed(runs []cheetah.Run) []cheetah.Run {
-	var todo []cheetah.Run
+	if len(c.State.Done) == 0 {
+		return runs
+	}
+	todo := make([]cheetah.Run, 0, max(len(runs)-len(c.State.Done), 0))
 	for _, r := range runs {
 		if !c.State.Done[r.ID] {
 			todo = append(todo, r)

@@ -177,7 +177,7 @@ func TestLifecycleRunEventAllocs(t *testing.T) {
 	log := eventlog.NewLog()
 	lc := Lifecycle{Campaign: "c", Events: log}
 	tr := telemetry.NewTracer()
-	r := NewRunState(cheetah.Run{ID: "g/s/run-00042"})
+	r := NewRunState(cheetah.Run{ID: "g/s/run-00042"}, new(RunResult))
 	_, r.Span = tr.Start(context.Background(), "remote.run")
 	event := func() {
 		lc.event(eventlog.Warn, eventlog.RunRetry, "again", &r, "w0", telemetry.String("attempt", "2"))

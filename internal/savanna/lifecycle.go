@@ -92,28 +92,40 @@ func NewInstruments(reg *telemetry.Registry, prefix, executed string) Instrument
 // NewRunState, sets Span when it opens the run's span, and reads Result once
 // Terminal reports true.
 type RunState struct {
-	// Result is the run's outcome. Until the run ends only Run and Attempts
-	// are set: Attempts counts the executions settled so far.
-	Result RunResult
+	// Result is the run's outcome, in the engine's results slice. Until the
+	// run ends only Run and Attempts are set: Attempts counts the executions
+	// settled so far.
+	Result *RunResult
 	// Span is the span the run's events are filed under and that its
 	// terminal decision ends: one per run for Local and Remote, one per
 	// attempt for Sim. Nil when the engine traces nothing.
 	Span *telemetry.Span
 
-	point string        // PointKey(run), computed once
+	point string        // PointKey(run), made by key on first use
 	open  bool          // Begin opened attempt Attempts+1 and nothing closed it yet
 	begun bool          // the run has been marked running
 	prev  time.Duration // last backoff delay, the jitter stream's memory
 	usage ResourceUsage // cost summed over the settled attempts
 }
 
-// NewRunState starts tracking run.
-func NewRunState(run cheetah.Run) RunState {
-	return RunState{Result: RunResult{Run: run}, point: PointKey(run)}
+// NewRunState starts tracking run, whose result it writes into res.
+func NewRunState(run cheetah.Run, res *RunResult) RunState {
+	*res = RunResult{Run: run}
+	return RunState{Result: res}
 }
 
-// Terminal reports whether the run has ended; Result is final from then on.
-func (r *RunState) Terminal() bool { return r.Result.Status != "" }
+// Terminal reports whether the run has ended (a zero RunState has not);
+// Result is final from then on.
+func (r *RunState) Terminal() bool { return r.Result != nil && r.Result.Status != "" }
+
+// key is the run's sweep point, made when a journal record, the quarantine or
+// its message first needs it: without journal and quarantine, never.
+func (r *RunState) key() string {
+	if r.point == "" {
+		r.point = PointKey(r.Result.Run)
+	}
+	return r.point
+}
 
 // AttemptResult is how one execution of a run ended, as the engine saw it.
 type AttemptResult struct {
@@ -189,7 +201,7 @@ func (lc *Lifecycle) Cached(r *RunState, g *Group, worker string, outputs map[st
 // the journal a resume restored — ends the run here without spending an
 // attempt: Admit reports false and the run is terminal.
 func (lc *Lifecycle) Admit(r *RunState, g *Group, worker string) bool {
-	if lc.Controller.Quarantine().Allow(r.point) {
+	if q := lc.Controller.Quarantine(); q == nil || q.Allow(r.key()) {
 		return true
 	}
 	lc.quarantine(r, g, worker, "", nil)
@@ -246,13 +258,15 @@ func (lc *Lifecycle) Settle(r *RunState, g *Group, o AttemptResult, halted bool)
 	r.usage.Accumulate(o.Usage)
 	q := lc.Controller.Quarantine()
 	if o.Err == nil {
-		q.NoteSuccess(r.point)
+		if q != nil {
+			q.NoteSuccess(r.key())
+		}
 		lc.journal(g, r, r.Result.Attempts, resilience.AttemptSuccess, o.Worker, "", nil)
 		lc.end(r, g, o)
 		return Decision{Terminal: true}
 	}
 	lc.journal(g, r, r.Result.Attempts, resilience.AttemptFailure, o.Worker, o.Class, o.Err)
-	if q.NoteFailure(r.point) {
+	if q != nil && q.NoteFailure(r.key()) {
 		lc.quarantine(r, g, o.Worker, o.Class, o.Err)
 		return Decision{Terminal: true}
 	}
@@ -325,7 +339,7 @@ func (lc *Lifecycle) end(r *RunState, g *Group, o AttemptResult) {
 // nil and no class, no attempt spent on it) or by the failure that tripped
 // the breaker, whose class the engine reported with it.
 func (lc *Lifecycle) quarantine(r *RunState, g *Group, worker string, class resilience.Class, cause error) {
-	r.Result.Err = "sweep point " + r.point + " quarantined"
+	r.Result.Err = "sweep point " + r.key() + " quarantined"
 	if cause != nil {
 		r.Result.Err = cause.Error()
 	}
@@ -348,7 +362,7 @@ func (lc *Lifecycle) quarantine(r *RunState, g *Group, worker string, class resi
 // span attribute and an ERROR event under the same span. worker is as in the
 // decision that ended the run.
 func (lc *Lifecycle) Conclude(r *RunState, worker string) (aborted bool) {
-	res := &r.Result
+	res := r.Result
 	attempts := telemetry.Int("attempts", res.Attempts)
 	switch {
 	case res.Cached:
@@ -367,7 +381,7 @@ func (lc *Lifecycle) Conclude(r *RunState, worker string) (aborted bool) {
 		r.Span.End(telemetry.Bool("cached", false), telemetry.String("status", "failed"),
 			telemetry.Bool("quarantined", true), attempts)
 		lc.event(eventlog.Error, eventlog.RunQuarantined, res.Err, r, worker,
-			telemetry.String("point", r.point), attempts)
+			telemetry.String("point", r.key()), attempts)
 	default:
 		lc.Metrics.RunSeconds.Observe(res.Seconds)
 		lc.Metrics.Attempts.Observe(float64(res.Attempts))
@@ -413,7 +427,7 @@ func (lc *Lifecycle) tally(kind string) (aborted bool) {
 // recorder would drop it: it is not built, since stamping reads the clock.
 func (lc *Lifecycle) journal(g *Group, r *RunState, attempt int, event, worker string, class resilience.Class, cause error) {
 	if lc.Controller.Journal() != nil {
-		g.Journal(lc.Controller.Record(r.Result.Run.ID, r.point, attempt, event, worker, class, cause))
+		g.Journal(lc.Controller.Record(r.Result.Run.ID, r.key(), attempt, event, worker, class, cause))
 	}
 }
 
@@ -440,16 +454,11 @@ func (lc *Lifecycle) provenance(g *Group, r *RunState, elapsed time.Duration, ou
 		Outputs:    outputs,
 	}
 	if r.Result.Cached {
-		rec.Annotations = append(rec.Annotations, provenance.Annotation{
-			Key: "cached", Value: "true", Sensitivity: provenance.Public,
-		})
+		rec.Annotations = append(rec.Annotations, provenance.Annotation{Key: "cached", Value: "true", Sensitivity: provenance.Public})
 	}
 	if !usage.Zero() {
-		rec.Resources = &provenance.Resources{
-			CPUUserSeconds:   usage.CPUUserSeconds,
-			CPUSystemSeconds: usage.CPUSystemSeconds,
-			MaxRSSBytes:      usage.MaxRSSBytes,
-		}
+		rec.Resources = &provenance.Resources{CPUUserSeconds: usage.CPUUserSeconds,
+			CPUSystemSeconds: usage.CPUSystemSeconds, MaxRSSBytes: usage.MaxRSSBytes}
 	}
 	g.Provenance(rec)
 }

@@ -52,7 +52,7 @@ func newLifecycleBench(t *testing.T, cfg resilience.Config) *lifecycleBench {
 
 // open tracks a run with a span, as an engine that traces would.
 func (b *lifecycleBench) open(id string, point int) *RunState {
-	r := NewRunState(cheetah.Run{ID: id, Params: map[string]string{"i": fmt.Sprint(point)}})
+	r := NewRunState(cheetah.Run{ID: id, Params: map[string]string{"i": fmt.Sprint(point)}}, new(RunResult))
 	_, r.Span = b.tracer.Start(context.Background(), "test.run", telemetry.String("run", id))
 	return &r
 }
@@ -438,13 +438,14 @@ func TestLifecycleGroupContents(t *testing.T) {
 }
 
 // TestLifecycleWithoutSinks: with no journal and no provenance store the
-// lifecycle builds neither record — and never reads the journal clock.
+// lifecycle builds neither record — and never reads the journal clock; with
+// no quarantine either, it never makes the run's point key.
 func TestLifecycleWithoutSinks(t *testing.T) {
 	lc := &Lifecycle{Controller: resilience.NewController(resilience.Config{
 		Now: func() time.Time { t.Error("journal clock read without a journal"); return time.Time{} },
 	})}
 	var g Group
-	r := NewRunState(cheetah.Run{ID: "bare"})
+	r := NewRunState(cheetah.Run{ID: "bare"}, new(RunResult))
 	lc.Admit(&r, &g, "")
 	lc.Begin(&r, &g)
 	if d := lc.Settle(&r, &g, okAttempt, false); !d.Terminal || lc.Conclude(&r, "") {
@@ -452,6 +453,9 @@ func TestLifecycleWithoutSinks(t *testing.T) {
 	}
 	if len(g.journal) != 0 || len(g.prov) != 0 {
 		t.Errorf("journal %v provenance %v, want neither", g.journal, g.prov)
+	}
+	if r.point != "" {
+		t.Errorf("point key %q made with neither journal nor quarantine", r.point)
 	}
 	if got := statuses(&g); !reflect.DeepEqual(got, []cheetah.RunStatus{cheetah.RunRunning, cheetah.RunSucceeded}) {
 		t.Errorf("status lines %v", got)

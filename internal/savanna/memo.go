@@ -2,6 +2,7 @@ package savanna
 
 import (
 	"fmt"
+	"maps"
 
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
@@ -132,9 +133,7 @@ func (m *Memo) provenanceInputs() map[string]string {
 	if m.ComponentDigest != "" {
 		in["component"] = m.ComponentDigest
 	}
-	for k, v := range m.InputDigests {
-		in[k] = v
-	}
+	maps.Copy(in, m.InputDigests)
 	if len(in) == 0 {
 		return nil
 	}

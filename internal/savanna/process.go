@@ -39,8 +39,7 @@ type ProcessExecutor struct {
 
 // Substitute expands {param} placeholders in one template string.
 func Substitute(tmpl string, run cheetah.Run) (string, error) {
-	out := tmpl
-	out = strings.ReplaceAll(out, "{run_id}", run.ID)
+	out := strings.ReplaceAll(tmpl, "{run_id}", run.ID)
 	out = strings.ReplaceAll(out, "{group}", run.Group)
 	out = strings.ReplaceAll(out, "{sweep}", run.Sweep)
 	for k, v := range run.Params {

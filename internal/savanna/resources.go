@@ -36,9 +36,7 @@ func (u ResourceUsage) Zero() bool {
 func (u *ResourceUsage) Accumulate(v ResourceUsage) {
 	u.CPUUserSeconds += v.CPUUserSeconds
 	u.CPUSystemSeconds += v.CPUSystemSeconds
-	if v.MaxRSSBytes > u.MaxRSSBytes {
-		u.MaxRSSBytes = v.MaxRSSBytes
-	}
+	u.MaxRSSBytes = max(u.MaxRSSBytes, v.MaxRSSBytes)
 }
 
 // RSSBuckets are the shared histogram bounds for peak-RSS metrics, in bytes:

@@ -50,8 +50,13 @@ type ContextExecutor interface {
 // PointKey renders a run's sweep point as a stable string — the quarantine
 // identity shared by every attempt at that parameter combination.
 func PointKey(run cheetah.Run) string {
-	if len(run.Params) == 0 {
+	switch len(run.Params) {
+	case 0:
 		return run.ID
+	case 1:
+		for k, v := range run.Params {
+			return k + "=" + v
+		}
 	}
 	// Up to 16 keys sort on the stack; the key is one allocation.
 	var stack [16]string
@@ -241,7 +246,7 @@ func (e *LocalEngine) run(ctx context.Context, campaign, discipline string, runs
 				defer wg.Done()
 				var g Group // this slot's, reused run after run
 				for i := lo + int(next.Add(1)) - 1; i < hi; i = lo + int(next.Add(1)) - 1 {
-					results[i] = e.runOne(ctx, lc, rec, runs[i], &g)
+					e.runOne(ctx, lc, rec, runs[i], &results[i], &g)
 				}
 			}()
 		}
@@ -258,14 +263,14 @@ func (e *LocalEngine) run(ctx context.Context, campaign, discipline string, runs
 // condition is journaled after it. A run is skipped when the worker that
 // picks it up finds the abort latch tripped or the campaign cancelled: no run
 // starts after either. A cancelled campaign retries nothing; an aborted one
-// lets a run under way use its budget.
-func (e *LocalEngine) runOne(ctx context.Context, lc *Lifecycle, rec *Recorder, run cheetah.Run, g *Group) RunResult {
+// lets a run under way use its budget. The result is written into res.
+func (e *LocalEngine) runOne(ctx context.Context, lc *Lifecycle, rec *Recorder, run cheetah.Run, res *RunResult, g *Group) {
 	start := time.Now()
-	r := NewRunState(run)
+	r := NewRunState(run, res)
 	if _, aborted := lc.Controller.Aborted(); aborted || ctx.Err() != nil {
 		lc.Skip(&r, g)
 		rec.Post(g)
-		return r.Result
+		return
 	}
 	runCtx, span := e.Tracer.Start(ctx, "savanna.run", telemetry.String("run", run.ID))
 	r.Span = span
@@ -299,5 +304,4 @@ func (e *LocalEngine) runOne(ctx context.Context, lc *Lifecycle, rec *Recorder, 
 	}
 	rec.Post(g)
 	lc.Conclude(&r, "")
-	return r.Result
 }

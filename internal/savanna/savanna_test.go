@@ -3,7 +3,9 @@ package savanna
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,5 +248,38 @@ func TestNoRetriesByDefault(t *testing.T) {
 	}
 	if results[0].Status != provenance.StatusFailed {
 		t.Fatal("failure not recorded")
+	}
+}
+
+// TestPointKeyOneParameterFastPath pins the one-parameter shortcut to the
+// bytes of the general rendering (keys sorted, "k=v" joined by ","), for 0, 1,
+// 2 and 17 parameters — 17 sorts off the stack — with keys and values that
+// themselves hold "," and "=".
+func TestPointKeyOneParameterFastPath(t *testing.T) {
+	general := func(run cheetah.Run) string {
+		if len(run.Params) == 0 {
+			return run.ID
+		}
+		var keys, parts []string
+		for k := range run.Params {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			parts = append(parts, k+"="+run.Params[k])
+		}
+		return strings.Join(parts, ",")
+	}
+	for _, n := range []int{0, 1, 2, 17} {
+		for _, odd := range []string{"", ",", "=", "a=b,c"} {
+			params := map[string]string{}
+			for i := 0; i < n; i++ {
+				params[fmt.Sprintf("k%s%02d", odd, 16-i)] = fmt.Sprintf("v%s%d", odd, i)
+			}
+			run := cheetah.Run{ID: "g/s/run-00007", Params: params}
+			if got, want := PointKey(run), general(run); got != want {
+				t.Errorf("%d parameter(s), %q in each: PointKey = %q, want %q", n, odd, got, want)
+			}
+		}
 	}
 }

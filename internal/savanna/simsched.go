@@ -39,11 +39,7 @@ func LogNormalDurations(medianSeconds, sigma float64) DurationModel {
 func TruncatedLogNormalDurations(medianSeconds, sigma, maxSeconds float64) DurationModel {
 	base := LogNormalDurations(medianSeconds, sigma)
 	return func(run cheetah.Run, rng *rand.Rand) float64 {
-		d := base(run, rng)
-		if d > maxSeconds {
-			d = maxSeconds
-		}
-		return d
+		return min(base(run, rng), maxSeconds)
 	}
 }
 
@@ -141,7 +137,7 @@ func (e *SimEngine) closeLifecycle() {
 func (e *SimEngine) state(run cheetah.Run) *RunState {
 	r := e.runs[run.ID]
 	if r == nil {
-		st := NewRunState(run)
+		st := NewRunState(run, new(RunResult))
 		r = &st
 		e.runs[run.ID] = r
 	}
