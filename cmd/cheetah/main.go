@@ -7,9 +7,6 @@
 //	    summarise run statuses and list the resubmission set
 //	cheetah runs -spec campaign.json
 //	    enumerate the campaign's runs without materialising anything
-//	cheetah catalog -f catalog.json [-pareto m1:min,m2:max] [-impact metric]
-//	    summarise a codesign catalog: per-metric extremes, optional Pareto
-//	    front and per-parameter impact ranking
 package main
 
 import (
@@ -17,10 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
-	"fairflow/internal/catalog"
 	"fairflow/internal/cheetah"
 )
 
@@ -45,83 +39,13 @@ func main() {
 		spec := fs.String("spec", "", "campaign spec JSON")
 		fs.Parse(os.Args[2:])
 		listRuns(*spec)
-	case "catalog":
-		fs := flag.NewFlagSet("catalog", flag.ExitOnError)
-		file := fs.String("f", "", "catalog JSON file")
-		pareto := fs.String("pareto", "", "objectives metric:min|max, comma-separated")
-		impact := fs.String("impact", "", "rank all parameters by impact on this metric")
-		fs.Parse(os.Args[2:])
-		if *file == "" {
-			fatal(fmt.Errorf("catalog needs -f"))
-		}
-		catalogReport(*file, *pareto, *impact)
 	default:
 		usage()
 	}
 }
 
-func catalogReport(file, pareto, impact string) {
-	f, err := os.Open(file)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	cat, err := catalog.ReadJSON(f)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(cat.Summary())
-
-	if impact != "" {
-		params := map[string]bool{}
-		for _, e := range cat.Entries {
-			for p := range e.Params {
-				params[p] = true
-			}
-		}
-		names := make([]string, 0, len(params))
-		for p := range params {
-			names = append(names, p)
-		}
-		sort.Strings(names)
-		ranked, err := cat.RankParameters(names, impact)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nparameter impact on %s:\n", impact)
-		for _, imp := range ranked {
-			fmt.Printf("  %-16s spread %.4g\n", imp.Parameter, imp.Spread)
-		}
-	}
-
-	if pareto != "" {
-		var objectives []catalog.Objective
-		for _, chunk := range strings.Split(pareto, ",") {
-			kv := strings.SplitN(chunk, ":", 2)
-			if len(kv) != 2 {
-				fatal(fmt.Errorf("bad objective %q (want metric:min|max)", chunk))
-			}
-			dir := catalog.Minimize
-			if kv[1] == "max" {
-				dir = catalog.Maximize
-			} else if kv[1] != "min" {
-				fatal(fmt.Errorf("bad direction %q", kv[1]))
-			}
-			objectives = append(objectives, catalog.Objective{Metric: kv[0], Direction: dir})
-		}
-		front, err := cat.ParetoFront(objectives)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\npareto front (%d of %d entries):\n", len(front), cat.Len())
-		for _, e := range front {
-			fmt.Printf("  %-24s %v %v\n", e.RunID, e.Params, e.Metrics)
-		}
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cheetah <create|status|runs|catalog> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: cheetah <create|status|runs> [flags]")
 	os.Exit(2)
 }
 

@@ -49,7 +49,8 @@
 //	                                  a remote execution worker: runs arrive in
 //	                                  batches under a heartbeat-renewed lease,
 //	                                  each executes via the command template, and
-//	                                  named outputs sync by CAS digest; the worker
+//	                                  named outputs sync by CAS digest (-cas keeps a
+//	                                  memo keyed by the command it runs); the worker
 //	                                  survives coordinator loss by redialing for
 //	                                  -dial-wait and replaying spooled outcomes to
 //	                                  the successor

@@ -7,9 +7,7 @@
 package catalog
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -240,15 +238,6 @@ func (c *Catalog) ParetoFront(objectives []Objective) ([]Entry, error) {
 	}
 	sort.Slice(front, func(i, j int) bool { return front[i].RunID < front[j].RunID })
 	return front, nil
-}
-
-// ReadJSON loads a catalog.
-func ReadJSON(r io.Reader) (*Catalog, error) {
-	var c Catalog
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("catalog: parsing: %w", err)
-	}
-	return &c, nil
 }
 
 // Summary renders a human-readable digest: entry count, metrics, and the

@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -176,16 +174,8 @@ func TestParetoFrontNeverEmpty(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripAndSummary(t *testing.T) {
+func TestSummary(t *testing.T) {
 	c := demoCatalog(t)
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(c); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil || back.Len() != c.Len() || back.Campaign != "io-study" {
-		t.Fatalf("round trip: %v, %d", err, back.Len())
-	}
 	sum := c.Summary()
 	if !strings.Contains(sum, "runtime") || !strings.Contains(sum, "storage_gb") {
 		t.Fatalf("summary: %s", sum)

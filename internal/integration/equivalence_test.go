@@ -41,9 +41,8 @@ type equivCampaign struct {
 	name string
 	runs []cheetah.Run
 	stop resilience.StopPolicy
-	// cached names the runs found in a memo (LocalEngine's; the coordinator's
-	// for the first, the worker's for the second). SimEngine has no memo and
-	// executes them.
+	// cached names the runs found in a memo (LocalEngine's, or the remote
+	// worker's). SimEngine has no memo and executes them.
 	cached []string
 }
 
@@ -251,19 +250,14 @@ func equivRemote(t *testing.T, c equivCampaign) *equivTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coordCached, workerCached []string
-	if len(c.cached) > 0 {
-		coordCached, workerCached = c.cached[:1], c.cached[1:]
-	}
 	eng := &remote.Engine{
 		Listener: ln, BatchSize: 1, LeaseTTL: 2 * time.Second,
 		Prov: s.prov, CampaignDir: s.dir, Resilience: equivResilience(c, s.journal),
-		Memo:   equivMemo(t, s.dir, c, coordCached...),
 		Tracer: s.tracer, Metrics: s.metrics, Events: s.events,
 	}
 	wk := &remote.Worker{
 		Name: "w0", Addr: ln.Addr().String(), Executor: &equivExecutor{}, Slots: 1,
-		Cache: equivMemo(t, t.TempDir(), c, workerCached...).Cache,
+		Memo: equivMemo(t, t.TempDir(), c, c.cached...),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -281,6 +281,7 @@ func TestCoordinatorFailoverChaos(t *testing.T) {
 
 	cancelAll()
 	wg.Wait()
+	t.Logf("%d executions for %d runs (%.4f a run)", execs, total, float64(execs)/float64(total))
 
 	recs, err := resilience.ReadJournalFile(jpath)
 	if err != nil {

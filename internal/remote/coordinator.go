@@ -53,19 +53,15 @@ type Engine struct {
 	// shared journal.
 	Epoch int64
 
-	// Prov, CampaignDir, Resilience, Memo, Tracer, Metrics and Events carry
-	// the LocalEngine contract unchanged; see savanna.LocalEngine.
+	// Prov, CampaignDir, Resilience, Tracer, Metrics and Events carry the
+	// LocalEngine contract unchanged; see savanna.LocalEngine. There is no
+	// Memo: a run is memoized where it executes, by the worker (Worker.Memo).
 	Prov        *provenance.Store
 	CampaignDir string
 	Resilience  *resilience.Config
-	// Memo short-circuits runs already satisfied by the action cache before
-	// they are ever dispatched; its ComponentDigest and InputDigests are
-	// also advertised to workers in the lease grant so worker-side memo
-	// recipes agree with the coordinator's.
-	Memo    *savanna.Memo
-	Tracer  *telemetry.Tracer
-	Metrics *telemetry.Registry
-	Events  *eventlog.Log
+	Tracer      *telemetry.Tracer
+	Metrics     *telemetry.Registry
+	Events      *eventlog.Log
 
 	attempt int64 // provenance record numbering
 	// probe is the recorder's test seam (savanna.RecorderConfig.Probe);
@@ -120,13 +116,6 @@ func (e *Engine) telemetryInit() {
 	})
 }
 
-func (e *Engine) validate() error {
-	if e.Listener == nil {
-		return fmt.Errorf("remote: engine needs a Listener")
-	}
-	return e.Memo.Validate()
-}
-
 // orDefault resolves a tunable: v when set (positive), def otherwise.
 func orDefault[T int | time.Duration](v, def T) T {
 	if v > 0 {
@@ -159,6 +148,10 @@ type wstate struct {
 	stealPending bool
 	dead         bool
 	slots        int
+	// replay is how many of the outcomes its hello announced (Hello.Replay)
+	// are still unread. Until they are all in, the worker is assigned nothing:
+	// a run it is about to replay may still be owed, and would run twice.
+	replay int
 	// skew is this worker's clock-offset estimate (under co.mu).
 	skew skewEstimator
 }
@@ -215,8 +208,8 @@ type coordinator struct {
 // workers are drained (their in-flight runs are cancelled), and the
 // completeness report accounts for every run.
 func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheetah.Run) ([]savanna.RunResult, resilience.CompletenessReport, error) {
-	if err := e.validate(); err != nil {
-		return nil, resilience.CompletenessReport{}, err
+	if e.Listener == nil {
+		return nil, resilience.CompletenessReport{}, fmt.Errorf("remote: engine needs a Listener")
 	}
 	e.telemetryInit()
 	rc := e.Resilience.Controller()
@@ -235,34 +228,21 @@ func (e *Engine) RunCampaign(ctx context.Context, campaign string, runs []cheeta
 	co := &coordinator{
 		e: e, span: span, ctx: ctx,
 		lc: savanna.Lifecycle{Campaign: campaign, Span: span.ID(), Controller: rc,
-			Memo: e.Memo, Requeues: true, Events: e.Events, Metrics: e.tel},
+			Requeues: true, Events: e.Events, Metrics: e.tel},
 		rec: savanna.OpenRecorder(savanna.RecorderConfig{Engine: "remote", Campaign: campaign, Span: span.ID(),
 			Journal: rc.Journal(), Dir: e.CampaignDir, Prov: e.Prov, Events: e.Events, Metrics: e.Metrics, Probe: e.probe}),
-		runs:    runs,
-		state:   make([]savanna.RunState, len(runs)),
-		results: make([]savanna.RunResult, len(runs)),
-		workers: map[string]*wstate{},
-		doneCh:  make(chan struct{}),
+		runs:      runs,
+		state:     make([]savanna.RunState, len(runs)),
+		results:   make([]savanna.RunResult, len(runs)),
+		remaining: len(runs),
+		workers:   map[string]*wstate{},
+		zeroSince: time.Now(),
+		doneCh:    make(chan struct{}),
 	}
 	if e.Prov != nil {
 		co.lc.Seq = &e.attempt
 	}
-	co.remaining = len(runs)
-
-	// Memo short-circuit: runs whose recipe is already cached never reach
-	// the wire — the action cache is the cross-machine dedup line.
-	co.mu.Lock()
-	for i := range runs {
-		if res, ok := e.Memo.Lookup(runs[i]); ok {
-			co.lc.Cached(co.run(i), &co.group, "", savanna.OutputDigests(res), 0)
-			co.decidedLocked(i, "", true)
-		}
-	}
-	co.checkDoneLocked()
-	if co.remaining > 0 {
-		co.zeroSince = time.Now()
-	}
-	co.unlock()
+	co.checkDoneLocked() // a campaign of no runs is done at once
 
 	// Accept loop, lease reaper, cancellation watcher.
 	acceptDone := make(chan struct{})
@@ -424,7 +404,9 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		c.close()
 		return
 	}
-	hello.Slots = max(hello.Slots, 1)
+	// Both counts come from outside the program: a worker spools at most
+	// spoolLimit outcomes.
+	hello.Slots, hello.Replay = max(hello.Slots, 1), min(max(hello.Replay, 0), spoolLimit)
 
 	co.mu.Lock()
 	if co.draining {
@@ -444,7 +426,7 @@ func (co *coordinator) handleConn(nc net.Conn) {
 	co.leaseSeq++
 	now := time.Now()
 	w := &wstate{name: name, c: c, lease: co.leaseSeq, expires: now.Add(e.leaseTTL()), joined: now,
-		outstanding: map[int]bool{}, slots: hello.Slots}
+		outstanding: map[int]bool{}, slots: hello.Slots, replay: hello.Replay}
 	co.workers[name] = w
 	// Grants, expiries and releases are journaled in the group of the
 	// critical section that decided them, among the attempts around them.
@@ -462,9 +444,6 @@ func (co *coordinator) handleConn(nc net.Conn) {
 		telemetry.String("worker", name), telemetry.Int("slots", hello.Slots))
 	grant := LeaseGrant{Campaign: co.lc.Campaign, TTLMillis: co.e.leaseTTL().Milliseconds(), Epoch: e.Epoch,
 		Trace: e.Tracer.TraceID()}
-	if e.Memo != nil {
-		grant.Component, grant.Inputs = e.Memo.ComponentDigest, e.Memo.InputDigests
-	}
 	// A failed write ends the worker as a failed read does (every other
 	// close follows w.dead or draining, so a write it fails reports nothing
 	// new). The grant is queued under the lock that registered the worker:
@@ -503,6 +482,9 @@ func (co *coordinator) handleConn(nc net.Conn) {
 			// and otherwise waits for a successor.
 			lease, runID := m.Lease, out.RunID
 			co.mu.Lock()
+			// Every result counts down the announced replay, duplicates
+			// included, before the top-up that handling it makes.
+			w.replay = max(w.replay-1, 0)
 			co.handleResultLocked(w, out)
 			co.group.Done(func(ok bool) {
 				if ok {
@@ -674,10 +656,11 @@ func (co *coordinator) assignAllLocked() {
 }
 
 // assignLocked tops the worker up to a full batch from the pending queue,
-// or triggers a steal when the queue is dry and the worker is idle.
+// or triggers a steal when the queue is dry and the worker is idle — once
+// the worker's announced replay is all in.
 func (co *coordinator) assignLocked(w *wstate) {
 	e := co.e
-	if _, aborted := co.lc.Controller.Aborted(); aborted || w.dead || co.draining {
+	if _, aborted := co.lc.Controller.Aborted(); aborted || w.dead || co.draining || w.replay > 0 {
 		return
 	}
 	want := e.batchSize() - len(w.outstanding)
@@ -785,6 +768,7 @@ func (co *coordinator) handleResultLocked(w *wstate, out Outcome) {
 	i := co.slotOf(out)
 	co.fileWorkerSpanLocked(w, &out, i)
 	if i < 0 {
+		co.assignLocked(w) // it frees no run, but may end w's replay
 		return
 	}
 	delete(w.outstanding, i)

@@ -180,7 +180,9 @@ func TestWorkerStaleEpochFencing(t *testing.T) {
 // TestWorkerSpoolReplayExactlyOnce pins the outcome spool across a
 // handover: runs finished while the coordinator is down replay on the next
 // handshake, the successor journals exactly one terminal record per run,
-// and its acks clear the replayed entries from the spool.
+// and its acks clear the replayed entries from the spool. The hello
+// announces the replay, so the successor assigns the worker nothing until
+// the replayed outcomes are in: no run executes twice, at batch 4 too.
 func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "attempts.jsonl")
@@ -285,6 +287,9 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 	if pend := w.spoolInit().pending(); len(pend) != 0 {
 		t.Errorf("cleanly drained worker still spools %d outcomes: %+v", len(pend), pend)
 	}
+	if n := atomic.LoadInt64(&executions); n != int64(len(runs)) {
+		t.Errorf("%d executions for %d runs: a replayed run was dispatched again", n, len(runs))
+	}
 
 	recs, err := resilience.ReadJournalFile(jpath)
 	if err != nil {
@@ -329,7 +334,7 @@ func TestWorkerSpoolReplayExactlyOnce(t *testing.T) {
 // 1-5, and its slots 3 and 4 are runs 4 and 5: each replayed slot names
 // another run. Checked against the run's id, the slot is not trusted, and
 // each outcome reaches its own run through the id index — applied once, and
-// nothing executes twice.
+// nothing executes twice, with a batch wider than the replay.
 func TestSpoolReplayAcrossShiftedSlots(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "attempts.jsonl")
 	runs := testRuns(6)
@@ -378,11 +383,12 @@ func TestSpoolReplayAcrossShiftedSlots(t *testing.T) {
 	}
 	j.Close()
 
-	// Batch 1 and one executor: only slot 0 is out when the replay lands.
+	// Batch 4: the worker is assigned nothing until its replay is in, so
+	// runs 3 and 4, still owed, are not dispatched to it again.
 	ln2 := listen(t)
 	addr.Store(ln2.Addr().String())
 	results, report, info, err := Coordinate(context.Background(), CoordinateConfig{
-		Engine:   &Engine{Listener: ln2, BatchSize: 1, LeaseTTL: time.Second, WorkerWait: 20 * time.Second},
+		Engine:   &Engine{Listener: ln2, BatchSize: 4, LeaseTTL: time.Second, WorkerWait: 20 * time.Second},
 		Campaign: "shifted", Runs: runs, Journal: jpath, Holder: "coord-2", Resume: true, LeaseTTL: time.Second,
 	})
 	if err != nil || !report.Complete() || info.Done != 1 {
@@ -577,15 +583,15 @@ func waitFor(t *testing.T, d time.Duration, ok func() bool) {
 	}
 }
 
-// remoteV5 is the schema of the previous protocol version: msgSchema's
+// remoteV6 is the schema of the previous protocol version: msgSchema's
 // fields under the old name.
-func remoteV5() *stream.Schema {
+func remoteV6() *stream.Schema {
 	old := *msgSchema
-	old.Name = "remote.v5"
+	old.Name = "remote.v6"
 	return &old
 }
 
-// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v5
+// TestProtocolMismatchRefusedLoudly connects a peer that opens a remote.v6
 // stream to a live campaign. The coordinator refuses it at its first record
 // — one Warn event, one count — answers with a record of its own so the
 // peer's schema check can name both versions, leaves no goroutine behind,
@@ -607,11 +613,11 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	enc, err := stream.NewEncoder(nc, remoteV5())
+	enc, err := stream.NewEncoder(nc, remoteV6())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, _ := stream.NewRecord(remoteV5(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
+	hello, _ := stream.NewRecord(remoteV6(), OpHello, "old", int64(0), int64(0), []byte(`{"slots":1}`))
 	if err := enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: hello}); err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +652,7 @@ func TestProtocolMismatchRefusedLoudly(t *testing.T) {
 			continue
 		}
 		refused++
-		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v5" || ev.Attr("expected") != msgSchema.Name ||
+		if ev.Level != eventlog.Warn || ev.Attr("offered") != "remote.v6" || ev.Attr("expected") != msgSchema.Name ||
 			ev.Attr("peer") != nc.LocalAddr().String() {
 			t.Errorf("worker.refused event = %+v", ev)
 		}
@@ -674,15 +680,15 @@ func TestWorkerNamesBothSchemasOnMismatch(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		enc, _ := stream.NewEncoder(nc, remoteV5())
-		grant, _ := stream.NewRecord(remoteV5(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
+		enc, _ := stream.NewEncoder(nc, remoteV6())
+		grant, _ := stream.NewRecord(remoteV6(), OpLeaseGrant, "w0", int64(1), int64(0), []byte(`{"campaign":"old"}`))
 		enc.Encode(stream.Item{Seq: 1, Time: time.Now(), Payload: grant})
 		enc.Flush()
 	}()
 	w := &Worker{Name: "w0", Addr: ln.Addr().String(), Slots: 1,
 		Executor: execFn(func(context.Context, cheetah.Run) error { return nil })}
 	err := w.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), `"remote.v5"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
+	if err == nil || !strings.Contains(err.Error(), `"remote.v6"`) || !strings.Contains(err.Error(), `"`+msgSchema.Name+`"`) {
 		t.Fatalf("Run error = %v, want one naming both schemas", err)
 	}
 }

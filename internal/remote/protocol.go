@@ -1,15 +1,16 @@
 // Package remote is the third Savanna engine: a coordinator/worker
 // execution plane that shards a campaign across OS processes connected by
 // the internal/stream TCP transport. The coordinator owns the campaign —
-// the run queue, the resilience controller, the attempt journal, the memo
-// cache — and dispatches batched assignments to workers holding leases;
-// workers execute runs and report outcomes, moving artifacts by digest
-// through a (typically shared) CAS store rather than shipping bytes over
-// the control connection. Lease expiry re-dispatches a dead worker's runs;
-// the journal keeps exactly-once accounting across worker and coordinator
-// crashes alike.
+// the run queue, the resilience controller, the attempt journal — and
+// dispatches batched assignments to workers holding leases; workers execute
+// runs and report outcomes, each consulting its own memo, keyed by the
+// command it runs, and moving artifacts by digest through a (typically
+// shared) CAS store rather than shipping bytes over the control
+// connection. Lease expiry re-dispatches a dead worker's runs; the journal
+// keeps exactly-once accounting across worker and coordinator crashes
+// alike.
 //
-// The wire protocol is one FBS-typed record schema (remote.v6) carrying a
+// The wire protocol is one FBS-typed record schema (remote.v7) carrying a
 // punctuation-style operation verb, the worker name, the lease id, and a
 // binary body whose layout the verb selects (wire.go) — the same
 // typed-records + control-punctuation design as the streaming substrate,
@@ -91,7 +92,7 @@ const (
 // refused at its first record by the schema check in recv, instead of
 // misreading bytes. Both sides of a deployment upgrade together.
 var msgSchema = &stream.Schema{
-	Name: "remote.v6",
+	Name: "remote.v7",
 	Fields: []stream.Field{
 		{Name: "op", Type: stream.TString},
 		{Name: "worker", Type: stream.TString},
@@ -105,6 +106,10 @@ var msgSchema = &stream.Schema{
 type Hello struct {
 	// Slots is the worker's run concurrency (≥1).
 	Slots int `json:"slots"`
+	// Replay is how many spooled outcomes the worker sends after the grant.
+	// The coordinator assigns it nothing until it has read that many
+	// results, so no replayed run is dispatched to it again.
+	Replay int `json:"replay,omitempty"`
 }
 
 // LeaseGrant is the coordinator's admission body.
@@ -113,12 +118,6 @@ type LeaseGrant struct {
 	// TTLMillis is the lease duration; the worker must heartbeat well
 	// inside it (TTL/3 is the convention).
 	TTLMillis int64 `json:"ttl_ms"`
-	// Component and Inputs seed the worker's memo recipe so its action
-	// cache keys agree with the coordinator's: same component digest, same
-	// campaign-level input digests — artifacts resolve by digest on any
-	// machine sharing the store.
-	Component string            `json:"component,omitempty"`
-	Inputs    map[string]string `json:"inputs,omitempty"`
 	// Epoch is the granting coordinator's fenced journal epoch. A worker
 	// that has already served a higher epoch rejects the grant — the dialed
 	// address reached a deposed incarnation.

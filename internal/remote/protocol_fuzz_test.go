@@ -25,8 +25,7 @@ func FuzzRemoteMessage(f *testing.F) {
 	f.Add(merged) // a merged assign, a list ack
 	// The session's bookkeeping verbs.
 	f.Add(wireBytes(f,
-		outMsg{op: OpLeaseGrant, worker: "w0", lease: 3, epoch: 2, body: &LeaseGrant{Campaign: "c", TTLMillis: 10_000,
-			Component: "sha256:cd", Inputs: map[string]string{"in": "sha256:ef"}, Epoch: 2}},
+		outMsg{op: OpLeaseGrant, worker: "w0", lease: 3, epoch: 2, body: &LeaseGrant{Campaign: "c", TTLMillis: 10_000, Epoch: 2}},
 		outMsg{op: OpHeartbeat, worker: "w0", lease: 3, epoch: 2, body: &Heartbeat{RTTNanos: 1500}},
 		outMsg{op: OpHeartbeatAck, worker: "w0", lease: 3, epoch: 2, body: &HeartbeatAck{EchoUnixNano: 7}},
 		outMsg{op: OpSteal, worker: "w0", lease: 3, epoch: 2, body: &Steal{N: 2}}))
@@ -36,7 +35,7 @@ func FuzzRemoteMessage(f *testing.F) {
 		Metrics: &telemetry.MetricsSnapshot{}, DroppedSpans: 2, RTTNanos: 1500,
 	}}))
 	f.Add(wireBytes(f,
-		outMsg{op: OpHello, worker: "w0", body: &Hello{Slots: 2}},
+		outMsg{op: OpHello, worker: "w0", body: &Hello{Slots: 2, Replay: 1}},
 		outMsg{op: OpResult, worker: "w0", lease: 3, epoch: 2, body: &Outcome{RunID: "r1", OK: true, Seconds: 1.25e-07, Outputs: map[string]string{"out": "sha256:ab"}, Slot: 1}},
 		outMsg{op: OpStolen, worker: "w0", lease: 3, body: &Stolen{Slots: []int{8, 9}}},
 		outMsg{op: OpDrain, worker: "w0", lease: 3}))

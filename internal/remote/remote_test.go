@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,22 +203,37 @@ func TestRemoteRetryAndQuarantine(t *testing.T) {
 	}
 }
 
-// TestRemoteRefusesMemoWithoutCache: a memo that could cache nothing is a
-// configuration error said when the campaign opens — before the engine
-// listens for anyone — not a campaign silently dispatched un-memoized.
+// TestRemoteRefusesMemoWithoutCache: a worker memo that could cache nothing,
+// or whose key names no component, is a configuration error said before the
+// worker dials — not a session served un-memoized, nor one that hands one
+// command's results to another. Serve says it at once instead of redialing.
 func TestRemoteRefusesMemoWithoutCache(t *testing.T) {
-	e := &Engine{Listener: listen(t), Memo: &savanna.Memo{ComponentDigest: "sha256:model-v1"}}
-	results, _, err := e.RunCampaign(context.Background(), "no-cache", testRuns(3))
-	if err == nil || results != nil {
-		t.Fatalf("RunCampaign with a cache-less memo: results %v, err %v; want it refused", results, err)
+	cache := testActionCache(t, t.TempDir())
+	for _, memo := range []*savanna.Memo{{ComponentDigest: "sha256:model-v1"}, {Cache: cache}} {
+		var dials atomic.Int64
+		w := &Worker{Name: "w0", Memo: memo, ReconnectWait: time.Minute,
+			Executor: execFn(func(context.Context, cheetah.Run) error { return nil }),
+			Dial: func() (net.Conn, error) {
+				dials.Add(1)
+				return nil, errors.New("no coordinator here")
+			}}
+		if err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "memo needs") {
+			t.Errorf("Run with memo %+v: err %v; want it refused", memo, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := w.Serve(ctx); err == nil || !strings.Contains(err.Error(), "memo needs") {
+			t.Errorf("Serve with memo %+v: err %v; want it refused", memo, err)
+		}
+		cancel()
+		if n := dials.Load(); n != 0 {
+			t.Errorf("memo %+v: the worker dialed %d times under a refused configuration", memo, n)
+		}
 	}
 }
 
-// TestRemoteMemoShortCircuit pins the CAS artifact plane: a warm action
-// cache satisfies a rerun without any worker joining at all, and a
-// worker-side cache answers runs the coordinator could not short-circuit.
-func TestRemoteMemoShortCircuit(t *testing.T) {
-	dir := t.TempDir()
+// testActionCache opens an action cache over a store under dir.
+func testActionCache(t *testing.T, dir string) *cas.ActionCache {
+	t.Helper()
 	store, err := cas.Open(filepath.Join(dir, "cas"))
 	if err != nil {
 		t.Fatal(err)
@@ -226,104 +242,64 @@ func TestRemoteMemoShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cache
+}
+
+// TestRemoteMemoShortCircuit pins the CAS artifact plane, which memoizes
+// where runs execute: a cold pass executes every run on a worker and records
+// it in the worker's memo; a second campaign whose worker has that memo warm
+// executes nothing, and every result comes back cached.
+func TestRemoteMemoShortCircuit(t *testing.T) {
+	dir := t.TempDir()
+	cache := testActionCache(t, dir)
 	outDir := filepath.Join(dir, "out")
 	os.MkdirAll(outDir, 0o755)
-	newMemoWorker := func(name string, executed *int64) *Worker {
-		return &Worker{
-			Name: name, Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
-				atomic.AddInt64(executed, 1)
+	runs := testRuns(30)
+	pass := func(name string) ([]savanna.RunResult, resilience.CompletenessReport, int64) {
+		ln := listen(t)
+		var executed int64
+		w := &Worker{
+			Name: name, Addr: ln.Addr().String(), Slots: 2, Heartbeat: 20 * time.Millisecond,
+			Executor: execFn(func(ctx context.Context, run cheetah.Run) error {
+				atomic.AddInt64(&executed, 1)
 				return appendlog.WriteFileAtomic(filepath.Join(outDir, run.ID+".txt"),
 					[]byte("result "+run.Params["i"]+"\n"), 0o644)
 			}),
-			Slots: 2, Heartbeat: 20 * time.Millisecond,
-			Cache: cache,
-			Collect: func(run cheetah.Run) (map[string]string, error) {
-				return map[string]string{"result": filepath.Join(outDir, run.ID+".txt")}, nil
-			},
+			Memo: &savanna.Memo{Cache: cache, ComponentDigest: "sha256:model-v1",
+				Collect: func(run cheetah.Run) (map[string]string, error) {
+					return map[string]string{"result": filepath.Join(outDir, run.ID+".txt")}, nil
+				}},
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { defer close(done); w.Run(ctx) }()
+		e := &Engine{Listener: ln, LeaseTTL: time.Second}
+		results, report, err := e.RunCampaign(context.Background(), "memo", runs)
+		cancel()
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, report, atomic.LoadInt64(&executed)
 	}
-	memo := func() *savanna.Memo {
-		return &savanna.Memo{Cache: cache, ComponentDigest: "sha256:model-v1"}
-	}
-	runs := testRuns(30)
 
-	// Cold pass: every run executes on a worker and lands in the cache.
-	ln := listen(t)
-	var executed int64
-	ctx, cancel := context.WithCancel(context.Background())
-	w := newMemoWorker("w0", &executed)
-	w.Addr = ln.Addr().String()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); w.Run(ctx) }()
-	e := &Engine{Listener: ln, LeaseTTL: time.Second, Memo: memo()}
-	results, report, err := e.RunCampaign(context.Background(), "memo", runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	wg.Wait()
-	if !report.Complete() || executed != 30 {
+	results, report, executed := pass("w0")
+	if !report.Complete() || executed != 30 || report.Cached != 0 {
 		t.Fatalf("cold pass: report %+v, executed %d", report, executed)
 	}
 	for _, r := range results {
-		if r.Cached {
-			t.Fatalf("cold pass cached %s", r.Run.ID)
+		if r.Cached || r.Status != provenance.StatusSucceeded {
+			t.Fatalf("cold pass result %+v", r)
 		}
 	}
 
-	// Warm pass: the coordinator short-circuits everything — no listener
-	// traffic, no worker, instant completion.
-	e2 := &Engine{Listener: listen(t), LeaseTTL: time.Second, WorkerWait: 100 * time.Millisecond,
-		Memo: memo()}
-	results2, report2, err := e2.RunCampaign(context.Background(), "memo", runs)
-	if err != nil {
-		t.Fatal(err)
+	results, report, executed = pass("w1")
+	if !report.Complete() || executed != 0 || report.Cached != 30 {
+		t.Fatalf("warm pass: report %+v, executed %d; want 0 executions, 30 cached", report, executed)
 	}
-	if report2.Cached != 30 || !report2.Complete() {
-		t.Fatalf("warm pass report = %+v", report2)
-	}
-	for _, r := range results2 {
-		if !r.Cached {
-			t.Fatalf("warm pass missed %s", r.Run.ID)
-		}
-	}
-
-	// Worker-side hits: a coordinator with no memo of its own still gets
-	// cached outcomes because the lease grant's recipe material lets the
-	// worker's cache answer (the "any machine sharing the store" property).
-	ln3 := listen(t)
-	var executed3 int64
-	ctx3, cancel3 := context.WithCancel(context.Background())
-	w3 := newMemoWorker("w1", &executed3)
-	w3.Addr = ln3.Addr().String()
-	wg.Add(1)
-	go func() { defer wg.Done(); w3.Run(ctx3) }()
-	e3 := &Engine{Listener: ln3, LeaseTTL: time.Second,
-		Memo: &savanna.Memo{Cache: cache, ComponentDigest: "sha256:model-v1"}}
-	// Disable the coordinator-side lookup but keep the recipe advertisement:
-	// point the coordinator at an empty cache while the worker keeps the
-	// warm one.
-	emptyCache, err := cas.OpenActionCache(filepath.Join(dir, "empty-actions.json"), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3.Memo = &savanna.Memo{Cache: emptyCache, ComponentDigest: "sha256:model-v1"}
-	results3, report3, err := e3.RunCampaign(context.Background(), "memo", runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel3()
-	wg.Wait()
-	if !report3.Complete() {
-		t.Fatalf("worker-side pass report = %+v", report3)
-	}
-	if executed3 != 0 {
-		t.Fatalf("worker re-executed %d cached runs", executed3)
-	}
-	for _, r := range results3 {
-		if !r.Cached {
-			t.Fatalf("worker-side pass missed %s", r.Run.ID)
+	for _, r := range results {
+		if !r.Cached || r.Status != provenance.StatusSucceeded {
+			t.Fatalf("warm pass result %+v", r)
 		}
 	}
 }
@@ -694,43 +670,29 @@ func TestRemoteEventsAndSpans(t *testing.T) {
 // returns no top-up — another worker's join, a result arriving — may put an
 // assign on its connection, or the worker quits its handshake with
 // "expected lease-grant". Two goroutines join workers over and over against
-// a campaign that a steady worker keeps topping up. The grant lists the
-// memo's input digests and is marshalled before it takes the connection's
-// write lock, so a memo with many inputs holds the window open long enough
-// for a top-up to land in it on most joins rather than one in tens of
-// thousands. Every lookup hashes those inputs too, so the campaign is small
-// and is kept going by failure instead of by size: the steady worker's runs
-// fail at once and are retried without end, each result a top-up, and only
-// the joiners' runs — one per join — ever succeed.
+// a campaign that a steady worker keeps topping up. The grant carries the
+// campaign name and is marshalled before it takes the connection's write
+// lock, so a campaign with a long name (about 160 KiB) holds the window open
+// long enough for a top-up to land in it on most joins rather than one in
+// tens of thousands. The campaign is small and is kept going by failure
+// instead of by size: the steady worker's runs fail at once and are retried
+// without end, each result a top-up, and only the joiners' runs — one per
+// join — ever succeed.
 func TestRemoteConcurrentJoinGrantFirst(t *testing.T) {
 	const joinsEach = 40
-	inputs := map[string]string{}
-	for i := 0; i < 2000; i++ {
-		inputs[fmt.Sprintf("input-%04d", i)] = fmt.Sprintf("sha256:%064x", i)
-	}
-	root := filepath.Join(t.TempDir(), "cas")
-	store, err := cas.Open(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := cas.OpenActionCache(filepath.Join(root, "actions.json"), store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	campaign := strings.Repeat("joins-", 27_000)
 	ln := listen(t)
 	addr := ln.Addr().String()
 	e := &Engine{Listener: ln, BatchSize: 4, LeaseTTL: 5 * time.Second,
-		Memo:       &savanna.Memo{Cache: cache, InputDigests: inputs},
 		Resilience: &resilience.Config{Retry: resilience.RetryPolicy{MaxAttempts: 1 << 30}}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	campaignDone := make(chan struct{})
 	go func() {
 		defer close(campaignDone)
-		e.RunCampaign(ctx, "joins", testRuns(2*joinsEach+40))
+		e.RunCampaign(ctx, campaign, testRuns(2*joinsEach+40))
 	}()
-	// The joiners start once the campaign is dispatching: a join during the
-	// lookups would time out waiting for a coordinator not yet accepting.
+	// The joiners start once the campaign is dispatching.
 	dispatching := make(chan struct{})
 	var first sync.Once
 	steadyDone := make(chan struct{})

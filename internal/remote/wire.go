@@ -257,19 +257,18 @@ func (r *rbuf) attrs() []telemetry.Attr {
 	return as
 }
 
-func (h *Hello) appendWire(b []byte) []byte { return appendInt(b, int64(h.Slots)) }
-func (h *Hello) readWire(r *rbuf)           { h.Slots = r.int() }
+func (h *Hello) appendWire(b []byte) []byte {
+	return appendInt(appendInt(b, int64(h.Slots)), int64(h.Replay))
+}
+func (h *Hello) readWire(r *rbuf) { h.Slots, h.Replay = r.int(), r.int() }
 
 func (g *LeaseGrant) appendWire(b []byte) []byte {
-	b = appendInt(appendString(b, g.Campaign), g.TTLMillis)
-	b = appendMap(appendString(b, g.Component), g.Inputs)
-	return append(appendInt(b, g.Epoch), g.Trace[:]...)
+	b = appendInt(appendInt(appendString(b, g.Campaign), g.TTLMillis), g.Epoch)
+	return append(b, g.Trace[:]...)
 }
 
 func (g *LeaseGrant) readWire(r *rbuf) {
-	g.Campaign, g.TTLMillis = r.str(), r.varint()
-	g.Component, g.Inputs = r.str(), r.strMap()
-	g.Epoch = r.varint()
+	g.Campaign, g.TTLMillis, g.Epoch = r.str(), r.varint(), r.varint()
 	copy(g.Trace[:], r.take(16))
 }
 

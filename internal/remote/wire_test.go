@@ -68,10 +68,9 @@ var goldenBodies = []struct {
 	body wireBody
 	hex  string
 }{
-	{OpHello, &Hello{Slots: 2}, "04"},
-	{OpLeaseGrant, &LeaseGrant{Campaign: "c", TTLMillis: 1500, Component: "sha256:ab",
-		Inputs: map[string]string{"b": "2", "a": "1"}, Epoch: 3, Trace: goldenTrace},
-		"0163b8170973686132" + "35363a616202016101310162013206" + "0123456789abcdef0123456789abcdef"},
+	{OpHello, &Hello{Slots: 2, Replay: 3}, "0406"},
+	{OpLeaseGrant, &LeaseGrant{Campaign: "c", TTLMillis: 1500, Epoch: 3, Trace: goldenTrace},
+		"0163b81706" + "0123456789abcdef0123456789abcdef"},
 	// Each run leads with its slot (1, then 300: a two-byte uvarint).
 	{OpAssign, &Assignment{
 		Runs: []cheetah.Run{
@@ -106,6 +105,15 @@ var goldenBodies = []struct {
 
 // goldenTrace is the lease-grant vector's coordinator trace id.
 var goldenTrace = telemetry.TraceID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}
+
+// remoteV6Bodies are the hello and lease-grant vectors of remote.v6, whose
+// hello carried no replay count and whose grant carried the coordinator
+// memo's component and input digests. A v6 peer is refused at its first
+// record by the schema check; its bodies stay fuzz seeds.
+var remoteV6Bodies = []string{
+	"04",
+	"0163b8170973686132" + "35363a616202016101310162013206" + "0123456789abcdef0123456789abcdef",
+}
 
 // remoteV5Bodies are the assign, result and stolen vectors of remote.v5,
 // which carried no slots: an outcome found its run by id alone and a stolen
@@ -201,9 +209,9 @@ func TestWireGolden(t *testing.T) {
 
 // FuzzWireBody feeds arbitrary bytes to every verb's readWire: nothing
 // panics, and whatever decodes cleanly re-encodes to bytes that decode to a
-// deep-equal value. Seeds are the golden vectors, remote.v6's slots at their
-// edges, then remote.v2's, remote.v3's, remote.v4's and remote.v5's, and
-// every proper prefix of each.
+// deep-equal value. Seeds are the golden vectors, the slots and the replay
+// count at their edges, then remote.v2's to remote.v6's, and every proper
+// prefix of each.
 func FuzzWireBody(f *testing.F) {
 	var vectors []string
 	for _, g := range goldenBodies {
@@ -214,10 +222,12 @@ func FuzzWireBody(f *testing.F) {
 		&Outcome{RunID: "r", Slot: -1}, // all 64 bits: a ten-byte uvarint
 		&Stolen{Slots: []int{}},
 		&Stolen{Slots: []int{0, math.MaxInt, -1}},
+		&Hello{Slots: 1, Replay: math.MaxInt},
+		&Hello{Slots: 1, Replay: -1},
 	} {
 		vectors = append(vectors, hex.EncodeToString(encodeBody(b)))
 	}
-	vectors = append(append(append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat), remoteV4Bodies...), remoteV5Bodies...)
+	vectors = append(append(append(append(append(vectors, remoteV2Bodies...), remoteV3Heartbeat), remoteV4Bodies...), remoteV5Bodies...), remoteV6Bodies...)
 	for _, v := range vectors {
 		raw, _ := hex.DecodeString(v)
 		for n := 0; n <= len(raw); n++ {
@@ -261,13 +271,14 @@ func TestWireRejects(t *testing.T) {
 		{"count beyond the body", OpTelemetry, []byte{0x80, 0x80, 0x80, 0x80, 0x10}, "count exceeds"},
 		{"string beyond the body", OpResultAck, []byte{1, 200, 'x'}, "past the end"},
 		{"slot list beyond the body", OpStolen, []byte{3, 8, 9}, "count exceeds"},
-		{"trailing bytes", OpHello, []byte{4, 0}, "trailing bytes"},
+		{"trailing bytes", OpHello, []byte{4, 0, 0}, "trailing bytes"},
 		{"truncated", OpResult, outcome[:len(outcome)-1], "varint"},
 		{"overlong varint", OpSteal, bytes.Repeat([]byte{0xff}, 11), "varint"},
 		{"non-finite float", OpResult, nan, "non-finite"},
 		{"bool out of range", OpResult, append([]byte{1, 'r', 2}, outcome[3:]...), "bool"},
-		{"map keys out of order", OpLeaseGrant, []byte{0, 0, 0, 2, 1, 'b', 0, 1, 'a', 0, 0}, "out of order"},
-		{"map key repeated", OpLeaseGrant, []byte{0, 0, 0, 2, 1, 'a', 0, 1, 'a', 0, 0}, "out of order"},
+		// One run, slot 0, empty id, group and sweep, index 0, then its params.
+		{"map keys out of order", OpAssign, []byte{1, 0, 0, 0, 0, 0, 2, 1, 'b', 0, 1, 'a', 0}, "out of order"},
+		{"map key repeated", OpAssign, []byte{1, 0, 0, 0, 0, 0, 2, 1, 'a', 0, 1, 'a', 0}, "out of order"},
 		{"time out of range", OpTelemetry, encodeBody(&TelemetryBatch{Spans: []telemetry.SpanData{{ID: 1, Start: time.Unix(1<<40, 0)}}}), "time out of range"},
 		{"unknown level", OpTelemetry, encodeBody(&TelemetryBatch{Events: []eventlog.Event{{Level: 9}}}), "level"},
 	}
@@ -498,9 +509,8 @@ func (r randBodies) all() []wireBody {
 		}
 	}
 	return []wireBody{
-		&Hello{Slots: int(r.i64())},
-		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Component: r.str(), Inputs: r.strMap(), Epoch: r.i64(),
-			Trace: r.trace()},
+		&Hello{Slots: int(r.i64()), Replay: int(r.i64())},
+		&LeaseGrant{Campaign: r.str(), TTLMillis: r.i64(), Epoch: r.i64(), Trace: r.trace()},
 		assign,
 		&Outcome{RunID: r.str(), OK: r.Intn(2) == 0, Cached: r.Intn(2) == 0, Seconds: r.f64(), Err: r.str(),
 			Class: r.str(), Outputs: r.strMap(), CPUUserSeconds: r.f64(), CPUSystemSeconds: r.f64(), MaxRSSBytes: r.i64(),

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
 	"fairflow/internal/resilience"
 	"fairflow/internal/savanna"
@@ -39,13 +38,12 @@ type Worker struct {
 	Slots int
 	// Heartbeat overrides the renewal period (default: lease TTL / 3).
 	Heartbeat time.Duration
-	// Cache, when set, gives the worker a memo recipe seeded from the lease
-	// grant: cache hits skip execution, and successful runs push their
-	// outputs (named by Collect) into the store so only digests travel back.
-	Cache *cas.ActionCache
-	// Collect and Restore complete the memo, as in savanna.Memo.
-	Collect func(run cheetah.Run) (map[string]string, error)
-	Restore func(run cheetah.Run, outputs map[string]cas.Digest) error
+	// Memo, when set, memoizes runs where they execute: a hit skips the
+	// executor and reports the run cached, and a success pushes its outputs
+	// (named by Memo.Collect) into the store, so only digests travel back.
+	// Its ComponentDigest must name what Executor runs — the remote plane's
+	// one memo, and the only thing that tells two commands' results apart.
+	Memo *savanna.Memo
 
 	// ReconnectWait bounds Serve's patience: after this long without a
 	// successful attach it gives up and returns the last error (default
@@ -135,6 +133,9 @@ func (w *Worker) SpoolDepth() int {
 // attach, covering both "coordinator never came back" and "the address now
 // fences us out".
 func (w *Worker) Serve(ctx context.Context) error {
+	if err := w.validate(); err != nil {
+		return err // no redial mends a configuration
+	}
 	policy := resilience.RetryPolicy{BaseDelay: reconnectBase, MaxDelay: reconnectMax}
 	// Deterministic per-worker jitter: a fleet restarting together still
 	// spreads its redials, and tests replay the exact schedule.
@@ -167,6 +168,17 @@ func (w *Worker) Serve(ctx context.Context) error {
 	}
 }
 
+// validate refuses a configuration no session could serve.
+func (w *Worker) validate() error {
+	if w.Executor == nil {
+		return fmt.Errorf("remote: worker needs an executor")
+	}
+	if w.Addr == "" && w.Dial == nil {
+		return fmt.Errorf("remote: worker needs a coordinator address")
+	}
+	return w.Memo.Validate()
+}
+
 // wsession is one connected campaign session's worker-side state.
 type wsession struct {
 	w     *Worker
@@ -197,11 +209,8 @@ type queued struct {
 // breaks (returns the error). The context cancels in-flight runs and
 // disconnects.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Executor == nil {
-		return fmt.Errorf("remote: worker needs an executor")
-	}
-	if w.Addr == "" && w.Dial == nil {
-		return fmt.Errorf("remote: worker needs a coordinator address")
+	if err := w.validate(); err != nil {
+		return err
 	}
 	w.telemetryInit()
 
@@ -224,7 +233,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	// into the spool for replay.
 	defer c.close()
 
-	c.post(OpHello, w.Name, 0, &Hello{Slots: w.slots()})
+	// The hello announces the replay: the spool as it stands, which nothing
+	// adds to between sessions.
+	pend := w.spoolInit().pending()
+	c.post(OpHello, w.Name, 0, &Hello{Slots: w.slots(), Replay: len(pend)})
 	m, err := c.recv(10 * time.Second)
 	if err != nil {
 		return fmt.Errorf("remote: waiting for lease: %w", err)
@@ -269,15 +281,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.sawGrant.Store(true)
 
-	var memo *savanna.Memo
-	if w.Cache != nil {
-		memo = &savanna.Memo{Cache: w.Cache, ComponentDigest: grant.Component, InputDigests: grant.Inputs,
-			Collect: w.Collect, Restore: w.Restore}
-		if memo.Validate() != nil {
-			memo = nil
-		}
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	s := &wsession{w: w, c: c, name: name, trace: grant.Trace}
@@ -300,8 +303,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	// while it was down, or results whose acks died with the connection.
 	// The coordinator's first-terminal-outcome latch and its resume replay
 	// make redelivery idempotent; acks (possibly for runs it no longer
-	// tracks) drain the spool.
-	if pend := w.spoolInit().pending(); len(pend) > 0 {
+	// tracks) drain the spool. It is the snapshot the hello announced.
+	if len(pend) > 0 {
 		for i := range pend {
 			c.post(OpResult, name, lease, &pend[i])
 		}
@@ -327,7 +330,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		eg.Add(1)
 		go func() {
 			defer eg.Done()
-			s.executeLoop(runCtx, memo, lease)
+			s.executeLoop(runCtx, lease)
 		}()
 	}
 
@@ -509,7 +512,7 @@ func (s *wsession) flush(lease int64, drain bool) {
 }
 
 // executeLoop is one slot: pull, execute, report, repeat.
-func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease int64) {
+func (s *wsession) executeLoop(ctx context.Context, lease int64) {
 	w := s.w
 	for {
 		s.mu.Lock()
@@ -526,7 +529,7 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 		w.gInFlight.Add(1)
 		s.mu.Unlock()
 
-		out := s.execute(ctx, q, memo, lease)
+		out := s.execute(ctx, q, lease)
 		w.gInFlight.Add(-1)
 		// Spool before sending: the outcome survives until the coordinator
 		// acks it, so a result lost to a dying connection (or to a
@@ -549,13 +552,13 @@ func (s *wsession) executeLoop(ctx context.Context, memo *savanna.Memo, lease in
 // echoes its slot and carries what the coordinator files the attempt's span
 // from (DESIGN.md §4h), numbered from the worker's tracer (0, no span,
 // without one).
-func (s *wsession) execute(ctx context.Context, q queued, memo *savanna.Memo, lease int64) Outcome {
+func (s *wsession) execute(ctx context.Context, q queued, lease int64) Outcome {
 	w, run := s.w, q.run
 	start := time.Now()
 	wait := start.Sub(q.at)
 	w.hQueueWait.Observe(wait.Seconds())
 	out := Outcome{RunID: run.ID, StartUnixNano: start.UnixNano(), QueueWaitNanos: int64(wait), Span: w.Tracer.NewSpanID(), Slot: q.slot}
-	if res, ok := memo.Lookup(run); ok {
+	if res, ok := w.Memo.Lookup(run); ok {
 		w.mCached.Inc()
 		out.OK, out.Cached, out.Outputs = true, true, savanna.OutputDigests(res)
 		out.Seconds = time.Since(start).Seconds()
@@ -565,7 +568,7 @@ func (s *wsession) execute(ctx context.Context, q queued, memo *savanna.Memo, le
 	if sc := (telemetry.SpanContext{Trace: s.trace, Span: spanID(lease, out.Span)}); sc.Valid() {
 		ctx = telemetry.WithRemoteSpanContext(ctx, sc)
 	}
-	res := savanna.Attempt(ctx, w.Executor, memo, run, 0)
+	res := savanna.Attempt(ctx, w.Executor, w.Memo, run, 0)
 	u := res.Usage
 	out.OK, out.Seconds = res.Err == nil, time.Since(start).Seconds()
 	out.CPUUserSeconds, out.CPUSystemSeconds, out.MaxRSSBytes = u.CPUUserSeconds, u.CPUSystemSeconds, u.MaxRSSBytes

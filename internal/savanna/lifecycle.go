@@ -43,7 +43,7 @@ type Lifecycle struct {
 	// Seq numbers provenance records (the engine's counter, so ids stay
 	// unique over resubmissions through the same engine); nil when the engine
 	// has no provenance store, and then no record is built. Memo supplies
-	// their input digests.
+	// their inputs: the component digest.
 	Seq  *int64
 	Memo *Memo
 	// Requeues says how the engine paces a retry: it puts the run behind the

@@ -2,7 +2,6 @@ package savanna
 
 import (
 	"fmt"
-	"maps"
 
 	"fairflow/internal/cas"
 	"fairflow/internal/cheetah"
@@ -13,21 +12,19 @@ import (
 const runRecipeKind = "savanna/run@v1"
 
 // Memo memoizes whole campaign runs in an action cache: the key is the
-// digest of (component/model digest, sweep-point parameters, input digests),
-// so re-running or resuming a campaign re-executes only points whose
-// component, parameters or inputs are dirty. This is the paper's "simply
-// re-submit a partially completed SweepGroup" taken to its limit — the
-// resubmission set shrinks to exactly the work whose provenance changed.
+// digest of (component digest, sweep-point parameters), so re-running or
+// resuming a campaign re-executes only points whose component or parameters
+// are dirty. This is the paper's "simply re-submit a partially completed
+// SweepGroup" taken to its limit — the resubmission set shrinks to exactly
+// the work whose provenance changed.
 type Memo struct {
 	// Cache is the backing action cache (and, through it, the object store).
 	Cache *cas.ActionCache
-	// ComponentDigest fingerprints the component/model under execution —
-	// typically the Skel manifest digest (skel.Manifest.Digest), so a
-	// regenerated workflow invalidates every cached run.
+	// ComponentDigest fingerprints what executes a run — a Skel manifest
+	// digest (skel.Manifest.Digest), or the command fairctl worker runs — so
+	// a changed component invalidates every cached run. It is required: a
+	// key without it would serve one component's results to another.
 	ComponentDigest string
-	// InputDigests names the campaign-level input artifacts (name → content
-	// digest). Changing any input invalidates every run that keys on it.
-	InputDigests map[string]string
 	// Collect, when set, is called after a successful execution and returns
 	// the run's output files (name → path); each is ingested into the store
 	// and its digest recorded, making the run restorable and its provenance
@@ -41,46 +38,44 @@ type Memo struct {
 	Restore func(run cheetah.Run, outputs map[string]cas.Digest) error
 }
 
-// Validate checks the memo configuration. The engines call it once, when a
-// campaign opens, and refuse to run with a memo that could cache nothing; no
+// Validate checks the memo configuration. LocalEngine calls it when a
+// campaign opens and a remote worker before it dials, and both refuse to run
+// with a memo that could cache nothing or whose key names no component; no
 // memo at all (nil) is a valid configuration.
 func (m *Memo) Validate() error {
-	if m != nil && m.Cache == nil {
+	switch {
+	case m == nil:
+		return nil
+	case m.Cache == nil:
 		return fmt.Errorf("savanna: memo needs an action cache")
+	case m.ComponentDigest == "":
+		return fmt.Errorf("savanna: memo needs a component digest")
 	}
 	return nil
 }
 
 // recipeDigest derives the action-cache key for one run: parameters
-// "component", "input:<name>" and "param:<key>", in that (already sorted)
-// order, then the input digests by name — encoded without building the map.
+// "component" and "param:<key>", in that (already sorted) order, and no
+// inputs — encoded without building the map. The empty input list stays in
+// the encoding: the caches on disk were keyed with it.
 func (m *Memo) recipeDigest(run cheetah.Run) cas.Digest {
-	var nameBuf [8]string
-	names := cas.SortedKeys(nameBuf[:0], m.InputDigests)
 	var keyBuf [16]string
 	keys := cas.SortedKeys(keyBuf[:0], run.Params)
 	var buf [512]byte
-	e := cas.StartRecipe(buf[:0], runRecipeKind, 1+len(names)+len(keys))
+	e := cas.StartRecipe(buf[:0], runRecipeKind, 1+len(keys))
 	e = e.Param("", "component", m.ComponentDigest)
-	for _, n := range names {
-		e = e.Param("input:", n, m.InputDigests[n])
-	}
 	for _, k := range keys {
 		e = e.Param("param:", k, run.Params[k])
 	}
-	e = e.Inputs(len(names))
-	for _, n := range names {
-		e = e.Input(cas.Digest(m.InputDigests[n]))
-	}
-	return e.Digest()
+	return e.Inputs(0).Digest()
 }
 
 // Lookup checks for a usable cached result, restoring outputs when
 // configured; the bool reports a hit. A nil memo never hits. With Restore
 // set, the restore is the existence check (ActionCache.Place); without it,
-// ActionCache.Get stats each output. LocalEngine and the remote coordinator
-// short-circuit already-computed runs with it before placing them, workers
-// against their own (possibly shared) store.
+// ActionCache.Get stats each output. LocalEngine short-circuits
+// already-computed runs with it before placing them, remote workers before
+// executing theirs, against their own (possibly shared) store.
 func (m *Memo) Lookup(run cheetah.Run) (cas.ActionResult, bool) {
 	if m == nil {
 		return cas.ActionResult{}, false
@@ -126,18 +121,10 @@ func (m *Memo) Record(run cheetah.Run) (cas.ActionResult, error) {
 // It is the same for every run of the memo: a Lifecycle builds it once and
 // shares it between records, which nothing writes to.
 func (m *Memo) provenanceInputs() map[string]string {
-	if m == nil {
+	if m == nil || m.ComponentDigest == "" {
 		return nil
 	}
-	in := map[string]string{}
-	if m.ComponentDigest != "" {
-		in["component"] = m.ComponentDigest
-	}
-	maps.Copy(in, m.InputDigests)
-	if len(in) == 0 {
-		return nil
-	}
-	return in
+	return map[string]string{"component": m.ComponentDigest}
 }
 
 // OutputDigests renders an action result's outputs as provenance and the

@@ -46,9 +46,7 @@ func newMemo(t *testing.T, dir string) *Memo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Memo{Cache: cache, ComponentDigest: "sha256:model-v1", InputDigests: map[string]string{
-		"genotypes": string(cas.HashBytes([]byte("dataset"))),
-	}}
+	return &Memo{Cache: cache, ComponentDigest: "sha256:model-v1"}
 }
 
 // TestMemoSkipsWarmRuns: a second RunCampaign over the same campaign executes
@@ -92,9 +90,10 @@ func TestMemoSkipsWarmRuns(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidatedByComponentAndInputs: changing the component digest or
-// any input digest re-executes every dependent run.
-func TestMemoInvalidatedByComponentAndInputs(t *testing.T) {
+// TestMemoInvalidatedByComponentAndParams: changing the component digest
+// re-executes every run, and a sweep point not seen before executes while
+// the ones seen stay cached.
+func TestMemoInvalidatedByComponentAndParams(t *testing.T) {
 	dir := t.TempDir()
 	m := memoCampaign(t, 4)
 	var executions int64
@@ -117,12 +116,12 @@ func TestMemoInvalidatedByComponentAndInputs(t *testing.T) {
 		t.Fatalf("component change executed %d total, want 8", got)
 	}
 
-	memo.InputDigests["genotypes"] = string(cas.HashBytes([]byte("new dataset")))
-	if _, _, err := eng.RunCampaign(context.Background(), m.Campaign.Name, m.Runs); err != nil {
+	wider := memoCampaign(t, 6) // points 1-4 as before, then 5 and 6
+	if _, _, err := eng.RunCampaign(context.Background(), wider.Campaign.Name, wider.Runs); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&executions); got != 12 {
-		t.Fatalf("input change executed %d total, want 12", got)
+	if got := atomic.LoadInt64(&executions); got != 10 {
+		t.Fatalf("two new points executed %d total, want 10", got)
 	}
 }
 
@@ -225,14 +224,14 @@ func TestMemoCollectRestoreRoundTrip(t *testing.T) {
 		t.Fatal("restored output differs from original")
 	}
 
-	// Provenance: cold records carry input+output digests; warm records are
-	// annotated cached with the same digests.
+	// Provenance: cold records carry the component and output digests; warm
+	// records are annotated cached with the same digests.
 	recs := prov.Select(provenance.Query{CampaignID: m.Campaign.Name})
 	if len(recs) != 6 {
 		t.Fatalf("provenance records = %d, want 6", len(recs))
 	}
 	for i, rec := range recs {
-		if rec.Inputs["component"] != "sha256:model-v1" || rec.Inputs["genotypes"] == "" {
+		if rec.Inputs["component"] != "sha256:model-v1" || len(rec.Inputs) != 1 {
 			t.Fatalf("record %d missing input digests: %v", i, rec.Inputs)
 		}
 		if rec.Outputs["result"] == "" || !cas.Digest(rec.Outputs["result"]).Valid() {
@@ -339,14 +338,13 @@ func TestMemoMissingObjectIsAMiss(t *testing.T) {
 }
 
 // TestMemoRecipeDigestPinned: a run's memo key, as recorded by the code that
-// wrote the action caches already on disk. Run parameters named like the
-// memo's own keys must not shadow them.
+// wrote the action caches already on disk — the digests were computed when
+// a memo could also name input digests, and one with none keys as it did
+// then. Run parameters named like the memo's own keys must not shadow them.
 func TestMemoRecipeDigestPinned(t *testing.T) {
 	memos := []*Memo{
 		{},
 		{ComponentDigest: "sha256:model-v1"},
-		{ComponentDigest: "sha256:model-v1", InputDigests: map[string]string{
-			"ref": string(cas.HashBytes([]byte("ref"))), "cfg": string(cas.HashBytes([]byte("cfg")))}},
 	}
 	runs := []cheetah.Run{
 		{ID: "g/s/run-0"},
@@ -357,8 +355,6 @@ func TestMemoRecipeDigestPinned(t *testing.T) {
 		"sha256:7c4252ad8a9cf511a91cba3bb5a88a87ef54952e231dd4d6f34df07ceac32185",
 		"sha256:5722829be68f767bb7e95bc1ffb399121f918b21778db6598d639f5c5a74c556",
 		"sha256:20c60dbc429447a27d09e35d9ebe476d168d5e76784fbf27921ea03a19758013",
-		"sha256:41f5e1cab8173d19efa609562c353ffe9aca4ae963a3a654a6a8cd66afbe1ea3",
-		"sha256:797c5e1fdde6fb663275f7e0e21f9b297bded3853b12233815dc0c7ddf1195f8",
 	}
 	for i, m := range memos {
 		for j, run := range runs {

@@ -153,9 +153,9 @@ type LocalEngine struct {
 	// the zero Config: one attempt per run, nothing else.
 	Resilience *resilience.Config
 	// Memo, when non-nil, memoizes whole runs: a run whose (component
-	// digest, sweep point, input digests) recipe is already cached is
-	// skipped entirely, and successful executions are recorded for the
-	// next campaign re-run or resume. A memo without a cache is refused when
+	// digest, sweep point) recipe is already cached is skipped entirely, and
+	// successful executions are recorded for the next campaign re-run or
+	// resume. A memo without a cache or a component digest is refused when
 	// the campaign opens.
 	Memo *Memo
 	// Tracer, when non-nil, records one "savanna.campaign" span per

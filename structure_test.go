@@ -84,7 +84,6 @@ var deadAPIAllowlist = map[string]string{
 	// Config the equivalence goldens (TestThreeEngineEquivalence) and the
 	// CI-run TestMonitoredSimCampaignEndToEnd drive: the reference engines'
 	// acceptance surface.
-	"remote.Engine.Memo":              "reference: the remote leg of TestThreeEngineEquivalence memoizes through it",
 	"savanna.SimEngine.Resilience":    "reference: the sim leg of TestThreeEngineEquivalence retries and journals through it",
 	"savanna.SimEngine.FaultModel":    "reference: the sim leg of TestThreeEngineEquivalence injects its faults with it",
 	"savanna.SimEngine.Failures":      "reference: TestMonitoredSimCampaignEndToEnd fails nodes with it",
@@ -96,7 +95,7 @@ var deadAPIAllowlist = map[string]string{
 	"hpcsim.FailureConfig.RepairTime": "reference: TestMonitoredSimCampaignEndToEnd and the sim chaos tests set node repair with it",
 }
 
-const deadAPICeiling = 34
+const deadAPICeiling = 33
 
 type goFile struct {
 	rel   string // slash-separated, relative to the module root
